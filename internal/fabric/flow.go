@@ -107,8 +107,9 @@ func (l *Link) addFlow(f *flow) {
 // walks these lists anyway — compacts them here, so removal is O(1)
 // amortized while iteration order (and therefore every downstream
 // floating-point sum and event sequence number) stays bit-identical to
-// eager ordered removal.
-func (l *Link) compact() {
+// eager ordered removal. Each dropped tombstone is released to n, the
+// FlowNet driving the link.
+func (l *Link) compact(n *FlowNet) {
 	if len(l.flows) == l.live {
 		return
 	}
@@ -116,6 +117,8 @@ func (l *Link) compact() {
 	for _, f := range l.flows {
 		if !f.done {
 			flows = append(flows, f)
+		} else {
+			n.release(f)
 		}
 	}
 	for i := len(flows); i < len(l.flows); i++ {
@@ -124,19 +127,28 @@ func (l *Link) compact() {
 	l.flows = flows
 }
 
+// maxPathLinks is the longest path the fabric builds: a message between
+// leaf subtrees crosses tx, up, coreUp, coreDn, down and rx. Every flow
+// carries that much link storage inline.
+const maxPathLinks = 6
+
 // flow is one transfer in flight; like Link, it is owned by whichever
-// kernel's FlowNet it runs under.
+// kernel's FlowNet it runs under. Flow objects are recycled through the
+// FlowNet's free list (see FlowNet.release).
 //
 //dpml:owner shared
 type flow struct {
-	links      []*Link
+	links      []*Link // path[:len] unless a longer path outgrew it
+	path       [maxPathLinks]*Link
 	cap        float64 // per-flow rate ceiling, bytes/sec
 	remaining  float64 // bytes left to move
 	rate       float64
 	prevRate   float64 // rate before the current recompute
 	lastSettle sim.Time
 	onDone     func()
+	fire       func() // completion callback, built once per flow object
 	event      *sim.Event
+	holders    int   // lists still holding the flow: n.active plus one per link entry
 	frozen     bool  // scratch state for water-filling
 	done       bool  // completed; awaiting compaction
 	comp       int32 // component id during discovery (provisional, then dense)
@@ -167,6 +179,8 @@ type FlowNet struct {
 	active  []*flow // live flows plus tombstones awaiting compaction
 	live    int     // live entries in active
 	dirty   bool
+	refill  func()      // the batched recompute event's callback, built once
+	free    []*flow     // released flow objects, reused by Start
 	gen     uint64      // water-filling generation stamp
 	uf      []int32     // scratch: union-find over provisional component ids
 	comps   []component // scratch: per-component flow/link buckets, reused
@@ -187,7 +201,12 @@ type FlowNet struct {
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	return &FlowNet{k: k, workers: 1}
+	n := &FlowNet{k: k, workers: 1}
+	n.refill = func() {
+		n.dirty = false
+		n.recompute()
+	}
+	return n
 }
 
 // SetWorkers sets how many host goroutines recompute may use to
@@ -212,7 +231,8 @@ func (n *FlowNet) Active() int { return n.live }
 // ceiling, invoking onDone in kernel context when the last byte drains.
 // Zero-byte flows complete immediately (still asynchronously, at the
 // current instant). Rate recomputation is batched: flows started at the
-// same instant trigger one water-filling pass.
+// same instant trigger one water-filling pass. The links are copied into
+// the flow, so the caller's slice is not retained.
 func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*Link) {
 	if rateCap <= 0 {
 		panic("fabric: flow rate cap must be positive")
@@ -224,13 +244,15 @@ func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*L
 		n.k.After(0, onDone)
 		return
 	}
-	f := &flow{
-		links:      links,
-		cap:        rateCap,
-		remaining:  float64(bytes),
-		lastSettle: n.k.Now(),
-		onDone:     onDone,
-	}
+	f := n.alloc()
+	f.links = append(f.links[:0], links...)
+	f.cap = rateCap
+	f.remaining = float64(bytes)
+	f.rate, f.prevRate = 0, 0
+	f.lastSettle = n.k.Now()
+	f.onDone = onDone
+	f.holders = 1 + len(links)
+	f.done = false
 	for _, l := range links {
 		l.addFlow(f)
 	}
@@ -238,6 +260,33 @@ func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*L
 	n.live++
 	n.Stats.Started++
 	n.markDirty()
+}
+
+// alloc takes a flow object from the free list, or builds one with its
+// completion callback.
+func (n *FlowNet) alloc() *flow {
+	if i := len(n.free) - 1; i >= 0 {
+		f := n.free[i]
+		n.free[i] = nil
+		n.free = n.free[:i]
+		return f
+	}
+	f := &flow{}
+	f.links = f.path[:0]
+	f.fire = func() { n.complete(f) }
+	return f
+}
+
+// release drops one holder's reference to a completed flow. A tombstone
+// stays in n.active and in each of its links' lists until compaction
+// removes it, and a link no later fill touches keeps its tombstones
+// indefinitely, so the flow returns to the free list only when the last
+// of those lists lets go.
+func (n *FlowNet) release(f *flow) {
+	f.holders--
+	if f.holders == 0 {
+		n.free = append(n.free, f)
+	}
 }
 
 // SetLinkCapacity changes l's capacity in place and re-water-fills every
@@ -263,10 +312,7 @@ func (n *FlowNet) markDirty() {
 		return
 	}
 	n.dirty = true
-	n.k.After(0, func() {
-		n.dirty = false
-		n.recompute()
-	})
+	n.k.After(0, n.refill)
 }
 
 func (n *FlowNet) complete(f *flow) {
@@ -328,10 +374,9 @@ func (n *FlowNet) recompute() {
 	if uint64(count) > n.Stats.MaxComponents {
 		n.Stats.MaxComponents = uint64(count)
 	}
-	w := n.workers
-	if w > count {
-		w = count
-	}
+	// Assigned once, so the worker closures capture w by value: a
+	// reassigned w would move to the heap on every recompute.
+	w := min(n.workers, count)
 	if w > 1 && n.live >= parallelFillMin {
 		var wg sync.WaitGroup
 		for i := 1; i < w; i++ {
@@ -365,6 +410,8 @@ func (n *FlowNet) compact() {
 	for _, f := range n.active {
 		if !f.done {
 			active = append(active, f)
+		} else {
+			n.release(f)
 		}
 	}
 	for i := len(active); i < len(n.active); i++ {
@@ -376,8 +423,8 @@ func (n *FlowNet) compact() {
 // reschedule refreshes completion events after a water-fill. A flow's
 // event is pending from the first fill after Start until complete nils
 // it, so re-fitting is an in-place Kernel.Reschedule — no cancelled
-// tombstones pile up in the event heap and the completion closure is
-// allocated once per flow, not once per rate change.
+// tombstones pile up in the event heap — and scheduling reuses the flow
+// object's completion closure.
 func (n *FlowNet) reschedule(now sim.Time) {
 	for _, f := range n.active {
 		// An unchanged rate means the previously scheduled completion
@@ -395,8 +442,7 @@ func (n *FlowNet) reschedule(now sim.Time) {
 			}
 			continue
 		}
-		ff := f
-		f.event = n.k.At(at, func() { n.complete(ff) })
+		f.event = n.k.At(at, f.fire)
 	}
 }
 
@@ -437,7 +483,7 @@ func (n *FlowNet) findComponents() int {
 		for _, l := range f.links {
 			if l.mark != n.gen {
 				l.mark = n.gen
-				l.compact()
+				l.compact(n)
 				l.comp = -1
 			}
 			if l.comp < 0 {

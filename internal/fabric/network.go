@@ -287,7 +287,8 @@ func (m *MemChannel) Profile() topology.MemProfile { return m.prof }
 // Copy blocks the calling proc for the duration of a shared-memory copy of
 // bytes: the fixed startup cost (the paper's a'), then a flow across the
 // node's memory system at the intra- or cross-socket streaming rate. The
-// proc is busy for the whole copy (memcpy is CPU work).
+// proc is busy for the whole copy (memcpy is CPU work). The flow wakes the
+// proc through its cached wakeup, so a copy allocates nothing.
 func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 	startup := m.prof.CopyStartup
 	rate := m.prof.CopyRate
@@ -304,9 +305,8 @@ func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	var done sim.Signal
-	m.flows.Start(bytes, rate, func() { done.Fire() }, m.link)
-	done.Wait(p, "shm copy")
+	m.flows.Start(bytes, rate, p.Wake(), m.link)
+	p.Park("shm copy")
 }
 
 // StartTransfer is the asynchronous variant used for intra-node

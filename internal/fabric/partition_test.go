@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dpml/internal/sim"
@@ -100,14 +101,49 @@ func refFill(caps []float64, routes [][]int, capacity []float64) []float64 {
 	return rates
 }
 
-// TestPartitionedFillMatchesGlobalFill generates randomized topologies —
-// many links of random capacity, flows crossing random link subsets with
-// random caps — and checks that the production component-partitioned fill
-// produces rates EXACTLY equal (==, not approximately) to the single
-// global reference fill. Random populations fragment into many
-// components, so this directly exercises the decomposition the netshards
-// parallelism relies on.
+// refCheck compares the rate of every flow in n.active, bit for bit,
+// with refFill run over the same flows and over links in the given order.
+func refCheck(n *FlowNet, links []*Link) error {
+	idx := make(map[*Link]int, len(links))
+	capacity := make([]float64, len(links))
+	for i, l := range links {
+		idx[l] = i
+		capacity[i] = l.capacity
+	}
+	caps := make([]float64, len(n.active))
+	routes := make([][]int, len(n.active))
+	for i, f := range n.active {
+		caps[i] = f.cap
+		for _, l := range f.links {
+			routes[i] = append(routes[i], idx[l])
+		}
+	}
+	want := refFill(caps, routes, capacity)
+	for i, f := range n.active {
+		// The decomposition claim is bitwise equality, not tolerance.
+		if math.Float64bits(f.rate) != math.Float64bits(want[i]) {
+			return fmt.Errorf("flow %d rate %v, want %v (diff %g)", i, f.rate, want[i], f.rate-want[i])
+		}
+	}
+	return nil
+}
+
+// TestPartitionedFillMatchesGlobalFill checks the production
+// component-partitioned fill against the single global reference fill,
+// requiring rates EXACTLY equal (==, not approximately), on two inputs:
+//
+//   - static: randomized topologies, many links of random capacity and
+//     flows crossing random link subsets with random caps, filled once.
+//     Random populations fragment into many components, so this directly
+//     exercises the decomposition the netshards parallelism relies on.
+//   - churn: flows started, completed and re-capacitated over virtual
+//     time, which cycles flow objects through the FlowNet's free list.
 func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
+	t.Run("static", testStaticFill)
+	t.Run("churn", testChurnFill)
+}
+
+func testStaticFill(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewFlowNet(k)
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -118,20 +154,15 @@ func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 	maxComps := 0
 	for trial := 0; trial < 80; trial++ {
 		nLinks := 2 + next(30)
-		capacity := make([]float64, nLinks)
 		links := make([]*Link, nLinks)
 		for l := range links {
-			capacity[l] = float64(1+next(40)) * 0.25e9
-			links[l] = NewLink(fmt.Sprintf("t%d.l%d", trial, l), capacity[l])
+			links[l] = NewLink(fmt.Sprintf("t%d.l%d", trial, l), float64(1+next(40))*0.25e9)
 		}
 		nFlows := 1 + next(120)
-		caps := make([]float64, nFlows)
-		routes := make([][]int, nFlows)
 		n.active = n.active[:0]
 		n.live = 0
 		for i := 0; i < nFlows; i++ {
-			caps[i] = float64(1+next(16)) * 0.125e9
-			f := &flow{cap: caps[i], remaining: 1e6}
+			f := &flow{cap: float64(1+next(16)) * 0.125e9, remaining: 1e6}
 			used := map[int]bool{}
 			for j := 0; j <= next(3); j++ {
 				li := next(nLinks)
@@ -140,11 +171,9 @@ func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 				}
 				used[li] = true
 				f.links = append(f.links, links[li])
-				routes[i] = append(routes[i], li)
 			}
 			if len(f.links) == 0 {
 				f.links = append(f.links, links[i%nLinks])
-				routes[i] = append(routes[i], i%nLinks)
 			}
 			for _, l := range f.links {
 				l.addFlow(f)
@@ -160,18 +189,143 @@ func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 		for ci := 0; ci < comps; ci++ {
 			n.waterFill(&n.comps[ci])
 		}
-		want := refFill(caps, routes, capacity)
-		for i, f := range n.active {
-			// The decomposition claim is bitwise equality, not tolerance.
-			if math.Float64bits(f.rate) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d (%d comps): flow %d rate %v, want %v (diff %g)",
-					trial, comps, i, f.rate, want[i], f.rate-want[i])
-			}
+		if err := refCheck(n, links); err != nil {
+			t.Fatalf("trial %d (%d comps): %v", trial, comps, err)
 		}
 	}
 	if maxComps < 4 {
 		t.Fatalf("largest trial had %d components; generator must produce fragmented topologies", maxComps)
 	}
+}
+
+// testChurnFill runs a seeded script of flow starts (some over more links
+// than a flow stores inline), mid-flight capacity changes and staggered
+// sleeps. After every step, once the batched refill has run, it checks
+// the rates against refFill and the free list against every list that
+// can still hold a flow. The first two links carry traffic only in the
+// first half, so the flows that finish last on them stay there as
+// tombstones no later fill compacts, and must never be recycled. The
+// script runs twice, with the free list in use and with it emptied
+// before every Start (every flow a fresh object), and the completion
+// logs must be identical.
+func testChurnFill(t *testing.T) {
+	run := func(pooled bool) (log []string) {
+		rng := uint64(11)
+		next := func(mod int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % mod
+		}
+		k := sim.NewKernel()
+		n := NewFlowNet(k)
+		const nLinks, retired = 10, 2
+		links := make([]*Link, nLinks)
+		for l := range links {
+			links[l] = NewLink(fmt.Sprintf("l%d", l), float64(1+next(8))*1e9)
+		}
+		objects := map[*flow]bool{}
+		var failed error
+		check := func() {
+			if failed != nil {
+				return
+			}
+			held := map[*flow]bool{}
+			for _, f := range n.active {
+				held[f] = true
+			}
+			for _, l := range links {
+				for _, f := range l.flows {
+					held[f] = true
+				}
+			}
+			free := map[*flow]bool{}
+			for _, f := range n.free {
+				if held[f] || free[f] || f.holders != 0 {
+					failed = fmt.Errorf("t=%v: flow %p is on the free list while held (holders %d)", k.Now(), f, f.holders)
+					return
+				}
+				free[f] = true
+			}
+			if !n.dirty {
+				if err := refCheck(n, links); err != nil {
+					failed = fmt.Errorf("t=%v: %v", k.Now(), err)
+				}
+			}
+		}
+		long := 0
+		k.Spawn("driver", func(p *sim.Proc) {
+			var wg sim.WaitGroup
+			for step := 0; step < 400; step++ {
+				lo := 0
+				if step >= 200 {
+					lo = retired
+				}
+				if next(6) == 0 {
+					n.SetLinkCapacity(links[lo+next(nLinks-lo)], float64(1+next(8))*1e9)
+				} else {
+					hops := 1 + next(3)
+					if next(16) == 0 {
+						hops = maxPathLinks + 2
+						long++
+					}
+					var route []*Link
+					for _, i := range rngPerm(next, nLinks-lo)[:hops] {
+						route = append(route, links[lo+i])
+					}
+					if !pooled {
+						n.free = nil
+					}
+					id := step
+					wg.Add(1)
+					n.Start(int64(1+next(1<<20)), float64(1+next(10))*0.5e9, func() {
+						log = append(log, fmt.Sprintf("%d@%d", id, k.Now()))
+						wg.Done()
+					}, route...)
+					objects[n.active[len(n.active)-1]] = true
+				}
+				// Created after Start's refill event, so it runs after it.
+				k.After(0, check)
+				if next(3) == 0 {
+					p.Sleep(sim.Duration(1 + next(20_000)))
+				}
+			}
+			wg.Wait(p, "flows")
+			check()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if failed != nil {
+			t.Fatalf("pooled=%v: %v", pooled, failed)
+		}
+		if long == 0 {
+			t.Fatal("script started no flow longer than the inline link storage")
+		}
+		tombstones := 0
+		for _, l := range links[:retired] {
+			tombstones += len(l.flows) - l.live
+		}
+		if tombstones == 0 {
+			t.Fatal("no tombstone left on a retired link; the script must leave some")
+		}
+		if pooled && len(objects) >= int(n.Stats.Started) {
+			t.Fatalf("%d flows used %d objects; the free list was never reused", n.Stats.Started, len(objects))
+		}
+		return log
+	}
+	pooled, fresh := run(true), run(false)
+	if !reflect.DeepEqual(pooled, fresh) {
+		t.Fatalf("completion logs differ with and without the free list:\n%v\n%v", pooled, fresh)
+	}
+}
+
+// rngPerm returns a random permutation of [0, m) drawn from next.
+func rngPerm(next func(int) int, m int) []int {
+	perm := make([]int, m)
+	for i := range perm {
+		j := next(i + 1)
+		perm[i], perm[j] = perm[j], i
+	}
+	return perm
 }
 
 // TestFillWorkerCountInvariance runs a full simulation — hundreds of

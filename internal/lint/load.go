@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -124,12 +125,22 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range ents {
-		n := e.Name()
-		if !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+		if !e.IsDir() && isSource(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
+}
+
+// isSource reports whether name is a non-test Go file in dir that the
+// default build compiles: build constraints are honored, so a package can
+// pick one of several files with a build tag, as internal/race does.
+func isSource(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return err == nil && ok
 }
 
 // Load loads the module package with the given import path.
@@ -171,7 +182,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	for _, e := range ents {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !isSource(dir, n) {
 			continue
 		}
 		full := filepath.Join(dir, n)

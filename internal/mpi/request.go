@@ -58,9 +58,15 @@ func (r *Rank) Wait(q *Request) {
 		panic("mpi: Wait on another rank's request")
 	}
 	for !q.done {
-		r.anyDone.Wait(r.proc, fmt.Sprintf("wait %s %+v", q.kind, q.key))
+		r.anyDone.WaitFor(r.proc, (*waitReason)(q))
 	}
 }
+
+// waitReason names a blocking Wait in deadlock reports. It is formatted
+// only when a report is built, never on the wait itself.
+type waitReason Request
+
+func (w *waitReason) String() string { return fmt.Sprintf("wait %s %+v", w.kind, w.key) }
 
 // WaitAll blocks until every request completes.
 func (r *Rank) WaitAll(reqs ...*Request) {

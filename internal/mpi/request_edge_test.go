@@ -3,6 +3,7 @@ package mpi
 import (
 	"testing"
 
+	"dpml/internal/race"
 	"dpml/internal/topology"
 )
 
@@ -112,5 +113,41 @@ func TestLinkAccessors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWaitDoesNotAllocate parks Rank.Wait on a pending request twice per
+// call, once woken by another request's completion and once by its own.
+// The wait reason is formatted only for deadlock reports, so parking
+// allocates nothing.
+func TestWaitDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	w := smallWorld(t, topology.ClusterB(), 1, 1, Config{})
+	var allocs float64
+	err := w.Run(func(r *Rank) error {
+		v := NewVector(Float64, 1)
+		q := newRequest(r, "recv", msgKey{src: 0, tag: 1}, v)
+		other := newRequest(r, "recv", msgKey{src: 0, tag: 2}, v)
+		finishOther := func() { other.complete() }
+		finishQ := func() { q.complete() }
+		op := func() {
+			q.done, other.done = false, false
+			r.k.After(1, finishOther)
+			r.k.After(2, finishQ)
+			r.Wait(q)
+		}
+		for i := 0; i < 4; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(100, op)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Rank.Wait allocates %v objects per call, want 0", allocs)
 	}
 }

@@ -18,21 +18,45 @@ import (
 	"dpml/internal/sim"
 )
 
-// Region is one node's shared-memory scratch space.
+// Region is one node's shared-memory scratch space. Operation state is
+// recycled: when DoneCopy drains an operation its segments, signals and
+// slot arrays go to a free list that later operations draw from.
 type Region struct {
-	ppn int
-	ops map[uint64]*opState
+	ppn  int
+	ops  map[uint64]*opState
+	free []*opState
 }
 
 type opState struct {
-	leaders int
-	// slots[j][i] is local rank i's partition for leader j.
-	slots   [][]*mpi.Vector
-	filled  []int         // per leader, how many slots are written
-	gather  []sim.Signal  // per leader, fired when its segment is full
-	results []*mpi.Vector // per leader, the fully reduced partition
-	ready   []sim.Signal  // per leader, fired when the result lands
-	drained int           // ranks that finished copying out
+	segs    []segment // per leader
+	drained int       // ranks that finished copying out
+}
+
+// segment is one leader's share of an operation.
+type segment struct {
+	seq    uint64
+	leader int
+	slots  []*mpi.Vector // slots[i] is local rank i's partition
+	filled int           // slots written
+	gather sim.Signal    // fired when a slot is written
+	result *mpi.Vector   // the fully reduced partition
+	ready  sim.Signal    // fired when the result lands
+}
+
+// gatherWait and resultWait name a segment's two waits in deadlock
+// reports. They are formatted only when a report is built, never on the
+// wait itself.
+type (
+	gatherWait segment
+	resultWait segment
+)
+
+func (s *gatherWait) String() string {
+	return fmt.Sprintf("shm gather op=%d leader=%d", s.seq, s.leader)
+}
+
+func (s *resultWait) String() string {
+	return fmt.Sprintf("shm result op=%d leader=%d", s.seq, s.leader)
 }
 
 // NewRegion builds the region for a node with ppn local ranks.
@@ -53,23 +77,42 @@ func (rg *Region) PendingOps() int { return len(rg.ops) }
 func (rg *Region) op(seq uint64, leaders int) *opState {
 	st, ok := rg.ops[seq]
 	if !ok {
-		st = &opState{
-			leaders: leaders,
-			slots:   make([][]*mpi.Vector, leaders),
-			filled:  make([]int, leaders),
-			gather:  make([]sim.Signal, leaders),
-			results: make([]*mpi.Vector, leaders),
-			ready:   make([]sim.Signal, leaders),
-		}
-		for j := range st.slots {
-			st.slots[j] = make([]*mpi.Vector, rg.ppn)
-		}
+		st = rg.newOp(seq, leaders)
 		rg.ops[seq] = st
 	}
-	if st.leaders != leaders {
-		panic(fmt.Sprintf("shmseg: op %d leader count disagreement: %d vs %d", seq, st.leaders, leaders))
+	if len(st.segs) != leaders {
+		panic(fmt.Sprintf("shmseg: op %d leader count disagreement: %d vs %d", seq, len(st.segs), leaders))
 	}
 	return st
+}
+
+// newOp takes drained operation state from the free list, or builds it.
+func (rg *Region) newOp(seq uint64, leaders int) *opState {
+	var st *opState
+	if i := len(rg.free) - 1; i >= 0 {
+		st = rg.free[i]
+		rg.free[i] = nil
+		rg.free = rg.free[:i]
+	} else {
+		st = &opState{}
+	}
+	if cap(st.segs) < leaders {
+		st.segs = make([]segment, leaders)
+	}
+	st.segs = st.segs[:leaders]
+	for j := range st.segs {
+		sg := &st.segs[j]
+		sg.seq, sg.leader = seq, j
+		if sg.slots == nil {
+			sg.slots = make([]*mpi.Vector, rg.ppn)
+		}
+	}
+	return st
+}
+
+// seg returns leader's segment of operation seq.
+func (rg *Region) seg(seq uint64, leaders, leader int) *segment {
+	return &rg.op(seq, leaders).segs[leader]
 }
 
 // Put deposits local rank localRank's partition for leader into operation
@@ -82,60 +125,70 @@ func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vect
 	if localRank < 0 || localRank >= rg.ppn {
 		panic(fmt.Sprintf("shmseg: Put local rank %d of %d", localRank, rg.ppn))
 	}
-	st := rg.op(seq, leaders)
-	if st.slots[leader][localRank] != nil {
+	sg := rg.seg(seq, leaders, leader)
+	if sg.slots[localRank] != nil {
 		panic(fmt.Sprintf("shmseg: op %d slot (%d,%d) written twice", seq, leader, localRank))
 	}
-	st.slots[leader][localRank] = part
-	st.filled[leader]++
-	st.gather[leader].FireAll()
+	sg.slots[localRank] = part
+	sg.filled++
+	sg.gather.FireAll()
 }
 
 // GatherWait parks the leader's proc until want slots of its segment are
 // written, then returns the slot array in local-rank order (entries of
 // ranks that did not contribute are nil). DPML leaders wait for all ppn
 // local ranks; socket leaders wait only for the ranks of their socket.
+// The array is reused once the operation drains (see DoneCopy).
 func (rg *Region) GatherWait(p *sim.Proc, seq uint64, leaders, leader, want int) []*mpi.Vector {
 	if want <= 0 || want > rg.ppn {
 		panic(fmt.Sprintf("shmseg: GatherWait want %d of %d", want, rg.ppn))
 	}
-	st := rg.op(seq, leaders)
-	for st.filled[leader] < want {
-		st.gather[leader].Wait(p, fmt.Sprintf("shm gather op=%d leader=%d", seq, leader))
+	sg := rg.seg(seq, leaders, leader)
+	for sg.filled < want {
+		sg.gather.WaitFor(p, (*gatherWait)(sg))
 	}
-	return st.slots[leader]
+	return sg.slots
 }
 
 // Publish stores leader's fully reduced partition and wakes the local
 // ranks waiting to copy it out.
 func (rg *Region) Publish(seq uint64, leaders, leader int, result *mpi.Vector) {
-	st := rg.op(seq, leaders)
-	if st.results[leader] != nil {
+	sg := rg.seg(seq, leaders, leader)
+	if sg.result != nil {
 		panic(fmt.Sprintf("shmseg: op %d leader %d published twice", seq, leader))
 	}
-	st.results[leader] = result
-	st.ready[leader].FireAll()
+	sg.result = result
+	sg.ready.FireAll()
 }
 
 // ResultWait parks the proc until leader's result is published and
 // returns it. The caller charges its own copy-out cost.
 func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.Vector {
-	st := rg.op(seq, leaders)
-	for st.results[leader] == nil {
-		st.ready[leader].Wait(p, fmt.Sprintf("shm result op=%d leader=%d", seq, leader))
+	sg := rg.seg(seq, leaders, leader)
+	for sg.result == nil {
+		sg.ready.WaitFor(p, (*resultWait)(sg))
 	}
-	return st.results[leader]
+	return sg.result
 }
 
 // DoneCopy signals that one local rank has copied every result out of
-// operation seq; the last call releases the operation's storage.
+// operation seq; the last call drains the operation and recycles its
+// state.
 func (rg *Region) DoneCopy(seq uint64) {
 	st, ok := rg.ops[seq]
 	if !ok {
 		panic(fmt.Sprintf("shmseg: DoneCopy on unknown op %d", seq))
 	}
 	st.drained++
-	if st.drained == rg.ppn {
-		delete(rg.ops, seq)
+	if st.drained < rg.ppn {
+		return
 	}
+	delete(rg.ops, seq)
+	for j := range st.segs {
+		sg := &st.segs[j]
+		clear(sg.slots)
+		sg.filled, sg.result = 0, nil
+	}
+	st.drained = 0
+	rg.free = append(rg.free, st)
 }

@@ -1,11 +1,15 @@
 package shmseg
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"dpml/internal/mpi"
+	"dpml/internal/race"
 	"dpml/internal/sim"
+	"dpml/internal/topology"
 )
 
 func TestRegionFullGatherPublishDrain(t *testing.T) {
@@ -187,5 +191,88 @@ func TestGatherWaitWantValidation(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegionOpCycleDoesNotAllocate runs whole operations on a two-rank
+// region: the leader parks in GatherWait until its peer's Put, and the
+// peer parks in ResultWait until the leader's Publish. Once drained
+// operation state is recycled, a full Put/GatherWait/Publish/ResultWait/
+// DoneCopy cycle allocates nothing.
+func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const warm, runs = 4, 100
+	rg := NewRegion(2)
+	k := sim.NewKernel()
+	v := [2]*mpi.Vector{mpi.NewPhantom(mpi.Float64, 8), mpi.NewPhantom(mpi.Float64, 8)}
+	var allocs float64
+	k.Spawn("leader", func(p *sim.Proc) {
+		seq := uint64(0)
+		op := func() {
+			rg.Put(seq, 1, 0, 0, v[0])
+			rg.GatherWait(p, seq, 1, 0, 2)
+			rg.Publish(seq, 1, 0, v[0])
+			rg.ResultWait(p, seq, 1, 0)
+			rg.DoneCopy(seq)
+			seq++
+		}
+		for i := 0; i < warm; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(runs, op)
+	})
+	k.Spawn("peer", func(p *sim.Proc) {
+		// AllocsPerRun makes one extra, unmeasured call.
+		for seq := uint64(0); seq < warm+1+runs; seq++ {
+			rg.Put(seq, 1, 0, 1, v[1])
+			rg.ResultWait(p, seq, 1, 0)
+			rg.DoneCopy(seq)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("an operation cycle allocates %v objects, want 0", allocs)
+	}
+	if rg.PendingOps() != 0 {
+		t.Fatalf("op state leaked: %d pending", rg.PendingOps())
+	}
+}
+
+// TestDeadlockReportNamesWaits pins the wait reasons a deadlock report
+// gives for the shared-memory phases and for a blocking receive. They are
+// formatted only when the report is built, so this is what keeps them.
+func TestDeadlockReportNamesWaits(t *testing.T) {
+	job, err := topology.NewJob(topology.ClusterB(), 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(job, mpi.Config{})
+	rg := NewRegion(4)
+	err = w.Run(func(r *mpi.Rank) error {
+		switch r.Rank() {
+		case 0: // leader 1 of op 5 waits for slots nobody writes
+			rg.GatherWait(r.Proc(), 5, 2, 1, 4)
+		case 1: // leader 0 of op 5 never publishes
+			rg.ResultWait(r.Proc(), 5, 2, 0)
+		case 2: // rank 3 never sends tag 7
+			r.Recv(w.CommWorld(), 3, 7, mpi.NewVector(mpi.Float64, 1))
+		}
+		return nil
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("got %v, want a deadlock", err)
+	}
+	want := []string{
+		"rank0: shm gather op=5 leader=1",
+		"rank1: shm result op=5 leader=0",
+		"rank2: wait recv {comm:0 src:3 tag:7}",
+	}
+	if !reflect.DeepEqual(dl.Blocked, want) {
+		t.Fatalf("blocked procs\n%q\nwant\n%q", dl.Blocked, want)
 	}
 }

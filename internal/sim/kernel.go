@@ -65,8 +65,11 @@ type Proc struct {
 	run       chan struct{}
 	state     procState
 	blockedOn string
-	killed    bool
-	wake      func() // cached Sleep callback: one closure per proc, not per call
+	// blockedFor, when set, replaces blockedOn in reports and is
+	// formatted only when a report is built (see Signal.WaitFor).
+	blockedFor fmt.Stringer
+	killed     bool
+	wake       func() // cached wakeup (Sleep, Park): one closure per proc, not per call
 }
 
 // ID returns the proc's dense index in spawn order.
@@ -753,7 +756,11 @@ func (k *Kernel) blockedDump() []string {
 	var blocked []string
 	for _, p := range k.procs {
 		if p.state == stateBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, p.blockedOn))
+			why := p.blockedOn
+			if p.blockedFor != nil {
+				why = p.blockedFor.String()
+			}
+			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, why))
 		}
 	}
 	sort.Strings(blocked)
@@ -810,7 +817,19 @@ func (p *Proc) park(why string) {
 		}
 	}
 	p.blockedOn = ""
+	p.blockedFor = nil
 }
+
+// Wake returns the proc's cached wakeup callback, for handing to an
+// asynchronous completion (a flow's onDone, say) right before Park. It
+// is the mechanism Sleep uses: one closure per proc, so blocking on it
+// allocates nothing, where a Signal costs a waiter slot and a closure per
+// wait. It must fire exactly once per Park, while p is parked.
+func (p *Proc) Wake() func() { return p.wake }
+
+// Park blocks p until the callback returned by Wake fires. why is shown
+// in deadlock reports.
+func (p *Proc) Park(why string) { p.park(why) }
 
 // yieldNow gives other ready procs a chance to run at the same instant.
 // With an empty ready queue nothing could interleave, so it returns

@@ -19,6 +19,16 @@ func (s *Signal) Wait(p *Proc, why string) {
 	p.park(why)
 }
 
+// WaitFor is Wait with a lazily formatted reason: why.String() runs only
+// when a deadlock or watchdog report names the proc, so a reason built
+// from the waiter's state costs nothing per park. why must stay valid
+// while p is parked.
+func (s *Signal) WaitFor(p *Proc, why fmt.Stringer) {
+	s.waiters = append(s.waiters, p)
+	p.blockedFor = why
+	p.park("")
+}
+
 // Fire readies the oldest waiter, if any, and reports whether one was
 // released. May be called from a running proc or an event callback.
 func (s *Signal) Fire() bool {
