@@ -19,17 +19,28 @@ func steadyAllocs(op func()) float64 {
 	return testing.AllocsPerRun(100, op)
 }
 
+// TestMemChannelCopyDoesNotAllocate covers both ways a copy's startup
+// can end: in place, when nothing else is pending, and through a wakeup
+// event that starts the flow, when an earlier event is.
 func TestMemChannelCopyDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	var allocs float64
-	runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
-		m := NewMemChannel(k, n, topology.ClusterA(), 0)
-		allocs = steadyAllocs(func() { m.Copy(p, false, 64<<10) })
-	})
-	if allocs != 0 {
-		t.Fatalf("MemChannel.Copy allocates %v objects per copy, want 0", allocs)
+	for _, viaHeap := range []bool{false, true} {
+		var allocs float64
+		runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
+			m := NewMemChannel(k, n, topology.ClusterA(), 0)
+			nop := func() {}
+			allocs = steadyAllocs(func() {
+				if viaHeap {
+					k.After(sim.Nanosecond, nop)
+				}
+				m.Copy(p, false, 64<<10)
+			})
+		})
+		if allocs != 0 {
+			t.Fatalf("viaHeap=%v: MemChannel.Copy allocates %v objects per copy, want 0", viaHeap, allocs)
+		}
 	}
 }
 

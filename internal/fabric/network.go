@@ -262,6 +262,7 @@ type MemChannel struct {
 	flows *FlowNet
 	prof  topology.MemProfile
 	link  *Link
+	free  []*memCopy // records of finished copy startups, reused by Copy
 
 	// Stats counts copies.
 	Stats struct {
@@ -287,8 +288,10 @@ func (m *MemChannel) Profile() topology.MemProfile { return m.prof }
 // Copy blocks the calling proc for the duration of a shared-memory copy of
 // bytes: the fixed startup cost (the paper's a'), then a flow across the
 // node's memory system at the intra- or cross-socket streaming rate. The
-// proc is busy for the whole copy (memcpy is CPU work). The flow wakes the
-// proc through its cached wakeup, so a copy allocates nothing.
+// proc is busy for the whole copy (memcpy is CPU work). The startup's
+// wakeup event starts the flow (Proc.SleepThen), and the flow wakes the
+// proc through its cached wakeup, so a copy parks once and, from a
+// recycled memCopy record, allocates nothing.
 func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 	startup := m.prof.CopyStartup
 	rate := m.prof.CopyRate
@@ -301,12 +304,40 @@ func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 	if bytes > 0 {
 		m.Stats.Bytes += uint64(bytes)
 	}
-	p.Sleep(startup)
 	if bytes <= 0 {
+		p.Sleep(startup)
 		return
 	}
-	m.flows.Start(bytes, rate, p.Wake(), m.link)
-	p.Park("shm copy")
+	c := m.newCopy()
+	c.p, c.bytes, c.rate = p, bytes, rate
+	p.SleepThen(startup, c.start, "shm copy")
+}
+
+// memCopy holds a copy's flow parameters from Copy until its startup
+// ends and start launches the flow.
+type memCopy struct {
+	p     *sim.Proc
+	bytes int64
+	rate  float64
+	start func() // built once per record
+}
+
+// newCopy takes a record from the free list, or builds one. Its start
+// launches the flow and returns the record to the list.
+func (m *MemChannel) newCopy() *memCopy {
+	if i := len(m.free) - 1; i >= 0 {
+		c := m.free[i]
+		m.free[i] = nil
+		m.free = m.free[:i]
+		return c
+	}
+	c := &memCopy{}
+	c.start = func() {
+		m.flows.Start(c.bytes, c.rate, c.p.Wake(), m.link)
+		c.p = nil
+		m.free = append(m.free, c)
+	}
+	return c
 }
 
 // StartTransfer is the asynchronous variant used for intra-node

@@ -57,14 +57,14 @@ func (r *Rank) Wait(q *Request) {
 	if q.owner != r {
 		panic("mpi: Wait on another rank's request")
 	}
-	for !q.done {
-		r.anyDone.WaitFor(r.proc, (*waitReason)(q))
-	}
+	r.anyDone.WaitUntil(r.proc, (*waitReason)(q))
 }
 
-// waitReason names a blocking Wait in deadlock reports. It is formatted
-// only when a report is built, never on the wait itself.
+// waitReason is a blocking Wait's condition. The scheduler checks Ready
+// on every wakeup; String is formatted only when a report is built.
 type waitReason Request
+
+func (w *waitReason) Ready() bool { return w.done }
 
 func (w *waitReason) String() string { return fmt.Sprintf("wait %s %+v", w.kind, w.key) }
 

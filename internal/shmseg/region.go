@@ -38,22 +38,27 @@ type segment struct {
 	leader int
 	slots  []*mpi.Vector // slots[i] is local rank i's partition
 	filled int           // slots written
+	want   int           // slots the leader's GatherWait needs
 	gather sim.Signal    // fired when a slot is written
 	result *mpi.Vector   // the fully reduced partition
 	ready  sim.Signal    // fired when the result lands
 }
 
-// gatherWait and resultWait name a segment's two waits in deadlock
-// reports. They are formatted only when a report is built, never on the
-// wait itself.
+// gatherWait and resultWait are a segment's two wait conditions. The
+// scheduler checks Ready on every wakeup; String is formatted only when
+// a deadlock or watchdog report is built.
 type (
 	gatherWait segment
 	resultWait segment
 )
 
+func (s *gatherWait) Ready() bool { return s.filled >= s.want }
+
 func (s *gatherWait) String() string {
 	return fmt.Sprintf("shm gather op=%d leader=%d", s.seq, s.leader)
 }
+
+func (s *resultWait) Ready() bool { return s.result != nil }
 
 func (s *resultWait) String() string {
 	return fmt.Sprintf("shm result op=%d leader=%d", s.seq, s.leader)
@@ -144,9 +149,8 @@ func (rg *Region) GatherWait(p *sim.Proc, seq uint64, leaders, leader, want int)
 		panic(fmt.Sprintf("shmseg: GatherWait want %d of %d", want, rg.ppn))
 	}
 	sg := rg.seg(seq, leaders, leader)
-	for sg.filled < want {
-		sg.gather.WaitFor(p, (*gatherWait)(sg))
-	}
+	sg.want = want
+	sg.gather.WaitUntil(p, (*gatherWait)(sg))
 	return sg.slots
 }
 
@@ -165,9 +169,7 @@ func (rg *Region) Publish(seq uint64, leaders, leader int, result *mpi.Vector) {
 // returns it. The caller charges its own copy-out cost.
 func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.Vector {
 	sg := rg.seg(seq, leaders, leader)
-	for sg.result == nil {
-		sg.ready.WaitFor(p, (*resultWait)(sg))
-	}
+	sg.ready.WaitUntil(p, (*resultWait)(sg))
 	return sg.result
 }
 

@@ -276,3 +276,48 @@ func TestDeadlockReportNamesWaits(t *testing.T) {
 		t.Fatalf("blocked procs\n%q\nwant\n%q", dl.Blocked, want)
 	}
 }
+
+// TestWatchdogReportNamesWaits pins the same wait reasons in a watchdog
+// report, plus both halves of a shared-memory copy: a rank still in the
+// copy's startup reads "sleep", and one whose flow has started reads
+// "shm copy".
+func TestWatchdogReportNamesWaits(t *testing.T) {
+	const deadline = 10 * sim.Microsecond
+	job, err := topology.NewJob(topology.ClusterB(), 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(job, mpi.Config{Watchdog: deadline})
+	startup := job.Cluster.Mem.CopyStartup
+	rg := NewRegion(5)
+	err = w.Run(func(r *mpi.Rank) error {
+		switch r.Rank() {
+		case 0:
+			rg.GatherWait(r.Proc(), 5, 2, 1, 4)
+		case 1:
+			rg.ResultWait(r.Proc(), 5, 2, 0)
+		case 2:
+			r.Recv(w.CommWorld(), 3, 7, mpi.NewVector(mpi.Float64, 1))
+		case 3: // the flow of a 1 GB copy outlasts the deadline
+			r.MemCopy(false, 1<<30)
+		case 4: // the deadline falls inside this copy's startup
+			r.Proc().Sleep(deadline - startup/2)
+			r.MemCopy(false, 1<<10)
+		}
+		return nil
+	})
+	var wd *sim.WatchdogError
+	if !errors.As(err, &wd) {
+		t.Fatalf("got %v, want a watchdog report", err)
+	}
+	want := []string{
+		"rank0: shm gather op=5 leader=1",
+		"rank1: shm result op=5 leader=0",
+		"rank2: wait recv {comm:0 src:3 tag:7}",
+		"rank3: shm copy",
+		"rank4: sleep",
+	}
+	if !reflect.DeepEqual(wd.Blocked, want) {
+		t.Fatalf("blocked procs\n%q\nwant\n%q", wd.Blocked, want)
+	}
+}

@@ -39,15 +39,6 @@ func TestEmptyKernelRuns(t *testing.T) {
 	}
 }
 
-func TestNegativeSemaphorePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative permits accepted")
-		}
-	}()
-	NewSemaphore("bad", -1)
-}
-
 func TestWaitGroupNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

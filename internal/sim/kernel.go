@@ -14,10 +14,14 @@
 // straight to the next proc (one goroutine switch per decision, not two).
 // When the parking proc turns out to be the next to run — in particular
 // when it sleeps and its own wakeup is the earliest live event — it
-// continues without any switch at all.
+// continues without any switch at all. Two more paths avoid switching to
+// a proc that has nothing to do yet: a proc in Signal.WaitUntil whose
+// condition is still false is re-parked by the scheduler itself, and
+// Proc.SleepThen runs the work that follows a sleep inside the wakeup
+// event.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
-// Signal.Wait, Semaphore.Acquire, Queue.Recv). When every proc is parked,
+// Signal.Wait, Signal.WaitUntil, Queue.Recv). When every proc is parked,
 // the inline scheduler pops the earliest event, advances the virtual clock
 // to it, and fires its callback, which typically readies one or more
 // procs. If the ready queue and event heap are both empty while procs
@@ -65,11 +69,18 @@ type Proc struct {
 	run       chan struct{}
 	state     procState
 	blockedOn string
-	// blockedFor, when set, replaces blockedOn in reports and is
-	// formatted only when a report is built (see Signal.WaitFor).
-	blockedFor fmt.Stringer
-	killed     bool
-	wake       func() // cached wakeup (Sleep, Park): one closure per proc, not per call
+	// cond and condOn are set while the proc waits in Signal.WaitUntil:
+	// the scheduler re-checks cond whenever condOn releases the proc, and
+	// cond replaces blockedOn in reports.
+	cond   Cond
+	condOn *Signal
+	killed bool
+	// Cached wakeups, one closure per proc rather than per call: wake
+	// readies the proc (Sleep, and the completion handed out by Wake);
+	// wakeThen ends a SleepThen sleep by running then.
+	wake, wakeThen func()
+	then           func()
+	thenWhy        string
 }
 
 // ID returns the proc's dense index in spawn order.
@@ -151,8 +162,8 @@ type KernelStats struct {
 	// The previous two-hop scheduler (proc -> kernel goroutine -> proc)
 	// paid two switches per scheduling decision and reported one;
 	// direct handoff pays one, and zero when a proc resumes itself
-	// (sleep/yield fast paths), so the reported count now matches what
-	// the host actually pays.
+	// (sleep/yield fast paths) or has nothing to do yet (WaitUntil,
+	// SleepThen), so the reported count matches what the host pays.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once —
 	// the scheduler's memory footprint peak. A host-side counter only;
@@ -556,6 +567,12 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 		state: stateReady,
 	}
 	p.wake = func() { k.readyProc(p) }
+	p.wakeThen = func() {
+		then := p.then
+		p.then = nil
+		p.blockedOn = p.thenWhy
+		then()
+	}
 	k.procs = append(k.procs, p)
 	k.ready.push(p)
 	k.alive++
@@ -651,6 +668,15 @@ func (k *Kernel) schedule(self *Proc) bool {
 		if k.ready.len() > 0 {
 			p := k.ready.pop()
 			if p.state == stateDone {
+				continue
+			}
+			if p.cond != nil && !p.cond.Ready() {
+				// A WaitUntil proc released too early: this is the
+				// instant it would run, find its condition false and
+				// wait on the signal again, so do that here instead of
+				// switching to it.
+				p.state = stateBlocked
+				p.condOn.waiters = append(p.condOn.waiters, p)
 				continue
 			}
 			p.state = stateRunning
@@ -757,8 +783,8 @@ func (k *Kernel) blockedDump() []string {
 	for _, p := range k.procs {
 		if p.state == stateBlocked {
 			why := p.blockedOn
-			if p.blockedFor != nil {
-				why = p.blockedFor.String()
+			if p.cond != nil {
+				why = p.cond.String()
 			}
 			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, why))
 		}
@@ -817,19 +843,15 @@ func (p *Proc) park(why string) {
 		}
 	}
 	p.blockedOn = ""
-	p.blockedFor = nil
+	p.cond, p.condOn = nil, nil
 }
 
-// Wake returns the proc's cached wakeup callback, for handing to an
-// asynchronous completion (a flow's onDone, say) right before Park. It
-// is the mechanism Sleep uses: one closure per proc, so blocking on it
+// Wake returns the proc's cached wakeup callback, for the asynchronous
+// completion a SleepThen callback starts (a flow's onDone, say). It is
+// the mechanism Sleep uses: one closure per proc, so blocking on it
 // allocates nothing, where a Signal costs a waiter slot and a closure per
-// wait. It must fire exactly once per Park, while p is parked.
+// wait. It must fire exactly once, while p is parked after its sleep.
 func (p *Proc) Wake() func() { return p.wake }
-
-// Park blocks p until the callback returned by Wake fires. why is shown
-// in deadlock reports.
-func (p *Proc) Park(why string) { p.park(why) }
 
 // yieldNow gives other ready procs a chance to run at the same instant.
 // With an empty ready queue nothing could interleave, so it returns
@@ -864,41 +886,74 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	k := p.k
-	// Zero-handoff fast path: if no proc is ready, no event precedes
-	// this proc's own wakeup, and the wakeup lands inside the current
-	// window and watchdog deadline, the wakeup is by construction the
-	// next thing to happen (it would carry the highest creation counter,
-	// so any event at the same instant fires first — hence the strict >).
-	// Advance the clock and keep running: no event scheduled, no park,
-	// no goroutine switch. Common in per-hop pipelined loops where one
-	// rank repeatedly sleeps for transfer or overhead durations. Events
-	// merged from other shards always fire at or past the horizon, so
-	// skipping the heap cannot skip over them.
-	//
-	// Disabled under exploration: whether the fast path is taken depends
-	// on this kernel's heap and ready queue — shard-local state — and a
-	// taken fast path skips minting a creation counter. Canonically that
-	// is sound (a per-LP counter shift preserves order: same-LP relative
-	// order is untouched and cross-LP keys compare on the origin bits
-	// first), but a salted permutation scrambles relative counter order,
-	// so skipped counters would make the schedule depend on the shard
-	// count. Exploration therefore always schedules the real wakeup.
-	if k.ready.len() == 0 && k.explore == nil {
-		wakeAt := k.now.Add(d)
-		if wakeAt < k.horizon && wakeAt < k.watchdogAt {
-			if at, ok := k.events.peekAt(); !ok || at > wakeAt {
-				k.now = wakeAt
-				k.Stats.Events++ // stands in for the skipped wakeup event
-				return
-			}
-		}
+	if p.sleepInPlace(d) {
+		return
 	}
-	k.After(d, p.wake)
+	p.k.After(d, p.wake)
 	// A static reason: a sleeping proc always has a live wakeup event, so
 	// it can never appear in a deadlock report, and formatting the target
 	// time here put a fmt.Sprintf on the simulator's hottest path.
 	p.park("sleep")
+}
+
+// SleepThen sleeps like Sleep, then runs then at the wakeup instant, in
+// kernel context as p's LP, and leaves p parked: then must start
+// something that fires p.Wake() later. A shared-memory copy uses it to
+// start its flow, so the copy parks once instead of twice.
+//
+// It is exact. The wakeup event gets the key Sleep would mint, and
+// where Sleep's wakeup would make p the only ready proc, which would
+// then run then and park at once, the event runs then itself and
+// nothing else moves. Reports name the proc "sleep" until the wakeup
+// and why after it.
+func (p *Proc) SleepThen(d Duration, then func(), why string) {
+	if d < 0 {
+		d = 0
+	}
+	if p.sleepInPlace(d) {
+		then()
+		p.park(why)
+		return
+	}
+	p.then, p.thenWhy = then, why
+	p.k.After(d, p.wakeThen)
+	p.park("sleep")
+}
+
+// sleepInPlace is the zero-handoff fast path of Sleep and SleepThen. If
+// no proc is ready, no event precedes this proc's own wakeup, and the
+// wakeup lands inside the current window and watchdog deadline, the
+// wakeup is by construction the next thing to happen (it would carry the
+// highest creation counter, so any event at the same instant fires first
+// — hence the strict >). It then advances the clock and reports true:
+// no event scheduled, no park, no goroutine switch. Common in per-hop
+// pipelined loops where one rank repeatedly sleeps for transfer or
+// overhead durations. Events merged from other shards always fire at or
+// past the horizon, so skipping the heap cannot skip over them.
+//
+// Disabled under exploration: whether the fast path is taken depends on
+// this kernel's heap and ready queue — shard-local state — and a taken
+// fast path skips minting a creation counter. Canonically that is sound
+// (a per-LP counter shift preserves order: same-LP relative order is
+// untouched and cross-LP keys compare on the origin bits first), but a
+// salted permutation scrambles relative counter order, so skipped
+// counters would make the schedule depend on the shard count.
+// Exploration therefore always schedules the real wakeup.
+func (p *Proc) sleepInPlace(d Duration) bool {
+	k := p.k
+	if k.ready.len() > 0 || k.explore != nil {
+		return false
+	}
+	wakeAt := k.now.Add(d)
+	if wakeAt >= k.horizon || wakeAt >= k.watchdogAt {
+		return false
+	}
+	if at, ok := k.events.peekAt(); ok && at <= wakeAt {
+		return false
+	}
+	k.now = wakeAt
+	k.Stats.Events++ // stands in for the skipped wakeup event
+	return true
 }
 
 // SleepUntil blocks the proc until virtual time t (no-op if already past).

@@ -48,6 +48,82 @@ func BenchmarkEventSchedule(b *testing.B) {
 	}
 }
 
+// atLeast is a WaitUntil condition on a counter, built once per waiter
+// so waiting allocates nothing.
+type atLeast struct {
+	n    *int
+	want int
+}
+
+func (c *atLeast) Ready() bool    { return *c.n >= c.want }
+func (c *atLeast) String() string { return "count" }
+
+// BenchmarkGather64 measures one 64-way gather per op, the shape of a
+// DPML leader collecting its node's slots: 64 contributors arrive at
+// staggered instants, each releasing the leader's signal, and the leader
+// then releases them all. switches/op is the goroutine handoffs per
+// gather; releases that leave the leader's condition false cost none.
+func BenchmarkGather64(b *testing.B) {
+	b.ReportAllocs()
+	const ways = 64
+	k := NewKernel()
+	var gather, result Signal
+	filled, published := 0, 0
+	k.Spawn("leader", func(p *Proc) {
+		full := &atLeast{&filled, ways}
+		for i := 0; i < b.N; i++ {
+			gather.WaitUntil(p, full)
+			filled = 0
+			published++
+			result.FireAll()
+		}
+	})
+	for c := 0; c < ways; c++ {
+		d := Duration(c%8+1) * Nanosecond
+		k.Spawn(fmt.Sprintf("c%d", c), func(p *Proc) {
+			done := &atLeast{&published, 0}
+			for i := 0; i < b.N; i++ {
+				p.Sleep(d)
+				filled++
+				gather.FireAll()
+				done.want = i + 1
+				result.WaitUntil(p, done)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(k.Stats.ContextSwitch)/float64(b.N), "switches/op")
+}
+
+// BenchmarkCopyLoop measures the kernel side of a shared-memory copy:
+// SleepThen for the startup, whose wakeup starts a completion that wakes
+// the proc, as MemChannel.Copy does with its flow. Eight procs copy
+// concurrently with different drain times, so wakeups interleave.
+// switches/op is the goroutine handoffs per copy.
+func BenchmarkCopyLoop(b *testing.B) {
+	b.ReportAllocs()
+	const procs = 8
+	iters := b.N/procs + 1
+	k := NewKernel()
+	for i := 0; i < procs; i++ {
+		drain := Duration(i+1) * 10 * Nanosecond
+		k.Spawn(fmt.Sprintf("copier%d", i), func(p *Proc) {
+			start := func() { k.After(drain, p.Wake()) }
+			for j := 0; j < iters; j++ {
+				p.SleepThen(180*Nanosecond, start, "shm copy")
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(k.Stats.ContextSwitch)/float64(procs*iters), "switches/op")
+}
+
 // BenchmarkEventScheduleFanout measures the event path with a populated
 // heap: 64 procs sleeping concurrently keep ~64 events live, so every
 // push and pop pays a real heap traversal.

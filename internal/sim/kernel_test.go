@@ -195,80 +195,6 @@ func TestSignalFireAll(t *testing.T) {
 	}
 }
 
-func TestSemaphoreSerializes(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore("nic", 1)
-	var maxConc, conc int
-	for i := 0; i < 8; i++ {
-		k.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-			sem.Acquire(p)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			p.Sleep(Microsecond)
-			conc--
-			sem.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxConc != 1 {
-		t.Fatalf("max concurrency %d, want 1", maxConc)
-	}
-	if k.Now() != Time(8*Microsecond) {
-		t.Fatalf("serialized time %v, want 8us", k.Now())
-	}
-}
-
-func TestSemaphoreCounted(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore("slots", 3)
-	var maxConc, conc int
-	for i := 0; i < 9; i++ {
-		k.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-			sem.Acquire(p)
-			conc++
-			if conc > maxConc {
-				maxConc = conc
-			}
-			p.Sleep(Microsecond)
-			conc--
-			sem.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxConc != 3 {
-		t.Fatalf("max concurrency %d, want 3", maxConc)
-	}
-	if k.Now() != Time(3*Microsecond) {
-		t.Fatalf("took %v, want 3us with 3 slots", k.Now())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel()
-	sem := NewSemaphore("s", 1)
-	k.Spawn("p", func(p *Proc) {
-		if !sem.TryAcquire() {
-			t.Error("first TryAcquire failed")
-		}
-		if sem.TryAcquire() {
-			t.Error("second TryAcquire succeeded with 0 permits")
-		}
-		sem.Release()
-		if !sem.TryAcquire() {
-			t.Error("TryAcquire after Release failed")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQueueSendRecv(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int]("mbox")

@@ -19,13 +19,28 @@ func (s *Signal) Wait(p *Proc, why string) {
 	p.park(why)
 }
 
-// WaitFor is Wait with a lazily formatted reason: why.String() runs only
-// when a deadlock or watchdog report names the proc, so a reason built
-// from the waiter's state costs nothing per park. why must stay valid
-// while p is parked.
-func (s *Signal) WaitFor(p *Proc, why fmt.Stringer) {
+// Cond is a wait condition for Signal.WaitUntil. Ready reports whether
+// the waiter may go on. String names the wait in deadlock and watchdog
+// reports and runs only when a report is built, so a reason made from
+// the waiter's state costs nothing per wait.
+type Cond interface {
+	fmt.Stringer
+	Ready() bool
+}
+
+// WaitUntil parks p until c is ready; it returns at once if c already
+// is. It replaces a loop of Waits that re-checks c after every release.
+// The scheduler re-checks c when it pops the released proc, at the
+// exact instant and ready-ring position where the proc would have run.
+// If c is still false it puts p back on s's waiters, as the loop would
+// have, without a goroutine switch. Ready must only read state of p's
+// LP, and c must stay valid while p is parked.
+func (s *Signal) WaitUntil(p *Proc, c Cond) {
+	if c.Ready() {
+		return
+	}
 	s.waiters = append(s.waiters, p)
-	p.blockedFor = why
+	p.cond, p.condOn = c, s
 	p.park("")
 }
 
@@ -55,59 +70,6 @@ func (s *Signal) FireAll() int {
 
 // Pending returns the number of parked waiters.
 func (s *Signal) Pending() int { return len(s.waiters) }
-
-// Semaphore is a counted semaphore with FIFO handoff, used to model
-// serialized resources (e.g. a NIC injector or a SHArP operation slot).
-type Semaphore struct {
-	name    string
-	permits int
-	queue   []*Proc
-}
-
-// NewSemaphore returns a semaphore with the given initial permit count.
-func NewSemaphore(name string, permits int) *Semaphore {
-	if permits < 0 {
-		panic("sim: negative semaphore permits")
-	}
-	return &Semaphore{name: name, permits: permits}
-}
-
-// Acquire takes one permit, parking the proc until one is available.
-// Handoff is FIFO: a released permit goes to the oldest waiter even if a
-// later proc calls Acquire at the same instant.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.permits > 0 && len(s.queue) == 0 {
-		s.permits--
-		return
-	}
-	s.queue = append(s.queue, p)
-	p.park(fmt.Sprintf("semaphore %q", s.name))
-}
-
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.permits > 0 && len(s.queue) == 0 {
-		s.permits--
-		return true
-	}
-	return false
-}
-
-// Release returns one permit, waking the oldest waiter if any. Safe to
-// call from event callbacks.
-func (s *Semaphore) Release() {
-	if len(s.queue) > 0 {
-		p := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
-		p.k.readyProc(p)
-		return
-	}
-	s.permits++
-}
-
-// Queued returns the number of procs waiting for a permit.
-func (s *Semaphore) Queued() int { return len(s.queue) }
 
 // Queue is an unbounded FIFO mailbox carrying values of type T between
 // procs. Send never blocks; Recv parks until a value is available.
