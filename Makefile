@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintfix-check ci perfcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results perf
+.PHONY: all build test race vet lint lintfix-check ci benchcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results
 
 all: build
 
@@ -39,15 +39,18 @@ race:
 # ci is the gate: the invariant analyzers and go vet, the full test suite under the race
 # detector (the sweep pool runs simulations on multiple goroutines, so
 # -race exercises the parallel paths, not just the serial ones), the
-# sharded-kernel race pass, the simulator-throughput check (the quick
-# perf suite must stay within 30% of the committed BENCH_sim.json on the
-# 64-rank scenarios), the fault-matrix smoke pass, the schedule-space
-# exploration pass, a short fuzz pass over the text parsers, and the
-# coverage summary.
-ci: lint lintfix-check vet race racecheck perfcheck faultsmoke explorecheck grandprixsmoke fuzz cover
+# sharded-kernel race pass, the benchmark module's own checks, the
+# fault-matrix smoke pass, the schedule-space exploration pass, a short
+# fuzz pass over the text parsers, and the coverage summary.
+ci: lint lintfix-check vet race racecheck benchcheck faultsmoke explorecheck grandprixsmoke fuzz cover
 
-perfcheck:
-	$(GO) run ./cmd/dpml-bench -perf -quick -baseline BENCH_sim.json -o /dev/null
+# benchcheck vets and tests the nested benchmark/ module, which the root
+# `go test ./...` never enters: every workload at test size against its
+# golden virtual timeline, the exact-integer oracle or the fig5 table,
+# corrupted references failing every operation, and the metric names
+# matching BENCHMARK.json.
+benchcheck:
+	cd benchmark && export GOWORK=off GOTOOLCHAIN=local GOFLAGS= && $(GO) vet ./... && $(GO) test ./...
 
 # racecheck reruns the kernel, fabric, and MPI test packages under the
 # race detector with the event kernel split across four shards and the
@@ -117,7 +120,3 @@ results:
 		$(GO) run ./cmd/dpml-bench -figure $$f -iters 2 -warmup 1 -o results/$$f.txt || exit 1; \
 	done
 	$(GO) run ./cmd/dpml-bench -figure fig10 -iters 1 -warmup 1 -o results/fig10.txt
-
-# perf emits the simulator-throughput report committed as BENCH_sim.json.
-perf:
-	$(GO) run ./cmd/dpml-bench -perf -quick -o BENCH_sim.json

@@ -5,7 +5,6 @@
 //	dpml-bench -figure fig4            # one figure at full scale
 //	dpml-bench -figure all -quick      # the whole suite at test scale
 //	dpml-bench -figure all -quick -j 8 # same output, 8 host workers
-//	dpml-bench -perf -quick            # simulator-throughput suite (JSON)
 //	dpml-bench -list                   # available figure ids
 package main
 
@@ -31,9 +30,6 @@ func main() {
 		warmup    = flag.Int("warmup", 0, "warmup iterations per point (0 = default)")
 		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = all cores, 1 = serial); output is identical for every value")
 		list      = flag.Bool("list", false, "list figure ids and exit")
-		perf      = flag.Bool("perf", false, "run the simulator-throughput suite and emit JSON (BENCH_sim.json schema)")
-		perfOnly  = flag.String("perf-only", "", "with -perf: only run scenarios/figures whose name contains this substring")
-		baseline  = flag.String("baseline", "", "with -perf: compare against a committed BENCH_sim.json and exit non-zero on >30% events/sec regression in the 64-rank scenarios")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		out       = flag.String("o", "", "write output to file instead of stdout")
@@ -87,30 +83,6 @@ func main() {
 	opt := bench.Options{
 		Quick: *quick, Iters: *iters, Warmup: *warmup, Jobs: *jobs,
 		FaultSpec: spec, FaultSeed: *faultSeed, Watchdog: sim.Duration(*watchdog / time.Nanosecond),
-	}
-	if *perf {
-		rep, err := bench.SimPerfFiltered(opt, *perfOnly)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		if *baseline != "" {
-			base, err := bench.ReadPerfReport(*baseline)
-			if err != nil {
-				fatal(err)
-			}
-			notes, err := bench.CheckRegression(rep, base, 0.30)
-			for _, n := range notes {
-				fmt.Fprintln(os.Stderr, "dpml-bench: note:", n)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintln(os.Stderr, "dpml-bench: 64-rank throughput within 30% of", *baseline)
-		}
-		return
 	}
 	ids := []string{*figure}
 	if *figure == "all" {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -157,6 +158,46 @@ func TestShardDeterminismMatrix(t *testing.T) {
 				t.Errorf("%s: digest at shards=%d netshards=%d GOMAXPROCS=%d -j%d differs from serial reference: %s vs %s",
 					d.name, cfg.shards, cfg.netShards, cfg.gomaxprocs, cfg.workers, got[i], base[i])
 			}
+		}
+	}
+}
+
+// TestExaEventCountInvariance pins the acceptance property of the
+// 100k+-rank regime: the simulated event count is identical for every
+// (shards, netshards) combination. By default it runs the cluster E
+// workload at a reduced node count (still spanning multiple leaf
+// subtrees and the oversubscribed core); DPML_FULL_RESULTS=1 runs the
+// full 4096x28 = 114,688-rank shape.
+func TestExaEventCountInvariance(t *testing.T) {
+	cl := topology.ClusterE()
+	nodes := 64 // 2 leaf subtrees of 32
+	if os.Getenv("DPML_FULL_RESULTS") == "1" {
+		nodes = cl.Nodes
+	}
+	cl = cl.WithNodes(nodes)
+	run := func(shards, netShards int) uint64 {
+		job, err := topology.NewJob(cl, nodes, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := mpi.NewWorld(job, mpi.Config{Shards: shards, NetShards: netShards})
+		e := core.NewEngine(w)
+		err = w.Run(func(r *mpi.Rank) error {
+			v := mpi.NewPhantom(mpi.Float32, (64<<10)/4)
+			return e.Allreduce(r, core.DPML(14), mpi.Sum, v)
+		})
+		if err != nil {
+			t.Fatalf("shards=%d netshards=%d: %v", shards, netShards, err)
+		}
+		return w.SimStats().Events
+	}
+	want := run(1, 1)
+	if want == 0 {
+		t.Fatal("serial run produced no events")
+	}
+	for _, cfg := range [][2]int{{2, 1}, {2, 4}, {4, 2}, {8, 3}} {
+		if got := run(cfg[0], cfg[1]); got != want {
+			t.Errorf("shards=%d netshards=%d: %d events, want %d", cfg[0], cfg[1], got, want)
 		}
 	}
 }
