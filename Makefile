@@ -52,15 +52,16 @@ ci: lint lintfix-check vet race racecheck benchcheck faultsmoke explorecheck gra
 benchcheck:
 	cd benchmark && export GOWORK=off GOTOOLCHAIN=local GOFLAGS= && $(GO) vet ./... && $(GO) test ./...
 
-# racecheck reruns the kernel, fabric, and MPI test packages under the
-# race detector with the event kernel split across four shards and the
-# network kernel's water-fill on two workers. Plain `race` covers
-# host-side parallelism (the sweep pool); this covers sim-side
-# parallelism — window barriers, cross-shard outboxes, the net kernel,
-# the component-parallel fill — where a missing happens-before edge
-# would corrupt virtual time itself.
+# racecheck reruns the kernel, fabric, MPI, and shared-memory test
+# packages under the race detector with the event kernel split across
+# four shards and the network kernel's water-fill on two workers. Plain
+# `race` covers host-side parallelism (the sweep pool); this covers
+# sim-side parallelism — window barriers, cross-shard outboxes, the net
+# kernel, the component-parallel fill, and the coroutine switches that
+# shmseg's gather, result and copy waits exercise most — where a missing
+# happens-before edge would corrupt virtual time itself.
 racecheck:
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/
+	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP

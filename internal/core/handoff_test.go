@@ -7,7 +7,7 @@ import (
 	"dpml/internal/topology"
 )
 
-// TestSharpNodeContextSwitches pins the exact goroutine handoff count of
+// TestSharpNodeContextSwitches pins the exact proc handoff count of
 // a small latency-bound run: ten 256 B allreduces with the SHArP
 // node-leader design on 8×8 ranks of cluster A. A rank parks once per
 // shared-memory copy, and a leader is switched to only when its gather

@@ -108,7 +108,7 @@ func TestStatsCount(t *testing.T) {
 	if k.Stats.Events < 5 {
 		t.Fatalf("events = %d, want >= 5", k.Stats.Events)
 	}
-	// A lone sleeper is the zero-handoff fast path: the only goroutine
+	// A lone sleeper is the zero-handoff fast path: the only proc
 	// switch is the bootstrap handoff from Run.
 	if k.Stats.ContextSwitch != 1 {
 		t.Fatalf("context switches = %d, want 1 (sleep fast path)", k.Stats.ContextSwitch)

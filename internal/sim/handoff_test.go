@@ -3,49 +3,49 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// The direct-handoff scheduler runs scheduling decisions inline in the
-// parking proc and hands the token straight to the next proc. These tests
-// pin down the tricky corners: unwinding when the failing/reporting proc
-// itself holds the token, context-switch accounting, and the zero-handoff
-// fast paths.
+// The coroutine scheduler runs scheduling decisions inline in the parking
+// proc, which names the next proc and yields to the kernel's driver loop.
+// These tests pin down the tricky corners: unwinding when the failing or
+// reporting proc is the one that decided, context-switch accounting, and
+// the zero-switch fast paths.
 
 // TestPingPongHalvesContextSwitches is the headline accounting check: two
 // procs exchanging n messages park once per receive, so the run makes
 // 2n+2 scheduling decisions (two bootstrap dispatches plus 2n receive
-// wakeups). The retired two-hop scheduler paid two goroutine switches per
-// decision (proc -> kernel -> proc); direct handoff pays at most one, so
-// Stats.ContextSwitch must come out at no more than half the event-driven
-// handoff count.
+// wakeups). Counting a switch into a scheduler and one out of it for each
+// decision gives twice that; Stats.ContextSwitch counts one per resume of
+// another proc, so it must come out at no more than half.
 func TestPingPongHalvesContextSwitches(t *testing.T) {
 	const n = 1000
 	k := NewKernel()
-	ab := NewQueue[int]("a->b")
-	ba := NewQueue[int]("b->a")
+	ab := newQueue[int]("a->b")
+	ba := newQueue[int]("b->a")
 	k.Spawn("a", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			ab.Send(i)
-			if got := ba.Recv(p); got != i {
+			ab.send(i)
+			if got := ba.recv(p); got != i {
 				t.Errorf("a got %d, want %d", got, i)
 			}
 		}
 	})
 	k.Spawn("b", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			if got := ab.Recv(p); got != i {
+			if got := ab.recv(p); got != i {
 				t.Errorf("b got %d, want %d", got, i)
 			}
-			ba.Send(i)
+			ba.send(i)
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	decisions := uint64(2*n + 2)
-	eventDriven := 2 * decisions // what the two-hop scheduler would pay
+	eventDriven := 2 * decisions
 	if k.Stats.ContextSwitch > eventDriven/2 {
 		t.Fatalf("context switches = %d, want <= %d (half of %d event-driven handoffs)",
 			k.Stats.ContextSwitch, eventDriven/2, eventDriven)
@@ -57,7 +57,7 @@ func TestPingPongHalvesContextSwitches(t *testing.T) {
 }
 
 // TestSleepFastPathZeroHandoffs: a solo proc's sleeps must advance the
-// clock without scheduling events or switching goroutines, while a proc
+// clock without scheduling events or switching procs, while a proc
 // whose wakeup races an earlier event must take the slow path and see the
 // event fire first.
 func TestSleepFastPathZeroHandoffs(t *testing.T) {
@@ -138,8 +138,8 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 
 // TestPanicMidRunWithReadyProcs: a proc panics while other procs are
 // ready (not just parked); the ready-but-never-run ones must unwind too
-// and the panic must surface. Under direct handoff the panicking proc's
-// own exit path discovers the failure and hands the token to Run.
+// and the panic must surface. The panicking proc's own exit path
+// discovers the failure and ends the driver loop.
 func TestPanicMidRunWithReadyProcs(t *testing.T) {
 	k := NewKernel()
 	ran := 0
@@ -161,8 +161,8 @@ func TestPanicMidRunWithReadyProcs(t *testing.T) {
 }
 
 // TestPanicInsideEventCallback: an event callback fires inline in
-// whichever proc holds the token; a panic there is attributed to the
-// token holder and still aborts the run cleanly.
+// whichever proc runs the scheduler step; a panic there is attributed to
+// that proc and still aborts the run cleanly.
 func TestPanicInsideEventCallback(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
@@ -177,14 +177,14 @@ func TestPanicInsideEventCallback(t *testing.T) {
 		t.Fatalf("got %v, want PanicError", err)
 	}
 	if pe.Proc != "scheduler-host" {
-		t.Fatalf("panic attributed to %q, want the token holder", pe.Proc)
+		t.Fatalf("panic attributed to %q, want the proc that fired it", pe.Proc)
 	}
 }
 
 // TestDeadlockReportedByTokenHolder: the last proc to park is the one
 // that runs the scheduler, finds nothing runnable, and must report a
 // deadlock that includes *itself*, then unwind cleanly even though it was
-// holding the token when it found out.
+// running when it found out.
 func TestDeadlockReportedByTokenHolder(t *testing.T) {
 	k := NewKernel()
 	var sig Signal
@@ -229,8 +229,8 @@ func TestDeadlockDetectedByExitingProc(t *testing.T) {
 
 // TestShutdownUnwindsMixedStates: on abort the kernel must unwind parked
 // procs, ready procs that have run before, and ready procs that have
-// never run, without leaking goroutines (completion of Run proves the
-// handshakes all happened).
+// never run, without resuming any of them into its body.
+// TestShutdownReleasesGoroutines checks that no goroutine outlives them.
 func TestShutdownUnwindsMixedStates(t *testing.T) {
 	// Spawn order matters: "parked" parks, "ran-then-ready" yields behind
 	// "bomb" in the FIFO, so when bomb panics the kernel must unwind one
@@ -255,16 +255,130 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 	}
 }
 
-// TestSelfHandoffSkipsChannels: when a proc yields while being the only
-// ready proc (after readying itself), it must resume inline. Regression
-// guard for the self-handoff branch of schedule().
-func TestSelfHandoffSkipsChannels(t *testing.T) {
+// TestShutdownReleasesGoroutines runs every way a run can fail — deadlock,
+// watchdog expiry, a proc panic and an event-callback panic — on a
+// standalone kernel and on coordinators at 2 and 4 shards, and checks
+// that the run leaves no goroutine behind once it returns. Every
+// node has a proc that parks, one that yields (it ran and is ready
+// again) and one spawned after the failure's trigger. A proc panic
+// strikes while the yielder is ready and the late proc has never run. An
+// event fires only once the ready ring is empty, so the callback readies
+// the parked proc before it panics. Deadlock and watchdog verdicts are
+// reached with the ready ring empty, so there every proc is parked.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	const nodes = 4
+	ticker := func(*Kernel, *Signal) func(*Proc) {
+		return func(p *Proc) {
+			for {
+				p.Sleep(Microsecond)
+			}
+		}
+	}
+	bomb := func(*Kernel, *Signal) func(*Proc) {
+		return func(*Proc) { panic("proc boom") }
+	}
+	callbackBomb := func(k *Kernel, sig *Signal) func(*Proc) {
+		return func(p *Proc) {
+			k.After(Microsecond, func() {
+				sig.Fire()
+				panic("callback boom")
+			})
+			p.Sleep(5 * Microsecond)
+		}
+	}
+	kinds := []struct {
+		name     string
+		watchdog Duration
+		trigger  func(k *Kernel, sig *Signal) func(*Proc) // node 0's extra proc
+		want     func(error) bool
+	}{
+		{"deadlock", 0, nil, isErr[*DeadlockError]},
+		{"watchdog", 100 * Microsecond, ticker, isErr[*WatchdogError]},
+		{"proc-panic", 0, bomb, isErr[*PanicError]},
+		{"callback-panic", 0, callbackBomb, isErr[*PanicError]},
+	}
+	for _, kind := range kinds {
+		for _, shards := range []int{0, 2, 4} {
+			t.Run(fmt.Sprintf("%s/shards%d", kind.name, shards), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				k0 := NewKernel()
+				kernelFor, lpOf := func(int) *Kernel { return k0 }, func(int) int { return 0 }
+				run, setWatchdog := k0.Run, k0.SetWatchdog
+				if shards > 0 {
+					co := NewCoordinator(nodes, shards, 10*Microsecond)
+					kernelFor, lpOf = co.KernelFor, func(n int) int { return n }
+					run, setWatchdog = co.Run, co.SetWatchdog
+				}
+				setWatchdog(kind.watchdog)
+				for n := 0; n < nodes; n++ {
+					k, lp := kernelFor(n), lpOf(n)
+					var sig Signal
+					k.SpawnOn(lp, "parked", func(p *Proc) { sig.Wait(p, "parked") })
+					k.SpawnOn(lp, "yielder", func(p *Proc) {
+						p.Yield()
+						sig.Wait(p, "yielded")
+					})
+					if n == 0 && kind.trigger != nil {
+						k.SpawnOn(lp, kind.name, kind.trigger(k, &sig))
+					}
+					k.SpawnOn(lp, "late", func(p *Proc) { sig.Wait(p, "late") })
+				}
+				if err := run(); !kind.want(err) {
+					t.Fatalf("got %v, want a %s verdict", err, kind.name)
+				}
+				// Goroutines other tests left behind may exit meanwhile,
+				// so the count may fall, but the run must add none.
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines after the run, %d before", n, before)
+				}
+			})
+		}
+	}
+}
+
+// TestFinishedProcReleasesBody: once a proc has finished, its kernel must
+// not keep the body, or what the body captures, reachable.
+func TestFinishedProcReleasesBody(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int]("loop")
+	freed := make(chan struct{})
+	func() {
+		captured := new([1 << 10]byte)
+		runtime.SetFinalizer(captured, func(*[1 << 10]byte) { close(freed) })
+		k.Spawn("p", func(*Proc) { captured[0]++ })
+	}()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	for i := 0; ; i++ {
+		select {
+		case <-freed:
+			runtime.KeepAlive(k)
+			return
+		default:
+		}
+		if i == 100000 {
+			t.Fatal("the body's captured state is still reachable from the kernel")
+		}
+		runtime.Gosched()
+	}
+}
+
+func isErr[E error](err error) bool {
+	var e E
+	return errors.As(err, &e)
+}
+
+// TestSelfHandoffSkipsSwitch: when a proc yields while being the only
+// ready proc (after readying itself), it must resume inline. Regression
+// guard for the self-handoff branch of switchTo.
+func TestSelfHandoffSkipsSwitch(t *testing.T) {
+	k := NewKernel()
+	q := newQueue[int]("loop")
 	k.Spawn("self", func(p *Proc) {
 		for i := 0; i < 100; i++ {
-			q.Send(i) // readies nobody; queue already has data for Recv
-			if got := q.Recv(p); got != i {
+			q.send(i) // readies nobody; queue already has data for recv
+			if got := q.recv(p); got != i {
 				t.Errorf("got %d, want %d", got, i)
 			}
 		}

@@ -1,27 +1,29 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel runs simulated processes ("procs") as goroutines but executes
-// exactly one of them at a time, passing a single run token around. All
-// simulation state is therefore mutated without data races and every run
-// is bit-for-bit reproducible: scheduling is decided only by the virtual
-// clock, a FIFO ready queue, and an event heap with a (LP, counter)
-// tiebreaker.
+// The kernel runs simulated processes ("procs") as coroutines (iter.Pull)
+// and executes exactly one of them at a time. All simulation state is
+// therefore mutated without data races and every run is bit-for-bit
+// reproducible: scheduling is decided only by the virtual clock, a FIFO
+// ready queue, and an event heap with a (LP, counter) tiebreaker.
 //
-// Scheduling is direct handoff ("hot potato"): there is no resident
-// scheduler goroutine. The scheduler step — ready-queue pop, event-heap
-// pop, clock advance, deadlock detection — executes inline in whichever
-// proc is currently giving up the token, which then hands the token
-// straight to the next proc (one goroutine switch per decision, not two).
-// When the parking proc turns out to be the next to run — in particular
-// when it sleeps and its own wakeup is the earliest live event — it
-// continues without any switch at all. Two more paths avoid switching to
-// a proc that has nothing to do yet: a proc in Signal.WaitUntil whose
-// condition is still false is re-parked by the scheduler itself, and
-// Proc.SleepThen runs the work that follows a sleep inside the wakeup
-// event.
+// Scheduling is a coroutine loop. Each kernel has one driver loop (drive)
+// that resumes the proc chosen by the last scheduling decision and runs
+// until the run or the window is over. The scheduler step — ready-queue
+// pop, event-heap pop, clock advance, deadlock detection — executes
+// inline in whichever proc is giving up control, which names the next
+// proc and yields to the driver: a handoff is two coroutine switches and
+// never goes through the Go scheduler. When the parking proc turns out to
+// be the next to run — in particular when it sleeps and its own wakeup is
+// the earliest live event — it continues without any switch at all. Two
+// more paths avoid switching to a proc that has nothing to do yet: a proc
+// in Signal.WaitUntil whose condition is still false is re-parked by the
+// scheduler itself, and Proc.SleepThen runs the work that follows a sleep
+// inside the wakeup event.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
-// Signal.Wait, Signal.WaitUntil, Queue.Recv). When every proc is parked,
+// Signal.Wait, Signal.WaitUntil). When every proc is parked,
 // the inline scheduler pops the earliest event, advances the virtual clock
 // to it, and fires its callback, which typically readies one or more
 // procs. If the ready queue and event heap are both empty while procs
@@ -42,6 +44,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -60,13 +63,17 @@ const (
 
 // Proc is a simulated process. A Proc handle is only valid inside the
 // function passed to Kernel.Spawn, and all of its methods must be called
-// from that function's goroutine.
+// from inside that function.
 type Proc struct {
-	k         *Kernel
-	id        int
-	lp        int32 // owning logical process (shard-local state domain)
-	name      string
-	run       chan struct{}
+	k    *Kernel
+	id   int
+	lp   int32 // owning logical process (shard-local state domain)
+	name string
+	// The body's coroutine: the driver resumes it with next, it gives
+	// control back with yield, and shutdown unwinds it with stop.
+	next      func() (struct{}, bool)
+	stop      func()
+	yield     func(struct{}) bool
 	state     procState
 	blockedOn string
 	// cond and condOn are set while the proc waits in Signal.WaitUntil:
@@ -74,7 +81,6 @@ type Proc struct {
 	// cond replaces blockedOn in reports.
 	cond   Cond
 	condOn *Signal
-	killed bool
 	// Cached wakeups, one closure per proc rather than per call: wake
 	// readies the proc (Sleep, and the completion handed out by Wake);
 	// wakeThen ends a SleepThen sleep by running then.
@@ -98,8 +104,8 @@ func (p *Proc) LP() int { return int(p.lp) }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// errKilled is panicked inside proc goroutines that are parked when the
-// kernel shuts down (deadlock or abort), so their stacks unwind cleanly.
+// errKilled is panicked inside a parked proc whose coroutine shutdown
+// stops (deadlock or abort), so its stack unwinds cleanly.
 type errKilled struct{}
 
 // DeadlockError is returned by Kernel.Run when no event can advance the
@@ -158,12 +164,11 @@ func (e *PanicError) Error() string {
 // shard-invariant.
 type KernelStats struct {
 	Events uint64
-	// ContextSwitch counts actual goroutine handoffs of the run token.
-	// The previous two-hop scheduler (proc -> kernel goroutine -> proc)
-	// paid two switches per scheduling decision and reported one;
-	// direct handoff pays one, and zero when a proc resumes itself
-	// (sleep/yield fast paths) or has nothing to do yet (WaitUntil,
-	// SleepThen), so the reported count matches what the host pays.
+	// ContextSwitch counts coroutine resumes: scheduling decisions that
+	// pick a proc other than the one deciding. Each costs the host two
+	// coroutine switches (into the driver loop and out to the proc). A
+	// proc that resumes itself (sleep/yield fast paths) or has nothing to
+	// do yet (WaitUntil, SleepThen) costs none and is not counted.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once —
 	// the scheduler's memory footprint peak. A host-side counter only;
@@ -215,16 +220,14 @@ type Kernel struct {
 
 	// Sharding. A standalone kernel has coord == nil and runs the legacy
 	// single-heap loop. Under a sharded Coordinator, windowed is true for
-	// shard kernels: schedule stops at horizon and reports the window's
-	// end on winDone instead of terminating, and cross-shard AtOn calls
-	// buffer into outbox (drained by the coordinator at barriers).
+	// shard kernels: schedule stops at horizon and ends the window instead
+	// of terminating, and cross-shard AtOn calls buffer into outbox
+	// (drained by the coordinator at barriers).
 	coord     *Coordinator
-	kidx      int
 	windowed  bool
 	horizon   Time
 	lookahead Duration
 	outbox    [][]outEvent
-	winDone   chan int
 
 	// watchdogAt aborts the run when the next live event would fire at
 	// or past it while procs are still alive (see SetWatchdog).
@@ -244,13 +247,11 @@ type Kernel struct {
 	fireSeq uint64
 	ties    [][]TiePair
 
-	// mainWake resumes Kernel.Run when the simulation terminates
-	// (completion, deadlock, or proc panic), and serves as the unwind
-	// handshake during shutdown. Buffered so the terminating token
-	// holder never blocks on it.
-	mainWake     chan struct{}
+	// handoff is the proc a yielding or exiting proc chose for the driver
+	// loop to resume next; nil ends the run or the window.
+	handoff      *Proc
 	started      bool
-	shuttingDown bool  // exit paths hand back to shutdown(), not schedule()
+	shuttingDown bool  // unwinding procs neither schedule nor park
 	termErr      error // deadlock error, nil on clean completion
 	failure      error // first proc panic, aborts the run
 	diag         func() string
@@ -262,7 +263,6 @@ type Kernel struct {
 // simulation whose shared network LP is netLP.
 func newKernel(lpBase, lpCount, netLP int) *Kernel {
 	return &Kernel{
-		mainWake:   make(chan struct{}, 1),
 		lpBase:     int32(lpBase),
 		lpCount:    int32(lpCount),
 		netLP:      int32(netLP),
@@ -555,17 +555,7 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 	if !k.owns(int32(lp)) {
 		panic(fmt.Sprintf("sim: SpawnOn(%d) on kernel owning [%d,%d)", lp, k.lpBase, k.lpBase+k.lpCount))
 	}
-	p := &Proc{
-		k:    k,
-		id:   len(k.procs),
-		lp:   int32(lp),
-		name: name,
-		// Buffered: the handing-off goroutine deposits the token and
-		// returns to its own wait without rendezvousing, so a wakeup
-		// can never block the waker.
-		run:   make(chan struct{}, 1),
-		state: stateReady,
-	}
+	p := &Proc{k: k, id: len(k.procs), lp: int32(lp), name: name, state: stateReady}
 	p.wake = func() { k.readyProc(p) }
 	p.wakeThen = func() {
 		then := p.then
@@ -573,43 +563,36 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 		p.blockedOn = p.thenWhy
 		then()
 	}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		body(p)
+	})
 	k.procs = append(k.procs, p)
 	k.ready.push(p)
 	k.alive++
-	go func() {
-		<-p.run // wait for the first token
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errKilled); ok {
-					// Unwound by kernel shutdown: hand the token back to
-					// the shutdown loop without touching failure state.
-					p.state = stateDone
-					k.alive--
-					k.mainWake <- struct{}{}
-					return
-				}
-				if k.failure == nil {
-					k.failure = &PanicError{Proc: p.name, Value: r}
-				}
-			}
-			p.state = stateDone
-			k.alive--
-			if k.shuttingDown {
-				// A killed proc recovered errKilled itself (or finished
-				// while unwinding); still hand back to the shutdown loop.
-				k.mainWake <- struct{}{}
-				return
-			}
-			// Direct handoff: the exiting proc runs the scheduler and
-			// passes the token to the next proc (or ends the run/window).
-			k.schedule(nil)
-		}()
-		if p.killed {
-			panic(errKilled{})
-		}
-		body(p)
-	}()
 	return p
+}
+
+// exit runs when a proc body returns or panics. It records a panic as
+// the run's failure (the errKilled of a shutdown unwind is none) and,
+// outside shutdown, runs the scheduler step and leaves its choice for the
+// driver loop.
+func (p *Proc) exit() {
+	k := p.k
+	if r := recover(); r != nil {
+		if _, killed := r.(errKilled); !killed && k.failure == nil {
+			k.failure = &PanicError{Proc: p.name, Value: r}
+		}
+	}
+	p.state = stateDone
+	k.alive--
+	// The coroutine handles reach body and everything it captures; drop
+	// them so a finished proc does not keep those alive with the kernel.
+	p.next, p.stop, p.yield = nil, nil, nil
+	if !k.shuttingDown {
+		k.handoff = k.schedule(nil)
+	}
 }
 
 // Run drives the simulation until every proc has finished and no live
@@ -617,10 +600,6 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 // *WatchdogError if the armed deadline expired, or a *PanicError if a
 // proc panicked. Run may only be called once, and not on a kernel owned
 // by a sharded Coordinator (use Coordinator.Run).
-//
-// Run is only a bootstrap/teardown shell: it hands the token to the first
-// proc and sleeps until a token holder declares the run over; scheduling
-// decisions happen inline in the procs themselves (see schedule).
 func (k *Kernel) Run() error {
 	if k.started {
 		panic("sim: Run called twice")
@@ -629,8 +608,7 @@ func (k *Kernel) Run() error {
 		panic("sim: Run on a sharded kernel; use Coordinator.Run")
 	}
 	k.started = true
-	k.schedule(nil)
-	<-k.mainWake
+	k.drive()
 	if k.failure != nil {
 		k.shutdown()
 		return k.failure
@@ -642,28 +620,28 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// schedule is the scheduler step, executed inline by the current token
-// holder when it gives up the token: a parking proc, an exiting proc
-// (self == nil), a window-driving goroutine, or Run at bootstrap
-// (self == nil). It fires due events until a proc is runnable, then
-// hands the token over. It returns true if self was selected to keep
-// running — the caller continues without any goroutine switch — and
-// false if the token went elsewhere (or the run/window ended), in which
-// case a parking caller must wait on its own run channel.
-//
-// After the `p.run <-` send the caller may execute a few more
-// instructions before blocking, concurrently with the woken proc; it
-// must touch no simulation state in that window (the send is the last
-// shared-state operation on every path).
-func (k *Kernel) schedule(self *Proc) bool {
+// drive is the kernel's driver loop, run by Kernel.Run and by a shard's
+// window goroutine. It resumes the proc each scheduling decision chose
+// until a decision ends the run or the window; every resumed proc runs
+// until it parks, yields or exits, and leaves the next choice in handoff
+// on the way out.
+func (k *Kernel) drive() {
+	for p := k.schedule(nil); p != nil; p = k.handoff {
+		k.handoff = nil
+		p.next()
+	}
+}
+
+// schedule is the scheduler step, executed inline by whichever side gives
+// up control: a parking proc (self), an exiting proc or the driver loop
+// (self == nil). It fires due events until a proc is runnable and returns
+// it, marked running; nil means the run or the window is over, with any
+// verdict in termErr or failure. A parking proc that gets itself back
+// continues without any switch.
+func (k *Kernel) schedule(self *Proc) *Proc {
 	for {
 		if k.failure != nil {
-			if k.windowed {
-				k.endWindow()
-			} else {
-				k.terminate(nil)
-			}
-			return false
+			return nil
 		}
 		if k.ready.len() > 0 {
 			p := k.ready.pop()
@@ -681,35 +659,31 @@ func (k *Kernel) schedule(self *Proc) bool {
 			}
 			p.state = stateRunning
 			k.curLP = p.lp
-			if p == self {
-				return true
+			if p != self {
+				k.Stats.ContextSwitch++
 			}
-			k.Stats.ContextSwitch++
-			p.run <- struct{}{}
-			return false
+			return p
 		}
 		e := k.popEventBefore(k.horizon)
 		if e == nil {
 			if k.windowed {
 				// The window is exhausted; the coordinator decides what
 				// happens next (another window, termination, a verdict).
-				k.endWindow()
-				return false
+				return nil
 			}
 			switch {
-			case k.alive == 0:
-				k.terminate(nil) // clean completion
+			case k.alive == 0: // clean completion
 			case k.watchdogAt < maxTime:
-				k.terminate(k.watchdogErr("none"))
+				k.termErr = k.watchdogErr("none")
 			default:
-				k.terminate(k.deadlock())
+				k.termErr = k.deadlock()
 			}
-			return false
+			return nil
 		}
 		if e.at >= k.watchdogAt {
 			if k.alive > 0 {
-				k.terminate(k.watchdogErr(fmt.Sprintf("t=%v", e.at)))
-				return false
+				k.termErr = k.watchdogErr(fmt.Sprintf("t=%v", e.at))
+				return nil
 			}
 			// Everything finished before the deadline: disarm and drain.
 			k.watchdogAt = maxTime
@@ -726,13 +700,6 @@ func (k *Kernel) schedule(self *Proc) bool {
 		k.recycle(e)
 		fn()
 	}
-}
-
-// endWindow reports this shard's window as exhausted to the coordinator.
-// Called exactly once per window, by whichever token holder runs out of
-// work below the horizon.
-func (k *Kernel) endWindow() {
-	k.winDone <- k.kidx
 }
 
 // runWindow executes this kernel's events below the horizon inline on
@@ -756,15 +723,6 @@ func (k *Kernel) runWindow() {
 		k.recycle(e)
 		fn()
 	}
-}
-
-// terminate ends the run: it records the verdict and wakes Run, which
-// owns teardown. Called exactly once per run, by whichever token holder
-// discovers termination. The deadlocked/parked procs (including, for a
-// deadlock, the very proc that detected it) are unwound by shutdown.
-func (k *Kernel) terminate(err error) {
-	k.termErr = err
-	k.mainWake <- struct{}{}
 }
 
 // deadlock builds the error naming every parked proc.
@@ -793,24 +751,23 @@ func (k *Kernel) blockedDump() []string {
 	return blocked
 }
 
-// shutdown unwinds every parked proc so no goroutines leak after a failed
-// run. It runs on the Run goroutine (or the coordinator), which holds the
-// token once the run is over; unwinding procs hand back via mainWake, not
-// the scheduler.
+// shutdown unwinds every live proc so no goroutines leak after a failed
+// run (the deadlocked procs include, for a deadlock, the very proc that
+// detected it). It runs after the driver loop returned, when every live
+// proc is suspended or never started. stop makes a suspended proc's yield
+// return false, which unwinds it through errKilled and exit; for a proc
+// that never started it runs nothing, so that proc's bookkeeping is done
+// here.
 func (k *Kernel) shutdown() {
 	k.shuttingDown = true
 	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.killed = true
+		if p.state == stateDone {
+			continue
 		}
-	}
-	// Wake parked procs one at a time; each unwinds via errKilled and
-	// hands back. Ready-but-never-run procs are woken the same way.
-	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.state = stateRunning
-			p.run <- struct{}{}
-			<-k.mainWake
+		p.stop()
+		if p.state != stateDone {
+			p.state = stateDone
+			k.alive--
 		}
 	}
 	k.ready.reset()
@@ -829,21 +786,31 @@ func (k *Kernel) readyProc(p *Proc) {
 // park blocks the calling proc until something readies it. why is shown in
 // deadlock reports. The parking proc runs the scheduler inline; if it
 // readies itself before anything else becomes runnable (firing its own
-// wakeup event, say), it resumes with zero goroutine switches.
+// wakeup event, say), it resumes with zero switches.
 func (p *Proc) park(why string) {
-	if p.killed {
+	if p.k.shuttingDown {
 		panic(errKilled{})
 	}
 	p.state = stateBlocked
 	p.blockedOn = why
-	if !p.k.schedule(p) {
-		<-p.run
-		if p.killed {
-			panic(errKilled{})
-		}
-	}
+	p.switchTo(p.k.schedule(p))
 	p.blockedOn = ""
 	p.cond, p.condOn = nil, nil
+}
+
+// switchTo passes control to next, the choice of a scheduling decision p
+// ran: when p chose itself there is nothing to do; otherwise p leaves
+// next (nil when the run or window is over) to the driver loop and
+// yields until the loop resumes it. A false yield means shutdown is
+// stopping p, which unwinds it.
+func (p *Proc) switchTo(next *Proc) {
+	if next == p {
+		return
+	}
+	p.k.handoff = next
+	if !p.yield(struct{}{}) {
+		panic(errKilled{})
+	}
 }
 
 // Wake returns the proc's cached wakeup callback, for the asynchronous
@@ -857,22 +824,17 @@ func (p *Proc) Wake() func() { return p.wake }
 // With an empty ready queue nothing could interleave, so it returns
 // immediately without touching the scheduler.
 func (p *Proc) yieldNow(why string) {
-	if p.killed {
+	k := p.k
+	if k.shuttingDown {
 		panic(errKilled{})
 	}
-	k := p.k
 	if k.ready.len() == 0 {
 		return
 	}
 	p.state = stateBlocked
 	p.blockedOn = why
 	k.readyProc(p)
-	if !k.schedule(p) {
-		<-p.run
-		if p.killed {
-			panic(errKilled{})
-		}
-	}
+	p.switchTo(k.schedule(p))
 	p.blockedOn = ""
 }
 
@@ -926,7 +888,7 @@ func (p *Proc) SleepThen(d Duration, then func(), why string) {
 // wakeup is by construction the next thing to happen (it would carry the
 // highest creation counter, so any event at the same instant fires first
 // — hence the strict >). It then advances the clock and reports true:
-// no event scheduled, no park, no goroutine switch. Common in per-hop
+// no event scheduled, no park, no switch. Common in per-hop
 // pipelined loops where one rank repeatedly sleeps for transfer or
 // overhead durations. Events merged from other shards always fire at or
 // past the horizon, so skipping the heap cannot skip over them.

@@ -61,7 +61,7 @@ func (c *atLeast) String() string { return "count" }
 // BenchmarkGather64 measures one 64-way gather per op, the shape of a
 // DPML leader collecting its node's slots: 64 contributors arrive at
 // staggered instants, each releasing the leader's signal, and the leader
-// then releases them all. switches/op is the goroutine handoffs per
+// then releases them all. switches/op is the coroutine resumes per
 // gather; releases that leave the leader's condition false cost none.
 func BenchmarkGather64(b *testing.B) {
 	b.ReportAllocs()
@@ -102,7 +102,7 @@ func BenchmarkGather64(b *testing.B) {
 // SleepThen for the startup, whose wakeup starts a completion that wakes
 // the proc, as MemChannel.Copy does with its flow. Eight procs copy
 // concurrently with different drain times, so wakeups interleave.
-// switches/op is the goroutine handoffs per copy.
+// switches/op is the coroutine resumes per copy.
 func BenchmarkCopyLoop(b *testing.B) {
 	b.ReportAllocs()
 	const procs = 8

@@ -197,17 +197,17 @@ func TestSignalFireAll(t *testing.T) {
 
 func TestQueueSendRecv(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int]("mbox")
+	q := newQueue[int]("mbox")
 	var got []int
 	k.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, q.Recv(p))
+			got = append(got, q.recv(p))
 		}
 	})
 	k.Spawn("send", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(Microsecond)
-			q.Send(i * 10)
+			q.send(i * 10)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -223,19 +223,19 @@ func TestQueueSendRecv(t *testing.T) {
 
 func TestQueueTryRecv(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[string]("m")
+	q := newQueue[string]("m")
 	k.Spawn("p", func(p *Proc) {
-		if _, ok := q.TryRecv(); ok {
-			t.Error("TryRecv on empty queue succeeded")
+		if _, ok := q.tryRecv(); ok {
+			t.Error("tryRecv on empty queue succeeded")
 		}
-		q.Send("x")
-		q.Send("y")
-		if q.Len() != 2 {
-			t.Errorf("Len = %d, want 2", q.Len())
+		q.send("x")
+		q.send("y")
+		if len(q.items) != 2 {
+			t.Errorf("len = %d, want 2", len(q.items))
 		}
-		v, ok := q.TryRecv()
+		v, ok := q.tryRecv()
 		if !ok || v != "x" {
-			t.Errorf("TryRecv = %q,%v want x,true", v, ok)
+			t.Errorf("tryRecv = %q,%v want x,true", v, ok)
 		}
 	})
 	if err := k.Run(); err != nil {
@@ -369,19 +369,19 @@ func TestManyProcsStress(t *testing.T) {
 	// 2000 procs ping-ponging through a queue should finish and stay
 	// deterministic.
 	k := NewKernel()
-	q := NewQueue[int]("ring")
+	q := newQueue[int]("ring")
 	const n = 2000
 	var sum int
 	for i := 0; i < n; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			p.Sleep(Duration(i) * Nanosecond)
-			q.Send(i)
+			q.send(i)
 		})
 	}
 	k.Spawn("collector", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			sum += q.Recv(p)
+			sum += q.recv(p)
 		}
 	})
 	if err := k.Run(); err != nil {

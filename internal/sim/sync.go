@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Signal is a broadcast/wakeup primitive for procs, analogous to a
@@ -33,7 +34,7 @@ type Cond interface {
 // The scheduler re-checks c when it pops the released proc, at the
 // exact instant and ready-ring position where the proc would have run.
 // If c is still false it puts p back on s's waiters, as the loop would
-// have, without a goroutine switch. Ready must only read state of p's
+// have, without a switch. Ready must only read state of p's
 // LP, and c must stay valid while p is parked.
 func (s *Signal) WaitUntil(p *Proc, c Cond) {
 	if c.Ready() {
@@ -70,57 +71,6 @@ func (s *Signal) FireAll() int {
 
 // Pending returns the number of parked waiters.
 func (s *Signal) Pending() int { return len(s.waiters) }
-
-// Queue is an unbounded FIFO mailbox carrying values of type T between
-// procs. Send never blocks; Recv parks until a value is available.
-type Queue[T any] struct {
-	name  string
-	items []T
-	sig   Signal
-}
-
-// NewQueue returns an empty queue labeled name for deadlock reports.
-func NewQueue[T any](name string) *Queue[T] {
-	return &Queue[T]{name: name}
-}
-
-// Send enqueues v and wakes one receiver if any is parked. Callable from
-// procs and event callbacks.
-func (q *Queue[T]) Send(v T) {
-	q.items = append(q.items, v)
-	q.sig.Fire()
-}
-
-// Recv dequeues the oldest value, parking the proc while the queue is
-// empty.
-func (q *Queue[T]) Recv(p *Proc) T {
-	for len(q.items) == 0 {
-		q.sig.Wait(p, fmt.Sprintf("queue %q recv", q.name))
-	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	return v
-}
-
-// TryRecv dequeues without blocking, reporting whether a value was
-// available.
-func (q *Queue[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items[0] = zero
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	return v, true
-}
-
-// Len returns the number of queued values.
-func (q *Queue[T]) Len() int { return len(q.items) }
 
 // WaitGroup tracks completion of a known number of proc-side tasks in
 // virtual time.
@@ -249,9 +199,7 @@ func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 		k := newKernel(base, end-base, netLP)
 		k.lookahead = lookahead
 		k.coord = c
-		k.kidx = i
 		k.windowed = true
-		k.winDone = c.winDone
 		k.outbox = make([][]outEvent, shards+1)
 		c.kernels[i] = k
 		c.winStart[i] = make(chan Time, 1)
@@ -262,7 +210,6 @@ func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 	c.netK = newKernel(netLP, 1, netLP)
 	c.netK.lookahead = lookahead
 	c.netK.coord = c
-	c.netK.kidx = shards
 	c.netK.outbox = make([][]outEvent, shards+1)
 	c.tbuf = make([]Time, shards+1)
 	return c
@@ -417,7 +364,8 @@ func (c *Coordinator) NumProcs() int {
 // why that is safe), let the shards run their events and procs below it
 // in parallel, exchange cross-shard events at the barrier, run the
 // network LP's window inline up to the earliest instant any shard could
-// still inject, repeat.
+// still inject, repeat. Run returns only after its shard goroutines have
+// exited.
 func (c *Coordinator) Run() error {
 	if c.started {
 		panic("sim: Coordinator.Run called twice")
@@ -430,12 +378,16 @@ func (c *Coordinator) Run() error {
 		k.started = true
 	}
 	c.netK.started = true
+	var shards sync.WaitGroup
 	for i := range c.kernels {
 		k, ch := c.kernels[i], c.winStart[i]
+		shards.Add(1)
 		go func() {
+			defer shards.Done()
 			for h := range ch {
 				k.horizon = h
-				k.schedule(nil)
+				k.drive()
+				c.winDone <- i
 			}
 		}()
 	}
@@ -443,6 +395,7 @@ func (c *Coordinator) Run() error {
 		for _, ch := range c.winStart {
 			close(ch)
 		}
+		shards.Wait()
 	}()
 	for {
 		// Per-kernel earliest pending instant: the earliest live event, or

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Signal.WaitUntil and Proc.SleepThen exist only to save goroutine
+// Signal.WaitUntil and Proc.SleepThen exist only to save proc
 // switches, so they must be unobservable otherwise. The tests below run
 // one randomized gather workload with each primitive and with the code
 // it replaces, a loop of Waits and Sleep followed by the action and a
@@ -190,7 +190,7 @@ func gatherScenario(t *testing.T, shards int, x *Explore, refW, refS bool) exact
 // a nonzero salt perturbs every same-instant tiebreak), that both
 // primitives leave the fired-key digest, each node's resume order,
 // every proc's finish time and the event count exactly as the replaced
-// code does, while taking fewer goroutine switches.
+// code does, while taking fewer proc switches.
 func TestWaitUntilAndSleepThenMatchReference(t *testing.T) {
 	modes := []struct {
 		name string
