@@ -96,7 +96,6 @@ grandprixsmoke:
 # still run under plain `go test`.
 FUZZTIME ?= 5s
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzCommMatrixLabel -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzWriteCSVRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzSpanStamping -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/

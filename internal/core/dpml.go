@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+
 	"dpml/internal/mpi"
+	"dpml/internal/shmseg"
+	"dpml/internal/sim"
 	"dpml/internal/trace"
 )
 
@@ -18,92 +22,39 @@ import (
 //     l concurrent inter-node collectives on n/l bytes each.
 //  4. Local copy to individual processes: every local rank copies the l
 //     fully reduced partitions back out of shared memory.
-func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm) {
-	e.dpmlInstrumented(r, op, vec, leaders, chunks, interAlg, nil)
-}
-
-// dpmlInstrumented is dpml with optional per-phase timing (pt may be
-// nil). Phase boundaries are measured on the calling rank; leaders'
-// Phase 2 includes the wait for the slowest local contributor, and Phase
-// 4 includes the wait for the leaders' results — the same accounting a
+//
+// It returns the calling rank's time in each phase. Leaders' Phase 2
+// includes the wait for the slowest local contributor, and Phase 4
+// includes the wait for the leaders' results — the same accounting a
 // profiled MPI implementation would report.
-func (e *Engine) dpmlInstrumented(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm, pt *PhaseTimes) {
-	job := e.W.Job
-	pl := r.Place()
-	ppn := job.PPN
-	rec := e.W.Tracer()
-
-	if ppn == 1 {
+func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm) PhaseTimes {
+	var pt PhaseTimes
+	if e.W.Job.PPN == 1 {
 		// Single process per node: the shared-memory phases are
 		// identity operations; go straight to the inter-node phase.
-		start := r.Now()
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, start)
+		ph := e.beginPhase(r, trace.PhaseInter)
 		e.interNode(r, e.leaderComms[0], op, vec, chunks, interAlg)
-		sp.End(r.Now())
-		if pt != nil {
-			pt.Inter += r.Now().Sub(start)
-		}
-		return
+		pt.Inter = ph.end(r)
+		return pt
 	}
-
-	seq := e.nextSeq(r)
-	rg := e.regions[pl.Node]
-	cnts, displs := mpi.BlockPartition(vec.Len(), leaders)
-
-	// Phase 1: concurrent gather of partitions into leader segments.
-	start := r.Now()
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, start)
-	for j := 0; j < leaders; j++ {
-		part := vec.Slice(displs[j], displs[j]+cnts[j])
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, part.Bytes())
-		rg.Put(seq, leaders, j, pl.LocalRank, part.Clone())
-	}
-	sp.End(r.Now())
-	if pt != nil {
-		pt.Copy += r.Now().Sub(start)
-	}
-
-	if pl.LocalRank < leaders {
-		j := pl.LocalRank
-		// Phase 2: reduce the gathered partitions.
-		start = r.Now()
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, start)
-		slots := rg.GatherWait(r.Proc(), seq, leaders, j, ppn)
-		e.gatherSync(r, j, false)
-		acc := slots[0].Clone()
-		for i := 1; i < ppn; i++ {
-			r.Reduce(op, acc, slots[i])
-		}
-		sp.End(r.Now())
-		if pt != nil {
-			pt.Reduce += r.Now().Sub(start)
-		}
-		// Phase 3: inter-node allreduce with same-index leaders.
-		start = r.Now()
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, start)
+	o := e.newShmOp(r, leaders, vec.Len())
+	ph := e.beginPhase(r, trace.PhaseCopy)
+	o.deposit(vec)
+	pt.Copy = ph.end(r)
+	if j := r.Place().LocalRank; j < leaders {
+		ph = e.beginPhase(r, trace.PhaseReduce)
+		acc := o.fold(op, j, e.W.Job.PPN, false)
+		pt.Reduce = ph.end(r)
+		ph = e.beginPhase(r, trace.PhaseInter)
 		e.interNode(r, e.leaderComms[j], op, acc, chunks, interAlg)
-		if pt != nil {
-			pt.Inter += r.Now().Sub(start)
-		}
-		rg.Publish(seq, leaders, j, acc)
-		sp.End(r.Now())
+		o.publish(j, acc)
+		pt.Inter = ph.end(r)
 	}
-
-	// Phase 4: concurrent broadcast of the reduced partitions.
-	start = r.Now()
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, start)
-	for j := 0; j < leaders; j++ {
-		res := rg.ResultWait(r.Proc(), seq, leaders, j)
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, res.Bytes())
-		vec.Slice(displs[j], displs[j]+cnts[j]).CopyFrom(res)
-	}
-	rg.DoneCopy(seq)
-	sp.End(r.Now())
-	if pt != nil {
-		pt.Bcast += r.Now().Sub(start)
-	}
+	ph = e.beginPhase(r, trace.PhaseBcast)
+	o.collect(vec)
+	o.done()
+	pt.Bcast = ph.end(r)
+	return pt
 }
 
 // interNode runs Phase 3 on the leader communicator: a library-chosen
@@ -121,4 +72,149 @@ func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector
 		alg = autoAlg(vec.Bytes())
 	}
 	r.Allreduce(c, alg, op, vec)
+}
+
+// dpmlChunks checks that s is a DPML-family spec that can run on this
+// engine and returns its Phase 3 pipelining depth (1 for plain DPML).
+// what names the caller in the error.
+func (e *Engine) dpmlChunks(what string, s Spec) (int, error) {
+	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
+		return 0, fmt.Errorf("core: %s supports DPML designs, not %q", what, s.Design)
+	}
+	if err := e.Validate(s); err != nil {
+		return 0, err
+	}
+	if s.Design == DesignDPMLPipelined {
+		return s.Chunks, nil
+	}
+	return 1, nil
+}
+
+// checkOp reports whether op can reduce vec's datatype, so a mismatch
+// fails before any rank moves instead of inside the first fold.
+func checkOp(op *mpi.Op, vec *mpi.Vector) error {
+	if !op.Supports(vec.Type()) {
+		return fmt.Errorf("core: op %s unsupported for %v", op.Name(), vec.Type())
+	}
+	return nil
+}
+
+// shmOp is one rank's part in one shared-memory operation of its node:
+// the steps every DPML-structured collective is built from. Segment j
+// belongs to leader j (for the SHArP designs, to local rank j); each step
+// charges its own copy cost.
+type shmOp struct {
+	e    *Engine
+	r    *mpi.Rank
+	rg   *shmseg.Region
+	seq  uint64
+	segs int
+	n    int // elements, block-partitioned across the segments (see part)
+}
+
+// newShmOp opens the calling rank's next operation on its node's region
+// with segs segments over an n-element payload.
+func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) shmOp {
+	return shmOp{e: e, r: r, rg: e.regions[r.Place().Node], seq: e.nextSeq(r), segs: segs, n: n}
+}
+
+// part returns the view of vec that segment j carries: block j of
+// mpi.BlockPartition(n, segs).
+func (o *shmOp) part(vec *mpi.Vector, j int) *mpi.Vector {
+	return vec.Slice(mpi.Block(o.n, o.segs, j))
+}
+
+// cross reports whether a copy to or from segment j crosses sockets.
+func (o *shmOp) cross(j int) bool { return o.r.Place().Socket != o.e.leaderSocket[j] }
+
+// put copies v into this rank's slot of segment j.
+func (o *shmOp) put(j int, v *mpi.Vector) {
+	o.r.MemCopy(o.cross(j), v.Bytes())
+	o.rg.Put(o.seq, o.segs, j, o.r.Place().LocalRank, v.Clone())
+}
+
+// deposit is Phase 1: partition j of vec goes to segment j, for every j.
+func (o *shmOp) deposit(vec *mpi.Vector) {
+	for j := 0; j < o.segs; j++ {
+		o.put(j, o.part(vec, j))
+	}
+}
+
+// gather waits until want local ranks have put into segment j and
+// returns its slots in local-rank order (nil for ranks that did not).
+func (o *shmOp) gather(j, want int) []*mpi.Vector {
+	return o.rg.GatherWait(o.r.Proc(), o.seq, o.segs, j, want)
+}
+
+// fold is Phase 2 for the leader of segment j: it gathers want
+// contributions, charges the flag polls (see gatherSync), and returns a
+// new vector holding their reduction in local-rank order.
+func (o *shmOp) fold(op *mpi.Op, j, want int, sameSocketOnly bool) *mpi.Vector {
+	slots := o.gather(j, want)
+	o.e.gatherSync(o.r, j, sameSocketOnly)
+	var acc *mpi.Vector
+	for _, s := range slots {
+		switch {
+		case s == nil:
+		case acc == nil:
+			acc = s.Clone()
+		default:
+			o.r.Reduce(op, acc, s)
+		}
+	}
+	return acc
+}
+
+// publish stores the leader's result for segment j.
+func (o *shmOp) publish(j int, res *mpi.Vector) { o.rg.Publish(o.seq, o.segs, j, res) }
+
+// get waits for segment j's result and copies it into dst.
+func (o *shmOp) get(j int, dst *mpi.Vector) {
+	res := o.rg.ResultWait(o.r.Proc(), o.seq, o.segs, j)
+	o.r.MemCopy(o.cross(j), res.Bytes())
+	dst.CopyFrom(res)
+}
+
+// collect is Phase 4: segment j's result is copied into partition j of
+// vec, for every j.
+func (o *shmOp) collect(vec *mpi.Vector) {
+	for j := 0; j < o.segs; j++ {
+		o.get(j, o.part(vec, j))
+	}
+}
+
+// done releases this rank's part in the operation; every local rank must
+// call it once.
+func (o *shmOp) done() { o.rg.DoneCopy(o.seq) }
+
+// PhaseTimes is the calling rank's time spent in each DPML phase of one
+// profiled allreduce. Non-leader ranks report zero Reduce/Inter time and
+// their Bcast time includes waiting for the leaders.
+type PhaseTimes struct {
+	Copy   sim.Duration // Phase 1: local copy to shared memory
+	Reduce sim.Duration // Phase 2: intra-node reduction (leaders)
+	Inter  sim.Duration // Phase 3: inter-node allreduce (leaders)
+	Bcast  sim.Duration // Phase 4: local copy to individual processes
+}
+
+// Total returns the sum of the phases.
+func (t PhaseTimes) Total() sim.Duration { return t.Copy + t.Reduce + t.Inter + t.Bcast }
+
+// phase is one open phase span on a rank.
+type phase struct {
+	sp    *trace.Span
+	start sim.Time
+}
+
+// beginPhase opens a trace span for the named phase on r.
+func (e *Engine) beginPhase(r *mpi.Rank, name string) phase {
+	now := r.Now()
+	return phase{e.W.Tracer().BeginSpan(r.Rank(), name, now), now}
+}
+
+// end closes the span and returns the phase's duration.
+func (p phase) end(r *mpi.Rank) sim.Duration {
+	now := r.Now()
+	p.sp.End(now)
+	return now.Sub(p.start)
 }

@@ -280,6 +280,9 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 	if err := e.Validate(s); err != nil {
 		return err
 	}
+	if err := checkOp(op, vec); err != nil {
+		return err
+	}
 	rec := e.W.Tracer()
 	coll := rec.BeginCollective(r.Rank(), s.String(), vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dpml/internal/mpi"
-	"dpml/internal/sim"
 	"dpml/internal/trace"
 )
 
@@ -21,75 +20,52 @@ import (
 // buffer (Phase 4). Only DPML-family specs are supported; on return only
 // root's vec holds the result.
 func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vector) error {
-	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return fmt.Errorf("core: Reduce supports DPML designs, not %q", s.Design)
+	if _, err := e.dpmlChunks("Reduce", s); err != nil {
+		return err
 	}
-	if err := e.Validate(s); err != nil {
+	if err := checkOp(op, vec); err != nil {
 		return err
 	}
 	if root < 0 || root >= e.W.Job.NumProcs() {
 		return fmt.Errorf("core: Reduce root %d out of range", root)
 	}
-	job := e.W.Job
-	pl := r.Place()
-	ppn := job.PPN
-	leaders := s.Leaders
-	rootNode := job.Place(root).Node
-	rec := e.W.Tracer()
-	coll := rec.BeginCollective(r.Rank(), "reduce:"+s.String(), vec.Bytes(), r.Now())
+	rootNode := e.W.Job.Place(root).Node
+	coll := e.W.Tracer().BeginCollective(r.Rank(), "reduce:"+s.String(), vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()
 
-	if ppn == 1 {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+	if e.W.Job.PPN == 1 {
+		ph := e.beginPhase(r, trace.PhaseInter)
 		r.ReduceColl(e.leaderComms[0], rootNode, op, vec)
-		sp.End(r.Now())
+		ph.end(r)
 		return nil
 	}
 
-	seq := e.nextSeq(r)
-	rg := e.regions[pl.Node]
-	cnts, displs := mpi.BlockPartition(vec.Len(), leaders)
-
 	// Phases 1-2: identical to allreduce.
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
-	for j := 0; j < leaders; j++ {
-		part := vec.Slice(displs[j], displs[j]+cnts[j])
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, part.Bytes())
-		rg.Put(seq, leaders, j, pl.LocalRank, part.Clone())
-	}
-	sp.End(r.Now())
-	if pl.LocalRank < leaders {
-		j := pl.LocalRank
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
-		slots := rg.GatherWait(r.Proc(), seq, leaders, j, ppn)
-		e.gatherSync(r, j, false)
-		acc := slots[0].Clone()
-		for i := 1; i < ppn; i++ {
-			r.Reduce(op, acc, slots[i])
-		}
-		sp.End(r.Now())
+	o := e.newShmOp(r, s.Leaders, vec.Len())
+	ph := e.beginPhase(r, trace.PhaseCopy)
+	o.deposit(vec)
+	ph.end(r)
+	pl := r.Place()
+	if j := pl.LocalRank; j < s.Leaders {
+		ph = e.beginPhase(r, trace.PhaseReduce)
+		acc := o.fold(op, j, e.W.Job.PPN, false)
+		ph.end(r)
 		// Phase 3: inter-node reduce rooted at root's node.
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		ph = e.beginPhase(r, trace.PhaseInter)
 		r.ReduceColl(e.leaderComms[j], rootNode, op, acc)
 		if pl.Node == rootNode {
-			rg.Publish(seq, leaders, j, acc)
+			o.publish(j, acc)
 		}
-		sp.End(r.Now())
+		ph.end(r)
 	}
 	// Phase 4: only root copies the result out; everyone releases the
 	// operation.
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
+	ph = e.beginPhase(r, trace.PhaseBcast)
 	if r.Rank() == root {
-		for j := 0; j < leaders; j++ {
-			res := rg.ResultWait(r.Proc(), seq, leaders, j)
-			cross := pl.Socket != e.leaderSocket[j]
-			r.MemCopy(cross, res.Bytes())
-			vec.Slice(displs[j], displs[j]+cnts[j]).CopyFrom(res)
-		}
+		o.collect(vec)
 	}
-	rg.DoneCopy(seq)
-	sp.End(r.Now())
+	o.done()
+	ph.end(r)
 	return nil
 }
 
@@ -101,101 +77,61 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 // ceil(lg ppn) to number of leaders" observation of Phase 4, applied as a
 // standalone collective.
 func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
-	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return fmt.Errorf("core: Bcast supports DPML designs, not %q", s.Design)
-	}
-	if err := e.Validate(s); err != nil {
+	if _, err := e.dpmlChunks("Bcast", s); err != nil {
 		return err
 	}
 	if root < 0 || root >= e.W.Job.NumProcs() {
 		return fmt.Errorf("core: Bcast root %d out of range", root)
 	}
-	job := e.W.Job
-	pl := r.Place()
-	ppn := job.PPN
-	leaders := s.Leaders
-	rootPl := job.Place(root)
-	rec := e.W.Tracer()
-	coll := rec.BeginCollective(r.Rank(), "bcast:"+s.String(), vec.Bytes(), r.Now())
+	rootPl := e.W.Job.Place(root)
+	coll := e.W.Tracer().BeginCollective(r.Rank(), "bcast:"+s.String(), vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()
 
-	if ppn == 1 {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+	if e.W.Job.PPN == 1 {
+		ph := e.beginPhase(r, trace.PhaseInter)
 		r.Bcast(e.leaderComms[0], rootPl.Node, vec)
-		sp.End(r.Now())
+		ph.end(r)
 		return nil
 	}
 
-	seq := e.nextSeq(r)
-	rg := e.regions[pl.Node]
-	cnts, displs := mpi.BlockPartition(vec.Len(), leaders)
-
+	o := e.newShmOp(r, s.Leaders, vec.Len())
 	// Root scatters its partitions into shared memory.
 	if r.Rank() == root {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
-		for j := 0; j < leaders; j++ {
-			part := vec.Slice(displs[j], displs[j]+cnts[j])
-			cross := pl.Socket != e.leaderSocket[j]
-			r.MemCopy(cross, part.Bytes())
-			rg.Put(seq, leaders, j, pl.LocalRank, part.Clone())
-		}
-		sp.End(r.Now())
+		ph := e.beginPhase(r, trace.PhaseCopy)
+		o.deposit(vec)
+		ph.end(r)
 	}
-	if pl.LocalRank < leaders {
-		j := pl.LocalRank
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+	pl := r.Place()
+	if j := pl.LocalRank; j < s.Leaders {
+		ph := e.beginPhase(r, trace.PhaseInter)
 		var part *mpi.Vector
 		if pl.Node == rootPl.Node {
-			slots := rg.GatherWait(r.Proc(), seq, leaders, j, 1)
-			part = slots[rootPl.LocalRank].Clone()
+			part = o.gather(j, 1)[rootPl.LocalRank].Clone()
 		} else {
-			part = vec.Slice(displs[j], displs[j]+cnts[j]).Clone()
+			part = o.part(vec, j).Clone()
 		}
 		// Concurrent inter-node broadcasts, one per leader.
 		r.Bcast(e.leaderComms[j], rootPl.Node, part)
-		rg.Publish(seq, leaders, j, part)
-		sp.End(r.Now())
+		o.publish(j, part)
+		ph.end(r)
 	}
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
-	for j := 0; j < leaders; j++ {
-		res := rg.ResultWait(r.Proc(), seq, leaders, j)
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, res.Bytes())
-		vec.Slice(displs[j], displs[j]+cnts[j]).CopyFrom(res)
-	}
-	rg.DoneCopy(seq)
-	sp.End(r.Now())
+	ph := e.beginPhase(r, trace.PhaseBcast)
+	o.collect(vec)
+	o.done()
+	ph.end(r)
 	return nil
 }
-
-// PhaseTimes is the calling rank's time spent in each DPML phase of one
-// profiled allreduce. Non-leader ranks report zero Reduce/Inter time and
-// their Bcast time includes waiting for the leaders.
-type PhaseTimes struct {
-	Copy   sim.Duration // Phase 1: local copy to shared memory
-	Reduce sim.Duration // Phase 2: intra-node reduction (leaders)
-	Inter  sim.Duration // Phase 3: inter-node allreduce (leaders)
-	Bcast  sim.Duration // Phase 4: local copy to individual processes
-}
-
-// Total returns the sum of the phases.
-func (t PhaseTimes) Total() sim.Duration { return t.Copy + t.Reduce + t.Inter + t.Bcast }
 
 // AllreduceProfiled runs one DPML allreduce and reports this rank's
 // per-phase times, for comparison against the Section 5 model's Eq. 2-6
 // terms.
 func (e *Engine) AllreduceProfiled(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (PhaseTimes, error) {
-	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return PhaseTimes{}, fmt.Errorf("core: profiling supports DPML designs, not %q", s.Design)
-	}
-	if err := e.Validate(s); err != nil {
+	chunks, err := e.dpmlChunks("profiling", s)
+	if err != nil {
 		return PhaseTimes{}, err
 	}
-	chunks := 1
-	if s.Design == DesignDPMLPipelined {
-		chunks = s.Chunks
+	if err := checkOp(op, vec); err != nil {
+		return PhaseTimes{}, err
 	}
-	var pt PhaseTimes
-	e.dpmlInstrumented(r, op, vec, s.Leaders, chunks, s.InterAlg, &pt)
-	return pt, nil
+	return e.dpml(r, op, vec, s.Leaders, chunks, s.InterAlg), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -220,5 +221,56 @@ func TestAllreduceProfiled(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpDatatypeMismatchFailsCleanly passes a float64-only user op with
+// float32 payloads to every Engine entry point that reduces. Real and
+// phantom payloads alike must get a clean error on every rank before
+// any rank moves, not a panic inside a fold.
+func TestOpDatatypeMismatchFailsCleanly(t *testing.T) {
+	absmax := mpi.NewUserOp("absmax", true, func(a, b float64) float64 {
+		return math.Max(math.Abs(a), math.Abs(b))
+	})
+	const want = "core: op absmax unsupported for float32"
+	for _, c := range []struct {
+		name string
+		call func(e *Engine, r *mpi.Rank, v *mpi.Vector) error
+	}{
+		{"Allreduce", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			return e.Allreduce(r, Spec{Design: DesignSharpNode}, absmax, v)
+		}},
+		{"Reduce", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			return e.Reduce(r, DPML(2), absmax, 0, v)
+		}},
+		{"IAllreduce", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			_, err := e.IAllreduce(r, DPML(2), absmax, v)
+			return err
+		}},
+		{"AllreduceProfiled", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			_, err := e.AllreduceProfiled(r, DPML(2), absmax, v)
+			return err
+		}},
+	} {
+		for _, phantom := range []bool{false, true} {
+			e := buildEngine(t, topology.ClusterA(), 2, 4)
+			err := e.W.Run(func(r *mpi.Rank) error {
+				v := mpi.NewVector(mpi.Float32, 64)
+				if phantom {
+					v = mpi.NewPhantom(mpi.Float32, 64)
+				}
+				err := c.call(e, r, v)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s phantom=%v rank %d: err %v, want %q", c.name, phantom, r.Rank(), err, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s phantom=%v: %v", c.name, phantom, err)
+			}
+			if now := e.W.Now(); now != 0 {
+				t.Errorf("%s phantom=%v: ranks moved to %v before the error", c.name, phantom, now)
+			}
+		}
 	}
 }

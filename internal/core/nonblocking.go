@@ -19,16 +19,16 @@ import (
 
 // NBHandle tracks one in-flight non-blocking allreduce.
 type NBHandle struct {
-	e      *Engine
-	op     *mpi.Op
-	vec    *mpi.Vector
-	spec   Spec
-	seq    uint64
-	cnts   []int
-	displs []int
-	done   bool
-	// fast path for ppn==1 worlds: nothing was started eagerly.
-	direct bool
+	e        *Engine
+	op       *mpi.Op
+	vec      *mpi.Vector
+	rank     int // the rank that started the operation
+	chunks   int
+	interAlg mpi.Algorithm
+	// shm is the operation's Phase 1 deposit; nil in ppn==1 worlds,
+	// where nothing was started eagerly.
+	shm  *shmOp
+	done bool
 }
 
 // IAllreduce starts a non-blocking DPML allreduce: the calling rank
@@ -37,31 +37,23 @@ type NBHandle struct {
 // reduction completes when Wait is called. Only DPML-family specs are
 // supported. The input vector must not be modified until Wait returns.
 func (e *Engine) IAllreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (*NBHandle, error) {
-	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return nil, fmt.Errorf("core: IAllreduce supports DPML designs, not %q", s.Design)
-	}
-	if err := e.Validate(s); err != nil {
+	chunks, err := e.dpmlChunks("IAllreduce", s)
+	if err != nil {
 		return nil, err
 	}
-	h := &NBHandle{e: e, op: op, vec: vec, spec: s}
-	pl := r.Place()
-	ppn := e.W.Job.PPN
-	if ppn == 1 {
-		h.direct = true
+	if err := checkOp(op, vec); err != nil {
+		return nil, err
+	}
+	h := &NBHandle{e: e, op: op, vec: vec, rank: r.Rank(), chunks: chunks, interAlg: s.InterAlg}
+	if e.W.Job.PPN == 1 {
 		return h, nil
 	}
-	h.seq = e.nextSeq(r)
-	rg := e.regions[pl.Node]
-	h.cnts, h.displs = mpi.BlockPartition(vec.Len(), s.Leaders)
 	// Phase 1 runs now: by the time Wait is called, every local rank's
 	// partitions are in shared memory and leaders can gather without
 	// waiting on this rank.
-	for j := 0; j < s.Leaders; j++ {
-		part := vec.Slice(h.displs[j], h.displs[j]+h.cnts[j])
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, part.Bytes())
-		rg.Put(h.seq, s.Leaders, j, pl.LocalRank, part.Clone())
-	}
+	o := e.newShmOp(r, s.Leaders, vec.Len())
+	o.deposit(vec)
+	h.shm = &o
 	return h, nil
 }
 
@@ -69,45 +61,26 @@ func (e *Engine) IAllreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (*
 // exactly once, by the same rank, and is itself collective (all ranks
 // must eventually call it).
 func (h *NBHandle) Wait(r *mpi.Rank) error {
+	if r.Rank() != h.rank {
+		return fmt.Errorf("core: NBHandle started on rank %d, waited on rank %d", h.rank, r.Rank())
+	}
 	if h.done {
 		return fmt.Errorf("core: NBHandle waited twice")
 	}
 	h.done = true
 	e := h.e
-	if h.direct {
-		chunks := 1
-		if h.spec.Design == DesignDPMLPipelined {
-			chunks = h.spec.Chunks
-		}
-		e.interNode(r, e.leaderComms[0], h.op, h.vec, chunks, h.spec.InterAlg)
+	o := h.shm
+	if o == nil {
+		e.interNode(r, e.leaderComms[0], h.op, h.vec, h.chunks, h.interAlg)
 		return nil
 	}
-	pl := r.Place()
-	ppn := e.W.Job.PPN
-	rg := e.regions[pl.Node]
-	leaders := h.spec.Leaders
-	if pl.LocalRank < leaders {
-		j := pl.LocalRank
-		slots := rg.GatherWait(r.Proc(), h.seq, leaders, j, ppn)
-		e.gatherSync(r, j, false)
-		acc := slots[0].Clone()
-		for i := 1; i < ppn; i++ {
-			r.Reduce(h.op, acc, slots[i])
-		}
-		chunks := 1
-		if h.spec.Design == DesignDPMLPipelined {
-			chunks = h.spec.Chunks
-		}
-		e.interNode(r, e.leaderComms[j], h.op, acc, chunks, h.spec.InterAlg)
-		rg.Publish(h.seq, leaders, j, acc)
+	if j := r.Place().LocalRank; j < o.segs {
+		acc := o.fold(h.op, j, e.W.Job.PPN, false)
+		e.interNode(r, e.leaderComms[j], h.op, acc, h.chunks, h.interAlg)
+		o.publish(j, acc)
 	}
-	for j := 0; j < leaders; j++ {
-		res := rg.ResultWait(r.Proc(), h.seq, leaders, j)
-		cross := pl.Socket != e.leaderSocket[j]
-		r.MemCopy(cross, res.Bytes())
-		h.vec.Slice(h.displs[j], h.displs[j]+h.cnts[j]).CopyFrom(res)
-	}
-	rg.DoneCopy(h.seq)
+	o.collect(h.vec)
+	o.done()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
@@ -138,6 +139,39 @@ func TestIAllreducePipelinedSpec(t *testing.T) {
 		}
 		if v.At(499) != float64(p) {
 			t.Errorf("got %v, want %d", v.At(499), p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIAllreduceWaitOnWrongRank hands every rank its neighbour's handle
+// first: Wait must refuse it without touching the operation, and the
+// rank's own Wait must still complete the allreduce.
+func TestIAllreduceWaitOnWrongRank(t *testing.T) {
+	e := buildEngine(t, topology.ClusterB(), 2, 4)
+	p := e.W.Job.NumProcs()
+	handles := make([]*NBHandle, p)
+	err := e.W.Run(func(r *mpi.Rank) error {
+		v := mpi.NewVector(mpi.Float64, 40)
+		v.Fill(float64(r.Rank() + 1))
+		h, err := e.IAllreduce(r, DPML(2), mpi.Sum, v)
+		if err != nil {
+			return err
+		}
+		handles[r.Rank()] = h
+		r.Barrier(e.W.CommWorld())
+		other := handles[(r.Rank()+1)%p]
+		if err := other.Wait(r); err == nil || !strings.Contains(err.Error(), "started on rank") {
+			t.Errorf("rank %d: Wait on rank %d's handle returned %v", r.Rank(), (r.Rank()+1)%p, err)
+		}
+		if err := h.Wait(r); err != nil {
+			return err
+		}
+		if want := float64(p * (p + 1) / 2); v.At(39) != want {
+			t.Errorf("rank %d: got %v, want %v", r.Rank(), v.At(39), want)
 		}
 		return nil
 	})

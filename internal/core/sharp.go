@@ -30,66 +30,44 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 		return
 	}
 
-	job := e.W.Job
-	pl := r.Place()
-	ppn := job.PPN
-	rec := e.W.Tracer()
-
+	ppn := e.W.Job.PPN
 	if ppn == 1 {
 		// The designs coincide: the single local rank is the leader.
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
+		ph := e.beginPhase(r, trace.PhaseSharp)
 		e.sharpOp(r, group, host, op, vec)
-		sp.End(r.Now())
+		ph.end(r)
 		return
 	}
 
 	leader := 0
 	want := ppn
 	if socketLevel {
-		leader = e.socketLeader[pl.LocalRank]
+		leader = e.socketLeader[r.Place().LocalRank]
 		want = e.socketSize[leader]
 	}
 
-	seq := e.nextSeq(r)
-	rg := e.regions[pl.Node]
+	// Gather: full input to this rank's leader. Segment indices are
+	// local rank numbers, so leaders' segments never collide.
+	o := e.newShmOp(r, ppn, vec.Len())
+	ph := e.beginPhase(r, trace.PhaseCopy)
+	o.put(leader, vec)
+	ph.end(r)
 
-	// Gather: full input to this rank's leader. Leader indices in the
-	// region are local rank numbers, so segments never collide.
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
-	cross := pl.Socket != e.leaderSocket[leader]
-	r.MemCopy(cross, vec.Bytes())
-	rg.Put(seq, ppn, leader, pl.LocalRank, vec.Clone())
-	sp.End(r.Now())
-
-	if pl.LocalRank == leader {
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
-		slots := rg.GatherWait(r.Proc(), seq, ppn, leader, want)
-		e.gatherSync(r, leader, socketLevel)
-		var acc *mpi.Vector
-		for _, s := range slots {
-			if s == nil {
-				continue
-			}
-			if acc == nil {
-				acc = s.Clone()
-				continue
-			}
-			r.Reduce(op, acc, s)
-		}
-		sp.End(r.Now())
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
+	if r.Place().LocalRank == leader {
+		ph = e.beginPhase(r, trace.PhaseReduce)
+		acc := o.fold(op, leader, want, socketLevel)
+		ph.end(r)
+		ph = e.beginPhase(r, trace.PhaseSharp)
 		e.sharpOp(r, group, host, op, acc)
-		rg.Publish(seq, ppn, leader, acc)
-		sp.End(r.Now())
+		o.publish(leader, acc)
+		ph.end(r)
 	}
 
 	// Broadcast: copy the result back from this rank's leader.
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
-	res := rg.ResultWait(r.Proc(), seq, ppn, leader)
-	r.MemCopy(cross, res.Bytes())
-	vec.CopyFrom(res)
-	rg.DoneCopy(seq)
-	sp.End(r.Now())
+	ph = e.beginPhase(r, trace.PhaseBcast)
+	o.get(leader, vec)
+	o.done()
+	ph.end(r)
 }
 
 // sharpOp runs one in-network reduction for this leader, folding real

@@ -131,17 +131,23 @@ func (r *Rank) allreduceRD(c *Comm, op *Op, vec *Vector, base int) {
 func BlockPartition(n, p int) (cnts, displs []int) {
 	cnts = make([]int, p)
 	displs = make([]int, p)
-	q, rem := n/p, n%p
-	off := 0
-	for i := 0; i < p; i++ {
-		cnts[i] = q
-		if i < rem {
-			cnts[i]++
-		}
-		displs[i] = off
-		off += cnts[i]
+	for i := range cnts {
+		lo, hi := Block(n, p, i)
+		cnts[i], displs[i] = hi-lo, lo
 	}
 	return cnts, displs
+}
+
+// Block returns the element range [lo, hi) of block i of BlockPartition(n, p)
+// without building the partition.
+func Block(n, p, i int) (lo, hi int) {
+	q, rem := n/p, n%p
+	lo = i*q + min(i, rem)
+	hi = lo + q
+	if i < rem {
+		hi++
+	}
+	return lo, hi
 }
 
 // wrapTag keeps per-round tags inside one collective's tag window.

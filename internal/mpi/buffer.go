@@ -15,13 +15,107 @@ import (
 //
 //dpml:owner shared
 type Vector struct {
-	dtype   Datatype
-	n       int
-	phantom bool
-	f32     []float32
-	f64     []float64
-	i32     []int32
-	i64     []int64
+	dtype Datatype
+	n     int
+	data  store // nil for a phantom
+}
+
+// store holds a real vector's elements. One generic type, *elems[T],
+// implements it for every datatype; the Vector methods check shapes and
+// phantomness and leave only the element loops to the store.
+type store interface {
+	// slice and clone return a new real vector of datatype d over
+	// elements [lo, hi) — shared with the store — or over a copy of
+	// the whole store.
+	slice(d Datatype, lo, hi int) *Vector
+	clone(d Datatype) *Vector
+	copyFrom(src store)
+	fill(x float64)
+	at(i int) float64
+	set(i int, x float64)
+	// fold reduces src into the store elementwise with op o.
+	fold(o *Op, src store)
+}
+
+// element is the set of Go types behind the supported datatypes.
+type element interface {
+	float32 | float64 | int32 | int64
+}
+
+// elems is the store of one element type.
+type elems[T element] []T
+
+// wrap returns a real vector of datatype d over s. The Vector and the
+// store holding s's slice header are one allocation: boxing the slice
+// itself into the interface would allocate its header on every Slice and
+// Clone.
+func wrap[T element](d Datatype, s []T) *Vector {
+	c := &struct {
+		v Vector
+		s elems[T]
+	}{v: Vector{dtype: d, n: len(s)}, s: s}
+	c.v.data = &c.s
+	return &c.v
+}
+
+// newReal allocates a zeroed real vector of n elements of type T.
+func newReal[T element](d Datatype, n int) *Vector { return wrap(d, make([]T, n)) }
+
+func (s *elems[T]) slice(d Datatype, lo, hi int) *Vector { return wrap(d, (*s)[lo:hi]) }
+
+func (s *elems[T]) clone(d Datatype) *Vector {
+	return wrap(d, append([]T(nil), *s...))
+}
+
+func (s *elems[T]) copyFrom(src store) { copy(*s, *src.(*elems[T])) }
+
+func (s *elems[T]) fill(x float64) {
+	for i := range *s {
+		(*s)[i] = T(x)
+	}
+}
+
+func (s *elems[T]) at(i int) float64 { return float64((*s)[i]) }
+
+func (s *elems[T]) set(i int, x float64) { (*s)[i] = T(x) }
+
+func (s *elems[T]) fold(o *Op, src store) {
+	d := *s
+	x := (*src.(*elems[T]))[:len(d)]
+	switch o.kind {
+	case opSum:
+		for i := range d {
+			d[i] += x[i]
+		}
+	case opProd:
+		for i := range d {
+			d[i] *= x[i]
+		}
+	case opMax:
+		for i := range d {
+			if x[i] > d[i] {
+				d[i] = x[i]
+			}
+		}
+	case opMin:
+		for i := range d {
+			if x[i] < d[i] {
+				d[i] = x[i]
+			}
+		}
+	case opUser:
+		for i := range d {
+			d[i] = T(o.user(float64(d[i]), float64(x[i])))
+		}
+	}
+}
+
+// typed returns v's elements if they are of type T, else nil.
+func typed[T element](v *Vector) []T {
+	if s, ok := v.data.(*elems[T]); ok {
+		return *s
+	}
+	return nil
 }
 
 // NewVector allocates a zeroed vector of n real elements.
@@ -29,20 +123,10 @@ func NewVector(d Datatype, n int) *Vector {
 	if n < 0 {
 		panic(fmt.Sprintf("mpi: NewVector(%d)", n))
 	}
-	v := &Vector{dtype: d, n: n}
-	switch d {
-	case Float32:
-		v.f32 = make([]float32, n)
-	case Float64:
-		v.f64 = make([]float64, n)
-	case Int32:
-		v.i32 = make([]int32, n)
-	case Int64:
-		v.i64 = make([]int64, n)
-	default:
+	if !d.known() {
 		panic(fmt.Sprintf("mpi: unknown datatype %d", d))
 	}
-	return v
+	return dtypes[d].alloc(d, n)
 }
 
 // NewPhantom builds a size-only vector of n elements: communication and
@@ -51,7 +135,7 @@ func NewPhantom(d Datatype, n int) *Vector {
 	if n < 0 {
 		panic(fmt.Sprintf("mpi: NewPhantom(%d)", n))
 	}
-	return &Vector{dtype: d, n: n, phantom: true}
+	return &Vector{dtype: d, n: n}
 }
 
 // Type returns the element datatype.
@@ -64,60 +148,38 @@ func (v *Vector) Len() int { return v.n }
 func (v *Vector) Bytes() int { return v.n * v.dtype.Size() }
 
 // Phantom reports whether the vector is size-only.
-func (v *Vector) Phantom() bool { return v.phantom }
+func (v *Vector) Phantom() bool { return v.data == nil }
 
 // Float64s returns the underlying float64 storage (nil for phantom or
 // other datatypes).
-func (v *Vector) Float64s() []float64 { return v.f64 }
+func (v *Vector) Float64s() []float64 { return typed[float64](v) }
 
 // Float32s returns the underlying float32 storage.
-func (v *Vector) Float32s() []float32 { return v.f32 }
+func (v *Vector) Float32s() []float32 { return typed[float32](v) }
 
 // Int32s returns the underlying int32 storage.
-func (v *Vector) Int32s() []int32 { return v.i32 }
+func (v *Vector) Int32s() []int32 { return typed[int32](v) }
 
 // Int64s returns the underlying int64 storage.
-func (v *Vector) Int64s() []int64 { return v.i64 }
+func (v *Vector) Int64s() []int64 { return typed[int64](v) }
 
 // Slice returns a view of elements [lo, hi) sharing storage with v.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	if lo < 0 || hi < lo || hi > v.n {
 		panic(fmt.Sprintf("mpi: Slice(%d,%d) of %d elements", lo, hi, v.n))
 	}
-	s := &Vector{dtype: v.dtype, n: hi - lo, phantom: v.phantom}
-	if v.phantom {
-		return s
+	if v.data == nil {
+		return &Vector{dtype: v.dtype, n: hi - lo}
 	}
-	switch v.dtype {
-	case Float32:
-		s.f32 = v.f32[lo:hi]
-	case Float64:
-		s.f64 = v.f64[lo:hi]
-	case Int32:
-		s.i32 = v.i32[lo:hi]
-	case Int64:
-		s.i64 = v.i64[lo:hi]
-	}
-	return s
+	return v.data.slice(v.dtype, lo, hi)
 }
 
 // Clone returns an independent copy of v (phantomness included).
 func (v *Vector) Clone() *Vector {
-	c := &Vector{dtype: v.dtype, n: v.n, phantom: v.phantom}
-	if v.phantom {
-		return c
+	if v.data == nil {
+		return &Vector{dtype: v.dtype, n: v.n}
 	}
-	switch v.dtype {
-	case Float32:
-		c.f32 = append([]float32(nil), v.f32...)
-	case Float64:
-		c.f64 = append([]float64(nil), v.f64...)
-	case Int32:
-		c.i32 = append([]int32(nil), v.i32...)
-	case Int64:
-		c.i64 = append([]int64(nil), v.i64...)
-	}
-	return c
+	return v.data.clone(v.dtype)
 }
 
 // CopyFrom copies src's elements into v. Types and lengths must match.
@@ -127,44 +189,17 @@ func (v *Vector) CopyFrom(src *Vector) {
 		panic(fmt.Sprintf("mpi: CopyFrom shape mismatch: %v[%d] <- %v[%d]",
 			v.dtype, v.n, src.dtype, src.n))
 	}
-	if v.phantom || src.phantom {
+	if v.data == nil || src.data == nil {
 		return
 	}
-	switch v.dtype {
-	case Float32:
-		copy(v.f32, src.f32)
-	case Float64:
-		copy(v.f64, src.f64)
-	case Int32:
-		copy(v.i32, src.i32)
-	case Int64:
-		copy(v.i64, src.i64)
-	}
+	v.data.copyFrom(src.data)
 }
 
 // Fill sets every element to x (converted to the datatype); no-op on
 // phantoms.
 func (v *Vector) Fill(x float64) {
-	if v.phantom {
-		return
-	}
-	switch v.dtype {
-	case Float32:
-		for i := range v.f32 {
-			v.f32[i] = float32(x)
-		}
-	case Float64:
-		for i := range v.f64 {
-			v.f64[i] = x
-		}
-	case Int32:
-		for i := range v.i32 {
-			v.i32[i] = int32(x)
-		}
-	case Int64:
-		for i := range v.i64 {
-			v.i64[i] = int64(x)
-		}
+	if v.data != nil {
+		v.data.fill(x)
 	}
 }
 
@@ -173,20 +208,10 @@ func (v *Vector) At(i int) float64 {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("mpi: At(%d) of %d elements", i, v.n))
 	}
-	if v.phantom {
+	if v.data == nil {
 		return 0
 	}
-	switch v.dtype {
-	case Float32:
-		return float64(v.f32[i])
-	case Float64:
-		return v.f64[i]
-	case Int32:
-		return float64(v.i32[i])
-	case Int64:
-		return float64(v.i64[i])
-	}
-	return 0
+	return v.data.at(i)
 }
 
 // Set stores x into element i (converted to the datatype); no-op on
@@ -195,18 +220,8 @@ func (v *Vector) Set(i int, x float64) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("mpi: Set(%d) of %d elements", i, v.n))
 	}
-	if v.phantom {
-		return
-	}
-	switch v.dtype {
-	case Float32:
-		v.f32[i] = float32(x)
-	case Float64:
-		v.f64[i] = x
-	case Int32:
-		v.i32[i] = int32(x)
-	case Int64:
-		v.i64[i] = int64(x)
+	if v.data != nil {
+		v.data.set(i, x)
 	}
 }
 
@@ -217,8 +232,8 @@ func (v *Vector) EqualWithin(o *Vector, tol float64) bool {
 	if v.dtype != o.dtype || v.n != o.n {
 		return false
 	}
-	if v.phantom || o.phantom {
-		return v.phantom == o.phantom
+	if v.data == nil || o.data == nil {
+		return v.data == nil && o.data == nil
 	}
 	for i := 0; i < v.n; i++ {
 		a, b := v.At(i), o.At(i)

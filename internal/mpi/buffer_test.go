@@ -217,3 +217,35 @@ func TestBlockPartitionProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// vecSink keeps TestVectorAllocs' results on the heap, as on the
+// collective path.
+var vecSink *Vector
+
+// TestVectorAllocs pins the allocation count of each Vector operation on
+// the collective hot path: a header plus its storage for a new real
+// vector, a header alone for phantoms and views, and nothing for folds
+// and copies.
+func TestVectorAllocs(t *testing.T) {
+	real := NewVector(Float32, 256)
+	other := NewVector(Float32, 256)
+	phantom := NewPhantom(Float32, 256)
+	for _, tc := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"NewVector", 2, func() { vecSink = NewVector(Float64, 64) }},
+		{"NewPhantom", 1, func() { vecSink = NewPhantom(Float64, 64) }},
+		{"Slice", 1, func() { vecSink = real.Slice(8, 72) }},
+		{"Clone", 2, func() { vecSink = real.Clone() }},
+		{"phantom Slice", 1, func() { vecSink = phantom.Slice(8, 72) }},
+		{"phantom Clone", 1, func() { vecSink = phantom.Clone() }},
+		{"Apply", 0, func() { Sum.Apply(real, other) }},
+		{"CopyFrom", 0, func() { real.CopyFrom(other) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.f); got != tc.want {
+			t.Errorf("%s: %v allocs per run, want %v", tc.name, got, tc.want)
+		}
+	}
+}

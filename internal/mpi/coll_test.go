@@ -147,22 +147,8 @@ func TestReduceScatterBlock(t *testing.T) {
 	}
 }
 
-func TestSplitByNodeAndLeaderComm(t *testing.T) {
+func TestLeaderComm(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 3, 4, Config{})
-	nodeComms := w.SplitByNode()
-	if len(nodeComms) != 3 {
-		t.Fatalf("got %d node comms", len(nodeComms))
-	}
-	for n, c := range nodeComms {
-		if c.Size() != 4 {
-			t.Fatalf("node comm %d size %d", n, c.Size())
-		}
-		for i := 0; i < 4; i++ {
-			if c.Global(i) != n*4+i {
-				t.Fatalf("node comm %d rank %d = global %d", n, i, c.Global(i))
-			}
-		}
-	}
 	lc := w.LeaderComm(2)
 	if lc.Size() != 3 {
 		t.Fatalf("leader comm size %d", lc.Size())
@@ -246,56 +232,6 @@ func TestManyBackToBackCollectivesTagSafety(t *testing.T) {
 				return fmt.Errorf("iter %d: got %v, want %v", iter, v.At(0), want)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, shape := range []struct{ nodes, ppn int }{{2, 1}, {2, 2}, {3, 2}, {5, 1}} {
-		w := smallWorld(t, topology.ClusterB(), shape.nodes, shape.ppn, Config{})
-		p := w.Job.NumProcs()
-		const bl = 3
-		err := w.Run(func(r *Rank) error {
-			c := w.CommWorld()
-			me := c.RankOf(r)
-			in := NewVector(Int64, p*bl)
-			for dst := 0; dst < p; dst++ {
-				for j := 0; j < bl; j++ {
-					in.Set(dst*bl+j, float64(1000*me+10*dst+j))
-				}
-			}
-			out := NewVector(Int64, p*bl)
-			r.Alltoall(c, in, out)
-			for src := 0; src < p; src++ {
-				for j := 0; j < bl; j++ {
-					want := float64(1000*src + 10*me + j)
-					if out.At(src*bl+j) != want {
-						t.Errorf("p=%d rank %d block %d elem %d: got %v want %v",
-							p, me, src, j, out.At(src*bl+j), want)
-						return nil
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestAlltoallShapePanics(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
-	err := w.Run(func(r *Rank) error {
-		defer func() {
-			if recover() == nil {
-				t.Error("bad Alltoall shape accepted")
-			}
-		}()
-		r.Alltoall(w.CommWorld(), NewVector(Int64, 3), NewVector(Int64, 3))
 		return nil
 	})
 	if err != nil {

@@ -110,18 +110,6 @@ func (c *Comm) CollTagBase(r *Rank) int {
 	return userTagLimit + int(s%collWindow)*collSlots
 }
 
-// SplitByNode partitions the world communicator into one communicator per
-// node, returning them indexed by node. Within each, comm rank order
-// follows local rank order (the "shared memory communicator" of
-// Section 2.1).
-func (w *World) SplitByNode() []*Comm {
-	out := make([]*Comm, w.Job.NodesUsed)
-	for n := range out {
-		out[n] = w.NewComm(w.Job.RanksOnNode(n))
-	}
-	return out
-}
-
 // LeaderComm builds the communicator of the local-rank-localIdx process of
 // every node (the "leader communicator" containing one same-index leader
 // per node).

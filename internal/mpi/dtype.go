@@ -15,40 +15,57 @@ const (
 	Int64
 )
 
+// dtypes is the one per-datatype table: each entry's name, element size
+// and real-vector allocator. Everything else is generic over the element
+// type.
+var dtypes = [...]struct {
+	name  string
+	size  int
+	alloc func(d Datatype, n int) *Vector
+}{
+	Float32: {"float32", 4, newReal[float32]},
+	Float64: {"float64", 8, newReal[float64]},
+	Int32:   {"int32", 4, newReal[int32]},
+	Int64:   {"int64", 8, newReal[int64]},
+}
+
+// known reports whether d is one of the supported datatypes.
+func (d Datatype) known() bool { return int(d) < len(dtypes) }
+
 // Size returns the element size in bytes.
 func (d Datatype) Size() int {
-	switch d {
-	case Float32, Int32:
-		return 4
-	case Float64, Int64:
-		return 8
+	if !d.known() {
+		panic(fmt.Sprintf("mpi: unknown datatype %d", d))
 	}
-	panic(fmt.Sprintf("mpi: unknown datatype %d", d))
+	return dtypes[d].size
 }
 
 func (d Datatype) String() string {
-	switch d {
-	case Float32:
-		return "float32"
-	case Float64:
-		return "float64"
-	case Int32:
-		return "int32"
-	case Int64:
-		return "int64"
+	if !d.known() {
+		return fmt.Sprintf("datatype(%d)", d)
 	}
-	return fmt.Sprintf("datatype(%d)", d)
+	return dtypes[d].name
 }
+
+// opKind selects the fold an Op performs.
+type opKind uint8
+
+const (
+	opUser opKind = iota
+	opSum
+	opProd
+	opMax
+	opMin
+)
 
 // Op is a reduction operation. The predefined ops (Sum, Prod, Max, Min)
 // work on every datatype; user-defined ops are built with NewUserOp.
 type Op struct {
 	name string
-	// kernels; nil entries mean "unsupported for this datatype".
-	f32 func(dst, src []float32)
-	f64 func(dst, src []float64)
-	i32 func(dst, src []int32)
-	i64 func(dst, src []int64)
+	kind opKind
+	// user is the elementwise function of a user-defined op (kind
+	// opUser), defined over float64 only.
+	user func(acc, in float64) float64
 	// commutative reports whether the op commutes; all our algorithms
 	// require commutativity (like MPI's predefined ops have).
 	commutative bool
@@ -60,136 +77,24 @@ func (o *Op) Name() string { return o.name }
 // Commutative reports whether the operation is commutative.
 func (o *Op) Commutative() bool { return o.commutative }
 
+// Supports reports whether the op can reduce buffers of datatype d:
+// predefined ops support every datatype, user-defined ops only float64.
+func (o *Op) Supports(d Datatype) bool { return o.kind != opUser || d == Float64 }
+
 // NewUserOp builds a user-defined elementwise reduction over float64
 // buffers (the only datatype user ops must support, matching how the
 // paper's applications use allreduce). f receives the accumulator and the
 // incoming element and returns the new accumulator value.
 func NewUserOp(name string, commutative bool, f func(acc, in float64) float64) *Op {
-	return &Op{
-		name:        name,
-		commutative: commutative,
-		f64: func(dst, src []float64) {
-			for i := range dst {
-				dst[i] = f(dst[i], src[i])
-			}
-		},
-	}
+	return &Op{name: name, kind: opUser, user: f, commutative: commutative}
 }
 
 // Predefined reduction operations.
 var (
-	Sum = &Op{
-		name:        "sum",
-		commutative: true,
-		f32: func(d, s []float32) {
-			for i := range d {
-				d[i] += s[i]
-			}
-		},
-		f64: func(d, s []float64) {
-			for i := range d {
-				d[i] += s[i]
-			}
-		},
-		i32: func(d, s []int32) {
-			for i := range d {
-				d[i] += s[i]
-			}
-		},
-		i64: func(d, s []int64) {
-			for i := range d {
-				d[i] += s[i]
-			}
-		},
-	}
-	Prod = &Op{
-		name:        "prod",
-		commutative: true,
-		f32: func(d, s []float32) {
-			for i := range d {
-				d[i] *= s[i]
-			}
-		},
-		f64: func(d, s []float64) {
-			for i := range d {
-				d[i] *= s[i]
-			}
-		},
-		i32: func(d, s []int32) {
-			for i := range d {
-				d[i] *= s[i]
-			}
-		},
-		i64: func(d, s []int64) {
-			for i := range d {
-				d[i] *= s[i]
-			}
-		},
-	}
-	Max = &Op{
-		name:        "max",
-		commutative: true,
-		f32: func(d, s []float32) {
-			for i := range d {
-				if s[i] > d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		f64: func(d, s []float64) {
-			for i := range d {
-				if s[i] > d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		i32: func(d, s []int32) {
-			for i := range d {
-				if s[i] > d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		i64: func(d, s []int64) {
-			for i := range d {
-				if s[i] > d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-	}
-	Min = &Op{
-		name:        "min",
-		commutative: true,
-		f32: func(d, s []float32) {
-			for i := range d {
-				if s[i] < d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		f64: func(d, s []float64) {
-			for i := range d {
-				if s[i] < d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		i32: func(d, s []int32) {
-			for i := range d {
-				if s[i] < d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-		i64: func(d, s []int64) {
-			for i := range d {
-				if s[i] < d[i] {
-					d[i] = s[i]
-				}
-			}
-		},
-	}
+	Sum  = &Op{name: "sum", kind: opSum, commutative: true}
+	Prod = &Op{name: "prod", kind: opProd, commutative: true}
+	Max  = &Op{name: "max", kind: opMax, commutative: true}
+	Min  = &Op{name: "min", kind: opMin, commutative: true}
 )
 
 // Apply reduces src into dst elementwise without charging any simulated
@@ -204,29 +109,11 @@ func (o *Op) Apply(dst, src *Vector) {
 	if dst.n != src.n {
 		panic(fmt.Sprintf("mpi: op %s on mismatched lengths %d and %d", o.name, dst.n, src.n))
 	}
-	if dst.phantom || src.phantom {
+	if dst.data == nil || src.data == nil {
 		return
 	}
-	switch dst.dtype {
-	case Float32:
-		if o.f32 == nil {
-			panic(fmt.Sprintf("mpi: op %s unsupported for float32", o.name))
-		}
-		o.f32(dst.f32, src.f32)
-	case Float64:
-		if o.f64 == nil {
-			panic(fmt.Sprintf("mpi: op %s unsupported for float64", o.name))
-		}
-		o.f64(dst.f64, src.f64)
-	case Int32:
-		if o.i32 == nil {
-			panic(fmt.Sprintf("mpi: op %s unsupported for int32", o.name))
-		}
-		o.i32(dst.i32, src.i32)
-	case Int64:
-		if o.i64 == nil {
-			panic(fmt.Sprintf("mpi: op %s unsupported for int64", o.name))
-		}
-		o.i64(dst.i64, src.i64)
+	if !o.Supports(dst.dtype) {
+		panic(fmt.Sprintf("mpi: op %s unsupported for %v", o.name, dst.dtype))
 	}
+	dst.data.fold(o, src.data)
 }

@@ -30,7 +30,7 @@ type vecShape struct {
 // transitRelease once the payload has been copied out — or leaked, which
 // is only ever a missed reuse, never a bug.
 func (w *World) transitClone(node int, v *Vector) *Vector {
-	key := vecShape{dtype: v.dtype, n: v.n, phantom: v.phantom}
+	key := vecShape{dtype: v.dtype, n: v.n, phantom: v.Phantom()}
 	free := w.trans[node][key]
 	if n := len(free); n > 0 {
 		c := free[n-1]
@@ -48,7 +48,7 @@ func (w *World) transitClone(node int, v *Vector) *Vector {
 // drawn on). The caller must drop its own reference: the vector's
 // storage will back a future in-flight payload.
 func (w *World) transitRelease(node int, v *Vector) {
-	key := vecShape{dtype: v.dtype, n: v.n, phantom: v.phantom}
+	key := vecShape{dtype: v.dtype, n: v.n, phantom: v.Phantom()}
 	if w.trans[node] == nil {
 		w.trans[node] = make(map[vecShape][]*Vector)
 	}

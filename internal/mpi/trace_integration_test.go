@@ -37,9 +37,10 @@ func TestTracingRecordsP2PAndCompute(t *testing.T) {
 	if kinds[trace.KindCompute] != 1 || kinds[trace.KindShmCopy] != 1 {
 		t.Fatalf("compute/shm events = %v", kinds)
 	}
-	m := rec.CommMatrix(2)
-	if m[0][1] != 1024 { // 128 float64
-		t.Fatalf("CommMatrix[0][1] = %d, want 1024", m[0][1])
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindSend && (e.Rank != 0 || e.Label != "->1" || e.Bytes != 1024) { // 128 float64
+			t.Fatalf("send event %+v, want rank 0 label ->1 with 1024 bytes", e)
+		}
 	}
 	// Event durations must be positive and within the run.
 	for _, e := range rec.Events() {

@@ -8,51 +8,6 @@ import (
 	"dpml/internal/sim"
 )
 
-// FuzzCommMatrixLabel drives arbitrary send labels through CommMatrix:
-// whatever the label, the matrix must stay within bounds and count bytes
-// only for well-formed "->N" labels with in-range destinations.
-func FuzzCommMatrixLabel(f *testing.F) {
-	f.Add("->1", 64)
-	f.Add("->0", 1)
-	f.Add("-> 1", 8)
-	f.Add("->-3", 8)
-	f.Add("->999999999999999999999", 16)
-	f.Add("<-1", 4)
-	f.Add("", 2)
-	f.Add("->1extra", 32)
-	f.Add("-\x00>1", 5)
-	f.Fuzz(func(t *testing.T, label string, bytes int) {
-		if bytes < 0 {
-			bytes = -bytes
-		}
-		if bytes < 0 { // -MinInt overflows back to negative
-			bytes = 0
-		}
-		r := New(0)
-		r.Add(Event{Rank: 0, Kind: KindSend, Label: label, Bytes: bytes})
-		const n = 4
-		m := r.CommMatrix(n)
-		if len(m) != n {
-			t.Fatalf("matrix rows = %d", len(m))
-		}
-		var total int64
-		for _, row := range m {
-			if len(row) != n {
-				t.Fatalf("matrix cols = %d", len(row))
-			}
-			for _, v := range row {
-				if v < 0 {
-					t.Fatalf("negative cell %d for label %q", v, label)
-				}
-				total += v
-			}
-		}
-		if total != 0 && total != int64(bytes) {
-			t.Fatalf("label %q counted %d bytes, event had %d", label, total, bytes)
-		}
-	})
-}
-
 // FuzzWriteCSVRoundTrip feeds arbitrary label/phase strings through the
 // CSV exporter and a standard reader: the export must always parse, with
 // every field intact.

@@ -205,28 +205,6 @@ func (t *Recorder) RankBusy(kinds ...Kind) []sim.Duration {
 	return out
 }
 
-// CommMatrix returns bytes sent between ranks: m[src][dst]. Only KindSend
-// events with a "->N" label are counted.
-func (t *Recorder) CommMatrix(n int) [][]int64 {
-	m := make([][]int64, n)
-	for i := range m {
-		m[i] = make([]int64, n)
-	}
-	for _, e := range t.Events() {
-		if e.Kind != KindSend {
-			continue
-		}
-		var dst int
-		if _, err := fmt.Sscanf(e.Label, "->%d", &dst); err != nil {
-			continue
-		}
-		if e.Rank < n && dst >= 0 && dst < n {
-			m[e.Rank][dst] += int64(e.Bytes)
-		}
-	}
-	return m
-}
-
 // csvField quotes a free-form field per RFC 4180: fields containing
 // commas, quotes, or line breaks are wrapped in double quotes with inner
 // quotes doubled, so any label round-trips through a standard CSV reader.

@@ -104,18 +104,6 @@ func TestRankBusyFiltering(t *testing.T) {
 	}
 }
 
-func TestCommMatrix(t *testing.T) {
-	r := New(0)
-	r.Add(Event{Rank: 0, Kind: KindSend, Label: "->1", Bytes: 100})
-	r.Add(Event{Rank: 0, Kind: KindSend, Label: "->1", Bytes: 50})
-	r.Add(Event{Rank: 1, Kind: KindSend, Label: "->0", Bytes: 7})
-	r.Add(Event{Rank: 1, Kind: KindRecv, Label: "<-0", Bytes: 999}) // ignored
-	m := r.CommMatrix(2)
-	if m[0][1] != 150 || m[1][0] != 7 || m[0][0] != 0 {
-		t.Fatalf("CommMatrix = %v", m)
-	}
-}
-
 func TestCSVAndSummary(t *testing.T) {
 	r := New(0)
 	r.Add(Event{Rank: 0, Kind: KindSend, Label: "a,b", Start: 1, End: 2, Bytes: 3})
