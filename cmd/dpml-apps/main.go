@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dpml-apps -app hpcg -cluster A -nodes 16 -ppn 28 -lib proposed
+//	dpml-apps -app hpcg -cluster A -nodes 16 -ppn 28 -design sharp-socket
 //	dpml-apps -app miniamr -cluster C -nodes 16 -ppn 16
 //	dpml-apps -app dnn -cluster D -nodes 8 -ppn 16 -bucket 1048576
 package main
@@ -29,14 +29,21 @@ func main() {
 		clusterName = flag.String("cluster", "A", "cluster: A, B, C, or D")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
-		lib         = flag.String("lib", "proposed", "library for miniamr/dnn: mvapich2, intelmpi, proposed")
-		design      = flag.String("design", "host", "hpcg DDOT design: host, sharp-node, sharp-socket")
+		lib         = flag.String("lib", "proposed", "library for miniamr/dnn: mvapich2, intelmpi, proposed, pap-aware")
+		design      = flag.String("design", "host-based", "hpcg DDOT design name (see dpml-osu)")
 		iters       = flag.Int("iters", 20, "CG iterations (hpcg)")
 		steps       = flag.Int("steps", 3, "refinement/training steps (miniamr, dnn)")
 		bucket      = flag.Int("bucket", 0, "gradient bucket bytes (dnn; 0 = per layer)")
 	)
 	flag.Parse()
 
+	spec, err := core.ParseDesign(*design)
+	if err != nil {
+		fatal(err)
+	}
+	if err := core.CheckLibrary(core.Library(*lib)); err != nil {
+		fatal(err)
+	}
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
 		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
@@ -46,20 +53,15 @@ func main() {
 		fatal(err)
 	}
 	e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
+	if *app == "hpcg" {
+		if err := e.Validate(spec); err != nil {
+			fatal(err)
+		}
+	}
 	fmt.Printf("%s on %s, %d nodes x %d ppn (%d procs)\n", *app, cl.Name, *nodes, *ppn, job.NumProcs())
 
 	switch *app {
 	case "hpcg":
-		spec := core.HostBased()
-		switch *design {
-		case "host":
-		case "sharp-node":
-			spec = core.Spec{Design: core.DesignSharpNode}
-		case "sharp-socket":
-			spec = core.Spec{Design: core.DesignSharpSocket}
-		default:
-			fatal(fmt.Errorf("unknown design %q", *design))
-		}
 		res, err := hpcg.Run(e, hpcg.Config{Nx: 16, Ny: 16, Nz: 8, Iterations: *iters, Real: true, Spec: spec})
 		if err != nil {
 			fatal(err)

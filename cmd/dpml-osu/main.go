@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	dpml-osu -cluster B -nodes 16 -ppn 28 -design dpml -leaders 8
+//	dpml-osu -cluster B -nodes 16 -ppn 28 -design dpml-8
+//	dpml-osu -cluster B -nodes 16 -ppn 28 -design dpml-8:ring
 //	dpml-osu -cluster D -nodes 32 -ppn 64 -lib proposed
 package main
 
@@ -30,13 +31,8 @@ func main() {
 		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
-		design      = flag.String("design", "dpml", "design: flat, dpml, dpml-pipelined, sharp-node-leader, sharp-socket-leader, dualroot, genall, pap-sorted, pap-ring")
-		leaders     = flag.Int("leaders", 1, "DPML leaders per node")
-		chunks      = flag.Int("chunks", 4, "pipeline depth for dpml-pipelined")
-		segments    = flag.Int("segments", 0, "pipeline segments per half for dualroot (0 = size-driven)")
-		groups      = flag.Int("groups", 0, "group size for genall (0 = size-driven)")
-		alg         = flag.String("alg", "", "flat algorithm / inter-leader override")
-		lib         = flag.String("lib", "", "library selector instead of -design: mvapich2, intelmpi, proposed")
+		design      = flag.String("design", "dpml-1", "design name: flat[:<alg>], host-based, dpml-<l>[:<alg>], dpml-pipe-<l>x<k>[:<alg>], sharp-node, sharp-socket, dualroot[-s<n>], genall[-g<n>], pap-sorted, pap-ring")
+		lib         = flag.String("lib", "", "library selector instead of -design: mvapich2, intelmpi, proposed, pap-aware")
 		sizesFlag   = flag.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")
 		iters       = flag.Int("iters", 5, "timed iterations per size")
 		warmup      = flag.Int("warmup", 1, "warmup iterations per size")
@@ -93,25 +89,18 @@ func main() {
 		sizes = append(sizes, n)
 	}
 
-	var choose bench.SpecChooser
-	label := ""
-	if *lib != "" {
-		choose = bench.LibrarySpec(core.Library(*lib))
-		label = *lib
-	} else {
-		spec := core.Spec{
-			Design:   core.Design(*design),
-			Leaders:  *leaders,
-			Chunks:   *chunks,
-			Segments: *segments,
-			Groups:   *groups,
-			InterAlg: mpi.Algorithm(*alg),
-		}
-		if spec.Design == core.DesignFlat {
-			spec.FlatAlg = mpi.Algorithm(*alg)
-		}
-		choose = bench.FixedSpec(spec)
-		label = spec.String()
+	choose, label, err := bench.ChooserFor(*lib, *design)
+	if err != nil {
+		fatal(err)
+	}
+	// Every size runs its own job; check the shape and the specs once
+	// here so a bad input is one error line, not one per size.
+	job, err := topology.NewJob(cl, *nodes, *ppn)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := bench.ChooseSpecs(core.NewEngine(mpi.NewWorld(job, cfg)), choose, sizes); err != nil {
+		fatal(err)
 	}
 
 	// Each size is an independent simulated job (with its own warmup, so

@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	dpml-trace -cluster B -nodes 4 -ppn 8 -design dpml -leaders 8 -bytes 524288
+//	dpml-trace -cluster B -nodes 4 -ppn 8 -design dpml-8 -bytes 524288
 //	dpml-trace -cluster A -lib proposed -bytes 256 -csv events.csv
-//	dpml-trace -cluster A -design sharp-node-leader -phases -critpath -metrics
-//	dpml-trace -cluster B -design dpml -chrome trace.json
+//	dpml-trace -cluster A -design sharp-node -phases -critpath -metrics
+//	dpml-trace -cluster B -design dpml-pipe-4x4:ring -chrome trace.json
 package main
 
 import (
@@ -29,9 +29,7 @@ func main() {
 		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
 		nodes       = flag.Int("nodes", 4, "number of nodes")
 		ppn         = flag.Int("ppn", 8, "processes per node")
-		design      = flag.String("design", "dpml", "design (see dpml-osu)")
-		leaders     = flag.Int("leaders", 4, "DPML leaders per node")
-		chunks      = flag.Int("chunks", 4, "pipeline depth")
+		design      = flag.String("design", "dpml-4", "design name (see dpml-osu)")
 		lib         = flag.String("lib", "", "library selector instead of -design")
 		bytes       = flag.Int("bytes", 64<<10, "message size")
 		iters       = flag.Int("iters", 2, "allreduce iterations")
@@ -46,6 +44,10 @@ func main() {
 	)
 	flag.Parse()
 
+	choose, _, err := bench.ChooserFor(*lib, *design)
+	if err != nil {
+		fatal(err)
+	}
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
 		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
@@ -58,21 +60,11 @@ func main() {
 	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards, NetShards: *netShards})
 	e := core.NewEngine(w)
 
-	var choose bench.SpecChooser
-	if *lib != "" {
-		choose = bench.LibrarySpec(core.Library(*lib))
-	} else {
-		choose = bench.FixedSpec(core.Spec{
-			Design:  core.Design(*design),
-			Leaders: *leaders,
-			Chunks:  *chunks,
-		})
-	}
-	count := *bytes / 4
-	if count < 1 {
-		count = 1
-	}
+	count := max(*bytes/4, 1)
 	spec := choose(e, count*4)
+	if err := e.Validate(spec); err != nil {
+		fatal(err)
+	}
 	err = w.Run(func(r *mpi.Rank) error {
 		v := mpi.NewPhantom(mpi.Float32, count)
 		for i := 0; i < *iters; i++ {

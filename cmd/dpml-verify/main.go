@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		designs   = flag.String("designs", "", "comma-separated design names, or 'all' (see internal/explore.Designs)")
+		designs   = flag.String("designs", "", "comma-separated design names (core.ParseDesign grammar), or 'all' (see internal/explore.Designs)")
 		design    = flag.String("design", "dpml-3", "single design to explore when -designs is empty")
 		cluster   = flag.String("cluster", "A", "cluster profile (A..E)")
 		nodes     = flag.Int("nodes", 4, "nodes in the job")
@@ -145,11 +145,7 @@ func designNames(list, single string) []string {
 		return []string{single}
 	}
 	if list == "all" {
-		var names []string
-		for _, d := range explore.Designs() {
-			names = append(names, d.Name)
-		}
-		return names
+		return explore.Designs()
 	}
 	return strings.Split(list, ",")
 }

@@ -24,6 +24,36 @@ func TestAllreduceLatencyBasics(t *testing.T) {
 	}
 }
 
+// TestAllreduceLatencyValidatesFirst: a spec the job cannot run comes
+// back as the one Validate error before the job starts: the chooser runs
+// once, for the first size, not on every rank once events run.
+func TestAllreduceLatencyValidatesFirst(t *testing.T) {
+	calls := 0
+	bad := func(*core.Engine, int) core.Spec { calls++; return core.DPML(3) }
+	_, err := AllreduceLatency(topology.ClusterB(), 2, 2, bad, []int{4, 4096}, 2, 1)
+	if err == nil || err.Error() != "core: 3 leaders with ppn=2" {
+		t.Fatalf("err = %v, want the single Validate error", err)
+	}
+	if calls != 1 {
+		t.Fatalf("chooser ran %d times, want once", calls)
+	}
+}
+
+func TestChooserFor(t *testing.T) {
+	if _, label, err := ChooserFor("", "dpml-pipe-2x4:ring"); err != nil || label != "dpml-pipe-2x4:ring" {
+		t.Errorf("design: label %q, err %v", label, err)
+	}
+	if _, label, err := ChooserFor("proposed", "bogus"); err != nil || label != "proposed" {
+		t.Errorf("library overrides design: label %q, err %v", label, err)
+	}
+	if _, _, err := ChooserFor("foo", ""); err == nil {
+		t.Error("unknown library accepted")
+	}
+	if _, _, err := ChooserFor("", "dpml"); err == nil {
+		t.Error("unknown design accepted")
+	}
+}
+
 func TestLatencyDeterministic(t *testing.T) {
 	run := func() []float64 {
 		s, err := LatencySeries("x", topology.ClusterC(), 2, 4, LibrarySpec(core.LibProposed),

@@ -14,8 +14,8 @@ import (
 )
 
 // SpecChooser picks an allreduce configuration for a message size, like a
-// library's selection logic. It runs once per (size) on every rank with
-// identical results (it must be a pure function of its arguments).
+// library's selection logic. It runs once per size, before the job's
+// first event (it must be a pure function of its arguments).
 type SpecChooser func(e *core.Engine, bytes int) core.Spec
 
 // FixedSpec adapts a constant Spec to a SpecChooser.
@@ -26,6 +26,38 @@ func FixedSpec(s core.Spec) SpecChooser {
 // LibrarySpec adapts a library's decision table to a SpecChooser.
 func LibrarySpec(lib core.Library) SpecChooser {
 	return func(e *core.Engine, bytes int) core.Spec { return e.SpecFor(lib, bytes) }
+}
+
+// ChooserFor resolves a CLI's -lib/-design pair: the library's selector
+// when lib is set, else the fixed spec core.ParseDesign names. The label
+// is the library name or the spec's canonical design name.
+func ChooserFor(lib, design string) (SpecChooser, string, error) {
+	if lib != "" {
+		if err := core.CheckLibrary(core.Library(lib)); err != nil {
+			return nil, "", err
+		}
+		return LibrarySpec(core.Library(lib)), lib, nil
+	}
+	spec, err := core.ParseDesign(design)
+	if err != nil {
+		return nil, "", err
+	}
+	return FixedSpec(spec), spec.String(), nil
+}
+
+// ChooseSpecs picks the spec for each message size (rounded to whole
+// float32 elements, as AllreduceLatencyCfg sends them) and validates it
+// on e, so a bad spec is one error before any event runs rather than
+// one per rank.
+func ChooseSpecs(e *core.Engine, choose SpecChooser, sizes []int) ([]core.Spec, error) {
+	specs := make([]core.Spec, len(sizes))
+	for i, bytes := range sizes {
+		specs[i] = choose(e, max(bytes/4, 1)*4)
+		if err := e.Validate(specs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return specs, nil
 }
 
 // AllreduceLatency measures the average allreduce latency (as rank 0 sees
@@ -49,16 +81,15 @@ func AllreduceLatencyCfg(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, c
 		return nil, err
 	}
 	e := core.NewEngine(mpi.NewWorld(job, cfg))
+	specs, err := ChooseSpecs(e, choose, sizes)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]sim.Duration, len(sizes))
 	err = e.W.Run(func(r *mpi.Rank) error {
 		world := e.W.CommWorld()
-		for si, bytes := range sizes {
-			count := bytes / 4
-			if count < 1 {
-				count = 1
-			}
-			v := mpi.NewPhantom(mpi.Float32, count)
-			spec := choose(e, count*4)
+		for si, spec := range specs {
+			v := mpi.NewPhantom(mpi.Float32, max(sizes[si]/4, 1))
 			for i := 0; i < warmup; i++ {
 				if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
 					return err

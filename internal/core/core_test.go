@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
@@ -305,16 +306,78 @@ func TestBestLeadersMonotoneAndBounded(t *testing.T) {
 	}
 }
 
+// TestSpecString pins the canonical names: Spec.String prints
+// ParseDesign's grammar, and each name parses back to its spec.
 func TestSpecString(t *testing.T) {
 	cases := map[string]Spec{
-		"dpml(l=4)":          DPML(4),
-		"dpml-pipe(l=2,k=8)": DPMLPipelined(2, 8),
-		"flat(ring)":         Flat(mpi.AlgRing),
-		"sharp-node-leader":  {Design: DesignSharpNode},
+		"flat":                       Flat(mpi.AlgRecursiveDoubling),
+		"flat:ring":                  Flat(mpi.AlgRing),
+		"dpml-1":                     HostBased(),
+		"dpml-4":                     DPML(4),
+		"dpml-1:rabenseifner":        {Design: DesignDPML, Leaders: 1, InterAlg: mpi.AlgRabenseifner},
+		"dpml-pipe-2x8":              DPMLPipelined(2, 8),
+		"dpml-pipe-2x8:reduce-bcast": {Design: DesignDPMLPipelined, Leaders: 2, Chunks: 8, InterAlg: mpi.AlgReduceBcast},
+		"sharp-node":                 {Design: DesignSharpNode},
+		"sharp-socket":               {Design: DesignSharpSocket},
+		"dualroot":                   DualRoot(0),
+		"dualroot-s3":                DualRoot(3),
+		"genall":                     GenAll(0),
+		"genall-g4":                  GenAll(4),
+		"pap-sorted":                 PAPSorted(),
+		"pap-ring":                   PAPRing(),
 	}
 	for want, s := range cases {
 		if s.String() != want {
 			t.Errorf("String() = %q, want %q", s.String(), want)
+		}
+		if got, err := ParseDesign(want); err != nil || got != s {
+			t.Errorf("ParseDesign(%q) = %+v, %v; want %+v", want, got, err, s)
+		}
+	}
+}
+
+// TestSpecForRoundTrip: every spec a library selector picks prints a
+// name that ParseDesign maps back to the same spec, so a trace label can
+// be rerun as a -design.
+func TestSpecForRoundTrip(t *testing.T) {
+	var engines []*Engine
+	for _, name := range []string{"A", "B", "C", "D"} {
+		engines = append(engines, buildEngine(t, topology.ByName(name), 4, 28))
+	}
+	// ppn 2 steers the proposed selector onto SHArP node-leader, and a
+	// straggler plan steers pap-aware onto the arrival-aware designs.
+	engines = append(engines, buildEngine(t, topology.ClusterA(), 4, 2))
+	job, err := topology.NewJob(topology.ClusterA(), 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines = append(engines, NewEngine(mpi.NewWorld(job, mpi.Config{Faults: papPlan(t, 1)})))
+	for _, e := range engines {
+		for _, lib := range ExtendedLibraries() {
+			for bytes := 4; bytes <= 4<<20; bytes *= 2 {
+				s := e.SpecFor(lib, bytes)
+				if got, err := ParseDesign(s.String()); err != nil || got != s {
+					t.Errorf("%s ppn=%d %s %dB: %+v prints %q, which parses to %+v (%v)",
+						e.W.Job.Cluster.Name, e.W.Job.PPN, lib, bytes, s, s, got, err)
+				}
+			}
+		}
+	}
+}
+
+func TestCheckLibrary(t *testing.T) {
+	for _, lib := range ExtendedLibraries() {
+		if err := CheckLibrary(lib); err != nil {
+			t.Errorf("CheckLibrary(%q) = %v", lib, err)
+		}
+	}
+	err := CheckLibrary("foo")
+	if err == nil {
+		t.Fatal("unknown library accepted")
+	}
+	for _, lib := range ExtendedLibraries() {
+		if !strings.Contains(err.Error(), string(lib)) {
+			t.Errorf("error %q does not list known library %q", err, lib)
 		}
 	}
 }

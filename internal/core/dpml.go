@@ -79,7 +79,7 @@ func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector
 // what names the caller in the error.
 func (e *Engine) dpmlChunks(what string, s Spec) (int, error) {
 	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return 0, fmt.Errorf("core: %s supports DPML designs, not %q", what, s.Design)
+		return 0, fmt.Errorf("core: %s supports DPML designs, not %q", what, s)
 	}
 	if err := e.Validate(s); err != nil {
 		return 0, err

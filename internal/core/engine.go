@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dpml/internal/fabric"
 	"dpml/internal/mpi"
@@ -82,25 +83,40 @@ type Spec struct {
 	Groups int
 }
 
+// String returns the spec's design name in ParseDesign's grammar.
 func (s Spec) String() string {
+	var name string
 	switch s.Design {
-	case DesignDPML:
-		return fmt.Sprintf("dpml(l=%d)", s.Leaders)
-	case DesignDPMLPipelined:
-		return fmt.Sprintf("dpml-pipe(l=%d,k=%d)", s.Leaders, s.Chunks)
 	case DesignFlat:
-		alg := s.FlatAlg
-		if alg == "" {
-			alg = mpi.AlgRecursiveDoubling
+		if s.FlatAlg == "" || s.FlatAlg == mpi.AlgRecursiveDoubling {
+			return "flat"
 		}
-		return fmt.Sprintf("flat(%s)", alg)
+		return "flat:" + string(s.FlatAlg)
+	case DesignDPML:
+		name = fmt.Sprintf("dpml-%d", s.Leaders)
+	case DesignDPMLPipelined:
+		name = fmt.Sprintf("dpml-pipe-%dx%d", s.Leaders, s.Chunks)
+	case DesignSharpNode:
+		return "sharp-node"
+	case DesignSharpSocket:
+		return "sharp-socket"
 	case DesignDualRoot:
-		return fmt.Sprintf("dualroot(s=%d)", s.Segments)
+		if s.Segments == 0 {
+			return "dualroot"
+		}
+		return fmt.Sprintf("dualroot-s%d", s.Segments)
 	case DesignGenAll:
-		return fmt.Sprintf("genall(g=%d)", s.Groups)
+		if s.Groups == 0 {
+			return "genall"
+		}
+		return fmt.Sprintf("genall-g%d", s.Groups)
 	default:
 		return string(s.Design)
 	}
+	if s.InterAlg != "" {
+		name += ":" + string(s.InterAlg)
+	}
+	return name
 }
 
 // HostBased is the traditional single-leader hierarchical design
@@ -229,32 +245,23 @@ func (e *Engine) Validate(s Spec) error {
 	ppn := e.W.Job.PPN
 	switch s.Design {
 	case DesignFlat:
-		if s.FlatAlg != "" {
-			found := false
-			for _, a := range mpi.FlatAlgorithms() {
-				if a == s.FlatAlg {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("core: unknown flat algorithm %q", s.FlatAlg)
-			}
+		if s.FlatAlg != "" && !slices.Contains(mpi.FlatAlgorithms(), s.FlatAlg) {
+			return fmt.Errorf("core: unknown flat algorithm %q", s.FlatAlg)
 		}
-	case DesignDPML:
+	case DesignDPML, DesignDPMLPipelined:
 		if s.Leaders < 1 || s.Leaders > ppn {
 			return fmt.Errorf("core: %d leaders with ppn=%d", s.Leaders, ppn)
 		}
-	case DesignDPMLPipelined:
-		if s.Leaders < 1 || s.Leaders > ppn {
-			return fmt.Errorf("core: %d leaders with ppn=%d", s.Leaders, ppn)
-		}
-		if s.Chunks < 1 || s.Chunks > 1024 {
+		if s.Design == DesignDPMLPipelined && (s.Chunks < 1 || s.Chunks > 1024) {
 			return fmt.Errorf("core: pipeline depth %d out of range [1,1024]", s.Chunks)
+		}
+		if s.InterAlg != "" && !slices.Contains(mpi.FlatAlgorithms(), s.InterAlg) {
+			return fmt.Errorf("core: unknown inter-leader algorithm %q", s.InterAlg)
 		}
 	case DesignSharpNode, DesignSharpSocket:
 		if !e.SharpAvailable() {
 			return fmt.Errorf("core: %s requires SHArP, unavailable on %s",
-				s.Design, e.W.Job.Cluster.Name)
+				s, e.W.Job.Cluster.Name)
 		}
 	case DesignDualRoot:
 		if s.Segments < 0 || s.Segments > 1024 {

@@ -10,7 +10,8 @@ import (
 // parser must never panic; on acceptance the spec's parameters must lie
 // inside the ranges the parser promises (the shape-independent half of
 // Engine.Validate's contract), and parameterized specs must carry the
-// design their name requested.
+// design their name requested. Every accepted spec must print a name
+// that parses back to it.
 func FuzzParseDesign(f *testing.F) {
 	f.Add("")
 	f.Add("flat")
@@ -39,10 +40,22 @@ func FuzzParseDesign(f *testing.F) {
 	f.Add("pap-ring")
 	f.Add("pap-")
 	f.Add("dualroot-s3x4")
+	f.Add("dpml-8:ring")
+	f.Add("dpml-1:rabenseifner")
+	f.Add("dpml-pipe-4x8:reduce-bcast")
+	f.Add("host-based:ring")
+	f.Add("flat:recursive-doubling")
+	f.Add("dpml-8:")
+	f.Add("dpml-8:ring:ring")
+	f.Add("sharp-node:ring")
+	f.Add("dualroot-s3:ring")
 	f.Fuzz(func(t *testing.T, name string) {
 		spec, err := ParseDesign(name)
 		if err != nil {
 			return
+		}
+		if back, err := ParseDesign(spec.String()); err != nil || back != spec {
+			t.Fatalf("accepted %q as %+v, but its name %q parses to %+v (%v)", name, spec, spec, back, err)
 		}
 		switch spec.Design {
 		case DesignFlat:

@@ -44,7 +44,8 @@ func Libraries() []Library { return []Library{LibMVAPICH2, LibIntelMPI, LibPropo
 func ExtendedLibraries() []Library { return append(Libraries(), LibPAPAware) }
 
 // SpecFor returns the allreduce configuration the library would choose
-// for a message of the given size on this engine's job.
+// for a message of the given size on this engine's job. lib must pass
+// CheckLibrary.
 func (e *Engine) SpecFor(lib Library, bytes int) Spec {
 	switch lib {
 	case LibMVAPICH2:
@@ -59,19 +60,23 @@ func (e *Engine) SpecFor(lib Library, bytes int) Spec {
 	panic(fmt.Sprintf("core: unknown library %q", lib))
 }
 
-// LibraryAllreduce performs one allreduce the way the given library
-// would. Unknown library names are reported as errors (SpecFor panics,
-// since it is only reachable with validated names).
-func (e *Engine) LibraryAllreduce(r *mpi.Rank, lib Library, op *mpi.Op, vec *mpi.Vector) error {
-	known := false
+// CheckLibrary reports whether lib names one of ExtendedLibraries().
+// SpecFor panics on any other name, so callers that take a library
+// name from input check it here first.
+func CheckLibrary(lib Library) error {
 	for _, l := range ExtendedLibraries() {
 		if l == lib {
-			known = true
-			break
+			return nil
 		}
 	}
-	if !known {
-		return fmt.Errorf("core: unknown library %q (known: %v)", lib, Libraries())
+	return fmt.Errorf("core: unknown library %q (known: %v)", lib, ExtendedLibraries())
+}
+
+// LibraryAllreduce performs one allreduce the way the given library
+// would. Unknown library names are reported as errors.
+func (e *Engine) LibraryAllreduce(r *mpi.Rank, lib Library, op *mpi.Op, vec *mpi.Vector) error {
+	if err := CheckLibrary(lib); err != nil {
+		return err
 	}
 	return e.Allreduce(r, e.SpecFor(lib, vec.Bytes()), op, vec)
 }

@@ -65,7 +65,7 @@ type Scenario struct {
 	Count   int    // elements per rank; 0 = 61
 	Dtype   mpi.Datatype
 	Op      *mpi.Op // nil = mpi.Sum
-	Design  string  // name from Designs(); "" = "dpml-3"
+	Design  string  // core.ParseDesign name; "" = "dpml-3"
 
 	// Faults is a faults.ParseSpec string ("" = healthy fabric); the
 	// plan is instantiated for the job shape with FaultSeed.
@@ -141,47 +141,16 @@ type Report struct {
 	Results   []ScheduleResult `json:"results"`
 }
 
-// NamedDesign pairs a CLI-stable name with its core spec.
-type NamedDesign struct {
-	Name string
-	Spec core.Spec
-}
-
-// Designs lists the explorable designs: every reduction path the
-// conformance suite covers, under its CLI name.
-func Designs() []NamedDesign {
-	return []NamedDesign{
-		{"flat", core.Flat(mpi.AlgRecursiveDoubling)},
-		{"host-based", core.HostBased()},
-		{"dpml-3", core.DPML(3)},
-		{"dpml-pipe-2x3", core.DPMLPipelined(2, 3)},
-		{"sharp-node", core.Spec{Design: core.DesignSharpNode}},
-		{"sharp-socket", core.Spec{Design: core.DesignSharpSocket}},
-		// Extension families (PR 9). Parameters are chosen so the
-		// standard 16-rank exploration shapes exercise the interesting
-		// structure: 3 segments pipeline unevenly over a 61-element
-		// half, group size 4 leaves a ragged last group on 15-rank
-		// conformance shapes.
-		{"dualroot-s3", core.DualRoot(3)},
-		{"genall-g4", core.GenAll(4)},
-		{"pap-sorted", core.PAPSorted()},
-		{"pap-ring", core.PAPRing()},
+// Designs lists the explorable designs, by core.ParseDesign name: every
+// reduction path the conformance suite covers. Parameters are chosen so
+// the standard 16-rank exploration shapes exercise the interesting
+// structure: 3 segments pipeline unevenly over a 61-element half, group
+// size 4 leaves a ragged last group on 15-rank conformance shapes.
+func Designs() []string {
+	return []string{
+		"flat", "host-based", "dpml-3", "dpml-pipe-2x3", "sharp-node", "sharp-socket",
+		"dualroot-s3", "genall-g4", "pap-sorted", "pap-ring",
 	}
-}
-
-// DesignByName resolves a design name: the curated Designs list first,
-// then any parameterized form core.ParseDesign understands (so
-// -design dualroot-s8 or dpml-7 work without a registry entry).
-func DesignByName(name string) (core.Spec, bool) {
-	for _, d := range Designs() {
-		if d.Name == name {
-			return d.Spec, true
-		}
-	}
-	if spec, err := core.ParseDesign(name); err == nil {
-		return spec, true
-	}
-	return core.Spec{}, false
 }
 
 // DatatypeByName resolves the CLI datatype names (the Datatype.String
@@ -258,9 +227,9 @@ func resolve(sc Scenario) (*resolved, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("explore: unknown cluster %q", sc.Cluster)
 	}
-	spec, ok := DesignByName(sc.Design)
-	if !ok {
-		return nil, fmt.Errorf("explore: unknown design %q", sc.Design)
+	spec, err := core.ParseDesign(sc.Design)
+	if err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
 	rs := &resolved{sc: sc, cl: cl, spec: spec}
 	if sc.Faults != "" {

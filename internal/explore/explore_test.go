@@ -18,9 +18,9 @@ import (
 func TestSeededExploreAllDesigns(t *testing.T) {
 	for _, d := range Designs() {
 		d := d
-		t.Run(d.Name, func(t *testing.T) {
+		t.Run(d, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(Scenario{Design: d.Name}, Options{Schedules: 4, Seed: 1})
+			rep, err := Run(Scenario{Design: d}, Options{Schedules: 4, Seed: 1})
 			if err != nil {
 				t.Fatalf("exploration failed:\n%v", err)
 			}
