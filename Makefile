@@ -65,11 +65,12 @@ racecheck:
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP
-# degradation, watchdog diagnostics, and sweep job limits. The second run
-# must reproduce the first bit for bit — seeded plans are deterministic.
+# degradation, watchdog diagnostics (the kernel's verdicts at one and two
+# shards included), and sweep job limits. The second run must reproduce
+# the first bit for bit — seeded plans are deterministic.
 faultsmoke:
 	$(GO) test -count=2 -run 'Fault|Watchdog|Straggler|Sharp|Spec|Instantiate|Validate|Limited' \
-		./internal/faults/ ./internal/fabric/ ./internal/mpi/ ./internal/core/ ./internal/bench/ ./internal/sweep/
+		./internal/sim/ ./internal/faults/ ./internal/fabric/ ./internal/mpi/ ./internal/core/ ./internal/bench/ ./internal/sweep/
 
 # explorecheck asserts every invariant on every reachable schedule, for
 # every design on both the healthy and a faulted fabric: a systematic

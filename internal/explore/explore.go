@@ -191,14 +191,16 @@ func mix64(z uint64) uint64 {
 // instantiated — everything runOnce needs, immutable across schedules.
 type resolved struct {
 	sc     Scenario
-	cl     *topology.Cluster
+	job    *topology.Job
 	spec   core.Spec
 	plan   *faults.Plan
 	oracle *mpi.Vector // nil for custom workloads
 }
 
 // resolve applies Scenario defaults and builds the shared immutable
-// pieces (cluster, design spec, fault plan, conformance oracle).
+// pieces (job, design spec, fault plan, conformance oracle). A scenario
+// that cannot run — bad cluster, job shape, design or count — fails
+// here, once, before any schedule runs.
 func resolve(sc Scenario) (*resolved, error) {
 	if sc.Cluster == "" {
 		sc.Cluster = "A"
@@ -223,15 +225,25 @@ func resolve(sc Scenario) (*resolved, error) {
 	} else if sc.Watchdog < 0 {
 		sc.Watchdog = 0
 	}
+	if sc.Count < 0 {
+		return nil, fmt.Errorf("explore: negative count %d", sc.Count)
+	}
 	cl := topology.ByName(sc.Cluster)
 	if cl == nil {
 		return nil, fmt.Errorf("explore: unknown cluster %q", sc.Cluster)
+	}
+	job, err := topology.NewJob(cl, sc.Nodes, sc.PPN)
+	if err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
 	}
 	spec, err := core.ParseDesign(sc.Design)
 	if err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
-	rs := &resolved{sc: sc, cl: cl, spec: spec}
+	if err := core.NewEngine(mpi.NewWorld(job, mpi.Config{})).Validate(spec); err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
+	}
+	rs := &resolved{sc: sc, job: job, spec: spec}
 	if sc.Faults != "" {
 		fspec, err := faults.ParseSpec(sc.Faults)
 		if err != nil {
@@ -310,15 +322,10 @@ type outcome struct {
 }
 
 // runOnce executes the scenario under one schedule-perturbation config
-// and applies the per-schedule invariant battery. An error return is an
-// infrastructure failure (bad job shape), not an invariant violation.
-func (rs *resolved) runOnce(x *sim.Explore) (*outcome, error) {
-	job, err := topology.NewJob(rs.cl, rs.sc.Nodes, rs.sc.PPN)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
+// and applies the per-schedule invariant battery.
+func (rs *resolved) runOnce(x *sim.Explore) *outcome {
 	rec := trace.New(0)
-	w := mpi.NewWorld(job, mpi.Config{
+	w := mpi.NewWorld(rs.job, mpi.Config{
 		Trace:     rec,
 		Faults:    rs.plan,
 		Watchdog:  rs.sc.Watchdog,
@@ -355,7 +362,7 @@ func (rs *resolved) runOnce(x *sim.Explore) (*outcome, error) {
 		// Watchdog fires, deadlock detection, or a workload error: the
 		// schedule wedged or failed outright.
 		out.failures = append(out.failures, fmt.Sprintf("run failed: %v", runErr))
-		return out, nil
+		return out
 	}
 	out.events = w.SimStats().Events
 	out.makespan = w.Now().Sub(0)
@@ -424,7 +431,7 @@ func (rs *resolved) runOnce(x *sim.Explore) (*outcome, error) {
 				fmt.Sprintf("critical path: makespan %v != last event end %v", cp.Total, last.Sub(0)))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // hashResults folds every rank's result vector (in rank order) into one
@@ -499,20 +506,14 @@ func Run(sc Scenario, opts Options) (*Report, error) {
 
 	// Canonical baseline: salt 0, no swaps. Records ties (the
 	// systematic frontier's roots) and anchors the invariance checks.
-	canonical, err := rs.runOnce(&sim.Explore{RecordTies: true})
-	if err != nil {
-		return nil, err
-	}
+	canonical := rs.runOnce(&sim.Explore{RecordTies: true})
 	rep.Canonical = fmt.Sprintf("%#016x", canonical.digest)
 	rs.record(rep, &errs, "canonical", canonical, canonical)
 	distinct := map[uint64]bool{canonical.digest: true}
 
 	// Explicit swap-set repro run.
 	if len(opts.Swaps) > 0 {
-		out, err := rs.runOnce(&sim.Explore{Swaps: opts.Swaps, RecordTies: true})
-		if err != nil {
-			return nil, err
-		}
+		out := rs.runOnce(&sim.Explore{Swaps: opts.Swaps, RecordTies: true})
 		rs.record(rep, &errs, fmt.Sprintf("swaps[%d]", len(opts.Swaps)), out, canonical)
 		distinct[out.digest] = true
 	}
@@ -530,7 +531,7 @@ func Run(sc Scenario, opts Options) (*Report, error) {
 	}
 	if len(salts) > 0 {
 		outs, err := sweep.Map(opts.Workers, salts, func(_ int, salt uint64) (*outcome, error) {
-			return rs.runOnce(&sim.Explore{Salt: salt})
+			return rs.runOnce(&sim.Explore{Salt: salt}), nil
 		})
 		if err != nil {
 			return nil, err

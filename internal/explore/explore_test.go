@@ -209,3 +209,24 @@ func TestMutationOrderBugCaught(t *testing.T) {
 		t.Errorf("systematic failure lacks a swap-set repro line:\n%v", err)
 	}
 }
+
+// TestBadScenarioFailsAtSetup: a scenario that cannot run fails once,
+// with one explore: error and no report, before any schedule runs —
+// not once per rank as a schedule failure, and not with a panic.
+func TestBadScenarioFailsAtSetup(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		want string
+	}{
+		{"too-many-leaders", Scenario{Design: "dpml-9", PPN: 2}, "explore: core: 9 leaders with ppn=2"},
+		{"negative-count", Scenario{Count: -1}, "explore: negative count -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := Run(c.sc, Options{Schedules: 1})
+			if rep != nil || err == nil || err.Error() != c.want {
+				t.Fatalf("got report %v, error %q; want no report and %q", rep, err, c.want)
+			}
+		})
+	}
+}

@@ -45,7 +45,7 @@ func TestSetLinkCapacityRestore(t *testing.T) {
 // injection slots; restoring scale 1 returns to the nominal gap.
 func TestSetInjectScaleThrottlesGap(t *testing.T) {
 	c := topology.ClusterB()
-	k, _, net := newTestNet(c, 2)
+	co, k, _, net := newTestNet(c, 2)
 	ep := net.Endpoint(0, 0)
 	gap := c.Net.MsgGap
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -67,7 +67,7 @@ func TestSetInjectScaleThrottlesGap(t *testing.T) {
 			t.Errorf("restored gap %v, want %v", d6-d5, gap)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,7 +78,8 @@ func TestSetInjectScaleThrottlesGap(t *testing.T) {
 // so every member of the failed operation gets ErrSharpOffline, and the
 // group works again after recovery.
 func TestSharpOfflineSeenByAllMembers(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, err := NewSharp(k, topology.ClusterA())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestSharpOfflineSeenByAllMembers(t *testing.T) {
 			_, errs[i][2] = g.Allreduce(p, 256, nil, nil)
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range errs {

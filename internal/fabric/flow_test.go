@@ -12,10 +12,11 @@ import (
 // for them all.
 func runFlows(t *testing.T, body func(k *sim.Kernel, n *FlowNet, p *sim.Proc)) sim.Time {
 	t.Helper()
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	k.Spawn("driver", func(p *sim.Proc) { body(k, n, p) })
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return k.Now()
@@ -231,7 +232,8 @@ func TestStaggeredFlowsConserveWork(t *testing.T) {
 }
 
 func TestFlowNetStats(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	k.Spawn("driver", func(p *sim.Proc) {
 		l := NewLink("l", 1e9)
@@ -247,7 +249,7 @@ func TestFlowNetStats(t *testing.T) {
 			t.Errorf("link still has %d flows", l.ActiveFlows())
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Stats.Started != 3 || n.Stats.Completed != 3 {
@@ -260,7 +262,8 @@ func TestCompletionFastPathSkipsRecompute(t *testing.T) {
 	// GB/s): the link is never a bottleneck, so each completion must take
 	// the incremental fast path instead of scheduling a full
 	// settle-and-refill recompute.
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	k.Spawn("driver", func(p *sim.Proc) {
 		l := NewLink("fat", 100e9)
@@ -269,7 +272,7 @@ func TestCompletionFastPathSkipsRecompute(t *testing.T) {
 			n.Start(2_000_000, 1e9, done, l) // finishes at 2 ms
 		})
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Stats.Recompute != 1 {
@@ -293,7 +296,8 @@ func TestCompletionOnBottleneckLinkRecomputes(t *testing.T) {
 	// bandwidth the survivor must pick up — every completion must trigger
 	// a full recompute (and the survivor must actually speed up: see
 	// TestRateReallocatedOnDeparture for the timing assertion).
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	k.Spawn("driver", func(p *sim.Proc) {
 		l := NewLink("narrow", 2e9)
@@ -302,7 +306,7 @@ func TestCompletionOnBottleneckLinkRecomputes(t *testing.T) {
 			n.Start(2_000_000, 10e9, done, l)
 		})
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Stats.FastPath != 0 {
@@ -320,7 +324,8 @@ func TestCompletionOnBottleneckLinkRecomputes(t *testing.T) {
 func TestFastPathPreservesLinkAccounting(t *testing.T) {
 	// Skipping the settle pass must not lose byte or busy accounting:
 	// the final-leg credit in complete covers the unsettled span.
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	l := NewLink("fat", 100e9)
 	k.Spawn("driver", func(p *sim.Proc) {
@@ -329,7 +334,7 @@ func TestFastPathPreservesLinkAccounting(t *testing.T) {
 			n.Start(2_000_000, 1e9, done, l)
 		})
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if n.Stats.FastPath != 2 {
@@ -350,7 +355,8 @@ func TestWaterFillInvariants(t *testing.T) {
 	// Property-style check on the water-filler directly: random flow
 	// populations must never oversubscribe a link, never exceed a flow
 	// cap, and leave no slack when a flow could go faster.
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	rng := uint64(12345)
 	next := func(mod int) int {
@@ -453,7 +459,8 @@ func TestLinkAccountingConservation(t *testing.T) {
 	// Bytes moved through each link must equal the payloads carried, and
 	// busy time must match the active span (not multiplied by the flow
 	// count).
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	l := NewLink("l", 2e9)
 	k.Spawn("driver", func(p *sim.Proc) {
@@ -464,7 +471,7 @@ func TestLinkAccountingConservation(t *testing.T) {
 		n.Start(1_000_000, 10e9, func() { wg.Done() }, l)
 		wg.Wait(p, "flows")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.BytesMoved(); got != 2_000_000 {

@@ -10,17 +10,18 @@ import (
 
 // newTestNet builds a single-shard coordinator, its network-LP flow
 // scheduler, and a network for nodes compute nodes of c. The returned
-// kernel owns every LP, so tests can Spawn and Run on it directly.
-func newTestNet(c *topology.Cluster, nodes int) (*sim.Kernel, *FlowNet, *Network) {
+// kernel owns every LP, so tests can Spawn on it directly and run the
+// coordinator.
+func newTestNet(c *topology.Cluster, nodes int) (*sim.Coordinator, *sim.Kernel, *FlowNet, *Network) {
 	coord := sim.NewCoordinator(nodes, 1, c.Net.WireLatency)
 	k := coord.NetKernel()
 	fn := NewFlowNet(k)
-	return k, fn, NewNetwork(coord, fn, c, nodes)
+	return coord, k, fn, NewNetwork(coord, fn, c, nodes)
 }
 
 func TestNetworkTransferBasics(t *testing.T) {
 	c := topology.ClusterB()
-	k, _, net := newTestNet(c, 2)
+	co, k, _, net := newTestNet(c, 2)
 	var arrived sim.Time
 	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -28,7 +29,7 @@ func TestNetworkTransferBasics(t *testing.T) {
 		net.StartTransfer(src, dst, 1<<20, func() { arrived = k.Now(); done.Fire() })
 		done.Wait(p, "arrive")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := sim.Duration(sim.TransferTime(1<<20, c.Net.PerFlowCap)) + c.Net.WireLatency
@@ -46,7 +47,7 @@ func TestNetworkConcurrencyScalesOnIB(t *testing.T) {
 	// link) bind.
 	c := topology.ClusterB()
 	elapsed := func(pairs int) sim.Duration {
-		k, _, net := newTestNet(c, 2)
+		co, k, _, net := newTestNet(c, 2)
 		k.Spawn("driver", func(p *sim.Proc) {
 			var wg sim.WaitGroup
 			wg.Add(pairs)
@@ -55,7 +56,7 @@ func TestNetworkConcurrencyScalesOnIB(t *testing.T) {
 			}
 			wg.Wait(p, "transfers")
 		})
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Duration(k.Now())
@@ -73,7 +74,7 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 	// the link, so 8 concurrent 1 MB transfers take ~8x one transfer.
 	c := topology.ClusterC()
 	elapsed := func(pairs int) sim.Duration {
-		k, _, net := newTestNet(c, 2)
+		co, k, _, net := newTestNet(c, 2)
 		k.Spawn("driver", func(p *sim.Proc) {
 			var wg sim.WaitGroup
 			wg.Add(pairs)
@@ -82,7 +83,7 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 			}
 			wg.Wait(p, "transfers")
 		})
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Duration(k.Now())
@@ -96,7 +97,7 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 
 func TestInjectDelayEnforcesMessageGap(t *testing.T) {
 	c := topology.ClusterC()
-	k, _, net := newTestNet(c, 2)
+	co, k, _, net := newTestNet(c, 2)
 	ep0 := net.Endpoint(0, 0)
 	ep0b := net.Endpoint(0, 0) // second process on the same HCA
 	ep1 := net.Endpoint(1, 0)
@@ -123,7 +124,7 @@ func TestInjectDelayEnforcesMessageGap(t *testing.T) {
 			t.Errorf("injection after idle delayed %v", d)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +138,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 	c := topology.ClusterD()
 	const nodes = 8
 	c.Net.LeafRadix = nodes / 2
-	k, _, net := newTestNet(c, nodes)
+	co, k, _, net := newTestNet(c, nodes)
 	if net.coreUp == nil {
 		t.Fatal("cluster D network must model an oversubscribed core")
 	}
@@ -157,7 +158,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 		}
 		wg.Wait(p, "transfers")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Each subtree's core uplink carries half the total at capacity
@@ -173,7 +174,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 }
 
 func TestNetworkPanicsOnBadEndpoints(t *testing.T) {
-	_, _, net := newTestNet(topology.ClusterB(), 2)
+	_, _, _, net := newTestNet(topology.ClusterB(), 2)
 	cases := []func(){
 		func() { net.StartTransfer(net.Endpoint(0, 0), net.Endpoint(0, 0), 10, func() {}) }, // same node
 		func() { net.Endpoint(5, 0) }, // bad node
@@ -194,11 +195,12 @@ func TestNetworkPanicsOnBadEndpoints(t *testing.T) {
 func TestMemChannelCopyCosts(t *testing.T) {
 	c := topology.ClusterA()
 	elapsed := func(cross bool, bytes int64) sim.Duration {
-		k := sim.NewKernel()
+		co := sim.NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
 		fn := NewFlowNet(k)
 		m := NewMemChannel(k, fn, c, 0)
 		k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, cross, bytes) })
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Duration(k.Now())
@@ -230,13 +232,14 @@ func TestMemChannelConcurrentCopiesScale(t *testing.T) {
 	// core's streaming rate.
 	c := topology.ClusterA()
 	elapsed := func(copiers int) sim.Duration {
-		k := sim.NewKernel()
+		co := sim.NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
 		fn := NewFlowNet(k)
 		m := NewMemChannel(k, fn, c, 0)
 		for i := 0; i < copiers; i++ {
 			k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, 1<<20) })
 		}
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return sim.Duration(k.Now())
@@ -252,14 +255,15 @@ func TestMemChannelAggregateBandwidthBinds(t *testing.T) {
 	// aggregate memory bandwidth.
 	c := topology.ClusterA()
 	copiers := int(c.Mem.AggregateBW/c.Mem.CopyRate) * 2 // 2x oversubscribed
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	fn := NewFlowNet(k)
 	m := NewMemChannel(k, fn, c, 0)
 	const bytes = 1 << 20
 	for i := 0; i < copiers; i++ {
 		k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, bytes) })
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	minTime := sim.DurationOfSeconds(float64(copiers*bytes)/c.Mem.AggregateBW) + c.Mem.CopyStartup
@@ -270,7 +274,8 @@ func TestMemChannelAggregateBandwidthBinds(t *testing.T) {
 }
 
 func TestSharpUnavailableOnNonMellanox(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	for _, c := range []*topology.Cluster{topology.ClusterB(), topology.ClusterC(), topology.ClusterD()} {
 		if _, err := NewSharp(k, c); !errors.Is(err, ErrSharpUnavailable) {
 			t.Errorf("%s: NewSharp err = %v, want ErrSharpUnavailable", c.Name, err)
@@ -279,7 +284,8 @@ func TestSharpUnavailableOnNonMellanox(t *testing.T) {
 }
 
 func TestSharpTreeDepth(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, err := NewSharp(k, topology.ClusterA())
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +301,8 @@ func TestSharpTreeDepth(t *testing.T) {
 }
 
 func TestSharpGroupLimits(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, err := NewSharp(k, topology.ClusterA())
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +329,8 @@ func TestSharpGroupLimits(t *testing.T) {
 }
 
 func TestSharpAllreduceCompletesAllLeaves(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, err := NewSharp(k, topology.ClusterA())
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +351,7 @@ func TestSharpAllreduceCompletesAllLeaves(t *testing.T) {
 			finish[i] = p.Now()
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// All leaves complete at the same instant: last arrival (15us) plus
@@ -360,14 +368,15 @@ func TestSharpAllreduceCompletesAllLeaves(t *testing.T) {
 }
 
 func TestSharpPayloadLimit(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, _ := NewSharp(k, topology.ClusterA())
 	g, _ := s.NewGroup(2, 1)
 	var gotErr error
 	k.Spawn("leaf0", func(p *sim.Proc) {
 		_, gotErr = g.Allreduce(p, s.MaxPayload()+1, nil, nil)
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(gotErr, ErrSharpPayload) {
@@ -378,7 +387,8 @@ func TestSharpPayloadLimit(t *testing.T) {
 func TestSharpOutstandingOpsSerialize(t *testing.T) {
 	// More concurrent groups than MaxOutstanding: operations must
 	// serialize, so total time grows past a single op's latency.
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, _ := NewSharp(k, topology.ClusterA())
 	maxOps := s.Profile().MaxOutstanding
 	groups := maxOps * 3
@@ -397,7 +407,7 @@ func TestSharpOutstandingOpsSerialize(t *testing.T) {
 			})
 		}
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	rounds := groups / maxOps
@@ -410,7 +420,8 @@ func TestSharpOutstandingOpsSerialize(t *testing.T) {
 func TestSharpSmallBeatsLargeScaling(t *testing.T) {
 	// OpLatency must grow superlinearly enough with payload that the
 	// host-based design wins past a few KB (Fig 8 crossover).
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	s, _ := NewSharp(k, topology.ClusterA())
 	l8 := s.OpLatency(16, 8)
 	l4k := s.OpLatency(16, 4096)
@@ -421,14 +432,14 @@ func TestSharpSmallBeatsLargeScaling(t *testing.T) {
 
 func TestNetworkReport(t *testing.T) {
 	c := topology.ClusterB()
-	k, _, net := newTestNet(c, 2)
+	co, k, _, net := newTestNet(c, 2)
 	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
 	k.Spawn("driver", func(p *sim.Proc) {
 		var done sim.Signal
 		net.StartTransfer(src, dst, 1<<20, func() { done.Fire() })
 		done.Wait(p, "arrive")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	rep := net.Report()
@@ -449,18 +460,19 @@ func TestNetworkReport(t *testing.T) {
 	}
 	// Cluster D has a core stage: one up/down pair per leaf subtree (2
 	// nodes under one 16-port leaf is a single subtree).
-	_, _, netD := newTestNet(topology.ClusterD(), 2)
+	_, _, _, netD := newTestNet(topology.ClusterD(), 2)
 	if got := len(netD.Report()); got != 6 {
 		t.Fatalf("cluster D report has %d links, want 6 (incl. subtree core pair)", got)
 	}
 }
 
 func TestMemChannelReport(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	fn := NewFlowNet(k)
 	m := NewMemChannel(k, fn, topology.ClusterA(), 0)
 	k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, 4096) })
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	lr := m.Report()

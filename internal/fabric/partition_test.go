@@ -144,7 +144,8 @@ func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 }
 
 func testStaticFill(t *testing.T) {
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	n := NewFlowNet(k)
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(mod int) int {
@@ -215,7 +216,8 @@ func testChurnFill(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			return int(rng>>33) % mod
 		}
-		k := sim.NewKernel()
+		co := sim.NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
 		n := NewFlowNet(k)
 		const nLinks, retired = 10, 2
 		links := make([]*Link, nLinks)
@@ -291,7 +293,7 @@ func testChurnFill(t *testing.T) {
 			wg.Wait(p, "flows")
 			check()
 		})
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if failed != nil {
@@ -341,7 +343,8 @@ func TestFillWorkerCountInvariance(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			return int(rng>>33) % mod
 		}
-		k := sim.NewKernel()
+		co := sim.NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
 		n := NewFlowNet(k)
 		n.SetWorkers(workers)
 		const nLinks = 40
@@ -374,7 +377,7 @@ func TestFillWorkerCountInvariance(t *testing.T) {
 			}
 			wg.Wait(p, "flows")
 		})
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if n.Stats.MaxComponents < 2 {

@@ -251,9 +251,6 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 // Coordinator returns the simulation's shard coordinator.
 func (w *World) Coordinator() *sim.Coordinator { return w.coord }
 
-// Shards returns the effective kernel shard count in force.
-func (w *World) Shards() int { return w.coord.Shards() }
-
 // NetShards returns the effective network shard (water-fill worker)
 // count in force. Per-node memory flow engines always fill serially:
 // their populations are small and node-local.

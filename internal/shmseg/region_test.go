@@ -15,7 +15,8 @@ import (
 func TestRegionFullGatherPublishDrain(t *testing.T) {
 	const ppn, leaders = 4, 2
 	rg := NewRegion(ppn)
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	results := make([][]float64, ppn)
 	for local := 0; local < ppn; local++ {
 		local := local
@@ -45,7 +46,7 @@ func TestRegionFullGatherPublishDrain(t *testing.T) {
 			rg.DoneCopy(0)
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Leader j's sum over locals of (10*local + j): 60 + 4j.
@@ -67,7 +68,8 @@ func TestRegionPartialGatherForSocketLeaders(t *testing.T) {
 	// socket's leader, which waits for exactly its 2 ranks.
 	const ppn = 4
 	rg := NewRegion(ppn)
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	socketOf := []int{0, 0, 1, 1}
 	leaderOf := []int{0, 0, 1, 1} // leader index == socket
 	var sums [2]float64
@@ -98,7 +100,7 @@ func TestRegionPartialGatherForSocketLeaders(t *testing.T) {
 			rg.DoneCopy(7)
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sums[0] != 3 || sums[1] != 7 { // 1+2 and 3+4
@@ -113,7 +115,8 @@ func TestRegionConcurrentOpsDoNotAlias(t *testing.T) {
 	// Two back-to-back operations with different sequence numbers stay
 	// separate even when their lifetimes overlap.
 	rg := NewRegion(2)
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var got [2][2]float64
 	for local := 0; local < 2; local++ {
 		local := local
@@ -134,7 +137,7 @@ func TestRegionConcurrentOpsDoNotAlias(t *testing.T) {
 			}
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for local := 0; local < 2; local++ {
@@ -180,7 +183,8 @@ func TestRegionMisusePanics(t *testing.T) {
 
 func TestGatherWaitWantValidation(t *testing.T) {
 	rg := NewRegion(2)
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("p", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
@@ -189,7 +193,7 @@ func TestGatherWaitWantValidation(t *testing.T) {
 		}()
 		rg.GatherWait(p, 0, 1, 0, 3)
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +209,8 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	}
 	const warm, runs = 4, 100
 	rg := NewRegion(2)
-	k := sim.NewKernel()
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	v := [2]*mpi.Vector{mpi.NewPhantom(mpi.Float64, 8), mpi.NewPhantom(mpi.Float64, 8)}
 	var allocs float64
 	k.Spawn("leader", func(p *sim.Proc) {
@@ -231,7 +236,7 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 			rg.DoneCopy(seq)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if allocs != 0 {

@@ -3,9 +3,10 @@ package sim
 import "testing"
 
 func TestSpawnAfterRunPanics(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("p", func(p *Proc) {})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -17,8 +18,8 @@ func TestSpawnAfterRunPanics(t *testing.T) {
 }
 
 func TestRunTwicePanics(t *testing.T) {
-	k := NewKernel()
-	if err := k.Run(); err != nil {
+	co := NewCoordinator(1, 1, 0)
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -26,12 +27,13 @@ func TestRunTwicePanics(t *testing.T) {
 			t.Fatal("second Run did not panic")
 		}
 	}()
-	_ = k.Run()
+	_ = co.Run()
 }
 
 func TestEmptyKernelRuns(t *testing.T) {
-	k := NewKernel()
-	if err := k.Run(); err != nil {
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
+	if err := co.Run(); err != nil {
 		t.Fatalf("empty kernel: %v", err)
 	}
 	if k.Now() != 0 {
@@ -53,12 +55,13 @@ func TestDeadlockCleansUpAllProcStates(t *testing.T) {
 	// After a deadlock, ready-but-never-run procs and parked procs must
 	// all unwind (no goroutine leaks / no hangs); this test passing at
 	// all proves the shutdown path completed.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	for i := 0; i < 10; i++ {
 		k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "never") })
 	}
-	if err := k.Run(); err == nil {
+	if err := co.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
 }
@@ -66,12 +69,13 @@ func TestDeadlockCleansUpAllProcStates(t *testing.T) {
 func TestPanicDuringEventCleanup(t *testing.T) {
 	// One proc panics while others hold pending events and parked
 	// states; shutdown must cancel everything cleanly.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
 	k.Spawn("waiter", func(p *Proc) { sig.Wait(p, "forever") })
 	k.Spawn("bomb", func(p *Proc) { panic("kaboom") })
-	err := k.Run()
+	err := co.Run()
 	if err == nil {
 		t.Fatal("expected panic error")
 	}
@@ -79,7 +83,8 @@ func TestPanicDuringEventCleanup(t *testing.T) {
 
 func TestEventsWithoutProcs(t *testing.T) {
 	// Pure event-driven usage: chained events advance the clock.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var fired []Time
 	k.Spawn("seed", func(p *Proc) {
 		k.After(10, func() {
@@ -87,7 +92,7 @@ func TestEventsWithoutProcs(t *testing.T) {
 			k.After(20, func() { fired = append(fired, k.Now()) })
 		})
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
@@ -96,13 +101,14 @@ func TestEventsWithoutProcs(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("p", func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(Microsecond)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if k.Stats.Events < 5 {
@@ -116,7 +122,8 @@ func TestStatsCount(t *testing.T) {
 }
 
 func TestProcAccessors(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("zero", func(p *Proc) {
 		if p.ID() != 0 || p.Name() != "zero" || p.Kernel() != k {
 			t.Error("proc accessors wrong")
@@ -125,7 +132,7 @@ func TestProcAccessors(t *testing.T) {
 	if k.NumProcs() != 1 {
 		t.Fatal("NumProcs wrong")
 	}
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -251,9 +251,6 @@ func (c *Coordinator) SetExplore(x *Explore) {
 		}
 		k.setExplore(st)
 	}
-	if c.sharded {
-		c.netK.setExplore(st)
-	}
 }
 
 // Exploring reports whether SetExplore installed a perturbation config.
@@ -295,9 +292,6 @@ func (c *Coordinator) TiePairs() []TiePair {
 
 // ownerOf returns the kernel owning an LP (including the network LP).
 func (c *Coordinator) ownerOf(lp int32) *Kernel {
-	if !c.sharded {
-		return c.kernels[0]
-	}
 	if lp == int32(c.nodes) {
 		return c.netK
 	}

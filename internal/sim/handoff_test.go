@@ -22,7 +22,8 @@ import (
 // another proc, so it must come out at no more than half.
 func TestPingPongHalvesContextSwitches(t *testing.T) {
 	const n = 1000
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	ab := newQueue[int]("a->b")
 	ba := newQueue[int]("b->a")
 	k.Spawn("a", func(p *Proc) {
@@ -41,7 +42,7 @@ func TestPingPongHalvesContextSwitches(t *testing.T) {
 			ba.send(i)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	decisions := uint64(2*n + 2)
@@ -61,13 +62,14 @@ func TestPingPongHalvesContextSwitches(t *testing.T) {
 // whose wakeup races an earlier event must take the slow path and see the
 // event fire first.
 func TestSleepFastPathZeroHandoffs(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("solo", func(p *Proc) {
 		for i := 0; i < 100; i++ {
 			p.Sleep(Microsecond)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if k.Stats.ContextSwitch != 1 {
@@ -82,7 +84,8 @@ func TestSleepFastPathZeroHandoffs(t *testing.T) {
 }
 
 func TestSleepFastPathYieldsToEarlierEvent(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var order []string
 	k.Spawn("p", func(p *Proc) {
 		k.After(2*Microsecond, func() { order = append(order, "event@2") })
@@ -91,7 +94,7 @@ func TestSleepFastPathYieldsToEarlierEvent(t *testing.T) {
 		p.Sleep(3 * Microsecond) // fast path: heap is empty again
 		order = append(order, fmt.Sprintf("wake@%v", p.Now()))
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := "event@2,wake@5.000us,wake@8.000us"
@@ -104,14 +107,15 @@ func TestSleepFastPathYieldsToEarlierEvent(t *testing.T) {
 // exact wakeup instant has a smaller sequence number, so it must fire
 // before the sleeper resumes — the fast path may not swallow it.
 func TestSleepSameInstantEventOrdering(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var order []string
 	k.Spawn("p", func(p *Proc) {
 		k.After(4*Microsecond, func() { order = append(order, "event") })
 		p.Sleep(4 * Microsecond)
 		order = append(order, "sleeper")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(order, ","); got != "event,sleeper" {
@@ -122,13 +126,14 @@ func TestSleepSameInstantEventOrdering(t *testing.T) {
 // TestYieldFastPathEmptyQueue: yielding with nothing else ready is free —
 // no switches beyond bootstrap, and execution order is unchanged.
 func TestYieldFastPathEmptyQueue(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("p", func(p *Proc) {
 		for i := 0; i < 50; i++ {
 			p.Yield()
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if k.Stats.ContextSwitch != 1 {
@@ -141,13 +146,14 @@ func TestYieldFastPathEmptyQueue(t *testing.T) {
 // and the panic must surface. The panicking proc's own exit path
 // discovers the failure and ends the driver loop.
 func TestPanicMidRunWithReadyProcs(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	ran := 0
 	k.Spawn("bomb", func(p *Proc) { panic("early") })
 	for i := 0; i < 5; i++ {
 		k.Spawn(fmt.Sprintf("never%d", i), func(p *Proc) { ran++ })
 	}
-	err := k.Run()
+	err := co.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PanicError", err)
@@ -164,14 +170,15 @@ func TestPanicMidRunWithReadyProcs(t *testing.T) {
 // whichever proc runs the scheduler step; a panic there is attributed to
 // that proc and still aborts the run cleanly.
 func TestPanicInsideEventCallback(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("bystander", func(p *Proc) { sig.Wait(p, "forever") })
 	k.Spawn("scheduler-host", func(p *Proc) {
 		k.After(Microsecond, func() { panic("callback boom") })
 		p.Sleep(5 * Microsecond)
 	})
-	err := k.Run()
+	err := co.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PanicError", err)
@@ -186,14 +193,15 @@ func TestPanicInsideEventCallback(t *testing.T) {
 // deadlock that includes *itself*, then unwind cleanly even though it was
 // running when it found out.
 func TestDeadlockReportedByTokenHolder(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("first", func(p *Proc) { sig.Wait(p, "first reason") })
 	k.Spawn("last", func(p *Proc) {
 		p.Sleep(Microsecond) // guarantee it parks after "first"
 		sig.Wait(p, "last reason")
 	})
-	err := k.Run()
+	err := co.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
@@ -213,11 +221,12 @@ func TestDeadlockReportedByTokenHolder(t *testing.T) {
 // finishing proc's exit path finds only parked procs left; the survivors
 // are reported and unwound.
 func TestDeadlockDetectedByExitingProc(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "abandoned") })
 	k.Spawn("quitter", func(p *Proc) { p.Sleep(Microsecond) })
-	err := k.Run()
+	err := co.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
@@ -236,7 +245,8 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 	// "bomb" in the FIFO, so when bomb panics the kernel must unwind one
 	// blocked proc, one ready proc that has run, and one ready proc that
 	// never ran.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("parked", func(p *Proc) { sig.Wait(p, "never fired") })
 	k.Spawn("ran-then-ready", func(p *Proc) {
@@ -245,7 +255,7 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 	})
 	k.Spawn("bomb", func(p *Proc) { panic("abort") })
 	k.Spawn("never-ran", func(p *Proc) { t.Error("never-ran was dispatched") })
-	err := k.Run()
+	err := co.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PanicError", err)
@@ -257,7 +267,8 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 
 // TestShutdownReleasesGoroutines runs every way a run can fail — deadlock,
 // watchdog expiry, a proc panic and an event-callback panic — on a
-// standalone kernel and on coordinators at 2 and 4 shards, and checks
+// one-kernel coordinator (shards 0 clamps to 1) and on coordinators at 2
+// and 4 shards, and checks
 // that the run leaves no goroutine behind once it returns. Every
 // node has a proc that parks, one that yields (it ran and is ready
 // again) and one spawned after the failure's trigger. A proc panic
@@ -301,29 +312,22 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		for _, shards := range []int{0, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards%d", kind.name, shards), func(t *testing.T) {
 				before := runtime.NumGoroutine()
-				k0 := NewKernel()
-				kernelFor, lpOf := func(int) *Kernel { return k0 }, func(int) int { return 0 }
-				run, setWatchdog := k0.Run, k0.SetWatchdog
-				if shards > 0 {
-					co := NewCoordinator(nodes, shards, 10*Microsecond)
-					kernelFor, lpOf = co.KernelFor, func(n int) int { return n }
-					run, setWatchdog = co.Run, co.SetWatchdog
-				}
-				setWatchdog(kind.watchdog)
+				co := NewCoordinator(nodes, shards, 10*Microsecond)
+				co.SetWatchdog(kind.watchdog)
 				for n := 0; n < nodes; n++ {
-					k, lp := kernelFor(n), lpOf(n)
+					k := co.KernelFor(n)
 					var sig Signal
-					k.SpawnOn(lp, "parked", func(p *Proc) { sig.Wait(p, "parked") })
-					k.SpawnOn(lp, "yielder", func(p *Proc) {
+					k.SpawnOn(n, "parked", func(p *Proc) { sig.Wait(p, "parked") })
+					k.SpawnOn(n, "yielder", func(p *Proc) {
 						p.Yield()
 						sig.Wait(p, "yielded")
 					})
 					if n == 0 && kind.trigger != nil {
-						k.SpawnOn(lp, kind.name, kind.trigger(k, &sig))
+						k.SpawnOn(n, kind.name, kind.trigger(k, &sig))
 					}
-					k.SpawnOn(lp, "late", func(p *Proc) { sig.Wait(p, "late") })
+					k.SpawnOn(n, "late", func(p *Proc) { sig.Wait(p, "late") })
 				}
-				if err := run(); !kind.want(err) {
+				if err := co.Run(); !kind.want(err) {
 					t.Fatalf("got %v, want a %s verdict", err, kind.name)
 				}
 				// Goroutines other tests left behind may exit meanwhile,
@@ -339,14 +343,15 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 // TestFinishedProcReleasesBody: once a proc has finished, its kernel must
 // not keep the body, or what the body captures, reachable.
 func TestFinishedProcReleasesBody(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	freed := make(chan struct{})
 	func() {
 		captured := new([1 << 10]byte)
 		runtime.SetFinalizer(captured, func(*[1 << 10]byte) { close(freed) })
 		k.Spawn("p", func(*Proc) { captured[0]++ })
 	}()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
@@ -373,7 +378,8 @@ func isErr[E error](err error) bool {
 // ready proc (after readying itself), it must resume inline. Regression
 // guard for the self-handoff branch of switchTo.
 func TestSelfHandoffSkipsSwitch(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	q := newQueue[int]("loop")
 	k.Spawn("self", func(p *Proc) {
 		for i := 0; i < 100; i++ {
@@ -383,7 +389,7 @@ func TestSelfHandoffSkipsSwitch(t *testing.T) {
 			}
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if k.Stats.ContextSwitch != 1 {
@@ -396,7 +402,8 @@ func TestSelfHandoffSkipsSwitch(t *testing.T) {
 // exactly what the two-hop scheduler produced (the committed results/
 // tables depend on it).
 func TestHandoffSchedulingOrderMatchesFIFO(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var got []string
 	var sig Signal
 	for i := 0; i < 4; i++ {
@@ -412,7 +419,7 @@ func TestHandoffSchedulingOrderMatchesFIFO(t *testing.T) {
 		sig.FireAll()
 		got = append(got, "driver:fired")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := "w0:start w1:start w2:start w3:start driver:fired " +

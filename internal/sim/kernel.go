@@ -10,34 +10,35 @@
 //
 // Scheduling is a coroutine loop. Each kernel has one driver loop (drive)
 // that resumes the proc chosen by the last scheduling decision and runs
-// until the run or the window is over. The scheduler step — ready-queue
-// pop, event-heap pop, clock advance, deadlock detection — executes
-// inline in whichever proc is giving up control, which names the next
-// proc and yields to the driver: a handoff is two coroutine switches and
-// never goes through the Go scheduler. When the parking proc turns out to
-// be the next to run — in particular when it sleeps and its own wakeup is
-// the earliest live event — it continues without any switch at all. Two
-// more paths avoid switching to a proc that has nothing to do yet: a proc
-// in Signal.WaitUntil whose condition is still false is re-parked by the
+// until its window is over. The scheduler step — ready-queue pop,
+// event-heap pop, clock advance — executes inline in whichever proc is
+// giving up control, which names the next proc and yields to the driver:
+// a handoff is two coroutine switches and never goes through the Go
+// scheduler. When the parking proc turns out to be the next to run — in
+// particular when it sleeps and its own wakeup is the earliest live
+// event — it continues without any switch at all. Two more paths avoid
+// switching to a proc that has nothing to do yet: a proc in
+// Signal.WaitUntil whose condition is still false is re-parked by the
 // scheduler itself, and Proc.SleepThen runs the work that follows a sleep
 // inside the wakeup event.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
 // Signal.Wait, Signal.WaitUntil). When every proc is parked,
-// the inline scheduler pops the earliest event, advances the virtual clock
-// to it, and fires its callback, which typically readies one or more
-// procs. If the ready queue and event heap are both empty while procs
-// remain parked, the run ends with a deadlock report naming each blocked
-// proc.
+// the inline scheduler pops the earliest event below the window's horizon,
+// advances the virtual clock to it, and fires its callback, which
+// typically readies one or more procs. When nothing is ready and no event
+// is due below the horizon, the window is over.
 //
-// # Logical processes and sharding
+// # Logical processes and the run loop
 //
-// Every proc and event belongs to a logical process (LP). A standalone
-// kernel (NewKernel) has a single LP and behaves exactly as described
-// above. A Coordinator (see sync.go) partitions the LPs of one simulation
-// across several kernels — one per shard plus one for the shared network
-// — and runs them in parallel under a conservative time-window protocol.
-// Event keys are (at, origin LP, per-LP counter) in every mode, so the
+// Every proc and event belongs to a logical process (LP): one per node
+// plus one for the shared network. A Coordinator (see sync.go) partitions
+// the LPs of one simulation across kernels — a single kernel owning all
+// of them, or one per shard plus one for the network — and Coordinator.Run
+// is the only way a simulation runs: it opens each kernel's windows under
+// a conservative time-window protocol and alone decides how the run ends
+// (clean completion, deadlock, watchdog expiry, or a proc panic). Event
+// keys are (at, origin LP, per-LP counter) for every partition, so the
 // pop order, and therefore the simulation's entire behavior, is identical
 // for every shard count.
 package sim
@@ -45,7 +46,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"sort"
 	"strings"
 )
 
@@ -108,12 +108,12 @@ func (p *Proc) Now() Time { return p.k.now }
 // stops (deadlock or abort), so its stack unwinds cleanly.
 type errKilled struct{}
 
-// DeadlockError is returned by Kernel.Run when no event can advance the
-// simulation while procs remain blocked.
+// DeadlockError is returned by Coordinator.Run when no event can advance
+// the simulation while procs remain blocked.
 type DeadlockError struct {
 	At      Time
 	Blocked []string // "name: reason" for each parked proc
-	Diag    string   // optional workload diagnostic (see SetDiagnostic)
+	Diag    string   // optional workload diagnostic (see Coordinator.SetDiagnostic)
 }
 
 func (e *DeadlockError) Error() string {
@@ -125,17 +125,17 @@ func (e *DeadlockError) Error() string {
 	return msg
 }
 
-// WatchdogError is returned by Kernel.Run when a watchdog deadline (see
-// SetWatchdog) expires with procs still alive: the run is aborted with a
-// dump of every parked proc's wait reason, the pending event-heap head,
-// and any workload diagnostic, instead of simulating a wedged collective
-// forever (or until global deadlock, which a stuck-but-still-ticking
-// scenario never reaches).
+// WatchdogError is returned by Coordinator.Run when a watchdog deadline
+// (see Coordinator.SetWatchdog) expires with procs still alive: the run
+// is aborted with a dump of every parked proc's wait reason, the pending
+// event-heap head, and any workload diagnostic, instead of simulating a
+// wedged collective forever (or until global deadlock, which a
+// stuck-but-still-ticking scenario never reaches).
 type WatchdogError struct {
 	Deadline  Time
 	Blocked   []string // "name: reason" for each parked proc
 	NextEvent string   // event-heap head past the deadline, "none" if dry
-	Diag      string   // optional workload diagnostic (see SetDiagnostic)
+	Diag      string   // optional workload diagnostic (see Coordinator.SetDiagnostic)
 }
 
 func (e *WatchdogError) Error() string {
@@ -195,8 +195,9 @@ type outEvent struct {
 }
 
 // Kernel owns a virtual clock, an event heap, and a proc scheduler for
-// one shard's worth of logical processes. The zero value is not usable;
-// call NewKernel (standalone, single LP) or build a Coordinator.
+// one shard's worth of logical processes. Its job is to fire events and
+// schedule procs below the horizon its coordinator sets. Kernels are
+// built by NewCoordinator and run by Coordinator.Run.
 type Kernel struct {
 	now    Time
 	events eventHeap
@@ -218,20 +219,13 @@ type Kernel struct {
 	ready procRing // FIFO
 	alive int
 
-	// Sharding. A standalone kernel has coord == nil and runs the legacy
-	// single-heap loop. Under a sharded Coordinator, windowed is true for
-	// shard kernels: schedule stops at horizon and ends the window instead
-	// of terminating, and cross-shard AtOn calls buffer into outbox
+	// The window protocol: schedule stops at horizon and ends the window,
+	// and AtOn calls aimed at another kernel's LP buffer into outbox
 	// (drained by the coordinator at barriers).
 	coord     *Coordinator
-	windowed  bool
 	horizon   Time
 	lookahead Duration
 	outbox    [][]outEvent
-
-	// watchdogAt aborts the run when the next live event would fire at
-	// or past it while procs are still alive (see SetWatchdog).
-	watchdogAt Time
 
 	// Schedule exploration (see explore.go). explore == nil means the
 	// canonical schedule with zero overhead on the hot paths. When set,
@@ -252,31 +246,9 @@ type Kernel struct {
 	handoff      *Proc
 	started      bool
 	shuttingDown bool  // unwinding procs neither schedule nor park
-	termErr      error // deadlock error, nil on clean completion
 	failure      error // first proc panic, aborts the run
-	diag         func() string
 
 	Stats KernelStats
-}
-
-// newKernel builds a kernel owning LPs [lpBase, lpBase+lpCount) in a
-// simulation whose shared network LP is netLP.
-func newKernel(lpBase, lpCount, netLP int) *Kernel {
-	return &Kernel{
-		lpBase:     int32(lpBase),
-		lpCount:    int32(lpCount),
-		netLP:      int32(netLP),
-		curLP:      int32(lpBase),
-		oseq:       make([]uint64, lpCount),
-		horizon:    maxTime,
-		watchdogAt: maxTime,
-	}
-}
-
-// NewKernel returns an empty standalone kernel at virtual time zero, with
-// a single logical process.
-func NewKernel() *Kernel {
-	return newKernel(0, 1, 0)
 }
 
 // Now returns the current virtual time.
@@ -285,17 +257,8 @@ func (k *Kernel) Now() Time { return k.now }
 // NumProcs returns the number of spawned procs.
 func (k *Kernel) NumProcs() int { return len(k.procs) }
 
-// Started reports whether Run (or the owning coordinator's Run) has
-// begun.
-func (k *Kernel) Started() bool { return k.started }
-
-// NetLP returns the LP id of the simulation's shared network domain (the
-// kernel's own LP for standalone kernels).
+// NetLP returns the LP id of the simulation's shared network domain.
 func (k *Kernel) NetLP() int { return int(k.netLP) }
-
-// Lookahead returns the conservative cross-LP latency bound the owning
-// coordinator synchronizes with (0 for standalone kernels).
-func (k *Kernel) Lookahead() Duration { return k.lookahead }
 
 func (k *Kernel) owns(lp int32) bool {
 	return lp >= k.lpBase && lp < k.lpBase+k.lpCount
@@ -390,7 +353,7 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 // shard. No Event handle is returned: a cross-shard event cannot be
 // cancelled or rescheduled by its creator.
 //
-// Before Run, lp must be owned by this kernel and the event is keyed by
+// Before Coordinator.Run, lp must be owned by this kernel and the event is keyed by
 // the target LP itself, so pre-run setup (fault plans, watchdogs)
 // produces identical event keys under every shard count. During the run,
 // a cross-LP event whose target is not the network LP must fire at least
@@ -506,42 +469,9 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 	return k.At(k.now.Add(d), fn)
 }
 
-// SetDiagnostic installs a workload-level dump (per-rank pending
-// requests, say) that is appended to deadlock and watchdog reports. The
-// callback runs in kernel context at fault time and must not block.
-func (k *Kernel) SetDiagnostic(fn func() string) { k.diag = fn }
-
-// SetWatchdog arms a virtual-time deadline: if any proc is still alive
-// when the next live event would fire at or past it, the run aborts with
-// a *WatchdogError naming every blocked proc instead of simulating a
-// wedged workload forever. A run that completes before the deadline is
-// unaffected, and a genuine global deadlock before the deadline is also
-// reported as a WatchdogError (the deadline is the verdict the caller
-// asked for). The deadline is a bound checked at event pops, not a
-// pending event, so it never advances the clock. d <= 0 is a no-op; the
-// watchdog is off by default. Must be called before Run.
-func (k *Kernel) SetWatchdog(d Duration) {
-	if k.started {
-		panic("sim: SetWatchdog after Run")
-	}
-	if d <= 0 {
-		return
-	}
-	k.watchdogAt = k.now.Add(d)
-}
-
-// watchdogErr builds the abort verdict for an expired watchdog.
-func (k *Kernel) watchdogErr(next string) *WatchdogError {
-	e := &WatchdogError{Deadline: k.watchdogAt, Blocked: k.blockedDump(), NextEvent: next}
-	if k.diag != nil {
-		e.Diag = k.diag()
-	}
-	return e
-}
-
 // Spawn registers a new proc running body on the kernel's first LP. It
-// must be called before Run (procs spawning procs is not supported;
-// MPI-style workloads spawn the whole world up front).
+// must be called before Coordinator.Run (procs spawning procs is not
+// supported; MPI-style workloads spawn the whole world up front).
 func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 	return k.SpawnOn(int(k.lpBase), name, body)
 }
@@ -595,36 +525,11 @@ func (p *Proc) exit() {
 	}
 }
 
-// Run drives the simulation until every proc has finished and no live
-// events remain. It returns a *DeadlockError if procs are stuck, a
-// *WatchdogError if the armed deadline expired, or a *PanicError if a
-// proc panicked. Run may only be called once, and not on a kernel owned
-// by a sharded Coordinator (use Coordinator.Run).
-func (k *Kernel) Run() error {
-	if k.started {
-		panic("sim: Run called twice")
-	}
-	if k.windowed {
-		panic("sim: Run on a sharded kernel; use Coordinator.Run")
-	}
-	k.started = true
-	k.drive()
-	if k.failure != nil {
-		k.shutdown()
-		return k.failure
-	}
-	if k.termErr != nil {
-		k.shutdown()
-		return k.termErr
-	}
-	return nil
-}
-
-// drive is the kernel's driver loop, run by Kernel.Run and by a shard's
-// window goroutine. It resumes the proc each scheduling decision chose
-// until a decision ends the run or the window; every resumed proc runs
-// until it parks, yields or exits, and leaves the next choice in handoff
-// on the way out.
+// drive is the kernel's driver loop, run once per window by
+// Coordinator.Run. It resumes the proc each scheduling decision chose
+// until a decision ends the window; every resumed proc runs until it
+// parks, yields or exits, and leaves the next choice in handoff on the
+// way out.
 func (k *Kernel) drive() {
 	for p := k.schedule(nil); p != nil; p = k.handoff {
 		k.handoff = nil
@@ -634,10 +539,10 @@ func (k *Kernel) drive() {
 
 // schedule is the scheduler step, executed inline by whichever side gives
 // up control: a parking proc (self), an exiting proc or the driver loop
-// (self == nil). It fires due events until a proc is runnable and returns
-// it, marked running; nil means the run or the window is over, with any
-// verdict in termErr or failure. A parking proc that gets itself back
-// continues without any switch.
+// (self == nil). It fires events below the horizon until a proc is
+// runnable and returns it, marked running; nil means the window is over
+// (or a proc panic, recorded in failure, aborted it). A parking proc that
+// gets itself back continues without any switch.
 func (k *Kernel) schedule(self *Proc) *Proc {
 	for {
 		if k.failure != nil {
@@ -666,28 +571,10 @@ func (k *Kernel) schedule(self *Proc) *Proc {
 		}
 		e := k.popEventBefore(k.horizon)
 		if e == nil {
-			if k.windowed {
-				// The window is exhausted; the coordinator decides what
-				// happens next (another window, termination, a verdict).
-				return nil
-			}
-			switch {
-			case k.alive == 0: // clean completion
-			case k.watchdogAt < maxTime:
-				k.termErr = k.watchdogErr("none")
-			default:
-				k.termErr = k.deadlock()
-			}
+			// The window is exhausted; the coordinator decides what
+			// happens next (another window, termination, a verdict).
 			return nil
 		}
-		if e.at >= k.watchdogAt {
-			if k.alive > 0 {
-				k.termErr = k.watchdogErr(fmt.Sprintf("t=%v", e.at))
-				return nil
-			}
-			// Everything finished before the deadline: disarm and drain.
-			k.watchdogAt = maxTime
-		}
 		if e.at > k.now {
 			k.now = e.at
 		}
@@ -700,60 +587,10 @@ func (k *Kernel) schedule(self *Proc) *Proc {
 		k.recycle(e)
 		fn()
 	}
-}
-
-// runWindow executes this kernel's events below the horizon inline on
-// the calling goroutine. Used by the coordinator for the network kernel,
-// which has events but no procs.
-func (k *Kernel) runWindow() {
-	for {
-		e := k.popEventBefore(k.horizon)
-		if e == nil {
-			return
-		}
-		if e.at > k.now {
-			k.now = e.at
-		}
-		k.Stats.Events++
-		k.curLP = e.exec
-		if k.explore != nil {
-			k.noteFire(e.at, e.raw, e.born, e.exec)
-		}
-		fn := e.fn
-		k.recycle(e)
-		fn()
-	}
-}
-
-// deadlock builds the error naming every parked proc.
-func (k *Kernel) deadlock() *DeadlockError {
-	e := &DeadlockError{At: k.now, Blocked: k.blockedDump()}
-	if k.diag != nil {
-		e.Diag = k.diag()
-	}
-	return e
-}
-
-// blockedDump lists every parked proc as "name: reason", sorted for
-// stable reports.
-func (k *Kernel) blockedDump() []string {
-	var blocked []string
-	for _, p := range k.procs {
-		if p.state == stateBlocked {
-			why := p.blockedOn
-			if p.cond != nil {
-				why = p.cond.String()
-			}
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, why))
-		}
-	}
-	sort.Strings(blocked)
-	return blocked
 }
 
 // shutdown unwinds every live proc so no goroutines leak after a failed
-// run (the deadlocked procs include, for a deadlock, the very proc that
-// detected it). It runs after the driver loop returned, when every live
+// run. It runs after the driver loop returned, when every live
 // proc is suspended or never started. stop makes a suspended proc's yield
 // return false, which unwinds it through errKilled and exit; for a proc
 // that never started it runs nothing, so that proc's bookkeeping is done
@@ -800,7 +637,7 @@ func (p *Proc) park(why string) {
 
 // switchTo passes control to next, the choice of a scheduling decision p
 // ran: when p chose itself there is nothing to do; otherwise p leaves
-// next (nil when the run or window is over) to the driver loop and
+// next (nil when the window is over) to the driver loop and
 // yields until the loop resumes it. A false yield means shutdown is
 // stopping p, which unwinds it.
 func (p *Proc) switchTo(next *Proc) {
@@ -884,8 +721,8 @@ func (p *Proc) SleepThen(d Duration, then func(), why string) {
 
 // sleepInPlace is the zero-handoff fast path of Sleep and SleepThen. If
 // no proc is ready, no event precedes this proc's own wakeup, and the
-// wakeup lands inside the current window and watchdog deadline, the
-// wakeup is by construction the next thing to happen (it would carry the
+// wakeup lands inside the current window (whose horizon never passes the
+// watchdog deadline), the wakeup is by construction the next thing to happen (it would carry the
 // highest creation counter, so any event at the same instant fires first
 // — hence the strict >). It then advances the clock and reports true:
 // no event scheduled, no park, no switch. Common in per-hop
@@ -907,7 +744,7 @@ func (p *Proc) sleepInPlace(d Duration) bool {
 		return false
 	}
 	wakeAt := k.now.Add(d)
-	if wakeAt >= k.horizon || wakeAt >= k.watchdogAt {
+	if wakeAt >= k.horizon {
 		return false
 	}
 	if at, ok := k.events.peekAt(); ok && at <= wakeAt {

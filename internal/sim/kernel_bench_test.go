@@ -13,7 +13,8 @@ import (
 func benchmarkYield(b *testing.B, procs int) {
 	b.ReportAllocs()
 	iters := b.N/procs + 1
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	for i := 0; i < procs; i++ {
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for j := 0; j < iters; j++ {
@@ -22,7 +23,7 @@ func benchmarkYield(b *testing.B, procs int) {
 		})
 	}
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -36,14 +37,15 @@ func BenchmarkReadyQueuePop10kProcs(b *testing.B) { benchmarkYield(b, 10000) }
 // one event per iteration.
 func BenchmarkEventSchedule(b *testing.B) {
 	b.ReportAllocs()
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	k.Spawn("timer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Microsecond)
 		}
 	})
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -66,7 +68,8 @@ func (c *atLeast) String() string { return "count" }
 func BenchmarkGather64(b *testing.B) {
 	b.ReportAllocs()
 	const ways = 64
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var gather, result Signal
 	filled, published := 0, 0
 	k.Spawn("leader", func(p *Proc) {
@@ -92,7 +95,7 @@ func BenchmarkGather64(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(k.Stats.ContextSwitch)/float64(b.N), "switches/op")
@@ -107,7 +110,8 @@ func BenchmarkCopyLoop(b *testing.B) {
 	b.ReportAllocs()
 	const procs = 8
 	iters := b.N/procs + 1
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	for i := 0; i < procs; i++ {
 		drain := Duration(i+1) * 10 * Nanosecond
 		k.Spawn(fmt.Sprintf("copier%d", i), func(p *Proc) {
@@ -118,7 +122,7 @@ func BenchmarkCopyLoop(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(k.Stats.ContextSwitch)/float64(procs*iters), "switches/op")
@@ -131,7 +135,8 @@ func BenchmarkEventScheduleFanout(b *testing.B) {
 	b.ReportAllocs()
 	const procs = 64
 	iters := b.N/procs + 1
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	for i := 0; i < procs; i++ {
 		d := Duration(i + 1)
 		k.Spawn(fmt.Sprintf("t%d", i), func(p *Proc) {
@@ -141,7 +146,7 @@ func BenchmarkEventScheduleFanout(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		b.Fatal(err)
 	}
 }

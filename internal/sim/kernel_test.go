@@ -8,13 +8,14 @@ import (
 )
 
 func TestSingleProcSleepAdvancesClock(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var woke Time
 	k.Spawn("p0", func(p *Proc) {
 		p.Sleep(5 * Microsecond)
 		woke = p.Now()
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if woke != Time(5*Microsecond) {
@@ -26,7 +27,8 @@ func TestSingleProcSleepAdvancesClock(t *testing.T) {
 }
 
 func TestSleepZeroAndNegative(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	order := []string{}
 	k.Spawn("a", func(p *Proc) {
 		p.Sleep(0)
@@ -36,7 +38,7 @@ func TestSleepZeroAndNegative(t *testing.T) {
 		p.Sleep(-10)
 		order = append(order, "b")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if k.Now() != 0 {
@@ -49,7 +51,8 @@ func TestSleepZeroAndNegative(t *testing.T) {
 
 func TestEventOrderingIsDeterministicFIFO(t *testing.T) {
 	// Events at the same instant fire in scheduling order.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var got []int
 	k.Spawn("driver", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -58,7 +61,7 @@ func TestEventOrderingIsDeterministicFIFO(t *testing.T) {
 		}
 		p.Sleep(10 * Microsecond)
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
@@ -69,7 +72,8 @@ func TestEventOrderingIsDeterministicFIFO(t *testing.T) {
 }
 
 func TestEventCancel(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	fired := false
 	k.Spawn("p", func(p *Proc) {
 		e := k.After(Microsecond, func() { fired = true })
@@ -79,7 +83,7 @@ func TestEventCancel(t *testing.T) {
 		}
 		p.Sleep(5 * Microsecond)
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -88,14 +92,15 @@ func TestEventCancel(t *testing.T) {
 }
 
 func TestAtInPastClampsToNow(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var firedAt Time
 	k.Spawn("p", func(p *Proc) {
 		p.Sleep(10 * Microsecond)
 		k.At(Time(3*Microsecond), func() { firedAt = k.Now() })
 		p.Sleep(Microsecond)
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if firedAt != Time(10*Microsecond) {
@@ -104,11 +109,12 @@ func TestAtInPastClampsToNow(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("stuck-a", func(p *Proc) { sig.Wait(p, "waiting for nothing") })
 	k.Spawn("stuck-b", func(p *Proc) { sig.Wait(p, "also waiting") })
-	err := k.Run()
+	err := co.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
@@ -122,14 +128,15 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	k.Spawn("victim", func(p *Proc) { sig.Wait(p, "parked forever") })
 	k.Spawn("bomber", func(p *Proc) {
 		p.Sleep(Microsecond)
 		panic("boom")
 	})
-	err := k.Run()
+	err := co.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want PanicError", err)
@@ -140,7 +147,8 @@ func TestProcPanicPropagates(t *testing.T) {
 }
 
 func TestSignalFIFOOrder(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	var got []string
 	for i := 0; i < 5; i++ {
@@ -161,7 +169,7 @@ func TestSignalFIFOOrder(t *testing.T) {
 			t.Error("Fire released a phantom waiter")
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for i, name := range got {
@@ -172,7 +180,8 @@ func TestSignalFIFOOrder(t *testing.T) {
 }
 
 func TestSignalFireAll(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var sig Signal
 	released := 0
 	for i := 0; i < 4; i++ {
@@ -187,7 +196,7 @@ func TestSignalFireAll(t *testing.T) {
 			t.Errorf("FireAll released %d, want 4", n)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if released != 4 {
@@ -196,7 +205,8 @@ func TestSignalFireAll(t *testing.T) {
 }
 
 func TestQueueSendRecv(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	q := newQueue[int]("mbox")
 	var got []int
 	k.Spawn("recv", func(p *Proc) {
@@ -210,7 +220,7 @@ func TestQueueSendRecv(t *testing.T) {
 			q.send(i * 10)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{10, 20, 30}
@@ -222,7 +232,8 @@ func TestQueueSendRecv(t *testing.T) {
 }
 
 func TestQueueTryRecv(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	q := newQueue[string]("m")
 	k.Spawn("p", func(p *Proc) {
 		if _, ok := q.tryRecv(); ok {
@@ -238,13 +249,14 @@ func TestQueueTryRecv(t *testing.T) {
 			t.Errorf("tryRecv = %q,%v want x,true", v, ok)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var wg WaitGroup
 	wg.Add(3)
 	doneAt := Time(-1)
@@ -259,7 +271,7 @@ func TestWaitGroup(t *testing.T) {
 		wg.Wait(p, "join workers")
 		doneAt = p.Now()
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if doneAt != Time(3*Microsecond) {
@@ -268,7 +280,8 @@ func TestWaitGroup(t *testing.T) {
 }
 
 func TestYieldInterleaves(t *testing.T) {
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	var got []string
 	k.Spawn("a", func(p *Proc) {
 		got = append(got, "a1")
@@ -280,7 +293,7 @@ func TestYieldInterleaves(t *testing.T) {
 		p.Yield()
 		got = append(got, "b2")
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := "a1 b1 a2 b2"
@@ -291,7 +304,8 @@ func TestYieldInterleaves(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	trace := func() []string {
-		k := NewKernel()
+		co := NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
 		var tr []string
 		var sig Signal
 		for i := 0; i < 6; i++ {
@@ -312,7 +326,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			for sig.Fire() {
 			}
 		})
-		if err := k.Run(); err != nil {
+		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return tr
@@ -368,7 +382,8 @@ func TestDurationHelpers(t *testing.T) {
 func TestManyProcsStress(t *testing.T) {
 	// 2000 procs ping-ponging through a queue should finish and stay
 	// deterministic.
-	k := NewKernel()
+	co := NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
 	q := newQueue[int]("ring")
 	const n = 2000
 	var sum int
@@ -384,7 +399,7 @@ func TestManyProcsStress(t *testing.T) {
 			sum += q.recv(p)
 		}
 	})
-	if err := k.Run(); err != nil {
+	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sum != n*(n-1)/2 {

@@ -69,9 +69,6 @@ func (s *Signal) FireAll() int {
 	return n
 }
 
-// Pending returns the number of parked waiters.
-func (s *Signal) Pending() int { return len(s.waiters) }
-
 // WaitGroup tracks completion of a known number of proc-side tasks in
 // virtual time.
 type WaitGroup struct {
@@ -101,15 +98,17 @@ func (w *WaitGroup) Wait(p *Proc, why string) {
 }
 
 // Coordinator partitions one simulation's logical processes — one LP per
-// node plus one for the shared network — across shard kernels and runs
-// them in parallel under a conservative time-window protocol. With
-// shards=1 it degenerates to a single kernel running the classic serial
-// loop; with shards>1 each shard kernel runs its window on its own
-// goroutine. Either way the simulation's behavior is bit-identical: event
-// keys are (at, origin LP, per-LP counter) in both modes, LP state is
-// disjoint, and no callback may touch another LP's state, so pop order —
-// and therefore every simulated outcome — does not depend on the shard
-// count.
+// node plus one for the shared network — across kernels and runs them
+// under a conservative time-window protocol. Run is the only way a
+// simulation runs, and the only code that decides how it ends. With one
+// shard a single kernel owns every LP, and its window runs until the
+// watchdog deadline or until nothing is left to fire; with more, each
+// shard kernel runs its window on its own goroutine (shard 0 on Run's
+// caller) and the network LP gets a kernel of its own. Either way the
+// simulation's behavior is bit-identical: event keys are (at, origin LP,
+// per-LP counter) for every partition, LP state is disjoint, and no
+// callback may touch another LP's state, so pop order — and therefore
+// every simulated outcome — does not depend on the shard count.
 //
 // The synchronization scheme is the textbook conservative one: no shard
 // may execute past the earliest instant at which another shard could
@@ -137,22 +136,22 @@ func (w *WaitGroup) Wait(p *Proc, why string) {
 // results stay bit-identical; only the barrier count changes.
 type Coordinator struct {
 	nodes     int
-	shards    int
+	shards    int // shard kernels: kernels[:shards]
 	lookahead Duration
-	sharded   bool
 
-	kernels []*Kernel // shard kernels; single mode: exactly one, == netK
+	// kernels lists every distinct kernel: the shard kernels, then the
+	// network kernel when it is a kernel of its own. With one shard,
+	// netK is kernels[0].
+	kernels []*Kernel
 	netK    *Kernel
-	shardOf []int32 // node LP -> shard index (sharded mode only)
+	shardOf []int32 // node LP -> shard index
 
-	// watchdogAt and diag mirror Kernel.SetWatchdog/SetDiagnostic at the
-	// coordinator level for sharded runs (the verdict is reached at a
-	// window barrier, where only the coordinator has the global view).
+	// The run's verdict settings (see SetWatchdog and SetDiagnostic).
 	watchdogAt Time
 	diag       func() string
 
-	winStart []chan Time // per-shard window-open signal (carries horizon)
-	winDone  chan int    // shard -> coordinator window-exhausted signal
+	winStart []chan struct{} // window-open signal for shards 1..shards-1
+	winDone  chan struct{}   // shard -> coordinator window-exhausted signal
 
 	tbuf   []Time // per-round scratch: each kernel's earliest pending instant
 	rounds uint64 // window barriers executed (see Rounds)
@@ -164,7 +163,9 @@ type Coordinator struct {
 // number of node LPs, split across shards. lookahead is the conservative
 // bound on cross-node latency (the inter-node wire latency): a
 // non-positive lookahead admits no safe window, so shards is forced to 1.
-// shards is clamped to [1, nodes].
+// shards is clamped to [1, nodes]. A one-node, one-shard coordinator is
+// the smallest simulation: one kernel whose procs and events default to
+// LP 0.
 func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 	if nodes < 1 {
 		nodes = 1
@@ -175,65 +176,60 @@ func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 	if shards > nodes {
 		shards = nodes
 	}
-	c := &Coordinator{nodes: nodes, shards: shards, lookahead: lookahead, watchdogAt: maxTime}
-	netLP := nodes
+	c := &Coordinator{
+		nodes:      nodes,
+		shards:     shards,
+		lookahead:  lookahead,
+		shardOf:    make([]int32, nodes),
+		watchdogAt: maxTime,
+		winStart:   make([]chan struct{}, shards-1),
+		winDone:    make(chan struct{}, shards),
+	}
 	if shards == 1 {
-		// Single-kernel mode: one kernel owns every node LP and the
-		// network LP, and runs the classic serial loop. The lookahead is
-		// still recorded so that code paths parameterized by it (and the
-		// cross-LP timing assertion) behave identically to sharded runs.
-		k := newKernel(0, nodes+1, netLP)
-		k.lookahead = lookahead
-		c.kernels = []*Kernel{k}
-		c.netK = k
-		return c
-	}
-	c.sharded = true
-	c.shardOf = make([]int32, nodes)
-	c.winStart = make([]chan Time, shards)
-	c.winDone = make(chan int, shards)
-	c.kernels = make([]*Kernel, shards)
-	for i := 0; i < shards; i++ {
-		base := i * nodes / shards
-		end := (i + 1) * nodes / shards
-		k := newKernel(base, end-base, netLP)
-		k.lookahead = lookahead
-		k.coord = c
-		k.windowed = true
-		k.outbox = make([][]outEvent, shards+1)
-		c.kernels[i] = k
-		c.winStart[i] = make(chan Time, 1)
-		for n := base; n < end; n++ {
-			c.shardOf[n] = int32(i)
+		// One kernel owns every node LP and the network LP.
+		c.netK = c.addKernel(0, nodes+1)
+	} else {
+		for i := 0; i < shards; i++ {
+			base, end := i*nodes/shards, (i+1)*nodes/shards
+			c.addKernel(base, end-base)
+			for n := base; n < end; n++ {
+				c.shardOf[n] = int32(i)
+			}
 		}
+		c.netK = c.addKernel(nodes, 1)
 	}
-	c.netK = newKernel(netLP, 1, netLP)
-	c.netK.lookahead = lookahead
-	c.netK.coord = c
-	c.netK.outbox = make([][]outEvent, shards+1)
-	c.tbuf = make([]Time, shards+1)
+	for i := range c.winStart {
+		c.winStart[i] = make(chan struct{}, 1)
+	}
+	c.tbuf = make([]Time, len(c.kernels))
 	return c
+}
+
+// addKernel appends a kernel owning LPs [lpBase, lpBase+lpCount).
+func (c *Coordinator) addKernel(lpBase, lpCount int) *Kernel {
+	k := &Kernel{
+		lpBase:    int32(lpBase),
+		lpCount:   int32(lpCount),
+		netLP:     int32(c.nodes),
+		curLP:     int32(lpBase),
+		oseq:      make([]uint64, lpCount),
+		coord:     c,
+		horizon:   maxTime,
+		lookahead: c.lookahead,
+		outbox:    make([][]outEvent, c.shards+1),
+	}
+	c.kernels = append(c.kernels, k)
+	return k
 }
 
 // Nodes returns the number of node LPs.
 func (c *Coordinator) Nodes() int { return c.nodes }
 
-// Shards returns the effective shard count (after clamping).
-func (c *Coordinator) Shards() int { return c.shards }
-
-// Lookahead returns the conservative cross-node latency bound.
-func (c *Coordinator) Lookahead() Duration { return c.lookahead }
-
 // KernelFor returns the kernel owning the given node LP.
-func (c *Coordinator) KernelFor(node int) *Kernel {
-	if !c.sharded {
-		return c.kernels[0]
-	}
-	return c.kernels[c.shardOf[node]]
-}
+func (c *Coordinator) KernelFor(node int) *Kernel { return c.kernels[c.shardOf[node]] }
 
-// NetKernel returns the kernel owning the shared network LP (the single
-// kernel itself when not sharded).
+// NetKernel returns the kernel owning the shared network LP (shard
+// kernel 0 itself with one shard).
 func (c *Coordinator) NetKernel() *Kernel { return c.netK }
 
 // ownerIdx maps an LP to its owner's index in the drain order: shard
@@ -293,15 +289,19 @@ func (c *Coordinator) drain(k *Kernel) {
 	}
 }
 
-// SetWatchdog arms a virtual-time deadline for the whole simulation (see
-// Kernel.SetWatchdog). Must be called before Run.
+// SetWatchdog arms a virtual-time deadline: if any proc is still alive
+// when the simulation's next live event would fire at or past it, Run
+// aborts with a *WatchdogError naming every blocked proc instead of
+// simulating a wedged workload forever. A run that completes before the
+// deadline is unaffected, and a genuine global deadlock before the
+// deadline is also reported as a WatchdogError (the deadline is the
+// verdict the caller asked for). The deadline caps every window's
+// horizon rather than being a pending event, so it never advances the
+// clock. d <= 0 is a no-op; the watchdog is off by default. Must be
+// called before Run.
 func (c *Coordinator) SetWatchdog(d Duration) {
 	if c.started {
 		panic("sim: SetWatchdog after Run")
-	}
-	if !c.sharded {
-		c.kernels[0].SetWatchdog(d)
-		return
 	}
 	if d <= 0 {
 		return
@@ -309,21 +309,17 @@ func (c *Coordinator) SetWatchdog(d Duration) {
 	c.watchdogAt = Time(0).Add(d)
 }
 
-// SetDiagnostic installs a workload-level dump appended to deadlock and
-// watchdog reports (see Kernel.SetDiagnostic).
-func (c *Coordinator) SetDiagnostic(fn func() string) {
-	if !c.sharded {
-		c.kernels[0].SetDiagnostic(fn)
-		return
-	}
-	c.diag = fn
-}
+// SetDiagnostic installs a workload-level dump (per-rank pending
+// requests, say) that is appended to deadlock and watchdog reports. The
+// callback runs on Run's goroutine when the verdict is reached, with
+// every kernel stopped, and must not block.
+func (c *Coordinator) SetDiagnostic(fn func() string) { c.diag = fn }
 
 // Now returns the simulation's current virtual time: the furthest any
 // kernel has advanced. After Run returns it is the instant the last
-// event fired, matching the serial kernel's clock.
+// event fired.
 func (c *Coordinator) Now() Time {
-	t := c.netK.now
+	var t Time
 	for _, k := range c.kernels {
 		if k.now > t {
 			t = k.now
@@ -341,9 +337,6 @@ func (c *Coordinator) Stats() KernelStats {
 	for _, k := range c.kernels {
 		s.add(k.Stats)
 	}
-	if c.sharded {
-		s.add(c.netK.Stats)
-	}
 	return s
 }
 
@@ -356,38 +349,38 @@ func (c *Coordinator) NumProcs() int {
 	return n
 }
 
-// Run drives the simulation to completion and returns what Kernel.Run
-// would: nil, *DeadlockError, *WatchdogError, or *PanicError. In sharded
-// mode it executes the window protocol: give every shard kernel its own
-// horizon (the earliest pending instant of any *other* kernel plus the
-// lookahead, capped at the watchdog deadline — see the type comment for
-// why that is safe), let the shards run their events and procs below it
-// in parallel, exchange cross-shard events at the barrier, run the
-// network LP's window inline up to the earliest instant any shard could
-// still inject, repeat. Run returns only after its shard goroutines have
-// exited.
+// Run drives the simulation to completion. It returns nil when every
+// proc has finished and no live event remains, a *DeadlockError if procs
+// are stuck with nothing left to fire, a *WatchdogError if the armed
+// deadline expired with procs alive, or a *PanicError if a proc
+// panicked. Each round it gives every shard kernel its own horizon (the
+// earliest pending instant of any *other* kernel plus the lookahead,
+// capped at the watchdog deadline — see the type comment for why that is
+// safe), lets the shards run their events and procs below it in
+// parallel, exchanges cross-shard events at the barrier, runs the
+// network LP's window up to the earliest instant any shard could still
+// inject, and repeats. A one-kernel run has no other kernel, so its
+// window reaches the watchdog deadline (or never ends) and it runs
+// inline on the caller. Run may only be called once, and returns only
+// after its shard goroutines have exited.
 func (c *Coordinator) Run() error {
 	if c.started {
 		panic("sim: Coordinator.Run called twice")
 	}
 	c.started = true
-	if !c.sharded {
-		return c.kernels[0].Run()
-	}
 	for _, k := range c.kernels {
 		k.started = true
 	}
-	c.netK.started = true
-	var shards sync.WaitGroup
-	for i := range c.kernels {
-		k, ch := c.kernels[i], c.winStart[i]
-		shards.Add(1)
+	shards := c.kernels[:c.shards]
+	var wg sync.WaitGroup
+	for i, ch := range c.winStart {
+		k := shards[i+1]
+		wg.Add(1)
 		go func() {
-			defer shards.Done()
-			for h := range ch {
-				k.horizon = h
+			defer wg.Done()
+			for range ch {
 				k.drive()
-				c.winDone <- i
+				c.winDone <- struct{}{}
 			}
 		}()
 	}
@@ -395,15 +388,14 @@ func (c *Coordinator) Run() error {
 		for _, ch := range c.winStart {
 			close(ch)
 		}
-		shards.Wait()
+		wg.Wait()
 	}()
 	for {
 		// Per-kernel earliest pending instant: the earliest live event, or
 		// the clock of a kernel that still has ready procs (only possible
 		// before the first window; windows end with empty ready queues).
 		// The window base — the earliest instant anything can happen
-		// anywhere — drives termination and the watchdog exactly as in the
-		// fixed-horizon protocol.
+		// anywhere — drives termination and the watchdog.
 		ts := c.tbuf
 		alive := 0
 		for i, k := range c.kernels {
@@ -416,10 +408,6 @@ func (c *Coordinator) Run() error {
 			}
 			ts[i] = t
 			alive += k.alive
-		}
-		ts[c.shards] = maxTime
-		if at, ok := c.netK.nextLiveAt(); ok {
-			ts[c.shards] = at
 		}
 		// min1/min2: smallest and second-smallest pending instants, so
 		// each kernel's "earliest other" is min1 — or min2 for the unique
@@ -453,10 +441,14 @@ func (c *Coordinator) Run() error {
 			}
 			c.watchdogAt = maxTime // all procs finished; drain freely
 		}
-		c.rounds++
+		// A barrier is where kernels exchange events; a one-kernel run
+		// has none.
+		if len(c.kernels) > 1 {
+			c.rounds++
+		}
 		// Phase 1: every shard runs its window in parallel, each up to its
 		// own horizon (dynamically shrunk by route as it emits).
-		for i, ch := range c.winStart {
+		for i, k := range shards {
 			m := min1
 			if ts[i] == min1 && cnt1 == 1 {
 				m = min2
@@ -465,20 +457,21 @@ func (c *Coordinator) Run() error {
 			if h <= m {
 				h = maxTime // overflow guard (m may be the maxTime sentinel)
 			}
-			if h > c.watchdogAt {
-				h = c.watchdogAt
-			}
-			ch <- h
+			k.horizon = min(h, c.watchdogAt)
 		}
-		for range c.kernels {
+		for _, ch := range c.winStart {
+			ch <- struct{}{}
+		}
+		shards[0].drive()
+		for range c.winStart {
 			<-c.winDone
 		}
-		for _, k := range c.kernels {
+		for _, k := range shards {
 			if k.failure != nil {
 				return c.fail(k.failure)
 			}
 		}
-		for _, k := range c.kernels {
+		for _, k := range shards {
 			c.drain(k)
 		}
 		// Phase 2: the network LP's window, single-threaded. Runs after
@@ -487,9 +480,10 @@ func (c *Coordinator) Run() error {
 		// deliveries merged) could still act — and therefore still inject
 		// into the network zero-delay; route shrinks it further if the
 		// network itself emits, since its wire events wake nodes that may
-		// inject back at their arrival instant.
-		hn := maxTime
-		for _, k := range c.kernels {
+		// inject back at their arrival instant. With one kernel, netK is
+		// shard 0, which phase 1 has already run up to this horizon.
+		hn := c.watchdogAt
+		for _, k := range shards {
 			if at, ok := k.nextLiveAt(); ok && at < hn {
 				hn = at
 			}
@@ -497,23 +491,20 @@ func (c *Coordinator) Run() error {
 				hn = k.now
 			}
 		}
-		if hn > c.watchdogAt {
-			hn = c.watchdogAt
-		}
 		c.netK.horizon = hn
-		c.netK.runWindow()
+		c.netK.drive()
 		c.drain(c.netK)
 	}
 }
 
-// Rounds returns the number of window barriers a sharded run has
+// Rounds returns the number of window barriers a multi-kernel run has
 // executed — the adaptive-batching effectiveness metric (fixed horizons
 // pay roughly one barrier per lookahead of simulated time; adaptive ones
-// skip barriers whenever cross-shard traffic is sparse). Always 0 in
-// single-kernel mode, which has no barriers.
+// skip barriers whenever cross-shard traffic is sparse). Always 0 for a
+// one-kernel run, which has no barriers.
 func (c *Coordinator) Rounds() uint64 { return c.rounds }
 
-// fail tears down every shard kernel's parked procs and returns err.
+// fail tears down every kernel's parked procs and returns err.
 func (c *Coordinator) fail(err error) error {
 	for _, k := range c.kernels {
 		k.shutdown()
@@ -521,12 +512,20 @@ func (c *Coordinator) fail(err error) error {
 	return err
 }
 
-// blockedAll merges every shard's blocked-proc dump, sorted for stable
-// reports.
+// blockedAll lists every parked proc of every kernel as "name: reason",
+// sorted for stable reports.
 func (c *Coordinator) blockedAll() []string {
 	var blocked []string
 	for _, k := range c.kernels {
-		blocked = append(blocked, k.blockedDump()...)
+		for _, p := range k.procs {
+			if p.state == stateBlocked {
+				why := p.blockedOn
+				if p.cond != nil {
+					why = p.cond.String()
+				}
+				blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, why))
+			}
+		}
 	}
 	sort.Strings(blocked)
 	return blocked

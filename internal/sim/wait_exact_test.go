@@ -61,7 +61,8 @@ func (c doneCond) String() string { return fmt.Sprintf("result round %d", c.roun
 type exactRun struct {
 	digest   [sha256.Size]byte // per-node resume logs, finish times, clock, event count
 	schedule uint64            // fired-key digest (exploring runs only)
-	switches uint64
+	stats    KernelStats
+	rounds   uint64
 	fast     int // SleepThen calls that took the in-place fast path
 	heap     int // SleepThen calls that scheduled a wakeup event
 }
@@ -181,7 +182,8 @@ func gatherScenario(t *testing.T, shards int, x *Explore, refW, refS bool) exact
 	u64(co.Stats().Events)
 	copy(run.digest[:], h.Sum(nil))
 	run.schedule = co.ScheduleDigest()
-	run.switches = co.Stats().ContextSwitch
+	run.stats = co.Stats()
+	run.rounds = co.Rounds()
 	return run
 }
 
@@ -213,8 +215,8 @@ func TestWaitUntilAndSleepThenMatchReference(t *testing.T) {
 					}
 				}
 				got := gatherScenario(t, shards, m.x(), false, false)
-				if got.switches >= ref.switches {
-					t.Errorf("switches = %d, want fewer than the reference's %d", got.switches, ref.switches)
+				if got.stats.ContextSwitch >= ref.stats.ContextSwitch {
+					t.Errorf("switches = %d, want fewer than the reference's %d", got.stats.ContextSwitch, ref.stats.ContextSwitch)
 				}
 				if got.heap == 0 {
 					t.Error("no SleepThen took the heap path")
@@ -230,8 +232,27 @@ func TestWaitUntilAndSleepThenMatchReference(t *testing.T) {
 						t.Errorf("digest %x differs from shards=1 %x", got.digest[:8], canon[:8])
 					}
 				}
-				t.Logf("switches %d -> %d; SleepThen fast %d heap %d", ref.switches, got.switches, got.fast, got.heap)
+				t.Logf("switches %d -> %d; SleepThen fast %d heap %d", ref.stats.ContextSwitch, got.stats.ContextSwitch, got.fast, got.heap)
 			})
+		}
+	}
+}
+
+// TestOneKernelCounters pins the counters the benchmark harness reads
+// from a one-kernel run: no window barriers, and the gather scenario's
+// events, proc switches and heap peak, with and without the primitives
+// that save switches.
+func TestOneKernelCounters(t *testing.T) {
+	for _, c := range []struct {
+		refW, refS bool
+		want       KernelStats
+	}{
+		{true, true, KernelStats{Events: 520, ContextSwitch: 1391, HeapHighWater: 20}},
+		{false, false, KernelStats{Events: 520, ContextSwitch: 473, HeapHighWater: 20}},
+	} {
+		got := gatherScenario(t, 1, nil, c.refW, c.refS)
+		if got.rounds != 0 || got.stats != c.want {
+			t.Errorf("refW=%v refS=%v: rounds %d stats %+v, want 0 and %+v", c.refW, c.refS, got.rounds, got.stats, c.want)
 		}
 	}
 }

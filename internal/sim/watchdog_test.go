@@ -6,21 +6,52 @@ import (
 	"testing"
 )
 
-// TestWatchdogAbortsWedgedRun: a proc that keeps the clock ticking with
-// live events never reaches the kernel's global deadlock detection, so
-// the watchdog deadline is the only thing that can turn the wedge into
-// a diagnostic error.
-func TestWatchdogAbortsWedgedRun(t *testing.T) {
-	k := NewKernel()
-	k.SetWatchdog(100 * Microsecond)
-	var sig Signal
-	k.Spawn("stuck-a", func(p *Proc) { sig.Wait(p, "waiting on a signal nobody fires") })
-	k.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(Microsecond) // live events forever: no global deadlock
+// verdictParity runs one scenario on a 2-node coordinator at one shard
+// and at two, and requires both runs to end with the same verdict text:
+// the deadline or deadlock instant, the blocked list, the next pending
+// event and the workload diagnostic. spawn builds the scenario's procs
+// on co; diag, when non-empty, is installed as the diagnostic. It
+// returns the one-shard verdict.
+func verdictParity(t *testing.T, watchdog Duration, diag string, spawn func(co *Coordinator)) error {
+	t.Helper()
+	var errs [2]error
+	for i, shards := range []int{1, 2} {
+		co := NewCoordinator(2, shards, 10*Microsecond)
+		if sharded := co.KernelFor(0) != co.KernelFor(1); sharded != (shards > 1) {
+			t.Fatalf("shards=%d: nodes on separate kernels = %v", shards, sharded)
 		}
+		co.SetWatchdog(watchdog)
+		if diag != "" {
+			co.SetDiagnostic(func() string { return diag })
+		}
+		spawn(co)
+		errs[i] = co.Run()
+	}
+	if (errs[0] == nil) != (errs[1] == nil) || errs[0] != nil && errs[0].Error() != errs[1].Error() {
+		t.Fatalf("verdicts differ:\nshards=1: %v\nshards=2: %v", errs[0], errs[1])
+	}
+	return errs[0]
+}
+
+// stuckOn spawns a proc on node that waits on a signal nobody fires.
+func stuckOn(co *Coordinator, node int, name, why string) {
+	var sig Signal
+	co.KernelFor(node).SpawnOn(node, name, func(p *Proc) { sig.Wait(p, why) })
+}
+
+// TestWatchdogAbortsWedgedRun: a proc that keeps the clock ticking with
+// live events never reaches global deadlock detection, so the watchdog
+// deadline is the only thing that can turn the wedge into a diagnostic
+// error.
+func TestWatchdogAbortsWedgedRun(t *testing.T) {
+	err := verdictParity(t, 100*Microsecond, "pending requests: 3", func(co *Coordinator) {
+		stuckOn(co, 0, "stuck-a", "waiting on a signal nobody fires")
+		co.KernelFor(1).SpawnOn(1, "ticker", func(p *Proc) {
+			for {
+				p.Sleep(Microsecond) // live events forever: no global deadlock
+			}
+		})
 	})
-	err := k.Run()
 	var wd *WatchdogError
 	if !errors.As(err, &wd) {
 		t.Fatalf("got %v, want WatchdogError", err)
@@ -28,50 +59,73 @@ func TestWatchdogAbortsWedgedRun(t *testing.T) {
 	if wd.Deadline != Time(100*Microsecond) {
 		t.Fatalf("deadline %v, want 100us", wd.Deadline)
 	}
+	if len(wd.Blocked) != 2 || !strings.Contains(wd.Blocked[0], "stuck-a: waiting on a signal nobody fires") {
+		t.Fatalf("blocked dump %v", wd.Blocked)
+	}
+	// The ticker's wakeup was pending when the watchdog fired.
+	if wd.NextEvent != "t=100.000us" {
+		t.Fatalf("NextEvent = %q, want the ticker's wakeup at 100us", wd.NextEvent)
+	}
+	if wd.Diag != "pending requests: 3" {
+		t.Fatalf("Diag = %q", wd.Diag)
+	}
+	// The rendered report the CLIs print carries all three parts.
 	msg := err.Error()
-	for _, want := range []string{"stuck-a", "waiting on a signal nobody fires", "next pending event"} {
+	for _, want := range []string{
+		"stuck-a: waiting on a signal nobody fires",
+		"next pending event: t=100.000us",
+		"pending requests: 3",
+	} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("watchdog report missing %q:\n%s", want, msg)
 		}
 	}
-	// The ticker's wakeup was pending when the watchdog fired.
-	if !strings.Contains(wd.NextEvent, "t=") {
-		t.Fatalf("NextEvent = %q, want a pending event time", wd.NextEvent)
-	}
 }
 
 // TestWatchdogNoopOnCleanRun: a run that finishes before the deadline
-// must complete exactly as if the watchdog were never armed.
+// must complete exactly as if the watchdog were never armed, and an
+// event left past the deadline once every proc has finished still fires.
 func TestWatchdogNoopOnCleanRun(t *testing.T) {
-	k := NewKernel()
-	k.SetWatchdog(Second)
-	var end Time
-	k.Spawn("quick", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		end = p.Now()
+	var ends [2]Time
+	var lastAt Time
+	run := 0
+	err := verdictParity(t, Second, "", func(co *Coordinator) {
+		i := run
+		run++
+		k := co.KernelFor(0)
+		k.SpawnOn(0, "quick", func(p *Proc) {
+			p.Sleep(5 * Microsecond)
+			ends[i] = p.Now()
+			k.After(2*Second, func() { lastAt = k.Now() })
+		})
+		co.KernelFor(1).SpawnOn(1, "quicker", func(p *Proc) { p.Sleep(Microsecond) })
 	})
-	if err := k.Run(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	if end != Time(5*Microsecond) {
-		t.Fatalf("proc finished at %v, want 5us", end)
+	for i, end := range ends {
+		if end != Time(5*Microsecond) {
+			t.Fatalf("run %d: proc finished at %v, want 5us", i, end)
+		}
+	}
+	if lastAt != Time(5*Microsecond).Add(2*Second) {
+		t.Fatalf("event past the deadline fired at %v, want 2.000005s", lastAt)
 	}
 }
 
 // TestWatchdogReportsDeadlockAtDeadline: with the watchdog armed, a
-// genuine deadlock is surfaced when the deadline fires (the armed
-// watchdog is itself a live event, so instant detection is off).
+// genuine deadlock is surfaced as a watchdog verdict with nothing
+// pending.
 func TestWatchdogReportsDeadlockAtDeadline(t *testing.T) {
-	k := NewKernel()
-	k.SetWatchdog(50 * Microsecond)
-	var sig Signal
-	k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "forever") })
-	err := k.Run()
+	err := verdictParity(t, 50*Microsecond, "", func(co *Coordinator) {
+		stuckOn(co, 0, "stuck", "forever")
+		stuckOn(co, 1, "stuck-too", "forever")
+	})
 	var wd *WatchdogError
 	if !errors.As(err, &wd) {
 		t.Fatalf("got %v, want WatchdogError", err)
 	}
-	if len(wd.Blocked) != 1 || !strings.Contains(wd.Blocked[0], "stuck") {
+	if strings.Join(wd.Blocked, ",") != "stuck-too: forever,stuck: forever" {
 		t.Fatalf("blocked dump %v", wd.Blocked)
 	}
 	if wd.NextEvent != "none" {
@@ -79,14 +133,12 @@ func TestWatchdogReportsDeadlockAtDeadline(t *testing.T) {
 	}
 }
 
-// TestDiagnosticInReports: a workload diagnostic is appended to both
-// deadlock and watchdog errors.
-func TestDiagnosticInReports(t *testing.T) {
-	k := NewKernel()
-	k.SetDiagnostic(func() string { return "pending requests: 3" })
-	var sig Signal
-	k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "forever") })
-	err := k.Run()
+// TestWatchdogDiagnosticInReports: a workload diagnostic is appended to
+// both deadlock and watchdog errors.
+func TestWatchdogDiagnosticInReports(t *testing.T) {
+	err := verdictParity(t, 0, "pending requests: 3", func(co *Coordinator) {
+		stuckOn(co, 0, "stuck", "forever")
+	})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
@@ -95,12 +147,9 @@ func TestDiagnosticInReports(t *testing.T) {
 		t.Fatalf("diagnostic missing from deadlock report: %v", err)
 	}
 
-	k2 := NewKernel()
-	k2.SetWatchdog(10 * Microsecond)
-	k2.SetDiagnostic(func() string { return "rank 1: 2 posted recvs" })
-	var sig2 Signal
-	k2.Spawn("stuck", func(p *Proc) { sig2.Wait(p, "forever") })
-	err = k2.Run()
+	err = verdictParity(t, 10*Microsecond, "rank 1: 2 posted recvs", func(co *Coordinator) {
+		stuckOn(co, 1, "stuck", "forever")
+	})
 	var wd *WatchdogError
 	if !errors.As(err, &wd) {
 		t.Fatalf("got %v, want WatchdogError", err)
@@ -111,14 +160,22 @@ func TestDiagnosticInReports(t *testing.T) {
 }
 
 // TestWatchdogZeroIsOff: SetWatchdog(0) arms nothing — the run keeps the
-// instant deadlock detection and terminates with a DeadlockError.
+// instant deadlock detection and terminates with a DeadlockError at the
+// instant the last proc parked.
 func TestWatchdogZeroIsOff(t *testing.T) {
-	k := NewKernel()
-	k.SetWatchdog(0)
-	var sig Signal
-	k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "forever") })
+	err := verdictParity(t, 0, "", func(co *Coordinator) {
+		stuckOn(co, 0, "stuck", "forever")
+		var sig Signal
+		co.KernelFor(1).SpawnOn(1, "late", func(p *Proc) {
+			p.Sleep(3 * Microsecond)
+			sig.Wait(p, "after a sleep")
+		})
+	})
 	var dl *DeadlockError
-	if err := k.Run(); !errors.As(err, &dl) {
+	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
+	}
+	if dl.At != Time(3*Microsecond) || len(dl.Blocked) != 2 {
+		t.Fatalf("deadlock at %v blocking %v, want 3us and both procs", dl.At, dl.Blocked)
 	}
 }
