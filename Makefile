@@ -52,16 +52,19 @@ ci: lint lintfix-check vet race racecheck benchcheck faultsmoke explorecheck gra
 benchcheck:
 	cd benchmark && export GOWORK=off GOTOOLCHAIN=local GOFLAGS= && $(GO) vet ./... && $(GO) test ./...
 
-# racecheck reruns the kernel, fabric, MPI, and shared-memory test
+# racecheck reruns the kernel, fabric, MPI, shared-memory and design test
 # packages under the race detector with the event kernel split across
 # four shards and the network kernel's water-fill on two workers. Plain
 # `race` covers host-side parallelism (the sweep pool); this covers
 # sim-side parallelism — window barriers, cross-shard outboxes, the net
 # kernel, the component-parallel fill, and the coroutine switches that
 # shmseg's gather, result and copy waits exercise most — where a missing
-# happens-before edge would corrupt virtual time itself.
+# happens-before edge would corrupt virtual time itself. The race build
+# also poisons recycled storage (segment accumulators at drain, pooled
+# vectors at release), so the design package's conformance and golden
+# timeline tests fail on any read of a buffer after its reuse point.
 racecheck:
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/
+	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP

@@ -110,6 +110,10 @@ type shmOp struct {
 	seq  uint64
 	segs int
 	n    int // elements, block-partitioned across the segments (see part)
+	// snapshot makes put deposit a copy of the caller's partition, for a
+	// collective whose ranks can return, and so write their buffer
+	// again, before every leader has folded it (Reduce).
+	snapshot bool
 }
 
 // newShmOp opens the calling rank's next operation on its node's region
@@ -127,10 +131,17 @@ func (o *shmOp) part(vec *mpi.Vector, j int) *mpi.Vector {
 // cross reports whether a copy to or from segment j crosses sockets.
 func (o *shmOp) cross(j int) bool { return o.r.Place().Socket != o.e.leaderSocket[j] }
 
-// put copies v into this rank's slot of segment j.
+// put charges the copy of v into this rank's slot of segment j and
+// deposits v itself: the leader reads it in place, so v must not be
+// written until segment j's result is published (see package shmseg).
+// A snapshot op deposits a copy instead, and v is free on return.
 func (o *shmOp) put(j int, v *mpi.Vector) {
 	o.r.MemCopy(o.cross(j), v.Bytes())
-	o.rg.Put(o.seq, o.segs, j, o.r.Place().LocalRank, v.Clone())
+	if o.snapshot {
+		o.rg.PutCopy(o.seq, o.segs, j, o.r.Place().LocalRank, v)
+		return
+	}
+	o.rg.Put(o.seq, o.segs, j, o.r.Place().LocalRank, v)
 }
 
 // deposit is Phase 1: partition j of vec goes to segment j, for every j.
@@ -147,8 +158,8 @@ func (o *shmOp) gather(j, want int) []*mpi.Vector {
 }
 
 // fold is Phase 2 for the leader of segment j: it gathers want
-// contributions, charges the flag polls (see gatherSync), and returns a
-// new vector holding their reduction in local-rank order.
+// contributions, charges the flag polls (see gatherSync), and returns
+// segment j's accumulator holding their reduction in local-rank order.
 func (o *shmOp) fold(op *mpi.Op, j, want int, sameSocketOnly bool) *mpi.Vector {
 	slots := o.gather(j, want)
 	o.e.gatherSync(o.r, j, sameSocketOnly)
@@ -157,12 +168,19 @@ func (o *shmOp) fold(op *mpi.Op, j, want int, sameSocketOnly bool) *mpi.Vector {
 		switch {
 		case s == nil:
 		case acc == nil:
-			acc = s.Clone()
+			acc = o.acc(j, s)
 		default:
 			o.r.Reduce(op, acc, s)
 		}
 	}
 	return acc
+}
+
+// acc returns segment j's accumulator holding a copy of src. It stays
+// valid until the operation drains, which outlasts every reader of the
+// result published from it.
+func (o *shmOp) acc(j int, src *mpi.Vector) *mpi.Vector {
+	return o.rg.Accumulator(o.seq, o.segs, j, src)
 }
 
 // publish stores the leader's result for segment j.

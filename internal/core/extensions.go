@@ -40,8 +40,11 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 		return nil
 	}
 
-	// Phases 1-2: identical to allreduce.
+	// Phases 1-2: identical to allreduce, except that every rank but
+	// root returns without waiting for the leaders, so each deposits a
+	// copy its leaders can fold after the caller has reused vec.
 	o := e.newShmOp(r, s.Leaders, vec.Len())
+	o.snapshot = true
 	ph := e.beginPhase(r, trace.PhaseCopy)
 	o.deposit(vec)
 	ph.end(r)
@@ -104,12 +107,13 @@ func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
 	pl := r.Place()
 	if j := pl.LocalRank; j < s.Leaders {
 		ph := e.beginPhase(r, trace.PhaseInter)
-		var part *mpi.Vector
+		var src *mpi.Vector
 		if pl.Node == rootPl.Node {
-			part = o.gather(j, 1)[rootPl.LocalRank].Clone()
+			src = o.gather(j, 1)[rootPl.LocalRank]
 		} else {
-			part = o.part(vec, j).Clone()
+			src = o.part(vec, j)
 		}
+		part := o.acc(j, src)
 		// Concurrent inter-node broadcasts, one per leader.
 		r.Bcast(e.leaderComms[j], rootPl.Node, part)
 		o.publish(j, part)

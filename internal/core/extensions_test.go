@@ -54,6 +54,48 @@ func TestDPMLReduceCorrect(t *testing.T) {
 	}
 }
 
+// TestDPMLReduceBufferReusableOnReturn pins Reduce as a blocking
+// MPI_Reduce: once it returns, the caller may write its buffer, even
+// though a leader may still be waiting on a slower local rank before it
+// folds. Every rank writes the next iteration's input as soon as Reduce
+// returns, and the last local rank of each node arrives late, so leaders
+// fold after their fast peers have moved on.
+func TestDPMLReduceBufferReusableOnReturn(t *testing.T) {
+	const (
+		nodes, ppn, leaders = 2, 4, 2
+		count, iters, root  = 64, 4, 0
+	)
+	e := buildEngine(t, topology.ClusterB(), nodes, ppn)
+	input := func(iter, rank int) float64 { return float64(1000*iter + rank + 1) }
+	err := e.W.Run(func(r *mpi.Rank) error {
+		v := mpi.NewVector(mpi.Float64, count)
+		v.Fill(input(0, r.Rank()))
+		for it := 0; it < iters; it++ {
+			if r.Place().LocalRank == ppn-1 {
+				r.Compute(1 << 20)
+			}
+			if err := e.Reduce(r, DPML(leaders), mpi.Sum, root, v); err != nil {
+				return err
+			}
+			if r.Rank() == root {
+				p := nodes * ppn
+				want := float64(1000*it*p + p*(p+1)/2)
+				for i := 0; i < count; i++ {
+					if v.At(i) != want {
+						t.Errorf("iteration %d: root elem %d = %v, want %v", it, i, v.At(i), want)
+						break
+					}
+				}
+			}
+			v.Fill(input(it+1, r.Rank()))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDPMLBcastCorrect(t *testing.T) {
 	for _, tc := range []struct {
 		nodes, ppn, leaders, count, root int

@@ -85,7 +85,8 @@ func (r *Rank) FoldIn(c *Comm, op *Op, vec *Vector, rem, base int) int {
 		r.Send(c, me+1, base, vec)
 		return -1
 	}
-	tmp := vec.Clone()
+	tmp := r.scratch(vec, vec.Len())
+	defer r.release(tmp)
 	r.Recv(c, me-1, base, tmp)
 	r.Reduce(op, vec, tmp)
 	return me / 2
@@ -113,7 +114,8 @@ func (r *Rank) allreduceRD(c *Comm, op *Op, vec *Vector, base int) {
 	rem := p - pof2
 	newRank := r.FoldIn(c, op, vec, rem, base)
 	if newRank >= 0 {
-		tmp := vec.Clone()
+		tmp := r.scratch(vec, vec.Len())
+		defer r.release(tmp)
 		round := 1
 		for mask := 1; mask < pof2; mask <<= 1 {
 			dst := FoldRank(newRank^mask, rem)
@@ -173,7 +175,8 @@ func (r *Rank) allreduceRing(c *Comm, op *Op, vec *Vector, base int) {
 	right := (me + 1) % p
 	left := (me - 1 + p) % p
 	maxCnt := cnts[0]
-	tmp := vec.Slice(0, maxCnt).Clone()
+	tmp := r.scratch(vec, maxCnt)
+	defer r.release(tmp)
 
 	// Ring reduce-scatter: after p-1 steps rank me holds the fully
 	// reduced block (me+1) mod p.
@@ -203,7 +206,8 @@ func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base int) {
 	newRank := r.FoldIn(c, op, vec, rem, base)
 	if newRank >= 0 {
 		cnts, displs := BlockPartition(vec.Len(), pof2)
-		tmp := vec.Clone()
+		tmp := r.scratch(vec, vec.Len())
+		defer r.release(tmp)
 		lo, hi := 0, pof2
 		type halving struct {
 			dst                          int
@@ -248,7 +252,8 @@ func (r *Rank) allreduceRedBcast(c *Comm, op *Op, vec *Vector, base int) {
 	me := c.mustRank(r)
 	p := c.Size()
 	// Binomial reduce to comm rank 0.
-	tmp := vec.Clone()
+	tmp := r.scratch(vec, vec.Len())
+	defer r.release(tmp)
 	round := 0
 	for mask := 1; mask < p; mask <<= 1 {
 		if me&mask != 0 {

@@ -203,6 +203,18 @@ func (v *Vector) Fill(x float64) {
 	}
 }
 
+// Poison overwrites every element with a marker no test input holds: NaN
+// for the float types, all-ones bits for the integer types. No-op on
+// phantoms. The race build poisons recycled storage, so a read through
+// a stale reference corrupts a checked result instead of passing.
+func (v *Vector) Poison() {
+	x := -1.0 // all-ones bits once converted to an integer type
+	if v.dtype == Float32 || v.dtype == Float64 {
+		x = math.NaN()
+	}
+	v.Fill(x)
+}
+
 // At returns element i as a float64 (phantoms read as 0).
 func (v *Vector) At(i int) float64 {
 	if i < 0 || i >= v.n {

@@ -122,7 +122,8 @@ func (r *Rank) ReduceScatterBlock(c *Comm, op *Op, vec, out *Vector) {
 	if p == 1 {
 		return
 	}
-	tmp := vec.Slice(0, bl).Clone()
+	tmp := r.scratch(vec, bl)
+	defer r.release(tmp)
 	for step := 1; step < p; step++ {
 		dst := (me + step) % p
 		src := (me - step + p) % p

@@ -159,7 +159,7 @@ func (r *Rank) completeRecv(env *envelope, req *Request) {
 		// it into this node's pool (it was drawn from the sender's).
 		// Rendezvous envelopes carry the sender's own buffer, which the
 		// pool must never capture.
-		r.w.transitRelease(r.place.Node, env.vec)
+		r.w.release(r.place.Node, env.vec)
 	}
 	env.vec = nil
 	if env.recvOverhead > 0 {

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
+	"dpml/internal/race"
 	"dpml/internal/topology"
 )
 
@@ -108,5 +110,26 @@ func TestTransitPoolCloneIsIndependent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScratchSharesTransitFreeList checks that receive temporaries and
+// transit clones recycle through one free list: a released clone backs
+// the next same-shape temporary, and the race build poisons it on
+// release.
+func TestScratchSharesTransitFreeList(t *testing.T) {
+	w := smallWorld(t, topology.ClusterB(), 1, 2, Config{})
+	v := NewVector(Float64, 8)
+	v.Fill(1)
+	c := w.transitClone(0, v)
+	w.release(0, c)
+	if race.Enabled && !math.IsNaN(c.At(0)) {
+		t.Fatalf("released clone reads %v, want NaN poison", c.At(0))
+	}
+	if got := w.scratch(0, v, 8); got != c {
+		t.Fatal("scratch did not draw the released clone")
+	}
+	if got := w.scratch(0, v, 4); got == c || got.Len() != 4 || got.Phantom() {
+		t.Fatal("scratch of another shape did not build a fresh vector")
 	}
 }

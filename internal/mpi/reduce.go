@@ -18,7 +18,8 @@ func (r *Rank) ReduceColl(c *Comm, root int, op *Op, vec *Vector) {
 	}
 	// Rotate so the tree is rooted at comm rank 0.
 	rel := (me - root + p) % p
-	tmp := vec.Clone()
+	tmp := r.scratch(vec, vec.Len())
+	defer r.release(tmp)
 	round := 0
 	for mask := 1; mask < p; mask <<= 1 {
 		if rel&mask != 0 {
@@ -56,7 +57,8 @@ func (r *Rank) ReduceScatter(c *Comm, op *Op, vec, out *Vector) {
 		return
 	}
 	cnts, displs := BlockPartition(vec.Len(), p)
-	tmp := vec.Clone()
+	tmp := r.scratch(vec, vec.Len())
+	defer r.release(tmp)
 	lo, hi := 0, p
 	round := 0
 	// Halve from the largest distance down so that rank i ends owning

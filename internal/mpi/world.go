@@ -156,7 +156,7 @@ type World struct {
 	rngs     []uint64                 // per-rank jitter stream states
 	mrngs    []uint64                 // per-rank match-order streams; nil unless exploring with a salt
 	strag    [][]stragWin             // per-rank straggler windows; nil without straggler faults
-	trans    []map[vecShape][]*Vector // per-node free lists for in-flight payload clones (see pool.go)
+	trans    []map[vecShape][]*Vector // per-node free lists for transit clones and receive temporaries (see pool.go)
 
 	// mu guards the communicator registry (nextCID, commCache): runtime
 	// Split calls can race across shards. Communicator ids only need to

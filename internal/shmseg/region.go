@@ -1,26 +1,47 @@
 // Package shmseg models the per-node shared-memory regions the DPML
 // algorithm communicates through: each leader owns a segment with one
-// slot per local rank (Phase 1 gathers partitions into the slots) and a
-// result slot (Phase 3's reduced value, read back by every local rank in
-// Phase 4).
+// slot per local rank (Phase 1 gathers partitions into the slots), an
+// accumulator the leader folds them into (Phase 2), and a result slot
+// (Phase 3's reduced value, read back by every local rank in Phase 4).
 //
 // The region carries data and synchronization only; the *cost* of each
 // copy is charged separately through the fabric's memory channel by the
 // caller. Operations are identified by a sequence number that all local
 // ranks advance in lockstep (one per collective call), so back-to-back
 // collectives can overlap without aliasing.
+//
+// Put stores the depositing rank's own buffer, not a copy: a leader
+// reads its peers' partitions in place, as a process-shared address
+// space lets it. The rule that makes this safe is that a deposited
+// buffer stays read-only until the operation no longer reads it, that
+// is until its leader has folded it. A collective whose ranks all wait
+// for every leader's result before they return keeps the rule by
+// construction:
+//   - a rank writes partition j of its buffer only when copying leader
+//     j's result out, which is after leader j publishes;
+//   - leader j publishes only after it has folded every slot of its
+//     segment;
+//   - a non-blocking allreduce's buffer must stay untouched until Wait.
+//
+// A collective whose ranks can return before every leader has folded —
+// a reduction to one root, where the others leave as soon as they have
+// deposited — would hand the caller back a buffer a leader still reads.
+// It deposits with PutCopy, which stores a copy in storage the segment
+// keeps across recycled operations.
 package shmseg
 
 import (
 	"fmt"
 
 	"dpml/internal/mpi"
+	"dpml/internal/race"
 	"dpml/internal/sim"
 )
 
 // Region is one node's shared-memory scratch space. Operation state is
-// recycled: when DoneCopy drains an operation its segments, signals and
-// slot arrays go to a free list that later operations draw from.
+// recycled: when DoneCopy drains an operation its segments, signals,
+// slot arrays, slot copies and accumulators go to a free list that later
+// operations draw from.
 type Region struct {
 	ppn  int
 	ops  map[uint64]*opState
@@ -37,6 +58,8 @@ type segment struct {
 	seq    uint64
 	leader int
 	slots  []*mpi.Vector // slots[i] is local rank i's partition
+	copies []*mpi.Vector // PutCopy storage per local rank, kept across recycling
+	acc    *mpi.Vector   // accumulator storage, kept across recycling
 	filled int           // slots written
 	want   int           // slots the leader's GatherWait needs
 	gather sim.Signal    // fired when a slot is written
@@ -121,9 +144,23 @@ func (rg *Region) seg(seq uint64, leaders, leader int) *segment {
 }
 
 // Put deposits local rank localRank's partition for leader into operation
-// seq. The vector is stored by reference: callers pass a snapshot that is
-// now "in shared memory". The copy cost must already have been charged.
+// seq. The vector is stored by reference, not copied: the caller must not
+// write it until leader has folded it, which a caller that waits for
+// leader's published result guarantees (see the package doc). The copy
+// cost must already have been charged, for PutCopy as well.
 func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vector) {
+	rg.put(seq, leaders, leader, localRank, part, false)
+}
+
+// PutCopy is Put for a caller that may write part before leader has
+// folded it: the slot holds a copy, in storage the segment keeps across
+// recycled operations, so a warmed region copies without allocating. A
+// phantom part carries no data and is stored as is.
+func (rg *Region) PutCopy(seq uint64, leaders, leader, localRank int, part *mpi.Vector) {
+	rg.put(seq, leaders, leader, localRank, part, true)
+}
+
+func (rg *Region) put(seq uint64, leaders, leader, localRank int, part *mpi.Vector, snapshot bool) {
 	if leader < 0 || leader >= leaders {
 		panic(fmt.Sprintf("shmseg: Put leader %d of %d", leader, leaders))
 	}
@@ -133,6 +170,12 @@ func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vect
 	sg := rg.seg(seq, leaders, leader)
 	if sg.slots[localRank] != nil {
 		panic(fmt.Sprintf("shmseg: op %d slot (%d,%d) written twice", seq, leader, localRank))
+	}
+	if snapshot && !part.Phantom() {
+		if sg.copies == nil {
+			sg.copies = make([]*mpi.Vector, rg.ppn)
+		}
+		part = load(&sg.copies[localRank], part)
 	}
 	sg.slots[localRank] = part
 	sg.filled++
@@ -152,6 +195,30 @@ func (rg *Region) GatherWait(p *sim.Proc, seq uint64, leaders, leader, want int)
 	sg.want = want
 	sg.gather.WaitUntil(p, (*gatherWait)(sg))
 	return sg.slots
+}
+
+// Accumulator returns leader's accumulator for operation seq loaded with
+// a copy of src. Its storage belongs to the segment and is reused by
+// later operations once this one drains (see DoneCopy), so a warmed
+// region folds without allocating; a change of datatype or length
+// reallocates it. Each segment's accumulator is taken at most once per
+// operation. A phantom src carries no data and is returned as is.
+func (rg *Region) Accumulator(seq uint64, leaders, leader int, src *mpi.Vector) *mpi.Vector {
+	if src.Phantom() {
+		return src
+	}
+	return load(&rg.seg(seq, leaders, leader).acc, src)
+}
+
+// load copies src into the segment storage *store, reallocating it on a
+// change of datatype or length, and returns it.
+func load(store **mpi.Vector, src *mpi.Vector) *mpi.Vector {
+	if a := *store; a != nil && a.Type() == src.Type() && a.Len() == src.Len() {
+		a.CopyFrom(src)
+	} else {
+		*store = src.Clone()
+	}
+	return *store
 }
 
 // Publish stores leader's fully reduced partition and wakes the local
@@ -175,7 +242,9 @@ func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.
 
 // DoneCopy signals that one local rank has copied every result out of
 // operation seq; the last call drains the operation and recycles its
-// state.
+// state, slot copies and accumulators included. The race build poisons
+// that storage here, so a rank that reads it after draining fails its
+// check.
 func (rg *Region) DoneCopy(seq uint64) {
 	st, ok := rg.ops[seq]
 	if !ok {
@@ -190,7 +259,20 @@ func (rg *Region) DoneCopy(seq uint64) {
 		sg := &st.segs[j]
 		clear(sg.slots)
 		sg.filled, sg.result = 0, nil
+		if race.Enabled {
+			poison(sg.acc)
+			for _, c := range sg.copies {
+				poison(c)
+			}
+		}
 	}
 	st.drained = 0
 	rg.free = append(rg.free, st)
+}
+
+// poison marks recycled storage in the race build (see DoneCopy).
+func poison(v *mpi.Vector) {
+	if v != nil {
+		v.Poison()
+	}
 }

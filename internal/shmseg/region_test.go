@@ -3,6 +3,7 @@ package shmseg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -201,8 +202,9 @@ func TestGatherWaitWantValidation(t *testing.T) {
 // TestRegionOpCycleDoesNotAllocate runs whole operations on a two-rank
 // region: the leader parks in GatherWait until its peer's Put, and the
 // peer parks in ResultWait until the leader's Publish. Once drained
-// operation state is recycled, a full Put/GatherWait/Publish/ResultWait/
-// DoneCopy cycle allocates nothing.
+// operation state is recycled, accumulator included, a full Put/
+// GatherWait/Accumulator/Publish/ResultWait/DoneCopy cycle allocates
+// nothing.
 func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -211,14 +213,14 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	rg := NewRegion(2)
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	v := [2]*mpi.Vector{mpi.NewPhantom(mpi.Float64, 8), mpi.NewPhantom(mpi.Float64, 8)}
+	v := [2]*mpi.Vector{mpi.NewVector(mpi.Float64, 8), mpi.NewVector(mpi.Float64, 8)}
 	var allocs float64
 	k.Spawn("leader", func(p *sim.Proc) {
 		seq := uint64(0)
 		op := func() {
 			rg.Put(seq, 1, 0, 0, v[0])
 			rg.GatherWait(p, seq, 1, 0, 2)
-			rg.Publish(seq, 1, 0, v[0])
+			rg.Publish(seq, 1, 0, rg.Accumulator(seq, 1, 0, v[0]))
 			rg.ResultWait(p, seq, 1, 0)
 			rg.DoneCopy(seq)
 			seq++
@@ -231,7 +233,7 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	k.Spawn("peer", func(p *sim.Proc) {
 		// AllocsPerRun makes one extra, unmeasured call.
 		for seq := uint64(0); seq < warm+1+runs; seq++ {
-			rg.Put(seq, 1, 0, 1, v[1])
+			rg.PutCopy(seq, 1, 0, 1, v[1])
 			rg.ResultWait(p, seq, 1, 0)
 			rg.DoneCopy(seq)
 		}
@@ -245,6 +247,99 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	if rg.PendingOps() != 0 {
 		t.Fatalf("op state leaked: %d pending", rg.PendingOps())
 	}
+}
+
+// TestAccumulatorRecycling checks that a segment's accumulator storage
+// follows its operation state: reused once the operation drains, never
+// shared by two operations in flight, reallocated when the shape changes,
+// and poisoned at drain in the race build.
+func TestAccumulatorRecycling(t *testing.T) {
+	rg := NewRegion(2)
+	src := mpi.NewVector(mpi.Float32, 4)
+	src.Fill(3)
+	drain := func(seq uint64) {
+		rg.DoneCopy(seq)
+		rg.DoneCopy(seq)
+	}
+
+	a0 := rg.Accumulator(0, 1, 0, src)
+	if a0 == src || a0.At(3) != 3 {
+		t.Fatalf("accumulator %p holds %v, want a copy of %p's 3", a0, a0.At(3), src)
+	}
+	b := rg.Accumulator(1, 1, 0, src) // seq 1 overlaps seq 0
+	if b == a0 {
+		t.Fatal("two in-flight operations share accumulator storage")
+	}
+	drain(0)
+	if race.Enabled && !math.IsNaN(a0.At(0)) {
+		t.Fatalf("drained accumulator reads %v, want NaN poison", a0.At(0))
+	}
+	src.Fill(5)
+	if a2 := rg.Accumulator(2, 1, 0, src); a2 != a0 || a2.At(0) != 5 {
+		t.Fatalf("after drain: got %p holding %v, want the drained %p reloaded with 5", a2, a2.At(0), a0)
+	}
+	drain(1)
+	drain(2)
+
+	for _, other := range []*mpi.Vector{mpi.NewVector(mpi.Float32, 5), mpi.NewVector(mpi.Float64, 4)} {
+		seq := uint64(3)
+		if got := rg.Accumulator(seq, 1, 0, other); got == a0 || got == b || got.Type() != other.Type() || got.Len() != other.Len() {
+			t.Fatalf("shape %v[%d]: got %v[%d] storage %p, want fresh storage", other.Type(), other.Len(), got.Type(), got.Len(), got)
+		}
+		drain(seq)
+	}
+
+	ph := mpi.NewPhantom(mpi.Float32, 4)
+	if got := rg.Accumulator(4, 1, 0, ph); got != ph {
+		t.Fatal("phantom source was not returned as is")
+	}
+	if rg.PendingOps() != 0 {
+		t.Fatalf("phantom accumulator opened op state: %d pending", rg.PendingOps())
+	}
+}
+
+func TestPutCopySnapshotsIntoRecycledStorage(t *testing.T) {
+	rg := NewRegion(2)
+	src := mpi.NewVector(mpi.Float32, 4)
+	src.Fill(3)
+	drain := func(seq uint64) {
+		rg.DoneCopy(seq)
+		rg.DoneCopy(seq)
+	}
+	slot := func(seq uint64) *mpi.Vector {
+		rg.Put(seq, 1, 0, 0, src) // complete the gather
+		return rg.GatherWait(nil, seq, 1, 0, 2)[1]
+	}
+
+	rg.PutCopy(0, 1, 0, 1, src)
+	c0 := slot(0)
+	src.Fill(4) // the caller reuses its buffer before the leader folds
+	if c0 == src || c0.At(3) != 3 {
+		t.Fatalf("slot %p holds %v, want a copy of %p's 3", c0, c0.At(3), src)
+	}
+	rg.PutCopy(1, 1, 0, 1, src) // seq 1 overlaps seq 0
+	if c1 := slot(1); c1 == c0 || c1.At(0) != 4 {
+		t.Fatalf("in-flight seq 1: got %p holding %v, want storage apart from %p holding 4", c1, c1.At(0), c0)
+	}
+	drain(0)
+	if race.Enabled && !math.IsNaN(c0.At(0)) {
+		t.Fatalf("drained copy reads %v, want NaN poison", c0.At(0))
+	}
+	src.Fill(5)
+	rg.PutCopy(2, 1, 0, 1, src)
+	if c2 := slot(2); c2 != c0 || c2.At(0) != 5 {
+		t.Fatalf("after drain: got %p holding %v, want the drained %p reloaded with 5", c2, c2.At(0), c0)
+	}
+	drain(1)
+	drain(2)
+
+	ph := mpi.NewPhantom(mpi.Float32, 4)
+	rg.PutCopy(3, 1, 0, 1, ph)
+	rg.Put(3, 1, 0, 0, ph)
+	if got := rg.GatherWait(nil, 3, 1, 0, 2)[1]; got != ph {
+		t.Fatal("phantom part was not stored as is")
+	}
+	drain(3)
 }
 
 // TestDeadlockReportNamesWaits pins the wait reasons a deadlock report
