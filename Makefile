@@ -68,12 +68,12 @@ racecheck:
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP
-# degradation, watchdog diagnostics (the kernel's verdicts at one and two
-# shards included), and sweep job limits. The second run must reproduce
-# the first bit for bit — seeded plans are deterministic.
+# degradation, and watchdog diagnostics (the kernel's verdicts at one and
+# two shards included). The second run must reproduce the first bit for
+# bit — seeded plans are deterministic.
 faultsmoke:
-	$(GO) test -count=2 -run 'Fault|Watchdog|Straggler|Sharp|Spec|Instantiate|Validate|Limited' \
-		./internal/sim/ ./internal/faults/ ./internal/fabric/ ./internal/mpi/ ./internal/core/ ./internal/bench/ ./internal/sweep/
+	$(GO) test -count=2 -run 'Fault|Watchdog|Straggler|Sharp|Spec|Instantiate|Validate' \
+		./internal/sim/ ./internal/faults/ ./internal/fabric/ ./internal/mpi/ ./internal/core/ ./internal/bench/
 
 # explorecheck asserts every invariant on every reachable schedule, for
 # every design on both the healthy and a faulted fabric: a systematic
@@ -119,7 +119,7 @@ bench:
 # results regenerates every committed table in results/ (see results/README.md).
 results:
 	for f in fig1a fig1b fig1c fig1d fig4 fig5 fig6 fig7 fig8a fig8b fig8c \
-	         fig9a fig9b fig9c fig9d fig11a fig11b fig11c model phases pipeline noise faults \
+	         fig9a fig9b fig9c fig9d fig11a fig11b fig11c model phases pipeline eager noise faults \
 	         grandprix; do \
 		$(GO) run ./cmd/dpml-bench -figure $$f -iters 2 -warmup 1 -o results/$$f.txt || exit 1; \
 	done

@@ -104,7 +104,8 @@ var (
 	Min  = mpi.Min
 )
 
-// NewUserOp builds a user-defined float64 reduction.
+// NewUserOp builds a user-defined float64 reduction; its function must
+// be commutative and associative.
 var NewUserOp = mpi.NewUserOp
 
 // Flat allreduce algorithms.

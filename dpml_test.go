@@ -127,7 +127,7 @@ func TestPublicMiniAMR(t *testing.T) {
 }
 
 func TestPublicUserOpAndPhantom(t *testing.T) {
-	op := NewUserOp("avgmax", true, func(a, b float64) float64 {
+	op := NewUserOp("avgmax", func(a, b float64) float64 {
 		if b > a {
 			return b
 		}
@@ -190,25 +190,6 @@ func TestPublicTracing(t *testing.T) {
 		if !seen[k] {
 			t.Errorf("kind %s missing from trace", k)
 		}
-	}
-}
-
-func TestPublicSplit(t *testing.T) {
-	eng, err := NewSystem(ClusterB(), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = eng.W.Run(func(r *Rank) error {
-		c := eng.W.CommWorld()
-		me := c.RankOf(r)
-		sub := c.Split(r, me%2, me)
-		if sub.Size() != 2 {
-			t.Errorf("split size %d", sub.Size())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

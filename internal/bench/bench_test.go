@@ -241,7 +241,9 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 // ordering, floating-point summation order, or ready-queue FIFO order
 // shows up here as a diff, not as a silently different paper artifact.
 // fig4 covers the 64x28 multi-leader sweep; fig10 covers the 10,240-rank
-// job whose scale exercises the heap and ready-ring hot paths.
+// job whose scale exercises the heap and ready-ring hot paths; eager and
+// noise cover the latency harness under a non-zero world config (eager
+// threshold, per-message jitter).
 func TestFigureMatchesCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale regeneration skipped in -short mode")
@@ -252,6 +254,8 @@ func TestFigureMatchesCommittedResults(t *testing.T) {
 		slow  bool
 	}{
 		{"fig4", 2, false},
+		{"eager", 2, false},
+		{"noise", 2, false},
 		// 10,240 procs at -iters 1 (results/README.md): minutes of wall
 		// time, so it only runs when explicitly requested — it would blow
 		// the default go test timeout in an ordinary ./... sweep.

@@ -151,8 +151,14 @@ func eagerAblation(id string, opt Options) (*Table, error) {
 	}
 	thrs := []int{1, 4 << 10, 16 << 10, 64 << 10, 1 << 20}
 	cells := gridCells(len(thrs), len(sizes))
+	spec := core.DPML(min(8, ppn))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		return thresholdLatency(cl, nodes, ppn, thrs[c.row], sizes[c.col], opt.Iters)
+		lat, err := AllreduceLatencyCfg(mpi.Config{EagerThreshold: thrs[c.row]}, cl, nodes, ppn,
+			FixedSpec(spec), []int{sizes[c.col]}, opt.Iters, 1)
+		if err != nil {
+			return 0, err
+		}
+		return lat[0], nil
 	})
 	if err != nil {
 		return nil, err
@@ -166,39 +172,4 @@ func eagerAblation(id string, opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "ablation: thr=1 forces rendezvous everywhere (handshake per message); thr=1M forces eager (extra copies are not modelled, so large-eager looks optimistic)")
 	return t, nil
-}
-
-func thresholdLatency(cl *topology.Cluster, nodes, ppn, threshold, bytes, iters int) (sim.Duration, error) {
-	job, err := topology.NewJob(cl, nodes, ppn)
-	if err != nil {
-		return 0, err
-	}
-	e := core.NewEngine(mpi.NewWorld(job, mpi.Config{EagerThreshold: threshold}))
-	var out sim.Duration
-	err = e.W.Run(func(r *mpi.Rank) error {
-		v := mpi.NewPhantom(mpi.Float32, bytes/4)
-		spec := core.DPML(minInt(8, ppn))
-		if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
-			return err
-		}
-		r.Barrier(e.W.CommWorld())
-		start := r.Now()
-		for i := 0; i < iters; i++ {
-			if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
-				return err
-			}
-		}
-		if r.Rank() == 0 {
-			out = r.Now().Sub(start) / sim.Duration(iters)
-		}
-		return nil
-	})
-	return out, err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

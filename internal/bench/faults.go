@@ -34,7 +34,7 @@ func faultSweep(id string, opt Options) (*Table, error) {
 	if opt.FaultSpec != nil && len(opt.FaultSpec.Classes) > 0 {
 		classes = opt.FaultSpec.Classes
 	}
-	leaders := minInt(8, ppn)
+	leaders := min(8, ppn)
 	cases := []designCase{
 		{"flat-rd", core.Flat(mpi.AlgRecursiveDoubling)},
 		{"host-based", core.HostBased()},

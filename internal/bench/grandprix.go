@@ -45,7 +45,7 @@ func grandPrix(id string, opt Options) (*Table, error) {
 
 	leaders := 8
 	for _, sh := range shapes {
-		leaders = minInt(leaders, sh.ppn)
+		leaders = min(leaders, sh.ppn)
 	}
 	cases := append([]designCase{
 		{"flat-rd", core.Flat(mpi.AlgRecursiveDoubling)},

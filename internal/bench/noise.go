@@ -37,11 +37,16 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 	}{
 		{"flat-rd", core.Flat(mpi.AlgRecursiveDoubling)},
 		{"flat-rabenseifner", core.Flat(mpi.AlgRabenseifner)},
-		{"dpml-16", core.DPML(minInt(16, ppn))},
+		{"dpml-16", core.DPML(min(16, ppn))},
 	}
 	cells := gridCells(len(cases), len(jitters))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		return jitteredLatency(cl, nodes, ppn, cases[c.row].spec, bytes, jitters[c.col], opt.Iters)
+		lat, err := AllreduceLatencyCfg(mpi.Config{Jitter: jitters[c.col], JitterSeed: 7}, cl, nodes, ppn,
+			FixedSpec(cases[c.row].spec), []int{bytes}, opt.Iters, 1)
+		if err != nil {
+			return 0, err
+		}
+		return lat[0], nil
 	})
 	if err != nil {
 		return nil, err
@@ -55,32 +60,4 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "extension figure: per-message jitter inflates multi-step flat algorithms more than the few-step DPML design")
 	return t, nil
-}
-
-// jitteredLatency is AllreduceLatency for a single size under noise.
-func jitteredLatency(cl *topology.Cluster, nodes, ppn int, spec core.Spec, bytes int, jitter sim.Duration, iters int) (sim.Duration, error) {
-	job, err := topology.NewJob(cl, nodes, ppn)
-	if err != nil {
-		return 0, err
-	}
-	e := core.NewEngine(mpi.NewWorld(job, mpi.Config{Jitter: jitter, JitterSeed: 7}))
-	var out sim.Duration
-	err = e.W.Run(func(r *mpi.Rank) error {
-		v := mpi.NewPhantom(mpi.Float32, bytes/4)
-		if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
-			return err
-		}
-		r.Barrier(e.W.CommWorld())
-		start := r.Now()
-		for i := 0; i < iters; i++ {
-			if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
-				return err
-			}
-		}
-		if r.Rank() == 0 {
-			out = r.Now().Sub(start) / sim.Duration(iters)
-		}
-		return nil
-	})
-	return out, err
 }

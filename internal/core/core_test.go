@@ -166,13 +166,25 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 }
 
 func TestEngineSocketLayout(t *testing.T) {
+	// socketLeader maps each local rank to its socket's first local rank.
+	leaders := func(e *Engine) []int {
+		var out []int
+		for local, l := range e.socketLeader {
+			if l == local {
+				out = append(out, local)
+			}
+		}
+		return out
+	}
 	e := buildEngine(t, topology.ClusterA(), 2, 28)
-	leaders := e.SocketLeaders()
-	if len(leaders) != 2 || leaders[0] != 0 || leaders[1] != 14 {
-		t.Fatalf("socket leaders = %v, want [0 14]", leaders)
+	if l := leaders(e); len(l) != 2 || l[0] != 0 || l[1] != 14 {
+		t.Fatalf("socket leaders = %v, want [0 14]", l)
+	}
+	if e.socketLeader[13] != 0 || e.socketLeader[27] != 14 {
+		t.Fatalf("socket leader map = %v", e.socketLeader)
 	}
 	eKNL := buildEngine(t, topology.ClusterD(), 2, 16)
-	if l := eKNL.SocketLeaders(); len(l) != 1 || l[0] != 0 {
+	if l := leaders(eKNL); len(l) != 1 || l[0] != 0 {
 		t.Fatalf("KNL socket leaders = %v, want [0]", l)
 	}
 }

@@ -228,18 +228,6 @@ func NewEngine(w *mpi.World) *Engine {
 // SharpAvailable reports whether SHArP designs can run on this world.
 func (e *Engine) SharpAvailable() bool { return e.sharpNode != nil }
 
-// SocketLeaders returns the local rank indices acting as socket leaders,
-// in socket order.
-func (e *Engine) SocketLeaders() []int {
-	var out []int
-	for local := 0; local < e.W.Job.PPN; local++ {
-		if e.socketLeader[local] == local {
-			out = append(out, local)
-		}
-	}
-	return out
-}
-
 // Validate reports whether the spec can run on this engine's world.
 func (e *Engine) Validate(s Spec) error {
 	ppn := e.W.Job.PPN

@@ -271,7 +271,7 @@ func TestAllreduceProfiled(t *testing.T) {
 // phantom payloads alike must get a clean error on every rank before
 // any rank moves, not a panic inside a fold.
 func TestOpDatatypeMismatchFailsCleanly(t *testing.T) {
-	absmax := mpi.NewUserOp("absmax", true, func(a, b float64) float64 {
+	absmax := mpi.NewUserOp("absmax", func(a, b float64) float64 {
 		return math.Max(math.Abs(a), math.Abs(b))
 	})
 	const want = "core: op absmax unsupported for float32"

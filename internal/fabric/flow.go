@@ -63,9 +63,6 @@ func (l *Link) Name() string { return l.name }
 // Capacity returns the link's capacity in bytes/sec.
 func (l *Link) Capacity() float64 { return l.capacity }
 
-// ActiveFlows returns the number of flows currently crossing the link.
-func (l *Link) ActiveFlows() int { return l.live }
-
 // BytesMoved returns the total bytes the link has carried.
 func (l *Link) BytesMoved() int64 { return int64(l.moved) }
 
@@ -85,15 +82,6 @@ func (l *Link) chargeBusy(from, to sim.Time) {
 	}
 	l.busy += to.Sub(from)
 	l.busyUntil = to
-}
-
-// Utilization returns BytesMoved / (capacity * elapsed), the fraction of
-// the link's capacity used over the given span.
-func (l *Link) Utilization(elapsed sim.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return l.moved / (l.capacity * elapsed.Seconds())
 }
 
 func (l *Link) addFlow(f *flow) {
@@ -223,9 +211,6 @@ func (n *FlowNet) SetWorkers(w int) {
 
 // Workers returns the configured water-fill worker count.
 func (n *FlowNet) Workers() int { return n.workers }
-
-// Active returns the number of in-flight flows.
-func (n *FlowNet) Active() int { return n.live }
 
 // Start launches a flow of bytes over the given links with a per-flow rate
 // ceiling, invoking onDone in kernel context when the last byte drains.

@@ -242,11 +242,11 @@ func TestFlowNetStats(t *testing.T) {
 				n.Start(1000, 1e9, done, l)
 			}
 		})
-		if n.Active() != 0 {
-			t.Errorf("Active = %d after completion", n.Active())
+		if n.live != 0 {
+			t.Errorf("live = %d after completion", n.live)
 		}
-		if l.ActiveFlows() != 0 {
-			t.Errorf("link still has %d flows", l.ActiveFlows())
+		if l.live != 0 {
+			t.Errorf("link still has %d flows", l.live)
 		}
 	})
 	if err := co.Run(); err != nil {
@@ -286,8 +286,8 @@ func TestCompletionFastPathSkipsRecompute(t *testing.T) {
 	if k.Stats.Events != 3 {
 		t.Errorf("kernel events = %d, want 3 (1 recompute + 2 completions)", k.Stats.Events)
 	}
-	if n.Active() != 0 {
-		t.Errorf("Active = %d after completion", n.Active())
+	if n.live != 0 {
+		t.Errorf("live = %d after completion", n.live)
 	}
 }
 
@@ -346,8 +346,8 @@ func TestFastPathPreservesLinkAccounting(t *testing.T) {
 	if busy := l.BusyTime(); busy != 2*sim.Millisecond {
 		t.Errorf("BusyTime = %v, want 2ms (flows span [0,1ms] and [0,2ms])", busy)
 	}
-	if l.ActiveFlows() != 0 {
-		t.Errorf("ActiveFlows = %d after completion", l.ActiveFlows())
+	if l.live != 0 {
+		t.Errorf("link live = %d after completion", l.live)
 	}
 }
 
@@ -481,17 +481,11 @@ func TestLinkAccountingConservation(t *testing.T) {
 	if busy != sim.Millisecond {
 		t.Fatalf("BusyTime = %v, want 1ms (not double-counted)", busy)
 	}
-	if u := l.Utilization(sim.Millisecond); u < 0.99 || u > 1.01 {
-		t.Fatalf("Utilization = %v, want ~1.0", u)
-	}
-	if l.Utilization(0) != 0 {
-		t.Fatal("Utilization over zero span must be 0")
-	}
 }
 
 func TestLinkAccessors(t *testing.T) {
 	l := NewLink("x", 5e9)
-	if l.Name() != "x" || l.Capacity() != 5e9 || l.ActiveFlows() != 0 {
+	if l.Name() != "x" || l.Capacity() != 5e9 || l.live != 0 {
 		t.Fatal("accessors wrong")
 	}
 	defer func() {

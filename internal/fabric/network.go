@@ -119,15 +119,6 @@ func NewNetwork(coord *sim.Coordinator, flows *FlowNet, c *topology.Cluster, nod
 	return n
 }
 
-// Subtrees returns the leaf-subtree partition the network was built with.
-func (n *Network) Subtrees() *topology.SubtreeMap { return n.sub }
-
-// Profile returns the interconnect parameters in force.
-func (n *Network) Profile() topology.NetProfile { return n.prof }
-
-// NumNodes returns the number of nodes wired into this network.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
 // Endpoint creates a fresh process attachment on the given node and HCA,
 // with its own per-process pipe at the profile's PerFlowCap rate.
 func (n *Network) Endpoint(node, hcaIdx int) *Endpoint {
@@ -281,9 +272,6 @@ func NewMemChannel(k *sim.Kernel, flows *FlowNet, c *topology.Cluster, node int)
 		link:  NewLink(fmt.Sprintf("n%d.mem", node), c.Mem.AggregateBW),
 	}
 }
-
-// Profile returns the memory parameters in force.
-func (m *MemChannel) Profile() topology.MemProfile { return m.prof }
 
 // Copy blocks the calling proc for the duration of a shared-memory copy of
 // bytes: the fixed startup cost (the paper's a'), then a flow across the

@@ -142,7 +142,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 	if net.coreUp == nil {
 		t.Fatal("cluster D network must model an oversubscribed core")
 	}
-	if got := net.Subtrees().Count; got != 2 {
+	if got := net.sub.Count; got != 2 {
 		t.Fatalf("subtrees = %d, want 2", got)
 	}
 	const bytes = 4 << 20
@@ -307,21 +307,14 @@ func TestSharpGroupLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := s.Profile().MaxGroups
-	groups := make([]*SharpGroup, 0, max)
+	max := topology.ClusterA().Sharp.MaxGroups
 	for i := 0; i < max; i++ {
-		g, err := s.NewGroup(16, 1)
-		if err != nil {
+		if _, err := s.NewGroup(16, 1); err != nil {
 			t.Fatalf("group %d: %v", i, err)
 		}
-		groups = append(groups, g)
 	}
 	if _, err := s.NewGroup(16, 1); !errors.Is(err, ErrSharpGroups) {
 		t.Fatalf("over-limit NewGroup err = %v, want ErrSharpGroups", err)
-	}
-	groups[0].Release()
-	if _, err := s.NewGroup(16, 1); err != nil {
-		t.Fatalf("NewGroup after Release: %v", err)
 	}
 	if _, err := s.NewGroup(0, 1); err == nil {
 		t.Fatal("NewGroup(0 nodes) accepted")
@@ -390,7 +383,7 @@ func TestSharpOutstandingOpsSerialize(t *testing.T) {
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	s, _ := NewSharp(k, topology.ClusterA())
-	maxOps := s.Profile().MaxOutstanding
+	maxOps := topology.ClusterA().Sharp.MaxOutstanding
 	groups := maxOps * 3
 	const nodes = 4
 	opLat := s.OpLatency(nodes, 1024)

@@ -65,9 +65,6 @@ func NewSharp(k *sim.Kernel, c *topology.Cluster) (*Sharp, error) {
 	}, nil
 }
 
-// Profile returns the SHArP parameters in force.
-func (s *Sharp) Profile() topology.SharpProfile { return s.prof }
-
 // SetFailed marks the offload unavailable (true) or restores it (false).
 // While failed, every operation that would *start* — decided when its
 // last caller's arrival reaches the tree — fails with ErrSharpOffline for
@@ -142,9 +139,9 @@ func (s *Sharp) nackLatency() sim.Duration {
 // use 1, socket-leader designs one per socket), or returns ErrSharpGroups
 // when the fabric-wide group budget is exhausted. The aggregation tree's
 // depth is set by the node count — co-located leaders attach to the same
-// leaf switch. Groups are allocated before the run starts (matching how
-// MPI communicators hold them for the job lifetime); Release exists for
-// completeness.
+// leaf switch. Groups are allocated before the run starts and held for
+// the job lifetime, as MPI communicators hold them, so the budget is
+// never returned.
 func (s *Sharp) NewGroup(nodes, leadersPerNode int) (*SharpGroup, error) {
 	if s.groups >= s.prof.MaxGroups {
 		return nil, ErrSharpGroups
@@ -160,9 +157,6 @@ func (s *Sharp) NewGroup(nodes, leadersPerNode int) (*SharpGroup, error) {
 		sub:     topology.LeafSubtrees(nodes, s.leafRadix),
 	}, nil
 }
-
-// Groups returns the number of live SHArP groups.
-func (s *Sharp) Groups() int { return s.groups }
 
 // SharpGroup is one SHArP communicator: the set of leaf nodes plus the
 // arrival-collection state for the operation currently forming.
@@ -217,16 +211,6 @@ type sharpOp struct {
 
 // Nodes returns the number of leaf nodes in the group.
 func (g *SharpGroup) Nodes() int { return g.nodes }
-
-// Members returns the number of calling leaders across all nodes.
-func (g *SharpGroup) Members() int { return g.members }
-
-// Release frees the group's slot in the fabric-wide budget.
-func (g *SharpGroup) Release() {
-	if g.sharp.groups > 0 {
-		g.sharp.groups--
-	}
-}
 
 // Allreduce performs one in-network reduction of bytes. Every leaf's
 // calling proc (one leader per leaf) must call it; all callers return at

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // MaprangeAnalyzer guards the determinism of everything the tools emit:
@@ -32,21 +34,23 @@ func runMaprange(p *Pass) {
 }
 
 func checkMaprangeFunc(p *Pass, fd *ast.FuncDecl) {
-	info := p.Pkg.Info
-	returned := returnedObjects(info, fd)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
+	returned := returnedObjects(p.Pkg.Info, fd)
+	forEachMapRange(p.Pkg.Info, fd.Body, func(rng *ast.RangeStmt) {
 		checkMapLoop(p, fd, rng, returned)
+	})
+}
+
+// forEachMapRange calls f on every range-over-map statement in body,
+// nested ones included.
+func forEachMapRange(info *types.Info, body *ast.BlockStmt, f func(*ast.RangeStmt)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if rng, ok := n.(*ast.RangeStmt); ok {
+			if t := info.TypeOf(rng.X); t != nil {
+				if _, isMap := t.Underlying().(*types.Map); isMap {
+					f(rng)
+				}
+			}
+		}
 		return true
 	})
 }
@@ -59,26 +63,11 @@ func checkMapLoop(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, returned map[ty
 		if !ok {
 			return true
 		}
-		// Sink 1: direct prints and writes.
-		if fn := calleeFunc(info, call); fn != nil {
-			if pk := fn.Pkg(); pk != nil && pk.Path() == "fmt" &&
-				(fn.Name() == "Fprint" || fn.Name() == "Fprintf" || fn.Name() == "Fprintln" ||
-					fn.Name() == "Print" || fn.Name() == "Printf" || fn.Name() == "Println") {
-				p.Reportf(call.Pos(), "fmt.%s inside map iteration emits in map order; iterate over sorted keys", fn.Name())
-				return true
-			}
-			if sig, okSig := fn.Type().(*types.Signature); okSig && sig.Recv() != nil {
-				name := fn.Name()
-				if len(name) >= 5 && name[:5] == "Write" {
-					p.Reportf(call.Pos(), "%s inside map iteration writes in map order; iterate over sorted keys", name)
-					return true
-				}
-				// Sink 2: the insertion-ordered metrics registry.
-				if (name == "Set" || name == "Add") && recvIsMetricsRegistry(sig) {
-					p.Reportf(call.Pos(), "metrics.Registry.%s inside map iteration fixes registry order by map order; iterate over sorted keys", name)
-					return true
-				}
-			}
+		// Sinks 1 and 2: direct prints and writes, and the
+		// insertion-ordered metrics registry.
+		if msg, ok := emissionSink(info, call); ok {
+			p.Reportf(call.Pos(), "%s", msg)
+			return true
 		}
 		// Sink 3: append to a slice the function returns, unless it is
 		// sorted after the loop and before it escapes.
@@ -100,6 +89,36 @@ func checkMapLoop(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, returned map[ty
 		}
 		return true
 	})
+}
+
+// emissionSink reports whether call emits output in call order — an
+// fmt print, a Write* method, or a Set/Add on the insertion-ordered
+// metrics registry — and, if so, maprange's finding for it inside a map
+// range. taintflow treats a function making such a call inside a map
+// range as a determinism sink.
+func emissionSink(info *types.Info, call *ast.CallExpr) (string, bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil {
+		return "", false
+	}
+	if pk := fn.Pkg(); pk != nil && pk.Path() == "fmt" {
+		switch fn.Name() {
+		case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
+			return fmt.Sprintf("fmt.%s inside map iteration emits in map order; iterate over sorted keys", fn.Name()), true
+		}
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return "", false
+	}
+	name := fn.Name()
+	if strings.HasPrefix(name, "Write") {
+		return fmt.Sprintf("%s inside map iteration writes in map order; iterate over sorted keys", name), true
+	}
+	if (name == "Set" || name == "Add") && recvIsMetricsRegistry(sig) {
+		return fmt.Sprintf("metrics.Registry.%s inside map iteration fixes registry order by map order; iterate over sorted keys", name), true
+	}
+	return "", false
 }
 
 // recvIsMetricsRegistry reports whether a method's receiver is the

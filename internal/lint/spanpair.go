@@ -399,8 +399,8 @@ func closureEnds(info *types.Info, call *ast.CallExpr, v types.Object) bool {
 
 // valueUse reports whether v is used as a value inside n: any mention
 // that is not the receiver of a method call / field access. Receiver
-// uses (v.End, v.SetBytes) keep the obligation local; value uses hand
-// the span to someone else.
+// uses (v.End) keep the obligation local; value uses hand the span to
+// someone else.
 func valueUse(info *types.Info, n ast.Node, v types.Object) bool {
 	recv := map[*ast.Ident]bool{}
 	ast.Inspect(n, func(c ast.Node) bool {

@@ -60,7 +60,7 @@ func runTaintflow(p *ModulePass) {
 			}
 			continue
 		}
-		if emitsInMapRange(n.Pkg, n.Decl) {
+		if emitsInMapRange(n.Pkg.Info, n.Decl) {
 			sinks[n] = "map-order-dependent emission in " + n.Name()
 		}
 	}
@@ -103,57 +103,18 @@ func runTaintflow(p *ModulePass) {
 	}
 }
 
-// emitsInMapRange reports whether fd writes output from inside a range
-// over a map — the emission subset of maprange's sinks (fmt prints,
-// Write* methods, the insertion-ordered metrics registry). Such a
-// function is a determinism sink for every caller.
-func emitsInMapRange(pkg *Package, fd *ast.FuncDecl) bool {
-	info := pkg.Info
+// emitsInMapRange reports whether fd makes an emissionSink call inside
+// a range over a map. Such a function is a determinism sink for every
+// caller.
+func emitsInMapRange(info *types.Info, fd *ast.FuncDecl) bool {
 	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := info.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
+	forEachMapRange(info, fd.Body, func(rng *ast.RangeStmt) {
+		ast.Inspect(rng.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && !found {
+				_, found = emissionSink(info, call)
 			}
-			fn := calleeFunc(info, call)
-			if fn == nil {
-				return true
-			}
-			if pk := fn.Pkg(); pk != nil && pk.Path() == "fmt" {
-				switch fn.Name() {
-				case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
-					found = true
-					return false
-				}
-			}
-			if sig, okSig := fn.Type().(*types.Signature); okSig && sig.Recv() != nil {
-				if strings.HasPrefix(fn.Name(), "Write") {
-					found = true
-					return false
-				}
-				if (fn.Name() == "Set" || fn.Name() == "Add") && recvIsMetricsRegistry(sig) {
-					found = true
-					return false
-				}
-			}
-			return true
+			return !found
 		})
-		return !found
 	})
 	return found
 }

@@ -8,12 +8,10 @@ import (
 // WalltimeAnalyzer enforces virtual-time purity: the simulator's results
 // are bit-reproducible only because nothing on the sim/fabric/mpi/core
 // path can observe the host clock. Wall-clock reads are confined to the
-// measurement harness (internal/bench), the job pool (internal/sweep,
-// whose wall timeouts never feed back into virtual time), and the CLI
-// drivers under cmd/.
+// measurement harness (internal/bench) and the CLI drivers under cmd/.
 var WalltimeAnalyzer = &Analyzer{
 	Name: "walltime",
-	Doc:  "forbid wall-clock reads (time.Now/Since/Sleep/After/...) outside internal/bench, internal/sweep, and cmd",
+	Doc:  "forbid wall-clock reads (time.Now/Since/Sleep/After/...) outside internal/bench and cmd",
 	Run:  runWalltime,
 }
 
@@ -21,7 +19,6 @@ var WalltimeAnalyzer = &Analyzer{
 // clock.
 var walltimeExempt = []string{
 	"dpml/internal/bench",
-	"dpml/internal/sweep",
 	"dpml/cmd/",
 }
 
@@ -47,7 +44,7 @@ func runWalltime(p *Pass) {
 		}
 		path, name, ok := pkgSelector(p.Pkg.Info, sel)
 		if ok && path == "time" && walltimeBanned[name] {
-			p.Reportf(n.Pos(), "time.%s reads the host clock; virtual-time packages must stay wall-clock-free (only internal/bench, internal/sweep, and cmd may)", name)
+			p.Reportf(n.Pos(), "time.%s reads the host clock; virtual-time packages must stay wall-clock-free (only internal/bench and cmd may)", name)
 		}
 		return true
 	})

@@ -146,7 +146,7 @@ func TestAllreduceMaxMinProd(t *testing.T) {
 func TestAllreduceUserOp(t *testing.T) {
 	// L1-norm accumulation as a user op: |a| + |b| is commutative and
 	// associative (intermediate results are non-negative).
-	absSum := NewUserOp("abssum", true, func(acc, in float64) float64 {
+	absSum := NewUserOp("abssum", func(acc, in float64) float64 {
 		if acc < 0 {
 			acc = -acc
 		}

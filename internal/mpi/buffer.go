@@ -157,12 +157,6 @@ func (v *Vector) Float64s() []float64 { return typed[float64](v) }
 // Float32s returns the underlying float32 storage.
 func (v *Vector) Float32s() []float32 { return typed[float32](v) }
 
-// Int32s returns the underlying int32 storage.
-func (v *Vector) Int32s() []int32 { return typed[int32](v) }
-
-// Int64s returns the underlying int64 storage.
-func (v *Vector) Int64s() []int64 { return typed[int64](v) }
-
 // Slice returns a view of elements [lo, hi) sharing storage with v.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	if lo < 0 || hi < lo || hi > v.n {
@@ -235,28 +229,4 @@ func (v *Vector) Set(i int, x float64) {
 	if v.data != nil {
 		v.data.set(i, x)
 	}
-}
-
-// EqualWithin reports whether two real vectors agree elementwise within
-// tol (absolute or relative, whichever is looser). Phantom vectors compare
-// by shape only.
-func (v *Vector) EqualWithin(o *Vector, tol float64) bool {
-	if v.dtype != o.dtype || v.n != o.n {
-		return false
-	}
-	if v.data == nil || o.data == nil {
-		return v.data == nil && o.data == nil
-	}
-	for i := 0; i < v.n; i++ {
-		a, b := v.At(i), o.At(i)
-		d := math.Abs(a - b)
-		if d <= tol {
-			continue
-		}
-		if d <= tol*math.Max(math.Abs(a), math.Abs(b)) {
-			continue
-		}
-		return false
-	}
-	return true
 }

@@ -96,30 +96,6 @@ func TestCopyFromMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestEqualWithin(t *testing.T) {
-	a := NewVector(Float64, 3)
-	b := NewVector(Float64, 3)
-	a.Fill(1)
-	b.Fill(1)
-	if !a.EqualWithin(b, 0) {
-		t.Fatal("identical vectors unequal")
-	}
-	b.Set(1, 1+1e-12)
-	if !a.EqualWithin(b, 1e-9) {
-		t.Fatal("within-tolerance vectors unequal")
-	}
-	b.Set(1, 2)
-	if a.EqualWithin(b, 1e-9) {
-		t.Fatal("different vectors equal")
-	}
-	if a.EqualWithin(NewVector(Float64, 4), 1) {
-		t.Fatal("shape mismatch equal")
-	}
-	if a.EqualWithin(NewPhantom(Float64, 3), 1) {
-		t.Fatal("real equal to phantom")
-	}
-}
-
 func TestOpsElementwise(t *testing.T) {
 	check := func(op *Op, a, b, want float64) {
 		t.Helper()
@@ -141,7 +117,7 @@ func TestOpsElementwise(t *testing.T) {
 }
 
 func TestUserOp(t *testing.T) {
-	absmax := NewUserOp("absmax", true, func(acc, in float64) float64 {
+	absmax := NewUserOp("absmax", func(acc, in float64) float64 {
 		if in < 0 {
 			in = -in
 		}
@@ -159,7 +135,7 @@ func TestUserOp(t *testing.T) {
 	if x.At(0) != 10 || x.At(1) != 3 {
 		t.Fatalf("user op got (%v,%v)", x.At(0), x.At(1))
 	}
-	if absmax.Name() != "absmax" || !absmax.Commutative() {
+	if absmax.Name() != "absmax" {
 		t.Fatal("user op metadata wrong")
 	}
 	// User ops only define float64; other datatypes must panic clearly.

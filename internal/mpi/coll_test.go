@@ -71,82 +71,6 @@ func TestBcastBadRootPanics(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 2, 3, Config{})
-	const root = 2
-	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		v := NewVector(Int64, 4)
-		v.Fill(float64(r.Rank()))
-		out := NewVector(Int64, 4*c.Size())
-		r.Gather(c, root, v, out)
-		if c.RankOf(r) == root {
-			for i := 0; i < c.Size(); i++ {
-				if out.At(i*4+3) != float64(i) {
-					t.Errorf("gather block %d = %v", i, out.At(i*4+3))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	for _, size := range []struct{ nodes, ppn int }{{1, 1}, {2, 1}, {3, 2}, {2, 4}} {
-		w := smallWorld(t, topology.ClusterB(), size.nodes, size.ppn, Config{})
-		err := w.Run(func(r *Rank) error {
-			c := w.CommWorld()
-			v := NewVector(Float64, 3)
-			v.Fill(float64(r.Rank() + 1))
-			out := NewVector(Float64, 3*c.Size())
-			r.Allgather(c, v, out)
-			for i := 0; i < c.Size(); i++ {
-				if out.At(i*3) != float64(i+1) {
-					t.Errorf("p=%d: allgather block %d = %v, want %d",
-						c.Size(), i, out.At(i*3), i+1)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestReduceScatterBlock(t *testing.T) {
-	for _, size := range []struct{ nodes, ppn int }{{2, 1}, {2, 2}, {5, 1}} {
-		w := smallWorld(t, topology.ClusterB(), size.nodes, size.ppn, Config{})
-		p := w.Job.NumProcs()
-		const bl = 4
-		err := w.Run(func(r *Rank) error {
-			c := w.CommWorld()
-			in := NewVector(Int64, p*bl)
-			for i := 0; i < in.Len(); i++ {
-				in.Set(i, float64((r.Rank()+1)*(i+1)))
-			}
-			out := NewVector(Int64, bl)
-			r.ReduceScatterBlock(c, Sum, in, out)
-			me := c.RankOf(r)
-			// Expected: sum over ranks k of (k+1)*(me*bl+j+1).
-			sumRanks := p * (p + 1) / 2
-			for j := 0; j < bl; j++ {
-				want := float64(sumRanks * (me*bl + j + 1))
-				if out.At(j) != want {
-					t.Errorf("p=%d rank %d elem %d: got %v want %v", p, me, j, out.At(j), want)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestLeaderComm(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 3, 4, Config{})
 	lc := w.LeaderComm(2)
@@ -239,32 +163,26 @@ func TestManyBackToBackCollectivesTagSafety(t *testing.T) {
 	}
 }
 
-func TestCommSplit(t *testing.T) {
+func TestInternCommSharedByMembers(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 3, 2, Config{})
+	got := make([]*Comm, w.Job.NumProcs())
 	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		me := c.RankOf(r)
-		// Even/odd split, reverse-rank key ordering.
-		sub := c.Split(r, me%2, -me)
-		if sub == nil {
-			t.Errorf("rank %d got nil comm", me)
-			return nil
-		}
-		if sub.Size() != 3 {
-			t.Errorf("rank %d: sub size %d, want 3", me, sub.Size())
-		}
-		// Reverse key order: highest parent rank first.
+		me := r.Rank()
+		// Even/odd groups in reverse rank order, derived independently
+		// by every member mid-run.
 		want := []int{4, 2, 0}
 		if me%2 == 1 {
 			want = []int{5, 3, 1}
 		}
+		sub := w.InternComm(want)
+		got[me] = sub
 		for i, g := range want {
 			if sub.Global(i) != g {
 				t.Errorf("rank %d: sub[%d] = %d, want %d", me, i, sub.Global(i), g)
 			}
 		}
-		// The sub-communicator must actually work for collectives:
-		// interning means all members share one comm object.
+		// The communicator must work for collectives: interning means
+		// all members share one comm object, so their messages match.
 		v := NewVector(Int64, 1)
 		v.Fill(float64(me))
 		r.Allreduce(sub, AlgRecursiveDoubling, Sum, v)
@@ -273,37 +191,16 @@ func TestCommSplit(t *testing.T) {
 			wantSum += float64(g)
 		}
 		if v.At(0) != wantSum {
-			t.Errorf("rank %d: allreduce on split = %v, want %v", me, v.At(0), wantSum)
+			t.Errorf("rank %d: allreduce on interned comm = %v, want %v", me, v.At(0), wantSum)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCommSplitUndefinedColor(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 2, 2, Config{})
-	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		me := c.RankOf(r)
-		color := 0
-		if me == 3 {
-			color = -1 // MPI_UNDEFINED
+	for me, c := range got {
+		if c != got[me%2] {
+			t.Errorf("rank %d holds a different comm object than rank %d", me, me%2)
 		}
-		sub := c.Split(r, color, me)
-		if me == 3 {
-			if sub != nil {
-				t.Error("undefined color must yield nil")
-			}
-			return nil
-		}
-		if sub == nil || sub.Size() != 3 {
-			t.Errorf("rank %d: bad sub comm", me)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

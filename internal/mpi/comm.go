@@ -1,13 +1,10 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Comm is a communicator: an ordered group of global ranks. Comm rank i is
 // the i-th entry of the group. Communicators are immutable; build them
-// with World.NewComm or the splitting helpers.
+// with World.NewComm, World.LeaderComm or World.InternComm.
 //
 //dpml:owner shared
 type Comm struct {
@@ -91,8 +88,8 @@ const (
 	userTagLimit = 1 << 20
 	// collSlots is how many distinct tags one collective invocation may
 	// use internally (rounds x sub-channels). Algorithms whose round
-	// count can exceed it (ring, pairwise exchange on very large
-	// communicators) wrap their round tags with wrapTag.
+	// count can exceed it (ring on very large communicators) wrap their
+	// round tags with wrapTag.
 	collSlots = 1 << 14
 	// collWindow bounds how many consecutive collectives can have
 	// messages in flight simultaneously before tags wrap.
@@ -130,13 +127,7 @@ func (w *World) LeaderComm(localIdx int) *Comm {
 // the seam algorithm extensions (grouped and arrival-ordered designs)
 // use to build sub-communicators mid-run without a collective exchange.
 // All members must derive the group from collectively consistent state.
-func (w *World) InternComm(ranks []int) *Comm { return w.internComm(ranks) }
-
-// internComm returns the communicator for the given global-rank group,
-// creating it on first use. Interning guarantees that every rank
-// deriving the same group (e.g. through Split) shares one communicator
-// object, so their messages match.
-func (w *World) internComm(ranks []int) *Comm {
+func (w *World) InternComm(ranks []int) *Comm {
 	key := fmt.Sprint(ranks)
 	w.mu.Lock()
 	if w.commCache == nil {
@@ -159,41 +150,4 @@ func (w *World) internComm(ranks []int) *Comm {
 	}
 	w.mu.Unlock()
 	return c
-}
-
-// Split partitions the communicator like MPI_Comm_split: every member
-// calls it with its own color and key; ranks sharing a color form a new
-// communicator ordered by (key, parent comm rank). The exchange of
-// (color, key) pairs is a real allgather over the parent communicator
-// (as in MPI implementations), so Split has collective cost. A negative
-// color (MPI_UNDEFINED) yields nil.
-func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	c.mustRank(r)
-	p := c.Size()
-	mine := NewVector(Int64, 2)
-	mine.Set(0, float64(color))
-	mine.Set(1, float64(key))
-	all := NewVector(Int64, 2*p)
-	r.Allgather(c, mine, all)
-	if color < 0 {
-		return nil
-	}
-	type member struct{ key, commRank int }
-	var group []member
-	for i := 0; i < p; i++ {
-		if int(all.At(2*i)) == color {
-			group = append(group, member{int(all.At(2*i + 1)), i})
-		}
-	}
-	sort.Slice(group, func(a, b int) bool {
-		if group[a].key != group[b].key {
-			return group[a].key < group[b].key
-		}
-		return group[a].commRank < group[b].commRank
-	})
-	ranks := make([]int, len(group))
-	for i, m := range group {
-		ranks[i] = c.Global(m.commRank)
-	}
-	return c.w.internComm(ranks)
 }

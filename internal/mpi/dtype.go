@@ -66,16 +66,10 @@ type Op struct {
 	// user is the elementwise function of a user-defined op (kind
 	// opUser), defined over float64 only.
 	user func(acc, in float64) float64
-	// commutative reports whether the op commutes; all our algorithms
-	// require commutativity (like MPI's predefined ops have).
-	commutative bool
 }
 
 // Name returns the op's label.
 func (o *Op) Name() string { return o.name }
-
-// Commutative reports whether the operation is commutative.
-func (o *Op) Commutative() bool { return o.commutative }
 
 // Supports reports whether the op can reduce buffers of datatype d:
 // predefined ops support every datatype, user-defined ops only float64.
@@ -84,17 +78,20 @@ func (o *Op) Supports(d Datatype) bool { return o.kind != opUser || d == Float64
 // NewUserOp builds a user-defined elementwise reduction over float64
 // buffers (the only datatype user ops must support, matching how the
 // paper's applications use allreduce). f receives the accumulator and the
-// incoming element and returns the new accumulator value.
-func NewUserOp(name string, commutative bool, f func(acc, in float64) float64) *Op {
-	return &Op{name: name, kind: opUser, user: f, commutative: commutative}
+// incoming element and returns the new accumulator value. f must be
+// commutative and associative, like MPI's predefined ops: every
+// algorithm folds contributions in whatever order its schedule delivers
+// them.
+func NewUserOp(name string, f func(acc, in float64) float64) *Op {
+	return &Op{name: name, kind: opUser, user: f}
 }
 
 // Predefined reduction operations.
 var (
-	Sum  = &Op{name: "sum", kind: opSum, commutative: true}
-	Prod = &Op{name: "prod", kind: opProd, commutative: true}
-	Max  = &Op{name: "max", kind: opMax, commutative: true}
-	Min  = &Op{name: "min", kind: opMin, commutative: true}
+	Sum  = &Op{name: "sum", kind: opSum}
+	Prod = &Op{name: "prod", kind: opProd}
+	Max  = &Op{name: "max", kind: opMax}
+	Min  = &Op{name: "min", kind: opMin}
 )
 
 // Apply reduces src into dst elementwise without charging any simulated

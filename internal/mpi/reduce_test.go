@@ -55,48 +55,3 @@ func TestReduceCollBadRootPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestReduceScatterRecursiveHalving(t *testing.T) {
-	for _, shape := range []struct{ nodes, ppn int }{{2, 1}, {2, 2}, {4, 2}} {
-		w := smallWorld(t, topology.ClusterB(), shape.nodes, shape.ppn, Config{})
-		p := w.Job.NumProcs()
-		const bl = 3
-		err := w.Run(func(r *Rank) error {
-			in := NewVector(Int64, p*bl)
-			for i := 0; i < in.Len(); i++ {
-				in.Set(i, float64((r.Rank()+1)*(i+1)))
-			}
-			out := NewVector(Int64, bl)
-			r.ReduceScatter(w.CommWorld(), Sum, in, out)
-			me := w.CommWorld().RankOf(r)
-			sumRanks := p * (p + 1) / 2
-			for j := 0; j < bl; j++ {
-				want := float64(sumRanks * (me*bl + j + 1))
-				if out.At(j) != want {
-					t.Errorf("p=%d rank %d elem %d: got %v want %v", p, me, j, out.At(j), want)
-					return nil
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestReduceScatterRejectsNonPowerOfTwo(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 3, 1, Config{})
-	err := w.Run(func(r *Rank) error {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-power-of-two size did not panic")
-			}
-		}()
-		r.ReduceScatter(w.CommWorld(), Sum, NewVector(Int64, 3), NewVector(Int64, 1))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

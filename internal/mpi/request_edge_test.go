@@ -106,9 +106,6 @@ func TestLinkAccessors(t *testing.T) {
 		if got := r.Place().Node; got != r.Rank()/2 {
 			t.Errorf("Place.Node = %d for rank %d", got, r.Rank())
 		}
-		if !r.SameSocket(r.Rank()) {
-			t.Error("rank does not share its own socket")
-		}
 		return nil
 	})
 	if err != nil {

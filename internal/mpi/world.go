@@ -62,10 +62,10 @@ type Config struct {
 	Watchdog sim.Duration
 	// Shards splits the simulation kernel across this many OS threads
 	// (clamped to the node count; nodes are partitioned contiguously).
-	// Zero uses the process default (DefaultShards); 1 forces the serial
-	// kernel. Every shard count produces bit-identical results — this
-	// knob trades memory and synchronization overhead for wall-clock
-	// speed only.
+	// Zero uses the process default (SetDefaultShards, DPML_SHARDS); 1
+	// forces the serial kernel. Every shard count produces bit-identical
+	// results — this knob trades memory and synchronization overhead for
+	// wall-clock speed only.
 	Shards int
 	// NetShards sets how many OS threads the network LP's flow engine may
 	// use to water-fill independent link components concurrently. The
@@ -73,7 +73,7 @@ type Config struct {
 	// subtrees), never from this knob, so every netshard count produces
 	// bit-identical results — like Shards, it trades coordination
 	// overhead for wall-clock speed only. Zero uses the process default
-	// (DefaultNetShards); 1 forces the serial fill.
+	// (SetDefaultNetShards, DPML_NET_SHARDS); 1 forces the serial fill.
 	NetShards int
 	// Explore, when non-nil, installs a schedule-perturbation config on
 	// the simulation kernel (see sim.Explore and internal/explore): event
@@ -98,9 +98,6 @@ var defaultShards = func() int {
 	return 1
 }()
 
-// DefaultShards returns the process-wide default kernel shard count.
-func DefaultShards() int { return defaultShards }
-
 // SetDefaultShards sets the process-wide default kernel shard count used
 // by worlds whose Config.Shards is zero. n < 1 resets to serial.
 func SetDefaultShards(n int) {
@@ -122,9 +119,6 @@ var defaultNetShards = func() int {
 	}
 	return 1
 }()
-
-// DefaultNetShards returns the process-wide default network shard count.
-func DefaultNetShards() int { return defaultNetShards }
 
 // SetDefaultNetShards sets the process-wide default network shard count
 // used by worlds whose Config.NetShards is zero. n < 1 resets to serial.
@@ -159,7 +153,7 @@ type World struct {
 	trans    []map[vecShape][]*Vector // per-node free lists for transit clones and receive temporaries (see pool.go)
 
 	// mu guards the communicator registry (nextCID, commCache): runtime
-	// Split calls can race across shards. Communicator ids only need to
+	// InternComm calls can race across shards. Communicator ids only need to
 	// be unique — they never influence timing or data, only message
 	// matching within a communicator, whose members share the object.
 	mu        sync.Mutex
@@ -411,7 +405,3 @@ func (r *Rank) MemCopy(crossSocket bool, bytes int) {
 		Start: start, End: r.proc.Now(), Bytes: bytes,
 	})
 }
-
-// SameSocket reports whether the given global rank shares this rank's
-// node and socket.
-func (r *Rank) SameSocket(global int) bool { return r.w.Job.SameSocket(r.rank, global) }

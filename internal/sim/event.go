@@ -1,15 +1,14 @@
 package sim
 
 // Event is a scheduled callback in virtual time. Events are created with
-// Kernel.At and may be cancelled or rescheduled before they fire. The
-// callback runs in kernel context: it must not block, but it may schedule
-// further events, ready parked procs, and mutate simulation state freely
-// (each kernel is single-threaded with respect to its own shard's state).
+// Kernel.At and may be rescheduled before they fire. The callback runs in
+// kernel context: it must not block, but it may schedule further events,
+// ready parked procs, and mutate simulation state freely (each kernel is
+// single-threaded with respect to its own shard's state).
 //
 // Event objects are pooled by the kernel: a handle is only valid until
-// the event fires (or, once cancelled, until the kernel discards it).
-// Retaining a handle past that point and calling Cancel on it may affect
-// an unrelated, recycled event.
+// the event fires. Retaining a handle past that point and rescheduling
+// it may affect an unrelated, recycled event.
 type Event struct {
 	at Time
 	// prio breaks ties among events at the same instant. It packs the
@@ -30,26 +29,11 @@ type Event struct {
 	// together) from causal same-instant pairs (the second event created
 	// by the first one's callback), whose inversion is a no-op; see
 	// Kernel.noteFire.
-	born      uint64
-	exec      int32 // LP the callback runs as (kernel's curLP during fn)
-	fn        func()
-	cancelled bool
-	index     int32 // current heap slot; -1 once popped
+	born  uint64
+	exec  int32 // LP the callback runs as (kernel's curLP during fn)
+	fn    func()
+	index int32 // current heap slot; -1 once popped
 }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancellation is lazy: the event
-// stays in the heap until it surfaces, so heavy cancel/re-add traffic
-// should use Kernel.Reschedule instead.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
-		e.fn = nil
-	}
-}
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e == nil || e.cancelled }
 
 // When returns the instant the event is scheduled to fire at.
 func (e *Event) When() Time { return e.at }
@@ -167,8 +151,7 @@ func (h *eventHeap) siftDown(i int) {
 }
 
 // peekAt returns the at of the earliest pending event without removing
-// it. The entry may be cancelled; fast-path callers must treat that
-// conservatively (a cancelled top only ever delays a fast path).
+// it.
 func (h *eventHeap) peekAt() (Time, bool) {
 	if len(h.a) == 0 {
 		return 0, false

@@ -335,13 +335,12 @@ func (k *Kernel) inject(o outEvent) {
 // At schedules fn to run in kernel context when the virtual clock reaches
 // t, on the current LP. Scheduling in the past (t < Now) is clamped to
 // Now, which makes the event fire before any later-scheduled work. The
-// returned Event may be cancelled.
+// returned Event may be rescheduled.
 //
-// Event objects are pooled: a handle is valid until the event fires or,
-// if cancelled, until the kernel discards it, after which the object may
-// back a different scheduled event. Holders must drop their reference
-// once the callback has run (as the flow scheduler does by nil-ing its
-// handle inside the callback).
+// Event objects are pooled: a handle is valid until the event fires,
+// after which the object may back a different scheduled event. Holders
+// must drop their reference once the callback has run (as the flow
+// scheduler does by nil-ing its handle inside the callback).
 func (k *Kernel) At(t Time, fn func()) *Event {
 	if t < k.now {
 		t = k.now
@@ -351,7 +350,7 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 
 // AtOn schedules fn to run at t as LP lp, which may live on another
 // shard. No Event handle is returned: a cross-shard event cannot be
-// cancelled or rescheduled by its creator.
+// rescheduled by its creator.
 //
 // Before Coordinator.Run, lp must be owned by this kernel and the event is keyed by
 // the target LP itself, so pre-run setup (fault plans, watchdogs)
@@ -398,56 +397,31 @@ func (k *Kernel) AfterNet(d Duration, fn func()) {
 	k.AfterOn(int(k.netLP), d, fn)
 }
 
-// recycle returns a dead (fired or discarded-cancelled) event to the
-// allocation pool.
+// recycle returns a fired event to the allocation pool.
 func (k *Kernel) recycle(e *Event) {
 	e.fn = nil
 	k.epool = append(k.epool, e)
 }
 
-// popEventBefore removes and returns the earliest live event firing
-// before limit, discarding (and recycling) cancelled ones. Returns nil
-// when no live event remains below the limit.
+// popEventBefore removes and returns the earliest event firing before
+// limit. Returns nil when no event remains below the limit.
 func (k *Kernel) popEventBefore(limit Time) *Event {
-	for k.events.len() > 0 {
-		if k.events.a[0].at >= limit {
-			return nil
-		}
-		e := k.events.pop()
-		if !e.cancelled {
-			return e
-		}
-		k.recycle(e)
+	if k.events.len() == 0 || k.events.a[0].at >= limit {
+		return nil
 	}
-	return nil
-}
-
-// nextLiveAt discards cancelled events from the top of the heap and
-// returns the first live event's instant without removing it.
-func (k *Kernel) nextLiveAt() (Time, bool) {
-	for k.events.len() > 0 {
-		e := k.events.a[0].ev
-		if !e.cancelled {
-			return e.at, true
-		}
-		k.recycle(k.events.pop())
-	}
-	return 0, false
+	return k.events.pop()
 }
 
 // Reschedule moves a pending event to fire at t instead, keeping its
-// callback. It is exactly equivalent to cancelling e and scheduling a
-// fresh event with At — the event is re-keyed with the current LP's next
-// creation counter, so its ordering relative to every other event is
-// identical — but it updates the heap in place instead of leaving a
-// cancelled tombstone behind. Callers that adjust event times in bulk
-// (the flow scheduler re-fits completion times after every rate change)
-// must use this: with 10k concurrent flows, cancel-and-replace made five
-// of every six heap entries garbage and tripled the heap's depth.
+// callback. The event is re-keyed with the current LP's next creation
+// counter, so it orders against every other event exactly as a fresh
+// event scheduled with At would, but the heap is updated in place. The
+// flow scheduler re-fits completion times this way after every rate
+// change.
 //
-// e must be pending: not nil, not cancelled, not yet fired.
+// e must be pending: not nil, not yet fired.
 func (k *Kernel) Reschedule(e *Event, t Time) {
-	if e == nil || e.cancelled || e.index < 0 {
+	if e == nil || e.index < 0 {
 		panic("sim: Reschedule of a dead event")
 	}
 	if t < k.now {
@@ -753,15 +727,6 @@ func (p *Proc) sleepInPlace(d Duration) bool {
 	k.now = wakeAt
 	k.Stats.Events++ // stands in for the skipped wakeup event
 	return true
-}
-
-// SleepUntil blocks the proc until virtual time t (no-op if already past).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		p.Yield()
-		return
-	}
-	p.Sleep(t.Sub(p.k.now))
 }
 
 // procRing is the ready queue: a FIFO over a power-of-two ring buffer

@@ -71,26 +71,6 @@ func TestEventOrderingIsDeterministicFIFO(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	co := NewCoordinator(1, 1, 0)
-	k := co.KernelFor(0)
-	fired := false
-	k.Spawn("p", func(p *Proc) {
-		e := k.After(Microsecond, func() { fired = true })
-		e.Cancel()
-		if !e.Cancelled() {
-			t.Error("event not marked cancelled")
-		}
-		p.Sleep(5 * Microsecond)
-	})
-	if err := co.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestAtInPastClampsToNow(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)

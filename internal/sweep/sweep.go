@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // A Job computes one independent result.
@@ -86,153 +85,6 @@ func runOne[T any](i int, job Job[T]) (out T, err error) {
 		err = fmt.Errorf("job %d: %w", i, err)
 	}
 	return out, err
-}
-
-// JobLimits bounds individual jobs so one hung or flaky scenario cannot
-// stall a whole sweep. The zero value imposes no limits, making
-// RunLimited behave exactly like Run.
-type JobLimits struct {
-	// Timeout is the wall-clock budget per job attempt. Zero means no
-	// deadline. A timed-out attempt counts as a failed attempt; the
-	// abandoned goroutine's eventual result is discarded and never
-	// reaches the output slice.
-	Timeout time.Duration
-	// Retries is how many additional attempts a failed (erroring,
-	// panicking, or timed-out) job gets. Zero means one attempt only.
-	Retries int
-}
-
-// ErrJobTimeout marks a job attempt that exceeded JobLimits.Timeout.
-// Timeout errors wrap it, so callers can test with errors.Is.
-var ErrJobTimeout = errors.New("sweep: job timed out")
-
-// RunLimited is Run with per-job limits: each job gets up to
-// 1+limits.Retries attempts, each bounded by limits.Timeout. The first
-// successful attempt wins; if all attempts fail, the job's error is the
-// last attempt's error annotated with the attempt count. Results are in
-// submission order and all errors are aggregated, exactly as in Run.
-//
-// Jobs in this package are deterministic simulations, so retries only
-// help against environmental flakiness (and are therefore opt-in); the
-// timeout is the backstop that turns a wedged simulation into an error
-// instead of a hung sweep.
-func RunLimited[T any](workers int, limits JobLimits, jobs []Job[T]) ([]T, error) {
-	if limits == (JobLimits{}) {
-		return Run(workers, jobs)
-	}
-	wrapped := make([]Job[T], len(jobs))
-	for i, job := range jobs {
-		i, job := i, job
-		wrapped[i] = func() (T, error) { return attemptsOne(i, job, limits) }
-	}
-	// The attempt loop owns panic capture and error annotation, so the
-	// wrapped jobs go through the raw pool rather than Run's runOne
-	// (which would add a second "job %d:" prefix).
-	return runPool(workers, wrapped)
-}
-
-// runPool is Run's pool without runOne's error prefixing; used by
-// RunLimited, whose attempt loop produces already-annotated errors.
-func runPool[T any](workers int, jobs []Job[T]) ([]T, error) {
-	out := make([]T, len(jobs))
-	if len(jobs) == 0 {
-		return out, nil
-	}
-	workers = Workers(workers)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, len(jobs))
-	if workers == 1 {
-		for i, job := range jobs {
-			out[i], errs[i] = job()
-		}
-		return out, errors.Join(errs...)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				out[i], errs[i] = jobs[i]()
-			}
-		}()
-	}
-	wg.Wait()
-	return out, errors.Join(errs...)
-}
-
-// attemptsOne runs one job through the retry loop.
-func attemptsOne[T any](i int, job Job[T], limits JobLimits) (T, error) {
-	var zero T
-	var err error
-	for attempt := 0; attempt <= limits.Retries; attempt++ {
-		var out T
-		out, err = attemptOne(i, job, limits.Timeout)
-		if err == nil {
-			return out, nil
-		}
-	}
-	if limits.Retries > 0 {
-		err = fmt.Errorf("%w (after %d attempts)", err, limits.Retries+1)
-	}
-	return zero, err
-}
-
-// attemptOne runs one attempt, bounded by timeout when non-zero. The
-// job runs in a child goroutine either way (a deadline can only be
-// enforced from outside the job); on timeout the attempt is abandoned —
-// its goroutine keeps running until the job returns, but its result is
-// discarded and cannot race with a later attempt's.
-func attemptOne[T any](i int, job Job[T], timeout time.Duration) (T, error) {
-	type result struct {
-		out T
-		err error
-	}
-	ch := make(chan result, 1) // buffered: an abandoned attempt must not leak a blocked goroutine
-	go func() {
-		var res result
-		defer func() {
-			if r := recover(); r != nil {
-				res.err = fmt.Errorf("job %d: panicked: %v", i, r)
-			}
-			ch <- res
-		}()
-		res.out, res.err = job()
-		if res.err != nil {
-			res.err = fmt.Errorf("job %d: %w", i, res.err)
-		}
-	}()
-	if timeout <= 0 {
-		res := <-ch
-		return res.out, res.err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.out, res.err
-	case <-timer.C:
-		var zero T
-		return zero, fmt.Errorf("job %d: %w after %v", i, ErrJobTimeout, timeout)
-	}
-}
-
-// MapLimited runs fn over items through the pool with per-job limits,
-// preserving item order.
-func MapLimited[In, Out any](workers int, limits JobLimits, items []In, fn func(int, In) (Out, error)) ([]Out, error) {
-	jobs := make([]Job[Out], len(items))
-	for i, item := range items {
-		i, item := i, item
-		jobs[i] = func() (Out, error) { return fn(i, item) }
-	}
-	return RunLimited(workers, limits, jobs)
 }
 
 // Map runs fn over items through the pool, preserving item order.

@@ -87,26 +87,5 @@ func (j *Job) Place(rank int) Placement {
 	}
 }
 
-// RanksOnNode returns the global ranks placed on the given node, in local
-// rank order.
-func (j *Job) RanksOnNode(node int) []int {
-	if node < 0 || node >= j.NodesUsed {
-		panic(fmt.Sprintf("topology: node %d out of range [0,%d)", node, j.NodesUsed))
-	}
-	out := make([]int, j.PPN)
-	for i := range out {
-		out[i] = node*j.PPN + i
-	}
-	return out
-}
-
 // SameNode reports whether two ranks share a node.
 func (j *Job) SameNode(a, b int) bool { return a/j.PPN == b/j.PPN }
-
-// SameSocket reports whether two ranks share both node and socket.
-func (j *Job) SameSocket(a, b int) bool {
-	if !j.SameNode(a, b) {
-		return false
-	}
-	return j.Place(a).Socket == j.Place(b).Socket
-}

@@ -184,32 +184,27 @@ func TestPlacementSingleSocketKNL(t *testing.T) {
 	}
 }
 
-func TestRanksOnNodeAndSameNode(t *testing.T) {
+func TestPlaceNodeAndSameNode(t *testing.T) {
 	j := MustJob(ClusterB(), 3, 4)
-	got := j.RanksOnNode(1)
-	want := []int{4, 5, 6, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RanksOnNode(1) = %v, want %v", got, want)
+	for i, r := range []int{4, 5, 6, 7} {
+		if pl := j.Place(r); pl.Node != 1 || pl.LocalRank != i {
+			t.Fatalf("Place(%d) = node %d local %d, want node 1 local %d", r, pl.Node, pl.LocalRank, i)
 		}
 	}
 	if !j.SameNode(4, 7) || j.SameNode(3, 4) {
 		t.Error("SameNode misclassifies")
 	}
-	if !j.SameSocket(0, 1) {
+	if j.Place(0).Socket != j.Place(1).Socket {
 		t.Error("ranks 0,1 share socket 0")
-	}
-	if j.SameSocket(0, 4) {
-		t.Error("ranks on different nodes cannot share a socket")
 	}
 }
 
-func TestSameSocketCrossSocket(t *testing.T) {
+func TestPlaceCrossSocket(t *testing.T) {
 	j := MustJob(ClusterA(), 1, 28)
-	if j.SameSocket(0, 14) {
+	if j.Place(0).Socket == j.Place(14).Socket {
 		t.Error("ranks 0 and 14 are on different sockets at ppn=28")
 	}
-	if !j.SameSocket(14, 27) {
+	if j.Place(14).Socket != 1 || j.Place(27).Socket != 1 {
 		t.Error("ranks 14 and 27 both sit on socket 1")
 	}
 }

@@ -144,13 +144,6 @@ func (s *Span) End(now sim.Time) {
 	})
 }
 
-// SetBytes sets the byte count the span's event will carry.
-func (s *Span) SetBytes(b int) {
-	if s != nil {
-		s.bytes = b
-	}
-}
-
 // PhaseStat summarizes one phase across all ranks and operations.
 type PhaseStat struct {
 	Phase string

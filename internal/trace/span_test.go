@@ -116,7 +116,6 @@ func TestNilRecorderSpansAreSafe(t *testing.T) {
 		t.Fatal("nil recorder returned a span")
 	}
 	sp.End(200) // must not panic
-	sp.SetBytes(5)
 	coll := r.BeginCollective(0, "x", 1, 0)
 	coll.End(10)
 	if r.Len() != 0 {
