@@ -54,17 +54,17 @@ benchcheck:
 
 # racecheck reruns the kernel, fabric, MPI, shared-memory and design test
 # packages under the race detector with the event kernel split across
-# four shards and the network kernel's water-fill on two workers. Plain
-# `race` covers host-side parallelism (the sweep pool); this covers
-# sim-side parallelism — window barriers, cross-shard outboxes, the net
-# kernel, the component-parallel fill, and the coroutine switches that
-# shmseg's gather, result and copy waits exercise most — where a missing
-# happens-before edge would corrupt virtual time itself. The race build
-# also poisons recycled storage (segment accumulators at drain, pooled
-# vectors at release), so the design package's conformance and golden
-# timeline tests fail on any read of a buffer after its reuse point.
+# four shards. Plain `race` covers host-side parallelism (the sweep
+# pool); this covers sim-side parallelism — window barriers, cross-shard
+# outboxes, the net kernel and its flow fill, and the coroutine switches
+# that shmseg's gather, result and copy waits exercise most — where a
+# missing happens-before edge would corrupt virtual time itself. The
+# race build also poisons recycled storage (segment accumulators at
+# drain, pooled vectors at release), so the design package's conformance
+# and golden timeline tests fail on any read of a buffer after its reuse
+# point.
 racecheck:
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP
@@ -87,7 +87,7 @@ explorecheck:
 		-systematic -max-schedules 200 -min-distinct 100 -o /dev/null
 	$(GO) run ./cmd/dpml-verify -designs all -faults ';all@0.7' -fault-seed 7 \
 		-schedules 32 -explore-seed 1 -o /dev/null
-	DPML_SHARDS=4 DPML_NET_SHARDS=2 $(GO) test -race -count=1 ./internal/explore/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/explore/
 
 # grandprixsmoke runs the cross-family ranking figure at reduced scale
 # (one 4x4 shape instead of 8x8 + 16x16): every design family must

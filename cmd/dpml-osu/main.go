@@ -43,14 +43,10 @@ func main() {
 		faultSeed   = flag.Uint64("fault-seed", 0, "seed for fault-plan instantiation")
 		watchdog    = flag.Duration("watchdog", 0, "virtual-time deadline per simulated job; a job not finished by then aborts with a diagnostic naming the blocked ranks (0 = off)")
 		shards      = flag.Int("shards", 0, "kernel shards per simulated job (parallelize one run across threads; 0 = DPML_SHARDS env or 1); output is bit-identical for every value")
-		netShards   = flag.Int("netshards", 0, "water-fill workers for the network kernel's independent link components (0 = DPML_NET_SHARDS env or 1); output is bit-identical for every value")
 	)
 	flag.Parse()
 	if *shards > 0 {
 		mpi.SetDefaultShards(*shards)
-	}
-	if *netShards > 0 {
-		mpi.SetDefaultNetShards(*netShards)
 	}
 
 	stopProf, err := bench.StartProfiles(*cpuProf, *memProf)

@@ -40,7 +40,6 @@ func main() {
 		critpath    = flag.Bool("critpath", false, "print the critical path and per-phase slack")
 		metricsFlag = flag.Bool("metrics", false, "print the metrics-registry snapshot")
 		shards      = flag.Int("shards", 0, "kernel shards (parallelize the run across threads; 0 = DPML_SHARDS env or 1); trace output is bit-identical for every value")
-		netShards   = flag.Int("netshards", 0, "water-fill workers for the network kernel's independent link components (0 = DPML_NET_SHARDS env or 1); trace output is bit-identical for every value")
 	)
 	flag.Parse()
 
@@ -57,7 +56,7 @@ func main() {
 		fatal(err)
 	}
 	rec := trace.New(*limit)
-	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards, NetShards: *netShards})
+	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards})
 	e := core.NewEngine(w)
 
 	count := max(*bytes/4, 1)

@@ -50,7 +50,6 @@ func main() {
 		maxSched  = flag.Int("max-schedules", 0, "systematic schedule budget (0 = 192)")
 		minDist   = flag.Int("min-distinct", 0, "fail unless the systematic pass visits at least this many distinct schedules")
 		shards    = flag.Int("shards", 0, "kernel shards per schedule (0 = DPML_SHARDS env or 1); reports are identical for every value")
-		netShards = flag.Int("netshards", 0, "network water-fill workers per schedule (0 = DPML_NET_SHARDS env or 1); reports are identical for every value")
 		jobs      = flag.Int("j", 0, "parallel schedules across host cores (0 = all cores); reports are identical for every value")
 		out       = flag.String("o", "", "write the JSON report to file instead of stdout")
 	)
@@ -102,7 +101,6 @@ func main() {
 				FaultSeed: *faultSeed,
 				Watchdog:  sim.Duration(*watchdog),
 				Shards:    *shards,
-				NetShards: *netShards,
 			}
 			rep, err := explore.Run(sc, opts)
 			if err != nil {

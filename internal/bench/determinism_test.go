@@ -17,20 +17,18 @@ import (
 )
 
 // determinismRow is one host-parallelism setting of the determinism
-// harness: kernel shard count, network shard count, GOMAXPROCS, and sweep
-// -j worker count.
-type determinismRow struct{ shards, netShards, gomaxprocs, workers int }
+// harness: kernel shard count, GOMAXPROCS, and sweep -j worker count.
+type determinismRow struct{ shards, gomaxprocs, workers int }
 
 // checkDeterminism is the dynamic counterpart of the walltime and
 // globalrand analyzers: every explorable design must digest identically
-// under each row as under the serial reference row {1, 1, 1, 1}. Shards
-// partition the event heap itself (intra-run parallelism), netshards
-// parallelize the network kernel's water-fill over independent link
-// components, -j replicates whole worlds (inter-run parallelism) — the
-// three must compose without any of them leaking host scheduling into
-// virtual time. Jitter and the rendezvous path are both enabled so the
-// per-rank noise streams and the cross-shard RTS/CTS/payload handoff are
-// exercised, not just eager traffic.
+// under each row as under the serial reference row {1, 1, 1}. Shards
+// partition the event heap itself (intra-run parallelism), -j replicates
+// whole worlds (inter-run parallelism) — the two must compose without
+// either leaking host scheduling into virtual time. Jitter and the
+// rendezvous path are both enabled so the per-rank noise streams and the
+// cross-shard RTS/CTS/payload handoff are exercised, not just eager
+// traffic.
 //
 // The shape is cluster A at 8 nodes x 8 ppn: both sockets of every node
 // (4+4), the SHArP fabric, and more nodes than the largest shard count.
@@ -58,7 +56,6 @@ func checkDeterminism(t *testing.T, rows []determinismRow) {
 		defer runtime.GOMAXPROCS(old)
 		cfg := mpi.Config{
 			Shards:     row.shards,
-			NetShards:  row.netShards,
 			Jitter:     200, // ns of per-message noise, exercising the rank streams
 			JitterSeed: 42,
 		}
@@ -86,13 +83,13 @@ func checkDeterminism(t *testing.T, rows []determinismRow) {
 		return digests
 	}
 
-	base := digestRun(determinismRow{1, 1, 1, 1}) // serial kernel, serial fill, serial host
+	base := digestRun(determinismRow{1, 1, 1}) // serial kernel, serial host
 	for _, row := range rows {
 		got := digestRun(row)
 		for i, name := range designs {
 			if got[i] != base[i] {
-				t.Errorf("%s: digest at shards=%d netshards=%d GOMAXPROCS=%d -j%d differs from serial reference: %s vs %s",
-					name, row.shards, row.netShards, row.gomaxprocs, row.workers, got[i], base[i])
+				t.Errorf("%s: digest at shards=%d GOMAXPROCS=%d -j%d differs from serial reference: %s vs %s",
+					name, row.shards, row.gomaxprocs, row.workers, got[i], base[i])
 			}
 		}
 	}
@@ -102,26 +99,26 @@ func checkDeterminism(t *testing.T, rows []determinismRow) {
 // -j on the serial kernel.
 func TestCrossDesignDeterminism(t *testing.T) {
 	checkDeterminism(t, []determinismRow{
-		{1, 1, 2, 3},
-		{1, 1, 4, 8},
+		{1, 2, 3},
+		{1, 4, 8},
 	})
 }
 
-// TestShardDeterminismMatrix varies the kernel and network shard counts
-// together with GOMAXPROCS and -j.
+// TestShardDeterminismMatrix varies the kernel shard count together with
+// GOMAXPROCS and -j.
 func TestShardDeterminismMatrix(t *testing.T) {
 	checkDeterminism(t, []determinismRow{
-		{2, 1, 1, 2},
-		{2, 4, 4, 1}, // parallel fill under a sharded kernel
-		{4, 2, 2, 2},
-		{1, 8, 2, 1}, // serial kernel, heavily parallel fill
-		{8, 3, 4, 3}, // more shards than nodes/2: clamping path
+		{2, 1, 2},
+		{2, 4, 1},
+		{4, 2, 2},
+		{1, 2, 1},
+		{8, 4, 3}, // more shards than nodes/2: clamping path
 	})
 }
 
 // TestExaEventCountInvariance pins the acceptance property of the
 // 100k+-rank regime: the simulated event count is identical for every
-// (shards, netshards) combination. By default it runs the cluster E
+// shard count. By default it runs the cluster E
 // workload at a reduced node count (still spanning multiple leaf
 // subtrees and the oversubscribed core); DPML_FULL_RESULTS=1 runs the
 // full 4096x28 = 114,688-rank shape.
@@ -132,29 +129,29 @@ func TestExaEventCountInvariance(t *testing.T) {
 		nodes = cl.Nodes
 	}
 	cl = cl.WithNodes(nodes)
-	run := func(shards, netShards int) uint64 {
+	run := func(shards int) uint64 {
 		job, err := topology.NewJob(cl, nodes, 28)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := mpi.NewWorld(job, mpi.Config{Shards: shards, NetShards: netShards})
+		w := mpi.NewWorld(job, mpi.Config{Shards: shards})
 		e := core.NewEngine(w)
 		err = w.Run(func(r *mpi.Rank) error {
 			v := mpi.NewPhantom(mpi.Float32, (64<<10)/4)
 			return e.Allreduce(r, core.DPML(14), mpi.Sum, v)
 		})
 		if err != nil {
-			t.Fatalf("shards=%d netshards=%d: %v", shards, netShards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		return w.SimStats().Events
 	}
-	want := run(1, 1)
+	want := run(1)
 	if want == 0 {
 		t.Fatal("serial run produced no events")
 	}
-	for _, cfg := range [][2]int{{2, 1}, {2, 4}, {4, 2}, {8, 3}} {
-		if got := run(cfg[0], cfg[1]); got != want {
-			t.Errorf("shards=%d netshards=%d: %d events, want %d", cfg[0], cfg[1], got, want)
+	for _, shards := range []int{2, 4, 8} {
+		if got := run(shards); got != want {
+			t.Errorf("shards=%d: %d events, want %d", shards, got, want)
 		}
 	}
 }

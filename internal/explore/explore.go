@@ -77,8 +77,7 @@ type Scenario struct {
 	// not a hang.
 	Watchdog sim.Duration
 
-	Shards    int // kernel shards per run (0 = process default)
-	NetShards int // net workers per run (0 = process default)
+	Shards int // kernel shards per run (0 = process default)
 
 	// Workload, when non-nil, replaces the built-in allreduce+oracle
 	// workload: it runs on every rank and returns the rank's result
@@ -326,12 +325,11 @@ type outcome struct {
 func (rs *resolved) runOnce(x *sim.Explore) *outcome {
 	rec := trace.New(0)
 	w := mpi.NewWorld(rs.job, mpi.Config{
-		Trace:     rec,
-		Faults:    rs.plan,
-		Watchdog:  rs.sc.Watchdog,
-		Shards:    rs.sc.Shards,
-		NetShards: rs.sc.NetShards,
-		Explore:   x,
+		Trace:    rec,
+		Faults:   rs.plan,
+		Watchdog: rs.sc.Watchdog,
+		Shards:   rs.sc.Shards,
+		Explore:  x,
 	})
 	e := core.NewEngine(w)
 	n := rs.sc.Nodes * rs.sc.PPN

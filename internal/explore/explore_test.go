@@ -116,7 +116,6 @@ func TestExploreDeterminismAcrossEnvironment(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		sc := base
 		sc.Shards = shards
-		sc.NetShards = 2
 		rep, err := Run(sc, opts)
 		check("shards", rep, err)
 	}

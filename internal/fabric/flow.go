@@ -16,7 +16,6 @@ package fabric
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dpml/internal/sim"
 )
@@ -145,11 +144,10 @@ type flow struct {
 // component is one connected component of the flow-link bipartite graph:
 // a set of flows and the links they (transitively) share. Max-min fair
 // rates in one component are independent of every other component — the
-// only exact decomposition of the fill — so components are the unit of
-// parallel recomputation. Flow and link lists preserve the canonical
-// global orders (n.active order; first-touch link order), so the fill's
-// floating-point arithmetic does not depend on how components are grouped
-// or which worker computes them.
+// only exact decomposition of the fill — so the fill runs component by
+// component. Flow and link lists preserve the canonical global orders
+// (n.active order; first-touch link order), so the fill's floating-point
+// arithmetic does not depend on how the flows split into components.
 type component struct {
 	flows []*flow
 	links []*Link
@@ -162,16 +160,15 @@ type component struct {
 //
 //dpml:owner shared
 type FlowNet struct {
-	k       *sim.Kernel
-	workers int     // host goroutines for the component fill (see SetWorkers)
-	active  []*flow // live flows plus tombstones awaiting compaction
-	live    int     // live entries in active
-	dirty   bool
-	refill  func()      // the batched recompute event's callback, built once
-	free    []*flow     // released flow objects, reused by Start
-	gen     uint64      // water-filling generation stamp
-	uf      []int32     // scratch: union-find over provisional component ids
-	comps   []component // scratch: per-component flow/link buckets, reused
+	k      *sim.Kernel
+	active []*flow // live flows plus tombstones awaiting compaction
+	live   int     // live entries in active
+	dirty  bool
+	refill func()      // the batched recompute event's callback, built once
+	free   []*flow     // released flow objects, reused by Start
+	gen    uint64      // water-filling generation stamp
+	uf     []int32     // scratch: union-find over provisional component ids
+	comps  []component // scratch: per-component flow/link buckets, reused
 	// Stats counts scheduler work for tests and reports.
 	Stats struct {
 		Started   uint64
@@ -180,37 +177,18 @@ type FlowNet struct {
 		// FastPath counts completions that skipped the settle-and-refill
 		// recompute because no link the flow crossed was a bottleneck.
 		FastPath uint64
-		// MaxComponents is the largest number of independent link
-		// components any single recompute saw — the available water-fill
-		// parallelism (1 means the whole net is one coupled component).
-		MaxComponents uint64
 	}
 }
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	n := &FlowNet{k: k, workers: 1}
+	n := &FlowNet{k: k}
 	n.refill = func() {
 		n.dirty = false
 		n.recompute()
 	}
 	return n
 }
-
-// SetWorkers sets how many host goroutines recompute may use to
-// water-fill independent link components concurrently (the -netshards
-// knob). Components share no state and their arithmetic is canonical, so
-// the results are bit-identical at every worker count — w only decides
-// wall-clock parallelism. w < 1 is clamped to 1 (serial).
-func (n *FlowNet) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	n.workers = w
-}
-
-// Workers returns the configured water-fill worker count.
-func (n *FlowNet) Workers() int { return n.workers }
 
 // Start launches a flow of bytes over the given links with a per-flow rate
 // ceiling, invoking onDone in kernel context when the last byte drains.
@@ -338,16 +316,11 @@ func (n *FlowNet) complete(f *flow) {
 	}
 }
 
-// parallelFillMin is the flow-population floor below which recompute
-// stays serial even when workers > 1: goroutine handoff costs more than
-// a small fill, and tiny populations rarely split into many components.
-const parallelFillMin = 48
-
 // recompute settles progress, water-fills rates, and reschedules
 // completion events for every active flow. The settle and fill run per
-// connected component of the flow-link graph — components share no state
-// and use canonical arithmetic (see fillComponent), so striding them
-// across workers changes wall-clock only, never a single bit of output.
+// connected component of the flow-link graph: components share no state
+// and use canonical arithmetic (see fillComponent), so the result is the
+// global max-min fill bit for bit.
 func (n *FlowNet) recompute() {
 	n.Stats.Recompute++
 	n.compact()
@@ -356,31 +329,8 @@ func (n *FlowNet) recompute() {
 	}
 	now := n.k.Now()
 	count := n.findComponents()
-	if uint64(count) > n.Stats.MaxComponents {
-		n.Stats.MaxComponents = uint64(count)
-	}
-	// Assigned once, so the worker closures capture w by value: a
-	// reassigned w would move to the heap on every recompute.
-	w := min(n.workers, count)
-	if w > 1 && n.live >= parallelFillMin {
-		var wg sync.WaitGroup
-		for i := 1; i < w; i++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				for j := start; j < count; j += w {
-					n.fillComponent(&n.comps[j], now)
-				}
-			}(i)
-		}
-		for j := 0; j < count; j += w {
-			n.fillComponent(&n.comps[j], now)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < count; i++ {
-			n.fillComponent(&n.comps[i], now)
-		}
+	for i := range n.comps[:count] {
+		n.fillComponent(&n.comps[i], now)
 	}
 	n.reschedule(now)
 }
@@ -456,8 +406,7 @@ func ufFind(uf []int32, x int32) int32 {
 // assigned in first-appearance order over n.active, each component's
 // flows preserve n.active order, and its links preserve global
 // first-touch order. Every downstream float sum therefore runs in the
-// same order regardless of how many components exist or which worker
-// fills them.
+// same order regardless of how many components exist.
 func (n *FlowNet) findComponents() int {
 	// Pass 1: union-find over provisional ids. Links are stamped, then
 	// compacted once per recompute here (see Link.compact).
@@ -533,9 +482,9 @@ func (n *FlowNet) findComponents() int {
 }
 
 // fillComponent settles elapsed progress, water-fills rates, and refreshes
-// bottleneck flags for one component. Safe to run concurrently with other
-// components: every flow belongs to exactly one component and every link's
-// flows all share that component, so the touched state is disjoint.
+// bottleneck flags for one component. Every flow belongs to exactly one
+// component and every link's flows all share that component, so the state
+// one component touches is disjoint from every other's.
 func (n *FlowNet) fillComponent(c *component, now sim.Time) {
 	for _, f := range c.flows {
 		if dt := now.Sub(f.lastSettle); dt > 0 {

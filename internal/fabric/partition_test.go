@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -135,7 +133,7 @@ func refCheck(n *FlowNet, links []*Link) error {
 //   - static: randomized topologies, many links of random capacity and
 //     flows crossing random link subsets with random caps, filled once.
 //     Random populations fragment into many components, so this directly
-//     exercises the decomposition the netshards parallelism relies on.
+//     exercises the component-by-component fill.
 //   - churn: flows started, completed and re-capacitated over virtual
 //     time, which cycles flow objects through the FlowNet's free list.
 func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
@@ -328,67 +326,4 @@ func rngPerm(next func(int) int, m int) []int {
 		perm[i], perm[j] = perm[j], i
 	}
 	return perm
-}
-
-// TestFillWorkerCountInvariance runs a full simulation — hundreds of
-// flows started and completing across virtual time, enough to engage the
-// parallel fill path — and digests every completion instant. The digest
-// must be identical for every worker count: netshards is wall-clock-only
-// by construction, and this pins it end to end through recompute,
-// reschedule, and the completion fast path.
-func TestFillWorkerCountInvariance(t *testing.T) {
-	digest := func(workers int) string {
-		rng := uint64(7)
-		next := func(mod int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int(rng>>33) % mod
-		}
-		co := sim.NewCoordinator(1, 1, 0)
-		k := co.KernelFor(0)
-		n := NewFlowNet(k)
-		n.SetWorkers(workers)
-		const nLinks = 40
-		links := make([]*Link, nLinks)
-		for l := range links {
-			links[l] = NewLink(fmt.Sprintf("l%d", l), float64(1+next(8))*1e9)
-		}
-		h := sha256.New()
-		k.Spawn("driver", func(p *sim.Proc) {
-			var wg sim.WaitGroup
-			const nFlows = 300
-			wg.Add(nFlows)
-			for i := 0; i < nFlows; i++ {
-				route := []*Link{links[next(nLinks)]}
-				if extra := next(nLinks); extra != 0 && links[extra] != route[0] {
-					route = append(route, links[extra])
-				}
-				id := uint64(i)
-				n.Start(int64(1+next(1<<22)), float64(1+next(10))*0.5e9, func() {
-					var b [16]byte
-					binary.LittleEndian.PutUint64(b[:8], id)
-					binary.LittleEndian.PutUint64(b[8:], uint64(k.Now()))
-					h.Write(b[:])
-					wg.Done()
-				}, route...)
-				// Stagger start instants so flows overlap in shifting sets.
-				if i%7 == 0 {
-					p.Sleep(sim.Duration(1 + next(50_000)))
-				}
-			}
-			wg.Wait(p, "flows")
-		})
-		if err := co.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n.Stats.MaxComponents < 2 {
-			t.Fatalf("workers=%d: MaxComponents=%d, workload must fragment", workers, n.Stats.MaxComponents)
-		}
-		return fmt.Sprintf("%x", h.Sum(nil))
-	}
-	want := digest(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := digest(w); got != want {
-			t.Errorf("workers=%d digest %s != serial %s", w, got, want)
-		}
-	}
 }

@@ -19,7 +19,7 @@ import "dpml/internal/sim"
 // All queue state is rank-local and only ever touched from the rank's
 // node context, and each rank's stream is consumed in an order fixed by
 // its own LP's execution — so explored matching is deterministic per
-// salt and invariant under shards, netshards, and host parallelism,
+// salt and invariant under shards and host parallelism,
 // exactly like the jitter streams.
 
 // drawMatch returns a seeded choice in [0, n] from this rank's

@@ -67,13 +67,7 @@ type Config struct {
 	// results — this knob trades memory and synchronization overhead for
 	// wall-clock speed only.
 	Shards int
-	// NetShards sets how many OS threads the network LP's flow engine may
-	// use to water-fill independent link components concurrently. The
-	// fabric's link partition itself is derived from the topology (leaf
-	// subtrees), never from this knob, so every netshard count produces
-	// bit-identical results — like Shards, it trades coordination
-	// overhead for wall-clock speed only. Zero uses the process default
-	// (SetDefaultNetShards, DPML_NET_SHARDS); 1 forces the serial fill.
+	// Deprecated: ignored; the network fill is serial.
 	NetShards int
 	// Explore, when non-nil, installs a schedule-perturbation config on
 	// the simulation kernel (see sim.Explore and internal/explore): event
@@ -105,28 +99,6 @@ func SetDefaultShards(n int) {
 		n = 1
 	}
 	defaultShards = n
-}
-
-// defaultNetShards is the process-wide network-shard count used when
-// Config.NetShards is zero, initialized from the DPML_NET_SHARDS
-// environment variable (the CLI tools' -netshards flag overrides it via
-// SetDefaultNetShards).
-var defaultNetShards = func() int {
-	if s := os.Getenv("DPML_NET_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}()
-
-// SetDefaultNetShards sets the process-wide default network shard count
-// used by worlds whose Config.NetShards is zero. n < 1 resets to serial.
-func SetDefaultNetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultNetShards = n
 }
 
 // World is one job: the simulated cluster fabric plus one rank per
@@ -186,11 +158,6 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 	coord.SetExplore(cfg.Explore)
 	netK := coord.NetKernel()
 	flows := fabric.NewFlowNet(netK)
-	netShards := cfg.NetShards
-	if netShards == 0 {
-		netShards = defaultNetShards
-	}
-	flows.SetWorkers(netShards)
 	w := &World{
 		coord: coord,
 		Job:   job,
@@ -244,11 +211,6 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 
 // Coordinator returns the simulation's shard coordinator.
 func (w *World) Coordinator() *sim.Coordinator { return w.coord }
-
-// NetShards returns the effective network shard (water-fill worker)
-// count in force. Per-node memory flow engines always fill serially:
-// their populations are small and node-local.
-func (w *World) NetShards() int { return w.Flows.Workers() }
 
 // Now returns the simulation's current virtual time (after Run: the
 // instant the last event fired, identical for every shard count).
