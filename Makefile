@@ -116,11 +116,12 @@ cover:
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/sim/ ./internal/fabric/
 
-# results regenerates every committed table in results/ (see results/README.md).
+# results regenerates every committed table in results/ (see results/README.md):
+# every figure `dpml-bench -list` names at -iters 2, except the 10,240-rank
+# fig10, which runs at -iters 1.
 results:
-	for f in fig1a fig1b fig1c fig1d fig4 fig5 fig6 fig7 fig8a fig8b fig8c \
-	         fig9a fig9b fig9c fig9d fig11a fig11b fig11c model phases pipeline eager noise faults \
-	         grandprix; do \
+	ids=$$($(GO) run ./cmd/dpml-bench -list) || exit 1; \
+	for f in $$(echo "$$ids" | grep -vx fig10); do \
 		$(GO) run ./cmd/dpml-bench -figure $$f -iters 2 -warmup 1 -o results/$$f.txt || exit 1; \
 	done
 	$(GO) run ./cmd/dpml-bench -figure fig10 -iters 1 -warmup 1 -o results/fig10.txt

@@ -103,7 +103,7 @@ func main() {
 	// per-size results match the one-world sweep bit for bit), fanned
 	// across -j workers and printed in request order.
 	lat, err := sweep.Map(*jobs, sizes, func(_ int, bytes int) (sim.Duration, error) {
-		one, err := bench.AllreduceLatencyCfg(cfg, cl, *nodes, *ppn, choose, []int{bytes}, *iters, *warmup)
+		one, err := bench.AllreduceLatency(cfg, cl, *nodes, *ppn, choose, []int{bytes}, *iters, *warmup)
 		if err != nil {
 			return 0, err
 		}

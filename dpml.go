@@ -63,9 +63,6 @@ type (
 	Design = core.Design
 	// Library names a tuned baseline selector.
 	Library = core.Library
-	// PhaseTimes is a per-phase timing breakdown of one DPML allreduce
-	// (from Engine.AllreduceProfiled).
-	PhaseTimes = core.PhaseTimes
 	// NBHandle tracks a non-blocking allreduce (from Engine.IAllreduce).
 	NBHandle = core.NBHandle
 	// CostParams is Section 5's analytic model.
@@ -190,8 +187,6 @@ var (
 	Figure = bench.Figure
 	// FigureIDs lists the reproducible figures.
 	FigureIDs = bench.FigureIDs
-	// AllFigures regenerates everything.
-	AllFigures = bench.AllFigures
 	// AllreduceLatency is the osu_allreduce-style measurement loop.
 	AllreduceLatency = bench.AllreduceLatency
 	// MultiPairThroughput is the osu_mbw_mr-style measurement loop.
@@ -238,6 +233,10 @@ const (
 	TraceShmCopy    = trace.KindShmCopy
 	TraceCompute    = trace.KindCompute
 	TraceCollective = trace.KindCollective
+	// TracePhase events are phase spans: one named phase of a collective
+	// on one rank (Label is the phase, e.g. "copy-in", "intra-reduce",
+	// "inter-leader", "bcast-out" for DPML).
+	TracePhase = trace.KindPhase
 )
 
 // NewTraceRecorder returns a recorder keeping at most limit events

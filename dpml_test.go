@@ -66,7 +66,7 @@ func TestPublicSpecsAndLibraries(t *testing.T) {
 	if Flat(AlgRing).FlatAlg != AlgRing {
 		t.Fatal("Flat constructor broken")
 	}
-	if BestLeaders("B-Xeon-IB", 28, 1<<20) != 16 {
+	if BestLeaders(28, 1<<20) != 16 {
 		t.Fatal("BestLeaders table changed unexpectedly at 1MB")
 	}
 }

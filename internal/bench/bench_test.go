@@ -7,19 +7,20 @@ import (
 	"testing"
 
 	"dpml/internal/core"
+	"dpml/internal/mpi"
 	"dpml/internal/topology"
 )
 
 func TestAllreduceLatencyBasics(t *testing.T) {
 	sizes := []int{4, 4096}
-	lat, err := AllreduceLatency(topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 2, 1)
+	lat, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lat) != 2 || lat[0] <= 0 || lat[1] <= lat[0] {
 		t.Fatalf("latencies %v: want positive and increasing with size", lat)
 	}
-	if _, err := AllreduceLatency(topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 0, 0); err == nil {
+	if _, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 0, 0); err == nil {
 		t.Fatal("iters=0 accepted")
 	}
 }
@@ -30,7 +31,7 @@ func TestAllreduceLatencyBasics(t *testing.T) {
 func TestAllreduceLatencyValidatesFirst(t *testing.T) {
 	calls := 0
 	bad := func(*core.Engine, int) core.Spec { calls++; return core.DPML(3) }
-	_, err := AllreduceLatency(topology.ClusterB(), 2, 2, bad, []int{4, 4096}, 2, 1)
+	_, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, bad, []int{4, 4096}, 2, 1)
 	if err == nil || err.Error() != "core: 3 leaders with ppn=2" {
 		t.Fatalf("err = %v, want the single Validate error", err)
 	}
@@ -56,7 +57,7 @@ func TestChooserFor(t *testing.T) {
 
 func TestLatencyDeterministic(t *testing.T) {
 	run := func() []float64 {
-		s, err := LatencySeries("x", topology.ClusterC(), 2, 4, LibrarySpec(core.LibProposed),
+		s, err := LatencySeries(mpi.Config{}, "x", topology.ClusterC(), 2, 4, LibrarySpec(core.LibProposed),
 			[]int{64, 64 << 10}, 2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -240,10 +241,15 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 // determinism guarantee the scheduler relies on: any change to event
 // ordering, floating-point summation order, or ready-queue FIFO order
 // shows up here as a diff, not as a silently different paper artifact.
-// fig4 covers the 64x28 multi-leader sweep; fig10 covers the 10,240-rank
-// job whose scale exercises the heap and ready-ring hot paths; eager and
-// noise cover the latency harness under a non-zero world config (eager
-// threshold, per-message jitter).
+// fig4 is cluster A's 16x28 leader sweep, and the only committed table
+// that runs the four extension families (dual-root, generalized group
+// allreduce, both arrival-aware designs) across the whole 4B-1MB size
+// sweep at full scale (faults and grandprix run them at one or two
+// sizes); fig10 covers the
+// 10,240-rank job whose scale exercises the heap and ready-ring hot
+// paths; eager and noise cover the latency harness under a non-zero
+// world config (eager threshold, per-message jitter); phases covers the
+// breakdown read back from rank 0's trace spans.
 func TestFigureMatchesCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale regeneration skipped in -short mode")
@@ -256,6 +262,7 @@ func TestFigureMatchesCommittedResults(t *testing.T) {
 		{"fig4", 2, false},
 		{"eager", 2, false},
 		{"noise", 2, false},
+		{"phases", 2, false},
 		// 10,240 procs at -iters 1 (results/README.md): minutes of wall
 		// time, so it only runs when explicitly requested — it would blow
 		// the default go test timeout in an ordinary ./... sweep.

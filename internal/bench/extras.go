@@ -5,17 +5,19 @@ import (
 
 	"dpml/internal/core"
 	"dpml/internal/costmodel"
-	"dpml/internal/mpi"
 	"dpml/internal/sim"
 	"dpml/internal/sweep"
 	"dpml/internal/topology"
+	"dpml/internal/trace"
 )
 
 // The drivers in this file go beyond the paper's figures: ablations for
 // design choices the paper motivates but does not plot separately.
 
 // phaseBreakdown measures a leader rank's per-phase DPML times and sets
-// them against the cost model's Eq. 2-6 terms.
+// them against the cost model's Eq. 2-6 terms. The times are rank 0's
+// phase spans inside its timed allreduce, which follows one warm-up so
+// they exclude first-op skew.
 func phaseBreakdown(id string, opt Options) (*Table, error) {
 	cl := topology.ClusterB()
 	nodes, ppn := 16, 28
@@ -29,66 +31,62 @@ func phaseBreakdown(id string, opt Options) (*Table, error) {
 		XLabel: "leaders",
 		YLabel: "time (us)",
 	}
-	measured := map[string]*Series{
-		"copy":   {Label: "copy"},
-		"reduce": {Label: "reduce"},
-		"inter":  {Label: "inter"},
-		"bcast":  {Label: "bcast"},
+	phases := []struct{ label, span string }{
+		{"copy", trace.PhaseCopy},
+		{"reduce", trace.PhaseReduce},
+		{"inter", trace.PhaseInter},
+		{"bcast", trace.PhaseBcast},
 	}
-	model := map[string]*Series{
-		"model-copy":    {Label: "model-copy"},
-		"model-compute": {Label: "model-compute"},
-		"model-comm":    {Label: "model-comm"},
+	measured := make([]Series, len(phases))
+	for i, ph := range phases {
+		measured[i].Label = ph.label
 	}
+	model := []Series{{Label: "model-copy"}, {Label: "model-compute"}, {Label: "model-comm"}}
 	params := costmodel.FromCluster(cl)
 	cand := leaderCandidates(ppn)
-	times, err := sweep.Map(opt.Jobs, cand, func(_ int, l int) (core.PhaseTimes, error) {
-		var pt core.PhaseTimes
-		job, err := topology.NewJob(cl, nodes, ppn)
-		if err != nil {
-			return pt, err
+	times, err := sweep.Map(opt.Jobs, cand, func(_ int, l int) (map[string]sim.Duration, error) {
+		cfg := opt.latencyConfig(cl, nodes, ppn)
+		cfg.Trace = trace.New(0)
+		if _, err := AllreduceLatency(cfg, cl, nodes, ppn, FixedSpec(core.DPML(l)), []int{bytes}, 1, 1); err != nil {
+			return nil, err
 		}
-		e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
-		err = e.W.Run(func(r *mpi.Rank) error {
-			v := mpi.NewPhantom(mpi.Float32, bytes/4)
-			// Warm up once so phase timings exclude first-op skew.
-			if _, err := e.AllreduceProfiled(r, core.DPML(l), mpi.Sum, v); err != nil {
-				return err
-			}
-			r.Barrier(e.W.CommWorld())
-			res, err := e.AllreduceProfiled(r, core.DPML(l), mpi.Sum, v)
-			if err != nil {
-				return err
-			}
-			if r.Rank() == 0 {
-				pt = res
-			}
-			return nil
-		})
-		return pt, err
+		return lastCollectivePhases(cfg.Trace), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, l := range cand {
-		pt := times[i]
-		measured["copy"].Points = append(measured["copy"].Points, Point{X: l, Y: pt.Copy.Micros()})
-		measured["reduce"].Points = append(measured["reduce"].Points, Point{X: l, Y: pt.Reduce.Micros()})
-		measured["inter"].Points = append(measured["inter"].Points, Point{X: l, Y: pt.Inter.Micros()})
-		measured["bcast"].Points = append(measured["bcast"].Points, Point{X: l, Y: pt.Bcast.Micros()})
+		for pi, ph := range phases {
+			measured[pi].Points = append(measured[pi].Points, Point{X: l, Y: times[i][ph.span].Micros()})
+		}
 		p := params.With(nodes*ppn, nodes, l, bytes)
-		model["model-copy"].Points = append(model["model-copy"].Points, Point{X: l, Y: p.CopyPhase() * 1e6})
-		model["model-compute"].Points = append(model["model-compute"].Points, Point{X: l, Y: p.ComputePhase() * 1e6})
-		model["model-comm"].Points = append(model["model-comm"].Points, Point{X: l, Y: p.CommPhase() * 1e6})
+		model[0].Points = append(model[0].Points, Point{X: l, Y: p.CopyPhase() * 1e6})
+		model[1].Points = append(model[1].Points, Point{X: l, Y: p.ComputePhase() * 1e6})
+		model[2].Points = append(model[2].Points, Point{X: l, Y: p.CommPhase() * 1e6})
 	}
-	for _, k := range []string{"copy", "reduce", "inter", "bcast"} {
-		t.Series = append(t.Series, *measured[k])
-	}
-	for _, k := range []string{"model-copy", "model-compute", "model-comm"} {
-		t.Series = append(t.Series, *model[k])
-	}
+	t.Series = append(measured, model...)
 	t.Notes = append(t.Notes, "ablation beyond the paper: simulated phase times vs the Section 5 analytic terms")
 	return t, nil
+}
+
+// lastCollectivePhases sums rank 0's phase spans by phase name over its
+// last collective: the spans that start at or after that collective's
+// start.
+func lastCollectivePhases(rec *trace.Recorder) map[string]sim.Duration {
+	evs := rec.Events()
+	var start sim.Time
+	for _, ev := range evs {
+		if ev.Rank == 0 && ev.Kind == trace.KindCollective {
+			start = ev.Start
+		}
+	}
+	out := map[string]sim.Duration{}
+	for _, ev := range evs {
+		if ev.Rank == 0 && ev.Kind == trace.KindPhase && ev.Start >= start {
+			out[ev.Label] += ev.Duration()
+		}
+	}
+	return out
 }
 
 // pipelineAblation sweeps the DPML-Pipelined depth k (Section 4.2 / Eq. 5
@@ -118,7 +116,7 @@ func pipelineAblation(id string, opt Options) (*Table, error) {
 		if k == 1 {
 			spec = core.DPML(l)
 		}
-		return LatencySeries(fmt.Sprintf("k=%d", k), cl, nodes, ppn,
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("k=%d", k), cl, nodes, ppn,
 			FixedSpec(spec), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
@@ -153,7 +151,9 @@ func eagerAblation(id string, opt Options) (*Table, error) {
 	cells := gridCells(len(thrs), len(sizes))
 	spec := core.DPML(min(8, ppn))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		lat, err := AllreduceLatencyCfg(mpi.Config{EagerThreshold: thrs[c.row]}, cl, nodes, ppn,
+		cfg := opt.latencyConfig(cl, nodes, ppn)
+		cfg.EagerThreshold = thrs[c.row]
+		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
 			FixedSpec(spec), []int{sizes[c.col]}, opt.Iters, 1)
 		if err != nil {
 			return 0, err

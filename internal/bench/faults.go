@@ -54,12 +54,13 @@ func faultSweep(id string, opt Options) (*Table, error) {
 	shape := faults.Shape{Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs}
 	cells := gridCells(len(cases), len(intensities))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		cfg := mpi.Config{Watchdog: opt.Watchdog}
+		cfg := opt.latencyConfig(cl, nodes, ppn)
+		cfg.Faults = nil // intensity 0 is the healthy fabric
 		if in := intensities[c.col]; in > 0 {
 			spec := &faults.Spec{Classes: classes, Intensity: in, Seed: opt.FaultSeed}
 			cfg.Faults = spec.Instantiate(shape)
 		}
-		lat, err := AllreduceLatencyCfg(cfg, cl, nodes, ppn,
+		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
 			FixedSpec(cases[c.row].spec), []int{bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, fmt.Errorf("%s at intensity %g: %w", cases[c.row].label, intensities[c.col], err)

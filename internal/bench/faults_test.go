@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 
 	"dpml/internal/core"
 	"dpml/internal/faults"
 	"dpml/internal/mpi"
+	"dpml/internal/sim"
 	"dpml/internal/topology"
 	"dpml/internal/trace"
 )
@@ -81,7 +83,7 @@ func TestFaultMatrixSmoke(t *testing.T) {
 		m := m
 		t.Run(string(m.class)+"/"+m.label, func(t *testing.T) {
 			run := func(cfg mpi.Config) float64 {
-				lat, err := AllreduceLatencyCfg(cfg, cl, nodes, ppn,
+				lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
 					FixedSpec(m.spec), []int{bytes}, 2, 1)
 				if err != nil {
 					t.Fatal(err)
@@ -119,5 +121,26 @@ func TestLatencyConfigDefaultIsZero(t *testing.T) {
 	cfg := Options{}.latencyConfig(topology.ClusterB(), 2, 2)
 	if cfg != (mpi.Config{}) {
 		t.Fatalf("default latencyConfig = %+v, want zero", cfg)
+	}
+}
+
+// TestWatchdogReachesEveryLatencyFigure: Options.Watchdog must arm the
+// watchdog of every job in every allreduce-latency figure. A 1ns
+// deadline expires before any allreduce completes, so each figure must
+// fail with the watchdog's verdict; a figure that builds its own world
+// config without it would run to completion instead.
+func TestWatchdogReachesEveryLatencyFigure(t *testing.T) {
+	for _, id := range []string{
+		"fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
+		"fig9a", "fig9b", "fig9c", "fig9d", "fig10",
+		"model", "phases", "pipeline", "eager", "noise", "faults", "grandprix",
+	} {
+		t.Run(id, func(t *testing.T) {
+			_, err := Figure(id, Options{Quick: true, Iters: 1, Watchdog: 1})
+			var wd *sim.WatchdogError
+			if !errors.As(err, &wd) {
+				t.Fatalf("err = %v, want a wrapped *sim.WatchdogError", err)
+			}
+		})
 	}
 }

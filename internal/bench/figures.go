@@ -30,23 +30,29 @@ type Options struct {
 	Jobs int
 
 	// FaultSpec, when non-nil, injects a deterministic fault plan
-	// (instantiated per job shape) into every allreduce-latency figure;
-	// the "faults" figure uses its classes in place of the default full
-	// set. Nil leaves every run on the healthy fabric, bit-identical to
-	// a build without the fault layer.
+	// (instantiated per job shape) into every allreduce-latency figure
+	// with a fixed fabric (fig4-fig10, model, phases, pipeline, eager
+	// and noise); the "faults" figure sweeps its intensities over the
+	// spec's classes in place of the default full set, and "grandprix"
+	// keeps its own fault columns. Nil leaves every run on the healthy
+	// fabric, bit-identical to a build without the fault layer.
 	FaultSpec *faults.Spec
 	// FaultSeed is the base seed the "faults" figure derives its plans
 	// from; different seeds draw different ranks, windows, and factors.
 	FaultSeed uint64
-	// Watchdog, when positive, arms the per-job virtual-time watchdog:
-	// a simulated job that has not completed by this virtual deadline
-	// aborts with a diagnostic error instead of running forever.
+	// Watchdog, when positive, arms the per-job virtual-time watchdog in
+	// every allreduce-latency figure (fig4-fig10, model, phases,
+	// pipeline, eager, noise, faults and grandprix): a simulated job that
+	// has not completed by this virtual deadline aborts with a
+	// diagnostic error instead of running forever.
 	Watchdog sim.Duration
 }
 
 // latencyConfig builds the per-job world config for a latency run on the
-// given shape, applying the options' fault spec and watchdog. Default
-// options yield the zero config (healthy fabric, no watchdog).
+// given shape, applying the options' fault spec and watchdog. Every
+// allreduce-latency figure starts from it and sets only the field it
+// sweeps. Default options yield the zero config (healthy fabric, no
+// watchdog).
 func (o Options) latencyConfig(cl *topology.Cluster, nodes, ppn int) mpi.Config {
 	return mpi.Config{
 		Watchdog: o.Watchdog,
@@ -70,79 +76,87 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// figure is one reproducible figure: its id and the driver that
+// regenerates it.
+type figure struct {
+	id  string
+	run func(id string, opt Options) (*Table, error)
+}
+
+// figures lists every reproducible figure in paper order.
+var figures = []figure{
+	{"fig1a", func(id string, opt Options) (*Table, error) {
+		return figure1(id, "Relative throughput, intra-node (Xeon)", topology.ClusterC(), true, opt)
+	}},
+	{"fig1b", func(id string, opt Options) (*Table, error) {
+		return figure1(id, "Relative throughput, inter-node Xeon+InfiniBand", topology.ClusterB(), false, opt)
+	}},
+	{"fig1c", func(id string, opt Options) (*Table, error) {
+		return figure1(id, "Relative throughput, inter-node Xeon+Omni-Path", topology.ClusterC(), false, opt)
+	}},
+	{"fig1d", func(id string, opt Options) (*Table, error) {
+		return figure1(id, "Relative throughput, inter-node KNL+Omni-Path", topology.ClusterD(), false, opt)
+	}},
+	// fig4 doubles as the extension showcase: alongside the paper's
+	// leader sweep it carries one series per related-work family so the
+	// cluster-A panel ranks them against DPML at every size.
+	{"fig4", func(id string, opt Options) (*Table, error) {
+		return leaderSweep(id, topology.ClusterA(), 16, 28, true, opt)
+	}},
+	{"fig5", func(id string, opt Options) (*Table, error) {
+		return leaderSweep(id, topology.ClusterB(), 64, 28, false, opt)
+	}},
+	{"fig6", func(id string, opt Options) (*Table, error) {
+		return leaderSweep(id, topology.ClusterC(), 64, 28, false, opt)
+	}},
+	{"fig7", func(id string, opt Options) (*Table, error) {
+		return leaderSweep(id, topology.ClusterD(), 32, 32, false, opt)
+	}},
+	{"fig8a", func(id string, opt Options) (*Table, error) { return sharpComparison(id, 1, opt) }},
+	{"fig8b", func(id string, opt Options) (*Table, error) { return sharpComparison(id, 4, opt) }},
+	{"fig8c", func(id string, opt Options) (*Table, error) { return sharpComparison(id, 28, opt) }},
+	{"fig9a", func(id string, opt Options) (*Table, error) {
+		return libraryComparison(id, topology.ClusterA(), 16, 28, false, opt)
+	}},
+	{"fig9b", func(id string, opt Options) (*Table, error) {
+		return libraryComparison(id, topology.ClusterB(), 64, 28, false, opt)
+	}},
+	{"fig9c", func(id string, opt Options) (*Table, error) {
+		return libraryComparison(id, topology.ClusterC(), 64, 28, true, opt)
+	}},
+	{"fig9d", func(id string, opt Options) (*Table, error) {
+		return libraryComparison(id, topology.ClusterD(), 32, 32, true, opt)
+	}},
+	{"fig10", func(id string, opt Options) (*Table, error) {
+		return libraryComparison(id, topology.ClusterD(), 160, 64, true, opt)
+	}},
+	{"fig11a", hpcgFigure},
+	{"fig11b", func(id string, opt Options) (*Table, error) { return miniamrFigure(id, topology.ClusterC(), opt) }},
+	{"fig11c", func(id string, opt Options) (*Table, error) { return miniamrFigure(id, topology.ClusterD(), opt) }},
+	{"model", modelComparison},
+	{"phases", phaseBreakdown},
+	{"pipeline", pipelineAblation},
+	{"noise", noiseSensitivity},
+	{"eager", eagerAblation},
+	{"faults", faultSweep},
+	{"grandprix", grandPrix},
+}
+
 // FigureIDs lists every reproducible figure in paper order.
 func FigureIDs() []string {
-	return []string{
-		"fig1a", "fig1b", "fig1c", "fig1d",
-		"fig4", "fig5", "fig6", "fig7",
-		"fig8a", "fig8b", "fig8c",
-		"fig9a", "fig9b", "fig9c", "fig9d",
-		"fig10",
-		"fig11a", "fig11b", "fig11c",
-		"model", "phases", "pipeline", "noise", "eager", "faults",
-		"grandprix",
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
+	return ids
 }
 
 // Figure regenerates one of the paper's figures and returns its table.
 func Figure(id string, opt Options) (*Table, error) {
-	opt = opt.withDefaults()
-	switch id {
-	case "fig1a":
-		return figure1(id, "Relative throughput, intra-node (Xeon)", topology.ClusterC(), true, opt)
-	case "fig1b":
-		return figure1(id, "Relative throughput, inter-node Xeon+InfiniBand", topology.ClusterB(), false, opt)
-	case "fig1c":
-		return figure1(id, "Relative throughput, inter-node Xeon+Omni-Path", topology.ClusterC(), false, opt)
-	case "fig1d":
-		return figure1(id, "Relative throughput, inter-node KNL+Omni-Path", topology.ClusterD(), false, opt)
-	case "fig4":
-		// fig4 doubles as the extension showcase: alongside the paper's
-		// leader sweep it carries one series per related-work family so
-		// the cluster-A panel ranks them against DPML at every size.
-		return leaderSweep(id, topology.ClusterA(), 16, 28, true, opt)
-	case "fig5":
-		return leaderSweep(id, topology.ClusterB(), 64, 28, false, opt)
-	case "fig6":
-		return leaderSweep(id, topology.ClusterC(), 64, 28, false, opt)
-	case "fig7":
-		return leaderSweep(id, topology.ClusterD(), 32, 32, false, opt)
-	case "fig8a":
-		return sharpComparison(id, 1, opt)
-	case "fig8b":
-		return sharpComparison(id, 4, opt)
-	case "fig8c":
-		return sharpComparison(id, 28, opt)
-	case "fig9a":
-		return libraryComparison(id, topology.ClusterA(), 16, 28, false, opt)
-	case "fig9b":
-		return libraryComparison(id, topology.ClusterB(), 64, 28, false, opt)
-	case "fig9c":
-		return libraryComparison(id, topology.ClusterC(), 64, 28, true, opt)
-	case "fig9d":
-		return libraryComparison(id, topology.ClusterD(), 32, 32, true, opt)
-	case "fig10":
-		return libraryComparison(id, topology.ClusterD(), 160, 64, true, opt)
-	case "fig11a":
-		return hpcgFigure(id, opt)
-	case "fig11b":
-		return miniamrFigure(id, topology.ClusterC(), opt)
-	case "fig11c":
-		return miniamrFigure(id, topology.ClusterD(), opt)
-	case "model":
-		return modelComparison(id, opt)
-	case "phases":
-		return phaseBreakdown(id, opt)
-	case "pipeline":
-		return pipelineAblation(id, opt)
-	case "noise":
-		return noiseSensitivity(id, opt)
-	case "eager":
-		return eagerAblation(id, opt)
-	case "faults":
-		return faultSweep(id, opt)
-	case "grandprix":
-		return grandPrix(id, opt)
+	for _, f := range figures {
+		if f.id == id {
+			return f.run(id, opt.withDefaults())
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown figure %q (known: %v)", id, FigureIDs())
 }
@@ -240,7 +254,7 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 	}
 	sizes := sweepSizes(opt.Quick)
 	series, err := sweep.Map(opt.Jobs, leaderCandidates(ppn), func(_ int, l int) (Series, error) {
-		return LatencySeriesCfg(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("%d-leader", l), cl, nodes, ppn,
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("%d-leader", l), cl, nodes, ppn,
 			FixedSpec(core.DPML(l)), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
@@ -250,7 +264,7 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 	leaderCount := len(t.Series)
 	if extended {
 		ext, err := sweep.Map(opt.Jobs, extensionCases(), func(_ int, cse designCase) (Series, error) {
-			return LatencySeriesCfg(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
+			return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
 				FixedSpec(cse.spec), sizes, opt.Iters, opt.Warmup)
 		})
 		if err != nil {
@@ -269,14 +283,9 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 	return t, nil
 }
 
-// sharpCase pairs a label with a reduction design for the SHArP figures.
-type sharpCase struct {
-	label string
-	spec  core.Spec
-}
-
-func sharpCases() []sharpCase {
-	return []sharpCase{
+// sharpDesigns lists the designs the SHArP figures (fig8, fig11a) compare.
+func sharpDesigns() []designCase {
+	return []designCase{
 		{"host-based", core.HostBased()},
 		{"node-leader", core.Spec{Design: core.DesignSharpNode}},
 		{"socket-leader", core.Spec{Design: core.DesignSharpSocket}},
@@ -301,9 +310,9 @@ func sharpComparison(id string, ppn int, opt Options) (*Table, error) {
 		YLabel: "latency (us)",
 	}
 	sizes := smallSizes(opt.Quick)
-	cases := sharpCases()
-	series, err := sweep.Map(opt.Jobs, cases, func(_ int, cse sharpCase) (Series, error) {
-		return LatencySeriesCfg(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
+	cases := sharpDesigns()
+	series, err := sweep.Map(opt.Jobs, cases, func(_ int, cse designCase) (Series, error) {
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
 			FixedSpec(cse.spec), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
@@ -333,7 +342,7 @@ func libraryComparison(id string, cl *topology.Cluster, nodes, ppn int, withInte
 	libs = append(libs, core.LibProposed)
 	sizes := sweepSizes(opt.Quick)
 	series, err := sweep.Map(opt.Jobs, libs, func(_ int, lib core.Library) (Series, error) {
-		return LatencySeriesCfg(opt.latencyConfig(cl, nodes, ppn), string(lib), cl, nodes, ppn,
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), string(lib), cl, nodes, ppn,
 			LibrarySpec(lib), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
@@ -364,7 +373,7 @@ func hpcgFigure(id string, opt Options) (*Table, error) {
 		XLabel: "processes",
 		YLabel: "DDOT time (us)",
 	}
-	cases := sharpCases()
+	cases := sharpDesigns()
 	// One job per (design, job shape) grid cell; cells land back in
 	// row-major order, so series assembly below is deterministic.
 	cells := gridCells(len(cases), len(shapes))
@@ -464,7 +473,7 @@ func modelComparison(id string, opt Options) (*Table, error) {
 	cand := leaderCandidates(ppn)
 	// The analytic points are arithmetic; only the simulations fan out.
 	lats, err := sweep.Map(opt.Jobs, cand, func(_ int, l int) (sim.Duration, error) {
-		lat, err := AllreduceLatencyCfg(opt.latencyConfig(cl, nodes, ppn), cl, nodes, ppn,
+		lat, err := AllreduceLatency(opt.latencyConfig(cl, nodes, ppn), cl, nodes, ppn,
 			FixedSpec(core.DPML(l)), []int{bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, err
@@ -491,17 +500,4 @@ func modelComparison(id string, opt Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("optimal leaders: model=%d simulated=%d (candidates %v)", bestModel, bestSim, leaders))
 	return t, nil
-}
-
-// AllFigures regenerates every figure in paper order. Figures run through
-// the sweep pool like their inner series do; tables come back in id order
-// regardless of completion order.
-func AllFigures(opt Options) ([]*Table, error) {
-	return sweep.Map(opt.Jobs, FigureIDs(), func(_ int, id string) (*Table, error) {
-		tb, err := Figure(id, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		return tb, nil
-	})
 }

@@ -88,13 +88,11 @@ func grandPrix(id string, opt Options) (*Table, error) {
 	cells := gridCells(len(cases), len(cols))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
 		cse, col := cases[c.row], cols[c.col]
-		cfg := mpi.Config{
-			Watchdog: opt.Watchdog,
-			Faults: col.spec.Instantiate(faults.Shape{
-				Ranks: col.shape.nodes * col.shape.ppn, Nodes: col.shape.nodes, HCAs: cl.HCAs,
-			}),
-		}
-		lat, err := AllreduceLatencyCfg(cfg, cl, col.shape.nodes, col.shape.ppn,
+		cfg := opt.latencyConfig(cl, col.shape.nodes, col.shape.ppn)
+		cfg.Faults = col.spec.Instantiate(faults.Shape{
+			Ranks: col.shape.nodes * col.shape.ppn, Nodes: col.shape.nodes, HCAs: cl.HCAs,
+		})
+		lat, err := AllreduceLatency(cfg, cl, col.shape.nodes, col.shape.ppn,
 			FixedSpec(cse.spec), []int{col.bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, fmt.Errorf("%s in scenario %q: %w", cse.label, col.desc, err)

@@ -46,7 +46,7 @@ func ChooserFor(lib, design string) (SpecChooser, string, error) {
 }
 
 // ChooseSpecs picks the spec for each message size (rounded to whole
-// float32 elements, as AllreduceLatencyCfg sends them) and validates it
+// float32 elements, as AllreduceLatency sends them) and validates it
 // on e, so a bad spec is one error before any event runs rather than
 // one per rank.
 func ChooseSpecs(e *core.Engine, choose SpecChooser, sizes []int) ([]core.Spec, error) {
@@ -63,16 +63,11 @@ func ChooseSpecs(e *core.Engine, choose SpecChooser, sizes []int) ([]core.Spec, 
 // AllreduceLatency measures the average allreduce latency (as rank 0 sees
 // it, like osu_allreduce) for each message size, running `iters` timed
 // iterations after `warmup` untimed ones, all within a single simulated
-// job. Payloads are phantom float32 vectors (MPI_FLOAT/MPI_SUM, the
-// paper's microbenchmark configuration).
-func AllreduceLatency(cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) ([]sim.Duration, error) {
-	return AllreduceLatencyCfg(mpi.Config{}, cl, nodes, ppn, choose, sizes, iters, warmup)
-}
-
-// AllreduceLatencyCfg is AllreduceLatency with an explicit world config,
-// letting callers inject faults, arm the virtual-time watchdog, or attach
-// a tracer. The zero Config reproduces AllreduceLatency bit for bit.
-func AllreduceLatencyCfg(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) ([]sim.Duration, error) {
+// job built with cfg. Payloads are phantom float32 vectors
+// (MPI_FLOAT/MPI_SUM, the paper's microbenchmark configuration). cfg
+// lets callers inject faults, arm the virtual-time watchdog, or attach a
+// tracer; the zero Config is the healthy fabric.
+func AllreduceLatency(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) ([]sim.Duration, error) {
 	if iters <= 0 {
 		return nil, fmt.Errorf("bench: iters = %d", iters)
 	}
@@ -118,14 +113,8 @@ func AllreduceLatencyCfg(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, c
 
 // LatencySeries runs AllreduceLatency and packages the result as a Series
 // with Y in microseconds.
-func LatencySeries(label string, cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) (Series, error) {
-	return LatencySeriesCfg(mpi.Config{}, label, cl, nodes, ppn, choose, sizes, iters, warmup)
-}
-
-// LatencySeriesCfg is LatencySeries with an explicit world config (see
-// AllreduceLatencyCfg).
-func LatencySeriesCfg(cfg mpi.Config, label string, cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) (Series, error) {
-	lat, err := AllreduceLatencyCfg(cfg, cl, nodes, ppn, choose, sizes, iters, warmup)
+func LatencySeries(cfg mpi.Config, label string, cl *topology.Cluster, nodes, ppn int, choose SpecChooser, sizes []int, iters, warmup int) (Series, error) {
+	lat, err := AllreduceLatency(cfg, cl, nodes, ppn, choose, sizes, iters, warmup)
 	if err != nil {
 		return Series{}, fmt.Errorf("%s: %w", label, err)
 	}

@@ -31,17 +31,16 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 		YLabel: "latency (us)",
 	}
 	jitters := []sim.Duration{0, 2 * sim.Microsecond, 8 * sim.Microsecond, 32 * sim.Microsecond}
-	cases := []struct {
-		label string
-		spec  core.Spec
-	}{
+	cases := []designCase{
 		{"flat-rd", core.Flat(mpi.AlgRecursiveDoubling)},
 		{"flat-rabenseifner", core.Flat(mpi.AlgRabenseifner)},
 		{"dpml-16", core.DPML(min(16, ppn))},
 	}
 	cells := gridCells(len(cases), len(jitters))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		lat, err := AllreduceLatencyCfg(mpi.Config{Jitter: jitters[c.col], JitterSeed: 7}, cl, nodes, ppn,
+		cfg := opt.latencyConfig(cl, nodes, ppn)
+		cfg.Jitter, cfg.JitterSeed = jitters[c.col], 7
+		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
 			FixedSpec(cases[c.row].spec), []int{bytes}, opt.Iters, 1)
 		if err != nil {
 			return 0, err

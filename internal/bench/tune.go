@@ -5,6 +5,7 @@ import (
 
 	"dpml/internal/core"
 	"dpml/internal/costmodel"
+	"dpml/internal/mpi"
 	"dpml/internal/sweep"
 	"dpml/internal/topology"
 )
@@ -47,7 +48,7 @@ func TuneDPML(cl *topology.Cluster, nodes, ppn int, leaders, sizes []int, iters,
 		}
 	}
 	series, err := sweep.Map(jobs, cand, func(_ int, l int) (Series, error) {
-		return LatencySeries(fmt.Sprintf("l=%d", l), cl, nodes, ppn,
+		return LatencySeries(mpi.Config{}, fmt.Sprintf("l=%d", l), cl, nodes, ppn,
 			FixedSpec(core.DPML(l)), sizes, iters, warmup)
 	})
 	if err != nil {
@@ -65,7 +66,7 @@ func TuneDPML(cl *topology.Cluster, nodes, ppn int, leaders, sizes []int, iters,
 	}
 	params := costmodel.FromCluster(cl)
 	for _, bytes := range sizes {
-		res.Shipped[bytes] = core.BestLeaders(cl.Name, ppn, bytes)
+		res.Shipped[bytes] = core.BestLeaders(ppn, bytes)
 		res.Predicted[bytes] = params.With(nodes*ppn, nodes, 1, bytes).OptimalLeaders()
 		res.Table.Notes = append(res.Table.Notes,
 			fmt.Sprintf("%s: measured best l=%d, table l=%d, model l=%d",

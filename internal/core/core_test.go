@@ -300,20 +300,18 @@ func TestLibrarySelectorsRun(t *testing.T) {
 }
 
 func TestBestLeadersMonotoneAndBounded(t *testing.T) {
-	for _, name := range []string{"A-Xeon-IB-SHArP", "C-Xeon-OmniPath"} {
-		prev := 0
-		for _, bytes := range []int{4, 512, 2 << 10, 8 << 10, 32 << 10, 256 << 10, 1 << 20} {
-			l := BestLeaders(name, 28, bytes)
-			if l < 1 || l > 28 {
-				t.Fatalf("%s %dB: leaders %d out of range", name, bytes, l)
-			}
-			if l < prev {
-				t.Fatalf("%s: leader count decreased from %d to %d at %dB", name, prev, l, bytes)
-			}
-			prev = l
+	prev := 0
+	for _, bytes := range []int{4, 512, 2 << 10, 8 << 10, 32 << 10, 256 << 10, 1 << 20} {
+		l := BestLeaders(28, bytes)
+		if l < 1 || l > 28 {
+			t.Fatalf("%dB: leaders %d out of range", bytes, l)
 		}
+		if l < prev {
+			t.Fatalf("leader count decreased from %d to %d at %dB", prev, l, bytes)
+		}
+		prev = l
 	}
-	if l := BestLeaders("D-KNL-OmniPath", 4, 1<<20); l > 4 {
+	if l := BestLeaders(4, 1<<20); l > 4 {
 		t.Fatal("BestLeaders must respect ppn cap")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"dpml/internal/mpi"
 	"dpml/internal/shmseg"
-	"dpml/internal/sim"
 	"dpml/internal/trace"
 )
 
@@ -23,38 +22,37 @@ import (
 //  4. Local copy to individual processes: every local rank copies the l
 //     fully reduced partitions back out of shared memory.
 //
-// It returns the calling rank's time in each phase. Leaders' Phase 2
+// Each phase is one trace span on the calling rank. Leaders' Phase 2
 // includes the wait for the slowest local contributor, and Phase 4
 // includes the wait for the leaders' results — the same accounting a
 // profiled MPI implementation would report.
-func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm) PhaseTimes {
-	var pt PhaseTimes
+func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm) {
+	rec := e.W.Tracer()
 	if e.W.Job.PPN == 1 {
 		// Single process per node: the shared-memory phases are
 		// identity operations; go straight to the inter-node phase.
-		ph := e.beginPhase(r, trace.PhaseInter)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		e.interNode(r, e.leaderComms[0], op, vec, chunks, interAlg)
-		pt.Inter = ph.end(r)
-		return pt
+		sp.End(r.Now())
+		return
 	}
 	o := e.newShmOp(r, leaders, vec.Len())
-	ph := e.beginPhase(r, trace.PhaseCopy)
+	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	o.deposit(vec)
-	pt.Copy = ph.end(r)
+	sp.End(r.Now())
 	if j := r.Place().LocalRank; j < leaders {
-		ph = e.beginPhase(r, trace.PhaseReduce)
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, j, e.W.Job.PPN, false)
-		pt.Reduce = ph.end(r)
-		ph = e.beginPhase(r, trace.PhaseInter)
+		sp.End(r.Now())
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		e.interNode(r, e.leaderComms[j], op, acc, chunks, interAlg)
 		o.publish(j, acc)
-		pt.Inter = ph.end(r)
+		sp.End(r.Now())
 	}
-	ph = e.beginPhase(r, trace.PhaseBcast)
+	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
 	o.collect(vec)
 	o.done()
-	pt.Bcast = ph.end(r)
-	return pt
+	sp.End(r.Now())
 }
 
 // interNode runs Phase 3 on the leader communicator: a library-chosen
@@ -204,35 +202,3 @@ func (o *shmOp) collect(vec *mpi.Vector) {
 // done releases this rank's part in the operation; every local rank must
 // call it once.
 func (o *shmOp) done() { o.rg.DoneCopy(o.seq) }
-
-// PhaseTimes is the calling rank's time spent in each DPML phase of one
-// profiled allreduce. Non-leader ranks report zero Reduce/Inter time and
-// their Bcast time includes waiting for the leaders.
-type PhaseTimes struct {
-	Copy   sim.Duration // Phase 1: local copy to shared memory
-	Reduce sim.Duration // Phase 2: intra-node reduction (leaders)
-	Inter  sim.Duration // Phase 3: inter-node allreduce (leaders)
-	Bcast  sim.Duration // Phase 4: local copy to individual processes
-}
-
-// Total returns the sum of the phases.
-func (t PhaseTimes) Total() sim.Duration { return t.Copy + t.Reduce + t.Inter + t.Bcast }
-
-// phase is one open phase span on a rank.
-type phase struct {
-	sp    *trace.Span
-	start sim.Time
-}
-
-// beginPhase opens a trace span for the named phase on r.
-func (e *Engine) beginPhase(r *mpi.Rank, name string) phase {
-	now := r.Now()
-	return phase{e.W.Tracer().BeginSpan(r.Rank(), name, now), now}
-}
-
-// end closes the span and returns the phase's duration.
-func (p phase) end(r *mpi.Rank) sim.Duration {
-	now := r.Now()
-	p.sp.End(now)
-	return now.Sub(p.start)
-}

@@ -10,8 +10,7 @@ import (
 // This file implements the paper's stated future work ("we would like to
 // explore the possibilities of exploiting DPML approach for other
 // blocking and non-blocking collectives as well"): data-partitioned
-// multi-leader Reduce and Bcast, plus a phase-profiled Allreduce used by
-// the model-validation experiments.
+// multi-leader Reduce and Bcast.
 
 // Reduce performs an MPI_Reduce with the DPML structure: partitions are
 // gathered and combined by the node's leaders (Phases 1-2), each leader
@@ -30,13 +29,14 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 		return fmt.Errorf("core: Reduce root %d out of range", root)
 	}
 	rootNode := e.W.Job.Place(root).Node
-	coll := e.W.Tracer().BeginCollective(r.Rank(), "reduce:"+s.String(), vec.Bytes(), r.Now())
+	rec := e.W.Tracer()
+	coll := rec.BeginCollective(r.Rank(), "reduce:"+s.String(), vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()
 
 	if e.W.Job.PPN == 1 {
-		ph := e.beginPhase(r, trace.PhaseInter)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		r.ReduceColl(e.leaderComms[0], rootNode, op, vec)
-		ph.end(r)
+		sp.End(r.Now())
 		return nil
 	}
 
@@ -45,30 +45,30 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 	// copy its leaders can fold after the caller has reused vec.
 	o := e.newShmOp(r, s.Leaders, vec.Len())
 	o.snapshot = true
-	ph := e.beginPhase(r, trace.PhaseCopy)
+	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	o.deposit(vec)
-	ph.end(r)
+	sp.End(r.Now())
 	pl := r.Place()
 	if j := pl.LocalRank; j < s.Leaders {
-		ph = e.beginPhase(r, trace.PhaseReduce)
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, j, e.W.Job.PPN, false)
-		ph.end(r)
+		sp.End(r.Now())
 		// Phase 3: inter-node reduce rooted at root's node.
-		ph = e.beginPhase(r, trace.PhaseInter)
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		r.ReduceColl(e.leaderComms[j], rootNode, op, acc)
 		if pl.Node == rootNode {
 			o.publish(j, acc)
 		}
-		ph.end(r)
+		sp.End(r.Now())
 	}
 	// Phase 4: only root copies the result out; everyone releases the
 	// operation.
-	ph = e.beginPhase(r, trace.PhaseBcast)
+	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
 	if r.Rank() == root {
 		o.collect(vec)
 	}
 	o.done()
-	ph.end(r)
+	sp.End(r.Now())
 	return nil
 }
 
@@ -87,26 +87,27 @@ func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
 		return fmt.Errorf("core: Bcast root %d out of range", root)
 	}
 	rootPl := e.W.Job.Place(root)
-	coll := e.W.Tracer().BeginCollective(r.Rank(), "bcast:"+s.String(), vec.Bytes(), r.Now())
+	rec := e.W.Tracer()
+	coll := rec.BeginCollective(r.Rank(), "bcast:"+s.String(), vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()
 
 	if e.W.Job.PPN == 1 {
-		ph := e.beginPhase(r, trace.PhaseInter)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		r.Bcast(e.leaderComms[0], rootPl.Node, vec)
-		ph.end(r)
+		sp.End(r.Now())
 		return nil
 	}
 
 	o := e.newShmOp(r, s.Leaders, vec.Len())
 	// Root scatters its partitions into shared memory.
 	if r.Rank() == root {
-		ph := e.beginPhase(r, trace.PhaseCopy)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 		o.deposit(vec)
-		ph.end(r)
+		sp.End(r.Now())
 	}
 	pl := r.Place()
 	if j := pl.LocalRank; j < s.Leaders {
-		ph := e.beginPhase(r, trace.PhaseInter)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
 		var src *mpi.Vector
 		if pl.Node == rootPl.Node {
 			src = o.gather(j, 1)[rootPl.LocalRank]
@@ -117,25 +118,11 @@ func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
 		// Concurrent inter-node broadcasts, one per leader.
 		r.Bcast(e.leaderComms[j], rootPl.Node, part)
 		o.publish(j, part)
-		ph.end(r)
+		sp.End(r.Now())
 	}
-	ph := e.beginPhase(r, trace.PhaseBcast)
+	sp := rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
 	o.collect(vec)
 	o.done()
-	ph.end(r)
+	sp.End(r.Now())
 	return nil
-}
-
-// AllreduceProfiled runs one DPML allreduce and reports this rank's
-// per-phase times, for comparison against the Section 5 model's Eq. 2-6
-// terms.
-func (e *Engine) AllreduceProfiled(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (PhaseTimes, error) {
-	chunks, err := e.dpmlChunks("profiling", s)
-	if err != nil {
-		return PhaseTimes{}, err
-	}
-	if err := checkOp(op, vec); err != nil {
-		return PhaseTimes{}, err
-	}
-	return e.dpml(r, op, vec, s.Leaders, chunks, s.InterAlg), nil
 }

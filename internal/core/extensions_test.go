@@ -7,6 +7,7 @@ import (
 
 	"dpml/internal/mpi"
 	"dpml/internal/topology"
+	"dpml/internal/trace"
 )
 
 func TestDPMLReduceCorrect(t *testing.T) {
@@ -218,51 +219,43 @@ func TestMultiLeaderBcastBeatsSingleLeader(t *testing.T) {
 	}
 }
 
+// DPML allreduces read back from their phase spans: every rank records
+// copy-in and bcast-out, only the leaders record intra-reduce and
+// inter-leader, and tracing leaves the result intact.
 func TestAllreduceProfiled(t *testing.T) {
-	e := buildEngine(t, topology.ClusterB(), 4, 8)
+	e, rec := tracedEngine(t, topology.ClusterB(), 4, 8)
 	err := e.W.Run(func(r *mpi.Rank) error {
-		v := mpi.NewPhantom(mpi.Float32, 1<<16)
-		pt, err := e.AllreduceProfiled(r, DPML(4), mpi.Sum, v)
-		if err != nil {
+		if err := e.Allreduce(r, DPML(4), mpi.Sum, mpi.NewPhantom(mpi.Float32, 1<<16)); err != nil {
 			return err
 		}
-		if pt.Copy <= 0 || pt.Bcast <= 0 {
-			t.Errorf("rank %d: copy/bcast phases empty: %+v", r.Rank(), pt)
-		}
-		if r.Place().LocalRank < 4 {
-			if pt.Reduce <= 0 || pt.Inter <= 0 {
-				t.Errorf("leader %d: reduce/inter phases empty: %+v", r.Rank(), pt)
-			}
-		} else if pt.Reduce != 0 || pt.Inter != 0 {
-			t.Errorf("non-leader %d: unexpected leader phases: %+v", r.Rank(), pt)
-		}
-		if pt.Total() <= 0 {
-			t.Error("total must be positive")
-		}
-		// Profiling must not break the result.
 		real := mpi.NewVector(mpi.Float64, 8)
 		real.Fill(1)
-		if _, err := e.AllreduceProfiled(r, DPML(2), mpi.Sum, real); err != nil {
+		if err := e.Allreduce(r, DPML(2), mpi.Sum, real); err != nil {
 			return err
 		}
 		if real.At(0) != float64(e.W.Job.NumProcs()) {
-			t.Errorf("profiled allreduce wrong: %v", real.At(0))
+			t.Errorf("traced allreduce wrong: %v", real.At(0))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bad specs rejected.
-	e2 := buildEngine(t, topology.ClusterB(), 2, 2)
-	err = e2.W.Run(func(r *mpi.Rank) error {
-		if _, err := e2.AllreduceProfiled(r, Flat(mpi.AlgRing), mpi.Sum, mpi.NewPhantom(mpi.Float32, 4)); err == nil {
-			t.Error("profiling accepted a flat spec")
+	phases := rankPhases(rec)
+	for rank := 0; rank < e.W.Job.NumProcs(); rank++ {
+		pt := phases[rank]
+		if pt[trace.PhaseCopy] <= 0 || pt[trace.PhaseBcast] <= 0 {
+			t.Errorf("rank %d: copy/bcast phases empty: %v", rank, pt)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		reduce, hasReduce := pt[trace.PhaseReduce]
+		inter, hasInter := pt[trace.PhaseInter]
+		if e.W.Job.Place(rank).LocalRank < 4 {
+			if reduce <= 0 || inter <= 0 {
+				t.Errorf("leader %d: reduce/inter phases empty: %v", rank, pt)
+			}
+		} else if hasReduce || hasInter {
+			t.Errorf("non-leader %d: unexpected leader phases: %v", rank, pt)
+		}
 	}
 }
 
@@ -289,9 +282,8 @@ func TestOpDatatypeMismatchFailsCleanly(t *testing.T) {
 			_, err := e.IAllreduce(r, DPML(2), absmax, v)
 			return err
 		}},
-		{"AllreduceProfiled", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
-			_, err := e.AllreduceProfiled(r, DPML(2), absmax, v)
-			return err
+		{"AllreduceDPML", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			return e.Allreduce(r, DPML(2), absmax, v)
 		}},
 	} {
 		for _, phantom := range []bool{false, true} {

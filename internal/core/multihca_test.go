@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"dpml/internal/mpi"
+	"dpml/internal/sim"
 	"dpml/internal/topology"
+	"dpml/internal/trace"
 )
 
 // The paper's multi-HCA observation (Section 4.3): HCA-aware leader
@@ -17,25 +19,15 @@ func TestDualHCAAcceleratesInterNodePhase(t *testing.T) {
 	// leader) binds; on two rails each leader's own pipe (1.1 GB/s)
 	// binds instead, so Phase 3 must get ~1.4x faster. End-to-end time
 	// moves less because the shm copy phases are HCA-independent.
-	interOf := func(hcas int) int64 {
-		cl := topology.ClusterB().WithHCAs(hcas)
-		e := buildEngine(t, cl, 4, 16)
-		var out int64
+	interOf := func(hcas int) sim.Duration {
+		e, rec := tracedEngine(t, topology.ClusterB().WithHCAs(hcas), 4, 16)
 		err := e.W.Run(func(r *mpi.Rank) error {
-			v := mpi.NewPhantom(mpi.Float32, 1<<20) // 4 MB
-			pt, err := e.AllreduceProfiled(r, DPML(16), mpi.Sum, v)
-			if err != nil {
-				return err
-			}
-			if r.Rank() == 0 {
-				out = int64(pt.Inter)
-			}
-			return nil
+			return e.Allreduce(r, DPML(16), mpi.Sum, mpi.NewPhantom(mpi.Float32, 1<<20)) // 4 MB
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return rankPhases(rec)[0][trace.PhaseInter]
 	}
 	one, two := interOf(1), interOf(2)
 	if float64(two) > 0.85*float64(one) {

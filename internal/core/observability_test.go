@@ -22,6 +22,21 @@ func tracedEngine(t *testing.T, cl *topology.Cluster, nodes, ppn int) (*Engine, 
 	return NewEngine(mpi.NewWorld(job, mpi.Config{Trace: rec})), rec
 }
 
+// rankPhases sums each rank's phase spans by phase name.
+func rankPhases(rec *trace.Recorder) map[int]map[string]sim.Duration {
+	out := map[int]map[string]sim.Duration{}
+	for _, ev := range rec.Events() {
+		if ev.Kind != trace.KindPhase {
+			continue
+		}
+		if out[ev.Rank] == nil {
+			out[ev.Rank] = map[string]sim.Duration{}
+		}
+		out[ev.Rank][ev.Label] += ev.Duration()
+	}
+	return out
+}
+
 // runTraced performs iters allreduces of count float64 elements under the
 // given spec and returns the trace.
 func runTraced(t *testing.T, s Spec, nodes, ppn, count, iters int) *trace.Recorder {

@@ -30,12 +30,13 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 		return
 	}
 
+	rec := e.W.Tracer()
 	ppn := e.W.Job.PPN
 	if ppn == 1 {
 		// The designs coincide: the single local rank is the leader.
-		ph := e.beginPhase(r, trace.PhaseSharp)
+		sp := rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
 		e.sharpOp(r, group, host, op, vec)
-		ph.end(r)
+		sp.End(r.Now())
 		return
 	}
 
@@ -49,25 +50,25 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 	// Gather: full input to this rank's leader. Segment indices are
 	// local rank numbers, so leaders' segments never collide.
 	o := e.newShmOp(r, ppn, vec.Len())
-	ph := e.beginPhase(r, trace.PhaseCopy)
+	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	o.put(leader, vec)
-	ph.end(r)
+	sp.End(r.Now())
 
 	if r.Place().LocalRank == leader {
-		ph = e.beginPhase(r, trace.PhaseReduce)
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, leader, want, socketLevel)
-		ph.end(r)
-		ph = e.beginPhase(r, trace.PhaseSharp)
+		sp.End(r.Now())
+		sp = rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
 		e.sharpOp(r, group, host, op, acc)
 		o.publish(leader, acc)
-		ph.end(r)
+		sp.End(r.Now())
 	}
 
 	// Broadcast: copy the result back from this rank's leader.
-	ph = e.beginPhase(r, trace.PhaseBcast)
+	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
 	o.get(leader, vec)
 	o.done()
-	ph.end(r)
+	sp.End(r.Now())
 }
 
 // sharpOp runs one in-network reduction for this leader, folding real

@@ -125,7 +125,7 @@ func (e *Engine) ProposedSpec(bytes int) Spec {
 		}
 		return Spec{Design: DesignSharpSocket}
 	}
-	l := BestLeaders(e.W.Job.Cluster.Name, ppn, bytes)
+	l := BestLeaders(ppn, bytes)
 	if l <= 1 && bytes <= 1<<10 {
 		return Spec{Design: DesignDPML, Leaders: 1}
 	}
@@ -160,16 +160,14 @@ func (e *Engine) papAwareSpec(bytes int) Spec {
 	return e.ProposedSpec(bytes)
 }
 
-// BestLeaders returns the empirically tuned DPML leader count for a
-// cluster, ppn, and message size — the per-size winner map produced by
-// the Section 6.4 tuning sweep (examples/tuning regenerates it): one
-// leader at small sizes (parallelizing tiny reductions does not pay),
-// growing leader counts through the transition zone, and 16 leaders
-// (capped by ppn) for Zone-C messages. The cluster name is accepted so
-// per-architecture tables can diverge; the calibrated simulator's winner
-// map happens to coincide across fabrics.
-func BestLeaders(clusterName string, ppn, bytes int) int {
-	_ = clusterName
+// BestLeaders returns the empirically tuned DPML leader count for a ppn
+// and message size — the per-size winner map produced by the Section 6.4
+// tuning sweep (examples/tuning regenerates it): one leader at small
+// sizes (parallelizing tiny reductions does not pay), growing leader
+// counts through the transition zone, and 16 leaders (capped by ppn) for
+// Zone-C messages. The calibrated simulator's winner map coincides
+// across the four fabrics, so the table takes no cluster.
+func BestLeaders(ppn, bytes int) int {
 	capPPN := func(l int) int {
 		if l > ppn {
 			return ppn
