@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lintfix-check ci benchcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results
+.PHONY: all build test race vet lint ci benchcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results
 
 all: build
 
@@ -13,20 +13,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's ten invariant analyzers — seven per-package
-# passes (walltime, globalrand, maprange, spanpair, waitcheck, floateq,
-# prio) and three whole-module call-graph passes (taintflow, lpown,
-# sendpath) — over the module; it exits non-zero on any finding,
-# including unused //dpml:allow suppressions.
+# lint prints the //dpml:allow audit table (every allowance with its
+# recorded reason, for review on the CI log) and then runs the repo's
+# nine invariant analyzers — seven per-package passes (walltime,
+# globalrand, maprange, spanpair, waitcheck, floateq, prio) and two
+# whole-module call-graph passes (lpown, sendpath) — over the module; it
+# exits non-zero on any finding, including unused //dpml:allow lines and
+# malformed or typo'd //dpml:owner classes.
 lint:
-	$(GO) run ./cmd/dpml-lint ./...
-
-# lintfix-check audits the annotation and suppression hygiene: the full
-# analyzer run makes unused //dpml:allow lines and malformed or typo'd
-# //dpml:owner classes findings (never silence), and the -suppressions
-# table puts every remaining allowance with its recorded reason on the
-# CI log for review.
-lintfix-check:
 	$(GO) run ./cmd/dpml-lint -suppressions ./...
 	$(GO) run ./cmd/dpml-lint ./...
 
@@ -42,7 +36,7 @@ race:
 # sharded-kernel race pass, the benchmark module's own checks, the
 # fault-matrix smoke pass, the schedule-space exploration pass, a short
 # fuzz pass over the text parsers, and the coverage summary.
-ci: lint lintfix-check vet race racecheck benchcheck faultsmoke explorecheck grandprixsmoke fuzz cover
+ci: lint vet race racecheck benchcheck faultsmoke explorecheck grandprixsmoke fuzz cover
 
 # benchcheck vets and tests the nested benchmark/ module, which the root
 # `go test ./...` never enters: every workload at test size against its

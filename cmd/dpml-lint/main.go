@@ -1,14 +1,14 @@
-// dpml-lint runs the repo's ten invariant analyzers — seven
+// dpml-lint runs the repo's nine invariant analyzers — seven
 // per-package (walltime, globalrand, maprange, spanpair, waitcheck,
-// floateq, prio) and three whole-module call-graph passes (taintflow,
-// lpown, sendpath) — over the module and exits non-zero on findings,
-// so CI fails loudly. See internal/lint for what each analyzer proves
+// floateq, prio) and two whole-module call-graph passes (lpown,
+// sendpath) — over the module and exits non-zero on findings, so CI
+// fails loudly. See internal/lint for what each analyzer proves
 // and CONTRIBUTING.md for the //dpml:allow suppression syntax and the
 // //dpml:owner annotation discipline.
 //
 // Usage:
 //
-//	dpml-lint [-json] [-run a,b,...] [-list] [-suppressions] [packages]
+//	dpml-lint [-list] [-suppressions] [packages]
 //
 // With no package arguments (or "./..."), the whole module is analyzed.
 // Explicit arguments name module directories ("internal/sim", "./cmd/...").
@@ -35,12 +35,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpml-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	runList := fs.String("run", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	sups := fs.Bool("suppressions", false, "print the //dpml:allow audit table and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: dpml-lint [-json] [-run a,b,...] [-list] [-suppressions] [packages]\n")
+		fmt.Fprintf(stderr, "usage: dpml-lint [-list] [-suppressions] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -52,16 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	analyzers := lint.Analyzers()
-	if *runList != "" {
-		var err error
-		analyzers, err = lint.ByName(strings.Split(*runList, ","))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
 	}
 
 	root, err := findModuleRoot()
@@ -114,21 +102,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	findings := lint.RunModule(pkgs, loader.Loaded(), analyzers)
-	if *jsonOut {
-		if err := lint.WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "dpml-lint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(stderr, "dpml-lint: %d finding(s)\n", len(findings))
-		}
+	findings := lint.RunModule(pkgs, loader.Loaded(), lint.Analyzers())
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "dpml-lint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dpml/internal/bench"
@@ -25,35 +26,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the profile to stdout
+// and errors to stderr, and returns the exit status (0 ok, 1 a failed
+// run or bad parameter, 2 a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpml-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		clusterName = flag.String("cluster", "B", "cluster: A, B, C, or D")
-		nodes       = flag.Int("nodes", 4, "number of nodes")
-		ppn         = flag.Int("ppn", 8, "processes per node")
-		design      = flag.String("design", "dpml-4", "design name (see dpml-osu)")
-		lib         = flag.String("lib", "", "library selector instead of -design")
-		bytes       = flag.Int("bytes", 64<<10, "message size")
-		iters       = flag.Int("iters", 2, "allreduce iterations")
-		csvPath     = flag.String("csv", "", "write the raw event log to this file")
-		limit       = flag.Int("limit", 1<<20, "max events kept")
-		chromePath  = flag.String("chrome", "", "write a Chrome trace_event JSON file (open in Perfetto)")
-		phases      = flag.Bool("phases", false, "print the per-phase time breakdown")
-		critpath    = flag.Bool("critpath", false, "print the critical path and per-phase slack")
-		metricsFlag = flag.Bool("metrics", false, "print the metrics-registry snapshot")
-		shards      = flag.Int("shards", 0, "kernel shards (parallelize the run across threads; 0 = DPML_SHARDS env or 1); trace output is bit-identical for every value")
+		clusterName = fs.String("cluster", "B", "cluster: A, B, C, or D")
+		nodes       = fs.Int("nodes", 4, "number of nodes")
+		ppn         = fs.Int("ppn", 8, "processes per node")
+		design      = fs.String("design", "dpml-4", "design name (see dpml-osu)")
+		lib         = fs.String("lib", "", "library selector instead of -design")
+		bytes       = fs.Int("bytes", 64<<10, "message size")
+		iters       = fs.Int("iters", 2, "allreduce iterations")
+		csvPath     = fs.String("csv", "", "write the raw event log to this file")
+		limit       = fs.Int("limit", 1<<20, "max events kept")
+		chromePath  = fs.String("chrome", "", "write a Chrome trace_event JSON file (open in Perfetto)")
+		phases      = fs.Bool("phases", false, "print the per-phase time breakdown")
+		critpath    = fs.Bool("critpath", false, "print the critical path and per-phase slack")
+		metricsFlag = fs.Bool("metrics", false, "print the metrics-registry snapshot")
+		shards      = fs.Int("shards", 0, "kernel shards (parallelize the run across threads; 0 = DPML_SHARDS env or 1); trace output is bit-identical for every value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dpml-trace:", err)
+		return 1
+	}
+	if *bytes <= 0 {
+		return fail(fmt.Errorf("bad size %d", *bytes))
+	}
 
 	choose, _, err := bench.ChooserFor(*lib, *design)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+		return fail(fmt.Errorf("unknown cluster %q", *clusterName))
 	}
 	job, err := topology.NewJob(cl, *nodes, *ppn)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rec := trace.New(*limit)
 	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards})
@@ -62,7 +81,7 @@ func main() {
 	count := max(*bytes/4, 1)
 	spec := choose(e, count*4)
 	if err := e.Validate(spec); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	err = w.Run(func(r *mpi.Rank) error {
 		v := mpi.NewPhantom(mpi.Float32, count)
@@ -74,13 +93,13 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("workload: %d x allreduce(%d bytes) with %s on %s, %d nodes x %d ppn\n",
+	fmt.Fprintf(stdout, "workload: %d x allreduce(%d bytes) with %s on %s, %d nodes x %d ppn\n",
 		*iters, count*4, spec, cl.Name, *nodes, *ppn)
-	fmt.Printf("virtual time: %v\n", w.Now())
-	rec.Summary(os.Stdout)
+	fmt.Fprintf(stdout, "virtual time: %v\n", w.Now())
+	rec.Summary(stdout)
 	// Fabric utilization over the run.
 	elapsed := w.Now().Sub(0)
 	var busiest string
@@ -91,56 +110,52 @@ func main() {
 		}
 	}
 	if busiest != "" {
-		fmt.Printf("busiest NIC link: %s at %.1f%% of capacity over the run\n", busiest, 100*peak)
+		fmt.Fprintf(stdout, "busiest NIC link: %s at %.1f%% of capacity over the run\n", busiest, 100*peak)
 	}
 	for node, m := range w.Mem {
 		lr := m.Report()
 		if node == 0 {
-			fmt.Printf("node 0 memory system: %d bytes moved, busy %v\n", lr.Bytes, lr.Busy)
+			fmt.Fprintf(stdout, "node 0 memory system: %d bytes moved, busy %v\n", lr.Bytes, lr.Busy)
 		}
 	}
 	if *phases {
-		fmt.Println()
-		rec.WritePhaseReport(os.Stdout)
+		fmt.Fprintln(stdout)
+		rec.WritePhaseReport(stdout)
 		if ar := rec.CollectiveArrivals(); ar.Ops > 0 {
-			fmt.Printf("arrival skew: %d ops, spread max %v mean %v, imbalance max %.3f mean %.3f\n",
+			fmt.Fprintf(stdout, "arrival skew: %d ops, spread max %v mean %v, imbalance max %.3f mean %.3f\n",
 				ar.Ops, ar.MaxSpread, ar.MeanSpread, ar.MaxImbalance, ar.MeanImbalance)
 		}
 	}
 	if *critpath {
-		fmt.Println()
-		rec.CriticalPath().Write(os.Stdout)
+		fmt.Fprintln(stdout)
+		rec.CriticalPath().Write(stdout)
 	}
 	if *metricsFlag {
-		fmt.Println()
-		w.Metrics().WriteText(os.Stdout)
+		fmt.Fprintln(stdout)
+		w.Metrics().WriteText(stdout)
 	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := rec.WriteCSV(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %d events to %s\n", rec.Len(), *csvPath)
+		fmt.Fprintf(stdout, "wrote %d events to %s\n", rec.Len(), *csvPath)
 	}
 	if *chromePath != "" {
 		f, err := os.Create(*chromePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		nodeOf := func(rank int) int { return job.Place(rank).Node }
 		if err := rec.WriteChrome(f, nodeOf); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %d events to %s (open in Perfetto)\n", rec.Len(), *chromePath)
+		fmt.Fprintf(stdout, "wrote %d events to %s (open in Perfetto)\n", rec.Len(), *chromePath)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpml-trace:", err)
-	os.Exit(1)
+	return 0
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // callgraph.go builds the module-wide call graph the interprocedural
-// analyzers (taintflow, lpown, sendpath) walk. Resolution is CHA-style
-// (class hierarchy analysis): static calls resolve to their one callee,
-// and calls through an interface method resolve to that method on every
+// analyzers (lpown, sendpath) walk. Resolution is CHA-style (class
+// hierarchy analysis): static calls resolve to their one callee, and
+// calls through an interface method resolve to that method on every
 // named type in scope whose method set satisfies the interface — sound
 // for the repo's small interface surface, over-approximate in general.
 // Two indirections are not modelled, by design: calls through function
@@ -47,14 +47,11 @@ func (n *CGNode) Name() string {
 	return name
 }
 
-// CGEdge is one call site: Caller invokes Callee at Call. Iface marks
-// edges added by interface-method (CHA) resolution rather than a static
-// callee.
+// CGEdge is one call site: Caller invokes Callee at Call.
 type CGEdge struct {
 	Caller *CGNode
 	Callee *CGNode
 	Call   *ast.CallExpr
-	Iface  bool
 }
 
 // CallGraph is the module-wide graph over every function declared in
@@ -149,7 +146,7 @@ func (g *CallGraph) addCall(pkg *Package, caller *CGNode, call *ast.CallExpr, co
 	}
 	recv := recvOf(callee)
 	if recv == nil || !types.IsInterface(recv.Type()) {
-		g.edge(caller, g.intern(callee), call, false)
+		g.edge(caller, g.intern(callee), call)
 		return
 	}
 	// Interface method: CHA resolution against every concrete named
@@ -168,18 +165,18 @@ func (g *CallGraph) addCall(pkg *Package, caller *CGNode, call *ast.CallExpr, co
 		}
 		obj, _, _ := types.LookupFieldOrMethod(impl, true, callee.Pkg(), callee.Name())
 		if m, ok := obj.(*types.Func); ok {
-			g.edge(caller, g.intern(m), call, true)
+			g.edge(caller, g.intern(m), call)
 		}
 	}
 }
 
-func (g *CallGraph) edge(caller, callee *CGNode, call *ast.CallExpr, iface bool) {
+func (g *CallGraph) edge(caller, callee *CGNode, call *ast.CallExpr) {
 	for _, e := range caller.Out {
 		if e.Callee == callee && e.Call == call {
 			return
 		}
 	}
-	e := &CGEdge{Caller: caller, Callee: callee, Call: call, Iface: iface}
+	e := &CGEdge{Caller: caller, Callee: callee, Call: call}
 	caller.Out = append(caller.Out, e)
 	callee.In = append(callee.In, e)
 }
@@ -213,81 +210,4 @@ func concreteTypes(pkgs []*Package) []types.Type {
 		}
 	}
 	return out
-}
-
-// reachSinks computes, for every node that can reach a sink through
-// call edges, the first edge of a shortest witness path toward each
-// sink. Sinks are identified by the sink map (node -> label); the
-// result maps node -> sink node -> next edge. Traversal is reverse BFS
-// from each sink in sorted label order, visiting In edges in build
-// order, so witness paths are deterministic.
-func reachSinks(g *CallGraph, sinks map[*CGNode]string) map[*CGNode]map[*CGNode]*CGEdge {
-	next := map[*CGNode]map[*CGNode]*CGEdge{}
-	ordered := make([]*CGNode, 0, len(sinks))
-	for s := range sinks {
-		ordered = append(ordered, s)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if sinks[ordered[i]] != sinks[ordered[j]] {
-			return sinks[ordered[i]] < sinks[ordered[j]]
-		}
-		return ordered[i].Name() < ordered[j].Name()
-	})
-	for _, sink := range ordered {
-		frontier := []*CGNode{sink}
-		for len(frontier) > 0 {
-			var nextFrontier []*CGNode
-			for _, n := range frontier {
-				for _, e := range n.In {
-					m := next[e.Caller]
-					if m == nil {
-						m = map[*CGNode]*CGEdge{}
-						next[e.Caller] = m
-					}
-					if _, seen := m[sink]; seen {
-						continue
-					}
-					if e.Caller == sink {
-						continue
-					}
-					m[sink] = e
-					nextFrontier = append(nextFrontier, e.Caller)
-				}
-			}
-			frontier = nextFrontier
-		}
-	}
-	return next
-}
-
-// witnessPath reconstructs the call path from n to sink using the next
-// map, returning the chain of edges. The first edge's position is where
-// the finding is reported; the names along the path go in the message.
-func witnessPath(next map[*CGNode]map[*CGNode]*CGEdge, n, sink *CGNode) []*CGEdge {
-	var path []*CGEdge
-	for n != sink {
-		m := next[n]
-		if m == nil {
-			return path
-		}
-		e := m[sink]
-		if e == nil {
-			return path
-		}
-		path = append(path, e)
-		n = e.Callee
-		if len(path) > 1024 { // cycle safety; cannot happen with BFS next-edges
-			return path
-		}
-	}
-	return path
-}
-
-// pathString renders "a → b → c" for a witness path starting at start.
-func pathString(start *CGNode, path []*CGEdge) string {
-	s := start.Name()
-	for _, e := range path {
-		s += " → " + e.Callee.Name()
-	}
-	return s
 }

@@ -1,30 +1,29 @@
 // Package lint is the repo's static-analysis framework: a small harness
 // over the standard library's go/ast and go/types (the module is
-// dependency-free, so no x/tools) plus ten repo-specific analyzers that
+// dependency-free, so no x/tools) plus nine repo-specific analyzers that
 // prove the simulator's determinism and protocol invariants at compile
 // time. The dynamic counterparts of these invariants — byte-identical
 // results at any worker count, seeded fault plans, the span tiling
 // property — are only as strong as the last test run; the analyzers make
 // the underlying disciplines unskippable:
 //
-//   - walltime: virtual-time packages never read the host clock
+//   - walltime: no module package reads the host clock
 //   - globalrand: randomness flows from explicitly seeded sources only
 //   - maprange: map iteration order never reaches emitted output
 //   - spanpair: every trace span Begin is End-ed on all paths
 //   - waitcheck: every non-blocking MPI request is waited or discarded
 //   - floateq: no ==/!= on floating-point operands in non-test code
 //   - prio: event tiebreak keys are minted only by Kernel.nextPrio
-//   - taintflow: no transitive call path from the virtual-time packages
-//     into the host clock, global randomness, or map-ordered emission
 //   - lpown: //dpml:owner-annotated state is touched only by its owning
 //     LP class, and cross-LP delays are provably ≥ the lookahead
 //   - sendpath: cross-LP communication uses AfterOn/AfterNet outbox
 //     routing, never direct scheduling or wakes on another LP's kernel
 //
-// The first seven run one package at a time; the last three are module
-// passes over a CHA call graph (callgraph.go) so a violation hidden
+// The first seven run one package at a time; the last two are module
+// passes over a CHA call graph (callgraph.go), so an access hidden
 // behind any chain of helpers in any package is still found, with the
-// full call path in the finding.
+// call chain in the finding. realedit_test.go pins, for each analyzer,
+// one edit to real code that it alone catches.
 //
 // Findings can be suppressed, one line at a time, with a
 // "//dpml:allow <analyzer> -- reason" comment; the driver verifies every
@@ -142,30 +141,9 @@ func Analyzers() []*Analyzer {
 		WaitcheckAnalyzer,
 		FloateqAnalyzer,
 		PrioAnalyzer,
-		TaintflowAnalyzer,
 		LpownAnalyzer,
 		SendpathAnalyzer,
 	}
-}
-
-// ByName resolves analyzer names to analyzers, erroring on unknown names.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	var out []*Analyzer
-	for _, n := range names {
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-	}
-	return out, nil
 }
 
 // Run executes the analyzers over the packages, applies //dpml:allow
@@ -177,11 +155,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // RunModule is Run with an explicit whole-module package set: findings
-// are reported in targets only, but module analyzers (taintflow, lpown,
-// sendpath) build their call graph over all, so chains through helper
-// packages outside the target set are still followed. all may be any
-// superset of the targets' module-local dependency closure; the loader's
-// Loaded method provides it.
+// are reported in targets only, but module analyzers (lpown, sendpath)
+// build their call graph over all, so chains through helper packages
+// outside the target set are still followed. all may be any superset of
+// the targets' module-local dependency closure; the loader's Loaded
+// method provides it.
 func RunModule(targets, all []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range targets {

@@ -105,11 +105,13 @@ func parseWants(t *testing.T, pkg *Package) map[string][]*want {
 
 func one(t *testing.T, name string) []*Analyzer {
 	t.Helper()
-	as, err := ByName([]string{name})
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return []*Analyzer{a}
+		}
 	}
-	return as
+	t.Fatalf("no analyzer %q", name)
+	return nil
 }
 
 func TestWalltimeFixture(t *testing.T)   { runFixture(t, "walltime", one(t, "walltime")) }
@@ -123,17 +125,10 @@ func TestPrioFixture(t *testing.T)       { runFixture(t, "prio", one(t, "prio"))
 // The module-analyzer fixtures exercise the interprocedural passes;
 // runFixture hands them the loader's full package closure so chains
 // through the fixtures' helper subpackages are followed.
-func TestTaintflowFixture(t *testing.T) { runFixture(t, "taintflow", one(t, "taintflow")) }
-func TestLpownFixture(t *testing.T)     { runFixture(t, "lpown", one(t, "lpown")) }
-func TestSendpathFixture(t *testing.T)  { runFixture(t, "sendpath", one(t, "sendpath")) }
+func TestLpownFixture(t *testing.T)    { runFixture(t, "lpown", one(t, "lpown")) }
+func TestSendpathFixture(t *testing.T) { runFixture(t, "sendpath", one(t, "sendpath")) }
 
 // The suppress fixture runs with floateq active: used allowances silence
 // their findings, and unused/unknown/reason-less allowances surface as
 // "suppress" findings alongside the uncovered floateq one.
 func TestSuppressFixture(t *testing.T) { runFixture(t, "suppress", one(t, "floateq")) }
-
-func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName([]string{"nope"}); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
-	}
-}

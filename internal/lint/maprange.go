@@ -94,8 +94,7 @@ func checkMapLoop(p *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, returned map[ty
 // emissionSink reports whether call emits output in call order — an
 // fmt print, a Write* method, or a Set/Add on the insertion-ordered
 // metrics registry — and, if so, maprange's finding for it inside a map
-// range. taintflow treats a function making such a call inside a map
-// range as a determinism sink.
+// range.
 func emissionSink(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(info, call)
 	if fn == nil {

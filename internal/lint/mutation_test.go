@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// The mutation tests prove the interprocedural analyzers are not
-// trivially green: a clean baseline package produces zero findings,
-// then a single injected violation — hidden behind helper hops — must
-// be caught, with the full call path in the message. The packages load
-// under testdata/src/<analyzer>_mut import paths so the analyzers'
-// package gating treats them exactly like the real fixtures.
+// The mutation tests prove the interprocedural checks are not trivially
+// green: a clean baseline package produces zero findings, then a single
+// injected violation — hidden behind helper hops — must be caught. The
+// packages load under testdata/src/<name>_mut import paths so the
+// analyzers treat them exactly like the real fixtures.
 
 // loadMutant writes src into a temp directory and loads it under
 // importPath with the shared fixture loader.
@@ -30,13 +29,15 @@ func loadMutant(t *testing.T, importPath, src string) *Package {
 	return pkg
 }
 
-func mutantFindings(t *testing.T, pkg *Package, analyzer string) []Finding {
+func mutantFindings(t *testing.T, pkg *Package, analyzers []*Analyzer) []Finding {
 	t.Helper()
-	return RunModule([]*Package{pkg}, fixtureLoader(t).Loaded(), one(t, analyzer))
+	return RunModule([]*Package{pkg}, fixtureLoader(t).Loaded(), analyzers)
 }
 
 // TestMutationTaintflow injects a host-clock read two helper hops below
-// an entry point and requires taintflow to spell out the whole chain.
+// an entry point — the mutation the deleted taintflow analyzer reported
+// once per caller — and requires the whole suite to report it exactly
+// once, at the read, as walltime's finding.
 func TestMutationTaintflow(t *testing.T) {
 	const clean = `package taintmut
 
@@ -48,7 +49,7 @@ func hop1() int64 { return hop2() }
 func hop2() int64 { return 42 }
 `
 	base := loadMutant(t, "dpml/internal/lint/testdata/src/taintflow_mut/base", clean)
-	if fs := mutantFindings(t, base, "taintflow"); len(fs) != 0 {
+	if fs := mutantFindings(t, base, Analyzers()); len(fs) != 0 {
 		t.Fatalf("clean baseline produced findings: %v", fs)
 	}
 
@@ -58,21 +59,13 @@ func hop2() int64 { return 42 }
 	mutated = strings.Replace(mutated, "package taintmut\n",
 		"package taintmut\n\nimport \"time\"\n", 1)
 	hot := loadMutant(t, "dpml/internal/lint/testdata/src/taintflow_mut/hot", mutated)
-	fs := mutantFindings(t, hot, "taintflow")
-	// Step (three hops) and hop1 (two) are reported; hop2's direct call
-	// is walltime's finding, not taintflow's.
-	if len(fs) != 2 {
-		t.Fatalf("want 2 findings for the injected clock read, got %d: %v", len(fs), fs)
+	fs := mutantFindings(t, hot, Analyzers())
+	if len(fs) != 1 {
+		t.Fatalf("want 1 finding for the injected clock read, got %d: %v", len(fs), fs)
 	}
-	const wantPath = "taintmut.Step → taintmut.hop1 → taintmut.hop2 → time.Now"
-	found := false
-	for _, f := range fs {
-		if f.Analyzer == "taintflow" && strings.Contains(f.Message, wantPath) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no finding carries the full call path %q: %v", wantPath, fs)
+	readLine := 1 + strings.Count(mutated[:strings.Index(mutated, "func hop2")], "\n")
+	if f := fs[0]; f.Analyzer != "walltime" || f.Pos.Line != readLine || !strings.Contains(f.Message, "time.Now") {
+		t.Fatalf("want walltime's time.Now finding at line %d, got %s", readLine, f)
 	}
 }
 
@@ -96,8 +89,9 @@ func arm(k *sim.Kernel, b *box) {
 
 func poke(b *box) { b.pending = 1 }
 `
+	lpown := one(t, "lpown")
 	base := loadMutant(t, "dpml/internal/lint/testdata/src/lpown_mut/base", clean)
-	if fs := mutantFindings(t, base, "lpown"); len(fs) != 0 {
+	if fs := mutantFindings(t, base, lpown); len(fs) != 0 {
 		t.Fatalf("clean baseline produced findings: %v", fs)
 	}
 
@@ -105,7 +99,7 @@ func poke(b *box) { b.pending = 1 }
 		`k.Spawn("bump", func(p *sim.Proc) { poke(b) })`,
 		`k.AfterNet(0, func() { poke(b) })`, 1)
 	hot := loadMutant(t, "dpml/internal/lint/testdata/src/lpown_mut/hot", mutated)
-	fs := mutantFindings(t, hot, "lpown")
+	fs := mutantFindings(t, hot, lpown)
 	if len(fs) != 1 {
 		t.Fatalf("want 1 finding for the injected cross-LP write, got %d: %v", len(fs), fs)
 	}

@@ -1,6 +1,5 @@
-// Fixture for the walltime analyzer. This package's import path is not
-// on the exempt list, so every host-clock read must be flagged; pure
-// constructors and conversions must not be.
+// Fixture for the walltime analyzer. Every host-clock read must be
+// flagged; pure constructors and conversions must not be.
 package walltime
 
 import "time"

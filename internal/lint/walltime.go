@@ -1,25 +1,15 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // WalltimeAnalyzer enforces virtual-time purity: the simulator's results
-// are bit-reproducible only because nothing on the sim/fabric/mpi/core
-// path can observe the host clock. Wall-clock reads are confined to the
-// measurement harness (internal/bench) and the CLI drivers under cmd/.
+// are bit-reproducible only because no module package observes the host
+// clock. The one legitimate read, a measurement harness timing its own
+// run, carries a //dpml:allow walltime justification at the read.
 var WalltimeAnalyzer = &Analyzer{
 	Name: "walltime",
-	Doc:  "forbid wall-clock reads (time.Now/Since/Sleep/After/...) outside internal/bench and cmd",
+	Doc:  "forbid wall-clock reads (time.Now/Since/Sleep/After/...) without a //dpml:allow",
 	Run:  runWalltime,
-}
-
-// walltimeExempt lists import-path prefixes allowed to touch the host
-// clock.
-var walltimeExempt = []string{
-	"dpml/internal/bench",
-	"dpml/cmd/",
 }
 
 // walltimeBanned are the package time functions that observe or wait on
@@ -32,11 +22,6 @@ var walltimeBanned = map[string]bool{
 }
 
 func runWalltime(p *Pass) {
-	for _, prefix := range walltimeExempt {
-		if p.Pkg.Path == strings.TrimSuffix(prefix, "/") || strings.HasPrefix(p.Pkg.Path, prefix) {
-			return
-		}
-	}
 	p.inspect(func(n ast.Node) bool {
 		sel, okSel := n.(*ast.SelectorExpr)
 		if !okSel {
@@ -44,7 +29,7 @@ func runWalltime(p *Pass) {
 		}
 		path, name, ok := pkgSelector(p.Pkg.Info, sel)
 		if ok && path == "time" && walltimeBanned[name] {
-			p.Reportf(n.Pos(), "time.%s reads the host clock; virtual-time packages must stay wall-clock-free (only internal/bench and cmd may)", name)
+			p.Reportf(n.Pos(), "time.%s reads the host clock; virtual-time code must stay wall-clock-free (justify a measurement read with //dpml:allow walltime -- reason)", name)
 		}
 		return true
 	})
