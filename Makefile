@@ -77,9 +77,9 @@ faultsmoke:
 # four shards (perturbed schedules must stay shard-invariant even under
 # the race detector's scheduling noise).
 explorecheck:
-	$(GO) run ./cmd/dpml-verify -designs all -faults ';all@0.7' -fault-seed 7 \
+	$(GO) run ./cmd/dpml-verify -design all -faults ';all@0.7' -fault-seed 7 \
 		-systematic -max-schedules 200 -min-distinct 100 -o /dev/null
-	$(GO) run ./cmd/dpml-verify -designs all -faults ';all@0.7' -fault-seed 7 \
+	$(GO) run ./cmd/dpml-verify -design all -faults ';all@0.7' -fault-seed 7 \
 		-schedules 32 -explore-seed 1 -o /dev/null
 	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/explore/
 

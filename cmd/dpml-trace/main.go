@@ -61,6 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *bytes <= 0 {
 		return fail(fmt.Errorf("bad size %d", *bytes))
 	}
+	if *iters < 1 {
+		return fail(fmt.Errorf("bad iters %d", *iters))
+	}
 
 	choose, _, err := bench.ChooserFor(*lib, *design)
 	if err != nil {

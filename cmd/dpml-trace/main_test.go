@@ -6,20 +6,35 @@ import (
 	"testing"
 )
 
+// expectRejected runs dpml-trace with one flag set to value and checks
+// it exits 1 with the wanted error and prints no profile.
+func expectRejected(t *testing.T, flag, value, want string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run([]string{flag, value}, &out, &errb); code != 1 {
+		t.Errorf("%s %s: exit = %d, want 1", flag, value, code)
+	}
+	if want = "dpml-trace: " + want; !strings.Contains(errb.String(), want) {
+		t.Errorf("%s %s: stderr = %q, want %q", flag, value, errb.String(), want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("%s %s: printed a profile:\n%s", flag, value, out.String())
+	}
+}
+
 // TestNonPositiveBytesRejected checks that -bytes 0 and negative sizes
 // fail cleanly instead of silently tracing a 4-byte allreduce.
 func TestNonPositiveBytesRejected(t *testing.T) {
 	for _, size := range []string{"0", "-5"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-bytes", size}, &out, &errb); code != 1 {
-			t.Errorf("-bytes %s: exit = %d, want 1", size, code)
-		}
-		if want := "dpml-trace: bad size " + size; !strings.Contains(errb.String(), want) {
-			t.Errorf("-bytes %s: stderr = %q, want %q", size, errb.String(), want)
-		}
-		if out.Len() != 0 {
-			t.Errorf("-bytes %s: printed a profile:\n%s", size, out.String())
-		}
+		expectRejected(t, "-bytes", size, "bad size "+size)
+	}
+}
+
+// TestNonPositiveItersRejected checks that -iters 0 and negative counts
+// fail cleanly instead of printing an empty profile.
+func TestNonPositiveItersRejected(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		expectRejected(t, "-iters", n, "bad iters "+n)
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 //	dpml-verify -schedules 32 -explore-seed 1        # 32 seeded schedules
 //	dpml-verify -systematic -min-distinct 100        # DPOR-lite frontier
-//	dpml-verify -designs all -faults ';all@0.7'      # whole design/fault matrix
+//	dpml-verify -design all -faults ';all@0.7'       # whole design/fault matrix
+//	dpml-verify -design flat,host-based              # a list of designs
 //	dpml-verify -design dpml-3 -salt 0x1badf00d      # rerun one seeded schedule
 //	dpml-verify -design flat -swaps 1200:0x1001:0x1002  # rerun one swap set
 //
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,48 +32,66 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the JSON report to
+// stdout (or -o) and errors to stderr, and returns the exit status (0
+// every schedule passed, 1 an invariant failed, 2 a usage or scenario
+// setup error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpml-verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		designs   = flag.String("designs", "", "comma-separated design names (core.ParseDesign grammar), or 'all' (see internal/explore.Designs)")
-		design    = flag.String("design", "dpml-3", "single design to explore when -designs is empty")
-		cluster   = flag.String("cluster", "A", "cluster profile (A..E)")
-		nodes     = flag.Int("nodes", 4, "nodes in the job")
-		ppn       = flag.Int("ppn", 4, "ranks per node")
-		count     = flag.Int("count", 61, "elements per rank")
-		dtype     = flag.String("dtype", "float32", "element type: float32|float64|int32|int64")
-		opName    = flag.String("op", "sum", "reduction op: sum|prod|max|min")
-		faultList = flag.String("faults", "", "semicolon-separated fault specs to explore under (each a faults.ParseSpec string; empty entry = healthy fabric)")
-		faultSeed = flag.Uint64("fault-seed", 0, "seed for fault-plan instantiation")
-		watchdog  = flag.Duration("watchdog", 0, "virtual-time deadline per schedule (0 = 1 virtual second)")
-		schedules = flag.Int("schedules", 0, "seeded schedules per combination (beyond the canonical baseline)")
-		seed      = flag.Uint64("explore-seed", 0, "exploration seed; per-schedule salts derive from it")
-		saltList  = flag.String("salt", "", "comma-separated explicit salts (repro of seeded schedules); overrides -schedules")
-		swapSpec  = flag.String("swaps", "", "comma-separated tiebreak transpositions at:rawA:rawB (repro of one systematic schedule)")
-		sysMode   = flag.Bool("systematic", false, "enumerate tiebreak inversions at commutation points (DPOR-lite), <=16 ranks recommended")
-		maxSched  = flag.Int("max-schedules", 0, "systematic schedule budget (0 = 192)")
-		minDist   = flag.Int("min-distinct", 0, "fail unless the systematic pass visits at least this many distinct schedules")
-		shards    = flag.Int("shards", 0, "kernel shards per schedule (0 = DPML_SHARDS env or 1); reports are identical for every value")
-		jobs      = flag.Int("j", 0, "parallel schedules across host cores (0 = all cores); reports are identical for every value")
-		out       = flag.String("o", "", "write the JSON report to file instead of stdout")
+		design    = fs.String("design", "dpml-3", "design name (core.ParseDesign grammar), a comma-separated list, or 'all' (see internal/explore.Designs)")
+		cluster   = fs.String("cluster", "A", "cluster profile (A..E)")
+		nodes     = fs.Int("nodes", 4, "nodes in the job")
+		ppn       = fs.Int("ppn", 4, "ranks per node")
+		count     = fs.Int("count", 61, "elements per rank")
+		dtype     = fs.String("dtype", "float32", "element type: float32|float64|int32|int64")
+		opName    = fs.String("op", "sum", "reduction op: sum|prod|max|min")
+		faultList = fs.String("faults", "", "semicolon-separated fault specs to explore under (each a faults.ParseSpec string; empty entry = healthy fabric)")
+		faultSeed = fs.Uint64("fault-seed", 0, "seed for fault-plan instantiation")
+		watchdog  = fs.Duration("watchdog", 0, "virtual-time deadline per schedule (0 = 1 virtual second)")
+		schedules = fs.Int("schedules", 0, "seeded schedules per combination (beyond the canonical baseline)")
+		seed      = fs.Uint64("explore-seed", 0, "exploration seed; per-schedule salts derive from it")
+		saltList  = fs.String("salt", "", "comma-separated explicit salts (repro of seeded schedules); overrides -schedules")
+		swapSpec  = fs.String("swaps", "", "comma-separated tiebreak transpositions at:rawA:rawB (repro of one systematic schedule)")
+		sysMode   = fs.Bool("systematic", false, "enumerate tiebreak inversions at commutation points (DPOR-lite), <=16 ranks recommended")
+		maxSched  = fs.Int("max-schedules", 0, "systematic schedule budget (0 = 192)")
+		minDist   = fs.Int("min-distinct", 0, "fail unless the systematic pass visits at least this many distinct schedules")
+		shards    = fs.Int("shards", 0, "kernel shards per schedule (0 = DPML_SHARDS env or 1); reports are identical for every value")
+		jobs      = fs.Int("j", 0, "parallel schedules across host cores (0 = all cores); reports are identical for every value")
+		out       = fs.String("o", "", "write the JSON report to file instead of stdout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "dpml-verify:", err)
+		return 2
+	}
 
 	dt, ok := explore.DatatypeByName(*dtype)
 	if !ok {
-		fatal(fmt.Errorf("unknown dtype %q", *dtype))
+		return fatal(fmt.Errorf("unknown dtype %q", *dtype))
 	}
 	op, ok := explore.OpByName(*opName)
 	if !ok {
-		fatal(fmt.Errorf("unknown op %q", *opName))
+		return fatal(fmt.Errorf("unknown op %q", *opName))
 	}
-	names := designNames(*designs, *design)
+	names := strings.Split(*design, ",")
+	if *design == "all" {
+		names = explore.Designs()
+	}
 	specs := strings.Split(*faultList, ";")
 	salts, err := parseSalts(*saltList)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	swaps, err := parseSwaps(*swapSpec)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	opts := explore.Options{
@@ -88,7 +108,7 @@ func main() {
 	var reports []*explore.Report
 	failed := false
 	for _, name := range names {
-		for _, fs := range specs {
+		for _, spec := range specs {
 			sc := explore.Scenario{
 				Cluster:   *cluster,
 				Nodes:     *nodes,
@@ -97,7 +117,7 @@ func main() {
 				Dtype:     dt,
 				Op:        op,
 				Design:    name,
-				Faults:    fs,
+				Faults:    spec,
 				FaultSeed: *faultSeed,
 				Watchdog:  sim.Duration(*watchdog),
 				Shards:    *shards,
@@ -105,24 +125,22 @@ func main() {
 			rep, err := explore.Run(sc, opts)
 			if err != nil {
 				failed = true
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
-			if rep != nil {
-				reports = append(reports, rep)
-			}
-			if rep == nil && err != nil {
+			if rep == nil {
 				// Scenario setup error, not an invariant failure: stop
 				// rather than repeat it for every combination.
-				os.Exit(2)
+				return 2
 			}
+			reports = append(reports, rep)
 		}
 	}
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer f.Close()
 		w = f
@@ -130,22 +148,12 @@ func main() {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(reports); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// designNames resolves -designs/-design into the list to explore.
-func designNames(list, single string) []string {
-	if list == "" {
-		return []string{single}
-	}
-	if list == "all" {
-		return explore.Designs()
-	}
-	return strings.Split(list, ",")
+	return 0
 }
 
 // parseSalts parses a comma-separated salt list (decimal or 0x hex).
@@ -190,9 +198,4 @@ func parseSwaps(s string) ([]sim.TieSwap, error) {
 		out = append(out, sim.TieSwap{At: sim.Time(at), A: a, B: b})
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpml-verify:", err)
-	os.Exit(2)
 }

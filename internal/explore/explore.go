@@ -3,13 +3,14 @@
 // asserts the full invariant battery on every one.
 //
 // The simulator's canonical schedule is a single point in a much larger
-// space: events at the same virtual instant, and messages matchable at
-// the same instant, are concurrent in the model — nothing in the
-// simulated physics orders them, only the kernel's tiebreak convention.
-// A design that is only correct under the canonical tiebreak is a
-// design with a latent arrival-order bug. This package perturbs the
-// tiebreaks (sim.Explore) and the message matching (mpi match shuffle)
-// to visit other points of that space, two ways:
+// space: events at the same virtual instant are concurrent in the model
+// — nothing in the simulated physics orders them, only the kernel's
+// tiebreak convention. A design that is only correct under the
+// canonical tiebreak is a design with a latent arrival-order bug. This
+// package perturbs the tiebreaks (sim.Explore) to visit other points of
+// that space; it is the only perturbation, because every arrival is its
+// own event and MPI matching order within a bucket is fixed by the
+// non-overtaking rule (see sim.Explore). It explores two ways:
 //
 //   - Seeded mode: N schedules, each under a salt derived from one
 //     exploration seed. Cheap, covers the space statistically, scales
@@ -54,15 +55,15 @@ import (
 	"dpml/internal/trace"
 )
 
-// Scenario describes one simulated collective to explore. The zero
-// value is usable: cluster A, 4 nodes x 4 ppn, a 61-element float32
-// sum (the paper's MPI_FLOAT microbenchmark shape) under the dpml-3
-// design on a healthy fabric.
+// Scenario describes one simulated collective to explore. The job shape
+// and count are taken as given: zero nodes or ppn fail at setup, and
+// zero count explores an empty allreduce. The other fields default to a
+// float32 sum under the dpml-3 design on cluster A's healthy fabric.
 type Scenario struct {
 	Cluster string // topology.ByName key ("" = "A")
-	Nodes   int    // 0 = 4
-	PPN     int    // 0 = 4
-	Count   int    // elements per rank; 0 = 61
+	Nodes   int
+	PPN     int
+	Count   int // elements per rank
 	Dtype   mpi.Datatype
 	Op      *mpi.Op // nil = mpi.Sum
 	Design  string  // core.ParseDesign name; "" = "dpml-3"
@@ -204,15 +205,6 @@ func resolve(sc Scenario) (*resolved, error) {
 	if sc.Cluster == "" {
 		sc.Cluster = "A"
 	}
-	if sc.Nodes == 0 {
-		sc.Nodes = 4
-	}
-	if sc.PPN == 0 {
-		sc.PPN = 4
-	}
-	if sc.Count == 0 {
-		sc.Count = 61
-	}
 	if sc.Op == nil {
 		sc.Op = mpi.Sum
 	}
@@ -353,8 +345,8 @@ func (rs *resolved) runOnce(x *sim.Explore) *outcome {
 
 	out := &outcome{
 		explore: x,
-		digest:  w.ScheduleDigest(),
-		ties:    w.TiePairs(),
+		digest:  w.Coordinator().ScheduleDigest(),
+		ties:    w.Coordinator().TiePairs(),
 	}
 	if runErr != nil {
 		// Watchdog fires, deadlock detection, or a workload error: the
@@ -504,14 +496,14 @@ func Run(sc Scenario, opts Options) (*Report, error) {
 
 	// Canonical baseline: salt 0, no swaps. Records ties (the
 	// systematic frontier's roots) and anchors the invariance checks.
-	canonical := rs.runOnce(&sim.Explore{RecordTies: true})
+	canonical := rs.runOnce(&sim.Explore{})
 	rep.Canonical = fmt.Sprintf("%#016x", canonical.digest)
 	rs.record(rep, &errs, "canonical", canonical, canonical)
 	distinct := map[uint64]bool{canonical.digest: true}
 
 	// Explicit swap-set repro run.
 	if len(opts.Swaps) > 0 {
-		out := rs.runOnce(&sim.Explore{Swaps: opts.Swaps, RecordTies: true})
+		out := rs.runOnce(&sim.Explore{Swaps: opts.Swaps})
 		rs.record(rep, &errs, fmt.Sprintf("swaps[%d]", len(opts.Swaps)), out, canonical)
 		distinct[out.digest] = true
 	}

@@ -20,7 +20,7 @@ func TestSeededExploreAllDesigns(t *testing.T) {
 		d := d
 		t.Run(d, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(Scenario{Design: d}, Options{Schedules: 4, Seed: 1})
+			rep, err := Run(Scenario{Nodes: 4, PPN: 4, Count: 61, Design: d}, Options{Schedules: 4, Seed: 1})
 			if err != nil {
 				t.Fatalf("exploration failed:\n%v", err)
 			}
@@ -42,7 +42,7 @@ func TestSeededExploreUnderFaults(t *testing.T) {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(Scenario{Design: "dpml-3", Faults: spec, FaultSeed: 7},
+			rep, err := Run(Scenario{Nodes: 4, PPN: 4, Count: 61, Design: "dpml-3", Faults: spec, FaultSeed: 7},
 				Options{Schedules: 4, Seed: 3})
 			if err != nil {
 				t.Fatalf("exploration failed:\n%v", err)
@@ -84,7 +84,7 @@ func TestSystematicCoverage16(t *testing.T) {
 	if testing.Short() {
 		t.Skip("systematic 16-rank coverage is explorecheck-scale; skipped in -short")
 	}
-	rep, err := Run(Scenario{Design: "dpml-3"},
+	rep, err := Run(Scenario{Nodes: 4, PPN: 4, Count: 61, Design: "dpml-3"},
 		Options{Systematic: true, MaxSchedules: 200, MinDistinct: 100, Workers: 4})
 	if err != nil {
 		t.Fatalf("exploration failed:\n%v", err)
@@ -182,7 +182,7 @@ func orderBugWorkload(nodes int) func(e *core.Engine, r *mpi.Rank) (*mpi.Vector,
 // check, with a self-contained repro line, while still completing the
 // full exploration (errors.Join, not fail-fast).
 func TestMutationOrderBugCaught(t *testing.T) {
-	sc := Scenario{Nodes: 2, PPN: 4, Workload: orderBugWorkload(2)}
+	sc := Scenario{Nodes: 2, PPN: 4, Count: 61, Workload: orderBugWorkload(2)}
 	rep, err := Run(sc, Options{Schedules: 6, Seed: 11})
 	if err == nil {
 		t.Fatal("explorer missed the planted ordering bug")
@@ -218,7 +218,7 @@ func TestBadScenarioFailsAtSetup(t *testing.T) {
 		sc   Scenario
 		want string
 	}{
-		{"too-many-leaders", Scenario{Design: "dpml-9", PPN: 2}, "explore: core: 9 leaders with ppn=2"},
+		{"too-many-leaders", Scenario{Design: "dpml-9", Nodes: 4, PPN: 2}, "explore: core: 9 leaders with ppn=2"},
 		{"negative-count", Scenario{Count: -1}, "explore: negative count -1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

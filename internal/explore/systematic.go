@@ -109,7 +109,7 @@ func (rs *resolved) systematic(opts Options, rep *Report, errs *[]error, canonic
 			frontier = frontier[:rem]
 		}
 		outs, err := sweep.Map(opts.Workers, frontier, func(_ int, swaps []sim.TieSwap) (*outcome, error) {
-			return rs.runOnce(&sim.Explore{Swaps: swaps, RecordTies: true}), nil
+			return rs.runOnce(&sim.Explore{Swaps: swaps}), nil
 		})
 		if err != nil {
 			*errs = append(*errs, err)

@@ -28,7 +28,6 @@ type envelope struct {
 	sendReq      *Request // rendezvous: completes when the payload lands
 	srcRank      *Rank
 	recvOverhead sim.Duration // receiver CPU cost charged before completion
-	arrived      sim.Time     // instant deliver ran; keys same-instant match shuffling
 }
 
 // Isend starts a non-blocking send of vec to comm rank dst with the given
@@ -103,7 +102,7 @@ func (r *Rank) Irecv(c *Comm, src, tag int, vec *Vector) *Request {
 		}
 		return req
 	}
-	r.postRecv(key, req)
+	r.posted[key] = append(r.posted[key], req)
 	return req
 }
 
@@ -143,7 +142,7 @@ func (r *Rank) deliver(env *envelope) {
 		}
 		return
 	}
-	r.parkUnexpected(env)
+	r.unexpected[env.key] = append(r.unexpected[env.key], env)
 }
 
 // completeRecv copies the payload into the posted buffer and completes the

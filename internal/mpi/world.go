@@ -71,12 +71,11 @@ type Config struct {
 	NetShards int
 	// Explore, when non-nil, installs a schedule-perturbation config on
 	// the simulation kernel (see sim.Explore and internal/explore): event
-	// tiebreaks are permuted per Salt/Swaps, and — when Salt is non-zero
-	// — message matching reorders same-instant concurrently-matchable
-	// envelopes through per-rank seeded streams. Nil is the canonical
-	// schedule, bit-identical to a build without the exploration layer.
-	// Like Jitter, every perturbed run is still deterministic and
-	// shard-count-invariant for a fixed config.
+	// tiebreaks are permuted per Salt/Swaps. Message matching is never
+	// perturbed: it stays FIFO per (communicator, source, tag) bucket.
+	// Nil is the canonical schedule, bit-identical to a build without
+	// the exploration layer. Like Jitter, every perturbed run is still
+	// deterministic and shard-count-invariant for a fixed config.
 	Explore *sim.Explore
 }
 
@@ -120,7 +119,6 @@ type World struct {
 	ranks    []*Rank
 	world    *Comm
 	rngs     []uint64                 // per-rank jitter stream states
-	mrngs    []uint64                 // per-rank match-order streams; nil unless exploring with a salt
 	strag    [][]stragWin             // per-rank straggler windows; nil without straggler faults
 	trans    []map[vecShape][]*Vector // per-node free lists for transit clones and receive temporaries (see pool.go)
 
@@ -180,16 +178,6 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 	w.rngs = make([]uint64, n)
 	for i := range w.rngs {
 		w.rngs[i] = (cfg.JitterSeed+uint64(i))*2654435761 + 0x9e3779b97f4a7c15
-	}
-	if cfg.Explore != nil && cfg.Explore.Salt != 0 {
-		// Per-rank match-order streams, salted from the exploration seed.
-		// Like the jitter streams, each is consumed only from its rank's
-		// own simulation context, in an order the shard count cannot
-		// change, so explored matching stays shard-invariant.
-		w.mrngs = make([]uint64, n)
-		for i := range w.mrngs {
-			w.mrngs[i] = (cfg.Explore.Salt+uint64(i))*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909
-		}
 	}
 	cfg.Trace.Reserve(n)
 	w.ranks = make([]*Rank, n)

@@ -42,8 +42,7 @@ package sim
 //     net range. Net events are exempt from tie recording (their
 //     internal order is not perturbed); the explorer still perturbs
 //     everything that executes on node LPs — wakeups, deliveries,
-//     completions — plus the MPI matching layer, which is where
-//     arrival-order races live.
+//     completions — which is where arrival-order races live.
 //
 // Explore turns that freedom into a search space: a splitmix64-salted
 // bijection perturbs every same-instant tiebreak (seeded random
@@ -55,15 +54,24 @@ package sim
 // systematic frontier, and folds a per-LP digest of the *raw* keys
 // actually fired so behaviorally identical schedules hash equal at every
 // (shards, GOMAXPROCS) combination.
+//
+// This is the only perturbation: MPI message matching stays FIFO per
+// (communicator, source, tag) bucket. Two entries of one bucket at one
+// instant are two messages from one sender or two receives posted by
+// one rank, whose order MPI's non-overtaking rule fixes; arrivals from
+// different senders are distinct events on the receiver's LP, which
+// the tiebreak permutation already reorders.
 
-// Explore configures schedule perturbation for one run. The zero value
-// (and a nil *Explore) means the canonical schedule. Install it with
+// Explore configures schedule perturbation for one run. A nil *Explore
+// means the canonical schedule; a non-nil one, even the zero value,
+// also digests the schedule and records its same-LP ties (at most
+// maxTies per LP) for the systematic frontier. Install it with
 // Coordinator.SetExplore before any proc or event is created.
 type Explore struct {
 	// Salt seeds the tiebreak permutation: every same-instant tiebreak
 	// is remapped through a splitmix64-style bijection mixed with the
-	// instant and this salt. Salt 0 leaves the canonical order (useful
-	// to record ties or digest the baseline schedule).
+	// instant and this salt. Salt 0 leaves the canonical order (the
+	// explorer's baseline run).
 	Salt uint64
 
 	// Swaps inverts specific same-instant tiebreak pairs, composed left
@@ -71,16 +79,11 @@ type Explore struct {
 	// swaps share a key). Applied before Salt. Used by the systematic
 	// explorer to flip exactly one commutation point per schedule.
 	Swaps []TieSwap
-
-	// RecordTies makes the kernel record same-LP same-instant adjacent
-	// fire pairs (the schedule-relevant commutation points) for the
-	// systematic frontier.
-	RecordTies bool
-
-	// MaxTies caps recorded ties per LP (0 = 64). A per-LP cap keeps
-	// the recorded set shard-count-invariant.
-	MaxTies int
 }
+
+// maxTies caps the ties recorded per LP. A per-LP cap keeps the
+// recorded set shard-count-invariant.
+const maxTies = 64
 
 // TieSwap names one same-instant tiebreak transposition: at instant At,
 // the events whose raw keys are A and B trade places in the total order.
@@ -109,18 +112,13 @@ type swapKey struct {
 // It is built once before the run and never mutated afterwards, so shard
 // kernels may consult it concurrently.
 type exploreState struct {
-	salt       uint64
-	swaps      map[swapKey]uint64
-	recordTies bool
-	maxTies    int
+	salt  uint64
+	swaps map[swapKey]uint64
 }
 
 // compile builds the shared state, composing Swaps into a bijection.
 func (x *Explore) compile() *exploreState {
-	st := &exploreState{salt: x.Salt, recordTies: x.RecordTies, maxTies: x.MaxTies}
-	if st.maxTies <= 0 {
-		st.maxTies = 64
-	}
+	st := &exploreState{salt: x.Salt}
 	if len(x.Swaps) > 0 {
 		st.swaps = make(map[swapKey]uint64, 2*len(x.Swaps))
 		get := func(at Time, r uint64) uint64 {
@@ -182,13 +180,11 @@ func (k *Kernel) setExplore(st *exploreState) {
 	k.lastAt = make([]Time, k.lpCount)
 	k.lastRaw = make([]uint64, k.lpCount)
 	k.lastSeq = make([]uint64, k.lpCount)
-	if st.recordTies {
-		k.ties = make([][]TiePair, k.lpCount)
-	}
+	k.ties = make([][]TiePair, k.lpCount)
 }
 
-// noteFire folds a fired event into its LP's schedule digest and, when
-// recording, collects same-LP same-instant adjacent pairs. Keys are
+// noteFire folds a fired event into its LP's schedule digest and
+// collects same-LP same-instant adjacent pairs. Keys are
 // folded in *raw* (pre-perturbation) form: two runs that fire the same
 // per-LP event sequences digest equal whatever their salts were, so the
 // digest counts behaviorally distinct schedules, not salt values. Raw
@@ -215,11 +211,8 @@ func (k *Kernel) noteFire(at Time, raw, born uint64, exec int32) {
 	d = mix64(d ^ uint64(at))
 	d = mix64(d ^ raw)
 	k.digest[i] = d
-	st := k.explore
-	if st.recordTies && exec != k.netLP {
-		if k.lastRaw[i] != 0 && k.lastAt[i] == at && born < k.lastSeq[i] && len(k.ties[i]) < st.maxTies {
-			k.ties[i] = append(k.ties[i], TiePair{At: at, LP: int(exec), A: k.lastRaw[i], B: raw})
-		}
+	if exec != k.netLP && k.lastRaw[i] != 0 && k.lastAt[i] == at && born < k.lastSeq[i] && len(k.ties[i]) < maxTies {
+		k.ties[i] = append(k.ties[i], TiePair{At: at, LP: int(exec), A: k.lastRaw[i], B: raw})
 	}
 	k.lastAt[i], k.lastRaw[i], k.lastSeq[i] = at, raw, k.fireSeq
 }
@@ -253,9 +246,6 @@ func (c *Coordinator) SetExplore(x *Explore) {
 	}
 }
 
-// Exploring reports whether SetExplore installed a perturbation config.
-func (c *Coordinator) Exploring() bool { return c.kernels[0].explore != nil }
-
 // ScheduleDigest returns a 64-bit digest of the schedule the run
 // actually executed: each LP's fired (at, raw key) sequence folded in
 // order, combined across LPs in LP-id order. It is invariant under
@@ -263,7 +253,7 @@ func (c *Coordinator) Exploring() bool { return c.kernels[0].explore != nil }
 // folds raw keys — equal for runs that fired identical per-LP sequences
 // under different salts. Zero when exploration is off. Call after Run.
 func (c *Coordinator) ScheduleDigest() uint64 {
-	if !c.Exploring() {
+	if c.kernels[0].explore == nil {
 		return 0
 	}
 	h := uint64(0x9e3779b97f4a7c15)
@@ -274,10 +264,11 @@ func (c *Coordinator) ScheduleDigest() uint64 {
 	return h
 }
 
-// TiePairs returns the commutation points observed by a RecordTies run:
+// TiePairs returns the commutation points an explored run observed:
 // same-LP same-instant adjacent fire pairs, in LP-id order then fire
-// order, capped per LP. The set is shard-count-invariant because each
-// LP's fire sequence is. Call after Run.
+// order, at most maxTies per LP. The set is shard-count-invariant
+// because each LP's fire sequence is. Nil when exploration is off.
+// Call after Run.
 func (c *Coordinator) TiePairs() []TiePair {
 	var out []TiePair
 	for lp := 0; lp <= c.nodes; lp++ {

@@ -25,7 +25,7 @@ func TestExploreZeroValueBitTransparent(t *testing.T) {
 // fast-path gate exists for.
 func TestExploreShardInvariance(t *testing.T) {
 	for _, salt := range []uint64{0, 1, 0x5eed} {
-		x := func() *Explore { return &Explore{Salt: salt, RecordTies: true} }
+		x := func() *Explore { return &Explore{Salt: salt} }
 		base, sched, ties := shardScenarioDigest(t, 1, x())
 		for _, shards := range []int{2, 3, 4, 8, 16} {
 			got, gs, gt := shardScenarioDigest(t, shards, x())
@@ -93,7 +93,7 @@ func tieOrderScenario(t *testing.T, x *Explore) (order []int, sched uint64, ties
 // run, re-run with that pair as a TieSwap, and observe the two events
 // fire in the opposite order with a different schedule digest.
 func TestExploreTieSwapInvertsPair(t *testing.T) {
-	order, sched, ties := tieOrderScenario(t, &Explore{RecordTies: true})
+	order, sched, ties := tieOrderScenario(t, &Explore{})
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("canonical order = %v, want [1 2]", order)
 	}

@@ -231,7 +231,7 @@ type Kernel struct {
 	// canonical schedule with zero overhead on the hot paths. When set,
 	// push perturbs same-instant tiebreaks through explore.perm, and the
 	// fire loops fold each LP's executed (at, raw) sequence into digest
-	// (plus, when recording, adjacent same-instant pairs into ties). All
+	// (plus adjacent same-instant pairs into ties). All
 	// arrays are indexed by lp - lpBase.
 	explore *exploreState
 	digest  []uint64
