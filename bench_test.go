@@ -63,7 +63,7 @@ func benchLatency(b *testing.B, cl *Cluster, nodes, ppn int, spec Spec, bytes in
 	b.ReportAllocs()
 	var last float64
 	for i := 0; i < b.N; i++ {
-		lat, err := AllreduceLatency(WorldConfig{}, cl, nodes, ppn, FixedSpec(spec), []int{bytes}, 2, 1)
+		lat, err := AllreduceLatency(WorldConfig{}, cl, nodes, ppn, spec, []int{bytes}, 2, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkAblationClusters(b *testing.B) {
 			b.ReportAllocs()
 			var last float64
 			for i := 0; i < b.N; i++ {
-				lat, err := AllreduceLatency(WorldConfig{}, cl, 8, 16, LibrarySpec(LibProposed), []int{64 << 10}, 2, 1)
+				lat, err := AllreduceLatency(WorldConfig{}, cl, 8, 16, Spec{Design: DesignProposed}, []int{64 << 10}, 2, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

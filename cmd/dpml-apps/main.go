@@ -13,7 +13,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"dpml/internal/apps/dnn"
 	"dpml/internal/apps/hpcg"
@@ -24,73 +26,75 @@ import (
 )
 
 func main() {
-	var (
-		app         = flag.String("app", "hpcg", "workload: hpcg, miniamr, or dnn")
-		clusterName = flag.String("cluster", "A", "cluster: A, B, C, or D")
-		nodes       = flag.Int("nodes", 4, "number of nodes")
-		ppn         = flag.Int("ppn", 8, "processes per node")
-		lib         = flag.String("lib", "proposed", "library for miniamr/dnn: mvapich2, intelmpi, proposed, pap-aware")
-		design      = flag.String("design", "host-based", "hpcg DDOT design name (see dpml-osu)")
-		iters       = flag.Int("iters", 20, "CG iterations (hpcg)")
-		steps       = flag.Int("steps", 3, "refinement/training steps (miniamr, dnn)")
-		bucket      = flag.Int("bucket", 0, "gradient bucket bytes (dnn; 0 = per layer)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the whole command: it parses args, writes the metrics to stdout
+// and errors to stderr, and returns the exit status (0 ok, 1 a failed
+// run or bad parameter, 2 a usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpml-apps", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		app         = fs.String("app", "hpcg", "workload: hpcg, miniamr, or dnn")
+		clusterName = fs.String("cluster", "A", "cluster: A, B, C, or D")
+		nodes       = fs.Int("nodes", 4, "number of nodes")
+		ppn         = fs.Int("ppn", 8, "processes per node")
+		design      = fs.String("design", "proposed", "allreduce design name, including the per-size selectors mvapich2, intelmpi, proposed, pap-aware (see dpml-osu)")
+		iters       = fs.Int("iters", 20, "CG iterations (hpcg)")
+		steps       = fs.Int("steps", 3, "refinement/training steps (miniamr, dnn)")
+		bucket      = fs.Int("bucket", 0, "gradient bucket bytes (dnn; 0 = per layer)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dpml-apps:", err)
+		return 1
+	}
+
+	if !slices.Contains([]string{"hpcg", "miniamr", "dnn"}, *app) {
+		return fail(fmt.Errorf("unknown app %q", *app))
+	}
 	spec, err := core.ParseDesign(*design)
 	if err != nil {
-		fatal(err)
-	}
-	if err := core.CheckLibrary(core.Library(*lib)); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+		return fail(fmt.Errorf("unknown cluster %q", *clusterName))
 	}
 	job, err := topology.NewJob(cl, *nodes, *ppn)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
-	if *app == "hpcg" {
-		if err := e.Validate(spec); err != nil {
-			fatal(err)
-		}
+	if err := e.Validate(spec); err != nil {
+		return fail(err)
 	}
-	fmt.Printf("%s on %s, %d nodes x %d ppn (%d procs)\n", *app, cl.Name, *nodes, *ppn, job.NumProcs())
+	fmt.Fprintf(stdout, "%s on %s, %d nodes x %d ppn (%d procs)\n", *app, cl.Name, *nodes, *ppn, job.NumProcs())
 
 	switch *app {
 	case "hpcg":
 		res, err := hpcg.Run(e, hpcg.Config{Nx: 16, Ny: 16, Nz: 8, Iterations: *iters, Real: true, Spec: spec})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("  DDOT time  %v\n  total time %v\n  residual drop %.2e over %d iterations\n",
+		fmt.Fprintf(stdout, "  DDOT time  %v\n  total time %v\n  residual drop %.2e over %d iterations\n",
 			res.DDOTTime, res.TotalTime, res.ResidualDrop, res.Iterations)
 	case "miniamr":
-		res, err := miniamr.Run(e, miniamr.Config{
-			BlocksPerRank: 32, BlockBytes: 4096, Steps: *steps, Library: core.Library(*lib),
-		})
+		res, err := miniamr.Run(e, miniamr.Config{BlocksPerRank: 32, BlockBytes: 4096, Steps: *steps, Spec: spec})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, *lib)
+		fmt.Fprintf(stdout, "  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, spec)
 	case "dnn":
-		res, err := dnn.Run(e, dnn.Config{
-			Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Library: core.Library(*lib),
-		})
+		res, err := dnn.Run(e, dnn.Config{Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Spec: spec})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("  step time %v, gradient averaging %v (%d allreduces/step, library %s)\n",
-			res.StepTime, res.CommTime, res.Allreduces, *lib)
-	default:
-		fatal(fmt.Errorf("unknown app %q", *app))
+		fmt.Fprintf(stdout, "  step time %v, gradient averaging %v (%d allreduces/step, library %s)\n",
+			res.StepTime, res.CommTime, res.Allreduces, spec)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpml-apps:", err)
-	os.Exit(1)
+	return 0
 }

@@ -7,9 +7,13 @@
 // Usage:
 //
 //	dpml-trace -cluster B -nodes 4 -ppn 8 -design dpml-8 -bytes 524288
-//	dpml-trace -cluster A -lib proposed -bytes 256 -csv events.csv
+//	dpml-trace -cluster A -design proposed -bytes 256 -csv events.csv
 //	dpml-trace -cluster A -design sharp-node -phases -critpath -metrics
-//	dpml-trace -cluster B -design dpml-pipe-4x4:ring -chrome trace.json
+//	dpml-trace -cluster B -design dpml-pipe-4x4 -chrome trace.json
+//
+// The workload line names the spec that ran: for a selector design
+// (mvapich2, intelmpi, proposed, pap-aware), the one it picks for the
+// message size.
 package main
 
 import (
@@ -18,7 +22,6 @@ import (
 	"io"
 	"os"
 
-	"dpml/internal/bench"
 	"dpml/internal/core"
 	"dpml/internal/mpi"
 	"dpml/internal/topology"
@@ -39,8 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clusterName = fs.String("cluster", "B", "cluster: A, B, C, or D")
 		nodes       = fs.Int("nodes", 4, "number of nodes")
 		ppn         = fs.Int("ppn", 8, "processes per node")
-		design      = fs.String("design", "dpml-4", "design name (see dpml-osu)")
-		lib         = fs.String("lib", "", "library selector instead of -design")
+		design      = fs.String("design", "dpml-4", "design name, or a per-size selector (see dpml-osu)")
 		bytes       = fs.Int("bytes", 64<<10, "message size")
 		iters       = fs.Int("iters", 2, "allreduce iterations")
 		csvPath     = fs.String("csv", "", "write the raw event log to this file")
@@ -65,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("bad iters %d", *iters))
 	}
 
-	choose, _, err := bench.ChooserFor(*lib, *design)
+	spec, err := core.ParseDesign(*design)
 	if err != nil {
 		return fail(err)
 	}
@@ -82,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	e := core.NewEngine(w)
 
 	count := max(*bytes/4, 1)
-	spec := choose(e, count*4)
+	spec = e.Resolve(spec, count*4)
 	if err := e.Validate(spec); err != nil {
 		return fail(err)
 	}

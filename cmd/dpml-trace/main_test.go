@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -47,4 +48,37 @@ func TestSmallTraceRuns(t *testing.T) {
 	if !strings.Contains(out.String(), "workload: 2 x allreduce(256 bytes) with dpml-2") {
 		t.Errorf("missing workload line:\n%s", out.String())
 	}
+}
+
+// TestLibFlagGone: selectors are designs, so -lib is an unknown flag.
+func TestLibFlagGone(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-lib", "proposed"}, &out, &errb); code != 2 {
+		t.Errorf("exit = %d, want 2", code)
+	}
+}
+
+// TestProposedGolden: -design proposed traces, and names in the workload
+// line, the spec the selector picks, printing byte for byte what -lib
+// proposed printed before selectors became designs
+// (testdata/proposed.golden).
+func TestProposedGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/proposed.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code := run([]string{"-cluster", "A", "-nodes", "2", "-ppn", "4", "-bytes", "256", "-design", "proposed"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr: %s", code, errb.String())
+	}
+	if out.String() != string(want) {
+		t.Errorf("output differs from testdata/proposed.golden:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	}
+}
+
+// TestPipelinedAlgRejected: the pipelined inter-leader phase always runs
+// its own Rabenseifner, so an algorithm suffix is an error, not ignored.
+func TestPipelinedAlgRejected(t *testing.T) {
+	expectRejected(t, "-design", "dpml-pipe-4x4:ring", `core: design "dpml-pipe-4x4:ring"`)
 }

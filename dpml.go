@@ -13,6 +13,10 @@
 //	    return eng.Allreduce(r, dpml.DPML(8), dpml.Sum, v)
 //	})
 //
+// Every allreduce strategy is a Spec. The selector designs
+// (DesignMVAPICH2, DesignIntelMPI, DesignProposed) run, per message
+// size, the design that library's decision table picks.
+//
 // Everything runs in deterministic virtual time: identical inputs give
 // identical latencies, and the reduction arithmetic is really performed
 // (use NewPhantom for timing-only sweeps at scale).
@@ -61,8 +65,6 @@ type (
 	Spec = core.Spec
 	// Design names an allreduce strategy.
 	Design = core.Design
-	// Library names a tuned baseline selector.
-	Library = core.Library
 	// NBHandle tracks a non-blocking allreduce (from Engine.IAllreduce).
 	NBHandle = core.NBHandle
 	// CostParams is Section 5's analytic model.
@@ -77,8 +79,6 @@ type (
 	BenchOptions = bench.Options
 	// MBWConfig describes a multi-pair throughput measurement.
 	MBWConfig = bench.MBWConfig
-	// SpecChooser picks a Spec per message size.
-	SpecChooser = bench.SpecChooser
 	// Time is an instant of virtual time (integer nanoseconds).
 	Time = sim.Time
 	// Duration is a span of virtual time.
@@ -113,20 +113,16 @@ const (
 	AlgReduceBcast       = mpi.AlgReduceBcast
 )
 
-// Designs.
+// Designs. The last three are selectors: per message size they run the
+// spec a tuned library's decision table picks.
 const (
-	DesignFlat          = core.DesignFlat
-	DesignDPML          = core.DesignDPML
-	DesignDPMLPipelined = core.DesignDPMLPipelined
-	DesignSharpNode     = core.DesignSharpNode
-	DesignSharpSocket   = core.DesignSharpSocket
-)
-
-// Baseline libraries.
-const (
-	LibMVAPICH2 = core.LibMVAPICH2
-	LibIntelMPI = core.LibIntelMPI
-	LibProposed = core.LibProposed
+	DesignFlat        = core.DesignFlat
+	DesignDPML        = core.DesignDPML
+	DesignSharpNode   = core.DesignSharpNode
+	DesignSharpSocket = core.DesignSharpSocket
+	DesignMVAPICH2    = core.DesignMVAPICH2
+	DesignIntelMPI    = core.DesignIntelMPI
+	DesignProposed    = core.DesignProposed
 )
 
 // Cluster constructors for the paper's four evaluation platforms.
@@ -167,7 +163,7 @@ var (
 	Flat = core.Flat
 	// BestLeaders is the tuned per-size leader count (Section 6.4).
 	BestLeaders = core.BestLeaders
-	// Libraries lists the comparable baselines.
+	// Libraries lists the comparable baseline selectors.
 	Libraries = core.Libraries
 )
 
@@ -191,10 +187,6 @@ var (
 	AllreduceLatency = bench.AllreduceLatency
 	// MultiPairThroughput is the osu_mbw_mr-style measurement loop.
 	MultiPairThroughput = bench.MultiPairThroughput
-	// FixedSpec adapts a constant Spec to a SpecChooser.
-	FixedSpec = bench.FixedSpec
-	// LibrarySpec adapts a library decision table to a SpecChooser.
-	LibrarySpec = bench.LibrarySpec
 	// TuneDPML runs the Section 6.4 empirical tuning sweep.
 	TuneDPML = bench.TuneDPML
 )

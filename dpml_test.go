@@ -63,7 +63,7 @@ func TestPublicSpecsAndLibraries(t *testing.T) {
 	if HostBased().Leaders != 1 {
 		t.Fatal("HostBased must be the single-leader hierarchy")
 	}
-	if Flat(AlgRing).FlatAlg != AlgRing {
+	if Flat(AlgRing).Alg != AlgRing {
 		t.Fatal("Flat constructor broken")
 	}
 	if BestLeaders(28, 1<<20) != 16 {
@@ -117,7 +117,7 @@ func TestPublicMiniAMR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMiniAMR(eng, MiniAMRConfig{BlocksPerRank: 4, BlockBytes: 512, Steps: 2, Library: LibProposed})
+	res, err := RunMiniAMR(eng, MiniAMRConfig{BlocksPerRank: 4, BlockBytes: 512, Steps: 2, Spec: Spec{Design: DesignProposed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPublicDNN(t *testing.T) {
 	}
 	res, err := RunDNN(eng, DNNConfig{
 		Layers: []DNNLayer{{Name: "fc", Elems: 1 << 16}},
-		Steps:  1, Library: LibProposed,
+		Steps:  1, Spec: Spec{Design: DesignProposed},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 	"dpml"
 )
 
-func run(lib dpml.Library, bucketBytes int) dpml.DNNResult {
+func run(lib dpml.Spec, bucketBytes int) dpml.DNNResult {
 	eng, err := dpml.NewSystem(dpml.ClusterD(), 8, 16)
 	if err != nil {
 		log.Fatal(err)
@@ -27,7 +27,7 @@ func run(lib dpml.Library, bucketBytes int) dpml.DNNResult {
 		Layers:      dpml.ResNet50ish(),
 		Steps:       2,
 		BucketBytes: bucketBytes,
-		Library:     lib,
+		Spec:        lib,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -48,7 +48,7 @@ func main() {
 	var mv2 dpml.Duration
 	for _, lib := range dpml.Libraries() {
 		res := run(lib, 0)
-		if lib == dpml.LibMVAPICH2 {
+		if lib.Design == dpml.DesignMVAPICH2 {
 			mv2 = res.CommTime
 		}
 		fmt.Printf("  %-10s step %10v  gradient-averaging %10v (%.2fx vs MVAPICH2)\n",
@@ -57,7 +57,7 @@ func main() {
 
 	fmt.Println("\nbucketing sweep (proposed library):")
 	for _, b := range []int{0, 256 << 10, 1 << 20, 4 << 20} {
-		res := run(dpml.LibProposed, b)
+		res := run(dpml.Spec{Design: dpml.DesignProposed}, b)
 		label := "per-layer"
 		if b > 0 {
 			label = fmt.Sprintf("%d KB buckets", b>>10)

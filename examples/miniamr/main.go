@@ -10,7 +10,7 @@ import (
 	"dpml"
 )
 
-func refineTime(cluster *dpml.Cluster, lib dpml.Library) (dpml.Duration, error) {
+func refineTime(cluster *dpml.Cluster, lib dpml.Spec) (dpml.Duration, error) {
 	eng, err := dpml.NewSystem(cluster, 8, 16)
 	if err != nil {
 		return 0, err
@@ -19,7 +19,7 @@ func refineTime(cluster *dpml.Cluster, lib dpml.Library) (dpml.Duration, error) 
 		BlocksPerRank: 32,
 		BlockBytes:    4096,
 		Steps:         3,
-		Library:       lib,
+		Spec:          lib,
 	})
 	if err != nil {
 		return 0, err
@@ -36,11 +36,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if lib == dpml.LibMVAPICH2 {
+			if lib.Design == dpml.DesignMVAPICH2 {
 				mv2 = t
 			}
 			fmt.Printf("  %-10s %12v", lib, t)
-			if lib != dpml.LibMVAPICH2 && t > 0 {
+			if lib.Design != dpml.DesignMVAPICH2 && t > 0 {
 				fmt.Printf("  (%.0f%% faster than MVAPICH2)", 100*(float64(mv2)/float64(t)-1))
 			}
 			fmt.Println()

@@ -49,8 +49,9 @@ type Config struct {
 	// at least this many bytes before the allreduce (0 = one allreduce
 	// per layer, like naive gradient averaging).
 	BucketBytes int
-	// Library selects the allreduce configurations.
-	Library core.Library
+	// Spec is the allreduce design (a selector picks the configuration
+	// per bucket size).
+	Spec core.Spec
 	// ComputePerElem is the simulated backprop cost per gradient
 	// element in bytes-equivalent compute (default 8).
 	ComputePerElem int
@@ -64,7 +65,7 @@ type Result struct {
 	Steps      int
 }
 
-func (c Config) validate() error {
+func (c Config) validate(e *core.Engine) error {
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("dnn: no layers")
 	}
@@ -79,7 +80,7 @@ func (c Config) validate() error {
 	if c.BucketBytes < 0 {
 		return fmt.Errorf("dnn: negative bucket size")
 	}
-	return nil
+	return e.Validate(c.Spec)
 }
 
 // buckets groups consecutive layers into allreduce payloads of at least
@@ -103,7 +104,7 @@ func (c Config) buckets() []int {
 // Run executes the training kernel on the engine's world (it calls
 // World.Run).
 func Run(e *core.Engine, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(e); err != nil {
 		return Result{}, err
 	}
 	if cfg.ComputePerElem <= 0 {
@@ -127,7 +128,7 @@ func Run(e *core.Engine, cfg Config) (Result, error) {
 			// Gradient averaging, bucket by bucket.
 			for _, g := range grads {
 				t0 := r.Now()
-				if err := e.LibraryAllreduce(r, cfg.Library, mpi.Sum, g); err != nil {
+				if err := e.Allreduce(r, cfg.Spec, mpi.Sum, g); err != nil {
 					return err
 				}
 				comm += r.Now().Sub(t0)

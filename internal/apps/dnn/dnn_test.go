@@ -56,7 +56,7 @@ func TestRunValidation(t *testing.T) {
 		{Layers: []Layer{{"x", 1}}, Steps: 1, BucketBytes: -1},
 	}
 	for i, cfg := range bad {
-		cfg.Library = core.LibProposed
+		cfg.Spec = core.Spec{Design: core.DesignProposed}
 		if _, err := Run(e, cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
@@ -66,9 +66,9 @@ func TestRunValidation(t *testing.T) {
 func TestTrainingStepRuns(t *testing.T) {
 	e := engineOn(t, 2, 4)
 	res, err := Run(e, Config{
-		Layers:  ResNet50ish(),
-		Steps:   2,
-		Library: core.LibProposed,
+		Layers: ResNet50ish(),
+		Steps:  2,
+		Spec:   core.Spec{Design: core.DesignProposed},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestBucketingReducesCommTime(t *testing.T) {
 			Layers:      layers,
 			Steps:       2,
 			BucketBytes: bucketBytes,
-			Library:     core.LibProposed,
+			Spec:        core.Spec{Design: core.DesignProposed},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -115,21 +115,21 @@ func TestBucketingReducesCommTime(t *testing.T) {
 }
 
 func TestProposedBeatsMVAPICH2OnTraining(t *testing.T) {
-	run := func(lib core.Library) Result {
+	run := func(lib core.Spec) Result {
 		e := engineOn(t, 4, 8)
 		res, err := Run(e, Config{
 			Layers:      ResNet50ish(),
 			Steps:       2,
 			BucketBytes: 1 << 20,
-			Library:     lib,
+			Spec:        lib,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	mv2 := run(core.LibMVAPICH2)
-	prop := run(core.LibProposed)
+	mv2 := run(core.Spec{Design: core.DesignMVAPICH2})
+	prop := run(core.Spec{Design: core.DesignProposed})
 	if prop.CommTime >= mv2.CommTime {
 		t.Fatalf("proposed comm (%v) not faster than MVAPICH2 (%v)",
 			prop.CommTime, mv2.CommTime)

@@ -30,9 +30,9 @@ type Config struct {
 	Steps int
 	// Real carries actual data through the reductions.
 	Real bool
-	// Library picks the allreduce configuration per message size, the
-	// quantity Figure 11b-c varies.
-	Library core.Library
+	// Spec is the allreduce design, the quantity Figure 11b-c varies
+	// (a selector picks the configuration per message size).
+	Spec core.Spec
 }
 
 // Result summarizes one run (rank 0's view).
@@ -46,7 +46,7 @@ type Result struct {
 	Steps         int
 }
 
-func (c Config) validate() error {
+func (c Config) validate(e *core.Engine) error {
 	switch {
 	case c.BlocksPerRank <= 0:
 		return fmt.Errorf("miniamr: BlocksPerRank = %d", c.BlocksPerRank)
@@ -55,13 +55,13 @@ func (c Config) validate() error {
 	case c.Steps <= 0:
 		return fmt.Errorf("miniamr: Steps = %d", c.Steps)
 	}
-	return nil
+	return e.Validate(c.Spec)
 }
 
 // Run executes the refinement kernel on the engine's world (it calls
 // World.Run).
 func Run(e *core.Engine, cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(e); err != nil {
 		return Result{}, err
 	}
 	var res Result
@@ -107,7 +107,7 @@ func run(e *core.Engine, r *mpi.Rank, cfg Config) (Result, error) {
 				}
 			}
 		}
-		if err := e.LibraryAllreduce(r, cfg.Library, mpi.Sum, hist); err != nil {
+		if err := e.Allreduce(r, cfg.Spec, mpi.Sum, hist); err != nil {
 			return Result{}, err
 		}
 		if cfg.Real {
@@ -122,7 +122,7 @@ func run(e *core.Engine, r *mpi.Rank, cfg Config) (Result, error) {
 			ctl = mpi.NewVector(mpi.Float64, 1)
 			ctl.Set(0, float64(cfg.BlocksPerRank))
 		}
-		if err := e.LibraryAllreduce(r, cfg.Library, mpi.Max, ctl); err != nil {
+		if err := e.Allreduce(r, cfg.Spec, mpi.Max, ctl); err != nil {
 			return Result{}, err
 		}
 

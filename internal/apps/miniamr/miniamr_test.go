@@ -23,7 +23,7 @@ func TestRefinementHistogramCorrect(t *testing.T) {
 	// block id (shifted per step); verify the aggregated count.
 	e := engineOn(t, topology.ClusterC(), 2, 3)
 	p := e.W.Job.NumProcs()
-	cfg := Config{BlocksPerRank: 4, BlockBytes: 1024, Steps: 3, Real: true, Library: core.LibMVAPICH2}
+	cfg := Config{BlocksPerRank: 4, BlockBytes: 1024, Steps: 3, Real: true, Spec: core.Spec{Design: core.DesignMVAPICH2}}
 	res, err := Run(e, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestRefinementHistogramCorrect(t *testing.T) {
 func TestAllLibrariesRun(t *testing.T) {
 	for _, lib := range core.Libraries() {
 		e := engineOn(t, topology.ClusterC(), 2, 4)
-		res, err := Run(e, Config{BlocksPerRank: 2, BlockBytes: 512, Steps: 2, Library: lib})
+		res, err := Run(e, Config{BlocksPerRank: 2, BlockBytes: 512, Steps: 2, Spec: lib})
 		if err != nil {
 			t.Fatalf("%s: %v", lib, err)
 		}
@@ -58,16 +58,16 @@ func TestProposedBeatsMVAPICH2AtScale(t *testing.T) {
 	// Figure 11b-c's claim: the proposed design reduces the refinement
 	// time relative to MVAPICH2 (medium/large allreduces benefit from
 	// DPML).
-	run := func(lib core.Library) sim.Duration {
+	run := func(lib core.Spec) sim.Duration {
 		e := engineOn(t, topology.ClusterC(), 4, 16)
-		res, err := Run(e, Config{BlocksPerRank: 64, BlockBytes: 4096, Steps: 2, Library: lib})
+		res, err := Run(e, Config{BlocksPerRank: 64, BlockBytes: 4096, Steps: 2, Spec: lib})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.RefineTime
 	}
-	mv2 := run(core.LibMVAPICH2)
-	prop := run(core.LibProposed)
+	mv2 := run(core.Spec{Design: core.DesignMVAPICH2})
+	prop := run(core.Spec{Design: core.DesignProposed})
 	if prop >= mv2 {
 		t.Fatalf("proposed (%v) not faster than MVAPICH2 (%v)", prop, mv2)
 	}
@@ -81,7 +81,7 @@ func TestConfigValidation(t *testing.T) {
 		{BlocksPerRank: 1, BlockBytes: 1, Steps: 0},
 	}
 	for i, cfg := range bad {
-		cfg.Library = core.LibMVAPICH2
+		cfg.Spec = core.Spec{Design: core.DesignMVAPICH2}
 		if _, err := Run(e, cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
@@ -91,7 +91,7 @@ func TestConfigValidation(t *testing.T) {
 func TestPhantomAndRealSameTiming(t *testing.T) {
 	timing := func(real bool) sim.Duration {
 		e := engineOn(t, topology.ClusterC(), 2, 2)
-		res, err := Run(e, Config{BlocksPerRank: 8, BlockBytes: 256, Steps: 2, Real: real, Library: core.LibIntelMPI})
+		res, err := Run(e, Config{BlocksPerRank: 8, BlockBytes: 256, Steps: 2, Real: real, Spec: core.Spec{Design: core.DesignIntelMPI}})
 		if err != nil {
 			t.Fatal(err)
 		}

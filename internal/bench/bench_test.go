@@ -13,51 +13,35 @@ import (
 
 func TestAllreduceLatencyBasics(t *testing.T) {
 	sizes := []int{4, 4096}
-	lat, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 2, 1)
+	lat, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, core.DPML(1), sizes, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lat) != 2 || lat[0] <= 0 || lat[1] <= lat[0] {
 		t.Fatalf("latencies %v: want positive and increasing with size", lat)
 	}
-	if _, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, FixedSpec(core.DPML(1)), sizes, 0, 0); err == nil {
+	if _, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, core.DPML(1), sizes, 0, 0); err == nil {
 		t.Fatal("iters=0 accepted")
+	}
+	_, err = AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, core.DPML(1), sizes, 1, -3)
+	if err == nil || err.Error() != "bench: warmup = -3" {
+		t.Fatalf("warmup=-3: err = %v", err)
 	}
 }
 
 // TestAllreduceLatencyValidatesFirst: a spec the job cannot run comes
-// back as the one Validate error before the job starts: the chooser runs
-// once, for the first size, not on every rank once events run.
+// back as the one Validate error before the job starts, not as one
+// error per rank once events run.
 func TestAllreduceLatencyValidatesFirst(t *testing.T) {
-	calls := 0
-	bad := func(*core.Engine, int) core.Spec { calls++; return core.DPML(3) }
-	_, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, bad, []int{4, 4096}, 2, 1)
+	_, err := AllreduceLatency(mpi.Config{}, topology.ClusterB(), 2, 2, core.DPML(3), []int{4, 4096}, 2, 1)
 	if err == nil || err.Error() != "core: 3 leaders with ppn=2" {
 		t.Fatalf("err = %v, want the single Validate error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("chooser ran %d times, want once", calls)
-	}
-}
-
-func TestChooserFor(t *testing.T) {
-	if _, label, err := ChooserFor("", "dpml-pipe-2x4:ring"); err != nil || label != "dpml-pipe-2x4:ring" {
-		t.Errorf("design: label %q, err %v", label, err)
-	}
-	if _, label, err := ChooserFor("proposed", "bogus"); err != nil || label != "proposed" {
-		t.Errorf("library overrides design: label %q, err %v", label, err)
-	}
-	if _, _, err := ChooserFor("foo", ""); err == nil {
-		t.Error("unknown library accepted")
-	}
-	if _, _, err := ChooserFor("", "dpml"); err == nil {
-		t.Error("unknown design accepted")
 	}
 }
 
 func TestLatencyDeterministic(t *testing.T) {
 	run := func() []float64 {
-		s, err := LatencySeries(mpi.Config{}, "x", topology.ClusterC(), 2, 4, LibrarySpec(core.LibProposed),
+		s, err := LatencySeries(mpi.Config{}, "x", topology.ClusterC(), 2, 4, core.Spec{Design: core.DesignProposed},
 			[]int{64, 64 << 10}, 2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +233,9 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 // 10,240-rank job whose scale exercises the heap and ready-ring hot
 // paths; eager and noise cover the latency harness under a non-zero
 // world config (eager threshold, per-message jitter); phases covers the
-// breakdown read back from rank 0's trace spans.
+// breakdown read back from rank 0's trace spans; fig9a and fig11b-c
+// cover the selector designs: all three baselines, through the latency
+// harness and through miniAMR, with proposed picking SHArP on cluster A.
 func TestFigureMatchesCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale regeneration skipped in -short mode")
@@ -263,6 +249,9 @@ func TestFigureMatchesCommittedResults(t *testing.T) {
 		{"eager", 2, false},
 		{"noise", 2, false},
 		{"phases", 2, false},
+		{"fig9a", 2, false},
+		{"fig11b", 2, false},
+		{"fig11c", 2, false},
 		// 10,240 procs at -iters 1 (results/README.md): minutes of wall
 		// time, so it only runs when explicitly requested — it would blow
 		// the default go test timeout in an ordinary ./... sweep.

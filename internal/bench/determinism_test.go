@@ -63,7 +63,7 @@ func checkDeterminism(t *testing.T, rows []determinismRow) {
 		for i := range specs {
 			spec := specs[i]
 			jobs[i] = func() ([]sim.Duration, error) {
-				return AllreduceLatency(cfg, topology.ClusterA(), 8, 8, FixedSpec(spec), sizes, 2, 1)
+				return AllreduceLatency(cfg, topology.ClusterA(), 8, 8, spec, sizes, 2, 1)
 			}
 		}
 		results, err := sweep.Run(row.workers, jobs)

@@ -47,7 +47,7 @@ func phaseBreakdown(id string, opt Options) (*Table, error) {
 	times, err := sweep.Map(opt.Jobs, cand, func(_ int, l int) (map[string]sim.Duration, error) {
 		cfg := opt.latencyConfig(cl, nodes, ppn)
 		cfg.Trace = trace.New(0)
-		if _, err := AllreduceLatency(cfg, cl, nodes, ppn, FixedSpec(core.DPML(l)), []int{bytes}, 1, 1); err != nil {
+		if _, err := AllreduceLatency(cfg, cl, nodes, ppn, core.DPML(l), []int{bytes}, 1, 1); err != nil {
 			return nil, err
 		}
 		return lastCollectivePhases(cfg.Trace), nil
@@ -112,12 +112,8 @@ func pipelineAblation(id string, opt Options) (*Table, error) {
 		sizes = []int{1 << 20}
 	}
 	series, err := sweep.Map(opt.Jobs, []int{1, 2, 4, 8, 16, 32}, func(_ int, k int) (Series, error) {
-		spec := core.DPMLPipelined(l, k)
-		if k == 1 {
-			spec = core.DPML(l)
-		}
 		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("k=%d", k), cl, nodes, ppn,
-			FixedSpec(spec), sizes, opt.Iters, opt.Warmup)
+			core.DPMLPipelined(l, k), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
 		return nil, err
@@ -154,7 +150,7 @@ func eagerAblation(id string, opt Options) (*Table, error) {
 		cfg := opt.latencyConfig(cl, nodes, ppn)
 		cfg.EagerThreshold = thrs[c.row]
 		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
-			FixedSpec(spec), []int{sizes[c.col]}, opt.Iters, 1)
+			spec, []int{sizes[c.col]}, opt.Iters, 1)
 		if err != nil {
 			return 0, err
 		}

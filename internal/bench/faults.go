@@ -61,7 +61,7 @@ func faultSweep(id string, opt Options) (*Table, error) {
 			cfg.Faults = spec.Instantiate(shape)
 		}
 		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
-			FixedSpec(cases[c.row].spec), []int{bytes}, opt.Iters, opt.Warmup)
+			cases[c.row].spec, []int{bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, fmt.Errorf("%s at intensity %g: %w", cases[c.row].label, intensities[c.col], err)
 		}

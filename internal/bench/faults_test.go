@@ -84,7 +84,7 @@ func TestFaultMatrixSmoke(t *testing.T) {
 		t.Run(string(m.class)+"/"+m.label, func(t *testing.T) {
 			run := func(cfg mpi.Config) float64 {
 				lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
-					FixedSpec(m.spec), []int{bytes}, 2, 1)
+					m.spec, []int{bytes}, 2, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

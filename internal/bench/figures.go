@@ -255,7 +255,7 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 	sizes := sweepSizes(opt.Quick)
 	series, err := sweep.Map(opt.Jobs, leaderCandidates(ppn), func(_ int, l int) (Series, error) {
 		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("%d-leader", l), cl, nodes, ppn,
-			FixedSpec(core.DPML(l)), sizes, opt.Iters, opt.Warmup)
+			core.DPML(l), sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
 		return nil, err
@@ -265,7 +265,7 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 	if extended {
 		ext, err := sweep.Map(opt.Jobs, extensionCases(), func(_ int, cse designCase) (Series, error) {
 			return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
-				FixedSpec(cse.spec), sizes, opt.Iters, opt.Warmup)
+				cse.spec, sizes, opt.Iters, opt.Warmup)
 		})
 		if err != nil {
 			return nil, err
@@ -313,7 +313,7 @@ func sharpComparison(id string, ppn int, opt Options) (*Table, error) {
 	cases := sharpDesigns()
 	series, err := sweep.Map(opt.Jobs, cases, func(_ int, cse designCase) (Series, error) {
 		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
-			FixedSpec(cse.spec), sizes, opt.Iters, opt.Warmup)
+			cse.spec, sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
 		return nil, err
@@ -335,15 +335,15 @@ func libraryComparison(id string, cl *topology.Cluster, nodes, ppn int, withInte
 		XLabel: "bytes",
 		YLabel: "latency (us)",
 	}
-	libs := []core.Library{core.LibMVAPICH2}
+	libs := []core.Spec{{Design: core.DesignMVAPICH2}}
 	if withIntel {
-		libs = append(libs, core.LibIntelMPI)
+		libs = append(libs, core.Spec{Design: core.DesignIntelMPI})
 	}
-	libs = append(libs, core.LibProposed)
+	libs = append(libs, core.Spec{Design: core.DesignProposed})
 	sizes := sweepSizes(opt.Quick)
-	series, err := sweep.Map(opt.Jobs, libs, func(_ int, lib core.Library) (Series, error) {
-		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), string(lib), cl, nodes, ppn,
-			LibrarySpec(lib), sizes, opt.Iters, opt.Warmup)
+	series, err := sweep.Map(opt.Jobs, libs, func(_ int, lib core.Spec) (Series, error) {
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), lib.String(), cl, nodes, ppn,
+			lib, sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
 		return nil, err
@@ -430,7 +430,7 @@ func miniamrFigure(id string, cl *topology.Cluster, opt Options) (*Table, error)
 		}
 		e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
 		res, err := miniamr.Run(e, miniamr.Config{
-			BlocksPerRank: 32, BlockBytes: 4096, Steps: steps, Library: lib,
+			BlocksPerRank: 32, BlockBytes: 4096, Steps: steps, Spec: lib,
 		})
 		if err != nil {
 			return Point{}, fmt.Errorf("%s at %d procs: %w", lib, job.NumProcs(), err)
@@ -442,7 +442,7 @@ func miniamrFigure(id string, cl *topology.Cluster, opt Options) (*Table, error)
 	}
 	for li, lib := range libs {
 		t.Series = append(t.Series, Series{
-			Label:  string(lib),
+			Label:  lib.String(),
 			Points: pts[li*len(shapes) : (li+1)*len(shapes)],
 		})
 	}
@@ -474,7 +474,7 @@ func modelComparison(id string, opt Options) (*Table, error) {
 	// The analytic points are arithmetic; only the simulations fan out.
 	lats, err := sweep.Map(opt.Jobs, cand, func(_ int, l int) (sim.Duration, error) {
 		lat, err := AllreduceLatency(opt.latencyConfig(cl, nodes, ppn), cl, nodes, ppn,
-			FixedSpec(core.DPML(l)), []int{bytes}, opt.Iters, opt.Warmup)
+			core.DPML(l), []int{bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, err
 		}

@@ -93,7 +93,7 @@ func grandPrix(id string, opt Options) (*Table, error) {
 			Ranks: col.shape.nodes * col.shape.ppn, Nodes: col.shape.nodes, HCAs: cl.HCAs,
 		})
 		lat, err := AllreduceLatency(cfg, cl, col.shape.nodes, col.shape.ppn,
-			FixedSpec(cse.spec), []int{col.bytes}, opt.Iters, opt.Warmup)
+			cse.spec, []int{col.bytes}, opt.Iters, opt.Warmup)
 		if err != nil {
 			return 0, fmt.Errorf("%s in scenario %q: %w", cse.label, col.desc, err)
 		}

@@ -41,7 +41,7 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 		cfg := opt.latencyConfig(cl, nodes, ppn)
 		cfg.Jitter, cfg.JitterSeed = jitters[c.col], 7
 		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
-			FixedSpec(cases[c.row].spec), []int{bytes}, opt.Iters, 1)
+			cases[c.row].spec, []int{bytes}, opt.Iters, 1)
 		if err != nil {
 			return 0, err
 		}

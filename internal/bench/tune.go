@@ -49,7 +49,7 @@ func TuneDPML(cl *topology.Cluster, nodes, ppn int, leaders, sizes []int, iters,
 	}
 	series, err := sweep.Map(jobs, cand, func(_ int, l int) (Series, error) {
 		return LatencySeries(mpi.Config{}, fmt.Sprintf("l=%d", l), cl, nodes, ppn,
-			FixedSpec(core.DPML(l)), sizes, iters, warmup)
+			core.DPML(l), sizes, iters, warmup)
 	})
 	if err != nil {
 		return nil, err

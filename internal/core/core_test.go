@@ -1,13 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
 	"dpml/internal/sim"
 	"dpml/internal/topology"
+	"dpml/internal/trace"
 )
 
 // buildEngine creates a world + engine on a trimmed cluster.
@@ -93,7 +94,7 @@ func TestDPMLLeadersExceedingElements(t *testing.T) {
 
 func TestDPMLExplicitInterAlg(t *testing.T) {
 	for _, alg := range mpi.FlatAlgorithms() {
-		s := Spec{Design: DesignDPML, Leaders: 2, InterAlg: alg}
+		s := Spec{Design: DesignDPML, Leaders: 2, Alg: alg}
 		verifySpec(t, topology.ClusterB(), 4, 4, s, 77, 12)
 	}
 }
@@ -141,9 +142,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Design: "nope"},
 		{Design: DesignDPML, Leaders: 0},
 		{Design: DesignDPML, Leaders: 5}, // > ppn
-		{Design: DesignDPMLPipelined, Leaders: 2, Chunks: 0},
-		{Design: DesignDPMLPipelined, Leaders: 2, Chunks: 5000},
-		{Design: DesignFlat, FlatAlg: "bogus"},
+		{Design: DesignDPML, Leaders: 2, Chunks: -1},
+		{Design: DesignDPML, Leaders: 4, Chunks: 1}, // dpml-pipe-4x1 is dpml-4
+		{Design: DesignDPML, Leaders: 2, Chunks: 5000},
+		{Design: DesignDPML, Leaders: 2, Chunks: 8, Alg: mpi.AlgReduceBcast}, // pipelined phase is Rabenseifner
+		{Design: DesignFlat, Alg: "bogus"},
 	}
 	for _, s := range bad {
 		if err := e.Validate(s); err == nil {
@@ -157,6 +160,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		Flat(mpi.AlgRing),
 		{Design: DesignSharpNode},
 		{Design: DesignSharpSocket},
+		{Design: DesignMVAPICH2},
+		{Design: DesignIntelMPI},
+		{Design: DesignProposed},
+		{Design: DesignPAPAware},
 	}
 	for _, s := range good {
 		if err := e.Validate(s); err != nil {
@@ -282,7 +289,7 @@ func TestLibrarySelectorsRun(t *testing.T) {
 			for _, count := range []int{4, 1 << 10, 64 << 10} {
 				v := mpi.NewVector(mpi.Float32, count)
 				v.Fill(1)
-				if err := e.LibraryAllreduce(r, lib, mpi.Sum, v); err != nil {
+				if err := e.Allreduce(r, lib, mpi.Sum, v); err != nil {
 					return err
 				}
 				if v.At(0) != float64(e.W.Job.NumProcs()) {
@@ -317,24 +324,28 @@ func TestBestLeadersMonotoneAndBounded(t *testing.T) {
 }
 
 // TestSpecString pins the canonical names: Spec.String prints
-// ParseDesign's grammar, and each name parses back to its spec.
+// ParseDesign's grammar, and each name parses back to its spec. Names
+// of configurations that have another name, or none, are rejected.
 func TestSpecString(t *testing.T) {
 	cases := map[string]Spec{
-		"flat":                       Flat(mpi.AlgRecursiveDoubling),
-		"flat:ring":                  Flat(mpi.AlgRing),
-		"dpml-1":                     HostBased(),
-		"dpml-4":                     DPML(4),
-		"dpml-1:rabenseifner":        {Design: DesignDPML, Leaders: 1, InterAlg: mpi.AlgRabenseifner},
-		"dpml-pipe-2x8":              DPMLPipelined(2, 8),
-		"dpml-pipe-2x8:reduce-bcast": {Design: DesignDPMLPipelined, Leaders: 2, Chunks: 8, InterAlg: mpi.AlgReduceBcast},
-		"sharp-node":                 {Design: DesignSharpNode},
-		"sharp-socket":               {Design: DesignSharpSocket},
-		"dualroot":                   DualRoot(0),
-		"dualroot-s3":                DualRoot(3),
-		"genall":                     GenAll(0),
-		"genall-g4":                  GenAll(4),
-		"pap-sorted":                 PAPSorted(),
-		"pap-ring":                   PAPRing(),
+		"flat":                Flat(mpi.AlgRecursiveDoubling),
+		"flat:ring":           Flat(mpi.AlgRing),
+		"dpml-1":              HostBased(),
+		"dpml-4":              DPML(4),
+		"dpml-1:rabenseifner": {Design: DesignDPML, Leaders: 1, Alg: mpi.AlgRabenseifner},
+		"dpml-pipe-2x8":       DPMLPipelined(2, 8),
+		"sharp-node":          {Design: DesignSharpNode},
+		"sharp-socket":        {Design: DesignSharpSocket},
+		"dualroot":            DualRoot(0),
+		"dualroot-s3":         DualRoot(3),
+		"genall":              GenAll(0),
+		"genall-g4":           GenAll(4),
+		"pap-sorted":          PAPSorted(),
+		"pap-ring":            PAPRing(),
+		"mvapich2":            {Design: DesignMVAPICH2},
+		"intelmpi":            {Design: DesignIntelMPI},
+		"proposed":            {Design: DesignProposed},
+		"pap-aware":           {Design: DesignPAPAware},
 	}
 	for want, s := range cases {
 		if s.String() != want {
@@ -344,67 +355,96 @@ func TestSpecString(t *testing.T) {
 			t.Errorf("ParseDesign(%q) = %+v, %v; want %+v", want, got, err, s)
 		}
 	}
+	for _, name := range []string{"dpml-pipe-2x8:reduce-bcast", "dpml-pipe-4x1", "proposed:ring"} {
+		if s, err := ParseDesign(name); err == nil {
+			t.Errorf("ParseDesign(%q) = %+v, want an error", name, s)
+		}
+	}
 }
 
-// TestSpecForRoundTrip: every spec a library selector picks prints a
-// name that ParseDesign maps back to the same spec, so a trace label can
-// be rerun as a -design.
-func TestSpecForRoundTrip(t *testing.T) {
-	var engines []*Engine
-	for _, name := range []string{"A", "B", "C", "D"} {
-		engines = append(engines, buildEngine(t, topology.ByName(name), 4, 28))
+// isSelector reports whether s names a selector design.
+func isSelector(s Spec) bool {
+	switch s.Design {
+	case DesignMVAPICH2, DesignIntelMPI, DesignProposed, DesignPAPAware:
+		return true
 	}
-	// ppn 2 steers the proposed selector onto SHArP node-leader, and a
-	// straggler plan steers pap-aware onto the arrival-aware designs.
-	engines = append(engines, buildEngine(t, topology.ClusterA(), 4, 2))
+	return false
+}
+
+// TestResolvePicksConcreteSpecs pins the invariant Validate relies on
+// when it accepts a selector: every spec a selector picks is concrete,
+// runs on the engine's job, and prints a name that ParseDesign maps back
+// to it, so a trace label can be rerun as a -design.
+func TestResolvePicksConcreteSpecs(t *testing.T) {
+	var engines []*Engine
+	// ppn 1 and 2 steer the proposed selector onto SHArP node-leader on
+	// cluster A, ppn 28 onto socket-leader and, at 4MB, pipelining.
+	for _, name := range []string{"A", "B", "C", "D"} {
+		for _, ppn := range []int{1, 2, 28} {
+			engines = append(engines, buildEngine(t, topology.ByName(name), 4, ppn))
+		}
+	}
+	// A straggler plan steers pap-aware onto the arrival-aware designs.
 	job, err := topology.NewJob(topology.ClusterA(), 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines = append(engines, NewEngine(mpi.NewWorld(job, mpi.Config{Faults: papPlan(t, 1)})))
+	selectors := append(Libraries(), Spec{Design: DesignPAPAware})
 	for _, e := range engines {
-		for _, lib := range ExtendedLibraries() {
+		for _, sel := range selectors {
 			for bytes := 4; bytes <= 4<<20; bytes *= 2 {
-				s := e.SpecFor(lib, bytes)
+				s := e.Resolve(sel, bytes)
+				where := fmt.Sprintf("%s ppn=%d %s %dB: picked %+v", e.W.Job.Cluster.Name, e.W.Job.PPN, sel, bytes, s)
+				if isSelector(s) {
+					t.Errorf("%s, a selector", where)
+				}
+				if err := e.Validate(s); err != nil {
+					t.Errorf("%s, which fails Validate: %v", where, err)
+				}
 				if got, err := ParseDesign(s.String()); err != nil || got != s {
-					t.Errorf("%s ppn=%d %s %dB: %+v prints %q, which parses to %+v (%v)",
-						e.W.Job.Cluster.Name, e.W.Job.PPN, lib, bytes, s, s, got, err)
+					t.Errorf("%s, which prints %q and parses to %+v (%v)", where, s, got, err)
 				}
 			}
 		}
 	}
 }
 
-func TestCheckLibrary(t *testing.T) {
-	for _, lib := range ExtendedLibraries() {
-		if err := CheckLibrary(lib); err != nil {
-			t.Errorf("CheckLibrary(%q) = %v", lib, err)
+// TestSelectorTracesPickedSpec checks that a selector allreduce is traced
+// under the name of the spec it ran, not the selector's.
+func TestSelectorTracesPickedSpec(t *testing.T) {
+	for count, want := range map[int]string{64: "sharp-socket", 1 << 17: "dpml-pipe-4x4"} {
+		rec := runTraced(t, Spec{Design: DesignProposed}, 2, 4, count, 1)
+		colls := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind != trace.KindCollective {
+				continue
+			}
+			colls++
+			if ev.Label != want {
+				t.Errorf("%d float64s: collective labelled %q, want %q", count, ev.Label, want)
+			}
 		}
-	}
-	err := CheckLibrary("foo")
-	if err == nil {
-		t.Fatal("unknown library accepted")
-	}
-	for _, lib := range ExtendedLibraries() {
-		if !strings.Contains(err.Error(), string(lib)) {
-			t.Errorf("error %q does not list known library %q", err, lib)
+		if colls != 8 {
+			t.Errorf("%d float64s: %d collective events, want one per rank (8)", count, colls)
 		}
 	}
 }
 
 func TestProposedSpecShape(t *testing.T) {
+	proposed := Spec{Design: DesignProposed}
 	eA := buildEngine(t, topology.ClusterA(), 8, 28)
-	if s := eA.ProposedSpec(256); s.Design != DesignSharpSocket {
+	if s := eA.Resolve(proposed, 256); s.Design != DesignSharpSocket {
 		t.Errorf("cluster A 256B: %v, want SHArP socket-leader", s)
 	}
-	if s := eA.ProposedSpec(512 << 10); s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
+	if s := eA.Resolve(proposed, 512<<10); s.Design != DesignDPML {
 		t.Errorf("cluster A 512KB: %v, want DPML", s)
 	}
 	eC := buildEngine(t, topology.ClusterC(), 8, 28)
-	if s := eC.ProposedSpec(256); s.Design == DesignSharpSocket || s.Design == DesignSharpNode {
+	if s := eC.Resolve(proposed, 256); s.Design == DesignSharpSocket || s.Design == DesignSharpNode {
 		t.Errorf("cluster C cannot use SHArP, got %v", s)
 	}
-	if s := eC.ProposedSpec(8 << 20); s.Design != DesignDPMLPipelined {
+	if s := eC.Resolve(proposed, 8<<20); s.Design != DesignDPML || s.Chunks < 2 {
 		t.Errorf("cluster C 8MB: %v, want pipelined", s)
 	}
 }
@@ -415,18 +455,5 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
-	}
-}
-
-func TestLibraryAllreduceUnknownName(t *testing.T) {
-	e := buildEngine(t, topology.ClusterB(), 2, 2)
-	err := e.W.Run(func(r *mpi.Rank) error {
-		if err := e.LibraryAllreduce(r, Library("nope"), mpi.Sum, mpi.NewPhantom(mpi.Float32, 4)); err == nil {
-			t.Error("unknown library accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

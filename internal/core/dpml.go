@@ -9,8 +9,8 @@ import (
 )
 
 // dpml runs the four-phase Data Partitioning-based Multi-Leader allreduce
-// of Section 4.1 (chunks > 1 switches Phase 3 to the pipelined variant of
-// Section 4.2):
+// of Section 4.1 with s.Leaders leaders (s.Chunks > 1 switches Phase 3 to
+// the pipelined variant of Section 4.2):
 //
 //  1. Local copy to shared memory: every local rank splits its input into
 //     l partitions and copies partition j into leader j's segment.
@@ -26,26 +26,26 @@ import (
 // includes the wait for the slowest local contributor, and Phase 4
 // includes the wait for the leaders' results — the same accounting a
 // profiled MPI implementation would report.
-func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks int, interAlg mpi.Algorithm) {
+func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, s Spec) {
 	rec := e.W.Tracer()
 	if e.W.Job.PPN == 1 {
 		// Single process per node: the shared-memory phases are
 		// identity operations; go straight to the inter-node phase.
 		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
-		e.interNode(r, e.leaderComms[0], op, vec, chunks, interAlg)
+		e.interNode(r, e.leaderComms[0], op, vec, s)
 		sp.End(r.Now())
 		return
 	}
-	o := e.newShmOp(r, leaders, vec.Len())
+	o := e.newShmOp(r, s.Leaders, vec.Len())
 	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
 	o.deposit(vec)
 	sp.End(r.Now())
-	if j := r.Place().LocalRank; j < leaders {
+	if j := r.Place().LocalRank; j < s.Leaders {
 		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, j, e.W.Job.PPN, false)
 		sp.End(r.Now())
 		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
-		e.interNode(r, e.leaderComms[j], op, acc, chunks, interAlg)
+		e.interNode(r, e.leaderComms[j], op, acc, s)
 		o.publish(j, acc)
 		sp.End(r.Now())
 	}
@@ -55,37 +55,31 @@ func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, leaders, chunks 
 	sp.End(r.Now())
 }
 
-// interNode runs Phase 3 on the leader communicator: a library-chosen
-// flat algorithm, or the pipelined non-blocking variant when chunks > 1.
-func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector, chunks int, interAlg mpi.Algorithm) {
+// interNode runs Phase 3 of DPML spec s on the leader communicator: a
+// flat algorithm (s.Alg, or chosen by size), or the pipelined
+// non-blocking variant when s.Chunks > 1.
+func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector, s Spec) {
 	if c.Size() == 1 {
 		return
 	}
-	if chunks > 1 {
-		e.pipelinedAllreduce(r, c, op, vec, chunks)
+	if s.Chunks > 1 {
+		e.pipelinedAllreduce(r, c, op, vec, s.Chunks)
 		return
 	}
-	alg := interAlg
+	alg := s.Alg
 	if alg == "" {
 		alg = autoAlg(vec.Bytes())
 	}
 	r.Allreduce(c, alg, op, vec)
 }
 
-// dpmlChunks checks that s is a DPML-family spec that can run on this
-// engine and returns its Phase 3 pipelining depth (1 for plain DPML).
-// what names the caller in the error.
-func (e *Engine) dpmlChunks(what string, s Spec) (int, error) {
-	if s.Design != DesignDPML && s.Design != DesignDPMLPipelined {
-		return 0, fmt.Errorf("core: %s supports DPML designs, not %q", what, s)
+// checkDPML reports whether s is a DPML spec that can run on this
+// engine. what names the caller in the error.
+func (e *Engine) checkDPML(what string, s Spec) error {
+	if s.Design != DesignDPML {
+		return fmt.Errorf("core: %s supports DPML designs, not %q", what, s)
 	}
-	if err := e.Validate(s); err != nil {
-		return 0, err
-	}
-	if s.Design == DesignDPMLPipelined {
-		return s.Chunks, nil
-	}
-	return 1, nil
+	return e.Validate(s)
 }
 
 // checkOp reports whether op can reduce vec's datatype, so a mismatch

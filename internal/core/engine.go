@@ -1,8 +1,9 @@
 // Package core implements the paper's contribution: the Data
 // Partitioning-based Multi-Leader (DPML) allreduce, its pipelined variant
 // for very large messages, the SHArP-accelerated node-leader and
-// socket-leader designs, the tuned library baselines (MVAPICH2, Intel
-// MPI) used for comparison, and the hybrid per-message-size selector.
+// socket-leader designs, and the selector designs that pick one of these
+// per message size: the tuned library baselines (MVAPICH2, Intel MPI)
+// used for comparison and the paper's hybrid.
 package core
 
 import (
@@ -26,12 +27,11 @@ const (
 	// DesignDPML is the paper's Data Partitioning-based Multi-Leader
 	// allreduce (Section 4.1): Spec.Leaders leaders per node share the
 	// intra-node reduction and drive concurrent inter-node allreduces on
-	// data partitions.
+	// data partitions. With Spec.Chunks > 1 it is DPML-Pipelined
+	// (Section 4.2): each leader's partition is split into Chunks
+	// sub-partitions reduced by interleaved non-blocking inter-node
+	// allreduces.
 	DesignDPML Design = "dpml"
-	// DesignDPMLPipelined additionally splits each leader's partition
-	// into Spec.Chunks sub-partitions reduced by interleaved
-	// non-blocking inter-node allreduces (Section 4.2).
-	DesignDPMLPipelined Design = "dpml-pipelined"
 	// DesignSharpNode offloads the inter-node reduction to the SHArP
 	// switch tree with one leader per node (Section 4.3).
 	DesignSharpNode Design = "sharp-node-leader"
@@ -67,13 +67,14 @@ type Spec struct {
 	// reproduces the traditional single-leader hierarchical design that
 	// MVAPICH2-style libraries use.
 	Leaders int
-	// Chunks is the pipelining depth k for DesignDPMLPipelined.
+	// Chunks is DesignDPML's inter-node pipelining depth k: 0 for one
+	// allreduce per leader, 2..1024 for DPML-Pipelined.
 	Chunks int
-	// InterAlg is the flat algorithm for the inter-leader phase ("" =
-	// choose by message size, like the host MPI library would).
-	InterAlg mpi.Algorithm
-	// FlatAlg is the algorithm for DesignFlat ("" = recursive doubling).
-	FlatAlg mpi.Algorithm
+	// Alg is the algorithm for DesignFlat ("" = recursive doubling) or
+	// for unpipelined DesignDPML's inter-leader phase ("" = choose by
+	// message size, like the host MPI library would). The pipelined
+	// phase always runs its own Rabenseifner and takes none.
+	Alg mpi.Algorithm
 	// Segments is the per-half pipelining block count for
 	// DesignDualRoot (0 = choose by message size, like Chunks-style
 	// pipelining; clamped to the data length).
@@ -88,14 +89,15 @@ func (s Spec) String() string {
 	var name string
 	switch s.Design {
 	case DesignFlat:
-		if s.FlatAlg == "" || s.FlatAlg == mpi.AlgRecursiveDoubling {
+		if s.Alg == "" || s.Alg == mpi.AlgRecursiveDoubling {
 			return "flat"
 		}
-		return "flat:" + string(s.FlatAlg)
+		return "flat:" + string(s.Alg)
 	case DesignDPML:
 		name = fmt.Sprintf("dpml-%d", s.Leaders)
-	case DesignDPMLPipelined:
-		name = fmt.Sprintf("dpml-pipe-%dx%d", s.Leaders, s.Chunks)
+		if s.Chunks > 1 {
+			name = fmt.Sprintf("dpml-pipe-%dx%d", s.Leaders, s.Chunks)
+		}
 	case DesignSharpNode:
 		return "sharp-node"
 	case DesignSharpSocket:
@@ -113,8 +115,8 @@ func (s Spec) String() string {
 	default:
 		return string(s.Design)
 	}
-	if s.InterAlg != "" {
-		name += ":" + string(s.InterAlg)
+	if s.Alg != "" {
+		name += ":" + string(s.Alg)
 	}
 	return name
 }
@@ -127,14 +129,17 @@ func HostBased() Spec { return Spec{Design: DesignDPML, Leaders: 1} }
 // DPML returns a Spec for the multi-leader design with l leaders.
 func DPML(l int) Spec { return Spec{Design: DesignDPML, Leaders: l} }
 
-// DPMLPipelined returns a Spec for the pipelined design with l leaders
-// and k sub-partitions per leader.
+// DPMLPipelined returns a Spec for DPML with l leaders and k
+// sub-partitions per leader; k == 1 is plain DPML(l).
 func DPMLPipelined(l, k int) Spec {
-	return Spec{Design: DesignDPMLPipelined, Leaders: l, Chunks: k}
+	if k == 1 {
+		return DPML(l)
+	}
+	return Spec{Design: DesignDPML, Leaders: l, Chunks: k}
 }
 
 // Flat returns a Spec running alg on the world communicator.
-func Flat(alg mpi.Algorithm) Spec { return Spec{Design: DesignFlat, FlatAlg: alg} }
+func Flat(alg mpi.Algorithm) Spec { return Spec{Design: DesignFlat, Alg: alg} }
 
 // DualRoot returns a Spec for the dual-root doubly-pipelined tree with
 // segments pipelining blocks per half (0 = size-adaptive).
@@ -231,20 +236,20 @@ func (e *Engine) SharpAvailable() bool { return e.sharpNode != nil }
 // Validate reports whether the spec can run on this engine's world.
 func (e *Engine) Validate(s Spec) error {
 	ppn := e.W.Job.PPN
+	if s.Alg != "" && !slices.Contains(mpi.FlatAlgorithms(), s.Alg) {
+		return fmt.Errorf("core: unknown algorithm %q", s.Alg)
+	}
 	switch s.Design {
-	case DesignFlat:
-		if s.FlatAlg != "" && !slices.Contains(mpi.FlatAlgorithms(), s.FlatAlg) {
-			return fmt.Errorf("core: unknown flat algorithm %q", s.FlatAlg)
-		}
-	case DesignDPML, DesignDPMLPipelined:
+	case DesignFlat: // Alg, checked above, is its only parameter
+	case DesignDPML:
 		if s.Leaders < 1 || s.Leaders > ppn {
 			return fmt.Errorf("core: %d leaders with ppn=%d", s.Leaders, ppn)
 		}
-		if s.Design == DesignDPMLPipelined && (s.Chunks < 1 || s.Chunks > 1024) {
-			return fmt.Errorf("core: pipeline depth %d out of range [1,1024]", s.Chunks)
+		if s.Chunks != 0 && (s.Chunks < 2 || s.Chunks > 1024) {
+			return fmt.Errorf("core: pipeline depth %d out of range [2,1024]", s.Chunks)
 		}
-		if s.InterAlg != "" && !slices.Contains(mpi.FlatAlgorithms(), s.InterAlg) {
-			return fmt.Errorf("core: unknown inter-leader algorithm %q", s.InterAlg)
+		if s.Chunks > 1 && s.Alg != "" {
+			return fmt.Errorf("core: design %q: the pipelined inter-leader phase takes no algorithm", s)
 		}
 	case DesignSharpNode, DesignSharpSocket:
 		if !e.SharpAvailable() {
@@ -263,6 +268,10 @@ func (e *Engine) Validate(s Spec) error {
 	case DesignPAPSorted, DesignPAPRing:
 		// No parameters: the arrival schedule derives from the installed
 		// fault plan (healthy fabrics degenerate to rank order).
+	case DesignMVAPICH2, DesignIntelMPI, DesignProposed, DesignPAPAware:
+		// Every pick of a selector passes Validate on every job
+		// (TestResolvePicksConcreteSpecs), so Allreduce can resolve it
+		// per message size.
 	default:
 		return fmt.Errorf("core: unknown design %q", s.Design)
 	}
@@ -270,8 +279,10 @@ func (e *Engine) Validate(s Spec) error {
 }
 
 // Allreduce performs one allreduce of vec (in place, every rank) with the
-// given design. All ranks must call it collectively with the same spec.
+// given design; a selector runs, and is traced as, the spec it picks for
+// vec's size. All ranks must call it collectively with the same spec.
 func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) error {
+	s = e.Resolve(s, vec.Bytes())
 	if err := e.Validate(s); err != nil {
 		return err
 	}
@@ -283,7 +294,7 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 	defer func() { coll.End(r.Now()) }()
 	switch s.Design {
 	case DesignFlat:
-		alg := s.FlatAlg
+		alg := s.Alg
 		if alg == "" {
 			alg = mpi.AlgRecursiveDoubling
 		}
@@ -291,9 +302,7 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 		r.Allreduce(e.W.CommWorld(), alg, op, vec)
 		sp.End(r.Now())
 	case DesignDPML:
-		e.dpml(r, op, vec, s.Leaders, 1, s.InterAlg)
-	case DesignDPMLPipelined:
-		e.dpml(r, op, vec, s.Leaders, s.Chunks, s.InterAlg)
+		e.dpml(r, op, vec, s)
 	case DesignSharpNode:
 		e.sharpAllreduce(r, op, vec, false)
 	case DesignSharpSocket:

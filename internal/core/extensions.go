@@ -16,10 +16,10 @@ import (
 // gathered and combined by the node's leaders (Phases 1-2), each leader
 // runs an inter-node reduction rooted at root's node (Phase 3), and on
 // the root node the fully reduced partitions are copied into root's
-// buffer (Phase 4). Only DPML-family specs are supported; on return only
+// buffer (Phase 4). Only DPML specs are supported; on return only
 // root's vec holds the result.
 func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vector) error {
-	if _, err := e.dpmlChunks("Reduce", s); err != nil {
+	if err := e.checkDPML("Reduce", s); err != nil {
 		return err
 	}
 	if err := checkOp(op, vec); err != nil {
@@ -80,7 +80,7 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 // ceil(lg ppn) to number of leaders" observation of Phase 4, applied as a
 // standalone collective.
 func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
-	if _, err := e.dpmlChunks("Bcast", s); err != nil {
+	if err := e.checkDPML("Bcast", s); err != nil {
 		return err
 	}
 	if root < 0 || root >= e.W.Job.NumProcs() {

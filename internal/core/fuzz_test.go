@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
@@ -11,7 +12,9 @@ import (
 // inside the ranges the parser promises (the shape-independent half of
 // Engine.Validate's contract), and parameterized specs must carry the
 // design their name requested. Every accepted spec must print a name
-// that parses back to it.
+// that parses back to it. A configuration has one name: the parser
+// rejects dpml-pipe-<l>x1 (that is dpml-<l>) and an algorithm on the
+// pipelined form (its inter-node phase always runs Rabenseifner).
 func FuzzParseDesign(f *testing.F) {
 	f.Add("")
 	f.Add("flat")
@@ -42,7 +45,13 @@ func FuzzParseDesign(f *testing.F) {
 	f.Add("dualroot-s3x4")
 	f.Add("dpml-8:ring")
 	f.Add("dpml-1:rabenseifner")
-	f.Add("dpml-pipe-4x8:reduce-bcast")
+	f.Add("dpml-pipe-2x8:reduce-bcast")
+	f.Add("dpml-pipe-4x1")
+	f.Add("mvapich2")
+	f.Add("intelmpi")
+	f.Add("proposed")
+	f.Add("pap-aware")
+	f.Add("proposed:ring")
 	f.Add("host-based:ring")
 	f.Add("flat:recursive-doubling")
 	f.Add("dpml-8:")
@@ -61,25 +70,28 @@ func FuzzParseDesign(f *testing.F) {
 		case DesignFlat:
 			known := false
 			for _, a := range mpi.FlatAlgorithms() {
-				if spec.FlatAlg == a {
+				if spec.Alg == a {
 					known = true
 				}
 			}
 			if !known {
-				t.Fatalf("accepted %q with unknown flat algorithm %q", name, spec.FlatAlg)
+				t.Fatalf("accepted %q with unknown flat algorithm %q", name, spec.Alg)
 			}
 		case DesignDPML:
 			if spec.Leaders < 1 || spec.Leaders > 1<<20 {
 				t.Fatalf("accepted %q with leaders %d out of range", name, spec.Leaders)
 			}
-		case DesignDPMLPipelined:
-			if spec.Leaders < 1 || spec.Leaders > 1<<20 {
-				t.Fatalf("accepted %q with leaders %d out of range", name, spec.Leaders)
-			}
-			if spec.Chunks < 1 || spec.Chunks > 1024 {
+			if spec.Chunks != 0 && (spec.Chunks < 2 || spec.Chunks > 1024) {
 				t.Fatalf("accepted %q with chunks %d out of range", name, spec.Chunks)
 			}
-		case DesignSharpNode, DesignSharpSocket, DesignPAPSorted, DesignPAPRing:
+			if strings.HasPrefix(name, "dpml-pipe-") != (spec.Chunks > 1) {
+				t.Fatalf("accepted %q as %+v: only dpml-pipe- names pipeline", name, spec)
+			}
+			if spec.Chunks > 1 && spec.Alg != "" {
+				t.Fatalf("accepted %q with an algorithm on the pipelined phase", name)
+			}
+		case DesignSharpNode, DesignSharpSocket, DesignPAPSorted, DesignPAPRing,
+			DesignMVAPICH2, DesignIntelMPI, DesignProposed, DesignPAPAware:
 			// No parameters.
 		case DesignDualRoot:
 			if spec.Segments < 0 || spec.Segments > 1024 {

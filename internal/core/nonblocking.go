@@ -19,12 +19,11 @@ import (
 
 // NBHandle tracks one in-flight non-blocking allreduce.
 type NBHandle struct {
-	e        *Engine
-	op       *mpi.Op
-	vec      *mpi.Vector
-	rank     int // the rank that started the operation
-	chunks   int
-	interAlg mpi.Algorithm
+	e    *Engine
+	s    Spec
+	op   *mpi.Op
+	vec  *mpi.Vector
+	rank int // the rank that started the operation
 	// shm is the operation's Phase 1 deposit; nil in ppn==1 worlds,
 	// where nothing was started eagerly.
 	shm  *shmOp
@@ -34,17 +33,16 @@ type NBHandle struct {
 // IAllreduce starts a non-blocking DPML allreduce: the calling rank
 // deposits its partitions into shared memory immediately (so leaders on
 // other ranks can begin as soon as their inputs arrive) and returns. The
-// reduction completes when Wait is called. Only DPML-family specs are
+// reduction completes when Wait is called. Only DPML specs are
 // supported. The input vector must not be modified until Wait returns.
 func (e *Engine) IAllreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) (*NBHandle, error) {
-	chunks, err := e.dpmlChunks("IAllreduce", s)
-	if err != nil {
+	if err := e.checkDPML("IAllreduce", s); err != nil {
 		return nil, err
 	}
 	if err := checkOp(op, vec); err != nil {
 		return nil, err
 	}
-	h := &NBHandle{e: e, op: op, vec: vec, rank: r.Rank(), chunks: chunks, interAlg: s.InterAlg}
+	h := &NBHandle{e: e, s: s, op: op, vec: vec, rank: r.Rank()}
 	if e.W.Job.PPN == 1 {
 		return h, nil
 	}
@@ -71,12 +69,12 @@ func (h *NBHandle) Wait(r *mpi.Rank) error {
 	e := h.e
 	o := h.shm
 	if o == nil {
-		e.interNode(r, e.leaderComms[0], h.op, h.vec, h.chunks, h.interAlg)
+		e.interNode(r, e.leaderComms[0], h.op, h.vec, h.s)
 		return nil
 	}
 	if j := r.Place().LocalRank; j < o.segs {
 		acc := o.fold(h.op, j, e.W.Job.PPN, false)
-		e.interNode(r, e.leaderComms[j], h.op, acc, h.chunks, h.interAlg)
+		e.interNode(r, e.leaderComms[j], h.op, acc, h.s)
 		o.publish(j, acc)
 	}
 	o.collect(h.vec)

@@ -17,14 +17,16 @@ import (
 //	flat, flat:<alg>                  flat algorithm on the world comm
 //	host-based                        single-leader hierarchy (= dpml-1)
 //	dpml-<l>[:<alg>]                  multi-leader with l leaders
-//	dpml-pipe-<l>x<k>[:<alg>]         pipelined with l leaders, k chunks
+//	dpml-pipe-<l>x<k>                 pipelined with l leaders, k>=2 chunks
 //	sharp-node, sharp-socket          SHArP offload designs
 //	dualroot, dualroot-s<n>           dual-root tree, n segments per half
 //	genall, genall-g<n>               generalized allreduce, group size n
 //	pap-sorted, pap-ring              arrival-pattern-aware designs
+//	mvapich2, intelmpi, proposed      selectors: per size, the spec a
+//	pap-aware                         decision table picks (see Resolve)
 //
-// <alg> is one of mpi.FlatAlgorithms(): the flat algorithm, or on the
-// DPML forms the inter-leader algorithm (default: chosen by size).
+// <alg> is one of mpi.FlatAlgorithms(): the flat algorithm, or on
+// dpml-<l> the inter-leader algorithm (default: chosen by size).
 // Parameters are validated for range here (non-negative, within the
 // same bounds Engine.Validate enforces shape-independently); shape-
 // dependent checks (leaders vs ppn, groups vs procs) remain Validate's.
@@ -38,10 +40,8 @@ func ParseDesign(name string) (Spec, error) {
 		return spec, nil
 	case !slices.Contains(mpi.FlatAlgorithms(), mpi.Algorithm(alg)):
 		return Spec{}, fmt.Errorf("core: unknown algorithm %q in design %q (known: %v)", alg, name, mpi.FlatAlgorithms())
-	case spec.Design == DesignFlat:
-		spec.FlatAlg = mpi.Algorithm(alg)
-	case spec.Design == DesignDPML || spec.Design == DesignDPMLPipelined:
-		spec.InterAlg = mpi.Algorithm(alg)
+	case spec.Design == DesignFlat || spec.Design == DesignDPML && spec.Chunks == 0:
+		spec.Alg = mpi.Algorithm(alg)
 	default:
 		return Spec{}, fmt.Errorf("core: design %q: %s takes no :<alg> suffix", name, base)
 	}
@@ -54,7 +54,8 @@ func parseBase(name, base string) (Spec, error) {
 		return HostBased(), nil
 	}
 	for _, s := range []Spec{Flat(mpi.AlgRecursiveDoubling), {Design: DesignSharpNode},
-		{Design: DesignSharpSocket}, DualRoot(0), GenAll(0), PAPSorted(), PAPRing()} {
+		{Design: DesignSharpSocket}, DualRoot(0), GenAll(0), PAPSorted(), PAPRing(),
+		{Design: DesignMVAPICH2}, {Design: DesignIntelMPI}, {Design: DesignProposed}, {Design: DesignPAPAware}} {
 		if s.String() == base {
 			return s, nil
 		}
@@ -68,7 +69,7 @@ func parseBase(name, base string) (Spec, error) {
 		if err != nil {
 			return Spec{}, err
 		}
-		k, err := parseParam(name, "chunks", kStr, 1, 1024)
+		k, err := parseParam(name, "chunks", kStr, 2, 1024)
 		return DPMLPipelined(l, k), err
 	}
 	for _, f := range []struct {

@@ -26,7 +26,7 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 		group, host = e.sharpSocket, e.sharpSocketHost
 	}
 	if vec.Bytes() > e.W.Sharp.MaxPayload() {
-		e.dpml(r, op, vec, 1, 1, "")
+		e.dpml(r, op, vec, HostBased())
 		return
 	}
 

@@ -1,87 +1,59 @@
 package core
 
-import (
-	"fmt"
+import "dpml/internal/mpi"
 
-	"dpml/internal/mpi"
-)
-
-// Library identifies a tuned baseline selector emulating a production MPI
-// library's allreduce decision table (Section 6.4 compares against these).
-type Library string
-
-// Baseline libraries.
+// Selector designs. Each emulates an allreduce decision table (Section
+// 6.4 compares against these): Engine.Allreduce runs, and traces, the
+// concrete spec it picks for the message size (see Resolve).
 const (
-	// LibMVAPICH2 emulates MVAPICH2-2.2: a shared-memory single-leader
-	// hierarchy for small and medium messages (Section 2.1's default
-	// design), switching to a flat bandwidth-optimal algorithm for large
-	// ones.
-	LibMVAPICH2 Library = "mvapich2"
-	// LibIntelMPI emulates Intel MPI 2017: flat recursive doubling at
-	// the smallest sizes, then a single-leader hierarchy, then flat
-	// Rabenseifner/ring with a lower switch point, which makes it
-	// stronger than MVAPICH2 at large message sizes (as the paper's
-	// Figures 9-10 show).
-	LibIntelMPI Library = "intelmpi"
-	// LibProposed is the paper's design: the per-size best DPML /
+	// DesignMVAPICH2 emulates MVAPICH2-2.2: a shared-memory
+	// single-leader hierarchy for small and medium messages (Section
+	// 2.1's default design), switching to a flat bandwidth-optimal
+	// algorithm for large ones.
+	DesignMVAPICH2 Design = "mvapich2"
+	// DesignIntelMPI emulates Intel MPI 2017: a single-leader hierarchy
+	// at the smallest sizes, then flat recursive doubling, then flat
+	// Rabenseifner with a lower switch point, which makes it stronger
+	// than MVAPICH2 at large message sizes (as the paper's Figures 9-10
+	// show).
+	DesignIntelMPI Design = "intelmpi"
+	// DesignProposed is the paper's design: the per-size best DPML /
 	// DPML-Pipelined / SHArP configuration (the hybrid of Section 4).
-	LibProposed Library = "proposed"
-	// LibPAPAware extends the proposed selector with the related-work
-	// families: under a predicted-imbalanced arrival pattern it picks
-	// the arrival-aware designs (sorted linear tree for latency-bound
-	// sizes, early-ring beyond), and on a balanced fabric it falls back
-	// to the proposed hybrid. Kept out of Libraries() so the committed
-	// baseline figures stay byte-identical; the grand-prix figure and
-	// ExtendedLibraries callers opt in.
-	LibPAPAware Library = "pap-aware"
+	DesignProposed Design = "proposed"
+	// DesignPAPAware extends the proposed selector with the
+	// related-work families: under a predicted-imbalanced arrival
+	// pattern it picks the arrival-aware designs (sorted linear tree
+	// for latency-bound sizes, early-ring beyond), and on a balanced
+	// fabric it falls back to the proposed hybrid. Kept out of
+	// Libraries() so the committed baseline figures stay
+	// byte-identical.
+	DesignPAPAware Design = "pap-aware"
 )
 
-// Libraries returns the comparable baselines in presentation order.
-func Libraries() []Library { return []Library{LibMVAPICH2, LibIntelMPI, LibProposed} }
+// Libraries returns the comparable baseline selectors in presentation
+// order.
+func Libraries() []Spec {
+	return []Spec{{Design: DesignMVAPICH2}, {Design: DesignIntelMPI}, {Design: DesignProposed}}
+}
 
-// ExtendedLibraries returns the baselines plus the extension selectors
-// that know about the related-work design families.
-func ExtendedLibraries() []Library { return append(Libraries(), LibPAPAware) }
-
-// SpecFor returns the allreduce configuration the library would choose
-// for a message of the given size on this engine's job. lib must pass
-// CheckLibrary.
-func (e *Engine) SpecFor(lib Library, bytes int) Spec {
-	switch lib {
-	case LibMVAPICH2:
-		return e.mvapich2Spec(bytes)
-	case LibIntelMPI:
-		return e.intelMPISpec(bytes)
-	case LibProposed:
-		return e.ProposedSpec(bytes)
-	case LibPAPAware:
+// Resolve returns the spec that s runs for a message of the given size
+// on this engine's job: a selector's pick, or s itself when it is
+// concrete.
+func (e *Engine) Resolve(s Spec, bytes int) Spec {
+	switch s.Design {
+	case DesignMVAPICH2:
+		return mvapich2Spec(bytes)
+	case DesignIntelMPI:
+		return intelMPISpec(bytes)
+	case DesignProposed:
+		return e.proposedSpec(bytes)
+	case DesignPAPAware:
 		return e.papAwareSpec(bytes)
 	}
-	panic(fmt.Sprintf("core: unknown library %q", lib))
+	return s
 }
 
-// CheckLibrary reports whether lib names one of ExtendedLibraries().
-// SpecFor panics on any other name, so callers that take a library
-// name from input check it here first.
-func CheckLibrary(lib Library) error {
-	for _, l := range ExtendedLibraries() {
-		if l == lib {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unknown library %q (known: %v)", lib, ExtendedLibraries())
-}
-
-// LibraryAllreduce performs one allreduce the way the given library
-// would. Unknown library names are reported as errors.
-func (e *Engine) LibraryAllreduce(r *mpi.Rank, lib Library, op *mpi.Op, vec *mpi.Vector) error {
-	if err := CheckLibrary(lib); err != nil {
-		return err
-	}
-	return e.Allreduce(r, e.SpecFor(lib, vec.Bytes()), op, vec)
-}
-
-func (e *Engine) mvapich2Spec(bytes int) Spec {
+func mvapich2Spec(bytes int) Spec {
 	// MVAPICH2-2.2's shared-memory design (Section 2.1): one leader per
 	// node aggregates through shm, the leaders run the size-appropriate
 	// inter-node algorithm, and the result is broadcast through shm.
@@ -89,12 +61,12 @@ func (e *Engine) mvapich2Spec(bytes int) Spec {
 	// behaviour the paper's Figures 4-7 improve on: the leader's
 	// serialized ppn-1 reductions dominate at large sizes.
 	if bytes <= 16<<10 {
-		return Spec{Design: DesignDPML, Leaders: 1}
+		return HostBased()
 	}
-	return Spec{Design: DesignDPML, Leaders: 1, InterAlg: mpi.AlgRabenseifner}
+	return Spec{Design: DesignDPML, Leaders: 1, Alg: mpi.AlgRabenseifner}
 }
 
-func (e *Engine) intelMPISpec(bytes int) Spec {
+func intelMPISpec(bytes int) Spec {
 	// Intel MPI 2017's defaults: a shared-memory hierarchy only at the
 	// smallest sizes, then flat bandwidth-optimal algorithms (recursive
 	// halving/doubling). Keeping every rank in the inter-node algorithm
@@ -104,20 +76,20 @@ func (e *Engine) intelMPISpec(bytes int) Spec {
 	// leader transfers.
 	switch {
 	case bytes <= 4<<10:
-		return Spec{Design: DesignDPML, Leaders: 1}
+		return HostBased()
 	case bytes <= 32<<10:
-		return Spec{Design: DesignFlat, FlatAlg: mpi.AlgRecursiveDoubling}
+		return Flat(mpi.AlgRecursiveDoubling)
 	default:
-		return Spec{Design: DesignFlat, FlatAlg: mpi.AlgRabenseifner}
+		return Flat(mpi.AlgRabenseifner)
 	}
 }
 
-// ProposedSpec is the paper's hybrid selector: SHArP for small messages
+// proposedSpec is the paper's hybrid selector: SHArP for small messages
 // when the fabric supports it, DPML with a size- and architecture-
 // dependent leader count for medium and large messages, and pipelining
 // when the per-leader partition would still sit in the bandwidth-bound
 // zone (Section 4.2's very-large-message case).
-func (e *Engine) ProposedSpec(bytes int) Spec {
+func (e *Engine) proposedSpec(bytes int) Spec {
 	ppn := e.W.Job.PPN
 	if e.SharpAvailable() && bytes <= e.W.Sharp.MaxPayload()/4 {
 		if ppn <= 2 {
@@ -127,7 +99,7 @@ func (e *Engine) ProposedSpec(bytes int) Spec {
 	}
 	l := BestLeaders(ppn, bytes)
 	if l <= 1 && bytes <= 1<<10 {
-		return Spec{Design: DesignDPML, Leaders: 1}
+		return HostBased()
 	}
 	// Pipeline when each leader's partition is still deep in Zone C.
 	perLeader := bytes / l
@@ -137,10 +109,10 @@ func (e *Engine) ProposedSpec(bytes int) Spec {
 			k = 16
 		}
 		if k > 1 {
-			return Spec{Design: DesignDPMLPipelined, Leaders: l, Chunks: k}
+			return DPMLPipelined(l, k)
 		}
 	}
-	return Spec{Design: DesignDPML, Leaders: l}
+	return DPML(l)
 }
 
 // papAwareSpec selects for a predicted arrival pattern: when the
@@ -157,7 +129,7 @@ func (e *Engine) papAwareSpec(bytes int) Spec {
 		}
 		return PAPRing()
 	}
-	return e.ProposedSpec(bytes)
+	return e.proposedSpec(bytes)
 }
 
 // BestLeaders returns the empirically tuned DPML leader count for a ppn

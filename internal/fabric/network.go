@@ -328,22 +328,6 @@ func (m *MemChannel) newCopy() *memCopy {
 	return c
 }
 
-// StartTransfer is the asynchronous variant used for intra-node
-// point-to-point messages: the payload drains through the memory system
-// and onArrive fires when it lands. The caller charges startup costs.
-func (m *MemChannel) StartTransfer(crossSocket bool, bytes int64, onArrive func()) {
-	rate := m.prof.CopyRate
-	if crossSocket {
-		rate = m.prof.CrossSocketRate
-		m.Stats.CrossSocket++
-	}
-	m.Stats.Copies++
-	if bytes > 0 {
-		m.Stats.Bytes += uint64(bytes)
-	}
-	m.flows.Start(bytes, rate, onArrive, m.link)
-}
-
 // LinkReport summarizes one link's lifetime activity for observability
 // tools.
 type LinkReport struct {

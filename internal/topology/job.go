@@ -86,6 +86,3 @@ func (j *Job) Place(rank int) Placement {
 		HCA:       socket % c.HCAs,
 	}
 }
-
-// SameNode reports whether two ranks share a node.
-func (j *Job) SameNode(a, b int) bool { return a/j.PPN == b/j.PPN }

@@ -44,9 +44,3 @@ func LeafSubtrees(nodes, leafRadix int) *SubtreeMap {
 	}
 	return &SubtreeMap{Count: count, Of: of}
 }
-
-// Subtrees returns the canonical leaf-switch partition of this cluster's
-// nodes (after any WithNodes restriction).
-func (c *Cluster) Subtrees() *SubtreeMap {
-	return LeafSubtrees(c.Nodes, c.Net.LeafRadix)
-}

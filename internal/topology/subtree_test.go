@@ -83,7 +83,7 @@ func TestClusterSubtreesAndExa(t *testing.T) {
 	if e.Net.Oversubscription <= 1 {
 		t.Error("cluster E must model an oversubscribed core")
 	}
-	m := e.Subtrees()
+	m := LeafSubtrees(e.Nodes, e.Net.LeafRadix)
 	if m.Count != 128 {
 		t.Errorf("cluster E subtrees = %d, want 128 (4096/32)", m.Count)
 	}
@@ -92,11 +92,12 @@ func TestClusterSubtreesAndExa(t *testing.T) {
 	}
 	// The paper clusters keep their leaf radix: cluster A's 40 nodes hang
 	// off three 16-port leaves.
-	if got := ClusterA().Subtrees().Count; got != 3 {
+	subtrees := func(c *Cluster) int { return LeafSubtrees(c.Nodes, c.Net.LeafRadix).Count }
+	if got := subtrees(ClusterA()); got != 3 {
 		t.Errorf("cluster A subtrees = %d, want 3", got)
 	}
 	// WithNodes restrictions repartition: a 16-node job on A is one leaf.
-	if got := ClusterA().WithNodes(16).Subtrees().Count; got != 1 {
+	if got := subtrees(ClusterA().WithNodes(16)); got != 1 {
 		t.Errorf("16-node cluster A subtrees = %d, want 1", got)
 	}
 }
