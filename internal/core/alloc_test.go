@@ -13,9 +13,8 @@ import (
 // as free of payload-sized allocation once warm: Phase 1 deposits each
 // rank's own partitions, Phase 2 folds into the segment's recycled
 // accumulator, and Phase 3's receive temporaries and transit clones come
-// from the world's free lists. What a collective still allocates — event
-// and request bookkeeping across all 64 ranks — must stay below one
-// rank's payload.
+// from the world's free lists. Whatever a collective still allocates
+// across all 64 ranks must stay below one rank's payload.
 func TestWarmDPMLAllreduceAllocatesNoPayload(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on synchronizing operations")
@@ -54,4 +53,95 @@ func TestWarmDPMLAllreduceAllocatesNoPayload(t *testing.T) {
 		t.Fatalf("a warm collective allocates %d bytes across the world, want < %d (one rank's payload)", perColl, payload)
 	}
 	t.Logf("a warm collective allocates %d bytes across the world", perColl)
+}
+
+// TestWarmAllocsPerDesign pins each design's heap allocations per warm
+// rank-collective, on a 4x4 phantom job with 256 B per rank (within
+// SHArP's payload limit). DPML and flat allocate nothing: their
+// messages, shared-memory operations and views all come from free
+// lists. Every other ceiling is the measured count, rounded up, and its
+// comment names the sites that still allocate.
+func TestWarmAllocsPerDesign(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on synchronizing operations")
+	}
+	const (
+		nodes, ppn = 4, 4
+		n          = 64 // float32 elements
+		warm, runs = 8, 32
+		windows    = 3
+	)
+	cases := []struct {
+		design string
+		max    float64
+	}{
+		{"flat", 0},
+		{"host-based", 0},
+		{"dpml-3", 0},
+		// pipelined.go:143-145 (each chunk's view, its tmp clone and
+		// BlockPartition), the blockView slices (:76, :78) and the
+		// requests of the public Isend/Irecv (:98-:103), which stay
+		// GC-owned.
+		{"dpml-pipe-2x3", 55},
+		// SharpGroup.Allreduce's per-call records: the sharpCall, its
+		// AfterNet closure and the operation's sharpOp and parts.
+		// sharp.go:85 clones only real payloads.
+		{"sharp-node", 1.5},
+		{"sharp-socket", 2.5},
+		// dualroot.go:120 (each child's receive buffer), the half and
+		// segment views (:49, :96), BlockPartition (:93), the Isend/Irecv
+		// requests and the sends slice.
+		{"dualroot-s3", 89},
+		// InternComm (genall.go:51, :65), whose key formats the group
+		// (fmt's printer pool refills after each GC, hence the slack).
+		{"genall-g4", 9},
+		// pap.go:104 (each block's receive buffer), the block views
+		// (:102), BlockPartition (:97), the Isend/Irecv requests, the
+		// arrival order (:87) and InternComm (:92).
+		{"pap-sorted", 81},
+		// The arrival order (pap.go:137) and InternComm (:156, :173). On
+		// a healthy fabric no rank is late, so pap.go:166 never runs.
+		{"pap-ring", 41},
+	}
+	for _, tc := range cases {
+		t.Run(tc.design, func(t *testing.T) {
+			s, err := ParseDesign(tc.design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := buildEngine(t, topology.ClusterA(), nodes, ppn)
+			// Rank 0 reads the counters at the start of a collective,
+			// which no rank can finish before rank 0 has joined it. The
+			// fewest mallocs of several windows is the count: a stray
+			// allocation by another goroutine of the process lands in
+			// one window, not in all.
+			var mallocs [windows + 1]uint64
+			err = e.W.Run(func(r *mpi.Rank) error {
+				v := mpi.NewPhantom(mpi.Float32, n)
+				for i := 0; i <= warm+windows*runs; i++ {
+					if w := i - warm; r.Rank() == 0 && w >= 0 && w%runs == 0 {
+						var m runtime.MemStats
+						runtime.ReadMemStats(&m)
+						mallocs[w/runs] = m.Mallocs
+					}
+					if err := e.Allreduce(r, s, mpi.Sum, v); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fewest := mallocs[1] - mallocs[0]
+			for w := 1; w < windows; w++ {
+				fewest = min(fewest, mallocs[w+1]-mallocs[w])
+			}
+			got := float64(fewest) / (runs * nodes * ppn)
+			t.Logf("%s: %.3f mallocs per rank-collective", tc.design, got)
+			if got > tc.max {
+				t.Fatalf("%s allocates %.3f objects per warm rank-collective, want <= %v", tc.design, got, tc.max)
+			}
+		})
+	}
 }

@@ -114,10 +114,13 @@ func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) shmOp {
 	return shmOp{e: e, r: r, rg: e.regions[r.Place().Node], seq: e.nextSeq(r), segs: segs, n: n}
 }
 
-// part returns the view of vec that segment j carries: block j of
-// mpi.BlockPartition(n, segs).
+// part returns the view of vec that segment j carries, block j of
+// mpi.BlockPartition(n, segs), through this rank's view header in
+// segment j: it stays valid until the operation drains (see
+// shmseg.Region.View).
 func (o *shmOp) part(vec *mpi.Vector, j int) *mpi.Vector {
-	return vec.Slice(mpi.Block(o.n, o.segs, j))
+	lo, hi := mpi.Block(o.n, o.segs, j)
+	return o.rg.View(o.seq, o.segs, j, o.r.Place().LocalRank, vec, lo, hi)
 }
 
 // cross reports whether a copy to or from segment j crosses sockets.

@@ -290,7 +290,11 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 		return err
 	}
 	rec := e.W.Tracer()
-	coll := rec.BeginCollective(r.Rank(), s.String(), vec.Bytes(), r.Now())
+	var label string
+	if rec != nil {
+		label = s.String()
+	}
+	coll := rec.BeginCollective(r.Rank(), label, vec.Bytes(), r.Now())
 	defer func() { coll.End(r.Now()) }()
 	switch s.Design {
 	case DesignFlat:

@@ -25,6 +25,10 @@ type hca struct {
 	// was when the slot was reserved.
 	injections uint64
 	maxBacklog sim.Duration
+
+	// free holds transfer records: drawn by sends from this HCA and
+	// released by arrivals on it.
+	free []*transfer
 }
 
 // Network models the inter-node interconnect of one job: per-node HCAs
@@ -199,37 +203,81 @@ func (n *Network) StartTransferNotify(src, dst *Endpoint, bytes int64, onArrive,
 	if src.node == dst.node {
 		panic("fabric: StartTransfer within a node; use MemChannel")
 	}
+	t := n.newTransfer(n.hcaAt(src.node, src.hca))
+	t.src, t.dst, t.bytes, t.onArrive, t.onSent = src, dst, bytes, onArrive, onSent
 	// The flow's links and the message counters are network-LP state;
 	// hop into it with a zero-delay injection (the network phase of each
 	// time window runs after every node's, so the flow still starts at
 	// the current instant).
-	src.k.AfterNet(0, func() { n.launch(src, dst, bytes, onArrive, onSent) })
+	src.k.AfterNet(0, t.launch)
 }
 
-// launch starts the flow. Runs in network-LP context.
-func (n *Network) launch(src, dst *Endpoint, bytes int64, onArrive, onSent func()) {
+// transfer carries one message through the fabric: drawn in the source
+// node's context, handed to the network LP to launch its flow, and
+// released in the destination node's context when it arrives. Its
+// callbacks are built once per record. The source node never touches it
+// after the launch is scheduled: onSent goes to the source node as a
+// plain callback, so under sharding the two nodes share no record state.
+type transfer struct {
+	src, dst         *Endpoint
+	bytes            int64
+	onArrive, onSent func()
+
+	launch func() // network LP: start the flow
+	done   func() // network LP: the flow has finished (built by the first launch)
+	arrive func() // destination node: release the record, run onArrive
+}
+
+// newTransfer takes a record from the source HCA's free list, or builds
+// one.
+func (n *Network) newTransfer(h *hca) *transfer {
+	if i := len(h.free) - 1; i >= 0 {
+		t := h.free[i]
+		h.free[i] = nil
+		h.free = h.free[:i]
+		return t
+	}
+	t := &transfer{}
+	t.launch = func() { n.launch(t) }
+	t.arrive = func() {
+		onArrive := t.onArrive
+		dd := n.hcaAt(t.dst.node, t.dst.hca)
+		t.src, t.dst, t.onArrive, t.onSent = nil, nil, nil, nil
+		dd.free = append(dd.free, t)
+		onArrive()
+	}
+	return t
+}
+
+// launch starts t's flow. Runs in network-LP context. A record's done
+// callback is built here, on its first launch, so it is network code
+// wherever the ownership model looks at it.
+func (n *Network) launch(t *transfer) {
+	if t.done == nil {
+		t.done = func() {
+			wire := n.prof.WireLatency
+			n.k.AfterOn(t.dst.node, wire, t.arrive)
+			if t.onSent != nil {
+				n.k.AfterOn(t.src.node, wire, t.onSent)
+			}
+		}
+	}
+	src, dst, bytes := t.src, t.dst, t.bytes
 	su := n.hcaAt(src.node, src.hca)
 	dd := n.hcaAt(dst.node, dst.hca)
 	n.Stats.Messages++
 	if bytes > 0 {
 		n.Stats.Bytes += uint64(bytes)
 	}
-	wire := n.prof.WireLatency
-	done := func() {
-		n.k.AfterOn(dst.node, wire, onArrive)
-		if onSent != nil {
-			n.k.AfterOn(src.node, wire, onSent)
-		}
-	}
 	if n.coreUp != nil {
 		ss, ds := n.sub.Of[src.node], n.sub.Of[dst.node]
 		if ss != ds {
-			n.flows.Start(bytes, unlimited, done,
+			n.flows.Start(bytes, unlimited, t.done,
 				src.tx, su.up, n.coreUp[ss], n.coreDn[ds], dd.down, dst.rx)
 			return
 		}
 	}
-	n.flows.Start(bytes, unlimited, done, src.tx, su.up, dd.down, dst.rx)
+	n.flows.Start(bytes, unlimited, t.done, src.tx, su.up, dd.down, dst.rx)
 }
 
 func (n *Network) hcaAt(node, h int) *hca {

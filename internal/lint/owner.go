@@ -36,12 +36,14 @@ import (
 // explicit: a func literal passed to AfterNet runs on the net LP; one
 // passed to Spawn/SpawnOn runs as a proc on a node LP; AfterOn/AtOn
 // callbacks run on the LP their first argument names (treated as net
-// when the expression mentions the net LP, node otherwise). Declared
-// functions are seeded node when they take a *sim.Proc parameter
-// (procs exist only on node LPs) or are methods on a node-owned
-// struct. Classes then propagate along static call edges — literal
-// bodies are boundaries, so a callback's class never leaks into its
-// registering function or vice versa. Each classification keeps a
+// when the expression mentions the net LP, node otherwise). A callback
+// registered through a struct field (a pooled record that builds its
+// callbacks once) roots every func literal stored into that field the
+// same way. Declared functions are seeded node when they take a
+// *sim.Proc parameter (procs exist only on node LPs) or are methods on
+// a node-owned struct. Classes then propagate along static call edges —
+// literal bodies are boundaries, so a callback's class never leaks into
+// its registering function or vice versa. Each classification keeps a
 // witness chain back to its root so findings can print the full
 // interprocedural path.
 
@@ -409,6 +411,25 @@ func (o *ownership) buildUnits(m *Module) {
 			}
 		}
 	}
+	// A callback registered through a struct field (a record that
+	// builds its callbacks once and reuses them) roots every literal
+	// stored into that field, as if the literal were registered itself.
+	type fieldReg struct{ class, how string }
+	fieldRegs := map[*types.Var][]fieldReg{}
+	root := func(p *Package, lit *ast.FuncLit, at token.Pos, what, class, how string) {
+		u := o.litUnit[lit]
+		if u == nil {
+			pos := o.fset.Position(at)
+			u = &unit{
+				lit: lit, body: lit.Body, pkg: p,
+				name:    fmt.Sprintf("the callback %sat %s:%d", what, pos.Filename, pos.Line),
+				classes: map[string]*ctxStep{},
+			}
+			o.litUnit[lit] = u
+			o.units = append(o.units, u)
+		}
+		u.seed(class, fmt.Sprintf("registered on the %s LP via %s", class, how))
+	}
 	for _, pkg := range m.All {
 		p := pkg
 		for _, f := range p.Files {
@@ -417,19 +438,34 @@ func (o *ownership) buildUnits(m *Module) {
 				if !ok {
 					return true
 				}
-				lit, class, how := o.registration(p, call)
-				if lit == nil || o.litUnit[lit] != nil {
+				fn, class, how := o.registration(p, call)
+				if lit, ok := fn.(*ast.FuncLit); ok {
+					root(p, lit, call.Pos(), "", class, how)
+				} else if v := fieldVar(p.Info, fn); v != nil {
+					fieldRegs[v] = append(fieldRegs[v], fieldReg{class, how})
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range m.All {
+		p := pkg
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
 					return true
 				}
-				pos := o.fset.Position(call.Pos())
-				u := &unit{
-					lit: lit, body: lit.Body, pkg: p,
-					name:    fmt.Sprintf("the callback at %s:%d", pos.Filename, pos.Line),
-					classes: map[string]*ctxStep{},
+				for i, lhs := range as.Lhs {
+					lit, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
+					v := fieldVar(p.Info, lhs)
+					if !ok || v == nil {
+						continue
+					}
+					for _, r := range fieldRegs[v] {
+						root(p, lit, as.Pos(), "stored in "+v.Name()+" ", r.class, r.how)
+					}
 				}
-				u.seed(class, fmt.Sprintf("registered on the %s LP via %s", class, how))
-				o.litUnit[lit] = u
-				o.units = append(o.units, u)
 				return true
 			})
 		}
@@ -464,10 +500,10 @@ func (o *ownership) inspectUnit(u *unit, f func(ast.Node) bool) {
 	})
 }
 
-// registration recognizes kernel calls that root a callback literal on
-// a known LP class, returning the literal, its class, and the method
-// name for the witness message.
-func (o *ownership) registration(pkg *Package, call *ast.CallExpr) (*ast.FuncLit, string, string) {
+// registration recognizes kernel calls that register a callback on a
+// known LP class, returning the callback expression, its class, and the
+// method name for the witness message.
+func (o *ownership) registration(pkg *Package, call *ast.CallExpr) (ast.Expr, string, string) {
 	fn := calleeFunc(pkg.Info, call)
 	if fn == nil {
 		return nil, "", ""
@@ -495,11 +531,20 @@ func (o *ownership) registration(pkg *Package, call *ast.CallExpr) (*ast.FuncLit
 	if argIdx >= len(call.Args) {
 		return nil, "", ""
 	}
-	lit, ok := ast.Unparen(call.Args[argIdx]).(*ast.FuncLit)
+	return ast.Unparen(call.Args[argIdx]), class, fn.Name()
+}
+
+// fieldVar returns the struct field that e selects, or nil.
+func fieldVar(info *types.Info, e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
-		return nil, "", ""
+		return nil
 	}
-	return lit, class, fn.Name()
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		v, _ := s.Obj().(*types.Var)
+		return v
+	}
+	return nil
 }
 
 // propagate pushes classes along call edges to a fixpoint, recording

@@ -38,7 +38,8 @@ var realEdits = []realEdit{
 			"sp := rec.BeginSpan(r.Rank(), trace.PhaseTreeReduce, r.Now())\n"},
 	}},
 	{analyzer: "waitcheck", pkg: "internal/mpi", file: "p2p.go", edits: [][2]string{
-		{"\tr.WaitAll(rq, sq)\n", "\tr.WaitAll(rq)\n\tsq = nil\n\t_ = sq\n"},
+		{"\tr.Wait(sq)\n", ""},
+		{"\tr.releaseRequest(sq)\n", "\tsq = nil\n\t_ = sq\n"},
 	}},
 	{analyzer: "floateq", pkg: "internal/fabric", file: "flow.go", edits: [][2]string{
 		{"if capacity == l.capacity { //dpml:allow floateq -- no-op guard: any real change re-waterfills\n",
@@ -48,7 +49,7 @@ var realEdits = []realEdit{
 		{"\treturn k.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\treturn k.push(t, k.nextPrio(k.curLP)^1, k.curLP, fn)"},
 	}},
 	{analyzer: "sendpath", pkg: "internal/fabric", file: "network.go", edits: [][2]string{
-		{"n.k.AfterOn(dst.node, wire, onArrive)", "dst.k.After(wire, onArrive)"},
+		{"n.k.AfterOn(t.dst.node, wire, t.arrive)", "t.dst.k.After(wire, t.arrive)"},
 	}},
 	// lpown must name the whole chain, from the LP registration that
 	// fixes the context to the wrong-class access.

@@ -91,3 +91,28 @@ func suppressed(k *sim.Kernel, nb *nodeBox) {
 		nb.pending = 9 //dpml:allow lpown -- fixture: prove module findings honor allowances
 	})
 }
+
+// record builds its callbacks once and registers them through its
+// fields, as pooled records do: each literal stored into a field is
+// rooted on the LP its field is registered on, not on the context that
+// builds it.
+type record struct {
+	nb   *nodeBox
+	b    *netBox
+	land func()
+	tick func()
+}
+
+func newRecord(nb *nodeBox, b *netBox) *record {
+	r := &record{nb: nb, b: b}
+	r.land = func() {
+		r.b.count++ // want `net-owned but written from a node-LP context: the callback stored in land at .*registered on the node LP via AfterOn`
+	}
+	r.tick = func() { r.b.count++ }
+	return r
+}
+
+func (r *record) post(k *sim.Kernel) {
+	k.AfterOn(1, baseLat, r.land)
+	k.AfterNet(0, r.tick)
+}

@@ -160,21 +160,38 @@ func wrapTag(base, round int) int {
 	return base + round%(collSlots-1)
 }
 
-// blocks returns the contiguous view of blocks [lo, hi) of v.
-func blocks(v *Vector, cnts, displs []int, lo, hi int) *Vector {
-	if lo == hi {
-		return v.Slice(displs[lo], displs[lo])
-	}
-	return v.Slice(displs[lo], displs[hi-1]+cnts[hi-1])
+// The flat algorithms' view headers, one per role. Each view is dead
+// once the SendRecv or Reduce it was made for returns (the envelope of a
+// rendezvous send reads the payload through its own header), so a rank
+// re-points the same three headers at every step.
+const (
+	viewSend = iota
+	viewRecv
+	viewFold
+)
+
+// view re-points the rank's view header i at elements [lo, hi) of v
+// (see Vector.SliceInto).
+func (r *Rank) view(i int, v *Vector, lo, hi int) *Vector {
+	r.views[i] = v.SliceInto(r.views[i], lo, hi)
+	return r.views[i]
+}
+
+// blocks re-points view header i at blocks [lo, hi) of v's p-way
+// BlockPartition (lo < hi).
+func (r *Rank) blocks(i int, v *Vector, p, lo, hi int) *Vector {
+	a, _ := Block(v.n, p, lo)
+	_, b := Block(v.n, p, hi-1)
+	return r.view(i, v, a, b)
 }
 
 func (r *Rank) allreduceRing(c *Comm, op *Op, vec *Vector, base int) {
 	me := c.mustRank(r)
 	p := c.Size()
-	cnts, displs := BlockPartition(vec.Len(), p)
+	n := vec.Len()
 	right := (me + 1) % p
 	left := (me - 1 + p) % p
-	maxCnt := cnts[0]
+	_, maxCnt := Block(n, p, 0)
 	tmp := r.scratch(vec, maxCnt)
 	defer r.release(tmp)
 
@@ -183,19 +200,20 @@ func (r *Rank) allreduceRing(c *Comm, op *Op, vec *Vector, base int) {
 	for s := 0; s < p-1; s++ {
 		sb := (me - s + p) % p
 		rb := (me - s - 1 + p) % p
-		recvView := tmp.Slice(0, cnts[rb])
+		lo, hi := Block(n, p, rb)
+		recvView := r.view(viewRecv, tmp, 0, hi-lo)
 		r.SendRecv(c,
-			right, wrapTag(base, s), blocks(vec, cnts, displs, sb, sb+1),
+			right, wrapTag(base, s), r.blocks(viewSend, vec, p, sb, sb+1),
 			left, wrapTag(base, s), recvView)
-		r.Reduce(op, blocks(vec, cnts, displs, rb, rb+1), recvView)
+		r.Reduce(op, r.view(viewFold, vec, lo, hi), recvView)
 	}
 	// Ring allgather: circulate the completed blocks.
 	for s := 0; s < p-1; s++ {
 		sb := (me + 1 - s + p) % p
 		rb := (me - s + p) % p
 		r.SendRecv(c,
-			right, wrapTag(base, p+s), blocks(vec, cnts, displs, sb, sb+1),
-			left, wrapTag(base, p+s), blocks(vec, cnts, displs, rb, rb+1))
+			right, wrapTag(base, p+s), r.blocks(viewSend, vec, p, sb, sb+1),
+			left, wrapTag(base, p+s), r.blocks(viewRecv, vec, p, rb, rb+1))
 	}
 }
 
@@ -205,43 +223,39 @@ func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base int) {
 	rem := p - pof2
 	newRank := r.FoldIn(c, op, vec, rem, base)
 	if newRank >= 0 {
-		cnts, displs := BlockPartition(vec.Len(), pof2)
 		tmp := r.scratch(vec, vec.Len())
 		defer r.release(tmp)
 		lo, hi := 0, pof2
-		type halving struct {
-			dst                          int
-			sentLo, sentHi, kepLo, kepHi int
-		}
-		var steps []halving
 		round := 1
-		// Recursive-halving reduce-scatter.
+		// Recursive-halving reduce-scatter: at each bit, keep the half
+		// of blocks [lo, hi) on this rank's side and send the other.
 		for mask := 1; mask < pof2; mask <<= 1 {
-			newDst := newRank ^ mask
-			dst := FoldRank(newDst, rem)
+			dst := FoldRank(newRank^mask, rem)
 			mid := (lo + hi) / 2
-			var st halving
-			st.dst = dst
-			if newRank < newDst {
-				st.sentLo, st.sentHi, st.kepLo, st.kepHi = mid, hi, lo, mid
-			} else {
-				st.sentLo, st.sentHi, st.kepLo, st.kepHi = lo, mid, mid, hi
+			sentLo, sentHi, kepLo, kepHi := mid, hi, lo, mid
+			if newRank&mask != 0 {
+				sentLo, sentHi, kepLo, kepHi = lo, mid, mid, hi
 			}
-			recvView := blocks(tmp, cnts, displs, st.kepLo, st.kepHi)
+			recvView := r.blocks(viewRecv, tmp, pof2, kepLo, kepHi)
 			r.SendRecv(c,
-				dst, base+round, blocks(vec, cnts, displs, st.sentLo, st.sentHi),
+				dst, base+round, r.blocks(viewSend, vec, pof2, sentLo, sentHi),
 				dst, base+round, recvView)
-			r.Reduce(op, blocks(vec, cnts, displs, st.kepLo, st.kepHi), recvView)
-			steps = append(steps, st)
-			lo, hi = st.kepLo, st.kepHi
+			r.Reduce(op, r.blocks(viewFold, vec, pof2, kepLo, kepHi), recvView)
+			lo, hi = kepLo, kepHi
 			round++
 		}
-		// Recursive-doubling allgather: undo the halvings in reverse.
-		for i := len(steps) - 1; i >= 0; i-- {
-			st := steps[i]
+		// Recursive-doubling allgather: undo the halvings in reverse,
+		// sending the kept half and receiving the half sent away.
+		for mask := pof2 >> 1; mask > 0; mask >>= 1 {
+			dst := FoldRank(newRank^mask, rem)
+			sentLo, sentHi := hi, 2*hi-lo
+			if newRank&mask != 0 {
+				sentLo, sentHi = 2*lo-hi, lo
+			}
 			r.SendRecv(c,
-				st.dst, base+round, blocks(vec, cnts, displs, st.kepLo, st.kepHi),
-				st.dst, base+round, blocks(vec, cnts, displs, st.sentLo, st.sentHi))
+				dst, base+round, r.blocks(viewSend, vec, pof2, lo, hi),
+				dst, base+round, r.blocks(viewRecv, vec, pof2, sentLo, sentHi))
+			lo, hi = min(lo, sentLo), max(hi, sentHi)
 			round++
 		}
 	}

@@ -26,8 +26,10 @@ type Vector struct {
 type store interface {
 	// slice and clone return a new real vector of datatype d over
 	// elements [lo, hi) — shared with the store — or over a copy of
-	// the whole store.
+	// the whole store. sliceInto is slice through dst's header when
+	// dst is a real vector of the same element type.
 	slice(d Datatype, lo, hi int) *Vector
+	sliceInto(dst *Vector, d Datatype, lo, hi int) *Vector
 	clone(d Datatype) *Vector
 	copyFrom(src store)
 	fill(x float64)
@@ -62,6 +64,16 @@ func wrap[T element](d Datatype, s []T) *Vector {
 func newReal[T element](d Datatype, n int) *Vector { return wrap(d, make([]T, n)) }
 
 func (s *elems[T]) slice(d Datatype, lo, hi int) *Vector { return wrap(d, (*s)[lo:hi]) }
+
+func (s *elems[T]) sliceInto(dst *Vector, d Datatype, lo, hi int) *Vector {
+	t, ok := dst.data.(*elems[T])
+	if !ok {
+		return s.slice(d, lo, hi)
+	}
+	*t = (*s)[lo:hi]
+	dst.dtype, dst.n = d, hi-lo
+	return dst
+}
 
 func (s *elems[T]) clone(d Datatype) *Vector {
 	return wrap(d, append([]T(nil), *s...))
@@ -166,6 +178,28 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 		return &Vector{dtype: v.dtype, n: hi - lo}
 	}
 	return v.data.slice(v.dtype, lo, hi)
+}
+
+// SliceInto is Slice through dst's header: it re-points dst at elements
+// [lo, hi) of v and returns it, and allocates a fresh view only when dst
+// is nil or differs from v in phantomness or element type. dst must be a
+// view its caller owns, made by Slice or SliceInto, that nothing else
+// still reads: its old range is lost. Loops that walk the blocks of a
+// buffer reuse one header per role this way.
+func (v *Vector) SliceInto(dst *Vector, lo, hi int) *Vector {
+	if lo < 0 || hi < lo || hi > v.n {
+		panic(fmt.Sprintf("mpi: SliceInto(%d,%d) of %d elements", lo, hi, v.n))
+	}
+	switch {
+	case dst == nil:
+		return v.Slice(lo, hi)
+	case v.data == nil && dst.data == nil:
+		dst.dtype, dst.n = v.dtype, hi-lo
+		return dst
+	case v.data == nil || dst.data == nil:
+		return v.Slice(lo, hi)
+	}
+	return v.data.sliceInto(dst, v.dtype, lo, hi)
 }
 
 // Clone returns an independent copy of v (phantomness included).

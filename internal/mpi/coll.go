@@ -11,12 +11,11 @@ func (r *Rank) Barrier(c *Comm) {
 		return
 	}
 	base := c.CollTagBase(r)
-	token := NewPhantom(Int32, 0)
-	in := NewPhantom(Int32, 0)
+	token := r.w.empty
 	for round, dist := 0, 1; dist < p; round, dist = round+1, dist*2 {
 		to := (me + dist) % p
 		from := (me - dist + p) % p
-		r.SendRecv(c, to, base+round, token, from, base+round, in)
+		r.SendRecv(c, to, base+round, token, from, base+round, token)
 	}
 }
 

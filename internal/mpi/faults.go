@@ -110,13 +110,7 @@ func (w *World) diagnostics() string {
 	b.WriteString("pending requests:")
 	lines, more := 0, 0
 	for _, rk := range w.ranks {
-		posted, unexpected := 0, 0
-		for _, q := range rk.posted {
-			posted += len(q)
-		}
-		for _, q := range rk.unexpected {
-			unexpected += len(q)
-		}
+		posted, unexpected := rk.posted.n, rk.unexpected.n
 		if posted == 0 && unexpected == 0 {
 			continue
 		}

@@ -18,16 +18,24 @@ type msgKey struct {
 // envelope is one in-flight message from the receiver's perspective: for
 // eager sends it arrives carrying the payload; for rendezvous it is the
 // RTS, and the payload moves only after the receiver matches it.
-// Matching state lives on the receiver's node LP.
+// Matching state lives on the receiver's node LP. Envelopes are recycled
+// (see pool.go), and each builds its callbacks once.
 //
 //dpml:owner node
 type envelope struct {
 	key          msgKey
-	vec          *Vector
+	vec          *Vector // the payload: a transit clone or own
+	own          *Vector // this envelope's view header, kept across reuse
 	rendezvous   bool
 	sendReq      *Request // rendezvous: completes when the payload lands
-	srcRank      *Rank
+	recvReq      *Request // rendezvous: the matched receive
+	src, dst     *Rank
 	recvOverhead sim.Duration // receiver CPU cost charged before completion
+
+	deliver func() // in dst's context: the eager payload or the RTS arrives
+	cts     func() // in src's context: the CTS arrives; reserve an injection slot
+	inject  func() // in src's context: the slot opens; start the payload flow
+	land    func() // in dst's context: the payload has landed
 }
 
 // Isend starts a non-blocking send of vec to comm rank dst with the given
@@ -39,17 +47,19 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 	r.checkP2P(c, dst, tag, vec)
 	dstGlobal := c.Global(dst)
 	key := msgKey{comm: c.id, src: r.rank, tag: tag}
-	req := newRequest(r, "send", key, vec)
+	req := r.newRequest("send", key, vec)
 	req.peer = dstGlobal
 	dstRank := r.w.ranks[dstGlobal]
 	prof := r.w.Job.Cluster.Net
+	env := r.newEnvelope(key, dstRank)
 
 	if r.place.Node == dstRank.place.Node {
 		// Intra-node: one shared-memory copy by the sender, then the
 		// message is visible to the receiver.
 		cross := r.place.Socket != dstRank.place.Socket
 		r.MemCopy(cross, vec.Bytes())
-		dstRank.deliver(&envelope{key: key, vec: r.w.transitClone(r.place.Node, vec), srcRank: r})
+		env.carry(vec)
+		dstRank.deliver(env)
 		req.complete()
 		return req
 	}
@@ -61,8 +71,9 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 		if d := r.ep.InjectDelay(); d > 0 {
 			r.proc.Sleep(d)
 		}
-		env := &envelope{key: key, vec: r.w.transitClone(r.place.Node, vec), srcRank: r, recvOverhead: prof.ReceiverOverhead + r.jitter()}
-		r.w.Net.StartTransfer(r.ep, dstRank.ep, int64(vec.Bytes()), func() { dstRank.deliver(env) })
+		env.carry(vec)
+		env.recvOverhead = prof.ReceiverOverhead + r.jitter()
+		r.w.Net.StartTransfer(r.ep, dstRank.ep, int64(vec.Bytes()), env.deliver)
 		req.complete()
 		return req
 	}
@@ -70,14 +81,30 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 	// Rendezvous: an RTS control message travels to the receiver; the
 	// payload moves only after the receiver matches and returns a CTS.
 	r.proc.Sleep(r.w.stretch(r, prof.SenderOverhead))
-	env := &envelope{
-		key: key, vec: vec, rendezvous: true, sendReq: req, srcRank: r,
-		recvOverhead: prof.ReceiverOverhead + r.jitter(),
-	}
+	env.rendezvous, env.sendReq = true, req
+	env.carry(vec)
+	env.recvOverhead = prof.ReceiverOverhead + r.jitter()
 	// The RTS fires in the receiver's node context one wire latency out
 	// (the lookahead bound makes this legal under any sharding).
-	r.k.AfterOn(dstRank.place.Node, prof.WireLatency, func() { dstRank.deliver(env) })
+	r.k.AfterOn(dstRank.place.Node, prof.WireLatency, env.deliver)
 	return req
+}
+
+// carry sets the envelope's payload to vec's elements. An eager real
+// payload travels in a transit clone, since the sender may write vec as
+// soon as Isend returns. A phantom has no elements to change, and a
+// rendezvous sender leaves vec untouched until its request completes, so
+// for those the envelope views vec through its own header: the sender
+// may re-point vec's header once its request completes, at the instant
+// the receiver copies.
+func (env *envelope) carry(vec *Vector) {
+	if !env.rendezvous && !vec.Phantom() {
+		s := env.src
+		env.vec = s.w.transitClone(s.place.Node, vec)
+		return
+	}
+	env.own = vec.SliceInto(env.own, 0, vec.n)
+	env.vec = env.own
 }
 
 // Irecv posts a non-blocking receive into vec from comm rank src with the
@@ -86,34 +113,28 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 func (r *Rank) Irecv(c *Comm, src, tag int, vec *Vector) *Request {
 	r.checkP2P(c, src, tag, vec)
 	key := msgKey{comm: c.id, src: c.Global(src), tag: tag}
-	req := newRequest(r, "recv", key, vec)
+	req := r.newRequest("recv", key, vec)
 	req.peer = c.Global(src)
-	if q := r.unexpected[key]; len(q) > 0 {
-		env := q[0]
-		if len(q) == 1 {
-			delete(r.unexpected, key)
-		} else {
-			r.unexpected[key] = q[1:]
-		}
-		if env.rendezvous {
-			r.startRendezvous(env, req)
-		} else {
-			r.completeRecv(env, req)
-		}
+	if env, ok := r.unexpected.pop(key); ok {
+		r.match(env, req)
 		return req
 	}
-	r.posted[key] = append(r.posted[key], req)
+	r.posted.push(key, req)
 	return req
 }
 
 // Send is the blocking send: Isend followed by Wait.
 func (r *Rank) Send(c *Comm, dst, tag int, vec *Vector) {
-	r.Wait(r.Isend(c, dst, tag, vec))
+	q := r.Isend(c, dst, tag, vec)
+	r.Wait(q)
+	r.releaseRequest(q)
 }
 
 // Recv is the blocking receive: Irecv followed by Wait.
 func (r *Rank) Recv(c *Comm, src, tag int, vec *Vector) {
-	r.Wait(r.Irecv(c, src, tag, vec))
+	q := r.Irecv(c, src, tag, vec)
+	r.Wait(q)
+	r.releaseRequest(q)
 }
 
 // SendRecv posts the receive, runs the send, and waits for both — the
@@ -121,53 +142,55 @@ func (r *Rank) Recv(c *Comm, src, tag int, vec *Vector) {
 func (r *Rank) SendRecv(c *Comm, dst, sendTag int, sendVec *Vector, src, recvTag int, recvVec *Vector) {
 	rq := r.Irecv(c, src, recvTag, recvVec)
 	sq := r.Isend(c, dst, sendTag, sendVec)
-	r.WaitAll(rq, sq)
+	r.Wait(rq)
+	r.Wait(sq)
+	r.releaseRequest(rq)
+	r.releaseRequest(sq)
 }
 
 // deliver hands an arriving envelope (eager payload or rendezvous RTS) to
 // this rank: match a posted receive or park it as unexpected. Runs in
 // simulation context (sender proc or event callback).
 func (r *Rank) deliver(env *envelope) {
-	if q := r.posted[env.key]; len(q) > 0 {
-		req := q[0]
-		if len(q) == 1 {
-			delete(r.posted, env.key)
-		} else {
-			r.posted[env.key] = q[1:]
-		}
-		if env.rendezvous {
-			r.startRendezvous(env, req)
-		} else {
-			r.completeRecv(env, req)
-		}
+	if req, ok := r.posted.pop(env.key); ok {
+		r.match(env, req)
 		return
 	}
-	r.unexpected[env.key] = append(r.unexpected[env.key], env)
+	r.unexpected.push(env.key, env)
 }
 
-// completeRecv copies the payload into the posted buffer and completes the
-// request after the receiver-side overhead.
+// match pairs an envelope with its receive.
+func (r *Rank) match(env *envelope, req *Request) {
+	if env.rendezvous {
+		r.startRendezvous(env, req)
+	} else {
+		r.completeRecv(env, req)
+	}
+}
+
+// completeRecv copies the payload into the posted buffer, completes the
+// request after the receiver-side overhead, and recycles the envelope.
 func (r *Rank) completeRecv(env *envelope, req *Request) {
 	if req.vec.Bytes() != env.vec.Bytes() {
 		panic(fmt.Sprintf("mpi: recv buffer %d bytes for %d-byte message (key %+v)",
 			req.vec.Bytes(), env.vec.Bytes(), env.key))
 	}
 	req.vec.CopyFrom(env.vec)
-	if !env.rendezvous {
-		// Eager payloads ride in a transit clone that dies here; recycle
-		// it into this node's pool (it was drawn from the sender's).
-		// Rendezvous envelopes carry the sender's own buffer, which the
-		// pool must never capture.
+	if env.vec != env.own {
+		// Eager real payloads ride in a transit clone that dies here;
+		// recycle it into this node's pool (it was drawn from the
+		// sender's). The envelope's own header views the sender's
+		// buffer, which the pool must never capture.
 		r.w.release(r.place.Node, env.vec)
 	}
-	env.vec = nil
 	if env.recvOverhead > 0 {
 		// The receiver's straggler factor applies at landing time, not at
 		// the instant the sender stamped the overhead.
-		r.k.After(r.w.stretch(r, env.recvOverhead), req.complete)
+		r.k.After(r.w.stretch(r, env.recvOverhead), req.completion)
 	} else {
 		req.complete()
 	}
+	r.releaseEnvelope(env)
 }
 
 // startRendezvous runs the CTS + data phase of a matched rendezvous
@@ -176,17 +199,8 @@ func (r *Rank) completeRecv(env *envelope, req *Request) {
 // reserved), the payload flow, then completion of both requests — the
 // receive side in the receiver's context, the send side in the sender's.
 func (r *Rank) startRendezvous(env *envelope, req *Request) {
-	w := r.w
-	prof := w.Job.Cluster.Net
-	src := env.srcRank
-	r.k.AfterOn(src.place.Node, prof.WireLatency, func() { // CTS reaches the sender
-		d := src.ep.InjectDelay()
-		src.k.After(d, func() {
-			w.Net.StartTransferNotify(src.ep, r.ep, int64(env.vec.Bytes()),
-				func() { r.completeRecv(env, req) },
-				env.sendReq.complete)
-		})
-	})
+	env.recvReq = req
+	r.k.AfterOn(env.src.place.Node, r.w.Job.Cluster.Net.WireLatency, env.cts) // CTS reaches the sender
 }
 
 func (r *Rank) checkP2P(c *Comm, peer, tag int, vec *Vector) {

@@ -34,8 +34,7 @@ func TestTransitPoolReusesEagerClones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := vecShape{dtype: Float64, n: 8}
-	free := w.trans[0][key] // intra-node traffic: node 0's pool
+	free := *w.pools[0].list(vecShape{dtype: Float64, n: 8}) // intra-node traffic: node 0's pool
 	if len(free) != 1 {
 		t.Fatalf("free list holds %d clones after %d sequential sends, want 1 (reuse)", len(free), rounds)
 	}
@@ -66,15 +65,16 @@ func TestTransitPoolIgnoresRendezvous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for node, pool := range w.trans {
-		for _, free := range pool {
-			for _, f := range free {
+	for node := range w.pools {
+		pool := &w.pools[node]
+		for _, sf := range pool.vecs {
+			for _, f := range sf.free {
 				if f == sent {
 					t.Fatal("pool captured the rendezvous sender's buffer")
 				}
 			}
 		}
-		if free := pool[vecShape{dtype: Float64, n: n}]; len(free) != 0 {
+		if free := *pool.list(vecShape{dtype: Float64, n: n}); len(free) != 0 {
 			t.Fatalf("rendezvous transfer left %d vectors in node %d's pool, want 0", len(free), node)
 		}
 	}
@@ -131,5 +131,100 @@ func TestScratchSharesTransitFreeList(t *testing.T) {
 	}
 	if got := w.scratch(0, v, 4); got == c || got.Len() != 4 || got.Phantom() {
 		t.Fatal("scratch of another shape did not build a fresh vector")
+	}
+}
+
+// TestReleasedRequestIsPoisoned keeps a reference to a request past the
+// blocking call that released it. The race build clears a released
+// request's owner, so Wait on the stale reference panics instead of
+// returning on a request that may already track another message.
+func TestReleasedRequestIsPoisoned(t *testing.T) {
+	if !race.Enabled {
+		t.Skip("only the race build poisons released requests")
+	}
+	w := smallWorld(t, topology.ClusterB(), 1, 2, Config{})
+	var msg any
+	err := w.Run(func(r *Rank) error {
+		c := w.CommWorld()
+		peer := 1 - r.Rank()
+		r.SendRecv(c, peer, 0, NewPhantom(Int32, 1), peer, 0, NewPhantom(Int32, 1))
+		if r.Rank() == 0 {
+			stale := r.reqs[len(r.reqs)-1]
+			func() {
+				defer func() { msg = recover() }()
+				r.Wait(stale)
+			}()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg != "mpi: Wait on another rank's request" {
+		t.Fatalf("Wait on a released request: recovered %v, want the another-rank panic", msg)
+	}
+}
+
+// TestMatchingChurnKeepsFIFOPerKey drives the matching queues through
+// many empty → non-empty → empty cycles, with one key and with several
+// interleaved keys, once with every message arriving unexpected (the
+// receiver posts late) and once with every receive posted first, and
+// checks that each key's messages land in its receives in send order
+// while recycled queue storage moves between keys.
+func TestMatchingChurnKeepsFIFOPerKey(t *testing.T) {
+	const cycles, perKey = 6, 3
+	for _, keys := range []int{1, 5} {
+		for _, posted := range []bool{false, true} {
+			w := smallWorld(t, topology.ClusterB(), 1, 2, Config{})
+			err := w.Run(func(r *Rank) error {
+				c := w.CommWorld()
+				for cy := 0; cy < cycles; cy++ {
+					value := func(k, m int) float64 { return float64(cy*1000 + k*10 + m) }
+					if r.Rank() == 0 {
+						if posted {
+							r.Proc().Sleep(1000) // the receiver posts first
+						}
+						v := NewVector(Float64, 1)
+						for m := 0; m < perKey; m++ {
+							for k := 0; k < keys; k++ {
+								v.Set(0, value(k, m))
+								r.Send(c, 1, k, v)
+							}
+						}
+					} else {
+						if !posted {
+							r.Proc().Sleep(1000) // the messages arrive first
+						}
+						var reqs []*Request
+						var bufs []*Vector
+						for k := keys - 1; k >= 0; k-- {
+							for m := 0; m < perKey; m++ {
+								b := NewVector(Float64, 1)
+								bufs = append(bufs, b)
+								reqs = append(reqs, r.Irecv(c, 0, k, b))
+							}
+						}
+						r.WaitAll(reqs...)
+						i := 0
+						for k := keys - 1; k >= 0; k-- {
+							for m := 0; m < perKey; m++ {
+								if got, want := bufs[i].At(0), value(k, m); got != want {
+									t.Errorf("keys=%d posted=%v cycle %d: key %d receive %d got %v, want %v", keys, posted, cy, k, m, got, want)
+								}
+								i++
+							}
+						}
+					}
+					r.Barrier(c)
+				}
+				if n := r.posted.n + r.unexpected.n; n != 0 {
+					t.Errorf("rank %d: %d entries left in the matching queues", r.Rank(), n)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

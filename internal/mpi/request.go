@@ -9,24 +9,19 @@ import (
 
 // Request tracks a non-blocking operation. Requests belong to the rank
 // that created them and may only be waited on by that rank (MPI
-// semantics), so all state is owned by that rank's node LP.
+// semantics), so all state is owned by that rank's node LP. They are
+// drawn from the rank's free list (see pool.go).
 //
 //dpml:owner node
 type Request struct {
-	owner *Rank
-	kind  string // "send" or "recv", for diagnostics
-	key   msgKey
-	vec   *Vector
-	done  bool
-	start sim.Time
-	peer  int // global rank of the other side (-1 if unknown)
-}
-
-func newRequest(owner *Rank, kind string, key msgKey, vec *Vector) *Request {
-	return &Request{
-		owner: owner, kind: kind, key: key, vec: vec,
-		start: owner.k.Now(), peer: -1,
-	}
+	owner      *Rank
+	kind       string // "send" or "recv", for diagnostics
+	key        msgKey
+	vec        *Vector
+	done       bool
+	start      sim.Time
+	peer       int    // global rank of the other side (-1 if unknown)
+	completion func() // complete, built once per object
 }
 
 // Done reports whether the operation has completed.

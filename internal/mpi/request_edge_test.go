@@ -125,8 +125,8 @@ func TestWaitDoesNotAllocate(t *testing.T) {
 	var allocs float64
 	err := w.Run(func(r *Rank) error {
 		v := NewVector(Float64, 1)
-		q := newRequest(r, "recv", msgKey{src: 0, tag: 1}, v)
-		other := newRequest(r, "recv", msgKey{src: 0, tag: 2}, v)
+		q := r.newRequest("recv", msgKey{src: 0, tag: 1}, v)
+		other := r.newRequest("recv", msgKey{src: 0, tag: 2}, v)
 		finishOther := func() { other.complete() }
 		finishQ := func() { q.complete() }
 		op := func() {

@@ -118,9 +118,10 @@ type World struct {
 	cfg      Config
 	ranks    []*Rank
 	world    *Comm
-	rngs     []uint64                 // per-rank jitter stream states
-	strag    [][]stragWin             // per-rank straggler windows; nil without straggler faults
-	trans    []map[vecShape][]*Vector // per-node free lists for transit clones and receive temporaries (see pool.go)
+	rngs     []uint64     // per-rank jitter stream states
+	strag    [][]stragWin // per-rank straggler windows; nil without straggler faults
+	pools    []nodePool   // per-node free lists (see pool.go)
+	empty    *Vector      // the zero-length phantom Barrier exchanges; never written
 
 	// mu guards the communicator registry (nextCID, commCache): runtime
 	// InternComm calls can race across shards. Communicator ids only need to
@@ -165,7 +166,8 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 	}
 	w.Mem = make([]*fabric.MemChannel, job.NodesUsed)
 	w.memFlows = make([]*fabric.FlowNet, job.NodesUsed)
-	w.trans = make([]map[vecShape][]*Vector, job.NodesUsed)
+	w.pools = make([]nodePool, job.NodesUsed)
+	w.empty = NewPhantom(Int32, 0)
 	for i := range w.Mem {
 		mk := coord.KernelFor(i)
 		w.memFlows[i] = fabric.NewFlowNet(mk)
@@ -286,21 +288,21 @@ type Rank struct {
 
 	// Message matching state (only ever touched in this node's
 	// simulation context).
-	unexpected map[msgKey][]*envelope
-	posted     map[msgKey][]*Request
+	unexpected fifo[*envelope]
+	posted     fifo[*Request]
 	anyDone    sim.Signal // fired whenever one of this rank's requests completes
+	reqs       []*Request // free requests (see pool.go)
+	views      [3]*Vector // the flat algorithms' reusable view headers (see view)
 }
 
 func newRank(w *World, i int) *Rank {
 	place := w.Job.Place(i)
 	return &Rank{
-		w:          w,
-		rank:       i,
-		place:      place,
-		k:          w.coord.KernelFor(place.Node),
-		ep:         w.Net.Endpoint(place.Node, place.HCA),
-		unexpected: make(map[msgKey][]*envelope),
-		posted:     make(map[msgKey][]*Request),
+		w:     w,
+		rank:  i,
+		place: place,
+		k:     w.coord.KernelFor(place.Node),
+		ep:    w.Net.Endpoint(place.Node, place.HCA),
 	}
 }
 

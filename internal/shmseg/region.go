@@ -40,8 +40,8 @@ import (
 
 // Region is one node's shared-memory scratch space. Operation state is
 // recycled: when DoneCopy drains an operation its segments, signals,
-// slot arrays, slot copies and accumulators go to a free list that later
-// operations draw from.
+// slot arrays, slot copies, view headers and accumulators go to a free
+// list that later operations draw from.
 type Region struct {
 	ppn  int
 	ops  map[uint64]*opState
@@ -59,6 +59,7 @@ type segment struct {
 	leader int
 	slots  []*mpi.Vector // slots[i] is local rank i's partition
 	copies []*mpi.Vector // PutCopy storage per local rank, kept across recycling
+	views  []*mpi.Vector // View headers per local rank, kept across recycling
 	acc    *mpi.Vector   // accumulator storage, kept across recycling
 	filled int           // slots written
 	want   int           // slots the leader's GatherWait needs
@@ -141,6 +142,23 @@ func (rg *Region) newOp(seq uint64, leaders int) *opState {
 // seg returns leader's segment of operation seq.
 func (rg *Region) seg(seq uint64, leaders, leader int) *segment {
 	return &rg.op(seq, leaders).segs[leader]
+}
+
+// View returns elements [lo, hi) of vec through local rank localRank's
+// view header in leader's segment of operation seq. The header is
+// segment storage kept across recycled operations, so a warmed region
+// makes views without allocating, and it stays valid until the operation
+// drains: as a deposited partition (Put), and as the phantom accumulator
+// and result that Accumulator takes from it. A rank that copies a result
+// out through its deposited view re-points the header at the range it
+// already holds, which leaves the deposit intact.
+func (rg *Region) View(seq uint64, leaders, leader, localRank int, vec *mpi.Vector, lo, hi int) *mpi.Vector {
+	sg := rg.seg(seq, leaders, leader)
+	if sg.views == nil {
+		sg.views = make([]*mpi.Vector, rg.ppn)
+	}
+	sg.views[localRank] = vec.SliceInto(sg.views[localRank], lo, hi)
+	return sg.views[localRank]
 }
 
 // Put deposits local rank localRank's partition for leader into operation
