@@ -15,9 +15,9 @@ vet:
 
 # lint prints the //dpml:allow audit table (every allowance with its
 # recorded reason, for review on the CI log) and then runs the repo's
-# nine invariant analyzers — seven per-package passes (walltime,
-# globalrand, maprange, spanpair, waitcheck, floateq, prio) and two
-# whole-module call-graph passes (lpown, sendpath) — over the module; it
+# eight invariant analyzers — six per-package passes (walltime,
+# globalrand, maprange, waitcheck, floateq, prio) and two whole-module
+# call-graph passes (lpown, sendpath) — over the module; it
 # exits non-zero on any finding, including unused //dpml:allow lines and
 # malformed or typo'd //dpml:owner classes.
 lint:

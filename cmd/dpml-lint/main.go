@@ -1,7 +1,7 @@
-// dpml-lint runs the repo's nine invariant analyzers — seven
-// per-package (walltime, globalrand, maprange, spanpair, waitcheck,
-// floateq, prio) and two whole-module call-graph passes (lpown,
-// sendpath) — over the module and exits non-zero on findings, so CI
+// dpml-lint runs the repo's eight invariant analyzers — six
+// per-package (walltime, globalrand, maprange, waitcheck, floateq,
+// prio) and two whole-module call-graph passes (lpown, sendpath) —
+// over the module and exits non-zero on findings, so CI
 // fails loudly. See internal/lint for what each analyzer proves
 // and CONTRIBUTING.md for the //dpml:allow suppression syntax and the
 // //dpml:owner annotation discipline.

@@ -79,7 +79,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	names := []string{"walltime", "globalrand", "maprange", "spanpair", "waitcheck", "floateq",
+	names := []string{"walltime", "globalrand", "maprange", "waitcheck", "floateq",
 		"prio", "lpown", "sendpath"}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if len(lines) != len(names) {
@@ -115,7 +115,7 @@ func TestSuppressionsTable(t *testing.T) {
 }
 
 // TestInterprocCleanTree pins the zero-findings guarantee for the whole
-// module — kernel, fabric, MPI, collectives, tooling — under all nine
+// module — kernel, fabric, MPI, collectives, tooling — under all eight
 // analyzers, the two interprocedural passes included. Unused
 // //dpml:allow lines are findings too, so no stale suppression survives.
 func TestInterprocCleanTree(t *testing.T) {

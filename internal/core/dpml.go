@@ -31,28 +31,23 @@ func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, s Spec) {
 	if e.W.Job.PPN == 1 {
 		// Single process per node: the shared-memory phases are
 		// identity operations; go straight to the inter-node phase.
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		e.interNode(r, e.leaderComms[0], op, vec, s)
-		sp.End(r.Now())
 		return
 	}
 	o := e.newShmOp(r, s.Leaders, vec.Len())
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseCopy, r.Now())
 	o.deposit(vec)
-	sp.End(r.Now())
 	if j := r.Place().LocalRank; j < s.Leaders {
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, j, e.W.Job.PPN, false)
-		sp.End(r.Now())
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		e.interNode(r, e.leaderComms[j], op, acc, s)
 		o.publish(j, acc)
-		sp.End(r.Now())
 	}
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseBcast, r.Now())
 	o.collect(vec)
 	o.done()
-	sp.End(r.Now())
 }
 
 // interNode runs Phase 3 of DPML spec s on the leader communicator: a

@@ -34,10 +34,8 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 	if p == 1 {
 		// Still record the canonical phase pair so the tiling invariant
 		// sees the same shape at every scale.
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseTreeReduce, r.Now())
-		sp.End(r.Now())
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseTreeBcast, r.Now())
-		sp.End(r.Now())
+		rec.Phase(r.Rank(), trace.PhaseTreeReduce, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseTreeBcast, r.Now())
 		return
 	}
 	base := c.CollTagBase(r)
@@ -131,7 +129,7 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 	// lexicographic (segment, tree) order; sends are non-blocking, so
 	// later blocks' receives overlap earlier blocks' transfers. Roots
 	// launch a block's downward broadcast the moment it completes.
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseTreeReduce, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseTreeReduce, r.Now())
 	var sends []*mpi.Request
 	for s := 0; s < segs; s++ {
 		for t := 0; t < trees; t++ {
@@ -152,11 +150,10 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 			}
 		}
 	}
-	sp.End(r.Now())
 
 	// Downward sweep: wait for each finished block from the parent and
 	// forward it to the children.
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseTreeBcast, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseTreeBcast, r.Now())
 	for s := 0; s < segs; s++ {
 		for t := 0; t < trees; t++ {
 			if segViews[t][s].Len() == 0 || topo[t].parent < 0 {
@@ -169,7 +166,6 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 		}
 	}
 	r.WaitAll(sends...)
-	sp.End(r.Now())
 }
 
 // dualRootSegments picks the pipelining depth for one half: explicit

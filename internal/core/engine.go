@@ -290,11 +290,7 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 		return err
 	}
 	rec := e.W.Tracer()
-	var label string
-	if rec != nil {
-		label = s.String()
-	}
-	coll := rec.BeginCollective(r.Rank(), label, vec.Bytes(), r.Now())
+	coll := e.beginCollective(r, "", s, vec.Bytes())
 	defer func() { coll.End(r.Now()) }()
 	switch s.Design {
 	case DesignFlat:
@@ -302,9 +298,8 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 		if alg == "" {
 			alg = mpi.AlgRecursiveDoubling
 		}
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseFlat, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseFlat, r.Now())
 		r.Allreduce(e.W.CommWorld(), alg, op, vec)
-		sp.End(r.Now())
 	case DesignDPML:
 		e.dpml(r, op, vec, s)
 	case DesignSharpNode:
@@ -314,19 +309,27 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 	case DesignDualRoot:
 		e.dualRoot(r, op, vec, s.Segments)
 	case DesignGenAll:
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseGroup, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseGroup, r.Now())
 		e.genAll(r, op, vec, s.Groups)
-		sp.End(r.Now())
 	case DesignPAPSorted:
-		sp := rec.BeginSpan(r.Rank(), trace.PhasePAP, r.Now())
+		rec.Phase(r.Rank(), trace.PhasePAP, r.Now())
 		e.papSorted(r, op, vec)
-		sp.End(r.Now())
 	case DesignPAPRing:
-		sp := rec.BeginSpan(r.Rank(), trace.PhasePAP, r.Now())
+		rec.Phase(r.Rank(), trace.PhasePAP, r.Now())
 		e.papRing(r, op, vec)
-		sp.End(r.Now())
 	}
 	return nil
+}
+
+// beginCollective opens rank r's trace span for one collective of spec
+// s, labelled prefix+s. It formats the label only when a recorder is
+// attached, so an untraced collective allocates nothing here.
+func (e *Engine) beginCollective(r *mpi.Rank, prefix string, s Spec, bytes int) *trace.Span {
+	rec := e.W.Tracer()
+	if rec == nil {
+		return nil
+	}
+	return rec.BeginCollective(r.Rank(), prefix+s.String(), bytes, r.Now())
 }
 
 // autoAlg mirrors a production library's dynamic choice for the

@@ -30,13 +30,12 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 	}
 	rootNode := e.W.Job.Place(root).Node
 	rec := e.W.Tracer()
-	coll := rec.BeginCollective(r.Rank(), "reduce:"+s.String(), vec.Bytes(), r.Now())
+	coll := e.beginCollective(r, "reduce:", s, vec.Bytes())
 	defer func() { coll.End(r.Now()) }()
 
 	if e.W.Job.PPN == 1 {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		r.ReduceColl(e.leaderComms[0], rootNode, op, vec)
-		sp.End(r.Now())
 		return nil
 	}
 
@@ -45,30 +44,26 @@ func (e *Engine) Reduce(r *mpi.Rank, s Spec, op *mpi.Op, root int, vec *mpi.Vect
 	// copy its leaders can fold after the caller has reused vec.
 	o := e.newShmOp(r, s.Leaders, vec.Len())
 	o.snapshot = true
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseCopy, r.Now())
 	o.deposit(vec)
-	sp.End(r.Now())
 	pl := r.Place()
 	if j := pl.LocalRank; j < s.Leaders {
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, j, e.W.Job.PPN, false)
-		sp.End(r.Now())
 		// Phase 3: inter-node reduce rooted at root's node.
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		r.ReduceColl(e.leaderComms[j], rootNode, op, acc)
 		if pl.Node == rootNode {
 			o.publish(j, acc)
 		}
-		sp.End(r.Now())
 	}
 	// Phase 4: only root copies the result out; everyone releases the
 	// operation.
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseBcast, r.Now())
 	if r.Rank() == root {
 		o.collect(vec)
 	}
 	o.done()
-	sp.End(r.Now())
 	return nil
 }
 
@@ -88,26 +83,24 @@ func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
 	}
 	rootPl := e.W.Job.Place(root)
 	rec := e.W.Tracer()
-	coll := rec.BeginCollective(r.Rank(), "bcast:"+s.String(), vec.Bytes(), r.Now())
+	coll := e.beginCollective(r, "bcast:", s, vec.Bytes())
 	defer func() { coll.End(r.Now()) }()
 
 	if e.W.Job.PPN == 1 {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		r.Bcast(e.leaderComms[0], rootPl.Node, vec)
-		sp.End(r.Now())
 		return nil
 	}
 
 	o := e.newShmOp(r, s.Leaders, vec.Len())
 	// Root scatters its partitions into shared memory.
 	if r.Rank() == root {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseCopy, r.Now())
 		o.deposit(vec)
-		sp.End(r.Now())
 	}
 	pl := r.Place()
 	if j := pl.LocalRank; j < s.Leaders {
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseInter, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseInter, r.Now())
 		var src *mpi.Vector
 		if pl.Node == rootPl.Node {
 			src = o.gather(j, 1)[rootPl.LocalRank]
@@ -118,11 +111,9 @@ func (e *Engine) Bcast(r *mpi.Rank, s Spec, root int, vec *mpi.Vector) error {
 		// Concurrent inter-node broadcasts, one per leader.
 		r.Bcast(e.leaderComms[j], rootPl.Node, part)
 		o.publish(j, part)
-		sp.End(r.Now())
 	}
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseBcast, r.Now())
 	o.collect(vec)
 	o.done()
-	sp.End(r.Now())
 	return nil
 }

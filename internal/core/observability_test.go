@@ -72,6 +72,12 @@ func TestPhasesTileCollectives(t *testing.T) {
 		DPMLPipelined(2, 3),
 		{Design: DesignSharpNode},
 		{Design: DesignSharpSocket},
+		DualRoot(3),
+		GenAll(2),
+		PAPSorted(),
+		PAPRing(),
+		{Design: DesignProposed},
+		{Design: DesignMVAPICH2},
 	}
 	for _, s := range specs {
 		t.Run(s.String(), func(t *testing.T) {

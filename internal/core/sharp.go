@@ -34,9 +34,8 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 	ppn := e.W.Job.PPN
 	if ppn == 1 {
 		// The designs coincide: the single local rank is the leader.
-		sp := rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseSharp, r.Now())
 		e.sharpOp(r, group, host, op, vec)
-		sp.End(r.Now())
 		return
 	}
 
@@ -50,25 +49,21 @@ func (e *Engine) sharpAllreduce(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, socket
 	// Gather: full input to this rank's leader. Segment indices are
 	// local rank numbers, so leaders' segments never collide.
 	o := e.newShmOp(r, ppn, vec.Len())
-	sp := rec.BeginSpan(r.Rank(), trace.PhaseCopy, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseCopy, r.Now())
 	o.put(leader, vec)
-	sp.End(r.Now())
 
 	if r.Place().LocalRank == leader {
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseReduce, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseReduce, r.Now())
 		acc := o.fold(op, leader, want, socketLevel)
-		sp.End(r.Now())
-		sp = rec.BeginSpan(r.Rank(), trace.PhaseSharp, r.Now())
+		rec.Phase(r.Rank(), trace.PhaseSharp, r.Now())
 		e.sharpOp(r, group, host, op, acc)
 		o.publish(leader, acc)
-		sp.End(r.Now())
 	}
 
 	// Broadcast: copy the result back from this rank's leader.
-	sp = rec.BeginSpan(r.Rank(), trace.PhaseBcast, r.Now())
+	rec.Phase(r.Rank(), trace.PhaseBcast, r.Now())
 	o.get(leader, vec)
 	o.done()
-	sp.End(r.Now())
 }
 
 // sharpOp runs one in-network reduction for this leader, folding real

@@ -1,16 +1,15 @@
 // Package lint is the repo's static-analysis framework: a small harness
 // over the standard library's go/ast and go/types (the module is
-// dependency-free, so no x/tools) plus nine repo-specific analyzers that
+// dependency-free, so no x/tools) plus eight repo-specific analyzers that
 // prove the simulator's determinism and protocol invariants at compile
 // time. The dynamic counterparts of these invariants — byte-identical
-// results at any worker count, seeded fault plans, the span tiling
-// property — are only as strong as the last test run; the analyzers make
-// the underlying disciplines unskippable:
+// results at any worker count and seeded fault plans — are only as
+// strong as the last test run; the analyzers make the underlying
+// disciplines unskippable:
 //
 //   - walltime: no module package reads the host clock
 //   - globalrand: randomness flows from explicitly seeded sources only
 //   - maprange: map iteration order never reaches emitted output
-//   - spanpair: every trace span Begin is End-ed on all paths
 //   - waitcheck: every non-blocking MPI request is waited or discarded
 //   - floateq: no ==/!= on floating-point operands in non-test code
 //   - prio: event tiebreak keys are minted only by Kernel.nextPrio
@@ -19,7 +18,7 @@
 //   - sendpath: cross-LP communication uses AfterOn/AfterNet outbox
 //     routing, never direct scheduling or wakes on another LP's kernel
 //
-// The first seven run one package at a time; the last two are module
+// The first six run one package at a time; the last two are module
 // passes over a CHA call graph (callgraph.go), so an access hidden
 // behind any chain of helpers in any package is still found, with the
 // call chain in the finding. realedit_test.go pins, for each analyzer,
@@ -137,7 +136,6 @@ func Analyzers() []*Analyzer {
 		WalltimeAnalyzer,
 		GlobalrandAnalyzer,
 		MaprangeAnalyzer,
-		SpanpairAnalyzer,
 		WaitcheckAnalyzer,
 		FloateqAnalyzer,
 		PrioAnalyzer,

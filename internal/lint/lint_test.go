@@ -117,7 +117,6 @@ func one(t *testing.T, name string) []*Analyzer {
 func TestWalltimeFixture(t *testing.T)   { runFixture(t, "walltime", one(t, "walltime")) }
 func TestGlobalrandFixture(t *testing.T) { runFixture(t, "globalrand", one(t, "globalrand")) }
 func TestMaprangeFixture(t *testing.T)   { runFixture(t, "maprange", one(t, "maprange")) }
-func TestSpanpairFixture(t *testing.T)   { runFixture(t, "spanpair", one(t, "spanpair")) }
 func TestWaitcheckFixture(t *testing.T)  { runFixture(t, "waitcheck", one(t, "waitcheck")) }
 func TestFloateqFixture(t *testing.T)    { runFixture(t, "floateq", one(t, "floateq")) }
 func TestPrioFixture(t *testing.T)       { runFixture(t, "prio", one(t, "prio")) }

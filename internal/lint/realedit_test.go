@@ -33,10 +33,6 @@ var realEdits = []realEdit{
 		{"\tsort.Slice(out, func(i, j int) bool { return phaseLess(out[i].Phase, out[j].Phase) })",
 			"\tsorted := append([]PhaseStat(nil), out...)\n\tsort.Slice(sorted, func(i, j int) bool { return phaseLess(sorted[i].Phase, sorted[j].Phase) })"},
 	}},
-	{analyzer: "spanpair", pkg: "internal/core", file: "dualroot.go", edits: [][2]string{
-		{"sp := rec.BeginSpan(r.Rank(), trace.PhaseTreeReduce, r.Now())\n\t\tsp.End(r.Now())\n",
-			"sp := rec.BeginSpan(r.Rank(), trace.PhaseTreeReduce, r.Now())\n"},
-	}},
 	{analyzer: "waitcheck", pkg: "internal/mpi", file: "p2p.go", edits: [][2]string{
 		{"\tr.Wait(sq)\n", ""},
 		{"\tr.releaseRequest(sq)\n", "\tsq = nil\n\t_ = sq\n"},

@@ -45,31 +45,44 @@ func FuzzWriteCSVRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSpanStamping interleaves span begins/ends driven by fuzz bytes:
-// the recorder must never corrupt its stacks, and events must never be
-// stamped with a phase that was not open.
+// FuzzSpanStamping drives phase transitions, collective begins and ends
+// and leaf events on two ranks from fuzz bytes: every leaf event must be
+// stamped with its rank's current phase (or "" outside any phase), and
+// phase and collective events must carry no stamp.
 func FuzzSpanStamping(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 2, 0})
 	f.Add([]byte{0, 0, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		r := New(0)
-		var stacks [2][]*Span
+		var colls [2]*Span
+		var phase [2]string
 		now := sim.Time(0)
 		for _, b := range prog {
-			rank := int(b>>1) & 1
+			rank := int(b>>2) & 1
 			now += 10
-			if b&1 == 0 {
-				sp := r.BeginSpan(rank, "p", now)
-				stacks[rank] = append(stacks[rank], sp)
-			} else if n := len(stacks[rank]); n > 0 {
-				stacks[rank][n-1].End(now)
-				stacks[rank] = stacks[rank][:n-1]
+			switch b & 3 {
+			case 0:
+				if colls[rank] == nil {
+					colls[rank] = r.BeginCollective(rank, "c", 0, now)
+				}
+			case 1:
+				if colls[rank] != nil {
+					colls[rank].End(now)
+					colls[rank], phase[rank] = nil, ""
+				}
+			case 2:
+				phase[rank] = string(rune('p' + b>>3&3))
+				r.Phase(rank, phase[rank], now)
 			}
-			r.Add(Event{Rank: rank, Kind: KindCompute, Start: now, End: now})
+			r.Add(Event{Rank: rank, Kind: KindCompute, Label: phase[rank], Start: now, End: now})
 		}
 		for _, e := range r.Events() {
-			if e.Kind == KindCompute && e.Phase != "" && e.Phase != "p" {
-				t.Fatalf("impossible phase stamp %q", e.Phase)
+			want := ""
+			if e.Kind == KindCompute {
+				want = e.Label
+			}
+			if e.Phase != want {
+				t.Fatalf("%s event %q stamped %q, want %q", e.Kind, e.Label, e.Phase, want)
 			}
 		}
 	})

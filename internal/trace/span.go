@@ -62,84 +62,106 @@ func phaseLess(a, b string) bool {
 	return a < b
 }
 
-// Span is one open phase (or collective) on one rank. Spans are created
-// with BeginSpan/BeginCollective and turned into a recorded Event by End.
-// While a span is open, every event Add records on its rank is stamped
-// with the innermost open phase name, which is how leaf events (sends,
-// copies, compute) get attributed to the DPML phase they ran in.
-//
-// A nil *Span (returned by a nil or missing Recorder) ignores End, so
-// call sites need no guards — the instrumentation is bit-transparent when
-// recording is off.
+// Span is one open collective on one rank, created by BeginCollective
+// and turned into a recorded KindCollective event by End. A nil *Span
+// (returned by a nil Recorder) ignores End, so call sites need no guards
+// — the instrumentation is bit-transparent when recording is off.
 type Span struct {
 	rec   *Recorder
 	rank  int
-	kind  Kind
 	label string
 	start sim.Time
 	bytes int
 }
 
-// BeginSpan opens a phase span on rank. Spans on one rank must strictly
-// nest (End in reverse Begin order); the simulation runs each rank
-// sequentially, so that is the natural shape. Nil recorders return nil.
-func (t *Recorder) BeginSpan(rank int, phase string, now sim.Time) *Span {
-	return t.begin(rank, KindPhase, phase, 0, now)
+// rankState is one rank's open collective and open phase. Phases do not
+// nest and neither do collectives, so one of each is all a rank can have.
+type rankState struct {
+	coll       *Span
+	phase      string // "" when no phase is open
+	phaseStart sim.Time
+}
+
+// state returns rank's open-span state, growing the per-rank slice when
+// the recorder was not Reserved for it.
+func (t *Recorder) state(rank int) *rankState {
+	if rank < 0 {
+		panic(fmt.Sprintf("trace: span on rank %d", rank))
+	}
+	for rank >= len(t.open) {
+		t.open = append(t.open, rankState{})
+	}
+	return &t.open[rank]
 }
 
 // BeginCollective opens the root span of one collective operation on
-// rank: End records a KindCollective event, and the phases opened inside
-// it decompose it. Label should identify the operation (the Spec string).
+// rank: End records a KindCollective event, and the phases entered
+// inside it decompose it. Label should identify the operation (the Spec
+// string). A rank runs one collective at a time, so BeginCollective
+// panics if rank already has one open. Nil recorders return nil.
 func (t *Recorder) BeginCollective(rank int, label string, bytes int, now sim.Time) *Span {
-	return t.begin(rank, KindCollective, label, bytes, now)
-}
-
-func (t *Recorder) begin(rank int, kind Kind, label string, bytes int, now sim.Time) *Span {
 	if t == nil {
 		return nil
 	}
-	if rank < 0 {
-		panic(fmt.Sprintf("trace: BeginSpan on rank %d", rank))
+	st := t.state(rank)
+	if st.coll != nil {
+		panic(fmt.Sprintf("trace: collective %q on rank %d began inside open collective %q", label, rank, st.coll.label))
 	}
-	for rank >= len(t.open) {
-		t.open = append(t.open, nil)
-	}
-	s := &Span{rec: t, rank: rank, kind: kind, label: label, start: now, bytes: bytes}
-	t.open[rank] = append(t.open[rank], s)
-	return s
+	st.coll = &Span{rec: t, rank: rank, label: label, start: now, bytes: bytes}
+	return st.coll
 }
 
-// currentPhase returns the innermost open phase-kind span's label on
-// rank, or "" when the rank is outside any phase (possibly inside a bare
-// collective span).
+// Phase records that rank is in phase from now on: it ends the rank's
+// open phase at now, if there is one, and opens phase. A phase lasts
+// until the rank's next Phase or the End of its collective, so the
+// phases of a collective tile it from its first Phase to its End. Every
+// event Add records on rank meanwhile is stamped with phase, which is
+// how leaf events (sends, copies, compute) get attributed to the DPML
+// phase they ran in. Nil recorders ignore it.
+func (t *Recorder) Phase(rank int, phase string, now sim.Time) {
+	if t == nil {
+		return
+	}
+	st := t.state(rank)
+	t.endPhase(rank, now)
+	st.phase, st.phaseStart = phase, now
+}
+
+// endPhase records rank's open phase, if any, as a KindPhase event
+// ending at now.
+func (t *Recorder) endPhase(rank int, now sim.Time) {
+	st := t.state(rank)
+	if st.phase == "" {
+		return
+	}
+	e := Event{Rank: rank, Kind: KindPhase, Label: st.phase, Start: st.phaseStart, End: now}
+	st.phase = ""
+	t.Add(e)
+}
+
+// currentPhase returns rank's open phase, or "" when none is open.
 func (t *Recorder) currentPhase(rank int) string {
-	if t == nil || rank < 0 || rank >= len(t.open) {
+	if rank >= len(t.open) {
 		return ""
 	}
-	stack := t.open[rank]
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i].kind == KindPhase {
-			return stack[i].label
-		}
-	}
-	return ""
+	return t.open[rank].phase
 }
 
-// End closes the span at the given instant and records it as an Event
-// (stamped with the enclosing phase, like any other event). Spans must be
-// ended in reverse Begin order per rank. Nil spans ignore End.
+// End closes the collective at the given instant — its open phase first
+// — and records it as an Event. Nil spans ignore End.
 func (s *Span) End(now sim.Time) {
 	if s == nil {
 		return
 	}
 	t := s.rec
-	stack := t.open[s.rank]
-	if len(stack) == 0 || stack[len(stack)-1] != s {
-		panic(fmt.Sprintf("trace: span %q on rank %d ended out of order", s.label, s.rank))
+	st := t.state(s.rank)
+	if st.coll != s {
+		panic(fmt.Sprintf("trace: collective %q on rank %d ended twice", s.label, s.rank))
 	}
-	t.open[s.rank] = stack[:len(stack)-1]
+	t.endPhase(s.rank, now)
+	st.coll = nil
 	t.Add(Event{
-		Rank: s.rank, Kind: s.kind, Label: s.label,
+		Rank: s.rank, Kind: KindCollective, Label: s.label,
 		Start: s.start, End: now, Bytes: s.bytes,
 	})
 }

@@ -20,20 +20,17 @@ func buildSpanTrace() *Recorder {
 			peer = "0"
 		}
 		c := r.BeginCollective(rank, "dpml(l=2)", 1024, base)
-		p := r.BeginSpan(rank, PhaseCopy, base)
+		r.Phase(rank, PhaseCopy, base)
 		r.Add(Event{Rank: rank, Kind: KindShmCopy, Label: "intra-socket",
 			Start: base, End: base + 100, Bytes: 512})
-		p.End(base + 100)
-		p = r.BeginSpan(rank, PhaseInter, base+100)
+		r.Phase(rank, PhaseInter, base+100)
 		r.Add(Event{Rank: rank, Kind: KindSend, Label: "->" + peer,
 			Start: base + 100, End: base + 300, Bytes: 512})
 		r.Add(Event{Rank: rank, Kind: KindRecv, Label: "<-" + peer,
 			Start: base + 300, End: base + 600, Bytes: 512})
-		p.End(base + 600)
-		p = r.BeginSpan(rank, PhaseBcast, base+600)
+		r.Phase(rank, PhaseBcast, base+600)
 		r.Add(Event{Rank: rank, Kind: KindShmCopy, Label: "cross-socket",
 			Start: base + 600, End: base + 700, Bytes: 512})
-		p.End(base + 700)
 		c.End(base + 700)
 	}
 	return r
@@ -72,51 +69,49 @@ func TestSpanStampsPhases(t *testing.T) {
 	}
 }
 
-func TestSpanNesting(t *testing.T) {
+// TestPhaseIsATransition pins the transition semantics: each Phase ends
+// the one before it, End closes the last phase and then the collective,
+// and no phase or collective event carries a phase stamp.
+func TestPhaseIsATransition(t *testing.T) {
 	r := New(0)
-	outer := r.BeginSpan(0, "outer", 0)
-	inner := r.BeginSpan(0, "inner", 10)
-	if got := r.currentPhase(0); got != "inner" {
-		t.Fatalf("currentPhase = %q, want inner", got)
+	c := r.BeginCollective(0, "coll", 8, 0)
+	r.Phase(0, "A", 10)
+	r.Phase(0, "B", 25)
+	c.End(40)
+	want := []Event{
+		{Rank: 0, Kind: KindPhase, Label: "A", Start: 10, End: 25},
+		{Rank: 0, Kind: KindPhase, Label: "B", Start: 25, End: 40},
+		{Rank: 0, Kind: KindCollective, Label: "coll", Start: 0, End: 40, Bytes: 8},
 	}
-	inner.End(20)
-	if got := r.currentPhase(0); got != "outer" {
-		t.Fatalf("currentPhase after pop = %q, want outer", got)
+	got := r.Events()
+	if len(got) != len(want) {
+		t.Fatalf("events = %+v, want %+v", got, want)
 	}
-	outer.End(30)
-	if got := r.currentPhase(0); got != "" {
-		t.Fatalf("currentPhase after all pops = %q", got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
-	// The inner phase event is stamped with its parent.
-	evs := r.Events()
-	if len(evs) != 2 || evs[0].Label != "inner" || evs[0].Phase != "outer" {
-		t.Fatalf("events = %+v", evs)
+	if p := r.currentPhase(0); p != "" {
+		t.Fatalf("phase %q still open after the collective ended", p)
 	}
-	if evs[1].Label != "outer" || evs[1].Phase != "" {
-		t.Fatalf("outer event = %+v", evs[1])
-	}
-}
 
-func TestSpanOutOfOrderEndPanics(t *testing.T) {
+	r.BeginCollective(1, "first", 0, 50)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-order span end accepted")
+			t.Fatal("a collective began inside an open collective")
 		}
 	}()
-	r := New(0)
-	outer := r.BeginSpan(0, "outer", 0)
-	r.BeginSpan(0, "inner", 10)
-	outer.End(20)
+	r.BeginCollective(1, "second", 0, 60)
 }
 
 func TestNilRecorderSpansAreSafe(t *testing.T) {
 	var r *Recorder
-	sp := r.BeginSpan(3, PhaseCopy, 100)
-	if sp != nil {
+	coll := r.BeginCollective(0, "x", 1, 0)
+	if coll != nil {
 		t.Fatal("nil recorder returned a span")
 	}
-	sp.End(200) // must not panic
-	coll := r.BeginCollective(0, "x", 1, 0)
+	r.Phase(0, PhaseCopy, 5) // must not panic
 	coll.End(10)
 	if r.Len() != 0 {
 		t.Fatal("nil recorder recorded")

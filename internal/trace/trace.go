@@ -29,9 +29,10 @@ const (
 	// the operation another way. Label names the path taken.
 	KindFallback Kind = "fallback"
 	// KindPhase is a span event: one named phase of a collective on one
-	// rank (see Recorder.BeginSpan). Label is the phase name; Phase is the
-	// enclosing phase, if any. Phase events contain the leaf events
-	// recorded while they were open, so they nest in time.
+	// rank (see Recorder.Phase). Label is the phase name and Phase is
+	// always "": phases do not nest. A phase event contains the leaf
+	// events recorded while it was open, and the phases of a collective
+	// tile it.
 	KindPhase Kind = "phase"
 )
 
@@ -40,10 +41,10 @@ type Event struct {
 	Rank  int
 	Kind  Kind
 	Label string // free-form: peer, spec, phase
-	// Phase is the innermost open phase span on the event's rank at
-	// recording time ("" outside any phase). Stamped automatically by Add,
-	// which is how every leaf event gets attributed to the DPML phase it
-	// ran in without call sites knowing about phases.
+	// Phase is the open phase on the event's rank at recording time (""
+	// outside any phase). Stamped automatically by Add, which is how
+	// every leaf event gets attributed to the DPML phase it ran in
+	// without call sites knowing about phases.
 	Phase string
 	Start sim.Time
 	End   sim.Time
@@ -57,13 +58,13 @@ func (e Event) Duration() sim.Duration { return e.End.Sub(e.Start) }
 // records nothing; create one with New. Add and the span methods are
 // called from the recorded rank's simulation context: under a sharded
 // kernel different ranks record concurrently, which is race-free because
-// each rank only ever touches its own buffer and stack — provided the
-// slices are pre-sized with Reserve (the MPI world does this), so no
+// each rank only ever touches its own buffer and span state — provided
+// the slices are pre-sized with Reserve (the MPI world does this), so no
 // append ever grows the outer slices.
 type Recorder struct {
 	perRank [][]Event
 	limit   int
-	open    [][]*Span // per-rank stack of open spans (see span.go)
+	open    []rankState // per-rank open collective and phase (see span.go)
 
 	// merged caches the canonical global ordering (see Events),
 	// invalidated by length.
@@ -89,7 +90,7 @@ func (t *Recorder) Reserve(ranks int) {
 		t.perRank = append(t.perRank, nil)
 	}
 	for len(t.open) < ranks {
-		t.open = append(t.open, nil)
+		t.open = append(t.open, rankState{})
 	}
 }
 
