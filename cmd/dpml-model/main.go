@@ -63,22 +63,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sizes = append(sizes, n)
 	}
 
+	// Every parameter is validated before the first line is printed.
+	// Zero -leaders and -g pick defaults; negative values fail Validate.
+	procs := *nodes * *ppn
+	l := *leaders
+	if l == 0 {
+		l = 1 // stands in for "model optimum", valid whenever the shape is
+	}
+	g := *groupSize
+	if g == 0 {
+		for g = 1; g*g < procs; g++ {
+		}
+	}
 	base := costmodel.FromCluster(cl)
 	base.K = *k
+	dpmlAt := func(n int) costmodel.Params { return base.With(procs, *nodes, l, n) }
+	extAt := func(n int) costmodel.Params {
+		p := base.With(procs, *nodes, 1, n)
+		p.G, p.S, p.Delta = g, *stragglers, *delta
+		return p
+	}
+	for _, n := range sizes {
+		for _, p := range []costmodel.Params{dpmlAt(n), extAt(n)} {
+			if err := p.Validate(); err != nil {
+				return fail(err)
+			}
+		}
+	}
+
 	fmt.Fprintf(stdout, "# Cost model (Section 5), %s, %d nodes x %d ppn\n", cl.Name, *nodes, *ppn)
 	fmt.Fprintf(stdout, "# a=%.3gus b=%.3gns/B a'=%.3gus b'=%.3gns/B c=%.3gns/B k=%d\n",
 		base.A*1e6, base.B*1e9, base.APrime*1e6, base.BPrime*1e9, base.C*1e9, *k)
 	fmt.Fprintf(stdout, "%10s %8s %12s %12s | %10s %10s %10s %10s | %12s\n",
 		"bytes", "opt-l", "Eq7(us)", "Eq1-RD(us)", "copy", "compute", "comm", "bcast", "pipe-Eq5")
 	for _, n := range sizes {
-		// Validate the requested leader count (1 stands in for "model
-		// optimum", which is valid whenever the shape is).
-		p := base.With(*nodes**ppn, *nodes, max(*leaders, 1), n)
-		if err := p.Validate(); err != nil {
-			return fail(err)
-		}
+		p := dpmlAt(n)
 		opt := p.OptimalLeaders()
-		if *leaders <= 0 {
+		if *leaders == 0 {
 			p.L = opt
 		}
 		br := p.PhaseBreakdown()
@@ -89,22 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Extension families: the related-work designs in the same a/b/c
 	// vocabulary, for ranking against Eq. 7.
-	procs := *nodes * *ppn
-	g := *groupSize
-	if g <= 0 {
-		for g = 1; g*g < procs; g++ {
-		}
-	}
 	fmt.Fprintf(stdout, "\n# Extension families: k=%d g=%d stragglers=%d delta=%.3gus\n",
 		*k, g, *stragglers, *delta*1e6)
 	fmt.Fprintf(stdout, "%10s %12s %12s %12s %12s\n",
 		"bytes", "dualroot(us)", "genall(us)", "pap-sort(us)", "pap-ring(us)")
 	for _, n := range sizes {
-		p := base.With(procs, *nodes, 1, n)
-		p.G, p.S, p.Delta = g, *stragglers, *delta
-		if err := p.Validate(); err != nil {
-			return fail(err)
-		}
+		p := extAt(n)
 		fmt.Fprintf(stdout, "%10d %12.2f %12.2f %12.2f %12.2f\n",
 			n, p.DualRoot()*1e6, p.GenAll()*1e6, p.PAPSorted()*1e6, p.PAPRing()*1e6)
 	}

@@ -28,3 +28,34 @@ func TestLeadersInRangeRuns(t *testing.T) {
 		t.Errorf("missing the Eq. 7 table:\n%s", out.String())
 	}
 }
+
+// TestBadParametersPrintNothing checks that every parameter is validated
+// before the first table line: a bad argument set exits 1 with nothing
+// on stdout and one error line on stderr.
+func TestBadParametersPrintNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "0"},
+		{"-ppn", "0"},
+		{"-k", "0"},
+		{"-g", "500"},
+		{"-g", "-1"},
+		{"-leaders", "-1"},
+		{"-leaders", "100"},
+		{"-stragglers", "448"},
+		{"-delta", "-1"},
+		{"-sizes", "4,x"},
+		{"-cluster", "Z"},
+	} {
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		if code != 1 {
+			t.Errorf("%v: exit = %d, want 1", args, code)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: stdout not empty:\n%s", args, out.String())
+		}
+		if lines := strings.Count(errb.String(), "\n"); lines != 1 || !strings.HasSuffix(errb.String(), "\n") {
+			t.Errorf("%v: stderr has %d lines, want 1: %q", args, lines, errb.String())
+		}
+	}
+}

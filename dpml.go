@@ -13,7 +13,8 @@
 //	    return eng.Allreduce(r, dpml.DPML(8), dpml.Sum, v)
 //	})
 //
-// Every allreduce strategy is a Spec. The selector designs
+// Every allreduce strategy is a Spec, and Engine.Allreduce, a blocking
+// MPI_Allreduce, is the engine's only collective. The selector designs
 // (DesignMVAPICH2, DesignIntelMPI, DesignProposed) run, per message
 // size, the design that library's decision table picks.
 //
@@ -65,8 +66,6 @@ type (
 	Spec = core.Spec
 	// Design names an allreduce strategy.
 	Design = core.Design
-	// NBHandle tracks a non-blocking allreduce (from Engine.IAllreduce).
-	NBHandle = core.NBHandle
 	// CostParams is Section 5's analytic model.
 	CostParams = costmodel.Params
 	// Table is a reproduced figure.

@@ -56,9 +56,8 @@ func TestWarmDPMLAllreduceAllocatesNoPayload(t *testing.T) {
 }
 
 // TestWarmAllocsPerDesign pins each design's heap allocations per warm
-// rank-collective of each call (Allreduce, and Reduce and Bcast rooted
-// at rank 0), on a 4x4 phantom job with 256 B per rank (within SHArP's
-// payload limit). DPML and flat allreduces allocate nothing: their
+// rank-allreduce, on a 4x4 phantom job with 256 B per rank (within
+// SHArP's payload limit). DPML and flat allocate nothing: their
 // messages, shared-memory operations and views all come from free
 // lists. Every other ceiling is the measured count, rounded up, and its
 // comment names the sites that still allocate.
@@ -73,54 +72,39 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 		windows    = 3
 	)
 	cases := []struct {
-		call, design string
-		max          float64
+		design string
+		max    float64
 	}{
-		{"allreduce", "flat", 0},
-		{"allreduce", "host-based", 0},
-		{"allreduce", "dpml-3", 0},
+		{"flat", 0},
+		{"host-based", 0},
+		{"dpml-3", 0},
 		// pipelined.go:143-145 (each chunk's view, its tmp clone and
 		// BlockPartition), the blockView slices (:76, :78) and the
 		// requests of the public Isend/Irecv (:98-:103), which stay
 		// GC-owned.
-		{"allreduce", "dpml-pipe-2x3", 55},
+		{"dpml-pipe-2x3", 55},
 		// SharpGroup.Allreduce's per-call records: the sharpCall, its
 		// AfterNet closure and the operation's sharpOp and parts.
 		// sharp.go:85 clones only real payloads.
-		{"allreduce", "sharp-node", 1.5},
-		{"allreduce", "sharp-socket", 2.5},
+		{"sharp-node", 1.5},
+		{"sharp-socket", 2.5},
 		// dualroot.go:120 (each child's receive buffer), the half and
 		// segment views (:49, :96), BlockPartition (:93), the Isend/Irecv
 		// requests and the sends slice.
-		{"allreduce", "dualroot-s3", 89},
+		{"dualroot-s3", 89},
 		// InternComm (genall.go:51, :65), whose key formats the group
 		// (fmt's printer pool refills after each GC, hence the slack).
-		{"allreduce", "genall-g4", 9},
+		{"genall-g4", 9},
 		// pap.go:104 (each block's receive buffer), the block views
 		// (:102), BlockPartition (:97), the Isend/Irecv requests, the
 		// arrival order (:87) and InternComm (:92).
-		{"allreduce", "pap-sorted", 81},
+		{"pap-sorted", 81},
 		// The arrival order (pap.go:137) and InternComm (:156, :173). On
 		// a healthy fabric no rank is late, so pap.go:166 never runs.
-		{"allreduce", "pap-ring", 41},
-		// Reduce and Bcast run DPML designs only. Their inter-node
-		// traffic is one-way, and envelopes (mpi/pool.go:150) and
-		// transfer records (fabric/network.go:246) return to the
-		// receiving side's free list, so the sending side refills its
-		// lists by allocation. Reduce's non-root ranks return before
-		// their leaders finish, so a region also outgrows its recycled
-		// operations and views (shmseg.Region.newOp, View).
-		{"reduce", "host-based", 0.25},
-		{"reduce", "dpml-3", 1.25},
-		{"bcast", "host-based", 1.5},
-		{"bcast", "dpml-3", 4},
+		{"pap-ring", 41},
 	}
 	for _, tc := range cases {
-		name := tc.design
-		if tc.call != "allreduce" {
-			name = tc.call + ":" + tc.design
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.design, func(t *testing.T) {
 			s, err := ParseDesign(tc.design)
 			if err != nil {
 				t.Fatal(err)
@@ -140,16 +124,7 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 						runtime.ReadMemStats(&m)
 						mallocs[w/runs] = m.Mallocs
 					}
-					var err error
-					switch tc.call {
-					case "allreduce":
-						err = e.Allreduce(r, s, mpi.Sum, v)
-					case "reduce":
-						err = e.Reduce(r, s, mpi.Sum, 0, v)
-					case "bcast":
-						err = e.Bcast(r, s, 0, v)
-					}
-					if err != nil {
+					if err := e.Allreduce(r, s, mpi.Sum, v); err != nil {
 						return err
 					}
 				}
@@ -163,9 +138,9 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 				fewest = min(fewest, mallocs[w+1]-mallocs[w])
 			}
 			got := float64(fewest) / (runs * nodes * ppn)
-			t.Logf("%s: %.3f mallocs per rank-collective", name, got)
+			t.Logf("%s: %.3f mallocs per rank-collective", tc.design, got)
 			if got > tc.max {
-				t.Fatalf("%s allocates %.3f objects per warm rank-collective, want <= %v", name, got, tc.max)
+				t.Fatalf("%s allocates %.3f objects per warm rank-collective, want <= %v", tc.design, got, tc.max)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -455,5 +456,122 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestOpDatatypeMismatchFailsCleanly passes a float64-only user op with
+// float32 payloads to a SHArP and a DPML allreduce. Real and phantom
+// payloads alike must get a clean error on every rank before any rank
+// moves, not a panic inside a fold.
+func TestOpDatatypeMismatchFailsCleanly(t *testing.T) {
+	absmax := mpi.NewUserOp("absmax", func(a, b float64) float64 {
+		return math.Max(math.Abs(a), math.Abs(b))
+	})
+	const want = "core: op absmax unsupported for float32"
+	for _, c := range []struct {
+		name string
+		call func(e *Engine, r *mpi.Rank, v *mpi.Vector) error
+	}{
+		{"Allreduce", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			return e.Allreduce(r, Spec{Design: DesignSharpNode}, absmax, v)
+		}},
+		{"AllreduceDPML", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
+			return e.Allreduce(r, DPML(2), absmax, v)
+		}},
+	} {
+		for _, phantom := range []bool{false, true} {
+			e := buildEngine(t, topology.ClusterA(), 2, 4)
+			err := e.W.Run(func(r *mpi.Rank) error {
+				v := mpi.NewVector(mpi.Float32, 64)
+				if phantom {
+					v = mpi.NewPhantom(mpi.Float32, 64)
+				}
+				err := c.call(e, r, v)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s phantom=%v rank %d: err %v, want %q", c.name, phantom, r.Rank(), err, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s phantom=%v: %v", c.name, phantom, err)
+			}
+			if now := e.W.Now(); now != 0 {
+				t.Errorf("%s phantom=%v: ranks moved to %v before the error", c.name, phantom, now)
+			}
+		}
+	}
+}
+
+// TestAllreduceBufferReusableOnReturn pins Allreduce as a blocking
+// MPI_Allreduce for every design: once it returns, the caller may write
+// its buffer. The last local rank of each node arrives late, and every
+// rank writes its next input as soon as Allreduce returns, so a rank
+// that a peer still reads from (a deposit, a send buffer) would corrupt
+// the peer's result. Payloads span eager and rendezvous messages, and
+// the sharded kernel lets nodes run apart within a window.
+func TestAllreduceBufferReusableOnReturn(t *testing.T) {
+	const nodes, ppn, iters = 2, 4, 4
+	var specs []Spec
+	for _, alg := range mpi.FlatAlgorithms() {
+		specs = append(specs, Flat(alg))
+	}
+	for _, name := range []string{
+		"host-based", "dpml-3", "dpml-pipe-2x3", "sharp-node", "sharp-socket",
+		"dualroot-s3", "genall-g3", "pap-sorted", "pap-ring",
+	} {
+		s, err := ParseDesign(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	specs = append(append(specs, Libraries()...), Spec{Design: DesignPAPAware})
+	// Integer inputs keep every sum exact in any fold order.
+	input := func(it, rank, i int) float64 { return float64(1000*it + rank + 1 + i%7) }
+	for _, s := range specs {
+		for _, n := range []int{7, 64, 5000} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/n%d/shards%d", s, n, shards), func(t *testing.T) {
+					job, err := topology.NewJob(topology.ClusterA(), nodes, ppn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := NewEngine(mpi.NewWorld(job, mpi.Config{Shards: shards}))
+					p := job.NumProcs()
+					err = e.W.Run(func(r *mpi.Rank) error {
+						v := mpi.NewVector(mpi.Float64, n)
+						got := make([]float64, n)
+						fill := func(it int) {
+							for i := range n {
+								v.Set(i, input(it, r.Rank(), i))
+							}
+						}
+						fill(0)
+						for it := 0; it < iters; it++ {
+							if r.Place().LocalRank == ppn-1 {
+								r.Compute(1 << 20)
+							}
+							if err := e.Allreduce(r, s, mpi.Sum, v); err != nil {
+								return err
+							}
+							copy(got, v.Float64s())
+							fill(it + 1)
+							// A failed check is recorded, not returned: a
+							// rank that leaves early deadlocks the others.
+							for i, x := range got {
+								if want := float64(1000*it*p + p*(p+1)/2 + p*(i%7)); x != want {
+									t.Errorf("iteration %d rank %d elem %d: got %v want %v", it, r.Rank(), i, x, want)
+									break
+								}
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

@@ -68,15 +68,6 @@ func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector
 	r.Allreduce(c, alg, op, vec)
 }
 
-// checkDPML reports whether s is a DPML spec that can run on this
-// engine. what names the caller in the error.
-func (e *Engine) checkDPML(what string, s Spec) error {
-	if s.Design != DesignDPML {
-		return fmt.Errorf("core: %s supports DPML designs, not %q", what, s)
-	}
-	return e.Validate(s)
-}
-
 // checkOp reports whether op can reduce vec's datatype, so a mismatch
 // fails before any rank moves instead of inside the first fold.
 func checkOp(op *mpi.Op, vec *mpi.Vector) error {
@@ -87,7 +78,7 @@ func checkOp(op *mpi.Op, vec *mpi.Vector) error {
 }
 
 // shmOp is one rank's part in one shared-memory operation of its node:
-// the steps every DPML-structured collective is built from. Segment j
+// the steps the DPML and SHArP allreduces are built from. Segment j
 // belongs to leader j (for the SHArP designs, to local rank j); each step
 // charges its own copy cost.
 type shmOp struct {
@@ -97,10 +88,6 @@ type shmOp struct {
 	seq  uint64
 	segs int
 	n    int // elements, block-partitioned across the segments (see part)
-	// snapshot makes put deposit a copy of the caller's partition, for a
-	// collective whose ranks can return, and so write their buffer
-	// again, before every leader has folded it (Reduce).
-	snapshot bool
 }
 
 // newShmOp opens the calling rank's next operation on its node's region
@@ -124,13 +111,8 @@ func (o *shmOp) cross(j int) bool { return o.r.Place().Socket != o.e.leaderSocke
 // put charges the copy of v into this rank's slot of segment j and
 // deposits v itself: the leader reads it in place, so v must not be
 // written until segment j's result is published (see package shmseg).
-// A snapshot op deposits a copy instead, and v is free on return.
 func (o *shmOp) put(j int, v *mpi.Vector) {
 	o.r.MemCopy(o.cross(j), v.Bytes())
-	if o.snapshot {
-		o.rg.PutCopy(o.seq, o.segs, j, o.r.Place().LocalRank, v)
-		return
-	}
 	o.rg.Put(o.seq, o.segs, j, o.r.Place().LocalRank, v)
 }
 
@@ -141,36 +123,26 @@ func (o *shmOp) deposit(vec *mpi.Vector) {
 	}
 }
 
-// gather waits until want local ranks have put into segment j and
-// returns its slots in local-rank order (nil for ranks that did not).
-func (o *shmOp) gather(j, want int) []*mpi.Vector {
-	return o.rg.GatherWait(o.r.Proc(), o.seq, o.segs, j, want)
-}
-
-// fold is Phase 2 for the leader of segment j: it gathers want
-// contributions, charges the flag polls (see gatherSync), and returns
-// segment j's accumulator holding their reduction in local-rank order.
+// fold is Phase 2 for the leader of segment j: it waits until want local
+// ranks have put into segment j, charges the flag polls (see
+// gatherSync), and returns segment j's accumulator holding their
+// reduction in local-rank order. The accumulator stays valid until the
+// operation drains, which outlasts every reader of the result published
+// from it.
 func (o *shmOp) fold(op *mpi.Op, j, want int, sameSocketOnly bool) *mpi.Vector {
-	slots := o.gather(j, want)
+	slots := o.rg.GatherWait(o.r.Proc(), o.seq, o.segs, j, want)
 	o.e.gatherSync(o.r, j, sameSocketOnly)
 	var acc *mpi.Vector
 	for _, s := range slots {
 		switch {
 		case s == nil:
 		case acc == nil:
-			acc = o.acc(j, s)
+			acc = o.rg.Accumulator(o.seq, o.segs, j, s)
 		default:
 			o.r.Reduce(op, acc, s)
 		}
 	}
 	return acc
-}
-
-// acc returns segment j's accumulator holding a copy of src. It stays
-// valid until the operation drains, which outlasts every reader of the
-// result published from it.
-func (o *shmOp) acc(j int, src *mpi.Vector) *mpi.Vector {
-	return o.rg.Accumulator(o.seq, o.segs, j, src)
 }
 
 // publish stores the leader's result for segment j.

@@ -289,8 +289,13 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 	if err := checkOp(op, vec); err != nil {
 		return err
 	}
+	// The label is formatted only when a recorder is attached, so an
+	// untraced collective allocates nothing here.
 	rec := e.W.Tracer()
-	coll := e.beginCollective(r, "", s, vec.Bytes())
+	var coll *trace.Span
+	if rec != nil {
+		coll = rec.BeginCollective(r.Rank(), s.String(), vec.Bytes(), r.Now())
+	}
 	defer func() { coll.End(r.Now()) }()
 	switch s.Design {
 	case DesignFlat:
@@ -319,17 +324,6 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 		e.papRing(r, op, vec)
 	}
 	return nil
-}
-
-// beginCollective opens rank r's trace span for one collective of spec
-// s, labelled prefix+s. It formats the label only when a recorder is
-// attached, so an untraced collective allocates nothing here.
-func (e *Engine) beginCollective(r *mpi.Rank, prefix string, s Spec, bytes int) *trace.Span {
-	rec := e.W.Tracer()
-	if rec == nil {
-		return nil
-	}
-	return rec.BeginCollective(r.Rank(), prefix+s.String(), bytes, r.Now())
 }
 
 // autoAlg mirrors a production library's dynamic choice for the

@@ -17,30 +17,12 @@ type goldenCase struct {
 	run  func(e *Engine, r *mpi.Rank, v *mpi.Vector) error
 }
 
-// goldenRoot is the root rank of the pinned Reduce and Bcast: local rank
-// 5 of node 0, so it is not a leader at 4 leaders per node.
-const goldenRoot = 5
-
 var goldenCases = []goldenCase{
 	{"allreduce-dpml4", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
 		return e.Allreduce(r, DPML(4), mpi.Sum, v)
 	}},
 	{"allreduce-dpml-pipelined4x4", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
 		return e.Allreduce(r, DPMLPipelined(4, 4), mpi.Sum, v)
-	}},
-	{"reduce-dpml4-root5", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
-		return e.Reduce(r, DPML(4), mpi.Sum, goldenRoot, v)
-	}},
-	{"bcast-dpml4-root5", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
-		return e.Bcast(r, DPML(4), goldenRoot, v)
-	}},
-	{"iallreduce-dpml4", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
-		h, err := e.IAllreduce(r, DPML(4), mpi.Sum, v)
-		if err != nil {
-			return err
-		}
-		r.Compute(16 << 10)
-		return h.Wait(r)
 	}},
 	{"allreduce-sharp-node", func(e *Engine, r *mpi.Rank, v *mpi.Vector) error {
 		return e.Allreduce(r, Spec{Design: DesignSharpNode}, mpi.Sum, v)
@@ -75,33 +57,6 @@ var goldenTimelines = map[string]struct {
 		},
 		digest: 0xb1f771b109abd65,
 	},
-	"reduce-dpml4-root5": {
-		ends: []int64{
-			14076, 14083, 15355, 16688, 5332, 19408, 5332, 5332,
-			6840, 6847, 8119, 9452, 5332, 5332, 5332, 5332,
-			10658, 10665, 11937, 13270, 5332, 5332, 5332, 5332,
-			6840, 6847, 8119, 9452, 5332, 5332, 5332, 5332,
-		},
-		digest: 0x6ae849c9dc59abe3,
-	},
-	"bcast-dpml4-root5": {
-		ends: []int64{
-			6812, 6812, 7519, 8852, 7465, 10664, 7465, 7465,
-			11249, 11249, 11956, 13289, 11902, 11902, 11902, 11902,
-			11248, 11248, 11955, 13288, 11901, 11901, 11901, 11901,
-			14266, 14266, 14973, 16306, 14919, 14919, 14919, 14919,
-		},
-		digest: 0xa6f2ef0bb93f37e5,
-	},
-	"iallreduce-dpml4": {
-		ends: []int64{
-			20073, 20080, 20087, 20094, 22685, 22685, 22685, 22685,
-			20073, 20080, 20087, 20094, 22685, 22685, 22685, 22685,
-			20073, 20080, 20087, 20094, 22685, 22685, 22685, 22685,
-			20073, 20080, 20087, 20094, 22685, 22685, 22685, 22685,
-		},
-		digest: 0xb1f771b109abd65,
-	},
 	"allreduce-sharp-node": {
 		ends: []int64{
 			82838, 82838, 82838, 82838, 84491, 84491, 84491, 84491,
@@ -122,7 +77,7 @@ var goldenTimelines = map[string]struct {
 	},
 }
 
-// TestGoldenTimelines runs the DPML-structured collectives on cluster A
+// TestGoldenTimelines runs the DPML and SHArP allreduces on cluster A
 // (4 nodes x 8 ranks, 1000 real float64 elements, below the SHArP
 // payload limit) and compares each rank's end time and result with the
 // pinned values. Any refactor of the shared-memory phases must leave

@@ -135,39 +135,42 @@ func TestPhasesTileUnderSharpFallback(t *testing.T) {
 	}
 }
 
-// TestReduceBcastPhasesTile extends the tiling property to the DPML
-// Reduce and Bcast collectives.
-func TestReduceBcastPhasesTile(t *testing.T) {
-	e, rec := tracedEngine(t, topology.ClusterA(), 3, 4)
+// DPML allreduces read back from their phase spans: every rank records
+// copy-in and bcast-out, only the leaders record intra-reduce and
+// inter-leader, and tracing leaves the result intact.
+func TestAllreduceProfiled(t *testing.T) {
+	e, rec := tracedEngine(t, topology.ClusterB(), 4, 8)
 	err := e.W.Run(func(r *mpi.Rank) error {
-		v := mpi.NewVector(mpi.Float64, 100)
-		v.Fill(float64(r.Rank()))
-		if err := e.Reduce(r, DPML(2), mpi.Sum, 5, v); err != nil {
+		if err := e.Allreduce(r, DPML(4), mpi.Sum, mpi.NewPhantom(mpi.Float32, 1<<16)); err != nil {
 			return err
 		}
-		return e.Bcast(r, DPML(2), 5, v)
+		real := mpi.NewVector(mpi.Float64, 8)
+		real.Fill(1)
+		if err := e.Allreduce(r, DPML(2), mpi.Sum, real); err != nil {
+			return err
+		}
+		if real.At(0) != float64(e.W.Job.NumProcs()) {
+			t.Errorf("traced allreduce wrong: %v", real.At(0))
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	phase := map[int]sim.Duration{}
-	coll := map[int]sim.Duration{}
-	colls := 0
-	for _, ev := range rec.Events() {
-		switch ev.Kind {
-		case trace.KindPhase:
-			phase[ev.Rank] += ev.Duration()
-		case trace.KindCollective:
-			coll[ev.Rank] += ev.Duration()
-			colls++
+	phases := rankPhases(rec)
+	for rank := 0; rank < e.W.Job.NumProcs(); rank++ {
+		pt := phases[rank]
+		if pt[trace.PhaseCopy] <= 0 || pt[trace.PhaseBcast] <= 0 {
+			t.Errorf("rank %d: copy/bcast phases empty: %v", rank, pt)
 		}
-	}
-	if colls != 24 { // 12 ranks x (reduce + bcast)
-		t.Fatalf("collective spans = %d, want 24", colls)
-	}
-	for rank, total := range coll {
-		if phase[rank] != total {
-			t.Errorf("rank %d: phases sum to %v, collective total %v", rank, phase[rank], total)
+		reduce, hasReduce := pt[trace.PhaseReduce]
+		inter, hasInter := pt[trace.PhaseInter]
+		if e.W.Job.Place(rank).LocalRank < 4 {
+			if reduce <= 0 || inter <= 0 {
+				t.Errorf("leader %d: reduce/inter phases empty: %v", rank, pt)
+			}
+		} else if hasReduce || hasInter {
+			t.Errorf("non-leader %d: unexpected leader phases: %v", rank, pt)
 		}
 	}
 }

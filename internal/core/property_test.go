@@ -84,51 +84,3 @@ func TestAllreducePropertyRandomConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestReducePropertyRandomConfigs does the same for the DPML Reduce
-// extension with randomized roots.
-func TestReducePropertyRandomConfigs(t *testing.T) {
-	f := func(nodeSeed, ppnSeed, leaderSeed, rootSeed, countSeed uint8) bool {
-		nodes := 1 + int(nodeSeed)%5
-		ppn := 1 + int(ppnSeed)%6
-		leaders := 1 + int(leaderSeed)%ppn
-		count := 1 + int(countSeed)%200
-		job, err := topology.NewJob(topology.ClusterB(), nodes, ppn)
-		if err != nil {
-			return false
-		}
-		p := job.NumProcs()
-		root := int(rootSeed) % p
-		e := NewEngine(mpi.NewWorld(job, mpi.Config{}))
-		want := make([]float64, count)
-		in := make([][]float64, p)
-		for k := range in {
-			in[k] = make([]float64, count)
-			for i := range in[k] {
-				in[k][i] = float64((k*13 + i*7) % 97)
-				want[i] += in[k][i]
-			}
-		}
-		ok := true
-		err = e.W.Run(func(r *mpi.Rank) error {
-			v := mpi.NewVector(mpi.Float64, count)
-			copy(v.Float64s(), in[r.Rank()])
-			if err := e.Reduce(r, DPML(leaders), mpi.Sum, root, v); err != nil {
-				return err
-			}
-			if r.Rank() == root {
-				for i := 0; i < count; i++ {
-					if v.At(i) != want[i] {
-						ok = false
-						return nil
-					}
-				}
-			}
-			return nil
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

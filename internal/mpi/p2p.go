@@ -41,8 +41,10 @@ type envelope struct {
 // Isend starts a non-blocking send of vec to comm rank dst with the given
 // tag. The returned request completes when the send buffer is reusable:
 // immediately after local processing for eager messages, at payload
-// delivery for rendezvous messages. Intra-node sends perform the
-// shared-memory copy synchronously (the sending core does the memcpy).
+// delivery for rendezvous messages. Either way the receiver copies from
+// the envelope's transit clone, never from vec (see carry). Intra-node
+// sends perform the shared-memory copy synchronously (the sending core
+// does the memcpy).
 func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 	r.checkP2P(c, dst, tag, vec)
 	dstGlobal := c.Global(dst)
@@ -90,15 +92,14 @@ func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
 	return req
 }
 
-// carry sets the envelope's payload to vec's elements. An eager real
-// payload travels in a transit clone, since the sender may write vec as
-// soon as Isend returns. A phantom has no elements to change, and a
-// rendezvous sender leaves vec untouched until its request completes, so
-// for those the envelope views vec through its own header: the sender
-// may re-point vec's header once its request completes, at the instant
-// the receiver copies.
+// carry sets the envelope's payload to vec's elements. A real payload
+// travels in a transit clone, since the sender may write vec once its
+// request completes: at once for eager, and at the instant the payload
+// lands for rendezvous, which on a sharded kernel can run before the
+// receiver copies. A phantom has no elements to change, so the envelope
+// views it through its own header.
 func (env *envelope) carry(vec *Vector) {
-	if !env.rendezvous && !vec.Phantom() {
+	if !vec.Phantom() {
 		s := env.src
 		env.vec = s.w.transitClone(s.place.Node, vec)
 		return
@@ -177,10 +178,10 @@ func (r *Rank) completeRecv(env *envelope, req *Request) {
 	}
 	req.vec.CopyFrom(env.vec)
 	if env.vec != env.own {
-		// Eager real payloads ride in a transit clone that dies here;
-		// recycle it into this node's pool (it was drawn from the
-		// sender's). The envelope's own header views the sender's
-		// buffer, which the pool must never capture.
+		// Real payloads ride in a transit clone that dies here; recycle
+		// it into this node's pool (it was drawn from the sender's). A
+		// phantom's own header views the sender's buffer, which the
+		// pool must never capture.
 		r.w.release(r.place.Node, env.vec)
 	}
 	if env.recvOverhead > 0 {

@@ -4,10 +4,10 @@ import "dpml/internal/race"
 
 // pool.go holds the free lists of the point-to-point path, so a warm
 // message allocates nothing:
-//   - vectors: the transit clones that carry real eager payloads while
-//     a message is in flight (the sender clones its buffer into the
+//   - vectors: the transit clones that carry real payloads while a
+//     message is in flight (the sender clones its buffer into the
 //     envelope, and the receiver releases the clone once it has copied
-//     the payload out; phantom and rendezvous payloads need no clone),
+//     the payload out; phantom payloads need no clone),
 //     and the receive temporaries of the flat algorithms (drawn when an
 //     algorithm starts, released when it returns);
 //   - envelopes: drawn with the message in the sender's context,
@@ -81,7 +81,7 @@ func (w *World) scratch(node int, like *Vector, n int) *Vector {
 	return NewVector(sh.dtype, n)
 }
 
-// transitClone returns a copy of v for an in-flight eager payload.
+// transitClone returns a copy of v for an in-flight payload.
 func (w *World) transitClone(node int, v *Vector) *Vector {
 	c := w.scratch(node, v, v.n)
 	c.CopyFrom(v) // no-op for phantoms

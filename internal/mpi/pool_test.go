@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,43 +41,54 @@ func TestTransitPoolReusesEagerClones(t *testing.T) {
 	}
 }
 
-// TestTransitPoolIgnoresRendezvous checks that a rendezvous transfer —
-// whose envelope carries the sender's own buffer, not a clone — leaves
-// nothing in the pool and does not capture the sender's storage.
-func TestTransitPoolIgnoresRendezvous(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
-	const n = 1 << 20 // 8 MB of float64 >> eager threshold
-	var sent *Vector
-	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		v := NewVector(Float64, n)
-		if r.Rank() == 0 {
-			v.Fill(7)
-			sent = v
-			r.Send(c, 1, 0, v)
-		} else {
-			r.Recv(c, 0, 0, v)
-			if v.At(n-1) != 7 {
-				t.Errorf("received %v, want 7", v.At(n-1))
+// TestRendezvousSendBufferReusableOnReturn pins a blocking rendezvous
+// Send as MPI's: once it returns, the sender may write its buffer. The
+// sender's request completes at the instant the payload lands, so on a
+// sharded kernel the sender can run on before the receiver's node has
+// copied the payload out; every receive must still see what was sent,
+// and the pool must never capture the sender's buffer.
+func TestRendezvousSendBufferReusableOnReturn(t *testing.T) {
+	const n, iters = 16 << 10, 4 // 128 KB of float64, above the eager threshold
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			w := smallWorld(t, topology.ClusterB(), 2, 1, Config{Shards: shards})
+			if n*Float64.Size() <= w.EagerThreshold() {
+				t.Fatalf("%d bytes is eager (threshold %d)", n*Float64.Size(), w.EagerThreshold())
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for node := range w.pools {
-		pool := &w.pools[node]
-		for _, sf := range pool.vecs {
-			for _, f := range sf.free {
-				if f == sent {
-					t.Fatal("pool captured the rendezvous sender's buffer")
+			var sent *Vector
+			err := w.Run(func(r *Rank) error {
+				c := w.CommWorld()
+				v := NewVector(Float64, n)
+				if r.Rank() == 0 {
+					sent = v
+				}
+				for i := 0; i < iters; i++ {
+					if r.Rank() == 0 {
+						v.Fill(float64(i))
+						r.Send(c, 1, 0, v)
+						v.Fill(-1)
+						continue
+					}
+					r.Recv(c, 0, 0, v)
+					if first, last := v.At(0), v.At(n-1); first != float64(i) || last != float64(i) {
+						t.Errorf("message %d: received %v..%v, want %d", i, first, last, i)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for node := range w.pools {
+				for _, sf := range w.pools[node].vecs {
+					for _, f := range sf.free {
+						if f == sent {
+							t.Fatalf("node %d's pool captured the rendezvous sender's buffer", node)
+						}
+					}
 				}
 			}
-		}
-		if free := *pool.list(vecShape{dtype: Float64, n: n}); len(free) != 0 {
-			t.Fatalf("rendezvous transfer left %d vectors in node %d's pool, want 0", len(free), node)
-		}
+		})
 	}
 }
 

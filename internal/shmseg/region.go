@@ -14,20 +14,13 @@
 // reads its peers' partitions in place, as a process-shared address
 // space lets it. The rule that makes this safe is that a deposited
 // buffer stays read-only until the operation no longer reads it, that
-// is until its leader has folded it. A collective whose ranks all wait
-// for every leader's result before they return keeps the rule by
+// is until its leader has folded it. An allreduce, whose ranks all wait
+// for every leader's result before they return, keeps the rule by
 // construction:
 //   - a rank writes partition j of its buffer only when copying leader
 //     j's result out, which is after leader j publishes;
 //   - leader j publishes only after it has folded every slot of its
-//     segment;
-//   - a non-blocking allreduce's buffer must stay untouched until Wait.
-//
-// A collective whose ranks can return before every leader has folded —
-// a reduction to one root, where the others leave as soon as they have
-// deposited — would hand the caller back a buffer a leader still reads.
-// It deposits with PutCopy, which stores a copy in storage the segment
-// keeps across recycled operations.
+//     segment.
 package shmseg
 
 import (
@@ -40,8 +33,8 @@ import (
 
 // Region is one node's shared-memory scratch space. Operation state is
 // recycled: when DoneCopy drains an operation its segments, signals,
-// slot arrays, slot copies, view headers and accumulators go to a free
-// list that later operations draw from.
+// slot arrays, view headers and accumulators go to a free list that
+// later operations draw from.
 type Region struct {
 	ppn  int
 	ops  map[uint64]*opState
@@ -58,7 +51,6 @@ type segment struct {
 	seq    uint64
 	leader int
 	slots  []*mpi.Vector // slots[i] is local rank i's partition
-	copies []*mpi.Vector // PutCopy storage per local rank, kept across recycling
 	views  []*mpi.Vector // View headers per local rank, kept across recycling
 	acc    *mpi.Vector   // accumulator storage, kept across recycling
 	filled int           // slots written
@@ -165,20 +157,8 @@ func (rg *Region) View(seq uint64, leaders, leader, localRank int, vec *mpi.Vect
 // seq. The vector is stored by reference, not copied: the caller must not
 // write it until leader has folded it, which a caller that waits for
 // leader's published result guarantees (see the package doc). The copy
-// cost must already have been charged, for PutCopy as well.
+// cost must already have been charged.
 func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vector) {
-	rg.put(seq, leaders, leader, localRank, part, false)
-}
-
-// PutCopy is Put for a caller that may write part before leader has
-// folded it: the slot holds a copy, in storage the segment keeps across
-// recycled operations, so a warmed region copies without allocating. A
-// phantom part carries no data and is stored as is.
-func (rg *Region) PutCopy(seq uint64, leaders, leader, localRank int, part *mpi.Vector) {
-	rg.put(seq, leaders, leader, localRank, part, true)
-}
-
-func (rg *Region) put(seq uint64, leaders, leader, localRank int, part *mpi.Vector, snapshot bool) {
 	if leader < 0 || leader >= leaders {
 		panic(fmt.Sprintf("shmseg: Put leader %d of %d", leader, leaders))
 	}
@@ -188,12 +168,6 @@ func (rg *Region) put(seq uint64, leaders, leader, localRank int, part *mpi.Vect
 	sg := rg.seg(seq, leaders, leader)
 	if sg.slots[localRank] != nil {
 		panic(fmt.Sprintf("shmseg: op %d slot (%d,%d) written twice", seq, leader, localRank))
-	}
-	if snapshot && !part.Phantom() {
-		if sg.copies == nil {
-			sg.copies = make([]*mpi.Vector, rg.ppn)
-		}
-		part = load(&sg.copies[localRank], part)
 	}
 	sg.slots[localRank] = part
 	sg.filled++
@@ -225,18 +199,13 @@ func (rg *Region) Accumulator(seq uint64, leaders, leader int, src *mpi.Vector) 
 	if src.Phantom() {
 		return src
 	}
-	return load(&rg.seg(seq, leaders, leader).acc, src)
-}
-
-// load copies src into the segment storage *store, reallocating it on a
-// change of datatype or length, and returns it.
-func load(store **mpi.Vector, src *mpi.Vector) *mpi.Vector {
-	if a := *store; a != nil && a.Type() == src.Type() && a.Len() == src.Len() {
+	sg := rg.seg(seq, leaders, leader)
+	if a := sg.acc; a != nil && a.Type() == src.Type() && a.Len() == src.Len() {
 		a.CopyFrom(src)
 	} else {
-		*store = src.Clone()
+		sg.acc = src.Clone()
 	}
-	return *store
+	return sg.acc
 }
 
 // Publish stores leader's fully reduced partition and wakes the local
@@ -260,9 +229,8 @@ func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.
 
 // DoneCopy signals that one local rank has copied every result out of
 // operation seq; the last call drains the operation and recycles its
-// state, slot copies and accumulators included. The race build poisons
-// that storage here, so a rank that reads it after draining fails its
-// check.
+// state, accumulators included. The race build poisons the accumulators
+// here, so a rank that reads one after draining fails its check.
 func (rg *Region) DoneCopy(seq uint64) {
 	st, ok := rg.ops[seq]
 	if !ok {
@@ -277,20 +245,10 @@ func (rg *Region) DoneCopy(seq uint64) {
 		sg := &st.segs[j]
 		clear(sg.slots)
 		sg.filled, sg.result = 0, nil
-		if race.Enabled {
-			poison(sg.acc)
-			for _, c := range sg.copies {
-				poison(c)
-			}
+		if race.Enabled && sg.acc != nil {
+			sg.acc.Poison()
 		}
 	}
 	st.drained = 0
 	rg.free = append(rg.free, st)
-}
-
-// poison marks recycled storage in the race build (see DoneCopy).
-func poison(v *mpi.Vector) {
-	if v != nil {
-		v.Poison()
-	}
 }

@@ -233,7 +233,7 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	k.Spawn("peer", func(p *sim.Proc) {
 		// AllocsPerRun makes one extra, unmeasured call.
 		for seq := uint64(0); seq < warm+1+runs; seq++ {
-			rg.PutCopy(seq, 1, 0, 1, v[1])
+			rg.Put(seq, 1, 0, 1, v[1])
 			rg.ResultWait(p, seq, 1, 0)
 			rg.DoneCopy(seq)
 		}
@@ -296,50 +296,6 @@ func TestAccumulatorRecycling(t *testing.T) {
 	if rg.PendingOps() != 0 {
 		t.Fatalf("phantom accumulator opened op state: %d pending", rg.PendingOps())
 	}
-}
-
-func TestPutCopySnapshotsIntoRecycledStorage(t *testing.T) {
-	rg := NewRegion(2)
-	src := mpi.NewVector(mpi.Float32, 4)
-	src.Fill(3)
-	drain := func(seq uint64) {
-		rg.DoneCopy(seq)
-		rg.DoneCopy(seq)
-	}
-	slot := func(seq uint64) *mpi.Vector {
-		rg.Put(seq, 1, 0, 0, src) // complete the gather
-		return rg.GatherWait(nil, seq, 1, 0, 2)[1]
-	}
-
-	rg.PutCopy(0, 1, 0, 1, src)
-	c0 := slot(0)
-	src.Fill(4) // the caller reuses its buffer before the leader folds
-	if c0 == src || c0.At(3) != 3 {
-		t.Fatalf("slot %p holds %v, want a copy of %p's 3", c0, c0.At(3), src)
-	}
-	rg.PutCopy(1, 1, 0, 1, src) // seq 1 overlaps seq 0
-	if c1 := slot(1); c1 == c0 || c1.At(0) != 4 {
-		t.Fatalf("in-flight seq 1: got %p holding %v, want storage apart from %p holding 4", c1, c1.At(0), c0)
-	}
-	drain(0)
-	if race.Enabled && !math.IsNaN(c0.At(0)) {
-		t.Fatalf("drained copy reads %v, want NaN poison", c0.At(0))
-	}
-	src.Fill(5)
-	rg.PutCopy(2, 1, 0, 1, src)
-	if c2 := slot(2); c2 != c0 || c2.At(0) != 5 {
-		t.Fatalf("after drain: got %p holding %v, want the drained %p reloaded with 5", c2, c2.At(0), c0)
-	}
-	drain(1)
-	drain(2)
-
-	ph := mpi.NewPhantom(mpi.Float32, 4)
-	rg.PutCopy(3, 1, 0, 1, ph)
-	rg.Put(3, 1, 0, 0, ph)
-	if got := rg.GatherWait(nil, 3, 1, 0, 2)[1]; got != ph {
-		t.Fatal("phantom part was not stored as is")
-	}
-	drain(3)
 }
 
 // TestDeadlockReportNamesWaits pins the wait reasons a deadlock report
