@@ -46,9 +46,10 @@ ci: lint vet race racecheck benchcheck faultsmoke explorecheck grandprixsmoke fu
 benchcheck:
 	cd benchmark && export GOWORK=off GOTOOLCHAIN=local GOFLAGS= && $(GO) vet ./... && $(GO) test ./...
 
-# racecheck reruns the kernel, fabric, MPI, shared-memory and design test
-# packages under the race detector with the event kernel split across
-# four shards. Plain `race` covers host-side parallelism (the sweep
+# racecheck reruns the kernel, fabric, MPI, shared-memory, design and
+# application test packages under the race detector with the event kernel
+# split across four shards (the figure harness runs the fig11 app worlds
+# sharded too). Plain `race` covers host-side parallelism (the sweep
 # pool); this covers sim-side parallelism — window barriers, cross-shard
 # outboxes, the net kernel and its flow fill, and the coroutine switches
 # that shmseg's gather, result and copy waits exercise most — where a
@@ -59,7 +60,7 @@ benchcheck:
 # tests fail on any read of a buffer after its reuse point, and a Wait on
 # a request its blocking call has released panics.
 racecheck:
-	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/
+	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/ ./internal/apps/...
 
 # faultsmoke runs the fault-injection and watchdog tests twice (-count=2):
 # every fault class against a design (bench fault matrix), graceful SHArP

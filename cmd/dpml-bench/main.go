@@ -17,7 +17,6 @@ import (
 
 	"dpml/internal/bench"
 	"dpml/internal/faults"
-	"dpml/internal/mpi"
 	"dpml/internal/sim"
 	"dpml/internal/sweep"
 )
@@ -28,7 +27,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "shrink job sizes for a fast run")
 		iters     = flag.Int("iters", 0, "timed iterations per point (0 = default)")
 		warmup    = flag.Int("warmup", 0, "warmup iterations per point (0 = default)")
-		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = all cores, 1 = serial); output is identical for every value")
+		jobs      = flag.Int("j", 0, "host threads: parallel simulation jobs, each on as many kernel shards (0 = all cores, 1 = serial); output is identical for every value")
 		list      = flag.Bool("list", false, "list figure ids and exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -36,12 +35,8 @@ func main() {
 		faultSpec = flag.String("faults", "", "inject a seeded fault plan into allreduce-latency figures: comma-separated classes with optional @intensity, e.g. 'straggler@0.25,link' or 'all@0.8' (empty = healthy fabric); also selects the classes the 'faults' figure sweeps")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for fault-plan instantiation; different seeds fault different ranks, links, and windows")
 		watchdog  = flag.Duration("watchdog", 0, "virtual-time deadline per simulated job (e.g. 500ms); a job not finished by then aborts with a diagnostic naming the blocked ranks (0 = off)")
-		shards    = flag.Int("shards", 0, "kernel shards per simulated job (parallelize one run across threads; 0 = DPML_SHARDS env or 1); output is bit-identical for every value")
 	)
 	flag.Parse()
-	if *shards > 0 {
-		mpi.SetDefaultShards(*shards)
-	}
 
 	spec, err := faults.ParseSpec(*faultSpec)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"dpml/internal/bench"
+	"dpml/internal/mpi"
 	"dpml/internal/sweep"
 	"dpml/internal/topology"
 )
@@ -29,7 +30,7 @@ func main() {
 		window      = flag.Int("window", 64, "messages in flight per pair")
 		iters       = flag.Int("iters", 2, "iterations per size")
 		relative    = flag.Bool("relative", true, "print throughput relative to 1 pair (Figure 1 style)")
-		jobs        = flag.Int("j", 0, "parallel simulation jobs (0 = all cores, 1 = serial); output is identical for every value")
+		jobs        = flag.Int("j", 0, "host threads: parallel simulation jobs, each on as many kernel shards (0 = all cores, 1 = serial); output is identical for every value")
 	)
 	flag.Parse()
 
@@ -72,7 +73,7 @@ func main() {
 	}
 	fmt.Println()
 	cols, err := sweep.Map(*jobs, pairs, func(_ int, p int) ([]float64, error) {
-		return bench.MultiPairThroughput(cl, bench.MBWConfig{
+		return bench.MultiPairThroughput(mpi.Config{Shards: sweep.Workers(*jobs)}, cl, bench.MBWConfig{
 			Pairs: p, Intra: *intra, Window: *window, Iters: *iters,
 		}, sizes)
 	})

@@ -46,13 +46,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sizesFlag   = fs.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")
 		iters       = fs.Int("iters", 5, "timed iterations per size")
 		warmup      = fs.Int("warmup", 1, "warmup iterations per size")
-		jobs        = fs.Int("j", 0, "parallel simulation jobs (0 = all cores, 1 = serial); each size runs its own simulated job, so output is identical for every value")
+		jobs        = fs.Int("j", 0, "host threads: parallel simulation jobs, each on as many kernel shards (0 = all cores, 1 = serial); each size runs its own simulated job, so output is identical for every value")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		faultSpec   = fs.String("faults", "", "inject a seeded fault plan: comma-separated classes with optional @intensity, e.g. 'straggler@0.25,link' or 'all@0.8' (empty = healthy fabric)")
 		faultSeed   = fs.Uint64("fault-seed", 0, "seed for fault-plan instantiation")
 		watchdog    = fs.Duration("watchdog", 0, "virtual-time deadline per simulated job; a job not finished by then aborts with a diagnostic naming the blocked ranks (0 = off)")
-		shards      = fs.Int("shards", 0, "kernel shards per simulated job (parallelize one run across threads; 0 = DPML_SHARDS env or 1); output is bit-identical for every value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -60,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "dpml-osu:", err)
 		return 1
-	}
-	if *shards > 0 {
-		mpi.SetDefaultShards(*shards)
 	}
 
 	stopProf, err := bench.StartProfiles(*cpuProf, *memProf)
@@ -87,6 +83,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fspec.Seed = *faultSeed
 	}
 	cfg := mpi.Config{
+		Shards:   sweep.Workers(*jobs),
 		Watchdog: sim.Duration(*watchdog / time.Nanosecond),
 		Faults: fspec.Instantiate(faults.Shape{
 			Ranks: *nodes * *ppn, Nodes: *nodes, HCAs: cl.HCAs,
@@ -111,9 +108,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 
-	// Each size is an independent simulated job (with its own warmup, so
-	// per-size results match the one-world sweep bit for bit), fanned
-	// across -j workers and printed in request order.
+	// Each size is an independent simulated job with its own warmup, so a
+	// value can differ from a figure's one-world sweep in the last digit,
+	// but not across -j. Sizes fan across -j workers, printed in order.
 	lat, err := sweep.Map(*jobs, sizes, func(_ int, bytes int) (sim.Duration, error) {
 		one, err := bench.AllreduceLatency(cfg, cl, *nodes, *ppn, spec, []int{bytes}, *iters, *warmup)
 		if err != nil {

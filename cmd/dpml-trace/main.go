@@ -66,6 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *iters < 1 {
 		return fail(fmt.Errorf("bad iters %d", *iters))
 	}
+	if *shards < 0 {
+		return fail(fmt.Errorf("bad shards %d", *shards))
+	}
 
 	spec, err := core.ParseDesign(*design)
 	if err != nil {

@@ -39,6 +39,14 @@ func TestNonPositiveItersRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeShardsRejected checks that a negative -shards fails
+// cleanly instead of silently tracing on the serial kernel.
+func TestNegativeShardsRejected(t *testing.T) {
+	for _, n := range []string{"-1", "-3"} {
+		expectRejected(t, "-shards", n, "bad shards "+n)
+	}
+}
+
 func TestSmallTraceRuns(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-nodes", "2", "-ppn", "2", "-design", "dpml-2", "-bytes", "256", "-phases"}, &out, &errb)

@@ -71,6 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dpml-verify:", err)
 		return 2
 	}
+	if *shards < 0 {
+		return fatal(fmt.Errorf("bad -shards %d", *shards))
+	}
 
 	dt, ok := explore.DatatypeByName(*dtype)
 	if !ok {

@@ -72,3 +72,17 @@ func TestZeroNodesRejected(t *testing.T) {
 		t.Errorf("stderr = %q, want a topology: error", stderr)
 	}
 }
+
+// TestNegativeShardsRejected: a negative -shards is one error line and a
+// non-zero exit, not a silently serial exploration.
+func TestNegativeShardsRejected(t *testing.T) {
+	for _, n := range []string{"-1", "-2"} {
+		code, reps, stderr := verify(t, "-shards", n, "-design", "dpml-2", "-schedules", "2")
+		if code != 2 || len(reps) != 0 {
+			t.Errorf("-shards %s: exit = %d with %d reports, want 2 and none", n, code, len(reps))
+		}
+		if want := "dpml-verify: bad -shards " + n + "\n"; stderr != want {
+			t.Errorf("-shards %s: stderr = %q, want %q", n, stderr, want)
+		}
+	}
+}

@@ -155,7 +155,7 @@ func TestPublicUserOpAndPhantom(t *testing.T) {
 }
 
 func TestPublicMBW(t *testing.T) {
-	thr, err := MultiPairThroughput(ClusterC(), MBWConfig{Pairs: 2, Window: 8, Iters: 1}, []int{64})
+	thr, err := MultiPairThroughput(WorldConfig{}, ClusterC(), MBWConfig{Pairs: 2, Window: 8, Iters: 1}, []int{64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,11 @@ func TestMultiPairThroughputScalesWithPairsSmall(t *testing.T) {
 	// Zone A property on Omni-Path: small-message aggregate throughput
 	// grows nearly linearly with pairs.
 	sizes := []int{64}
-	one, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 1, Window: 16, Iters: 2}, sizes)
+	one, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 1, Window: 16, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 4, Window: 16, Iters: 2}, sizes)
+	four, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 4, Window: 16, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestMultiPairThroughputScalesWithPairsSmall(t *testing.T) {
 
 func TestMultiPairThroughputFlatOnOmniPathLarge(t *testing.T) {
 	sizes := []int{1 << 20}
-	one, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 1, Window: 8, Iters: 2}, sizes)
+	one, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 1, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 8, Window: 8, Iters: 2}, sizes)
+	eight, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 8, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestMultiPairThroughputFlatOnOmniPathLarge(t *testing.T) {
 
 func TestMultiPairThroughputScalesOnIBLarge(t *testing.T) {
 	sizes := []int{1 << 20}
-	one, err := MultiPairThroughput(topology.ClusterB(), MBWConfig{Pairs: 1, Window: 8, Iters: 2}, sizes)
+	one, err := MultiPairThroughput(mpi.Config{}, topology.ClusterB(), MBWConfig{Pairs: 1, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := MultiPairThroughput(topology.ClusterB(), MBWConfig{Pairs: 8, Window: 8, Iters: 2}, sizes)
+	eight, err := MultiPairThroughput(mpi.Config{}, topology.ClusterB(), MBWConfig{Pairs: 8, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ func TestMultiPairThroughputScalesOnIBLarge(t *testing.T) {
 
 func TestIntraNodeThroughputScales(t *testing.T) {
 	sizes := []int{64 << 10}
-	one, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 1, Intra: true, Window: 8, Iters: 2}, sizes)
+	one, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 1, Intra: true, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := MultiPairThroughput(topology.ClusterC(), MBWConfig{Pairs: 8, Intra: true, Window: 8, Iters: 2}, sizes)
+	eight, err := MultiPairThroughput(mpi.Config{}, topology.ClusterC(), MBWConfig{Pairs: 8, Intra: true, Window: 8, Iters: 2}, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestIntraNodeThroughputScales(t *testing.T) {
 
 func TestMBWConfigValidation(t *testing.T) {
 	for _, cfg := range []MBWConfig{{Pairs: 0, Window: 1, Iters: 1}, {Pairs: 1, Window: 0, Iters: 1}, {Pairs: 1, Window: 1, Iters: 0}} {
-		if _, err := MultiPairThroughput(topology.ClusterB(), cfg, []int{4}); err == nil {
+		if _, err := MultiPairThroughput(mpi.Config{}, topology.ClusterB(), cfg, []int{4}); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -206,16 +206,20 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-jobs determinism check skipped in -short mode")
 	}
-	serial, err := Figure("fig4", Options{Quick: true, Iters: 2, Warmup: 1, Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure("fig4", Options{Quick: true, Iters: 2, Warmup: 1, Jobs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, p := serial.String(), parallel.String(); s != p {
-		t.Fatalf("rendered tables differ between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", s, p)
+	// Jobs also sets every world's shard count: 3 splits the quick shape's
+	// 8 nodes unevenly (3+3+2).
+	var want string
+	for _, jobs := range []int{1, 2, 3} {
+		tab, err := Figure("fig4", Options{Quick: true, Iters: 2, Warmup: 1, Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tab.String()
+		if jobs == 1 {
+			want = got
+		} else if got != want {
+			t.Fatalf("rendered tables differ between -j 1 and -j %d:\n--- serial ---\n%s\n--- parallel ---\n%s", jobs, want, got)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"dpml/internal/faults"
 	"dpml/internal/mpi"
 	"dpml/internal/sim"
+	"dpml/internal/sweep"
 	"dpml/internal/topology"
 	"dpml/internal/trace"
 )
@@ -115,12 +116,25 @@ func TestFaultMatrixSmoke(t *testing.T) {
 	}
 }
 
-// TestLatencyConfigDefaultIsZero: default options must produce the zero
-// config, the bit-transparency guarantee every committed table relies on.
+// TestLatencyConfigDefaultIsZero: default options must add nothing to
+// the harness world config beyond its shard count (healthy fabric, no
+// watchdog), the bit-transparency guarantee every committed table relies
+// on.
 func TestLatencyConfigDefaultIsZero(t *testing.T) {
 	cfg := Options{}.latencyConfig(topology.ClusterB(), 2, 2)
-	if cfg != (mpi.Config{}) {
-		t.Fatalf("default latencyConfig = %+v, want zero", cfg)
+	if cfg != (mpi.Config{Shards: sweep.Workers(0)}) {
+		t.Fatalf("default latencyConfig = %+v, want only Shards set", cfg)
+	}
+}
+
+// TestWorldShardsFollowJobs: -j is the whole thread budget, so every
+// harness world runs its kernel on one shard per sweep worker.
+func TestWorldShardsFollowJobs(t *testing.T) {
+	for _, jobs := range []int{0, 1, 3} {
+		cfg := Options{Jobs: jobs}.latencyConfig(topology.ClusterB(), 4, 2)
+		if want := sweep.Workers(jobs); cfg.Shards != want {
+			t.Errorf("Jobs=%d: latencyConfig.Shards = %d, want %d", jobs, cfg.Shards, want)
+		}
 	}
 }
 

@@ -22,11 +22,11 @@ type Options struct {
 	Iters  int // timed iterations per point (default 3 quick / 5 full)
 	Warmup int // untimed iterations per point (default 1)
 
-	// Jobs bounds how many independent simulated jobs (series, sweep
-	// points, grid cells) run concurrently on host threads: 0 uses every
-	// core (GOMAXPROCS), 1 runs serially. Simulations are deterministic
-	// and share no state, and results are collected in submission order,
-	// so output is byte-identical for every value of Jobs.
+	// Jobs is the host thread budget: how many independent simulated jobs
+	// (series, sweep points, grid cells) run at once, and how many kernel
+	// shards each world runs on. 0 uses every core (GOMAXPROCS), 1 runs
+	// serially. Neither count changes a result, and results are collected
+	// in submission order, so output is byte-identical for every value.
 	Jobs int
 
 	// FaultSpec, when non-nil, injects a deterministic fault plan
@@ -48,18 +48,25 @@ type Options struct {
 	Watchdog sim.Duration
 }
 
+// worldConfig is the config every harness world starts from: one kernel
+// shard per sweep worker (clamped to the node count), so once only a
+// sweep's longest job is left, its shards take every core.
+func worldConfig(jobs int) mpi.Config {
+	return mpi.Config{Shards: sweep.Workers(jobs)}
+}
+
 // latencyConfig builds the per-job world config for a latency run on the
-// given shape, applying the options' fault spec and watchdog. Every
-// allreduce-latency figure starts from it and sets only the field it
-// sweeps. Default options yield the zero config (healthy fabric, no
-// watchdog).
+// given shape: worldConfig plus the options' fault spec and watchdog.
+// Every allreduce-latency figure starts from it and sets only the field
+// it sweeps. Default options add nothing to worldConfig (healthy fabric,
+// no watchdog).
 func (o Options) latencyConfig(cl *topology.Cluster, nodes, ppn int) mpi.Config {
-	return mpi.Config{
-		Watchdog: o.Watchdog,
-		Faults: o.FaultSpec.Instantiate(faults.Shape{
-			Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs,
-		}),
-	}
+	cfg := worldConfig(o.Jobs)
+	cfg.Watchdog = o.Watchdog
+	cfg.Faults = o.FaultSpec.Instantiate(faults.Shape{
+		Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs,
+	})
+	return cfg
 }
 
 func (o Options) withDefaults() Options {
@@ -383,7 +390,7 @@ func hpcgFigure(id string, opt Options) (*Table, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
+		e := core.NewEngine(mpi.NewWorld(job, worldConfig(opt.Jobs)))
 		res, err := hpcg.Run(e, hpcg.Config{
 			Nx: 16, Ny: 16, Nz: 8, Iterations: iters, Spec: cse.spec,
 		})
@@ -428,7 +435,7 @@ func miniamrFigure(id string, cl *topology.Cluster, opt Options) (*Table, error)
 		if err != nil {
 			return Point{}, err
 		}
-		e := core.NewEngine(mpi.NewWorld(job, mpi.Config{}))
+		e := core.NewEngine(mpi.NewWorld(job, worldConfig(opt.Jobs)))
 		res, err := miniamr.Run(e, miniamr.Config{
 			BlocksPerRank: 32, BlockBytes: 4096, Steps: steps, Spec: lib,
 		})

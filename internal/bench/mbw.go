@@ -21,8 +21,8 @@ type MBWConfig struct {
 }
 
 // MultiPairThroughput returns aggregate throughput in bytes/sec for each
-// message size.
-func MultiPairThroughput(cl *topology.Cluster, cfg MBWConfig, sizes []int) ([]float64, error) {
+// message size, measured in one simulated job built with world.
+func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, sizes []int) ([]float64, error) {
 	if cfg.Pairs <= 0 || cfg.Window <= 0 || cfg.Iters <= 0 {
 		return nil, fmt.Errorf("bench: bad mbw config %+v", cfg)
 	}
@@ -36,7 +36,7 @@ func MultiPairThroughput(cl *topology.Cluster, cfg MBWConfig, sizes []int) ([]fl
 	if err != nil {
 		return nil, err
 	}
-	w := mpi.NewWorld(job, mpi.Config{})
+	w := mpi.NewWorld(job, world)
 	// Pairing is (i, pairs+i) in both modes. Intra-node, with the block
 	// CPU mapping this puts every sender on socket 0 and every receiver
 	// on socket 1 (for pairs <= cores/socket), exactly like running
@@ -97,12 +97,13 @@ func MultiPairThroughput(cl *topology.Cluster, cfg MBWConfig, sizes []int) ([]fl
 // RelativeThroughput builds a Figure-1-style table: for each pair count,
 // aggregate throughput relative to a single pair, per message size. The
 // single-pair baseline and every pair count run as independent sweep jobs
-// bounded by `jobs` workers (0 = all cores); the division happens after
-// the fan-in, so results match the serial run exactly.
+// bounded by `jobs` workers (0 = all cores), each on `jobs` kernel
+// shards; the division happens after the fan-in, so results match the
+// serial run exactly.
 func RelativeThroughput(id, title string, cl *topology.Cluster, intra bool, pairCounts []int, sizes []int, window, iters, jobs int) (*Table, error) {
 	counts := append([]int{1}, pairCounts...)
 	thrs, err := sweep.Map(jobs, counts, func(_ int, pairs int) ([]float64, error) {
-		return MultiPairThroughput(cl, MBWConfig{Pairs: pairs, Intra: intra, Window: window, Iters: iters}, sizes)
+		return MultiPairThroughput(worldConfig(jobs), cl, MBWConfig{Pairs: pairs, Intra: intra, Window: window, Iters: iters}, sizes)
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"dpml/internal/core"
 	"dpml/internal/costmodel"
-	"dpml/internal/mpi"
 	"dpml/internal/sweep"
 	"dpml/internal/topology"
 )
@@ -24,8 +23,9 @@ type TuneResult struct {
 // leader count at every message size on the given job and record the
 // winners. This is how the shipped BestLeaders table was derived. Each
 // candidate sweep runs as an independent job bounded by `jobs` workers
-// (0 = all cores); winners are picked after the fan-in, in candidate
-// order, so the result is identical at every worker count.
+// (0 = all cores), each on `jobs` kernel shards; winners are picked after
+// the fan-in, in candidate order, so the result is identical at every
+// worker count.
 func TuneDPML(cl *topology.Cluster, nodes, ppn int, leaders, sizes []int, iters, warmup, jobs int) (*TuneResult, error) {
 	if len(leaders) == 0 || len(sizes) == 0 {
 		return nil, fmt.Errorf("bench: TuneDPML needs candidates and sizes")
@@ -48,7 +48,7 @@ func TuneDPML(cl *topology.Cluster, nodes, ppn int, leaders, sizes []int, iters,
 		}
 	}
 	series, err := sweep.Map(jobs, cand, func(_ int, l int) (Series, error) {
-		return LatencySeries(mpi.Config{}, fmt.Sprintf("l=%d", l), cl, nodes, ppn,
+		return LatencySeries(worldConfig(jobs), fmt.Sprintf("l=%d", l), cl, nodes, ppn,
 			core.DPML(l), sizes, iters, warmup)
 	})
 	if err != nil {

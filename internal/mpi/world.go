@@ -62,10 +62,10 @@ type Config struct {
 	Watchdog sim.Duration
 	// Shards splits the simulation kernel across this many OS threads
 	// (clamped to the node count; nodes are partitioned contiguously).
-	// Zero uses the process default (SetDefaultShards, DPML_SHARDS); 1
-	// forces the serial kernel. Every shard count produces bit-identical
-	// results — this knob trades memory and synchronization overhead for
-	// wall-clock speed only.
+	// Zero uses the process default (the DPML_SHARDS environment
+	// variable, else 1); 1 forces the serial kernel. Every shard count
+	// produces bit-identical results — this knob trades memory and
+	// synchronization overhead for wall-clock speed only.
 	Shards int
 	// Deprecated: ignored; the network fill is serial.
 	NetShards int
@@ -80,8 +80,7 @@ type Config struct {
 }
 
 // defaultShards is the process-wide shard count used when Config.Shards
-// is zero, initialized from the DPML_SHARDS environment variable (the CLI
-// tools' -shards flag overrides it via SetDefaultShards).
+// is zero, read once from the DPML_SHARDS environment variable.
 var defaultShards = func() int {
 	if s := os.Getenv("DPML_SHARDS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -90,15 +89,6 @@ var defaultShards = func() int {
 	}
 	return 1
 }()
-
-// SetDefaultShards sets the process-wide default kernel shard count used
-// by worlds whose Config.Shards is zero. n < 1 resets to serial.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-}
 
 // World is one job: the simulated cluster fabric plus one rank per
 // process. Create it with NewWorld, then call Run exactly once. The
