@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint ci benchcheck racecheck faultsmoke explorecheck grandprixsmoke fuzz cover bench results
+.PHONY: all build test race vet lint ci benchcheck racecheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover bench results
 
 all: build
 
@@ -34,9 +34,10 @@ race:
 # detector (the sweep pool runs simulations on multiple goroutines, so
 # -race exercises the parallel paths, not just the serial ones), the
 # sharded-kernel race pass, the benchmark module's own checks, the
-# fault-matrix smoke pass, the schedule-space exploration pass, a short
-# fuzz pass over the text parsers, and the coverage summary.
-ci: lint vet race racecheck benchcheck faultsmoke explorecheck grandprixsmoke fuzz cover
+# fault-matrix smoke pass, the schedule-space exploration pass, the
+# byte-for-byte regeneration of every committed table, a short fuzz pass
+# over the text parsers, and the coverage summary.
+ci: lint vet race racecheck benchcheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover
 
 # benchcheck vets and tests the nested benchmark/ module, which the root
 # `go test ./...` never enters: every workload at test size against its
@@ -84,6 +85,13 @@ explorecheck:
 	$(GO) run ./cmd/dpml-verify -design all -faults ';all@0.7' -fault-seed 7 \
 		-schedules 32 -explore-seed 1 -o /dev/null
 	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/explore/
+
+# resultscheck regenerates every table in results/ at its documented
+# settings (the ones `make results` writes) and compares each byte for
+# byte with the committed file; plain `go test` checks only the fast
+# ones. fig10's 10,240-rank job dominates the run.
+resultscheck:
+	DPML_FULL_RESULTS=1 $(GO) test -count=1 -timeout 120m -run '^TestFigureMatchesCommittedResults$$' ./internal/bench/
 
 # grandprixsmoke runs the cross-family ranking figure at reduced scale
 # (one 4x4 shape instead of 8x8 + 16x16): every design family must

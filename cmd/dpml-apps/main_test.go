@@ -10,7 +10,7 @@ import (
 // TestRejectedInputs: each bad input exits non-zero with its error and
 // prints nothing to stdout, the job header included. Selectors are
 // designs, so -lib is an unknown flag; the pipelined inter-leader phase
-// always runs its own Rabenseifner, so an algorithm suffix on it is an
+// always runs Rabenseifner, so an algorithm suffix on it is an
 // error rather than ignored.
 func TestRejectedInputs(t *testing.T) {
 	for _, tc := range []struct {

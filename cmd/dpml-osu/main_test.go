@@ -9,7 +9,7 @@ import (
 
 // TestRejectedInputs: each bad input exits non-zero with its error and
 // prints no table. Selectors are designs, so -lib is an unknown flag;
-// the pipelined inter-leader phase always runs its own Rabenseifner, so
+// the pipelined inter-leader phase always runs Rabenseifner, so
 // an algorithm suffix on it is an error rather than ignored; a negative
 // warmup is an error rather than zero warmups.
 func TestRejectedInputs(t *testing.T) {

@@ -86,7 +86,7 @@ func TestProposedGolden(t *testing.T) {
 }
 
 // TestPipelinedAlgRejected: the pipelined inter-leader phase always runs
-// its own Rabenseifner, so an algorithm suffix is an error, not ignored.
+// Rabenseifner, so an algorithm suffix is an error, not ignored.
 func TestPipelinedAlgRejected(t *testing.T) {
 	expectRejected(t, "-design", "dpml-pipe-4x4:ring", `core: design "dpml-pipe-4x4:ring"`)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,62 +224,51 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestFigureMatchesCommittedResults regenerates figures at the exact
-// full-scale settings results/README.md documents and compares them
-// byte-for-byte against the committed tables. This is the end-to-end
-// determinism guarantee the scheduler relies on: any change to event
-// ordering, floating-point summation order, or ready-queue FIFO order
-// shows up here as a diff, not as a silently different paper artifact.
-// fig4 is cluster A's 16x28 leader sweep, and the only committed table
-// that runs the four extension families (dual-root, generalized group
+// TestFigureMatchesCommittedResults regenerates every figure FigureIDs
+// lists at the exact full-scale settings results/README.md documents
+// and compares it byte-for-byte against the committed table. This is
+// the end-to-end determinism guarantee the scheduler relies on: any
+// change to event ordering, floating-point summation order, or
+// ready-queue FIFO order shows up here as a diff, not as a silently
+// different paper artifact. Tier-1 runs the fast tables: fig4 is
+// cluster A's 16x28 leader sweep, and the only committed table that
+// runs the four extension families (dual-root, generalized group
 // allreduce, both arrival-aware designs) across the whole 4B-1MB size
 // sweep at full scale (faults and grandprix run them at one or two
-// sizes); fig10 covers the
-// 10,240-rank job whose scale exercises the heap and ready-ring hot
-// paths; eager and noise cover the latency harness under a non-zero
+// sizes); eager and noise cover the latency harness under a non-zero
 // world config (eager threshold, per-message jitter); phases covers the
 // breakdown read back from rank 0's trace spans; fig9a and fig11b-c
 // cover the selector designs: all three baselines, through the latency
-// harness and through miniAMR, with proposed picking SHArP on cluster A.
+// harness and through miniAMR, with proposed picking SHArP on cluster
+// A. Every other table, a new figure's included, runs only with
+// DPML_FULL_RESULTS set (make resultscheck): together they take tens of
+// minutes, fig10's 10,240-rank job (at -iters 1) most of them.
 func TestFigureMatchesCommittedResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale regeneration skipped in -short mode")
 	}
-	cases := []struct {
-		id    string
-		iters int
-		slow  bool
-	}{
-		{"fig4", 2, false},
-		{"eager", 2, false},
-		{"noise", 2, false},
-		{"phases", 2, false},
-		{"fig9a", 2, false},
-		{"fig11b", 2, false},
-		{"fig11c", 2, false},
-		// 10,240 procs at -iters 1 (results/README.md): minutes of wall
-		// time, so it only runs when explicitly requested — it would blow
-		// the default go test timeout in an ordinary ./... sweep.
-		{"fig10", 1, true},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
-			if tc.slow && os.Getenv("DPML_FULL_RESULTS") == "" {
-				t.Skip("set DPML_FULL_RESULTS=1 to regenerate the 10,240-rank table")
+	fast := []string{"fig4", "eager", "noise", "phases", "fig9a", "fig11b", "fig11c"}
+	for _, id := range FigureIDs() {
+		t.Run(id, func(t *testing.T) {
+			if !slices.Contains(fast, id) && os.Getenv("DPML_FULL_RESULTS") == "" {
+				t.Skip("set DPML_FULL_RESULTS=1 (make resultscheck) to regenerate every table")
 			}
-			want, err := os.ReadFile(filepath.Join("..", "..", "results", tc.id+".txt"))
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", id+".txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := Figure(tc.id, Options{Iters: tc.iters, Warmup: 1})
+			iters := 2
+			if id == "fig10" {
+				iters = 1
+			}
+			tab, err := Figure(id, Options{Iters: iters, Warmup: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// dpml-bench renders each table followed by a blank line.
 			got := tab.String() + "\n"
 			if got != string(want) {
-				t.Fatalf("regenerated %s differs from committed results/%s.txt:\n--- got ---\n%s", tc.id, tc.id, got)
+				t.Fatalf("regenerated %s differs from committed results/%s.txt:\n--- got ---\n%s", id, id, got)
 			}
 		})
 	}

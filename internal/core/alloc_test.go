@@ -57,10 +57,10 @@ func TestWarmDPMLAllreduceAllocatesNoPayload(t *testing.T) {
 
 // TestWarmAllocsPerDesign pins each design's heap allocations per warm
 // rank-allreduce, on a 4x4 phantom job with 256 B per rank (within
-// SHArP's payload limit). DPML and flat allocate nothing: their
-// messages, shared-memory operations and views all come from free
-// lists. Every other ceiling is the measured count, rounded up, and its
-// comment names the sites that still allocate.
+// SHArP's payload limit). DPML, pipelined or not, and flat allocate
+// nothing: their messages, shared-memory operations and views all come
+// from free lists. Every other ceiling is the measured count, rounded
+// up, and its comment names the sites that still allocate.
 func TestWarmAllocsPerDesign(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on synchronizing operations")
@@ -78,11 +78,7 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 		{"flat", 0},
 		{"host-based", 0},
 		{"dpml-3", 0},
-		// pipelined.go:143-145 (each chunk's view, its tmp clone and
-		// BlockPartition), the blockView slices (:76, :78) and the
-		// requests of the public Isend/Irecv (:98-:103), which stay
-		// GC-owned.
-		{"dpml-pipe-2x3", 55},
+		{"dpml-pipe-2x3", 0},
 		// SharpGroup.Allreduce's per-call records: the sharpCall, its
 		// AfterNet closure and the operation's sharpOp and parts.
 		// sharp.go:85 clones only real payloads.

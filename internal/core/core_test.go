@@ -173,6 +173,21 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsDepthBeyondTagWindow: a pipeline depth whose tags
+// overflow one collective's window on the job's node count is an error,
+// not a silently shallower pipeline. At 600 nodes (512 in the folded
+// group, 9 halvings) the window holds 862 chunks; at 64 nodes it holds
+// 1260, above the parser's 1024.
+func TestValidateRejectsDepthBeyondTagWindow(t *testing.T) {
+	s := DPMLPipelined(1, 1000)
+	if err := buildEngine(t, topology.ClusterB(), 600, 1).Validate(s); err == nil {
+		t.Errorf("Validate accepted %s on 600 nodes", s)
+	}
+	if err := buildEngine(t, topology.ClusterB(), 64, 1).Validate(s); err != nil {
+		t.Errorf("Validate rejected %s on 64 nodes: %v", s, err)
+	}
+}
+
 func TestEngineSocketLayout(t *testing.T) {
 	// socketLeader maps each local rank to its socket's first local rank.
 	leaders := func(e *Engine) []int {

@@ -51,14 +51,14 @@ func (e *Engine) dpml(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, s Spec) {
 }
 
 // interNode runs Phase 3 of DPML spec s on the leader communicator: a
-// flat algorithm (s.Alg, or chosen by size), or the pipelined
-// non-blocking variant when s.Chunks > 1.
+// flat algorithm (s.Alg, or chosen by size), or, when s.Chunks > 1,
+// Rabenseifner on s.Chunks interleaved chunks.
 func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector, s Spec) {
 	if c.Size() == 1 {
 		return
 	}
 	if s.Chunks > 1 {
-		e.pipelinedAllreduce(r, c, op, vec, s.Chunks)
+		r.AllreducePipelined(c, op, vec, s.Chunks)
 		return
 	}
 	alg := s.Alg

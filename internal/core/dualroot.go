@@ -170,9 +170,9 @@ func (e *Engine) dualRoot(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, segments int
 
 // dualRootSegments picks the pipelining depth for one half: explicit
 // when requested, otherwise deep enough that each block sits near the
-// eager/small-message regime (one block per 8KB), like pipelined.go's
-// size-driven chunking. Always clamped to [1, halfLen] so no block
-// degenerates to zero elements.
+// eager/small-message regime (one block per 8KB), like the proposed
+// selector's size-driven DPML-Pipelined depth. Always clamped to
+// [1, halfLen] so no block degenerates to zero elements.
 func dualRootSegments(requested, halfBytes, halfLen int) int {
 	s := requested
 	if s <= 0 {

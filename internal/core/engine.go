@@ -29,8 +29,9 @@ const (
 	// intra-node reduction and drive concurrent inter-node allreduces on
 	// data partitions. With Spec.Chunks > 1 it is DPML-Pipelined
 	// (Section 4.2): each leader's partition is split into Chunks
-	// sub-partitions reduced by interleaved non-blocking inter-node
-	// allreduces.
+	// sub-partitions reduced by interleaved inter-node Rabenseifner
+	// allreduces, the same algorithm as the unpipelined phase's
+	// (mpi.Rank.AllreducePipelined).
 	DesignDPML Design = "dpml"
 	// DesignSharpNode offloads the inter-node reduction to the SHArP
 	// switch tree with one leader per node (Section 4.3).
@@ -68,12 +69,14 @@ type Spec struct {
 	// MVAPICH2-style libraries use.
 	Leaders int
 	// Chunks is DesignDPML's inter-node pipelining depth k: 0 for one
-	// allreduce per leader, 2..1024 for DPML-Pipelined.
+	// allreduce per leader, 2..1024 for DPML-Pipelined, which runs
+	// mpi.Rank.AllreducePipelined at depth k. Validate also caps it at
+	// mpi.MaxPipelineDepth of the node count.
 	Chunks int
 	// Alg is the algorithm for DesignFlat ("" = recursive doubling) or
 	// for unpipelined DesignDPML's inter-leader phase ("" = choose by
 	// message size, like the host MPI library would). The pipelined
-	// phase always runs its own Rabenseifner and takes none.
+	// phase is always Rabenseifner, chunked, and takes none.
 	Alg mpi.Algorithm
 	// Segments is the per-half pipelining block count for
 	// DesignDualRoot (0 = choose by message size, like Chunks-style
@@ -247,6 +250,10 @@ func (e *Engine) Validate(s Spec) error {
 		}
 		if s.Chunks != 0 && (s.Chunks < 2 || s.Chunks > 1024) {
 			return fmt.Errorf("core: pipeline depth %d out of range [2,1024]", s.Chunks)
+		}
+		if nodes := e.W.Job.NodesUsed; s.Chunks > mpi.MaxPipelineDepth(nodes) {
+			return fmt.Errorf("core: pipeline depth %d exceeds %d, the most one collective's tags hold on %d nodes",
+				s.Chunks, mpi.MaxPipelineDepth(nodes), nodes)
 		}
 		if s.Chunks > 1 && s.Alg != "" {
 			return fmt.Errorf("core: design %q: the pipelined inter-leader phase takes no algorithm", s)

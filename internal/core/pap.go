@@ -102,7 +102,7 @@ func (e *Engine) papSorted(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 		views[b] = vec.Slice(displs[b], displs[b]+cnts[b])
 		if me > 0 {
 			bufs[b] = views[b].Clone()
-			recvs[b] = r.Irecv(pc, me-1, wrapTagPAP(base, b), bufs[b])
+			recvs[b] = r.Irecv(pc, me-1, mpi.WrapTag(base, b), bufs[b])
 		}
 	}
 	var sends []*mpi.Request
@@ -112,7 +112,7 @@ func (e *Engine) papSorted(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 			r.Reduce(op, views[b], bufs[b])
 		}
 		if me < p-1 {
-			sends = append(sends, r.Isend(pc, me+1, wrapTagPAP(base, b), views[b]))
+			sends = append(sends, r.Isend(pc, me+1, mpi.WrapTag(base, b), views[b]))
 		}
 	}
 	r.WaitAll(sends...)
@@ -165,7 +165,7 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 			for i := cut; i < p; i++ {
 				buf := vec.Clone()
 				bufs = append(bufs, buf)
-				recvs = append(recvs, r.Irecv(pc, i, wrapTagPAP(base, i), buf))
+				recvs = append(recvs, r.Irecv(pc, i, mpi.WrapTag(base, i), buf))
 			}
 		}
 		// Early ranks: ring among themselves while the stragglers are
@@ -185,7 +185,7 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 		// roots the broadcast, so the request is guaranteed complete by
 		// the time the broadcast reaches back here; collect it and
 		// settle after.
-		sends = append(sends, r.Isend(pc, 0, wrapTagPAP(base, me), vec))
+		sends = append(sends, r.Isend(pc, 0, mpi.WrapTag(base, me), vec))
 	}
 
 	// With no stragglers the ring already delivered the result to every
@@ -195,10 +195,4 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 		r.Bcast(pc, 0, vec)
 	}
 	r.WaitAll(sends...)
-}
-
-// wrapTagPAP keeps per-hop tags inside the collective's tag window,
-// mirroring the internal wrapTag of the flat algorithms.
-func wrapTagPAP(base, hop int) int {
-	return base + hop%(mpi.FoldOutTag-1)
 }

@@ -50,7 +50,8 @@ func warmMallocs(t *testing.T, w *World, setup func(r *Rank) func()) float64 {
 // exchanges one message each way between two ranks. The allreduces run
 // on 6 ranks, so recursive doubling and Rabenseifner fold a
 // non-power-of-two group, and their 64 KB vector sends some messages
-// eager and some rendezvous on cluster B (16 KB threshold).
+// eager and some rendezvous on cluster B (16 KB threshold). The
+// pipelined allreduce runs Rabenseifner on three interleaved chunks.
 func TestWarmMessagesDoNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on synchronizing operations")
@@ -87,6 +88,11 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 		{"allreduce-" + string(AlgRing), 3, 2, allreduce(AlgRing), 0},
 		{"allreduce-" + string(AlgRabenseifner), 3, 2, allreduce(AlgRabenseifner), 0},
 		{"allreduce-" + string(AlgReduceBcast), 3, 2, allreduce(AlgReduceBcast), 0},
+		{"allreduce-pipelined-3", 3, 2, func(r *Rank) func() {
+			c := r.World().CommWorld()
+			v := NewPhantom(Float32, 16<<10)
+			return func() { r.AllreducePipelined(c, Sum, v, 3) }
+		}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

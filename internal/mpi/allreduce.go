@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Algorithm selects a flat allreduce implementation. These are the
 // standard algorithms production MPI libraries choose between (Thakur et
@@ -18,6 +22,7 @@ const (
 	AlgRing Algorithm = "ring"
 	// AlgRabenseifner: recursive-halving reduce-scatter + recursive
 	// doubling allgather; bandwidth-optimal with 2 lg p rounds.
+	// AllreducePipelined runs it on k interleaved chunks.
 	AlgRabenseifner Algorithm = "rabenseifner"
 	// AlgReduceBcast: binomial reduce to rank 0 followed by binomial
 	// broadcast.
@@ -43,7 +48,7 @@ func (r *Rank) Allreduce(c *Comm, alg Algorithm, op *Op, vec *Vector) {
 	case AlgRing:
 		r.allreduceRing(c, op, vec, base)
 	case AlgRabenseifner:
-		r.allreduceRab(c, op, vec, base)
+		r.allreduceRab(c, op, vec, base, 1)
 	case AlgReduceBcast:
 		r.allreduceRedBcast(c, op, vec, base)
 	default:
@@ -51,32 +56,24 @@ func (r *Rank) Allreduce(c *Comm, alg Algorithm, op *Op, vec *Vector) {
 	}
 }
 
-// LargestPow2 returns the largest power of two <= p (p >= 1).
-func LargestPow2(p int) int {
-	k := 1
-	for k*2 <= p {
-		k *= 2
-	}
-	return k
-}
+// largestPow2 returns the largest power of two <= p (p >= 1).
+func largestPow2(p int) int { return 1 << (bits.Len(uint(p)) - 1) }
 
-// FoldRank maps a rank in the folded power-of-two group back to its comm
+// foldRank maps a rank in the folded power-of-two group back to its comm
 // rank, given rem = p - pof2 (MPICH's non-power-of-two scheme: the first
 // 2*rem ranks fold pairwise onto the odd member).
-func FoldRank(newRank, rem int) int {
+func foldRank(newRank, rem int) int {
 	if newRank < rem {
 		return newRank*2 + 1
 	}
 	return newRank + rem
 }
 
-// FoldIn merges the first 2*rem ranks of c pairwise (even sends to odd)
+// foldIn merges the first 2*rem ranks of c pairwise (even sends to odd)
 // and returns this rank's rank within the folded power-of-two group, or
-// -1 for ranks that go idle until FoldOut. It uses tag base+0; rem must
-// be Size() - LargestPow2(Size()). FoldIn/FoldOut are exported so that
-// algorithm extensions (e.g. pipelined inter-leader allreduce) can handle
-// non-power-of-two groups the same way the built-in algorithms do.
-func (r *Rank) FoldIn(c *Comm, op *Op, vec *Vector, rem, base int) int {
+// -1 for ranks that go idle until foldOut. It uses tag base+0; rem must
+// be Size() - largestPow2(Size()).
+func (r *Rank) foldIn(c *Comm, op *Op, vec *Vector, rem, base int) int {
 	me := c.mustRank(r)
 	if me >= 2*rem {
 		return me - rem
@@ -92,39 +89,40 @@ func (r *Rank) FoldIn(c *Comm, op *Op, vec *Vector, rem, base int) int {
 	return me / 2
 }
 
-// FoldOut delivers the final result back to the ranks idled by FoldIn.
-// It uses tag base+FoldOutTag.
-const FoldOutTag = collSlots - 1
+// foldOutTag is the tag offset of foldOut, the last of the window.
+const foldOutTag = collSlots - 1
 
-func (r *Rank) FoldOut(c *Comm, vec *Vector, rem, base int) {
+// foldOut delivers the final result back to the ranks idled by foldIn.
+// It uses tag base+foldOutTag.
+func (r *Rank) foldOut(c *Comm, vec *Vector, rem, base int) {
 	me := c.mustRank(r)
 	if me >= 2*rem {
 		return
 	}
 	if me%2 == 1 {
-		r.Send(c, me-1, base+FoldOutTag, vec)
+		r.Send(c, me-1, base+foldOutTag, vec)
 	} else {
-		r.Recv(c, me+1, base+FoldOutTag, vec)
+		r.Recv(c, me+1, base+foldOutTag, vec)
 	}
 }
 
 func (r *Rank) allreduceRD(c *Comm, op *Op, vec *Vector, base int) {
 	p := c.Size()
-	pof2 := LargestPow2(p)
+	pof2 := largestPow2(p)
 	rem := p - pof2
-	newRank := r.FoldIn(c, op, vec, rem, base)
+	newRank := r.foldIn(c, op, vec, rem, base)
 	if newRank >= 0 {
 		tmp := r.scratch(vec, vec.Len())
 		defer r.release(tmp)
 		round := 1
 		for mask := 1; mask < pof2; mask <<= 1 {
-			dst := FoldRank(newRank^mask, rem)
+			dst := foldRank(newRank^mask, rem)
 			r.SendRecv(c, dst, base+round, vec, dst, base+round, tmp)
 			r.Reduce(op, vec, tmp)
 			round++
 		}
 	}
-	r.FoldOut(c, vec, rem, base)
+	r.foldOut(c, vec, rem, base)
 }
 
 // BlockPartition splits n elements into p blocks as evenly as possible
@@ -152,16 +150,18 @@ func Block(n, p, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// wrapTag keeps per-round tags inside one collective's tag window.
-// Rounds that collide (collSlots-1 apart) are never simultaneously in
-// flight: every algorithm here completes a round's exchange with a
-// partner before reusing that distance.
-func wrapTag(base, round int) int {
+// WrapTag keeps per-round tags inside one collective's tag window
+// (CollTagBase), clear of its last tag. Its caller must keep rounds that
+// collide (collSlots-1 apart) from being confused: the ring never has
+// both in flight, and the arrival-aware designs' colliding blocks come
+// from different peers, or from one peer in order, which MPI's
+// non-overtaking rule matches in order.
+func WrapTag(base, round int) int {
 	return base + round%(collSlots-1)
 }
 
-// The flat algorithms' view headers, one per role. Each view is dead
-// once the SendRecv or Reduce it was made for returns (the envelope of a
+// The ring's view headers, one per role. Each view is dead once the
+// SendRecv or Reduce it was made for returns (the envelope of a
 // rendezvous send reads the payload through its own header), so a rank
 // re-points the same three headers at every step.
 const (
@@ -203,8 +203,8 @@ func (r *Rank) allreduceRing(c *Comm, op *Op, vec *Vector, base int) {
 		lo, hi := Block(n, p, rb)
 		recvView := r.view(viewRecv, tmp, 0, hi-lo)
 		r.SendRecv(c,
-			right, wrapTag(base, s), r.blocks(viewSend, vec, p, sb, sb+1),
-			left, wrapTag(base, s), recvView)
+			right, WrapTag(base, s), r.blocks(viewSend, vec, p, sb, sb+1),
+			left, WrapTag(base, s), recvView)
 		r.Reduce(op, r.view(viewFold, vec, lo, hi), recvView)
 	}
 	// Ring allgather: circulate the completed blocks.
@@ -212,55 +212,159 @@ func (r *Rank) allreduceRing(c *Comm, op *Op, vec *Vector, base int) {
 		sb := (me + 1 - s + p) % p
 		rb := (me - s + p) % p
 		r.SendRecv(c,
-			right, wrapTag(base, p+s), r.blocks(viewSend, vec, p, sb, sb+1),
-			left, wrapTag(base, p+s), r.blocks(viewRecv, vec, p, rb, rb+1))
+			right, WrapTag(base, p+s), r.blocks(viewSend, vec, p, sb, sb+1),
+			left, WrapTag(base, p+s), r.blocks(viewRecv, vec, p, rb, rb+1))
 	}
 }
 
-func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base int) {
+// MaxPipelineDepth is the deepest pipeline AllreducePipelined runs on a
+// communicator of p ranks: its k tags for each of the 2·lg(pof2)
+// rounds, and the fold tags, must fit in one collective's tag window.
+func MaxPipelineDepth(p int) int {
+	rounds := bits.Len(uint(p)) - 1 // lg(pof2)
+	return (foldOutTag - 2) / (2*rounds + 1)
+}
+
+// AllreducePipelined is DPML-Pipelined's inter-leader allreduce (the
+// paper's Section 4.2): Rabenseifner's algorithm on k interleaved
+// chunks of vec, so that one chunk's fold overlaps the other chunks'
+// transfers. k == 1 is Allreduce with AlgRabenseifner; a k above vec's
+// length runs one chunk per element. It panics unless
+// 1 <= k <= MaxPipelineDepth(c.Size()).
+func (r *Rank) AllreducePipelined(c *Comm, op *Op, vec *Vector, k int) {
+	if maxK := MaxPipelineDepth(c.Size()); k < 1 || k > maxK {
+		panic(fmt.Sprintf("mpi: pipeline depth %d out of range [1,%d] on %d ranks", k, maxK, c.Size()))
+	}
+	base := c.CollTagBase(r)
+	if c.Size() == 1 {
+		return
+	}
+	if n := vec.Len(); n > 0 {
+		k = min(k, n)
+	}
+	r.allreduceRab(c, op, vec, base, k)
+}
+
+// rabChunk is one chunk's progress through allreduceRab: its elements
+// [off, off+n) of the vector, the blocks [lo, hi) of its pof2-way block
+// partition that this rank holds, its round, and the exchange in flight
+// with the view headers that exchange reads.
+//
+//dpml:owner node
+type rabChunk struct {
+	off, n, lo, hi, round int
+	send, recv            *Request
+	sendView, recvView    *Vector
+}
+
+// allreduceRab is Rabenseifner's algorithm on k chunks of vec at once:
+// rounds [0, rounds) are the recursive-halving reduce-scatter, rounds
+// [rounds, 2·rounds) the recursive-doubling allgather, which undoes the
+// halvings in reverse. A chunk's round posts its receive, then its
+// send, with tag base+1+round·k+chunk; at k = 1 the rounds take tags
+// base+1 .. base+2·rounds. The rank ends a chunk's round as soon as
+// both its messages are done, scanning the chunks in order and again
+// after every scan that moved one (a fold takes time, in which others
+// finish), and parks only when no chunk can move. The chunks' receive
+// temporaries are one scratch vector, at the chunks' offsets in vec.
+func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base, k int) {
 	p := c.Size()
-	pof2 := LargestPow2(p)
+	pof2 := largestPow2(p)
 	rem := p - pof2
-	newRank := r.FoldIn(c, op, vec, rem, base)
+	newRank := r.foldIn(c, op, vec, rem, base)
 	if newRank >= 0 {
 		tmp := r.scratch(vec, vec.Len())
 		defer r.release(tmp)
-		lo, hi := 0, pof2
-		round := 1
-		// Recursive-halving reduce-scatter: at each bit, keep the half
-		// of blocks [lo, hi) on this rank's side and send the other.
-		for mask := 1; mask < pof2; mask <<= 1 {
-			dst := FoldRank(newRank^mask, rem)
-			mid := (lo + hi) / 2
-			sentLo, sentHi, kepLo, kepHi := mid, hi, lo, mid
-			if newRank&mask != 0 {
-				sentLo, sentHi, kepLo, kepHi = lo, mid, mid, hi
-			}
-			recvView := r.blocks(viewRecv, tmp, pof2, kepLo, kepHi)
-			r.SendRecv(c,
-				dst, base+round, r.blocks(viewSend, vec, pof2, sentLo, sentHi),
-				dst, base+round, recvView)
-			r.Reduce(op, r.blocks(viewFold, vec, pof2, kepLo, kepHi), recvView)
-			lo, hi = kepLo, kepHi
-			round++
+		rounds := bits.Len(uint(pof2)) - 1
+		// blocks re-points view at blocks [lo, hi) (lo < hi) of ch's
+		// partition, in v.
+		blocks := func(view, v *Vector, ch *rabChunk, lo, hi int) *Vector {
+			a, _ := Block(ch.n, pof2, lo)
+			_, b := Block(ch.n, pof2, hi-1)
+			return v.SliceInto(view, ch.off+a, ch.off+b)
 		}
-		// Recursive-doubling allgather: undo the halvings in reverse,
-		// sending the kept half and receiving the half sent away.
-		for mask := pof2 >> 1; mask > 0; mask >>= 1 {
-			dst := FoldRank(newRank^mask, rem)
-			sentLo, sentHi := hi, 2*hi-lo
-			if newRank&mask != 0 {
-				sentLo, sentHi = 2*lo-hi, lo
+		// post starts ch's exchange for its round and moves [lo, hi) to
+		// the blocks ch holds once that exchange is done.
+		post := func(ch *rabChunk, ci int) {
+			lo, hi, into := ch.lo, ch.hi, vec
+			var mask, sendLo, sendHi, recvLo, recvHi int
+			if ch.round < rounds {
+				// Keep the half on this rank's side of the bit, which
+				// arrives in tmp, and send the other.
+				mask, into = 1<<ch.round, tmp
+				mid := (lo + hi) / 2
+				sendLo, sendHi, recvLo, recvHi = mid, hi, lo, mid
+				if newRank&mask != 0 {
+					sendLo, sendHi, recvLo, recvHi = lo, mid, mid, hi
+				}
+				ch.lo, ch.hi = recvLo, recvHi
+			} else {
+				// Send the blocks held; receive the half sent away at
+				// this bit.
+				mask = pof2 >> (ch.round - rounds + 1)
+				sendLo, sendHi, recvLo, recvHi = lo, hi, hi, 2*hi-lo
+				if newRank&mask != 0 {
+					recvLo, recvHi = 2*lo-hi, lo
+				}
+				ch.lo, ch.hi = min(lo, recvLo), max(hi, recvHi)
 			}
-			r.SendRecv(c,
-				dst, base+round, r.blocks(viewSend, vec, pof2, lo, hi),
-				dst, base+round, r.blocks(viewRecv, vec, pof2, sentLo, sentHi))
-			lo, hi = min(lo, sentLo), max(hi, sentHi)
-			round++
+			dst := foldRank(newRank^mask, rem)
+			tag := base + 1 + ch.round*k + ci
+			ch.recvView = blocks(ch.recvView, into, ch, recvLo, recvHi)
+			ch.sendView = blocks(ch.sendView, vec, ch, sendLo, sendHi)
+			ch.recv = r.Irecv(c, dst, tag, ch.recvView)
+			ch.send = r.Isend(c, dst, tag, ch.sendView)
+		}
+		r.chunks = slices.Grow(r.chunks[:0], k)[:k]
+		for ci := range r.chunks {
+			ch := &r.chunks[ci]
+			lo, hi := Block(vec.Len(), k, ci)
+			ch.off, ch.n, ch.lo, ch.hi, ch.round = lo, hi-lo, 0, pof2, 0
+			post(ch, ci)
+		}
+		for live := k; live > 0; {
+			moved := false
+			for ci := range r.chunks {
+				ch := &r.chunks[ci]
+				if ch.send == nil || !ch.send.done || !ch.recv.done {
+					continue
+				}
+				moved = true
+				r.releaseRequest(ch.recv)
+				r.releaseRequest(ch.send)
+				ch.send, ch.recv = nil, nil
+				if ch.round < rounds {
+					ch.sendView = blocks(ch.sendView, vec, ch, ch.lo, ch.hi)
+					r.Reduce(op, ch.sendView, ch.recvView)
+				}
+				if ch.round++; ch.round < 2*rounds {
+					post(ch, ci)
+				} else {
+					live--
+				}
+			}
+			if live > 0 && !moved {
+				r.anyDone.WaitUntil(r.proc, (*rabWait)(r))
+			}
 		}
 	}
-	r.FoldOut(c, vec, rem, base)
+	r.foldOut(c, vec, rem, base)
 }
+
+// rabWait is allreduceRab's wait condition: some chunk's exchange is
+// done.
+type rabWait Rank
+
+func (w *rabWait) Ready() bool {
+	for i := range w.chunks {
+		if ch := &w.chunks[i]; ch.send != nil && ch.send.done && ch.recv.done {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *rabWait) String() string { return "rabenseifner: wait for an exchange" }
 
 func (r *Rank) allreduceRedBcast(c *Comm, op *Op, vec *Vector, base int) {
 	me := c.mustRank(r)

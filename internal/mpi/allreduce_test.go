@@ -20,9 +20,37 @@ func expectedSum(in [][]float64) []float64 {
 	return out
 }
 
+// allreduceCase is one allreduce under test: a flat algorithm, or, at a
+// depth above zero, the pipelined Rabenseifner with that many chunks.
+type allreduceCase struct {
+	alg   Algorithm
+	depth int
+}
+
+// allreduceCases lists every flat algorithm, then the pipelined
+// allreduce at depths 2, 3 and 5.
+func allreduceCases() []allreduceCase {
+	var cases []allreduceCase
+	for _, alg := range FlatAlgorithms() {
+		cases = append(cases, allreduceCase{alg: alg})
+	}
+	for _, k := range []int{2, 3, 5} {
+		cases = append(cases, allreduceCase{alg: AlgRabenseifner, depth: k})
+	}
+	return cases
+}
+
+func (a allreduceCase) run(r *Rank, c *Comm, v *Vector) {
+	if a.depth > 0 {
+		r.AllreducePipelined(c, Sum, v, a.depth)
+		return
+	}
+	r.Allreduce(c, a.alg, Sum, v)
+}
+
 // runAllreduce executes one allreduce over random float64 inputs and
 // verifies every rank's result against the sequential reduction.
-func runAllreduce(t *testing.T, alg Algorithm, nodes, ppn, count int, seed int64) {
+func runAllreduce(t *testing.T, tc allreduceCase, nodes, ppn, count int, seed int64) {
 	t.Helper()
 	w := smallWorld(t, topology.ClusterB(), nodes, ppn, Config{})
 	p := w.Job.NumProcs()
@@ -38,7 +66,7 @@ func runAllreduce(t *testing.T, alg Algorithm, nodes, ppn, count int, seed int64
 	err := w.Run(func(r *Rank) error {
 		v := NewVector(Float64, count)
 		copy(v.Float64s(), in[r.Rank()])
-		r.Allreduce(w.CommWorld(), alg, Sum, v)
+		tc.run(r, w.CommWorld(), v)
 		for i := 0; i < count; i++ {
 			got := v.At(i)
 			d := got - want[i]
@@ -46,8 +74,8 @@ func runAllreduce(t *testing.T, alg Algorithm, nodes, ppn, count int, seed int64
 				d = -d
 			}
 			if d > 1e-9*float64(p) {
-				t.Errorf("alg=%s p=%d n=%d: rank %d elem %d: got %v want %v",
-					alg, p, count, r.Rank(), i, got, want[i])
+				t.Errorf("alg=%s depth=%d p=%d n=%d: rank %d elem %d: got %v want %v",
+					tc.alg, tc.depth, p, count, r.Rank(), i, got, want[i])
 				return nil
 			}
 		}
@@ -72,20 +100,21 @@ func TestAllreduceAllAlgorithmsAllShapes(t *testing.T) {
 		{4, 4}, // p=16
 	}
 	counts := []int{1, 2, 7, 64, 1000}
-	for _, alg := range FlatAlgorithms() {
+	for _, tc := range allreduceCases() {
 		for _, s := range shapes {
 			for _, n := range counts {
-				runAllreduce(t, alg, s.nodes, s.ppn, n, int64(s.nodes*1000+s.ppn*10+n))
+				runAllreduce(t, tc, s.nodes, s.ppn, n, int64(s.nodes*1000+s.ppn*10+n))
 			}
 		}
 	}
 }
 
 func TestAllreduceCountSmallerThanRanks(t *testing.T) {
-	// n < p stresses zero-length blocks in ring and Rabenseifner.
-	for _, alg := range FlatAlgorithms() {
-		runAllreduce(t, alg, 3, 3, 2, 99) // p=9, n=2
-		runAllreduce(t, alg, 2, 4, 5, 98) // p=8, n=5
+	// n < p stresses zero-length blocks in ring and Rabenseifner, and
+	// n < depth one-element chunks in the pipelined allreduce.
+	for _, tc := range allreduceCases() {
+		runAllreduce(t, tc, 3, 3, 2, 99) // p=9, n=2
+		runAllreduce(t, tc, 2, 4, 5, 98) // p=8, n=5
 	}
 }
 
@@ -184,6 +213,26 @@ func TestAllreduceUnknownAlgorithmPanics(t *testing.T) {
 			}
 		}()
 		r.Allreduce(w.CommWorld(), Algorithm("nope"), Sum, NewVector(Float64, 1))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAllreducePipelinedDepthOutOfRangePanics(t *testing.T) {
+	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
+	err := w.Run(func(r *Rank) error {
+		for _, k := range []int{0, MaxPipelineDepth(2) + 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("pipeline depth %d did not panic", k)
+					}
+				}()
+				r.AllreducePipelined(w.CommWorld(), Sum, NewVector(Float64, 1), k)
+			}()
+		}
 		return nil
 	})
 	if err != nil {

@@ -89,7 +89,7 @@ const (
 	// collSlots is how many distinct tags one collective invocation may
 	// use internally (rounds x sub-channels). Algorithms whose round
 	// count can exceed it (ring on very large communicators) wrap their
-	// round tags with wrapTag.
+	// round tags with WrapTag.
 	collSlots = 1 << 14
 	// collWindow bounds how many consecutive collectives can have
 	// messages in flight simultaneously before tags wrap.
@@ -98,8 +98,10 @@ const (
 
 // CollTagBase allocates the tag window for the calling rank's next
 // collective on this communicator. Built-in collectives call it once per
-// invocation; exported so algorithm extensions can claim a window of
-// their own (the window spans collSlots tags).
+// invocation; exported so the designs built on point-to-point messages
+// (dual-root, both arrival-aware designs) claim a window of their own.
+// The window spans collSlots tags; WrapTag keeps per-round tags inside
+// it.
 func (c *Comm) CollTagBase(r *Rank) int {
 	i := c.mustRank(r)
 	s := c.seq[i]

@@ -272,41 +272,6 @@ func TestIsendIrecvWaitAll(t *testing.T) {
 	}
 }
 
-func TestWaitAny(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 3, 1, Config{})
-	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		switch r.Rank() {
-		case 1:
-			r.Proc().Sleep(50 * sim.Microsecond)
-			v := NewVector(Int32, 1)
-			v.Fill(1)
-			r.Send(c, 0, 0, v)
-		case 2:
-			v := NewVector(Int32, 1)
-			v.Fill(2)
-			r.Send(c, 0, 0, v)
-		case 0:
-			a := NewVector(Int32, 1)
-			b := NewVector(Int32, 1)
-			reqs := []*Request{r.Irecv(c, 1, 0, a), r.Irecv(c, 2, 0, b)}
-			first := r.WaitAny(reqs)
-			if first != 1 {
-				t.Errorf("WaitAny returned %d, want 1 (rank 2 sends immediately)", first)
-			}
-			reqs[first] = nil
-			second := r.WaitAny(reqs)
-			if second != 0 {
-				t.Errorf("second WaitAny returned %d, want 0", second)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSelfSend(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 1, 1, Config{})
 	err := w.Run(func(r *Rank) error {

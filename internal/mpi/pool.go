@@ -12,9 +12,10 @@ import "dpml/internal/race"
 //     algorithm starts, released when it returns);
 //   - envelopes: drawn with the message in the sender's context,
 //     released in completeRecv, in the receiver's;
-//   - requests: drawn by every Isend and Irecv; only the blocking calls
-//     (Send, Recv, SendRecv), whose requests never leave them, release
-//     theirs, when the call returns;
+//   - requests: drawn by every Isend and Irecv; only the calls whose
+//     requests never leave them release theirs: the blocking calls
+//     (Send, Recv, SendRecv) when they return, Rabenseifner at the end
+//     of each round;
 //   - matching-queue storage (see fifo).
 //
 // Vector and envelope lists are per node: an object drawn in the sending
@@ -168,8 +169,8 @@ func (r *Rank) newRequest(kind string, key msgKey, vec *Vector) *Request {
 	return q
 }
 
-// releaseRequest returns a completed request that never left its
-// blocking call to the rank's free list. The race build clears its
+// releaseRequest returns a completed request that never left the call
+// that drew it to the rank's free list. The race build clears its
 // owner, so a stale Wait panics and a stale completion faults.
 func (r *Rank) releaseRequest(q *Request) {
 	q.vec = nil

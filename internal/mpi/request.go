@@ -69,29 +69,3 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 		r.Wait(q)
 	}
 }
-
-// WaitAny blocks until at least one incomplete request in reqs completes
-// and returns its index. Already-complete requests are returned
-// immediately (lowest index first). Nil entries are skipped; all-nil or
-// empty input panics, as it would deadlock.
-func (r *Rank) WaitAny(reqs []*Request) int {
-	for {
-		live := false
-		for i, q := range reqs {
-			if q == nil {
-				continue
-			}
-			if q.owner != r {
-				panic("mpi: WaitAny on another rank's request")
-			}
-			if q.done {
-				return i
-			}
-			live = true
-		}
-		if !live {
-			panic("mpi: WaitAny with no live requests")
-		}
-		r.anyDone.Wait(r.proc, "waitany")
-	}
-}

@@ -282,7 +282,8 @@ type Rank struct {
 	posted     fifo[*Request]
 	anyDone    sim.Signal // fired whenever one of this rank's requests completes
 	reqs       []*Request // free requests (see pool.go)
-	views      [3]*Vector // the flat algorithms' reusable view headers (see view)
+	views      [3]*Vector // the ring's reusable view headers (see view)
+	chunks     []rabChunk // allreduceRab's chunks, kept for their view headers
 }
 
 func newRank(w *World, i int) *Rank {
