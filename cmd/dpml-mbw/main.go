@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,35 +23,60 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, measures every pair count,
+// writes the table to stdout and errors to stderr, and returns the exit
+// status (0 ok, 1 a failed run or bad parameter, 2 a usage error).
+// Nothing is printed before every measurement has succeeded.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dpml-mbw", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		clusterName = flag.String("cluster", "C", "cluster: A, B, C, or D")
-		intra       = flag.Bool("intra", false, "place both ends of each pair on one node")
-		pairsFlag   = flag.String("pairs", "1,2,4,8,16", "comma-separated pair counts")
-		sizesFlag   = flag.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")
-		window      = flag.Int("window", 64, "messages in flight per pair")
-		iters       = flag.Int("iters", 2, "iterations per size")
-		relative    = flag.Bool("relative", true, "print throughput relative to 1 pair (Figure 1 style)")
-		jobs        = flag.Int("j", 0, "host threads: parallel simulation jobs, each on as many kernel shards (0 = all cores, 1 = serial); output is identical for every value")
+		clusterName = fs.String("cluster", "C", "cluster: A, B, C, or D")
+		intra       = fs.Bool("intra", false, "place both ends of each pair on one node")
+		pairsFlag   = fs.String("pairs", "1,2,4,8,16", "comma-separated pair counts")
+		sizesFlag   = fs.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")
+		window      = fs.Int("window", 64, "messages in flight per pair")
+		iters       = fs.Int("iters", 2, "iterations per size")
+		relative    = fs.Bool("relative", true, "print throughput relative to 1 pair (Figure 1 style)")
+		jobs        = fs.Int("j", 0, "host threads: parallel simulation jobs, each on as many kernel shards (0 = all cores, 1 = serial); output is identical for every value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dpml-mbw:", err)
+		return 1
+	}
 
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
-		fatal(fmt.Errorf("unknown cluster %q", *clusterName))
+		return fail(fmt.Errorf("unknown cluster %q", *clusterName))
 	}
-	parse := func(s string) []int {
+	parse := func(s string) ([]int, error) {
 		var out []int
 		for _, f := range strings.Split(s, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n <= 0 {
-				fatal(fmt.Errorf("bad value %q", f))
+				return nil, fmt.Errorf("bad value %q", f)
 			}
 			out = append(out, n)
 		}
-		return out
+		return out, nil
 	}
-	pairs := parse(*pairsFlag)
-	sizes := parse(*sizesFlag)
+	pairs, err := parse(*pairsFlag)
+	if err != nil {
+		return fail(err)
+	}
+	sizes, err := parse(*sizesFlag)
+	if err == nil {
+		err = bench.CheckSizes(sizes)
+	}
+	if err != nil {
+		return fail(err)
+	}
 
 	mode := "inter-node"
 	if *intra {
@@ -61,35 +87,31 @@ func main() {
 			fmt.Sprintf("Relative throughput, %s, %s", mode, cl.Name),
 			cl, *intra, pairs, sizes, *window, *iters, *jobs)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		tb.Render(os.Stdout)
-		return
+		tb.Render(stdout)
+		return 0
 	}
-	fmt.Printf("# Aggregate throughput (MB/s), %s, %s\n", mode, cl.Name)
-	fmt.Printf("%12s", "bytes")
-	for _, p := range pairs {
-		fmt.Printf(" %10dp", p)
-	}
-	fmt.Println()
 	cols, err := sweep.Map(*jobs, pairs, func(_ int, p int) ([]float64, error) {
 		return bench.MultiPairThroughput(mpi.Config{Shards: sweep.Workers(*jobs)}, cl, bench.MBWConfig{
 			Pairs: p, Intra: *intra, Window: *window, Iters: *iters,
 		}, sizes)
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	fmt.Fprintf(stdout, "# Aggregate throughput (MB/s), %s, %s\n", mode, cl.Name)
+	fmt.Fprintf(stdout, "%12s", "bytes")
+	for _, p := range pairs {
+		fmt.Fprintf(stdout, " %10dp", p)
+	}
+	fmt.Fprintln(stdout)
 	for si, n := range sizes {
-		fmt.Printf("%12d", n)
+		fmt.Fprintf(stdout, "%12d", n)
 		for pi := range pairs {
-			fmt.Printf(" %11.1f", cols[pi][si]/1e6)
+			fmt.Fprintf(stdout, " %11.1f", cols[pi][si]/1e6)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpml-mbw:", err)
-	os.Exit(1)
+	return 0
 }

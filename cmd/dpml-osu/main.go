@@ -97,6 +97,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		sizes = append(sizes, n)
 	}
+	if err := bench.CheckSizes(sizes); err != nil {
+		return fail(err)
+	}
 	spec, err := core.ParseDesign(*design)
 	if err != nil {
 		return fail(err)

@@ -11,7 +11,9 @@ import (
 // prints no table. Selectors are designs, so -lib is an unknown flag;
 // the pipelined inter-leader phase always runs Rabenseifner, so
 // an algorithm suffix on it is an error rather than ignored; a negative
-// warmup is an error rather than zero warmups.
+// warmup is an error rather than zero warmups; a size that is not whole
+// float32 elements is one error rather than a row measuring another
+// size.
 func TestRejectedInputs(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -21,6 +23,7 @@ func TestRejectedInputs(t *testing.T) {
 		{[]string{"-lib", "proposed"}, 2, "flag provided but not defined: -lib"},
 		{[]string{"-design", "dpml-pipe-4x4:ring"}, 1, `dpml-osu: core: design "dpml-pipe-4x4:ring"`},
 		{[]string{"-warmup", "-3"}, 1, "dpml-osu: bench: warmup = -3\n"},
+		{[]string{"-sizes", "4,3,6"}, 1, "dpml-osu: bench: size 3 bytes is not a positive whole number of float32 elements\n"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

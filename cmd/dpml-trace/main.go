@@ -60,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dpml-trace:", err)
 		return 1
 	}
-	if *bytes <= 0 {
-		return fail(fmt.Errorf("bad size %d", *bytes))
+	if *bytes <= 0 || *bytes%4 != 0 {
+		return fail(fmt.Errorf("bad size %d: not a positive whole number of float32 elements", *bytes))
 	}
 	if *iters < 1 {
 		return fail(fmt.Errorf("bad iters %d", *iters))
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	w := mpi.NewWorld(job, mpi.Config{Trace: rec, Shards: *shards})
 	e := core.NewEngine(w)
 
-	count := max(*bytes/4, 1)
+	count := *bytes / 4
 	spec = e.Resolve(spec, count*4)
 	if err := e.Validate(spec); err != nil {
 		return fail(err)

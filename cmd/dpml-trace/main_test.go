@@ -23,11 +23,12 @@ func expectRejected(t *testing.T, flag, value, want string) {
 	}
 }
 
-// TestNonPositiveBytesRejected checks that -bytes 0 and negative sizes
-// fail cleanly instead of silently tracing a 4-byte allreduce.
+// TestNonPositiveBytesRejected checks that -bytes 0, negative sizes and
+// sizes that are not whole float32 elements fail cleanly instead of
+// silently tracing another size.
 func TestNonPositiveBytesRejected(t *testing.T) {
-	for _, size := range []string{"0", "-5"} {
-		expectRejected(t, "-bytes", size, "bad size "+size)
+	for _, size := range []string{"0", "-5", "3", "6"} {
+		expectRejected(t, "-bytes", size, "bad size "+size+": not a positive whole number of float32 elements\n")
 	}
 }
 

@@ -18,16 +18,20 @@ import (
 // timed iterations after `warmup` untimed ones, all within a single
 // simulated job built with cfg. Payloads are phantom float32 vectors
 // (MPI_FLOAT/MPI_SUM, the paper's microbenchmark configuration), so a
-// size is rounded to whole elements. cfg lets callers inject faults, arm
-// the virtual-time watchdog, or attach a tracer; the zero Config is the
-// healthy fabric. spec is validated once, before the job starts, so a
-// bad spec is one error rather than one per rank.
+// size must be a whole number of elements (see CheckSizes). cfg lets
+// callers inject faults, arm the virtual-time watchdog, or attach a
+// tracer; the zero Config is the healthy fabric. spec is validated
+// once, before the job starts, so a bad spec is one error rather than
+// one per rank.
 func AllreduceLatency(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, spec core.Spec, sizes []int, iters, warmup int) ([]sim.Duration, error) {
 	if iters <= 0 {
 		return nil, fmt.Errorf("bench: iters = %d", iters)
 	}
 	if warmup < 0 {
 		return nil, fmt.Errorf("bench: warmup = %d", warmup)
+	}
+	if err := CheckSizes(sizes); err != nil {
+		return nil, err
 	}
 	job, err := topology.NewJob(cl, nodes, ppn)
 	if err != nil {
@@ -41,7 +45,7 @@ func AllreduceLatency(cfg mpi.Config, cl *topology.Cluster, nodes, ppn int, spec
 	err = e.W.Run(func(r *mpi.Rank) error {
 		world := e.W.CommWorld()
 		for si, bytes := range sizes {
-			v := mpi.NewPhantom(mpi.Float32, max(bytes/4, 1))
+			v := mpi.NewPhantom(mpi.Float32, bytes/4)
 			for i := 0; i < warmup; i++ {
 				if err := e.Allreduce(r, spec, mpi.Sum, v); err != nil {
 					return err
@@ -96,4 +100,18 @@ func smallSizes(quick bool) []int {
 		return []int{8, 256, 2 << 10}
 	}
 	return []int{4, 8, 16, 32, 64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10}
+}
+
+// CheckSizes rejects a message size that is not a whole, positive
+// number of float32 elements. Every harness measures float32 vectors,
+// so rounding such a size would label one measurement with another's
+// size. A command that fans sizes out across jobs checks them first,
+// so a bad size is one error, not one per job.
+func CheckSizes(sizes []int) error {
+	for _, b := range sizes {
+		if b <= 0 || b%4 != 0 {
+			return fmt.Errorf("bench: size %d bytes is not a positive whole number of float32 elements", b)
+		}
+	}
+	return nil
 }

@@ -26,6 +26,9 @@ func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, 
 	if cfg.Pairs <= 0 || cfg.Window <= 0 || cfg.Iters <= 0 {
 		return nil, fmt.Errorf("bench: bad mbw config %+v", cfg)
 	}
+	if err := CheckSizes(sizes); err != nil {
+		return nil, err
+	}
 	var job *topology.Job
 	var err error
 	if cfg.Intra {
@@ -55,11 +58,7 @@ func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, 
 		other, sender := peer(r.Rank())
 		ack := mpi.NewPhantom(mpi.Int32, 1)
 		for si, bytes := range sizes {
-			count := bytes / 4
-			if count < 1 {
-				count = 1
-			}
-			v := mpi.NewPhantom(mpi.Float32, count)
+			v := mpi.NewPhantom(mpi.Float32, bytes/4)
 			r.Barrier(c)
 			start := r.Now()
 			for it := 0; it < cfg.Iters; it++ {
@@ -82,7 +81,7 @@ func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, 
 			elapsed := r.Now().Sub(start)
 			r.Barrier(c)
 			if r.Rank() == 0 {
-				total := float64(cfg.Pairs) * float64(cfg.Window) * float64(cfg.Iters) * float64(count*4)
+				total := float64(cfg.Pairs) * float64(cfg.Window) * float64(cfg.Iters) * float64(bytes)
 				out[si] = total / elapsed.Seconds()
 			}
 		}
@@ -101,6 +100,9 @@ func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, 
 // shards; the division happens after the fan-in, so results match the
 // serial run exactly.
 func RelativeThroughput(id, title string, cl *topology.Cluster, intra bool, pairCounts []int, sizes []int, window, iters, jobs int) (*Table, error) {
+	if err := CheckSizes(sizes); err != nil {
+		return nil, err
+	}
 	counts := append([]int{1}, pairCounts...)
 	thrs, err := sweep.Map(jobs, counts, func(_ int, pairs int) ([]float64, error) {
 		return MultiPairThroughput(worldConfig(jobs), cl, MBWConfig{Pairs: pairs, Intra: intra, Window: window, Iters: iters}, sizes)

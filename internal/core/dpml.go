@@ -77,23 +77,61 @@ func checkOp(op *mpi.Op, vec *mpi.Vector) error {
 	return nil
 }
 
-// shmOp is one rank's part in one shared-memory operation of its node:
-// the steps the DPML and SHArP allreduces are built from. Segment j
-// belongs to leader j (for the SHArP designs, to local rank j); each step
-// charges its own copy cost.
+// shmOp is one rank's part in the shared-memory operations of its node:
+// the phases the DPML and SHArP allreduces are built from. Segment j
+// belongs to leader j (for the SHArP designs, to local rank j); each
+// phase charges its own copy and fold costs. A phase is a step machine
+// (sim.Proc.RunSteps): the rank parks once per phase, and the kernel
+// runs the phase's copies, folds and waits in its place. A rank keeps
+// one shmOp for all its operations, so a phase allocates nothing.
 type shmOp struct {
 	e    *Engine
 	r    *mpi.Rank
 	rg   *shmseg.Region
-	seq  uint64
+	seq  uint64 // the operation's sequence number; done advances it
 	segs int
 	n    int // elements, block-partitioned across the segments (see part)
+
+	// The phase in progress. It works through segments j..end-1 (fold:
+	// segment j's slots i..), and pc says where the current one resumes.
+	run   func() bool // o.step, built once
+	phase uint8
+	pc    uint8
+	whole bool        // each segment carries vec itself, not its block
+	same  bool        // fold: count only same-socket flag polls (see gatherSync)
+	vec   *mpi.Vector // deposit, collect: the rank's buffer
+	cur   *mpi.Vector // deposit: the partition copied in; collect: the one copied into
+	res   *mpi.Vector // collect: the result copied out
+	j     int
+	end   int
+	// fold
+	op    *mpi.Op
+	want  int
+	slots []*mpi.Vector
+	i     int
+	acc   *mpi.Vector
 }
 
+// The phases a shmOp's step runs.
+const (
+	phaseDeposit uint8 = iota
+	phaseFold
+	phaseCollect
+)
+
 // newShmOp opens the calling rank's next operation on its node's region
-// with segs segments over an n-element payload.
-func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) shmOp {
-	return shmOp{e: e, r: r, rg: e.regions[r.Place().Node], seq: e.nextSeq(r), segs: segs, n: n}
+// with segs segments over an n-element payload. Every local rank opens
+// and finishes (done) the same operations in the same order, so their
+// sequence numbers agree.
+func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) *shmOp {
+	o := e.ops[r.Rank()]
+	if o == nil {
+		o = &shmOp{e: e, r: r, rg: e.regions[r.Place().Node]}
+		o.run = o.step
+		e.ops[r.Rank()] = o
+	}
+	o.segs, o.n = segs, n
+	return o
 }
 
 // part returns the view of vec that segment j carries, block j of
@@ -105,22 +143,63 @@ func (o *shmOp) part(vec *mpi.Vector, j int) *mpi.Vector {
 	return o.rg.View(o.seq, o.segs, j, o.r.Place().LocalRank, vec, lo, hi)
 }
 
+// carry returns what segment j carries of the phase's buffer.
+func (o *shmOp) carry(j int) *mpi.Vector {
+	if o.whole {
+		return o.vec
+	}
+	return o.part(o.vec, j)
+}
+
 // cross reports whether a copy to or from segment j crosses sockets.
 func (o *shmOp) cross(j int) bool { return o.r.Place().Socket != o.e.leaderSocket[j] }
 
-// put charges the copy of v into this rank's slot of segment j and
-// deposits v itself: the leader reads it in place, so v must not be
-// written until segment j's result is published (see package shmseg).
-func (o *shmOp) put(j int, v *mpi.Vector) {
-	o.r.MemCopy(o.cross(j), v.Bytes())
-	o.rg.Put(o.seq, o.segs, j, o.r.Place().LocalRank, v)
+// runPhase runs phase over segments [j, end) of vec as the rank's step
+// machine and returns when it is done.
+func (o *shmOp) runPhase(phase uint8, vec *mpi.Vector, whole bool, j, end int) {
+	o.phase, o.pc, o.vec, o.whole, o.j, o.end = phase, 0, vec, whole, j, end
+	o.r.Proc().RunSteps(o.run)
+	o.vec, o.cur, o.res = nil, nil, nil
+}
+
+// step runs the phase in progress up to its next wait.
+func (o *shmOp) step() bool {
+	switch o.phase {
+	case phaseDeposit:
+		return o.depositStep()
+	case phaseFold:
+		return o.foldStep()
+	default:
+		return o.collectStep()
+	}
 }
 
 // deposit is Phase 1: partition j of vec goes to segment j, for every j.
 func (o *shmOp) deposit(vec *mpi.Vector) {
-	for j := 0; j < o.segs; j++ {
-		o.put(j, o.part(vec, j))
+	o.runPhase(phaseDeposit, vec, false, 0, o.segs)
+}
+
+// put deposits v whole into segment j.
+func (o *shmOp) put(j int, v *mpi.Vector) { o.runPhase(phaseDeposit, v, true, j, j+1) }
+
+// depositStep charges the copy of each remaining partition into this
+// rank's slot of its segment and deposits the partition itself: the
+// leader reads it in place, so it must not be written until the
+// segment's result is published (see package shmseg).
+func (o *shmOp) depositStep() bool {
+	for ; o.j < o.end; o.j++ {
+		if o.pc == 0 {
+			o.cur = o.carry(o.j)
+			o.pc = 1
+			if !o.r.ArmMemCopy(o.cross(o.j), o.cur.Bytes()) {
+				return false
+			}
+		}
+		o.pc = 0
+		o.r.EndWork()
+		o.rg.Put(o.seq, o.segs, o.j, o.r.Place().LocalRank, o.cur)
 	}
+	return true
 }
 
 // fold is Phase 2 for the leader of segment j: it waits until want local
@@ -130,39 +209,92 @@ func (o *shmOp) deposit(vec *mpi.Vector) {
 // operation drains, which outlasts every reader of the result published
 // from it.
 func (o *shmOp) fold(op *mpi.Op, j, want int, sameSocketOnly bool) *mpi.Vector {
-	slots := o.rg.GatherWait(o.r.Proc(), o.seq, o.segs, j, want)
-	o.e.gatherSync(o.r, j, sameSocketOnly)
-	var acc *mpi.Vector
-	for _, s := range slots {
-		switch {
-		case s == nil:
-		case acc == nil:
-			acc = o.rg.Accumulator(o.seq, o.segs, j, s)
-		default:
-			o.r.Reduce(op, acc, s)
+	o.op, o.want, o.same, o.i, o.acc = op, want, sameSocketOnly, 0, nil
+	o.runPhase(phaseFold, nil, false, j, j+1)
+	acc := o.acc
+	o.op, o.slots, o.acc = nil, nil, nil
+	return acc
+}
+
+// foldStep runs fold: the gather wait, the flag polls, then one
+// Compute per slot after the first, which seeds the accumulator.
+func (o *shmOp) foldStep() bool {
+	p := o.r.Proc()
+	switch o.pc {
+	case 0:
+		slots, ok := o.rg.ArmGather(p, o.seq, o.segs, o.j, o.want)
+		o.slots, o.pc = slots, 1
+		if !ok {
+			return false
+		}
+		fallthrough
+	case 1:
+		o.pc = 2
+		if d := o.e.gatherSync(o.j, o.same); d > 0 && !p.ArmSleep(d) {
+			return false
 		}
 	}
-	return acc
+	for ; o.i < len(o.slots); o.i++ {
+		s := o.slots[o.i]
+		switch {
+		case s == nil:
+			continue
+		case o.acc == nil:
+			o.acc = o.rg.Accumulator(o.seq, o.segs, o.j, s)
+			continue
+		case o.pc == 2:
+			o.pc = 3
+			if !o.r.ArmCompute(o.acc.Bytes()) {
+				return false
+			}
+		}
+		o.pc = 2
+		o.r.EndWork()
+		o.op.Apply(o.acc, s)
+	}
+	return true
 }
 
 // publish stores the leader's result for segment j.
 func (o *shmOp) publish(j int, res *mpi.Vector) { o.rg.Publish(o.seq, o.segs, j, res) }
 
-// get waits for segment j's result and copies it into dst.
-func (o *shmOp) get(j int, dst *mpi.Vector) {
-	res := o.rg.ResultWait(o.r.Proc(), o.seq, o.segs, j)
-	o.r.MemCopy(o.cross(j), res.Bytes())
-	dst.CopyFrom(res)
-}
-
 // collect is Phase 4: segment j's result is copied into partition j of
 // vec, for every j.
 func (o *shmOp) collect(vec *mpi.Vector) {
-	for j := 0; j < o.segs; j++ {
-		o.get(j, o.part(vec, j))
+	o.runPhase(phaseCollect, vec, false, 0, o.segs)
+}
+
+// get waits for segment j's result and copies it into dst.
+func (o *shmOp) get(j int, dst *mpi.Vector) { o.runPhase(phaseCollect, dst, true, j, j+1) }
+
+// collectStep waits for each remaining segment's result and copies it
+// into the rank's partition.
+func (o *shmOp) collectStep() bool {
+	for ; o.j < o.end; o.j++ {
+		switch o.pc {
+		case 0:
+			o.cur = o.carry(o.j)
+			o.pc = 1
+			fallthrough
+		case 1:
+			if o.res = o.rg.ArmResult(o.r.Proc(), o.seq, o.segs, o.j); o.res == nil {
+				return false
+			}
+			o.pc = 2
+			if !o.r.ArmMemCopy(o.cross(o.j), o.res.Bytes()) {
+				return false
+			}
+		}
+		o.pc = 0
+		o.r.EndWork()
+		o.cur.CopyFrom(o.res)
 	}
+	return true
 }
 
 // done releases this rank's part in the operation; every local rank must
 // call it once.
-func (o *shmOp) done() { o.rg.DoneCopy(o.seq) }
+func (o *shmOp) done() {
+	o.rg.DoneCopy(o.seq)
+	o.seq++
+}

@@ -169,7 +169,7 @@ type Engine struct {
 	leaderSocket []int            // socket of local rank j (uniform across nodes)
 	socketLeader []int            // per local rank: its socket's leader local index
 	socketSize   []int            // per socket-leader local index: ranks on that socket
-	seq          []uint64         // per global rank: shm operation sequence
+	ops          []*shmOp         // per global rank, built at its first shm operation
 
 	sharpNode   *fabric.SharpGroup // one leader per node
 	sharpSocket *fabric.SharpGroup // one leader per socket per node
@@ -185,7 +185,7 @@ type Engine struct {
 // NewEngine prepares DPML state for the world.
 func NewEngine(w *mpi.World) *Engine {
 	job := w.Job
-	e := &Engine{W: w, seq: make([]uint64, job.NumProcs())}
+	e := &Engine{W: w, ops: make([]*shmOp, job.NumProcs())}
 	e.regions = make([]*shmseg.Region, job.NodesUsed)
 	for i := range e.regions {
 		e.regions[i] = shmseg.NewRegion(job.PPN)
@@ -343,19 +343,12 @@ func autoAlg(bytes int) mpi.Algorithm {
 	return mpi.AlgRabenseifner
 }
 
-// nextSeq advances this rank's shm-region operation sequence.
-func (e *Engine) nextSeq(r *mpi.Rank) uint64 {
-	s := e.seq[r.Rank()]
-	e.seq[r.Rank()]++
-	return s
-}
-
-// gatherSync charges the leader-side synchronization cost of collecting
+// gatherSync returns the leader-side synchronization cost of collecting
 // contributions through shared memory: one flag poll per contributor,
 // dearer when the contributor sits on the other socket. This per-rank
 // serial cost at the leader is the intra-node bottleneck that motivates
 // socket-level leaders (Section 4.3).
-func (e *Engine) gatherSync(r *mpi.Rank, leaderLocal int, sameSocketOnly bool) {
+func (e *Engine) gatherSync(leaderLocal int, sameSocketOnly bool) sim.Duration {
 	mem := e.W.Job.Cluster.Mem
 	ls := e.leaderSocket[leaderLocal]
 	var d sim.Duration
@@ -369,7 +362,5 @@ func (e *Engine) gatherSync(r *mpi.Rank, leaderLocal int, sameSocketOnly bool) {
 			d += mem.FlagSyncCross
 		}
 	}
-	if d > 0 {
-		r.Proc().Sleep(d)
-	}
+	return d
 }

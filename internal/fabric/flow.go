@@ -408,6 +408,45 @@ func ufFind(uf []int32, x int32) int32 {
 // first-touch order. Every downstream float sum therefore runs in the
 // same order regardless of how many components exist.
 func (n *FlowNet) findComponents() int {
+	if n.oneLink() {
+		return 1
+	}
+	return n.unionComponents()
+}
+
+// oneLink builds the single component directly, and reports true, when
+// every live flow crosses one and the same link: the shape of every
+// node's memory channel. It leaves the state union-find would: the
+// link compacted, every flow in n.active order, and one unfrozen count
+// per flow.
+func (n *FlowNet) oneLink() bool {
+	if len(n.active[0].links) != 1 {
+		return false
+	}
+	l := n.active[0].links[0]
+	for _, f := range n.active[1:] {
+		if len(f.links) != 1 || f.links[0] != l {
+			return false
+		}
+	}
+	n.gen++
+	l.mark = n.gen
+	l.compact(n)
+	l.comp, l.unfrozen = 0, len(n.active)
+	if len(n.comps) == 0 {
+		n.comps = append(n.comps, component{})
+	}
+	c := &n.comps[0]
+	c.flows = append(c.flows[:0], n.active...)
+	c.links = append(c.links[:0], l)
+	for _, f := range n.active {
+		f.comp = 0
+	}
+	return true
+}
+
+// unionComponents is findComponents for any flow-link graph.
+func (n *FlowNet) unionComponents() int {
 	// Pass 1: union-find over provisional ids. Links are stamped, then
 	// compacted once per recompute here (see Link.compact).
 	n.gen++

@@ -70,9 +70,10 @@ type Network struct {
 
 // Endpoint is one process's attachment to the network. The pipes are
 // full-duplex (matching the cost model's assumption): sending and
-// receiving each have their own per-process processing rate. All
-// fields are immutable after construction; the attachment belongs to
-// its node's LP.
+// receiving each have their own per-process processing rate. The
+// attachment belongs to its node's LP and is immutable after
+// construction, except for its pipes, which the network LP builds at
+// the endpoint's first transfer each way (see pipes).
 //
 //dpml:owner node
 type Endpoint struct {
@@ -80,8 +81,8 @@ type Endpoint struct {
 	k    *sim.Kernel // the owning node's kernel
 	node int
 	hca  int
-	tx   *Link
-	rx   *Link
+	tx   *Link //dpml:owner net
+	rx   *Link //dpml:owner net
 }
 
 // Node returns the endpoint's node index.
@@ -127,14 +128,21 @@ func NewNetwork(coord *sim.Coordinator, flows *FlowNet, c *topology.Cluster, nod
 // with its own per-process pipe at the profile's PerFlowCap rate.
 func (n *Network) Endpoint(node, hcaIdx int) *Endpoint {
 	n.hcaAt(node, hcaIdx) // validate
-	return &Endpoint{
-		net:  n,
-		k:    n.coord.KernelFor(node),
-		node: node,
-		hca:  hcaIdx,
-		tx:   NewLink(fmt.Sprintf("n%d.h%d.tx", node, hcaIdx), n.prof.PerFlowCap),
-		rx:   NewLink(fmt.Sprintf("n%d.h%d.rx", node, hcaIdx), n.prof.PerFlowCap),
+	return &Endpoint{net: n, k: n.coord.KernelFor(node), node: node, hca: hcaIdx}
+}
+
+// pipes returns src's send pipe and dst's receive pipe, building each
+// at its first use. Most processes of a multi-leader job never send or
+// receive off their node, and the two pipes are most of an endpoint's
+// memory.
+func (n *Network) pipes(src, dst *Endpoint) (tx, rx *Link) {
+	if src.tx == nil {
+		src.tx = NewLink(fmt.Sprintf("n%d.h%d.tx", src.node, src.hca), n.prof.PerFlowCap)
 	}
+	if dst.rx == nil {
+		dst.rx = NewLink(fmt.Sprintf("n%d.h%d.rx", dst.node, dst.hca), n.prof.PerFlowCap)
+	}
+	return src.tx, dst.rx
 }
 
 // Kernel returns the kernel owning the endpoint's node.
@@ -263,6 +271,7 @@ func (n *Network) launch(t *transfer) {
 		}
 	}
 	src, dst, bytes := t.src, t.dst, t.bytes
+	tx, rx := n.pipes(src, dst)
 	su := n.hcaAt(src.node, src.hca)
 	dd := n.hcaAt(dst.node, dst.hca)
 	n.Stats.Messages++
@@ -273,11 +282,11 @@ func (n *Network) launch(t *transfer) {
 		ss, ds := n.sub.Of[src.node], n.sub.Of[dst.node]
 		if ss != ds {
 			n.flows.Start(bytes, unlimited, t.done,
-				src.tx, su.up, n.coreUp[ss], n.coreDn[ds], dd.down, dst.rx)
+				tx, su.up, n.coreUp[ss], n.coreDn[ds], dd.down, rx)
 			return
 		}
 	}
-	n.flows.Start(bytes, unlimited, t.done, src.tx, su.up, dd.down, dst.rx)
+	n.flows.Start(bytes, unlimited, t.done, tx, su.up, dd.down, rx)
 }
 
 func (n *Network) hcaAt(node, h int) *hca {
@@ -329,6 +338,15 @@ func NewMemChannel(k *sim.Kernel, flows *FlowNet, c *topology.Cluster, node int)
 // proc through its cached wakeup, so a copy parks once and, from a
 // recycled memCopy record, allocates nothing.
 func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
+	if !m.ArmCopy(p, crossSocket, bytes) {
+		p.Park()
+	}
+}
+
+// ArmCopy is Copy's arm form (see sim.Proc.Park): it reports true when
+// the copy already finished in place, which only an empty copy's
+// startup can, and otherwise arms p to park until the copy ends.
+func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) bool {
 	startup := m.prof.CopyStartup
 	rate := m.prof.CopyRate
 	if crossSocket {
@@ -337,16 +355,14 @@ func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
 		m.Stats.CrossSocket++
 	}
 	m.Stats.Copies++
-	if bytes > 0 {
-		m.Stats.Bytes += uint64(bytes)
-	}
 	if bytes <= 0 {
-		p.Sleep(startup)
-		return
+		return p.ArmSleep(startup)
 	}
+	m.Stats.Bytes += uint64(bytes)
 	c := m.newCopy()
 	c.p, c.bytes, c.rate = p, bytes, rate
-	p.SleepThen(startup, c.start, "shm copy")
+	p.ArmSleepThen(startup, c.start, "shm copy")
+	return false
 }
 
 // memCopy holds a copy's flow parameters from Copy until its startup

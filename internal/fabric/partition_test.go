@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpml/internal/sim"
@@ -136,9 +137,130 @@ func refCheck(n *FlowNet, links []*Link) error {
 //     exercises the component-by-component fill.
 //   - churn: flows started, completed and re-capacitated over virtual
 //     time, which cycles flow objects through the FlowNet's free list.
+//   - single-link churn: the same over one link, the shape of a node's
+//     memory channel, which findComponents builds without union-find.
 func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 	t.Run("static", testStaticFill)
 	t.Run("churn", testChurnFill)
+	t.Run("single-link-churn", testSingleLinkChurn)
+}
+
+// componentState is what a component search leaves for the fill: the
+// component count, each component's flows and links in order, and the
+// per-flow and per-link ids and unfrozen counts.
+func componentState(n *FlowNet, count int) string {
+	var b strings.Builder
+	for ci := 0; ci < count; ci++ {
+		c := &n.comps[ci]
+		fmt.Fprintf(&b, "comp %d:", ci)
+		for _, f := range c.flows {
+			fmt.Fprintf(&b, " %p/%d", f, f.comp)
+		}
+		for _, l := range c.links {
+			fmt.Fprintf(&b, " %s/%d/%d/%d/%d", l.name, l.comp, l.unfrozen, len(l.flows), l.live)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// testSingleLinkChurn starts, completes and re-capacitates flows over
+// a single link. Each check runs while a completion has left
+// tombstones for the next fill to compact: it requires the direct
+// single-link build to leave exactly the state union-find leaves on a
+// twin of the same flow set, and, once the batched refill has run, the
+// rates to equal refFill's bit for bit.
+func testSingleLinkChurn(t *testing.T) {
+	rng := uint64(5)
+	next := func(mod int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int(rng>>33) % mod
+	}
+	co := sim.NewCoordinator(1, 1, 0)
+	k := co.KernelFor(0)
+	n := NewFlowNet(k)
+	mem := NewLink("mem", 4e9)
+	var failed error
+	direct, compacted := 0, 0
+	compare := func() {
+		if failed != nil || n.live == 0 {
+			return
+		}
+		// Union-find on a twin: the same live flows over a fresh link,
+		// in n.active order. The direct build runs on the real net,
+		// tombstones included.
+		twin := &FlowNet{k: k}
+		tl := NewLink("mem", mem.capacity)
+		tflows := map[*flow]*flow{}
+		for _, f := range n.active {
+			if f.done {
+				continue
+			}
+			g := &flow{cap: f.cap}
+			g.links = append(g.links, tl)
+			tflows[f] = g
+			twin.active = append(twin.active, g)
+			twin.live++
+		}
+		for _, f := range mem.flows {
+			if !f.done {
+				tl.addFlow(tflows[f])
+			}
+		}
+		tombs := len(mem.flows) - mem.live
+		n.compact()
+		if !n.oneLink() {
+			failed = fmt.Errorf("t=%v: single-link net not built directly", k.Now())
+			return
+		}
+		direct++
+		if tombs > 0 && len(mem.flows) == mem.live {
+			compacted++
+		}
+		got := componentState(n, 1)
+		want := componentState(twin, twin.unionComponents())
+		for f, g := range tflows {
+			got = strings.ReplaceAll(got, fmt.Sprintf("%p", f), fmt.Sprintf("%p", g))
+		}
+		if got != want {
+			failed = fmt.Errorf("t=%v: direct build\n%sunion-find\n%s", k.Now(), got, want)
+		}
+	}
+	check := func() {
+		if failed == nil && !n.dirty {
+			if err := refCheck(n, []*Link{mem}); err != nil {
+				failed = fmt.Errorf("t=%v: %v", k.Now(), err)
+			}
+		}
+	}
+	k.Spawn("driver", func(p *sim.Proc) {
+		var wg sim.WaitGroup
+		for step := 0; step < 300; step++ {
+			if next(8) == 0 {
+				n.SetLinkCapacity(mem, float64(1+next(8))*1e9)
+			} else {
+				wg.Add(1)
+				n.Start(int64(1+next(1<<20)), float64(1+next(10))*0.5e9, func() {
+					compare()
+					wg.Done()
+				}, mem)
+			}
+			k.After(0, check)
+			if next(3) == 0 {
+				p.Sleep(sim.Duration(1 + next(20_000)))
+			}
+		}
+		wg.Wait(p, "flows")
+	})
+	if err := co.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if direct == 0 || compacted == 0 {
+		t.Fatalf("%d direct builds, %d compacting a tombstone; the script must exercise both", direct, compacted)
+	}
 }
 
 func testStaticFill(t *testing.T) {

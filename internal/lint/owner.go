@@ -36,12 +36,15 @@ import (
 // explicit: a func literal passed to AfterNet runs on the net LP; one
 // passed to Spawn/SpawnOn runs as a proc on a node LP; AfterOn/AtOn
 // callbacks run on the LP their first argument names (treated as net
-// when the expression mentions the net LP, node otherwise). A callback
-// registered through a struct field (a pooled record that builds its
-// callbacks once) roots every func literal stored into that field the
-// same way. Declared functions are seeded node when they take a
-// *sim.Proc parameter (procs exist only on node LPs) or are methods on
-// a node-owned struct. Classes then propagate along static call edges —
+// when the expression mentions the net LP, node otherwise); a step
+// passed to Proc.RunSteps runs as its proc, on a node LP, on whichever
+// stack the kernel calls it from. A callback registered through a
+// struct field (a pooled record that builds its callbacks once) roots
+// every func literal, or method value, stored into that field the same
+// way; a method value registered directly roots its method. Declared
+// functions are seeded node when they take a *sim.Proc parameter
+// (procs exist only on node LPs) or are methods on a node-owned
+// struct. Classes then propagate along static call edges —
 // literal bodies are boundaries, so a callback's class never leaks into
 // its registering function or vice versa. Each classification keeps a
 // witness chain back to its root so findings can print the full
@@ -416,6 +419,11 @@ func (o *ownership) buildUnits(m *Module) {
 	// stored into that field, as if the literal were registered itself.
 	type fieldReg struct{ class, how string }
 	fieldRegs := map[*types.Var][]fieldReg{}
+	rootMethod := func(fn *types.Func, class, how string) {
+		if u := o.unitOf[fn.Origin()]; u != nil {
+			u.seed(class, fmt.Sprintf("registered on the %s LP via %s", class, how))
+		}
+	}
 	root := func(p *Package, lit *ast.FuncLit, at token.Pos, what, class, how string) {
 		u := o.litUnit[lit]
 		if u == nil {
@@ -441,6 +449,8 @@ func (o *ownership) buildUnits(m *Module) {
 				fn, class, how := o.registration(p, call)
 				if lit, ok := fn.(*ast.FuncLit); ok {
 					root(p, lit, call.Pos(), "", class, how)
+				} else if m := methodValue(p.Info, fn); m != nil {
+					rootMethod(m, class, how)
 				} else if v := fieldVar(p.Info, fn); v != nil {
 					fieldRegs[v] = append(fieldRegs[v], fieldReg{class, how})
 				}
@@ -457,13 +467,17 @@ func (o *ownership) buildUnits(m *Module) {
 					return true
 				}
 				for i, lhs := range as.Lhs {
-					lit, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit)
 					v := fieldVar(p.Info, lhs)
-					if !ok || v == nil {
+					if v == nil {
 						continue
 					}
+					rhs := ast.Unparen(as.Rhs[i])
 					for _, r := range fieldRegs[v] {
-						root(p, lit, as.Pos(), "stored in "+v.Name()+" ", r.class, r.how)
+						if lit, ok := rhs.(*ast.FuncLit); ok {
+							root(p, lit, as.Pos(), "stored in "+v.Name()+" ", r.class, r.how)
+						} else if m := methodValue(p.Info, rhs); m != nil {
+							rootMethod(m, r.class, r.how)
+						}
 					}
 				}
 				return true
@@ -509,7 +523,14 @@ func (o *ownership) registration(pkg *Package, call *ast.CallExpr) (ast.Expr, st
 		return nil, "", ""
 	}
 	recv := recvOf(fn)
-	if recv == nil || !isSimType(baseTypeName(recv.Type()), "Kernel") {
+	if recv == nil {
+		return nil, "", ""
+	}
+	tn := baseTypeName(recv.Type())
+	if isSimType(tn, "Proc") && fn.Name() == "RunSteps" && len(call.Args) == 1 {
+		return ast.Unparen(call.Args[0]), classNode, fn.Name()
+	}
+	if !isSimType(tn, "Kernel") {
 		return nil, "", ""
 	}
 	argIdx, class := 0, classNode
@@ -532,6 +553,20 @@ func (o *ownership) registration(pkg *Package, call *ast.CallExpr) (ast.Expr, st
 		return nil, "", ""
 	}
 	return ast.Unparen(call.Args[argIdx]), class, fn.Name()
+}
+
+// methodValue returns the method that e takes as a value (x.m, not a
+// call), or nil.
+func methodValue(info *types.Info, e ast.Expr) *types.Func {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+		fn, _ := s.Obj().(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // fieldVar returns the struct field that e selects, or nil.

@@ -116,3 +116,34 @@ func (r *record) post(k *sim.Kernel) {
 	k.AfterOn(1, baseLat, r.land)
 	k.AfterNet(0, r.tick)
 }
+
+// stepper runs a step machine: its step, a method value stored in a
+// field once, is passed to RunSteps. The kernel calls the step as the
+// stepping proc, on a node LP, from whatever stack is scheduling, so a
+// step touching net state is a finding although no call edge reaches
+// it.
+type stepper struct {
+	b   *netBox
+	run func() bool
+}
+
+func newStepper(b *netBox) *stepper {
+	s := &stepper{b: b}
+	s.run = s.step
+	return s
+}
+
+func (s *stepper) step() bool {
+	s.b.count++ // want `net-owned but written from a node-LP context: lpown\.\*stepper\.step \(registered on the node LP via RunSteps\)`
+	return true
+}
+
+func (s *stepper) drive(p *sim.Proc) { p.RunSteps(s.run) }
+
+// A method value passed to RunSteps directly is rooted the same way.
+func (s *stepper) direct() bool {
+	s.b.count-- // want `net-owned but written from a node-LP context: lpown\.\*stepper\.direct \(registered on the node LP via RunSteps\)`
+	return true
+}
+
+func (s *stepper) driveDirect(p *sim.Proc) { p.RunSteps(s.direct) }

@@ -280,10 +280,11 @@ type Rank struct {
 	// simulation context).
 	unexpected fifo[*envelope]
 	posted     fifo[*Request]
-	anyDone    sim.Signal // fired whenever one of this rank's requests completes
-	reqs       []*Request // free requests (see pool.go)
-	views      [3]*Vector // the ring's reusable view headers (see view)
-	chunks     []rabChunk // allreduceRab's chunks, kept for their view headers
+	anyDone    sim.Signal   // fired whenever one of this rank's requests completes
+	reqs       []*Request   // free requests (see pool.go)
+	views      [3]*Vector   // the ring's reusable view headers (see view)
+	chunks     []rabChunk   // allreduceRab's chunks, kept for their view headers
+	work       *trace.Event // the Compute or MemCopy armed last, kept only when tracing (see EndWork)
 }
 
 func newRank(w *World, i int) *Rank {
@@ -318,14 +319,22 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 // Compute blocks the rank for the time one core needs to stream a
 // reduction over bytes of input (the paper's c per byte).
 func (r *Rank) Compute(bytes int) {
-	if bytes <= 0 {
-		return
+	if !r.ArmCompute(bytes) {
+		r.proc.Park()
 	}
-	start := r.proc.Now()
-	r.proc.Sleep(r.w.stretch(r, sim.TransferTime(int64(bytes), r.w.Job.Cluster.CPU.ReduceRate)))
-	r.w.cfg.Trace.Add(trace.Event{
-		Rank: r.rank, Kind: trace.KindCompute, Start: start, End: r.proc.Now(), Bytes: bytes,
-	})
+	r.EndWork()
+}
+
+// ArmCompute is Compute's arm form (see sim.Proc.Park): it reports true
+// when the compute time already elapsed in place, and otherwise arms
+// the rank's proc to park until it has. Either way the caller calls
+// EndWork once the proc runs again.
+func (r *Rank) ArmCompute(bytes int) bool {
+	if bytes <= 0 {
+		return true
+	}
+	r.startWork(trace.KindCompute, "", bytes)
+	return r.proc.ArmSleep(r.w.stretch(r, sim.TransferTime(int64(bytes), r.w.Job.Cluster.CPU.ReduceRate)))
 }
 
 // Reduce applies op to fold src into dst, charging the compute cost.
@@ -337,14 +346,42 @@ func (r *Rank) Reduce(op *Op, dst, src *Vector) {
 // MemCopy blocks the rank for one shared-memory copy of bytes on its
 // node (startup plus streaming; cross-socket copies cost more).
 func (r *Rank) MemCopy(crossSocket bool, bytes int) {
-	start := r.proc.Now()
-	r.w.Mem[r.place.Node].Copy(r.proc, crossSocket, int64(bytes))
+	if !r.ArmMemCopy(crossSocket, bytes) {
+		r.proc.Park()
+	}
+	r.EndWork()
+}
+
+// ArmMemCopy is MemCopy's arm form, used like ArmCompute.
+func (r *Rank) ArmMemCopy(crossSocket bool, bytes int) bool {
 	label := "intra-socket"
 	if crossSocket {
 		label = "cross-socket"
 	}
-	r.w.cfg.Trace.Add(trace.Event{
-		Rank: r.rank, Kind: trace.KindShmCopy, Label: label,
-		Start: start, End: r.proc.Now(), Bytes: bytes,
-	})
+	r.startWork(trace.KindShmCopy, label, bytes)
+	return r.w.Mem[r.place.Node].ArmCopy(r.proc, crossSocket, int64(bytes))
+}
+
+// startWork notes the start of a Compute or MemCopy for EndWork. An
+// untraced rank notes nothing, so its Rank stays small.
+func (r *Rank) startWork(kind trace.Kind, label string, bytes int) {
+	if r.w.cfg.Trace == nil {
+		return
+	}
+	if r.work == nil {
+		r.work = &trace.Event{}
+	}
+	*r.work = trace.Event{Rank: r.rank, Kind: kind, Label: label, Start: r.proc.Now(), Bytes: bytes}
+}
+
+// EndWork records the Compute or MemCopy that the last ArmCompute or
+// ArmMemCopy started, which has now ended, as a trace event.
+func (r *Rank) EndWork() {
+	if r.work == nil || r.work.Kind == "" {
+		return
+	}
+	ev := *r.work
+	r.work.Kind = ""
+	ev.End = r.proc.Now()
+	r.w.cfg.Trace.Add(ev)
 }

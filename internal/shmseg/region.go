@@ -180,13 +180,23 @@ func (rg *Region) Put(seq uint64, leaders, leader, localRank int, part *mpi.Vect
 // local ranks; socket leaders wait only for the ranks of their socket.
 // The array is reused once the operation drains (see DoneCopy).
 func (rg *Region) GatherWait(p *sim.Proc, seq uint64, leaders, leader, want int) []*mpi.Vector {
+	slots, ok := rg.ArmGather(p, seq, leaders, leader, want)
+	if !ok {
+		p.Park()
+	}
+	return slots
+}
+
+// ArmGather is GatherWait's arm form (see sim.Proc.Park): it returns
+// the slot array and whether want slots are already written, and
+// otherwise arms p to park until they are.
+func (rg *Region) ArmGather(p *sim.Proc, seq uint64, leaders, leader, want int) ([]*mpi.Vector, bool) {
 	if want <= 0 || want > rg.ppn {
 		panic(fmt.Sprintf("shmseg: GatherWait want %d of %d", want, rg.ppn))
 	}
 	sg := rg.seg(seq, leaders, leader)
 	sg.want = want
-	sg.gather.WaitUntil(p, (*gatherWait)(sg))
-	return sg.slots
+	return sg.slots, sg.gather.ArmWaitUntil(p, (*gatherWait)(sg))
 }
 
 // Accumulator returns leader's accumulator for operation seq loaded with
@@ -222,8 +232,20 @@ func (rg *Region) Publish(seq uint64, leaders, leader int, result *mpi.Vector) {
 // ResultWait parks the proc until leader's result is published and
 // returns it. The caller charges its own copy-out cost.
 func (rg *Region) ResultWait(p *sim.Proc, seq uint64, leaders, leader int) *mpi.Vector {
+	if res := rg.ArmResult(p, seq, leaders, leader); res != nil {
+		return res
+	}
+	p.Park()
+	return rg.seg(seq, leaders, leader).result
+}
+
+// ArmResult is ResultWait's arm form (see sim.Proc.Park): it returns
+// leader's result if it is published, and otherwise nil, with p armed
+// to park until it is. A proc woken from that wait calls ArmResult
+// again, which then returns the result.
+func (rg *Region) ArmResult(p *sim.Proc, seq uint64, leaders, leader int) *mpi.Vector {
 	sg := rg.seg(seq, leaders, leader)
-	sg.ready.WaitUntil(p, (*resultWait)(sg))
+	sg.ready.ArmWaitUntil(p, (*resultWait)(sg))
 	return sg.result
 }
 

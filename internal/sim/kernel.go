@@ -23,7 +23,12 @@
 // inside the wakeup event.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
-// Signal.Wait, Signal.WaitUntil). When every proc is parked,
+// Signal.Wait, Signal.WaitUntil). Each is an arm form, which sets up
+// the wait and marks the proc parked without switching, followed by one
+// Park. A proc that has several waits in a row to get through can run
+// them as a step machine (Proc.RunSteps): it parks once, and the
+// scheduler runs the machine's code in its place, arming each wait in
+// turn, until the machine is done. When every proc is parked,
 // the inline scheduler pops the earliest event below the window's horizon,
 // advances the virtual clock to it, and fires its callback, which
 // typically readies one or more procs. When nothing is ready and no event
@@ -87,6 +92,9 @@ type Proc struct {
 	wake, wakeThen func()
 	then           func()
 	thenWhy        string
+	// step is set while p runs a step machine (see RunSteps): the
+	// scheduler calls it in p's place whenever it would resume p.
+	step func() bool
 }
 
 // ID returns the proc's dense index in spawn order.
@@ -147,7 +155,9 @@ func (e *WatchdogError) Error() string {
 	return msg
 }
 
-// PanicError wraps a panic raised inside a proc.
+// PanicError wraps a panic raised inside a proc, or inside a step the
+// scheduler ran in a proc's place (see Proc.RunSteps); Proc names that
+// proc either way.
 type PanicError struct {
 	Proc  string
 	Value any
@@ -167,8 +177,9 @@ type KernelStats struct {
 	// ContextSwitch counts coroutine resumes: scheduling decisions that
 	// pick a proc other than the one deciding. Each costs the host two
 	// coroutine switches (into the driver loop and out to the proc). A
-	// proc that resumes itself (sleep/yield fast paths) or has nothing to
-	// do yet (WaitUntil, SleepThen) costs none and is not counted.
+	// proc that resumes itself (sleep/yield fast paths), has nothing to
+	// do yet (WaitUntil, SleepThen) or whose step the scheduler runs in
+	// its place (RunSteps) costs none and is not counted.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once —
 	// the scheduler's memory footprint peak. A host-side counter only;
@@ -527,17 +538,26 @@ func (k *Kernel) schedule(self *Proc) *Proc {
 			if p.state == stateDone {
 				continue
 			}
-			if p.cond != nil && !p.cond.Ready() {
-				// A WaitUntil proc released too early: this is the
-				// instant it would run, find its condition false and
-				// wait on the signal again, so do that here instead of
-				// switching to it.
-				p.state = stateBlocked
-				p.condOn.waiters = append(p.condOn.waiters, p)
-				continue
+			if p.cond != nil {
+				if !p.cond.Ready() {
+					// A WaitUntil proc released too early: this is the
+					// instant it would run, find its condition false
+					// and wait on the signal again, so do that here
+					// instead of switching to it.
+					p.state = stateBlocked
+					p.condOn.waiters = append(p.condOn.waiters, p)
+					continue
+				}
+				p.cond, p.condOn = nil, nil
 			}
 			p.state = stateRunning
+			p.blockedOn = ""
 			k.curLP = p.lp
+			if p.step != nil && !k.runStep(p) {
+				// p's step ran the code p would have run up to its
+				// next wait and armed that wait: p stays parked.
+				continue
+			}
 			if p != self {
 				k.Stats.ContextSwitch++
 			}
@@ -594,19 +614,88 @@ func (k *Kernel) readyProc(p *Proc) {
 	k.ready.push(p)
 }
 
-// park blocks the calling proc until something readies it. why is shown in
-// deadlock reports. The parking proc runs the scheduler inline; if it
-// readies itself before anything else becomes runnable (firing its own
-// wakeup event, say), it resumes with zero switches.
-func (p *Proc) park(why string) {
-	if p.k.shuttingDown {
-		panic(errKilled{})
-	}
+// arm marks p parked on why without giving up control: the first half
+// of every blocking primitive, which sets up the wait that will ready p
+// and then either parks p (Park) or, in a step, returns false.
+func (p *Proc) arm(why string) {
 	p.state = stateBlocked
 	p.blockedOn = why
-	p.switchTo(p.k.schedule(p))
-	p.blockedOn = ""
-	p.cond, p.condOn = nil, nil
+}
+
+// Park blocks p on the wait an arm form just armed (ArmSleep,
+// ArmSleepThen, Signal.ArmWaitUntil, or one built on them) until that
+// wait readies it: every blocking primitive is its arm form plus one
+// Park. The parking proc runs the scheduler inline; if it readies
+// itself before anything else becomes runnable (firing its own wakeup
+// event, say), it resumes with zero switches. Park must not be called
+// from a step, which runs on another proc's stack.
+func (p *Proc) Park() {
+	if p.step != nil {
+		panic(fmt.Sprintf("sim: blocking call inside a step of proc %q", p.name))
+	}
+	p.park()
+}
+
+func (p *Proc) park() {
+	k := p.k
+	if k.shuttingDown {
+		panic(errKilled{})
+	}
+	if p.state != stateBlocked {
+		panic(fmt.Sprintf("sim: proc %q parks with no wait armed", p.name))
+	}
+	p.switchTo(k.schedule(p))
+}
+
+// RunSteps runs a step machine as p and returns when it is done. step
+// runs the code p would run up to its next wait, arms that wait with an
+// arm form, and returns false; it returns true once there is nothing
+// left to wait for. RunSteps calls step once on p's own stack and, if
+// that armed a wait, parks p. From then on, whenever the scheduler
+// would resume p (p popped from the ready ring, a WaitUntil condition
+// already true), it calls step in p's place, as p's LP, and resumes p's
+// coroutine only when step returns true. So p parks once for the whole
+// machine instead of once per wait.
+//
+// It is exact: a step runs at exactly the pop where the scheduler
+// would have switched to p and does exactly what p would have done
+// before parking again, so every event is minted by the same LP, in
+// the same order, with the same key. Only Stats.ContextSwitch changes.
+//
+// A step must not block (Park panics inside one): it waits only through
+// arm forms, which name each wait in reports. A panic inside a step
+// fails the run with a PanicError naming p.
+func (p *Proc) RunSteps(step func() bool) {
+	if step() {
+		return
+	}
+	p.step = step
+	p.park()
+}
+
+// runStep calls p's step in p's place and reports whether p's machine
+// is done, so its coroutine resumes; false leaves p parked on the wait
+// the step armed. A panic in the step becomes the run's failure, named
+// after p rather than after the proc whose stack ran the step.
+func (k *Kernel) runStep(p *Proc) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if k.failure == nil {
+				k.failure = &PanicError{Proc: p.name, Value: r}
+			}
+			done = false
+		}
+	}()
+	done = p.step()
+	switch {
+	case done && p.state != stateRunning:
+		panic(fmt.Sprintf("sim: a step of proc %q finished with a wait armed", p.name))
+	case !done && p.state != stateBlocked:
+		panic(fmt.Sprintf("sim: a step of proc %q returned false without arming a wait", p.name))
+	case done:
+		p.step = nil
+	}
+	return done
 }
 
 // switchTo passes control to next, the choice of a scheduling decision p
@@ -642,11 +731,9 @@ func (p *Proc) yieldNow(why string) {
 	if k.ready.len() == 0 {
 		return
 	}
-	p.state = stateBlocked
-	p.blockedOn = why
+	p.arm(why)
 	k.readyProc(p)
 	p.switchTo(k.schedule(p))
-	p.blockedOn = ""
 }
 
 // Yield lets all other currently-ready procs run before continuing.
@@ -656,17 +743,27 @@ func (p *Proc) Yield() { p.yieldNow("yield") }
 // Sleep blocks the proc for d of virtual time. Negative d is treated as 0
 // but still yields.
 func (p *Proc) Sleep(d Duration) {
+	if !p.ArmSleep(d) {
+		p.Park()
+	}
+}
+
+// ArmSleep is Sleep's arm form: it reports true when d already elapsed
+// in place (see sleepInPlace) and otherwise schedules p's wakeup d from
+// now and arms p to park on it.
+func (p *Proc) ArmSleep(d Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	if p.sleepInPlace(d) {
-		return
+		return true
 	}
 	p.k.After(d, p.wake)
 	// A static reason: a sleeping proc always has a live wakeup event, so
 	// it can never appear in a deadlock report, and formatting the target
 	// time here put a fmt.Sprintf on the simulator's hottest path.
-	p.park("sleep")
+	p.arm("sleep")
+	return false
 }
 
 // SleepThen sleeps like Sleep, then runs then at the wakeup instant, in
@@ -680,17 +777,24 @@ func (p *Proc) Sleep(d Duration) {
 // nothing else moves. Reports name the proc "sleep" until the wakeup
 // and why after it.
 func (p *Proc) SleepThen(d Duration, then func(), why string) {
+	p.ArmSleepThen(d, then, why)
+	p.Park()
+}
+
+// ArmSleepThen is SleepThen's arm form. It always arms p: even when the
+// sleep elapses in place, then only starts what wakes p.
+func (p *Proc) ArmSleepThen(d Duration, then func(), why string) {
 	if d < 0 {
 		d = 0
 	}
 	if p.sleepInPlace(d) {
 		then()
-		p.park(why)
+		p.arm(why)
 		return
 	}
 	p.then, p.thenWhy = then, why
 	p.k.After(d, p.wakeThen)
-	p.park("sleep")
+	p.arm("sleep")
 }
 
 // sleepInPlace is the zero-handoff fast path of Sleep and SleepThen. If

@@ -17,7 +17,8 @@ type Signal struct {
 // included in deadlock reports.
 func (s *Signal) Wait(p *Proc, why string) {
 	s.waiters = append(s.waiters, p)
-	p.park(why)
+	p.arm(why)
+	p.Park()
 }
 
 // Cond is a wait condition for Signal.WaitUntil. Ready reports whether
@@ -37,12 +38,21 @@ type Cond interface {
 // have, without a switch. Ready must only read state of p's
 // LP, and c must stay valid while p is parked.
 func (s *Signal) WaitUntil(p *Proc, c Cond) {
+	if !s.ArmWaitUntil(p, c) {
+		p.Park()
+	}
+}
+
+// ArmWaitUntil is WaitUntil's arm form: it reports true when c is
+// already ready and otherwise arms p to park on s until it is.
+func (s *Signal) ArmWaitUntil(p *Proc, c Cond) bool {
 	if c.Ready() {
-		return
+		return true
 	}
 	s.waiters = append(s.waiters, p)
 	p.cond, p.condOn = c, s
-	p.park("")
+	p.arm("")
+	return false
 }
 
 // Fire readies the oldest waiter, if any, and reports whether one was

@@ -26,7 +26,8 @@ func refWait(s *Signal, p *Proc, c Cond) {
 func refSleepThen(p *Proc, d Duration, then func(), why string) {
 	p.Sleep(d)
 	then()
-	p.park(why)
+	p.arm(why)
+	p.Park()
 }
 
 // gatherNode is one node's shared state. A single signal carries every
