@@ -56,10 +56,9 @@ benchcheck:
 # that shmseg's gather, result and copy waits exercise most — where a
 # missing happens-before edge would corrupt virtual time itself. The
 # race build also poisons recycled storage (segment accumulators at
-# drain, pooled vectors at release, and released requests, which lose
-# their owner), so the design package's conformance and golden timeline
-# tests fail on any read of a buffer after its reuse point, and a Wait on
-# a request its blocking call has released panics.
+# drain and pooled vectors at release), so the design package's
+# conformance and golden timeline tests fail on any read of a buffer
+# after its reuse point.
 racecheck:
 	DPML_SHARDS=4 $(GO) test -race -count=1 ./internal/sim/ ./internal/fabric/ ./internal/mpi/ ./internal/shmseg/ ./internal/core/ ./internal/apps/...
 

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bytes       = fs.Int("bytes", 64<<10, "message size")
 		iters       = fs.Int("iters", 2, "allreduce iterations")
 		csvPath     = fs.String("csv", "", "write the raw event log to this file")
-		limit       = fs.Int("limit", 1<<20, "max events kept")
+		limit       = fs.Int("limit", 1<<20, "max events kept per rank (0 = unlimited)")
 		chromePath  = fs.String("chrome", "", "write a Chrome trace_event JSON file (open in Perfetto)")
 		phases      = fs.Bool("phases", false, "print the per-phase time breakdown")
 		critpath    = fs.Bool("critpath", false, "print the critical path and per-phase slack")
@@ -68,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *shards < 0 {
 		return fail(fmt.Errorf("bad shards %d", *shards))
+	}
+	if *limit < 0 {
+		return fail(fmt.Errorf("bad limit %d", *limit))
 	}
 
 	spec, err := core.ParseDesign(*design)

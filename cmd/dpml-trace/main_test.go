@@ -48,6 +48,14 @@ func TestNegativeShardsRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeLimitRejected checks that a negative -limit fails cleanly
+// instead of silently keeping every event, as -limit 0 asks.
+func TestNegativeLimitRejected(t *testing.T) {
+	for _, n := range []string{"-1", "-7"} {
+		expectRejected(t, "-limit", n, "bad limit "+n)
+	}
+}
+
 func TestSmallTraceRuns(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-nodes", "2", "-ppn", "2", "-design", "dpml-2", "-bytes", "256", "-phases"}, &out, &errb)

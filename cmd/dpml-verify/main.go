@@ -71,8 +71,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dpml-verify:", err)
 		return 2
 	}
-	if *shards < 0 {
-		return fatal(fmt.Errorf("bad -shards %d", *shards))
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"shards", *shards}, {"schedules", *schedules}, {"max-schedules", *maxSched}, {"min-distinct", *minDist}} {
+		if f.v < 0 {
+			return fatal(fmt.Errorf("bad -%s %d", f.name, f.v))
+		}
 	}
 
 	dt, ok := explore.DatatypeByName(*dtype)

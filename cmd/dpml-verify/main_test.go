@@ -74,15 +74,25 @@ func TestZeroNodesRejected(t *testing.T) {
 }
 
 // TestNegativeShardsRejected: a negative -shards is one error line and a
-// non-zero exit, not a silently serial exploration.
+// non-zero exit, not a silently serial exploration. So is a negative
+// count that would otherwise be read as another: -schedules as 0 (a run
+// that verifies nothing), -max-schedules as the default budget and
+// -min-distinct as no floor.
 func TestNegativeShardsRejected(t *testing.T) {
-	for _, n := range []string{"-1", "-2"} {
-		code, reps, stderr := verify(t, "-shards", n, "-design", "dpml-2", "-schedules", "2")
+	for _, c := range []struct{ flag, n string }{
+		{"-shards", "-1"},
+		{"-shards", "-2"},
+		{"-schedules", "-3"},
+		{"-max-schedules", "-1"},
+		{"-min-distinct", "-1"},
+	} {
+		args := []string{"-design", "dpml-2", "-schedules", "2", "-systematic", c.flag, c.n}
+		code, reps, stderr := verify(t, args...)
 		if code != 2 || len(reps) != 0 {
-			t.Errorf("-shards %s: exit = %d with %d reports, want 2 and none", n, code, len(reps))
+			t.Errorf("%s %s: exit = %d with %d reports, want 2 and none", c.flag, c.n, code, len(reps))
 		}
-		if want := "dpml-verify: bad -shards " + n + "\n"; stderr != want {
-			t.Errorf("-shards %s: stderr = %q, want %q", n, stderr, want)
+		if want := "dpml-verify: bad " + c.flag + " " + c.n + "\n"; stderr != want {
+			t.Errorf("%s %s: stderr = %q, want %q", c.flag, c.n, stderr, want)
 		}
 	}
 }

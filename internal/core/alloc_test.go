@@ -84,17 +84,18 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 		// sharp.go:85 clones only real payloads.
 		{"sharp-node", 1.5},
 		{"sharp-socket", 2.5},
-		// dualroot.go:120 (each child's receive buffer), the half and
-		// segment views (:49, :96), BlockPartition (:93), the Isend/Irecv
-		// requests and the sends slice.
-		{"dualroot-s3", 89},
+		// dualroot.go:118 (each child's receive buffer), the half and
+		// segment views (:47, :94), BlockPartition (:91), the request,
+		// buffer and view slices (:92, :102-:116) and the sends slice.
+		{"dualroot-s3", 44},
 		// InternComm (genall.go:51, :65), whose key formats the group
 		// (fmt's printer pool refills after each GC, hence the slack).
 		{"genall-g4", 9},
 		// pap.go:104 (each block's receive buffer), the block views
-		// (:102), BlockPartition (:97), the Isend/Irecv requests, the
-		// arrival order (:87) and InternComm (:92).
-		{"pap-sorted", 81},
+		// (:102), BlockPartition (:97), the view, request and buffer
+		// slices (:98-:100), the sends slice, the arrival order (:87)
+		// and InternComm (:92).
+		{"pap-sorted", 51},
 		// The arrival order (pap.go:137) and InternComm (:156, :173). On
 		// a healthy fabric no rank is late, so pap.go:166 never runs.
 		{"pap-ring", 41},

@@ -191,9 +191,8 @@ func (o *shmOp) depositStep() bool {
 		if o.pc == 0 {
 			o.cur = o.carry(o.j)
 			o.pc = 1
-			if !o.r.ArmMemCopy(o.cross(o.j), o.cur.Bytes()) {
-				return false
-			}
+			o.r.ArmMemCopy(o.cross(o.j), o.cur.Bytes())
+			return false
 		}
 		o.pc = 0
 		o.r.EndWork()
@@ -230,7 +229,8 @@ func (o *shmOp) foldStep() bool {
 		fallthrough
 	case 1:
 		o.pc = 2
-		if d := o.e.gatherSync(o.j, o.same); d > 0 && !p.ArmSleep(d) {
+		if d := o.e.gatherSync(o.j, o.same); d > 0 {
+			p.ArmSleep(d)
 			return false
 		}
 	}
@@ -281,9 +281,8 @@ func (o *shmOp) collectStep() bool {
 				return false
 			}
 			o.pc = 2
-			if !o.r.ArmMemCopy(o.cross(o.j), o.res.Bytes()) {
-				return false
-			}
+			o.r.ArmMemCopy(o.cross(o.j), o.res.Bytes())
+			return false
 		}
 		o.pc = 0
 		o.r.EndWork()

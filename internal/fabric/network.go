@@ -333,20 +333,19 @@ func NewMemChannel(k *sim.Kernel, flows *FlowNet, c *topology.Cluster, node int)
 // Copy blocks the calling proc for the duration of a shared-memory copy of
 // bytes: the fixed startup cost (the paper's a'), then a flow across the
 // node's memory system at the intra- or cross-socket streaming rate. The
-// proc is busy for the whole copy (memcpy is CPU work). The startup's
-// wakeup event starts the flow (Proc.SleepThen), and the flow wakes the
-// proc through its cached wakeup, so a copy parks once and, from a
-// recycled memCopy record, allocates nothing.
+// proc is busy for the whole copy (memcpy is CPU work). An event at the
+// end of the startup starts the flow, and the flow wakes the proc
+// through its cached wakeup (Proc.Wake), so a copy parks once and, from
+// a recycled memCopy record, allocates nothing.
 func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
-	if !m.ArmCopy(p, crossSocket, bytes) {
-		p.Park()
-	}
+	m.ArmCopy(p, crossSocket, bytes)
+	p.Park()
 }
 
-// ArmCopy is Copy's arm form (see sim.Proc.Park): it reports true when
-// the copy already finished in place, which only an empty copy's
-// startup can, and otherwise arms p to park until the copy ends.
-func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) bool {
+// ArmCopy is Copy's arm form (see sim.Proc.Park): it schedules the
+// startup's end, which starts the flow (or, for an empty copy, wakes p),
+// and arms p to park on "shm copy" until the copy ends.
+func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) {
 	startup := m.prof.CopyStartup
 	rate := m.prof.CopyRate
 	if crossSocket {
@@ -355,14 +354,15 @@ func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) bool {
 		m.Stats.CrossSocket++
 	}
 	m.Stats.Copies++
-	if bytes <= 0 {
-		return p.ArmSleep(startup)
+	end := p.Wake()
+	if bytes > 0 {
+		m.Stats.Bytes += uint64(bytes)
+		c := m.newCopy()
+		c.p, c.bytes, c.rate = p, bytes, rate
+		end = c.start
 	}
-	m.Stats.Bytes += uint64(bytes)
-	c := m.newCopy()
-	c.p, c.bytes, c.rate = p, bytes, rate
-	p.ArmSleepThen(startup, c.start, "shm copy")
-	return false
+	m.k.After(startup, end)
+	p.ArmWake("shm copy")
 }
 
 // memCopy holds a copy's flow parameters from Copy until its startup

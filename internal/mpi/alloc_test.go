@@ -47,7 +47,9 @@ func warmMallocs(t *testing.T, w *World, setup func(r *Rank) func()) float64 {
 // allocation once warm, on phantom payloads: requests, envelopes,
 // transfer records, transit clones, matching-queue storage and the flat
 // algorithms' view headers all come from free lists. Each SendRecv step
-// exchanges one message each way between two ranks. The allreduces run
+// exchanges one message each way between two ranks, and the
+// isend-irecv-wait step does the same with the public calls, whose Wait
+// frees each request. The allreduces run
 // on 6 ranks, so recursive doubling and Rabenseifner fold a
 // non-power-of-two group, and their 64 KB vector sends some messages
 // eager and some rendezvous on cluster B (16 KB threshold). The
@@ -80,6 +82,17 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 		{"sendrecv-intra", 1, 2, sendRecv(1 << 10), 0},
 		{"sendrecv-eager", 2, 1, sendRecv(1 << 10), 0},
 		{"sendrecv-rendezvous", 2, 1, sendRecv(1 << 20), 0},
+		{"isend-irecv-wait", 2, 1, func(r *Rank) func() {
+			c := r.World().CommWorld()
+			out, in := NewPhantom(Int32, 256), NewPhantom(Int32, 256)
+			peer := 1 - c.RankOf(r)
+			return func() {
+				rq := r.Irecv(c, peer, 0, in)
+				sq := r.Isend(c, peer, 0, out)
+				r.Wait(rq)
+				r.Wait(sq)
+			}
+		}, 0},
 		{"barrier", 2, 4, func(r *Rank) func() {
 			c := r.World().CommWorld()
 			return func() { r.Barrier(c) }

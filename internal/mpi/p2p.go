@@ -126,16 +126,12 @@ func (r *Rank) Irecv(c *Comm, src, tag int, vec *Vector) *Request {
 
 // Send is the blocking send: Isend followed by Wait.
 func (r *Rank) Send(c *Comm, dst, tag int, vec *Vector) {
-	q := r.Isend(c, dst, tag, vec)
-	r.Wait(q)
-	r.releaseRequest(q)
+	r.Wait(r.Isend(c, dst, tag, vec))
 }
 
 // Recv is the blocking receive: Irecv followed by Wait.
 func (r *Rank) Recv(c *Comm, src, tag int, vec *Vector) {
-	q := r.Irecv(c, src, tag, vec)
-	r.Wait(q)
-	r.releaseRequest(q)
+	r.Wait(r.Irecv(c, src, tag, vec))
 }
 
 // SendRecv posts the receive, runs the send, and waits for both — the
@@ -145,8 +141,6 @@ func (r *Rank) SendRecv(c *Comm, dst, sendTag int, sendVec *Vector, src, recvTag
 	sq := r.Isend(c, dst, sendTag, sendVec)
 	r.Wait(rq)
 	r.Wait(sq)
-	r.releaseRequest(rq)
-	r.releaseRequest(sq)
 }
 
 // deliver hands an arriving envelope (eager payload or rendezvous RTS) to

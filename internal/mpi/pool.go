@@ -12,20 +12,20 @@ import "dpml/internal/race"
 //     algorithm starts, released when it returns);
 //   - envelopes: drawn with the message in the sender's context,
 //     released in completeRecv, in the receiver's;
-//   - requests: drawn by every Isend and Irecv; only the calls whose
-//     requests never leave them release theirs: the blocking calls
-//     (Send, Recv, SendRecv) when they return, Rabenseifner at the end
-//     of each round;
+//   - requests: drawn by every Isend and Irecv, released by the Wait
+//     that completes them (Rabenseifner, which polls its requests
+//     instead of waiting, releases them at the end of each round);
 //   - matching-queue storage (see fifo).
 //
 // Vector and envelope lists are per node: an object drawn in the sending
 // node's context is released in the receiving node's, and under a
 // sharded kernel those contexts can run on different threads. Per-node
 // lists keep every access inside one node's LP, so no locking; requests
-// and queues never leave their rank, so their lists are per rank. The
-// race build poisons what it recycles: a released vector's elements and
-// a released request's owner, so a stale reader fails a result check or
-// panics instead of passing.
+// and queues never leave their rank, so their lists are per rank. A
+// released request always loses its owner, so a second Wait panics and
+// a stale completion faults; the race build also poisons a released
+// vector's elements, so a stale reader fails a result check instead of
+// passing.
 
 // vecShape is a vector free list's shape. Exact-length matching keeps
 // pooled reuse semantically identical to a fresh vector (same dtype,
@@ -169,14 +169,11 @@ func (r *Rank) newRequest(kind string, key msgKey, vec *Vector) *Request {
 	return q
 }
 
-// releaseRequest returns a completed request that never left the call
-// that drew it to the rank's free list. The race build clears its
-// owner, so a stale Wait panics and a stale completion faults.
+// releaseRequest returns a completed request to the rank's free list
+// and clears its owner, so a stale Wait panics and a stale completion
+// faults.
 func (r *Rank) releaseRequest(q *Request) {
-	q.vec = nil
-	if race.Enabled {
-		q.owner = nil
-	}
+	q.vec, q.owner = nil, nil
 	r.reqs = append(r.reqs, q)
 }
 

@@ -146,34 +146,32 @@ func TestScratchSharesTransitFreeList(t *testing.T) {
 	}
 }
 
-// TestReleasedRequestIsPoisoned keeps a reference to a request past the
-// blocking call that released it. The race build clears a released
-// request's owner, so Wait on the stale reference panics instead of
-// returning on a request that may already track another message.
+// TestReleasedRequestIsPoisoned waits twice on one request. Wait frees
+// the request it completes, as MPI_Wait does, and clears its owner in
+// every build, so the second Wait panics naming a freed request instead
+// of returning on a request that may already track another message.
 func TestReleasedRequestIsPoisoned(t *testing.T) {
-	if !race.Enabled {
-		t.Skip("only the race build poisons released requests")
-	}
 	w := smallWorld(t, topology.ClusterB(), 1, 2, Config{})
 	var msg any
 	err := w.Run(func(r *Rank) error {
 		c := w.CommWorld()
-		peer := 1 - r.Rank()
-		r.SendRecv(c, peer, 0, NewPhantom(Int32, 1), peer, 0, NewPhantom(Int32, 1))
-		if r.Rank() == 0 {
-			stale := r.reqs[len(r.reqs)-1]
-			func() {
-				defer func() { msg = recover() }()
-				r.Wait(stale)
-			}()
+		if r.Rank() == 1 {
+			r.Send(c, 0, 0, NewPhantom(Int32, 1))
+			return nil
 		}
+		q := r.Irecv(c, 1, 0, NewPhantom(Int32, 1))
+		r.Wait(q)
+		func() {
+			defer func() { msg = recover() }()
+			r.Wait(q)
+		}()
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg != "mpi: Wait on another rank's request" {
-		t.Fatalf("Wait on a released request: recovered %v, want the another-rank panic", msg)
+	if want := "mpi: Wait on a freed recv request {comm:0 src:1 tag:0}"; msg != want {
+		t.Fatalf("second Wait on a request: recovered %v, want %q", msg, want)
 	}
 }
 

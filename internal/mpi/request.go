@@ -10,7 +10,9 @@ import (
 // Request tracks a non-blocking operation. Requests belong to the rank
 // that created them and may only be waited on by that rank (MPI
 // semantics), so all state is owned by that rank's node LP. They are
-// drawn from the rank's free list (see pool.go).
+// drawn from the rank's free list (see pool.go), and Wait returns the
+// request it completes to that list, as MPI_Wait frees its request: a
+// request is waited on exactly once, and its handle is dead after.
 //
 //dpml:owner node
 type Request struct {
@@ -47,12 +49,18 @@ func (q *Request) complete() {
 	q.owner.anyDone.FireAll()
 }
 
-// Wait blocks the owning rank until the request completes.
+// Wait blocks the owning rank until the request completes, then frees
+// it. Waiting on a freed request panics.
 func (r *Rank) Wait(q *Request) {
-	if q.owner != r {
+	switch q.owner {
+	case r:
+	case nil:
+		panic(fmt.Sprintf("mpi: Wait on a freed %s request %+v", q.kind, q.key))
+	default:
 		panic("mpi: Wait on another rank's request")
 	}
 	r.anyDone.WaitUntil(r.proc, (*waitReason)(q))
+	r.releaseRequest(q)
 }
 
 // waitReason is a blocking Wait's condition. The scheduler checks Ready
@@ -63,7 +71,7 @@ func (w *waitReason) Ready() bool { return w.done }
 
 func (w *waitReason) String() string { return fmt.Sprintf("wait %s %+v", w.kind, w.key) }
 
-// WaitAll blocks until every request completes.
+// WaitAll blocks until every request completes, and frees each.
 func (r *Rank) WaitAll(reqs ...*Request) {
 	for _, q := range reqs {
 		r.Wait(q)

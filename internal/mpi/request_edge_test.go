@@ -84,7 +84,8 @@ func TestLinkAccessors(t *testing.T) {
 // TestWaitDoesNotAllocate parks Rank.Wait on a pending request twice per
 // call, once woken by another request's completion and once by its own.
 // The wait reason is formatted only for deadlock reports, so parking
-// allocates nothing.
+// allocates nothing, and Wait frees the request, so each call draws it
+// again from the rank's free list.
 func TestWaitDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -93,12 +94,13 @@ func TestWaitDoesNotAllocate(t *testing.T) {
 	var allocs float64
 	err := w.Run(func(r *Rank) error {
 		v := NewVector(Float64, 1)
-		q := r.newRequest("recv", msgKey{src: 0, tag: 1}, v)
+		var q *Request
 		other := r.newRequest("recv", msgKey{src: 0, tag: 2}, v)
 		finishOther := func() { other.complete() }
 		finishQ := func() { q.complete() }
 		op := func() {
-			q.done, other.done = false, false
+			q = r.newRequest("recv", msgKey{src: 0, tag: 1}, v)
+			other.done = false
 			r.k.After(1, finishOther)
 			r.k.After(2, finishQ)
 			r.Wait(q)

@@ -325,16 +325,17 @@ func (r *Rank) Compute(bytes int) {
 	r.EndWork()
 }
 
-// ArmCompute is Compute's arm form (see sim.Proc.Park): it reports true
-// when the compute time already elapsed in place, and otherwise arms
-// the rank's proc to park until it has. Either way the caller calls
-// EndWork once the proc runs again.
+// ArmCompute is Compute's arm form (see sim.Proc.Park): it arms the
+// rank's proc to park until the compute time has elapsed, and the
+// caller calls EndWork once the proc runs again. It reports true, arming
+// nothing, only for zero-byte work, which takes no time.
 func (r *Rank) ArmCompute(bytes int) bool {
 	if bytes <= 0 {
 		return true
 	}
 	r.startWork(trace.KindCompute, "", bytes)
-	return r.proc.ArmSleep(r.w.stretch(r, sim.TransferTime(int64(bytes), r.w.Job.Cluster.CPU.ReduceRate)))
+	r.proc.ArmSleep(r.w.stretch(r, sim.TransferTime(int64(bytes), r.w.Job.Cluster.CPU.ReduceRate)))
+	return false
 }
 
 // Reduce applies op to fold src into dst, charging the compute cost.
@@ -346,20 +347,21 @@ func (r *Rank) Reduce(op *Op, dst, src *Vector) {
 // MemCopy blocks the rank for one shared-memory copy of bytes on its
 // node (startup plus streaming; cross-socket copies cost more).
 func (r *Rank) MemCopy(crossSocket bool, bytes int) {
-	if !r.ArmMemCopy(crossSocket, bytes) {
-		r.proc.Park()
-	}
+	r.ArmMemCopy(crossSocket, bytes)
+	r.proc.Park()
 	r.EndWork()
 }
 
-// ArmMemCopy is MemCopy's arm form, used like ArmCompute.
-func (r *Rank) ArmMemCopy(crossSocket bool, bytes int) bool {
+// ArmMemCopy is MemCopy's arm form: it always arms the rank's proc to
+// park until the copy ends, even an empty copy's startup, and the
+// caller calls EndWork once the proc runs again.
+func (r *Rank) ArmMemCopy(crossSocket bool, bytes int) {
 	label := "intra-socket"
 	if crossSocket {
 		label = "cross-socket"
 	}
 	r.startWork(trace.KindShmCopy, label, bytes)
-	return r.w.Mem[r.place.Node].ArmCopy(r.proc, crossSocket, int64(bytes))
+	r.w.Mem[r.place.Node].ArmCopy(r.proc, crossSocket, int64(bytes))
 }
 
 // startWork notes the start of a Compute or MemCopy for EndWork. An

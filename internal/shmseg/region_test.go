@@ -335,17 +335,17 @@ func TestDeadlockReportNamesWaits(t *testing.T) {
 
 // TestWatchdogReportNamesWaits pins the same wait reasons in a watchdog
 // report, plus both halves of a shared-memory copy: a rank still in the
-// copy's startup reads "sleep", and one whose flow has started reads
+// copy's startup, empty or not, and one whose flow has started all read
 // "shm copy".
 func TestWatchdogReportNamesWaits(t *testing.T) {
 	const deadline = 10 * sim.Microsecond
-	job, err := topology.NewJob(topology.ClusterB(), 1, 5)
+	job, err := topology.NewJob(topology.ClusterB(), 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := mpi.NewWorld(job, mpi.Config{Watchdog: deadline})
 	startup := job.Cluster.Mem.CopyStartup
-	rg := NewRegion(5)
+	rg := NewRegion(6)
 	err = w.Run(func(r *mpi.Rank) error {
 		switch r.Rank() {
 		case 0:
@@ -359,6 +359,9 @@ func TestWatchdogReportNamesWaits(t *testing.T) {
 		case 4: // the deadline falls inside this copy's startup
 			r.Proc().Sleep(deadline - startup/2)
 			r.MemCopy(false, 1<<10)
+		case 5: // and inside this empty copy's, its only part
+			r.Proc().Sleep(deadline - startup/2)
+			r.MemCopy(false, 0)
 		}
 		return nil
 	})
@@ -371,7 +374,8 @@ func TestWatchdogReportNamesWaits(t *testing.T) {
 		"rank1: shm result op=5 leader=0",
 		"rank2: wait recv {comm:0 src:3 tag:7}",
 		"rank3: shm copy",
-		"rank4: sleep",
+		"rank4: shm copy",
+		"rank5: shm copy",
 	}
 	if !reflect.DeepEqual(wd.Blocked, want) {
 		t.Fatalf("blocked procs\n%q\nwant\n%q", wd.Blocked, want)

@@ -12,7 +12,7 @@ import (
 // proc, which names the next proc and yields to the kernel's driver loop.
 // These tests pin down the tricky corners: unwinding when the failing or
 // reporting proc is the one that decided, context-switch accounting, and
-// the zero-switch fast paths.
+// the zero-switch self-handoff.
 
 // TestPingPongHalvesContextSwitches is the headline accounting check: two
 // procs exchanging n messages park once per receive, so the run makes
@@ -57,11 +57,11 @@ func TestPingPongHalvesContextSwitches(t *testing.T) {
 	}
 }
 
-// TestSleepFastPathZeroHandoffs: a solo proc's sleeps must advance the
-// clock without scheduling events or switching procs, while a proc
-// whose wakeup races an earlier event must take the slow path and see the
-// event fire first.
-func TestSleepFastPathZeroHandoffs(t *testing.T) {
+// TestLoneSleeperZeroHandoffs: a solo proc's sleeps must advance the
+// clock without switching procs: each sleep schedules its wakeup, and
+// the scheduler the proc runs as it parks fires that wakeup and hands
+// the proc back to itself.
+func TestLoneSleeperZeroHandoffs(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	k.Spawn("solo", func(p *Proc) {
@@ -79,19 +79,21 @@ func TestSleepFastPathZeroHandoffs(t *testing.T) {
 		t.Fatalf("clock = %v, want 100us", k.Now())
 	}
 	if k.Stats.Events != 100 {
-		t.Fatalf("events = %d, want 100 (fast-path sleeps still count)", k.Stats.Events)
+		t.Fatalf("events = %d, want 100 (one wakeup per sleep)", k.Stats.Events)
 	}
 }
 
+// TestSleepFastPathYieldsToEarlierEvent: a proc whose wakeup races an
+// earlier event must see the event fire first.
 func TestSleepFastPathYieldsToEarlierEvent(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	var order []string
 	k.Spawn("p", func(p *Proc) {
 		k.After(2*Microsecond, func() { order = append(order, "event@2") })
-		p.Sleep(5 * Microsecond) // slow path: the 2us event precedes the wakeup
+		p.Sleep(5 * Microsecond) // the 2us event precedes the wakeup
 		order = append(order, fmt.Sprintf("wake@%v", p.Now()))
-		p.Sleep(3 * Microsecond) // fast path: heap is empty again
+		p.Sleep(3 * Microsecond) // the wakeup is the only event again
 		order = append(order, fmt.Sprintf("wake@%v", p.Now()))
 	})
 	if err := co.Run(); err != nil {
@@ -105,7 +107,7 @@ func TestSleepFastPathYieldsToEarlierEvent(t *testing.T) {
 
 // TestSleepSameInstantEventOrdering: an event already scheduled at the
 // exact wakeup instant has a smaller sequence number, so it must fire
-// before the sleeper resumes — the fast path may not swallow it.
+// before the sleeper resumes.
 func TestSleepSameInstantEventOrdering(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
@@ -120,24 +122,6 @@ func TestSleepSameInstantEventOrdering(t *testing.T) {
 	}
 	if got := strings.Join(order, ","); got != "event,sleeper" {
 		t.Fatalf("order = %q, want event before sleeper", got)
-	}
-}
-
-// TestYieldFastPathEmptyQueue: yielding with nothing else ready is free —
-// no switches beyond bootstrap, and execution order is unchanged.
-func TestYieldFastPathEmptyQueue(t *testing.T) {
-	co := NewCoordinator(1, 1, 0)
-	k := co.KernelFor(0)
-	k.Spawn("p", func(p *Proc) {
-		for i := 0; i < 50; i++ {
-			p.Yield()
-		}
-	})
-	if err := co.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if k.Stats.ContextSwitch != 1 {
-		t.Fatalf("switches = %d, want 1", k.Stats.ContextSwitch)
 	}
 }
 
@@ -241,17 +225,21 @@ func TestDeadlockDetectedByExitingProc(t *testing.T) {
 // never run, without resuming any of them into its body.
 // TestShutdownReleasesGoroutines checks that no goroutine outlives them.
 func TestShutdownUnwindsMixedStates(t *testing.T) {
-	// Spawn order matters: "parked" parks, "ran-then-ready" yields behind
-	// "bomb" in the FIFO, so when bomb panics the kernel must unwind one
-	// blocked proc, one ready proc that has run, and one ready proc that
-	// never ran.
+	// Spawn order matters: "ran-then-ready" parks on the gate, and
+	// "parked" opens it, which readies ran-then-ready behind "bomb" in
+	// the FIFO, then parks. So when bomb panics the kernel must unwind
+	// one blocked proc, one ready proc that has run, and one ready proc
+	// that never ran.
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("parked", func(p *Proc) { sig.Wait(p, "never fired") })
+	var sig, gate Signal
 	k.Spawn("ran-then-ready", func(p *Proc) {
-		p.Yield() // parks behind bomb in the ready queue
+		gate.Wait(p, "gate")
 		t.Error("ran-then-ready resumed after failure")
+	})
+	k.Spawn("parked", func(p *Proc) {
+		gate.FireAll()
+		sig.Wait(p, "never fired")
 	})
 	k.Spawn("bomb", func(p *Proc) { panic("abort") })
 	k.Spawn("never-ran", func(p *Proc) { t.Error("never-ran was dispatched") })
@@ -268,14 +256,14 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 // TestShutdownReleasesGoroutines runs every way a run can fail — deadlock,
 // watchdog expiry, a proc panic and an event-callback panic — on a
 // one-kernel coordinator (shards 0 clamps to 1) and on coordinators at 2
-// and 4 shards, and checks
-// that the run leaves no goroutine behind once it returns. Every
-// node has a proc that parks, one that yields (it ran and is ready
-// again) and one spawned after the failure's trigger. A proc panic
-// strikes while the yielder is ready and the late proc has never run. An
-// event fires only once the ready ring is empty, so the callback readies
-// the parked proc before it panics. Deadlock and watchdog verdicts are
-// reached with the ready ring empty, so there every proc is parked.
+// and 4 shards, and checks that the run leaves no goroutine behind once
+// it returns. Every node has a proc that parks, one that the parked
+// proc's FireAll readies again after it ran, and one spawned after the
+// failure's trigger. A proc panic strikes while the rerun proc is ready
+// and the late proc has never run. An event fires only once the ready
+// ring is empty, so the callback readies the parked proc before it
+// panics. Deadlock and watchdog verdicts are reached with the ready ring
+// empty, so there every proc is parked.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	const nodes = 4
 	ticker := func(*Kernel, *Signal) func(*Proc) {
@@ -316,11 +304,14 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 				co.SetWatchdog(kind.watchdog)
 				for n := 0; n < nodes; n++ {
 					k := co.KernelFor(n)
-					var sig Signal
-					k.SpawnOn(n, "parked", func(p *Proc) { sig.Wait(p, "parked") })
-					k.SpawnOn(n, "yielder", func(p *Proc) {
-						p.Yield()
-						sig.Wait(p, "yielded")
+					var sig, gate Signal
+					k.SpawnOn(n, "rerun", func(p *Proc) {
+						gate.Wait(p, "gate")
+						sig.Wait(p, "rerun")
+					})
+					k.SpawnOn(n, "parked", func(p *Proc) {
+						gate.FireAll()
+						sig.Wait(p, "parked")
 					})
 					if n == 0 && kind.trigger != nil {
 						k.SpawnOn(n, kind.name, kind.trigger(k, &sig))

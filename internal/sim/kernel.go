@@ -16,23 +16,25 @@
 // a handoff is two coroutine switches and never goes through the Go
 // scheduler. When the parking proc turns out to be the next to run — in
 // particular when it sleeps and its own wakeup is the earliest live
-// event — it continues without any switch at all. Two more paths avoid
-// switching to a proc that has nothing to do yet: a proc in
-// Signal.WaitUntil whose condition is still false is re-parked by the
-// scheduler itself, and Proc.SleepThen runs the work that follows a sleep
-// inside the wakeup event.
+// event — it continues without any switch at all. Every sleep schedules
+// its wakeup event, so that path costs one heap push and pop and no
+// switch. A proc that has nothing to do yet is not switched to either:
+// one in Signal.WaitUntil whose condition is still false is re-parked by
+// the scheduler itself.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
 // Signal.Wait, Signal.WaitUntil). Each is an arm form, which sets up
 // the wait and marks the proc parked without switching, followed by one
-// Park. A proc that has several waits in a row to get through can run
-// them as a step machine (Proc.RunSteps): it parks once, and the
-// scheduler runs the machine's code in its place, arming each wait in
-// turn, until the machine is done. When every proc is parked,
-// the inline scheduler pops the earliest event below the window's horizon,
-// advances the virtual clock to it, and fires its callback, which
-// typically readies one or more procs. When nothing is ready and no event
-// is due below the horizon, the window is over.
+// Park; a wait whose wakeup the caller schedules itself arms with
+// Proc.ArmWake and is ended by Proc.Wake. A proc that has several waits
+// in a row to get through can run them as a step machine
+// (Proc.RunSteps): it parks once, and the scheduler runs the machine's
+// code in its place, arming each wait in turn, until the machine is
+// done. When every proc is parked, the inline scheduler pops the
+// earliest event below the window's horizon, advances the virtual clock
+// to it, and fires its callback, which typically readies one or more
+// procs. When nothing is ready and no event is due below the horizon,
+// the window is over.
 //
 // # Logical processes and the run loop
 //
@@ -86,12 +88,9 @@ type Proc struct {
 	// cond replaces blockedOn in reports.
 	cond   Cond
 	condOn *Signal
-	// Cached wakeups, one closure per proc rather than per call: wake
-	// readies the proc (Sleep, and the completion handed out by Wake);
-	// wakeThen ends a SleepThen sleep by running then.
-	wake, wakeThen func()
-	then           func()
-	thenWhy        string
+	// wake readies the proc: one cached closure per proc rather than
+	// one per call, handed out by Wake (see ArmWake).
+	wake func()
 	// step is set while p runs a step machine (see RunSteps): the
 	// scheduler calls it in p's place whenever it would resume p.
 	step func() bool
@@ -177,8 +176,8 @@ type KernelStats struct {
 	// ContextSwitch counts coroutine resumes: scheduling decisions that
 	// pick a proc other than the one deciding. Each costs the host two
 	// coroutine switches (into the driver loop and out to the proc). A
-	// proc that resumes itself (sleep/yield fast paths), has nothing to
-	// do yet (WaitUntil, SleepThen) or whose step the scheduler runs in
+	// proc that resumes itself (a lone sleeper firing its own wakeup), has
+	// nothing to do yet (WaitUntil) or whose step the scheduler runs in
 	// its place (RunSteps) costs none and is not counted.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once —
@@ -252,7 +251,7 @@ type Kernel struct {
 	fireSeq uint64
 	ties    [][]TiePair
 
-	// handoff is the proc a yielding or exiting proc chose for the driver
+	// handoff is the proc a parking or exiting proc chose for the driver
 	// loop to resume next; nil ends the run or the window.
 	handoff      *Proc
 	started      bool
@@ -472,12 +471,6 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 	}
 	p := &Proc{k: k, id: len(k.procs), lp: int32(lp), name: name, state: stateReady}
 	p.wake = func() { k.readyProc(p) }
-	p.wakeThen = func() {
-		then := p.then
-		p.then = nil
-		p.blockedOn = p.thenWhy
-		then()
-	}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer p.exit()
@@ -513,7 +506,7 @@ func (p *Proc) exit() {
 // drive is the kernel's driver loop, run once per window by
 // Coordinator.Run. It resumes the proc each scheduling decision chose
 // until a decision ends the window; every resumed proc runs until it
-// parks, yields or exits, and leaves the next choice in handoff on the
+// parks or exits, and leaves the next choice in handoff on the
 // way out.
 func (k *Kernel) drive() {
 	for p := k.schedule(nil); p != nil; p = k.handoff {
@@ -622,13 +615,13 @@ func (p *Proc) arm(why string) {
 	p.blockedOn = why
 }
 
-// Park blocks p on the wait an arm form just armed (ArmSleep,
-// ArmSleepThen, Signal.ArmWaitUntil, or one built on them) until that
-// wait readies it: every blocking primitive is its arm form plus one
-// Park. The parking proc runs the scheduler inline; if it readies
-// itself before anything else becomes runnable (firing its own wakeup
-// event, say), it resumes with zero switches. Park must not be called
-// from a step, which runs on another proc's stack.
+// Park blocks p on the wait an arm form just armed (ArmSleep, ArmWake,
+// Signal.ArmWaitUntil, or one built on them) until that wait readies
+// it: every blocking primitive is its arm form plus one Park. The
+// parking proc runs the scheduler inline; if it readies itself before
+// anything else becomes runnable (firing its own wakeup event, say), it
+// resumes with zero switches. Park must not be called from a step,
+// which runs on another proc's stack.
 func (p *Proc) Park() {
 	if p.step != nil {
 		panic(fmt.Sprintf("sim: blocking call inside a step of proc %q", p.name))
@@ -713,124 +706,34 @@ func (p *Proc) switchTo(next *Proc) {
 	}
 }
 
-// Wake returns the proc's cached wakeup callback, for the asynchronous
-// completion a SleepThen callback starts (a flow's onDone, say). It is
-// the mechanism Sleep uses: one closure per proc, so blocking on it
-// allocates nothing, where a Signal costs a waiter slot and a closure per
-// wait. It must fire exactly once, while p is parked after its sleep.
+// Wake returns the proc's cached wakeup callback: one closure per proc,
+// so blocking on it allocates nothing, where a Signal costs a waiter
+// slot and a closure per wait. It must fire exactly once per ArmWake,
+// while p is parked.
 func (p *Proc) Wake() func() { return p.wake }
 
-// yieldNow gives other ready procs a chance to run at the same instant.
-// With an empty ready queue nothing could interleave, so it returns
-// immediately without touching the scheduler.
-func (p *Proc) yieldNow(why string) {
-	k := p.k
-	if k.shuttingDown {
-		panic(errKilled{})
-	}
-	if k.ready.len() == 0 {
-		return
-	}
-	p.arm(why)
-	k.readyProc(p)
-	p.switchTo(k.schedule(p))
-}
+// ArmWake arms p to park on why until its Wake fires: the arm form of
+// every wait whose wakeup the caller schedules itself (a sleep's event,
+// a shared-memory copy's flow).
+func (p *Proc) ArmWake(why string) { p.arm(why) }
 
-// Yield lets all other currently-ready procs run before continuing.
-// Virtual time does not advance.
-func (p *Proc) Yield() { p.yieldNow("yield") }
-
-// Sleep blocks the proc for d of virtual time. Negative d is treated as 0
-// but still yields.
+// Sleep blocks the proc for d of virtual time. Negative d is treated as 0,
+// which still schedules a wakeup event and parks.
 func (p *Proc) Sleep(d Duration) {
-	if !p.ArmSleep(d) {
-		p.Park()
-	}
+	p.ArmSleep(d)
+	p.Park()
 }
 
-// ArmSleep is Sleep's arm form: it reports true when d already elapsed
-// in place (see sleepInPlace) and otherwise schedules p's wakeup d from
-// now and arms p to park on it.
-func (p *Proc) ArmSleep(d Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	if p.sleepInPlace(d) {
-		return true
-	}
+// ArmSleep is Sleep's arm form: it schedules p's wakeup d from now and
+// arms p to park on it. A lone sleeper whose wakeup is the earliest
+// event still costs no switch: the scheduler it runs in Park fires that
+// wakeup and hands p back to itself.
+func (p *Proc) ArmSleep(d Duration) {
 	p.k.After(d, p.wake)
 	// A static reason: a sleeping proc always has a live wakeup event, so
 	// it can never appear in a deadlock report, and formatting the target
 	// time here put a fmt.Sprintf on the simulator's hottest path.
-	p.arm("sleep")
-	return false
-}
-
-// SleepThen sleeps like Sleep, then runs then at the wakeup instant, in
-// kernel context as p's LP, and leaves p parked: then must start
-// something that fires p.Wake() later. A shared-memory copy uses it to
-// start its flow, so the copy parks once instead of twice.
-//
-// It is exact. The wakeup event gets the key Sleep would mint, and
-// where Sleep's wakeup would make p the only ready proc, which would
-// then run then and park at once, the event runs then itself and
-// nothing else moves. Reports name the proc "sleep" until the wakeup
-// and why after it.
-func (p *Proc) SleepThen(d Duration, then func(), why string) {
-	p.ArmSleepThen(d, then, why)
-	p.Park()
-}
-
-// ArmSleepThen is SleepThen's arm form. It always arms p: even when the
-// sleep elapses in place, then only starts what wakes p.
-func (p *Proc) ArmSleepThen(d Duration, then func(), why string) {
-	if d < 0 {
-		d = 0
-	}
-	if p.sleepInPlace(d) {
-		then()
-		p.arm(why)
-		return
-	}
-	p.then, p.thenWhy = then, why
-	p.k.After(d, p.wakeThen)
-	p.arm("sleep")
-}
-
-// sleepInPlace is the zero-handoff fast path of Sleep and SleepThen. If
-// no proc is ready, no event precedes this proc's own wakeup, and the
-// wakeup lands inside the current window (whose horizon never passes the
-// watchdog deadline), the wakeup is by construction the next thing to happen (it would carry the
-// highest creation counter, so any event at the same instant fires first
-// — hence the strict >). It then advances the clock and reports true:
-// no event scheduled, no park, no switch. Common in per-hop
-// pipelined loops where one rank repeatedly sleeps for transfer or
-// overhead durations. Events merged from other shards always fire at or
-// past the horizon, so skipping the heap cannot skip over them.
-//
-// Disabled under exploration: whether the fast path is taken depends on
-// this kernel's heap and ready queue — shard-local state — and a taken
-// fast path skips minting a creation counter. Canonically that is sound
-// (a per-LP counter shift preserves order: same-LP relative order is
-// untouched and cross-LP keys compare on the origin bits first), but a
-// salted permutation scrambles relative counter order, so skipped
-// counters would make the schedule depend on the shard count.
-// Exploration therefore always schedules the real wakeup.
-func (p *Proc) sleepInPlace(d Duration) bool {
-	k := p.k
-	if k.ready.len() > 0 || k.explore != nil {
-		return false
-	}
-	wakeAt := k.now.Add(d)
-	if wakeAt >= k.horizon {
-		return false
-	}
-	if at, ok := k.events.peekAt(); ok && at <= wakeAt {
-		return false
-	}
-	k.now = wakeAt
-	k.Stats.Events++ // stands in for the skipped wakeup event
-	return true
+	p.ArmWake("sleep")
 }
 
 // procRing is the ready queue: a FIFO over a power-of-two ring buffer

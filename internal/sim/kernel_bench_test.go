@@ -5,21 +5,25 @@ import (
 	"testing"
 )
 
-// benchmarkYield drives a kernel whose procs do nothing but yield, so the
-// measured cost is pure scheduler work: one ready-queue push and pop plus
-// a context switch per operation. At high proc counts the queue stays
-// full, which is exactly the regime where a shift-based FIFO pays O(n)
-// per pop.
-func benchmarkYield(b *testing.B, procs int) {
+// benchmarkHandoff drives a kernel whose procs do nothing but signal
+// ping-pong: each releases the signal's waiters and waits on it, so the
+// next proc in the ready queue releases it in turn. The measured cost is
+// pure scheduler work: one ready-queue push and pop plus a context
+// switch per operation. At high proc counts the queue stays full, which
+// is exactly the regime where a shift-based FIFO pays O(n) per pop.
+func benchmarkHandoff(b *testing.B, procs int) {
 	b.ReportAllocs()
 	iters := b.N/procs + 1
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
+	var sig Signal
 	for i := 0; i < procs; i++ {
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for j := 0; j < iters; j++ {
-				p.Yield()
+				sig.FireAll()
+				sig.Wait(p, "ping-pong")
 			}
+			sig.FireAll()
 		})
 	}
 	b.ResetTimer()
@@ -28,9 +32,9 @@ func benchmarkYield(b *testing.B, procs int) {
 	}
 }
 
-func BenchmarkReadyQueuePop100Procs(b *testing.B) { benchmarkYield(b, 100) }
-func BenchmarkReadyQueuePop1kProcs(b *testing.B)  { benchmarkYield(b, 1000) }
-func BenchmarkReadyQueuePop10kProcs(b *testing.B) { benchmarkYield(b, 10000) }
+func BenchmarkReadyQueuePop100Procs(b *testing.B) { benchmarkHandoff(b, 100) }
+func BenchmarkReadyQueuePop1kProcs(b *testing.B)  { benchmarkHandoff(b, 1000) }
+func BenchmarkReadyQueuePop10kProcs(b *testing.B) { benchmarkHandoff(b, 10000) }
 
 // BenchmarkEventSchedule measures Kernel.At/After plus heap and
 // allocation costs: a single proc sleeping b.N times schedules and fires
@@ -101,11 +105,11 @@ func BenchmarkGather64(b *testing.B) {
 	b.ReportMetric(float64(k.Stats.ContextSwitch)/float64(b.N), "switches/op")
 }
 
-// BenchmarkCopyLoop measures the kernel side of a shared-memory copy:
-// SleepThen for the startup, whose wakeup starts a completion that wakes
-// the proc, as MemChannel.Copy does with its flow. Eight procs copy
-// concurrently with different drain times, so wakeups interleave.
-// switches/op is the coroutine resumes per copy.
+// BenchmarkCopyLoop measures the kernel side of a shared-memory copy: an
+// event at the end of the startup starts a completion that wakes the
+// proc, which parks once on ArmWake, as MemChannel.Copy does with its
+// flow. Eight procs copy concurrently with different drain times, so
+// wakeups interleave. switches/op is the coroutine resumes per copy.
 func BenchmarkCopyLoop(b *testing.B) {
 	b.ReportAllocs()
 	const procs = 8
@@ -117,7 +121,9 @@ func BenchmarkCopyLoop(b *testing.B) {
 		k.Spawn(fmt.Sprintf("copier%d", i), func(p *Proc) {
 			start := func() { k.After(drain, p.Wake()) }
 			for j := 0; j < iters; j++ {
-				p.SleepThen(180*Nanosecond, start, "shm copy")
+				k.After(180*Nanosecond, start)
+				p.ArmWake("shm copy")
+				p.Park()
 			}
 		})
 	}

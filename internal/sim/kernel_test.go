@@ -259,29 +259,6 @@ func TestWaitGroup(t *testing.T) {
 	}
 }
 
-func TestYieldInterleaves(t *testing.T) {
-	co := NewCoordinator(1, 1, 0)
-	k := co.KernelFor(0)
-	var got []string
-	k.Spawn("a", func(p *Proc) {
-		got = append(got, "a1")
-		p.Yield()
-		got = append(got, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
-		got = append(got, "b1")
-		p.Yield()
-		got = append(got, "b2")
-	})
-	if err := co.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "a1 b1 a2 b2"
-	if strings.Join(got, " ") != want {
-		t.Fatalf("got %v, want %q", got, want)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	trace := func() []string {
 		co := NewCoordinator(1, 1, 0)

@@ -10,15 +10,16 @@ import (
 
 // A step machine (Proc.RunSteps) must be unobservable except in the
 // switch count. The property test below generates random proc programs
-// of sleeps, SleepThen hops and signal waits, with posts and cross-LP
-// events between them, and runs each program blocking, as steps, and
-// with half the procs stepping; every observable must match.
+// of sleeps, hops (a wakeup event that starts a completion) and signal
+// waits, with posts and cross-LP events between them, and runs each
+// program blocking, as steps, and with half the procs stepping; every
+// observable must match.
 
 type stepOpKind uint8
 
 const (
 	opSleep stepOpKind = iota // Sleep(d)
-	opHop                     // SleepThen(d, a completion drain later)
+	opHop                     // an event d from now starts a completion drain later
 	opPost                    // count[round]++ and FireAll
 	opCross                   // the same on the next node, as a cross-LP event
 	opWait                    // WaitUntil count[round] reaches want
@@ -83,8 +84,11 @@ func (sp *stepProg) act(o stepOp) {
 	}
 }
 
-func (sp *stepProg) hopThen(o stepOp) func() {
-	return func() { sp.p.k.After(o.drain, sp.p.Wake()) }
+// armHop arms a hop as MemChannel.ArmCopy arms a copy: an event at the
+// end of d starts the completion that wakes the proc.
+func (sp *stepProg) armHop(o stepOp) {
+	sp.p.k.After(o.d, func() { sp.p.k.After(o.drain, sp.p.Wake()) })
+	sp.p.ArmWake("hop")
 }
 
 // blocking runs segment seg with the blocking primitives.
@@ -94,7 +98,8 @@ func (sp *stepProg) blocking(seg []stepOp) {
 		case opSleep:
 			sp.p.Sleep(o.d)
 		case opHop:
-			sp.p.SleepThen(o.d, sp.hopThen(o), "hop")
+			sp.armHop(o)
+			sp.p.Park()
 		case opWait:
 			sp.nd.sig.WaitUntil(sp.p, countCond{sp.nd, o.round, o.want})
 		default:
@@ -113,9 +118,10 @@ func (sp *stepProg) step() bool {
 		if !sp.armed {
 			switch o.kind {
 			case opSleep:
-				sp.armed = !sp.p.ArmSleep(o.d)
+				sp.p.ArmSleep(o.d)
+				sp.armed = true
 			case opHop:
-				sp.p.ArmSleepThen(o.d, sp.hopThen(o), "hop")
+				sp.armHop(o)
 				sp.armed = true
 			case opWait:
 				sp.armed = !sp.nd.sig.ArmWaitUntil(sp.p, countCond{sp.nd, o.round, o.want})

@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// Signal.WaitUntil and Proc.SleepThen exist only to save proc
-// switches, so they must be unobservable otherwise. The tests below run
-// one randomized gather workload with each primitive and with the code
-// it replaces, a loop of Waits and Sleep followed by the action and a
-// park, and require every observable to match.
+// Signal.WaitUntil, and a copy's startup event that starts the copy
+// itself (MemChannel.ArmCopy), exist only to save proc switches, so they
+// must be unobservable otherwise. The tests below run one randomized
+// gather workload with each and with the code it replaces, a loop of
+// Waits and Sleep followed by the action and a park, and require every
+// observable to match.
 
 // refWait is the loop WaitUntil replaces: run on every release, re-check,
 // wait again.
@@ -21,8 +22,9 @@ func refWait(s *Signal, p *Proc, c Cond) {
 	}
 }
 
-// refSleepThen is the sequence SleepThen replaces: sleep, act on the
-// proc's own goroutine, park until the action's completion wakes it.
+// refSleepThen is the sequence a copy's startup event replaces: sleep,
+// act on the proc's own goroutine, park until the action's completion
+// wakes it.
 func refSleepThen(p *Proc, d Duration, then func(), why string) {
 	p.Sleep(d)
 	then()
@@ -34,12 +36,11 @@ func refSleepThen(p *Proc, d Duration, then func(), why string) {
 // wait on the node, each with its own condition, so a release often
 // frees procs whose conditions are still false.
 type gatherNode struct {
-	sig    Signal
-	filled []int  // per round: contributions landed
-	done   []bool // per round: leader published
-	log    []uint64
-	fast   int // SleepThen calls that took the in-place fast path
-	heap   int // SleepThen calls that scheduled a wakeup event
+	sig     Signal
+	filled  []int  // per round: contributions landed
+	done    []bool // per round: leader published
+	log     []uint64
+	actions int // startup actions run by their wakeup event
 }
 
 type filledCond struct {
@@ -64,8 +65,7 @@ type exactRun struct {
 	schedule uint64            // fired-key digest (exploring runs only)
 	stats    KernelStats
 	rounds   uint64
-	fast     int // SleepThen calls that took the in-place fast path
-	heap     int // SleepThen calls that scheduled a wakeup event
+	actions  int // startup actions run by their wakeup event
 }
 
 // gatherScenario runs a randomized multi-node gather. On each node a
@@ -75,7 +75,7 @@ type exactRun struct {
 // completion it starts), contributes, and waits for the result. Delays
 // are coarse, so many events and releases share an instant, and about
 // one contribution in eight straggles. refW and refS swap WaitUntil and
-// SleepThen for the code they replace.
+// the startup event for the code they replace.
 func gatherScenario(t *testing.T, shards int, x *Explore, refW, refS bool) exactRun {
 	t.Helper()
 	const (
@@ -96,17 +96,17 @@ func gatherScenario(t *testing.T, shards int, x *Explore, refW, refS bool) exact
 			refSleepThen(p, d, then, why)
 			return
 		}
-		p.SleepThen(d, func() {
-			if p.state == stateRunning {
-				nd.fast++
-			} else {
-				nd.heap++
+		p.k.After(d, func() {
+			if p.state != stateRunning {
+				nd.actions++
 			}
 			if p.k.curLP != p.lp {
-				t.Errorf("SleepThen callback ran as LP %d, want the proc's LP %d", p.k.curLP, p.lp)
+				t.Errorf("startup action ran as LP %d, want the proc's LP %d", p.k.curLP, p.lp)
 			}
 			then()
-		}, why)
+		})
+		p.ArmWake(why)
+		p.Park()
 	}
 
 	ns := make([]*gatherNode, nodes)
@@ -173,8 +173,7 @@ func gatherScenario(t *testing.T, shards int, x *Explore, refW, refS bool) exact
 		for _, v := range nd.log {
 			u64(v)
 		}
-		run.fast += nd.fast
-		run.heap += nd.heap
+		run.actions += nd.actions
 	}
 	for _, at := range finish {
 		u64(uint64(at))
@@ -219,13 +218,10 @@ func TestWaitUntilAndSleepThenMatchReference(t *testing.T) {
 				if got.stats.ContextSwitch >= ref.stats.ContextSwitch {
 					t.Errorf("switches = %d, want fewer than the reference's %d", got.stats.ContextSwitch, ref.stats.ContextSwitch)
 				}
-				if got.heap == 0 {
-					t.Error("no SleepThen took the heap path")
+				if got.actions == 0 {
+					t.Error("no startup action ran from its wakeup event")
 				}
 				if m.x() == nil {
-					if got.fast == 0 {
-						t.Error("no SleepThen took the fast path")
-					}
 					// A canonical schedule is the same at every shard count.
 					if shards == 1 {
 						canon = got.digest
@@ -233,7 +229,7 @@ func TestWaitUntilAndSleepThenMatchReference(t *testing.T) {
 						t.Errorf("digest %x differs from shards=1 %x", got.digest[:8], canon[:8])
 					}
 				}
-				t.Logf("switches %d -> %d; SleepThen fast %d heap %d", ref.stats.ContextSwitch, got.stats.ContextSwitch, got.fast, got.heap)
+				t.Logf("switches %d -> %d; startup actions %d", ref.stats.ContextSwitch, got.stats.ContextSwitch, got.actions)
 			})
 		}
 	}
