@@ -34,7 +34,7 @@ var realEdits = []realEdit{
 			"\tsorted := append([]PhaseStat(nil), out...)\n\tsort.Slice(sorted, func(i, j int) bool { return phaseLess(sorted[i].Phase, sorted[j].Phase) })"},
 	}},
 	{analyzer: "waitcheck", pkg: "internal/mpi", file: "p2p.go", edits: [][2]string{
-		{"\tr.Wait(sq)\n", "\tsq = nil\n\t_ = sq\n"},
+		{"\tr.Wait(r.Isend(c, dst, tag, vec))\n", "\tr.Isend(c, dst, tag, vec)\n"},
 	}},
 	{analyzer: "floateq", pkg: "internal/fabric", file: "flow.go", edits: [][2]string{
 		{"if capacity == l.capacity { //dpml:allow floateq -- no-op guard: any real change re-waterfills\n",

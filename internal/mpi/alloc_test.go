@@ -49,11 +49,12 @@ func warmMallocs(t *testing.T, w *World, setup func(r *Rank) func()) float64 {
 // algorithms' view headers all come from free lists. Each SendRecv step
 // exchanges one message each way between two ranks, and the
 // isend-irecv-wait step does the same with the public calls, whose Wait
-// frees each request. The allreduces run
-// on 6 ranks, so recursive doubling and Rabenseifner fold a
-// non-power-of-two group, and their 64 KB vector sends some messages
-// eager and some rendezvous on cluster B (16 KB threshold). The
-// pipelined allreduce runs Rabenseifner on three interleaved chunks.
+// frees each request. The barrier-3x3 step runs a dissemination barrier
+// on 9 ranks, whose peers wrap around. The allreduces run on 6 ranks,
+// so recursive doubling and Rabenseifner fold a non-power-of-two group,
+// and their 64 KB vector sends some messages eager and some rendezvous
+// on cluster B (16 KB threshold). The pipelined allreduce runs
+// Rabenseifner on three interleaved chunks.
 func TestWarmMessagesDoNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on synchronizing operations")
@@ -65,6 +66,10 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 			peer := 1 - c.RankOf(r)
 			return func() { r.SendRecv(c, peer, 0, out, peer, 0, in) }
 		}
+	}
+	barrier := func(r *Rank) func() {
+		c := r.World().CommWorld()
+		return func() { r.Barrier(c) }
 	}
 	allreduce := func(alg Algorithm) func(r *Rank) func() {
 		return func(r *Rank) func() {
@@ -93,10 +98,8 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 				r.Wait(sq)
 			}
 		}, 0},
-		{"barrier", 2, 4, func(r *Rank) func() {
-			c := r.World().CommWorld()
-			return func() { r.Barrier(c) }
-		}, 0},
+		{"barrier", 2, 4, barrier, 0},
+		{"barrier-3x3", 3, 3, barrier, 0},
 		{"allreduce-" + string(AlgRecursiveDoubling), 3, 2, allreduce(AlgRecursiveDoubling), 0},
 		{"allreduce-" + string(AlgRing), 3, 2, allreduce(AlgRing), 0},
 		{"allreduce-" + string(AlgRabenseifner), 3, 2, allreduce(AlgRabenseifner), 0},

@@ -173,8 +173,9 @@ const (
 // view re-points the rank's view header i at elements [lo, hi) of v
 // (see Vector.SliceInto).
 func (r *Rank) view(i int, v *Vector, lo, hi int) *Vector {
-	r.views[i] = v.SliceInto(r.views[i], lo, hi)
-	return r.views[i]
+	x := r.exchange()
+	x.views[i] = v.SliceInto(x.views[i], lo, hi)
+	return x.views[i]
 }
 
 // blocks re-points view header i at blocks [lo, hi) of v's p-way
@@ -315,17 +316,18 @@ func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base, k int) {
 			ch.recv = r.Irecv(c, dst, tag, ch.recvView)
 			ch.send = r.Isend(c, dst, tag, ch.sendView)
 		}
-		r.chunks = slices.Grow(r.chunks[:0], k)[:k]
-		for ci := range r.chunks {
-			ch := &r.chunks[ci]
+		x := r.exchange()
+		x.chunks = slices.Grow(x.chunks[:0], k)[:k]
+		for ci := range x.chunks {
+			ch := &x.chunks[ci]
 			lo, hi := Block(vec.Len(), k, ci)
 			ch.off, ch.n, ch.lo, ch.hi, ch.round = lo, hi-lo, 0, pof2, 0
 			post(ch, ci)
 		}
 		for live := k; live > 0; {
 			moved := false
-			for ci := range r.chunks {
-				ch := &r.chunks[ci]
+			for ci := range x.chunks {
+				ch := &x.chunks[ci]
 				if ch.send == nil || !ch.send.done || !ch.recv.done {
 					continue
 				}
@@ -344,7 +346,7 @@ func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base, k int) {
 				}
 			}
 			if live > 0 && !moved {
-				r.anyDone.WaitUntil(r.proc, (*rabWait)(r))
+				x.anyDone.WaitUntil(r.proc, (*rabWait)(x))
 			}
 		}
 	}
@@ -353,7 +355,7 @@ func (r *Rank) allreduceRab(c *Comm, op *Op, vec *Vector, base, k int) {
 
 // rabWait is allreduceRab's wait condition: some chunk's exchange is
 // done.
-type rabWait Rank
+type rabWait exchange
 
 func (w *rabWait) Ready() bool {
 	for i := range w.chunks {

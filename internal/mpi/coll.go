@@ -4,19 +4,26 @@ import "fmt"
 
 // Barrier synchronizes the communicator with the dissemination algorithm:
 // ceil(lg p) rounds of zero-byte exchanges at power-of-two distances.
+// Its rounds run as the rank's exchange step machine (see SendRecv), so
+// the rank parks once for the whole barrier.
 func (r *Rank) Barrier(c *Comm) {
 	me := c.mustRank(r)
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	base := c.CollTagBase(r)
-	token := r.w.empty
-	for round, dist := 0, 1; dist < p; round, dist = round+1, dist*2 {
-		to := (me + dist) % p
-		from := (me - dist + p) % p
-		r.SendRecv(c, to, base+round, token, from, base+round, token)
-	}
+	x := r.exchange()
+	x.c, x.sendVec, x.recvVec = c, r.w.empty, r.w.empty
+	x.me, x.p, x.dist = me, p, 1
+	x.round(c.CollTagBase(r))
+	x.runSteps()
+}
+
+// round sets up the Barrier round at distance x.dist: send to the rank
+// dist ahead, receive from the rank dist behind, both on tag.
+func (x *exchange) round(tag int) {
+	x.dst, x.src = (x.me+x.dist)%x.p, (x.me-x.dist+x.p)%x.p
+	x.sendTag, x.recvTag = tag, tag
 }
 
 // Bcast broadcasts root's vec to every rank using a binomial tree. On

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,36 +206,55 @@ func TestInvalidPlanPanics(t *testing.T) {
 
 // TestWatchdogNamesStuckRanks: two ranks posting receives that can never
 // match, plus a third rank that keeps virtual time ticking so the
-// kernel's global deadlock detection can never fire. The watchdog must
-// convert the wedge into a diagnostic error naming the actual stuck
-// ranks and their pending requests.
+// kernel's global deadlock detection can never fire. Rank 3 parks
+// inside a Barrier step whose peer, rank 4, never arrives, and rank 5
+// inside a rendezvous SendRecv step whose send rank 6 never receives.
+// The watchdog must convert the wedge into a diagnostic error naming
+// the actual stuck ranks, the wait each step armed, and their pending
+// requests, at one shard and at two.
 func TestWatchdogNamesStuckRanks(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 3, 1, Config{Watchdog: sim.Millisecond})
-	err := w.Run(func(r *Rank) error {
-		c := w.CommWorld()
-		switch r.Rank() {
-		case 0:
-			r.Recv(c, 1, 9, NewVector(Float64, 4)) // rank 1 never sends
-		case 1:
-			r.Recv(c, 0, 9, NewVector(Float64, 4)) // rank 0 never sends
-		default:
-			for { // live events forever: no global deadlock
-				r.Proc().Sleep(sim.Microsecond)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			w := smallWorld(t, topology.ClusterB(), 7, 1, Config{Watchdog: sim.Millisecond, Shards: shards})
+			pair := w.NewComm([]int{3, 4})
+			big := func() *Vector { return NewPhantom(Int32, 1<<18) } // 1 MB: rendezvous
+			err := w.Run(func(r *Rank) error {
+				c := w.CommWorld()
+				switch r.Rank() {
+				case 0:
+					r.Recv(c, 1, 9, NewVector(Float64, 4)) // rank 1 never sends
+				case 1:
+					r.Recv(c, 0, 9, NewVector(Float64, 4)) // rank 0 never sends
+				case 2:
+					for { // live events forever: no global deadlock
+						r.Proc().Sleep(sim.Microsecond)
+					}
+				case 3:
+					r.Barrier(pair) // rank 4 never enters it
+				case 5:
+					r.SendRecv(c, 6, 7, big(), 6, 7, big())
+				case 6:
+					r.Send(c, 5, 7, big()) // and never receives rank 5's
+				}
+				return nil
+			})
+			var wd *sim.WatchdogError
+			if !errors.As(err, &wd) {
+				t.Fatalf("got %v, want WatchdogError", err)
 			}
-		}
-		return nil
-	})
-	var wd *sim.WatchdogError
-	if !errors.As(err, &wd) {
-		t.Fatalf("got %v, want WatchdogError", err)
-	}
-	msg := err.Error()
-	for _, want := range []string{"rank0", "rank1", "posted recvs", "pending requests"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("watchdog report missing %q:\n%s", want, msg)
-		}
-	}
-	if wd.Deadline != sim.Time(sim.Millisecond) {
-		t.Fatalf("deadline %v, want 1ms", wd.Deadline)
+			msg := err.Error()
+			for _, want := range []string{
+				"rank0", "rank1", "posted recvs", "pending requests",
+				fmt.Sprintf("rank3: wait recv {comm:%d src:4 tag:", pair.id),
+				"rank5: wait send {comm:0 src:5 tag:7}",
+			} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("watchdog report missing %q:\n%s", want, msg)
+				}
+			}
+			if wd.Deadline != sim.Time(sim.Millisecond) {
+				t.Fatalf("deadline %v, want 1ms", wd.Deadline)
+			}
+		})
 	}
 }

@@ -44,52 +44,83 @@ type envelope struct {
 // delivery for rendezvous messages. Either way the receiver copies from
 // the envelope's transit clone, never from vec (see carry). Intra-node
 // sends perform the shared-memory copy synchronously (the sending core
-// does the memcpy).
+// does the memcpy). Isend is its arm form, armIsend, then one Park and
+// one finishIsend per wait the send arms.
 func (r *Rank) Isend(c *Comm, dst, tag int, vec *Vector) *Request {
+	q := r.armIsend(c, dst, tag, vec)
+	for {
+		r.proc.Park()
+		if r.finishIsend(q) {
+			return q
+		}
+	}
+}
+
+// armIsend is Isend's arm form: it draws the send's request and
+// envelope and arms the rank's proc on the send's first wait, the
+// sender's shared-memory copy for an intra-node message and the sender
+// overhead otherwise. Once the proc runs again, the caller calls
+// finishIsend with the request until it reports true.
+func (r *Rank) armIsend(c *Comm, dst, tag int, vec *Vector) *Request {
 	r.checkP2P(c, dst, tag, vec)
-	dstGlobal := c.Global(dst)
+	dstRank := r.w.ranks[c.Global(dst)]
 	key := msgKey{comm: c.id, src: r.rank, tag: tag}
 	req := r.newRequest("send", key, vec)
-	req.peer = dstGlobal
-	dstRank := r.w.ranks[dstGlobal]
-	prof := r.w.Job.Cluster.Net
-	env := r.newEnvelope(key, dstRank)
-
+	req.peer = dstRank.rank
+	r.x.env = r.newEnvelope(key, dstRank)
 	if r.place.Node == dstRank.place.Node {
 		// Intra-node: one shared-memory copy by the sender, then the
 		// message is visible to the receiver.
-		cross := r.place.Socket != dstRank.place.Socket
-		r.MemCopy(cross, vec.Bytes())
-		env.carry(vec)
-		dstRank.deliver(env)
-		req.complete()
+		r.ArmMemCopy(r.place.Socket != dstRank.place.Socket, vec.Bytes())
 		return req
 	}
+	// Eager and rendezvous both pay the sender's CPU overhead first.
+	r.proc.ArmSleep(r.w.stretch(r, r.w.Job.Cluster.Net.SenderOverhead))
+	return req
+}
 
-	if vec.Bytes() <= r.w.EagerThreshold() {
-		// Eager: pay CPU overhead and the NIC injection slot, launch the
-		// wire transfer, and consider the buffer reusable at once.
-		r.proc.Sleep(r.w.stretch(r, prof.SenderOverhead))
-		if d := r.ep.InjectDelay(); d > 0 {
-			r.proc.Sleep(d)
+// finishIsend runs the rest of the send armIsend started as q, once the
+// wait it armed has ended. It reports false when it has armed another
+// wait, the eager path's NIC injection slot, after which it runs again.
+func (r *Rank) finishIsend(q *Request) bool {
+	x := r.x
+	env, vec := x.env, q.vec
+	dst := env.dst
+	prof := r.w.Job.Cluster.Net
+	switch {
+	case r.place.Node == dst.place.Node:
+		r.EndWork()
+		env.carry(vec)
+		dst.deliver(env)
+		q.complete()
+	case vec.Bytes() <= r.w.EagerThreshold():
+		// Eager: wait for the NIC injection slot, launch the wire
+		// transfer, and consider the buffer reusable at once.
+		if !x.injecting {
+			if d := r.ep.InjectDelay(); d > 0 {
+				x.injecting = true
+				r.proc.ArmSleep(d)
+				return false
+			}
 		}
+		x.injecting = false
 		env.carry(vec)
 		env.recvOverhead = prof.ReceiverOverhead + r.jitter()
-		r.w.Net.StartTransfer(r.ep, dstRank.ep, int64(vec.Bytes()), env.deliver)
-		req.complete()
-		return req
+		r.w.Net.StartTransfer(r.ep, dst.ep, int64(vec.Bytes()), env.deliver)
+		q.complete()
+	default:
+		// Rendezvous: an RTS control message travels to the receiver;
+		// the payload moves only after the receiver matches and returns
+		// a CTS.
+		env.rendezvous, env.sendReq = true, q
+		env.carry(vec)
+		env.recvOverhead = prof.ReceiverOverhead + r.jitter()
+		// The RTS fires in the receiver's node context one wire latency
+		// out (the lookahead bound makes this legal under any sharding).
+		r.k.AfterOn(dst.place.Node, prof.WireLatency, env.deliver)
 	}
-
-	// Rendezvous: an RTS control message travels to the receiver; the
-	// payload moves only after the receiver matches and returns a CTS.
-	r.proc.Sleep(r.w.stretch(r, prof.SenderOverhead))
-	env.rendezvous, env.sendReq = true, req
-	env.carry(vec)
-	env.recvOverhead = prof.ReceiverOverhead + r.jitter()
-	// The RTS fires in the receiver's node context one wire latency out
-	// (the lookahead bound makes this legal under any sharding).
-	r.k.AfterOn(dstRank.place.Node, prof.WireLatency, env.deliver)
-	return req
+	x.env = nil
+	return true
 }
 
 // carry sets the envelope's payload to vec's elements. A real payload
@@ -135,12 +166,103 @@ func (r *Rank) Recv(c *Comm, src, tag int, vec *Vector) {
 }
 
 // SendRecv posts the receive, runs the send, and waits for both — the
-// deadlock-free exchange used by pairwise algorithms.
+// deadlock-free exchange used by pairwise algorithms. It runs as the
+// rank's exchange step machine, so the rank parks once for the whole
+// exchange.
 func (r *Rank) SendRecv(c *Comm, dst, sendTag int, sendVec *Vector, src, recvTag int, recvVec *Vector) {
-	rq := r.Irecv(c, src, recvTag, recvVec)
-	sq := r.Isend(c, dst, sendTag, sendVec)
-	r.Wait(rq)
-	r.Wait(sq)
+	x := r.exchange()
+	x.c, x.dst, x.sendTag, x.sendVec = c, dst, sendTag, sendVec
+	x.src, x.recvTag, x.recvVec = src, recvTag, recvVec
+	x.p, x.dist = 0, 1
+	x.runSteps()
+}
+
+// exchange is a rank's point-to-point state: its free requests and the
+// signal they fire, the flat algorithms' view headers and chunks, and
+// its step machine (sim.Proc.RunSteps). SendRecv runs one exchange through the
+// machine, and Barrier its rounds of them, while the rank stays parked
+// and the kernel runs each send's waits and each Wait in its place. A
+// rank builds its exchange with its first request and keeps it, so a
+// rank that never sends or receives does not pay for one, and an
+// exchange allocates nothing.
+//
+//dpml:owner node
+type exchange struct {
+	r       *Rank
+	anyDone sim.Signal  // fired whenever one of the rank's requests completes
+	reqs    []*Request  // free requests (see pool.go)
+	views   [3]*Vector  // the ring's reusable view headers (see view)
+	chunks  []rabChunk  // allreduceRab's chunks, kept for their view headers
+	run     func() bool // x.step, built once
+
+	// The send between armIsend and finishIsend.
+	env       *envelope
+	injecting bool // eager: the NIC injection wait is armed
+
+	// The exchange in progress, and pc where it resumes.
+	pc           uint8
+	c            *Comm
+	dst, sendTag int
+	sendVec      *Vector
+	src, recvTag int
+	recvVec      *Vector
+	rq, sq       *Request
+	me, p, dist  int // Barrier's rounds: the exchange at distance dist; p = 0 for SendRecv
+}
+
+// exchange returns the rank's exchange, building it on first use.
+func (r *Rank) exchange() *exchange {
+	if r.x == nil {
+		r.x = &exchange{r: r}
+		r.x.run = r.x.step
+	}
+	return r.x
+}
+
+// runSteps runs the exchange set up in x's fields as the rank's step
+// machine and returns when it is done.
+func (x *exchange) runSteps() {
+	x.pc = 0
+	x.r.proc.RunSteps(x.run)
+	x.c, x.sendVec, x.recvVec, x.rq, x.sq = nil, nil, nil, nil, nil
+}
+
+// step runs the exchange in progress up to its next wait: post the
+// receive, arm and finish the send, then wait for the receive and the
+// send in turn, as SendRecv's Irecv, Isend and two Waits do; a Barrier
+// then moves on to its next round at the same instant.
+func (x *exchange) step() bool {
+	r := x.r
+	for {
+		switch x.pc {
+		case 0:
+			x.rq = r.Irecv(x.c, x.src, x.recvTag, x.recvVec)
+			x.sq = r.armIsend(x.c, x.dst, x.sendTag, x.sendVec)
+			x.pc = 1
+			return false
+		case 1:
+			if !r.finishIsend(x.sq) {
+				return false
+			}
+			x.pc = 2
+			if !r.armWait(x.rq) {
+				return false
+			}
+			fallthrough
+		case 2:
+			r.releaseRequest(x.rq)
+			x.pc = 3
+			if !r.armWait(x.sq) {
+				return false
+			}
+		}
+		r.releaseRequest(x.sq)
+		if x.dist *= 2; x.dist >= x.p {
+			return true
+		}
+		x.round(x.sendTag + 1)
+		x.pc = 0
+	}
 }
 
 // deliver hands an arriving envelope (eager payload or rendezvous RTS) to

@@ -159,7 +159,7 @@ func (r *Rank) releaseEnvelope(env *envelope) {
 // newRequest draws a request from the rank's free list, or builds one
 // with its completion callback.
 func (r *Rank) newRequest(kind string, key msgKey, vec *Vector) *Request {
-	q, ok := take(&r.reqs)
+	q, ok := take(&r.exchange().reqs)
 	if !ok {
 		q = &Request{}
 		q.completion = q.complete
@@ -174,7 +174,7 @@ func (r *Rank) newRequest(kind string, key msgKey, vec *Vector) *Request {
 // faults.
 func (r *Rank) releaseRequest(q *Request) {
 	q.vec, q.owner = nil, nil
-	r.reqs = append(r.reqs, q)
+	r.x.reqs = append(r.x.reqs, q)
 }
 
 // fifo is one rank's matching queues of one kind, posted receives or

@@ -46,12 +46,23 @@ func (q *Request) complete() {
 			Start: q.start, End: q.owner.k.Now(), Bytes: q.vec.Bytes(),
 		})
 	}
-	q.owner.anyDone.FireAll()
+	q.owner.x.anyDone.FireAll()
 }
 
 // Wait blocks the owning rank until the request completes, then frees
-// it. Waiting on a freed request panics.
+// it. Waiting on a freed request panics. Wait is its arm form, armWait,
+// plus Park.
 func (r *Rank) Wait(q *Request) {
+	if !r.armWait(q) {
+		r.proc.Park()
+	}
+	r.releaseRequest(q)
+}
+
+// armWait is Wait's arm form: it reports true when q is already done
+// and otherwise arms the rank's proc to park until it is. Either way
+// the caller frees q with releaseRequest once it is done.
+func (r *Rank) armWait(q *Request) bool {
 	switch q.owner {
 	case r:
 	case nil:
@@ -59,12 +70,11 @@ func (r *Rank) Wait(q *Request) {
 	default:
 		panic("mpi: Wait on another rank's request")
 	}
-	r.anyDone.WaitUntil(r.proc, (*waitReason)(q))
-	r.releaseRequest(q)
+	return r.x.anyDone.ArmWaitUntil(r.proc, (*waitReason)(q))
 }
 
-// waitReason is a blocking Wait's condition. The scheduler checks Ready
-// on every wakeup; String is formatted only when a report is built.
+// waitReason is Wait's condition. The scheduler checks Ready on every
+// wakeup; String is formatted only when a report is built.
 type waitReason Request
 
 func (w *waitReason) Ready() bool { return w.done }

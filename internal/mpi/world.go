@@ -280,10 +280,7 @@ type Rank struct {
 	// simulation context).
 	unexpected fifo[*envelope]
 	posted     fifo[*Request]
-	anyDone    sim.Signal   // fired whenever one of this rank's requests completes
-	reqs       []*Request   // free requests (see pool.go)
-	views      [3]*Vector   // the ring's reusable view headers (see view)
-	chunks     []rabChunk   // allreduceRab's chunks, kept for their view headers
+	x          *exchange    // requests and the step machine, built with the first request (see exchange)
 	work       *trace.Event // the Compute or MemCopy armed last, kept only when tracing (see EndWork)
 }
 
