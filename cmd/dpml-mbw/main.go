@@ -46,6 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "dpml-mbw: bad -j %d\n", *jobs)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "dpml-mbw:", err)
 		return 1
@@ -54,6 +58,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cl := topology.ByName(*clusterName)
 	if cl == nil {
 		return fail(fmt.Errorf("unknown cluster %q", *clusterName))
+	}
+	// Every pair count is its own job; check what they share once here,
+	// so a bad value is one error line, not one per job.
+	if err := bench.CheckMBW(*window, *iters); err != nil {
+		return fail(err)
 	}
 	parse := func(s string) ([]int, error) {
 		var out []int

@@ -60,6 +60,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "dpml-osu:", err)
 		return 1
 	}
+	if *jobs < 0 {
+		fmt.Fprintf(stderr, "dpml-osu: bad -j %d\n", *jobs)
+		return 2
+	}
+	if *watchdog < 0 {
+		fmt.Fprintf(stderr, "dpml-osu: bad -watchdog %v\n", *watchdog)
+		return 2
+	}
 
 	stopProf, err := bench.StartProfiles(*cpuProf, *memProf)
 	if err != nil {

@@ -20,11 +20,27 @@ type MBWConfig struct {
 	Iters  int
 }
 
+// CheckMBW rejects a window or iteration count that is not positive. A
+// command that fans pair counts out across jobs checks them first, so a
+// bad value is one error, not one per job.
+func CheckMBW(window, iters int) error {
+	if window <= 0 {
+		return fmt.Errorf("bench: mbw window %d is not positive", window)
+	}
+	if iters <= 0 {
+		return fmt.Errorf("bench: mbw iters %d is not positive", iters)
+	}
+	return nil
+}
+
 // MultiPairThroughput returns aggregate throughput in bytes/sec for each
 // message size, measured in one simulated job built with world.
 func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, sizes []int) ([]float64, error) {
-	if cfg.Pairs <= 0 || cfg.Window <= 0 || cfg.Iters <= 0 {
-		return nil, fmt.Errorf("bench: bad mbw config %+v", cfg)
+	if cfg.Pairs <= 0 {
+		return nil, fmt.Errorf("bench: bad mbw pair count %d", cfg.Pairs)
+	}
+	if err := CheckMBW(cfg.Window, cfg.Iters); err != nil {
+		return nil, err
 	}
 	if err := CheckSizes(sizes); err != nil {
 		return nil, err
@@ -100,6 +116,9 @@ func MultiPairThroughput(world mpi.Config, cl *topology.Cluster, cfg MBWConfig, 
 // shards; the division happens after the fan-in, so results match the
 // serial run exactly.
 func RelativeThroughput(id, title string, cl *topology.Cluster, intra bool, pairCounts []int, sizes []int, window, iters, jobs int) (*Table, error) {
+	if err := CheckMBW(window, iters); err != nil {
+		return nil, err
+	}
 	if err := CheckSizes(sizes); err != nil {
 		return nil, err
 	}

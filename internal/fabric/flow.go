@@ -169,6 +169,9 @@ type FlowNet struct {
 	gen    uint64      // water-filling generation stamp
 	uf     []int32     // scratch: union-find over provisional component ids
 	comps  []component // scratch: per-component flow/link buckets, reused
+	// events holds the flows' completion events, so a water-fill's
+	// re-keys touch this set's heap and not the kernel's.
+	events *sim.EventSet
 	// Stats counts scheduler work for tests and reports.
 	Stats struct {
 		Started   uint64
@@ -182,7 +185,7 @@ type FlowNet struct {
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
 func NewFlowNet(k *sim.Kernel) *FlowNet {
-	n := &FlowNet{k: k}
+	n := &FlowNet{k: k, events: k.NewEventSet()}
 	n.refill = func() {
 		n.dirty = false
 		n.recompute()
@@ -356,10 +359,11 @@ func (n *FlowNet) compact() {
 }
 
 // reschedule refreshes completion events after a water-fill. A flow's
-// event is pending from the first fill after Start until complete nils
-// it, so re-fitting is an in-place Kernel.Reschedule — no cancelled
-// tombstones pile up in the event heap — and scheduling reuses the flow
-// object's completion closure.
+// event is pending in n.events from the first fill after Start until
+// complete nils it, so re-fitting is an in-place EventSet.Reschedule —
+// no cancelled tombstones pile up, and a fill's re-keys touch the set's
+// heap, not the kernel's, which re-keys the set's one slot once — and
+// scheduling reuses the flow object's completion closure.
 func (n *FlowNet) reschedule(now sim.Time) {
 	for _, f := range n.active {
 		// An unchanged rate means the previously scheduled completion
@@ -373,11 +377,11 @@ func (n *FlowNet) reschedule(now sim.Time) {
 		at := now.Add(d)
 		if f.event != nil {
 			if f.event.When() != at {
-				n.k.Reschedule(f.event, at)
+				n.events.Reschedule(f.event, at)
 			}
 			continue
 		}
-		f.event = n.k.At(at, f.fire)
+		f.event = n.events.At(at, f.fire)
 	}
 }
 

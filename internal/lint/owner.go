@@ -687,10 +687,11 @@ func lpCheckedPkg(path, fixture string) bool {
 	return strings.Contains(path, "testdata/src/"+fixture)
 }
 
-// kernelClass resolves which LP class owns the kernel an expression
-// evaluates to: NetKernel() is the net kernel, KernelFor(...) and
-// (*sim.Proc).Kernel() are node kernels, a Kernel method on an
-// annotated struct follows the struct, an annotated field follows the
+// kernelClass resolves which LP class owns the kernel, or event set,
+// an expression evaluates to: NetKernel() is the net kernel,
+// KernelFor(...) and (*sim.Proc).Kernel() are node kernels, a Kernel
+// method on an annotated struct follows the struct, a set made by
+// Kernel.NewEventSet follows its kernel, an annotated field follows the
 // field, and a local variable follows its single defining assignment.
 // "" means unknown (and is never reported on).
 func (o *ownership) kernelClass(pkg *Package, e ast.Expr, depth int) string {
@@ -710,6 +711,11 @@ func (o *ownership) kernelClass(pkg *Package, e ast.Expr, depth int) string {
 			return classNet
 		case "KernelFor":
 			return classNode
+		case "NewEventSet":
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if recv := recvOf(fn); ok && recv != nil && isSimType(baseTypeName(recv.Type()), "Kernel") {
+				return o.kernelClass(pkg, sel.X, depth-1)
+			}
 		case "Kernel":
 			recv := recvOf(fn)
 			if recv == nil {

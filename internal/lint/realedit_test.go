@@ -23,7 +23,7 @@ type realEdit struct {
 var realEdits = []realEdit{
 	{analyzer: "walltime", pkg: "internal/sim", file: "kernel.go", edits: [][2]string{
 		{"\t\"strings\"\n)", "\t\"strings\"\n\t\"time\"\n)"},
-		{"\treturn k.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\t_ = time.Now()\n\treturn k.push(t, k.nextPrio(k.curLP), k.curLP, fn)"},
+		{"\tk.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\t_ = time.Now()\n\tk.push(t, k.nextPrio(k.curLP), k.curLP, fn)"},
 	}},
 	{analyzer: "globalrand", pkg: "internal/faults", file: "faults.go", edits: [][2]string{
 		{"\t\"math\"\n", "\t\"math\"\n\t\"math/rand\"\n"},
@@ -41,7 +41,7 @@ var realEdits = []realEdit{
 			"if capacity == l.capacity {\n"},
 	}},
 	{analyzer: "prio", pkg: "internal/sim", file: "kernel.go", edits: [][2]string{
-		{"\treturn k.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\treturn k.push(t, k.nextPrio(k.curLP)^1, k.curLP, fn)"},
+		{"\tk.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\tk.push(t, k.nextPrio(k.curLP)^1, k.curLP, fn)"},
 	}},
 	{analyzer: "sendpath", pkg: "internal/fabric", file: "network.go", edits: [][2]string{
 		{"n.k.AfterOn(t.dst.node, wire, t.arrive)", "t.dst.k.After(wire, t.arrive)"},

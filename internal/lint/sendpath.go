@@ -7,19 +7,21 @@ import (
 
 // SendpathAnalyzer enforces the outbox discipline for cross-shard
 // communication: code running under one LP class may not schedule
-// events (Kernel.At/After/Reschedule) on a kernel owned by a different
-// class, nor wake (Signal.Fire/FireAll) a signal owned by a different
-// class. Crossing the shard boundary must go through the coordinator
-// outboxes — AfterOn/AfterNet — which stamp the event with a
-// lookahead-respecting timestamp and route it via the per-window
-// exchange; direct pushes bypass the null-message protocol and are
-// exactly the class of bug that breaks bit-identical replay at other
-// shard counts. Kernel and signal ownership comes
-// from the //dpml:owner model (owner.go); receivers the model cannot
+// events on a kernel (Kernel.At/After) or an event set
+// (EventSet.At/Reschedule, the flow scheduler's completion events)
+// owned by a different class, nor wake (Signal.Fire/FireAll) a signal
+// owned by a different class. Crossing the shard boundary must go
+// through the coordinator outboxes — AfterOn/AfterNet — which stamp the
+// event with a lookahead-respecting timestamp and route it via the
+// per-window exchange; direct pushes bypass the null-message protocol
+// and are exactly the class of bug that breaks bit-identical replay at
+// other shard counts. Kernel, event-set and signal ownership comes from
+// the //dpml:owner model (owner.go), where a set made by
+// Kernel.NewEventSet has its kernel's class; receivers the model cannot
 // resolve are left to the kernel's runtime cross-LP assertions.
 var SendpathAnalyzer = &Analyzer{
 	Name:      "sendpath",
-	Doc:       "cross-LP communication goes through AfterOn/AfterNet outboxes, never direct scheduling or wakes on another class's kernel",
+	Doc:       "cross-LP communication goes through AfterOn/AfterNet outboxes, never direct scheduling or wakes on another class's kernel, event set or signal",
 	RunModule: runSendpath,
 }
 
@@ -54,17 +56,22 @@ func runSendpath(p *ModulePass) {
 				return true
 			}
 			switch {
-			case isSimType(tn, "Kernel") && (fn.Name() == "At" || fn.Name() == "After" || fn.Name() == "Reschedule"):
+			case isSimType(tn, "Kernel") && (fn.Name() == "At" || fn.Name() == "After"),
+				isSimType(tn, "EventSet") && (fn.Name() == "At" || fn.Name() == "Reschedule"):
 				kc := o.kernelClass(uu.pkg, sel.X, 8)
 				if kc != classNode && kc != classNet {
 					return true
+				}
+				what := "kernel"
+				if tn.Name() == "EventSet" {
+					what = "event set"
 				}
 				for _, c := range classes {
 					if c == kc {
 						continue
 					}
-					p.Reportf(call.Pos(), "Kernel.%s schedules directly on a %s-LP kernel from a %s-LP context: %s; route cross-LP events through AfterOn/AfterNet so the coordinator outbox carries them",
-						fn.Name(), kc, c, o.chain(uu, c))
+					p.Reportf(call.Pos(), "%s.%s schedules directly on a %s-LP %s from a %s-LP context: %s; route cross-LP events through AfterOn/AfterNet so the coordinator outbox carries them",
+						tn.Name(), fn.Name(), kc, what, c, o.chain(uu, c))
 				}
 			case isSimType(tn, "Signal") && (fn.Name() == "Fire" || fn.Name() == "FireAll"):
 				fsel, okF := ast.Unparen(sel.X).(*ast.SelectorExpr)

@@ -1,8 +1,8 @@
 // Package sendpath exercises the outbox-discipline analyzer: code in
 // one LP class may not schedule directly on another class's kernel
-// (Kernel.At/After/Reschedule) or wake another class's signal
-// (Signal.Fire/FireAll); crossing the shard boundary must go through
-// the AfterOn/AfterNet outboxes.
+// (Kernel.At/After) or event set (EventSet.At/Reschedule) or wake
+// another class's signal (Signal.Fire/FireAll); crossing the shard
+// boundary must go through the AfterOn/AfterNet outboxes.
 package sendpath
 
 import "dpml/internal/sim"
@@ -13,6 +13,7 @@ import "dpml/internal/sim"
 type netSide struct {
 	k    *sim.Kernel
 	done sim.Signal
+	set  *sim.EventSet
 }
 
 // nodeSide is node-LP state.
@@ -21,6 +22,7 @@ type netSide struct {
 type nodeSide struct {
 	k     *sim.Kernel
 	ready sim.Signal
+	set   *sim.EventSet
 }
 
 // A proc body scheduling directly on the net kernel bypasses the
@@ -33,8 +35,19 @@ func badAt(p *sim.Proc, ns *netSide) {
 	ns.k.At(0, func() {}) // want `Kernel\.At schedules directly on a net-LP kernel from a node-LP context`
 }
 
-func badReschedule(p *sim.Proc, ns *netSide, e *sim.Event) {
-	ns.k.Reschedule(e, 10) // want `Kernel\.Reschedule schedules directly on a net-LP kernel`
+// An event set is scheduling too: a set in a net-owned field, or one
+// a net kernel made, is the net LP's.
+func badSetAt(p *sim.Proc, ns *netSide) {
+	ns.set.At(0, func() {}) // want `EventSet\.At schedules directly on a net-LP event set from a node-LP context`
+}
+
+func badSetReschedule(p *sim.Proc, ns *netSide, e *sim.Event) {
+	ns.set.Reschedule(e, 10) // want `EventSet\.Reschedule schedules directly on a net-LP event set`
+}
+
+func badNewSet(p *sim.Proc, c *sim.Coordinator) {
+	s := c.NetKernel().NewEventSet()
+	s.At(1, func() {}) // want `EventSet\.At schedules directly on a net-LP event set`
 }
 
 // The class is traced through locals and through NetKernel().
@@ -55,6 +68,12 @@ func badNetToNode(ns *netSide, nb *nodeSide) {
 	})
 }
 
+func badNetToNodeSet(ns *netSide, nb *nodeSide, e *sim.Event) {
+	ns.k.AfterNet(0, func() {
+		nb.set.Reschedule(e, 4) // want `EventSet\.Reschedule schedules directly on a node-LP event set from a net-LP context`
+	})
+}
+
 func badWakeDeep(ns *netSide, nb *nodeSide) {
 	ns.k.AfterNet(0, func() { wakeNode(nb) })
 }
@@ -65,9 +84,15 @@ func wakeNode(nb *nodeSide) {
 
 // Legal patterns: same-class scheduling and wakes, and the outbox
 // routing itself.
-func okOwnKernel(p *sim.Proc, nb *nodeSide) {
+func okOwnKernel(p *sim.Proc, nb *nodeSide, e *sim.Event) {
 	nb.k.After(3, func() {})
+	nb.set.At(3, func() {})
+	nb.set.Reschedule(e, 5)
 	nb.ready.FireAll()
+}
+
+func okNetSet(ns *netSide, e *sim.Event) {
+	ns.k.AfterNet(0, func() { ns.set.Reschedule(e, 7) })
 }
 
 func okOutbox(p *sim.Proc, ns *netSide) {

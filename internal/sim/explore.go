@@ -239,7 +239,7 @@ func (c *Coordinator) SetExplore(x *Explore) {
 	}
 	st := x.compile()
 	for _, k := range c.kernels {
-		if len(k.procs) > 0 || k.events.len() > 0 {
+		if len(k.procs) > 0 || k.pending > 0 {
 			panic("sim: SetExplore after procs or events were created")
 		}
 		k.setExplore(st)

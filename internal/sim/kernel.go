@@ -36,6 +36,18 @@
 // procs. When nothing is ready and no event is due below the horizon,
 // the window is over.
 //
+// # Event sets
+//
+// Events an owner re-keys in bulk — the flow scheduler's completion
+// events, re-fitted after every water-fill — go in an EventSet rather
+// than in the kernel's heap: the set keeps them in a heap of its own
+// with one slot in the kernel's, keyed as its earliest event. A re-key
+// (EventSet.Reschedule) touches only the set's heap and marks the set
+// dirty; before the kernel next pops or peeks its heap it restores every
+// dirty set once and re-keys its slot. Keys stay unique and are minted
+// as Kernel.At mints them, so the kernel pops exactly the events, in
+// exactly the order, it would if every event sat in its own heap.
+//
 // # Logical processes and the run loop
 //
 // Every proc and event belongs to a logical process (LP): one per node
@@ -180,9 +192,10 @@ type KernelStats struct {
 	// nothing to do yet (WaitUntil) or whose step the scheduler runs in
 	// its place (RunSteps) costs none and is not counted.
 	ContextSwitch uint64
-	// HeapHighWater is the largest number of events pending at once —
-	// the scheduler's memory footprint peak. A host-side counter only;
-	// tracking it cannot affect virtual time.
+	// HeapHighWater is the largest number of events pending at once,
+	// in the kernel's heap or in an event set — the scheduler's memory
+	// footprint peak. A host-side counter only; tracking it cannot
+	// affect virtual time.
 	HeapHighWater uint64
 }
 
@@ -212,6 +225,10 @@ type Kernel struct {
 	now    Time
 	events eventHeap
 	epool  []*Event // dead events recycled by At (see Event doc)
+	// pending counts scheduled events, in the heap or in a set; dirty
+	// lists the sets re-keyed since the heap was last popped or peeked.
+	pending int
+	dirty   []*EventSet
 
 	// LP bookkeeping. The kernel owns the contiguous LP range
 	// [lpBase, lpBase+lpCount); curLP tracks which LP's code is
@@ -302,11 +319,12 @@ func (k *Kernel) permKey(at Time, raw uint64, exec int32) uint64 {
 	return k.explore.perm(at, raw)
 }
 
-// push allocates (or recycles) an event and inserts it into the heap.
-// prio is the raw (origin, counter) key minted by nextPrio; under an
-// exploration config the heap key is its perturbed image while raw is
-// kept on the event for digesting (see explore.go).
-func (k *Kernel) push(at Time, prio uint64, exec int32, fn func()) *Event {
+// newEvent allocates (or recycles) a pending event. prio is the raw
+// (origin, counter) key minted by nextPrio; under an exploration config
+// the heap key is its perturbed image while raw is kept on the event
+// for digesting (see explore.go). The caller puts the event in the
+// kernel's heap (push) or in a set (EventSet.At).
+func (k *Kernel) newEvent(at Time, prio uint64, exec int32, fn func()) *Event {
 	key := k.permKey(at, prio, exec)
 	var born uint64
 	if k.explore != nil {
@@ -321,11 +339,16 @@ func (k *Kernel) push(at Time, prio uint64, exec int32, fn func()) *Event {
 	} else {
 		e = &Event{at: at, prio: key, raw: prio, born: born, exec: exec, fn: fn}
 	}
-	k.events.push(e)
-	if n := uint64(k.events.len()); n > k.Stats.HeapHighWater {
+	k.pending++
+	if n := uint64(k.pending); n > k.Stats.HeapHighWater {
 		k.Stats.HeapHighWater = n
 	}
 	return e
+}
+
+// push schedules a new event in the kernel's heap.
+func (k *Kernel) push(at Time, prio uint64, exec int32, fn func()) {
+	k.events.push(k.newEvent(at, prio, exec, fn))
 }
 
 // inject merges a cross-shard event (drained from a source kernel's
@@ -344,18 +367,13 @@ func (k *Kernel) inject(o outEvent) {
 
 // At schedules fn to run in kernel context when the virtual clock reaches
 // t, on the current LP. Scheduling in the past (t < Now) is clamped to
-// Now, which makes the event fire before any later-scheduled work. The
-// returned Event may be rescheduled.
-//
-// Event objects are pooled: a handle is valid until the event fires,
-// after which the object may back a different scheduled event. Holders
-// must drop their reference once the callback has run (as the flow
-// scheduler does by nil-ing its handle inside the callback).
-func (k *Kernel) At(t Time, fn func()) *Event {
+// Now, which makes the event fire before any later-scheduled work. An
+// event that may need rescheduling goes in an EventSet instead.
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
-	return k.push(t, k.nextPrio(k.curLP), k.curLP, fn)
+	k.push(t, k.nextPrio(k.curLP), k.curLP, fn)
 }
 
 // AtOn schedules fn to run at t as LP lp, which may live on another
@@ -416,41 +434,46 @@ func (k *Kernel) recycle(e *Event) {
 // popEventBefore removes and returns the earliest event firing before
 // limit. Returns nil when no event remains below the limit.
 func (k *Kernel) popEventBefore(limit Time) *Event {
+	if len(k.dirty) > 0 {
+		k.restoreSets()
+	}
 	if k.events.len() == 0 || k.events.a[0].at >= limit {
 		return nil
+	}
+	k.pending--
+	if s := k.events.a[0].ev.set; s != nil {
+		return s.pop()
 	}
 	return k.events.pop()
 }
 
-// Reschedule moves a pending event to fire at t instead, keeping its
-// callback. The event is re-keyed with the current LP's next creation
-// counter, so it orders against every other event exactly as a fresh
-// event scheduled with At would, but the heap is updated in place. The
-// flow scheduler re-fits completion times this way after every rate
-// change.
-//
-// e must be pending: not nil, not yet fired.
-func (k *Kernel) Reschedule(e *Event, t Time) {
-	if e == nil || e.index < 0 {
-		panic("sim: Reschedule of a dead event")
+// peekAt returns the instant of the earliest pending event.
+func (k *Kernel) peekAt() (Time, bool) {
+	if len(k.dirty) > 0 {
+		k.restoreSets()
 	}
-	if t < k.now {
-		t = k.now
+	if k.events.len() == 0 {
+		return 0, false
 	}
-	raw := k.nextPrio(k.curLP)
-	e.raw = raw
-	if k.explore != nil {
-		e.born = k.fireSeq // re-keying is a re-creation for tie purposes
+	return k.events.a[0].at, true
+}
+
+// restoreSets restores every event set re-keyed since the kernel last
+// looked at its heap, so each set's slot holds its earliest event.
+func (k *Kernel) restoreSets() {
+	for i, s := range k.dirty {
+		k.dirty[i] = nil
+		s.restore()
 	}
-	k.events.update(e, t, k.permKey(t, raw, e.exec))
+	k.dirty = k.dirty[:0]
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (k *Kernel) After(d Duration, fn func()) *Event {
+func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now.Add(d), fn)
+	k.At(k.now.Add(d), fn)
 }
 
 // Spawn registers a new proc running body on the kernel's first LP. It

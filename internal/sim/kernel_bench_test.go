@@ -156,3 +156,67 @@ func BenchmarkEventScheduleFanout(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkRescheduleBurst measures re-keying pending events in event
+// sets, one op per round of re-keys followed by a one-tick sleep, whose
+// pop restores every re-keyed set. Each entry stands for a flow with a
+// fixed byte count left; a round re-fits a set's entries as a water-fill
+// does, to now plus bytes over a new shared rate, so an entry keeps its
+// place within its set but moves against every other set's. Two
+// regimes:
+//
+//   - 10k: 10,240 pending events in 160 sets of 64, every entry
+//     re-keyed per round: the allreduce-10k shape, where each node's
+//     memory channel re-fits all its flows at once;
+//   - 4k-set: one 4,096-entry set with 4 re-keys per round: a large
+//     network set after a water-fill that moved few flows.
+func BenchmarkRescheduleBurst(b *testing.B) {
+	for _, bc := range []struct {
+		name              string
+		sets, size, burst int
+	}{
+		{"10k", 160, 64, 64},
+		{"4k-set", 1, 4096, 4},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			co := NewCoordinator(1, 1, 0)
+			k := co.KernelFor(0)
+			k.Spawn("burst", func(p *Proc) {
+				rng := uint64(0)
+				draw := func(n uint64) uint64 {
+					rng = splitmix64(rng)
+					return rng % n
+				}
+				sets := make([]*EventSet, bc.sets)
+				evs := make([][]*Event, bc.sets)
+				bytes := make([][]Time, bc.sets)
+				for s := range sets {
+					sets[s] = k.NewEventSet()
+					for i := 0; i < bc.size; i++ {
+						bytes[s] = append(bytes[s], Time(1+draw(1<<20)))
+						evs[s] = append(evs[s], sets[s].At(k.Now().Add(Second)+bytes[s][i], func() {}))
+					}
+				}
+				b.ResetTimer()
+				for r := 0; r < b.N; r++ {
+					for s, set := range sets {
+						rate := Time(1 + draw(4))
+						for j := 0; j < bc.burst; j++ {
+							i := j
+							if bc.burst < bc.size {
+								i = int(draw(uint64(bc.size)))
+							}
+							set.Reschedule(evs[s][i], k.Now().Add(Second)+bytes[s][i]*rate)
+						}
+					}
+					p.Sleep(1)
+				}
+				b.StopTimer()
+			})
+			if err := co.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

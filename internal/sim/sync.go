@@ -410,7 +410,7 @@ func (c *Coordinator) Run() error {
 		alive := 0
 		for i, k := range c.kernels {
 			t := maxTime
-			if at, ok := k.events.peekAt(); ok {
+			if at, ok := k.peekAt(); ok {
 				t = at
 			}
 			if k.ready.len() > 0 && k.now < t {
@@ -494,7 +494,7 @@ func (c *Coordinator) Run() error {
 		// shard 0, which phase 1 has already run up to this horizon.
 		hn := c.watchdogAt
 		for _, k := range shards {
-			if at, ok := k.events.peekAt(); ok && at < hn {
+			if at, ok := k.peekAt(); ok && at < hn {
 				hn = at
 			}
 			if k.ready.len() > 0 && k.now < hn {
