@@ -13,7 +13,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint prints the //dpml:allow audit table (every allowance with its
+# lint fails if gofmt would reformat any Go file in the tree (it lists
+# them), prints the //dpml:allow audit table (every allowance with its
 # recorded reason, for review on the CI log) and then runs the repo's
 # eight invariant analyzers — six per-package passes (walltime,
 # globalrand, maprange, waitcheck, floateq, prio) and two whole-module
@@ -21,6 +22,8 @@ vet:
 # exits non-zero on any finding, including unused //dpml:allow lines and
 # malformed or typo'd //dpml:owner classes.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/dpml-lint -suppressions ./...
 	$(GO) run ./cmd/dpml-lint ./...
 

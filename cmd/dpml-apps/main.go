@@ -72,29 +72,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := e.Validate(spec); err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(stdout, "%s on %s, %d nodes x %d ppn (%d procs)\n", *app, cl.Name, *nodes, *ppn, job.NumProcs())
-
+	// The job header goes out only with a successful run's metrics, so a
+	// rejected app parameter prints nothing to stdout.
+	var metrics string
 	switch *app {
 	case "hpcg":
 		res, err := hpcg.Run(e, hpcg.Config{Nx: 16, Ny: 16, Nz: 8, Iterations: *iters, Real: true, Spec: spec})
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "  DDOT time  %v\n  total time %v\n  residual drop %.2e over %d iterations\n",
+		metrics = fmt.Sprintf("  DDOT time  %v\n  total time %v\n  residual drop %.2e over %d iterations\n",
 			res.DDOTTime, res.TotalTime, res.ResidualDrop, res.Iterations)
 	case "miniamr":
 		res, err := miniamr.Run(e, miniamr.Config{BlocksPerRank: 32, BlockBytes: 4096, Steps: *steps, Spec: spec})
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, spec)
+		metrics = fmt.Sprintf("  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, spec)
 	case "dnn":
 		res, err := dnn.Run(e, dnn.Config{Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Spec: spec})
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "  step time %v, gradient averaging %v (%d allreduces/step, library %s)\n",
+		metrics = fmt.Sprintf("  step time %v, gradient averaging %v (%d allreduces/step, library %s)\n",
 			res.StepTime, res.CommTime, res.Allreduces, spec)
 	}
+	fmt.Fprintf(stdout, "%s on %s, %d nodes x %d ppn (%d procs)\n%s", *app, cl.Name, *nodes, *ppn, job.NumProcs(), metrics)
 	return 0
 }

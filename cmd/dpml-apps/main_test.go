@@ -21,6 +21,9 @@ func TestRejectedInputs(t *testing.T) {
 		{[]string{"-lib", "proposed"}, 2, "flag provided but not defined: -lib"},
 		{[]string{"-design", "dpml-pipe-4x4:ring"}, 1, `dpml-apps: core: design "dpml-pipe-4x4:ring"`},
 		{[]string{"-app", "bogus"}, 1, `dpml-apps: unknown app "bogus"`},
+		{[]string{"-iters", "-1"}, 1, "dpml-apps: hpcg: -1 iterations"},
+		{[]string{"-app", "miniamr", "-steps", "0"}, 1, "dpml-apps: miniamr: Steps = 0"},
+		{[]string{"-app", "dnn", "-bucket", "-5"}, 1, "dpml-apps: dnn: negative bucket size"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

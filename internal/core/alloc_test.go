@@ -79,11 +79,13 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 		{"host-based", 0},
 		{"dpml-3", 0},
 		{"dpml-pipe-2x3", 0},
-		// SharpGroup.Allreduce's per-call records: the sharpCall, its
-		// AfterNet closure and the operation's sharpOp and parts.
-		// sharp.go:85 clones only real payloads.
-		{"sharp-node", 1.5},
-		{"sharp-socket", 2.5},
+		// SharpGroup.Allreduce's per-call records: the sharpCall and its
+		// AfterNet closure; per operation, the sharpOp, its parts and
+		// calls slices and begin's slot-release closure. The caller waits
+		// through its cached wakeup, which allocates nothing.
+		// sharp.go:80 clones only real payloads.
+		{"sharp-node", 1},
+		{"sharp-socket", 1.5},
 		// dualroot.go:118 (each child's receive buffer), the half and
 		// segment views (:47, :94), BlockPartition (:91), the request,
 		// buffer and view slices (:92, :102-:116) and the sends slice.

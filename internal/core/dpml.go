@@ -87,8 +87,7 @@ func checkOp(op *mpi.Op, vec *mpi.Vector) error {
 type shmOp struct {
 	e    *Engine
 	r    *mpi.Rank
-	rg   *shmseg.Region
-	seq  uint64 // the operation's sequence number; done advances it
+	sh   *shmseg.Op // the operation in progress, from newShmOp to done
 	segs int
 	n    int // elements, block-partitioned across the segments (see part)
 
@@ -120,16 +119,15 @@ const (
 )
 
 // newShmOp opens the calling rank's next operation on its node's region
-// with segs segments over an n-element payload. Every local rank opens
-// and finishes (done) the same operations in the same order, so their
-// sequence numbers agree.
+// with segs segments over an n-element payload (see shmseg.Region.Open).
 func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) *shmOp {
 	o := e.ops[r.Rank()]
 	if o == nil {
-		o = &shmOp{e: e, r: r, rg: e.regions[r.Place().Node]}
+		o = &shmOp{e: e, r: r}
 		o.run = o.step
 		e.ops[r.Rank()] = o
 	}
+	o.sh = e.regions[r.Place().Node].Open(r.Place().LocalRank, segs)
 	o.segs, o.n = segs, n
 	return o
 }
@@ -137,10 +135,10 @@ func (e *Engine) newShmOp(r *mpi.Rank, segs, n int) *shmOp {
 // part returns the view of vec that segment j carries, block j of
 // mpi.BlockPartition(n, segs), through this rank's view header in
 // segment j: it stays valid until the operation drains (see
-// shmseg.Region.View).
+// shmseg.Op.View).
 func (o *shmOp) part(vec *mpi.Vector, j int) *mpi.Vector {
 	lo, hi := mpi.Block(o.n, o.segs, j)
-	return o.rg.View(o.seq, o.segs, j, o.r.Place().LocalRank, vec, lo, hi)
+	return o.sh.View(j, o.r.Place().LocalRank, vec, lo, hi)
 }
 
 // carry returns what segment j carries of the phase's buffer.
@@ -196,7 +194,7 @@ func (o *shmOp) depositStep() bool {
 		}
 		o.pc = 0
 		o.r.EndWork()
-		o.rg.Put(o.seq, o.segs, o.j, o.r.Place().LocalRank, o.cur)
+		o.sh.Put(o.j, o.r.Place().LocalRank, o.cur)
 	}
 	return true
 }
@@ -221,7 +219,7 @@ func (o *shmOp) foldStep() bool {
 	p := o.r.Proc()
 	switch o.pc {
 	case 0:
-		slots, ok := o.rg.ArmGather(p, o.seq, o.segs, o.j, o.want)
+		slots, ok := o.sh.ArmGather(p, o.j, o.want)
 		o.slots, o.pc = slots, 1
 		if !ok {
 			return false
@@ -240,7 +238,7 @@ func (o *shmOp) foldStep() bool {
 		case s == nil:
 			continue
 		case o.acc == nil:
-			o.acc = o.rg.Accumulator(o.seq, o.segs, o.j, s)
+			o.acc = o.sh.Accumulator(o.j, s)
 			continue
 		case o.pc == 2:
 			o.pc = 3
@@ -256,7 +254,7 @@ func (o *shmOp) foldStep() bool {
 }
 
 // publish stores the leader's result for segment j.
-func (o *shmOp) publish(j int, res *mpi.Vector) { o.rg.Publish(o.seq, o.segs, j, res) }
+func (o *shmOp) publish(j int, res *mpi.Vector) { o.sh.Publish(j, res) }
 
 // collect is Phase 4: segment j's result is copied into partition j of
 // vec, for every j.
@@ -277,7 +275,7 @@ func (o *shmOp) collectStep() bool {
 			o.pc = 1
 			fallthrough
 		case 1:
-			if o.res = o.rg.ArmResult(o.r.Proc(), o.seq, o.segs, o.j); o.res == nil {
+			if o.res = o.sh.ArmResult(o.r.Proc(), o.j); o.res == nil {
 				return false
 			}
 			o.pc = 2
@@ -294,6 +292,6 @@ func (o *shmOp) collectStep() bool {
 // done releases this rank's part in the operation; every local rank must
 // call it once.
 func (o *shmOp) done() {
-	o.rg.DoneCopy(o.seq)
-	o.seq++
+	o.sh.Done()
+	o.sh = nil
 }

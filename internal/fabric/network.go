@@ -25,10 +25,6 @@ type hca struct {
 	// was when the slot was reserved.
 	injections uint64
 	maxBacklog sim.Duration
-
-	// free holds transfer records: drawn by sends from this HCA and
-	// released by arrivals on it.
-	free []*transfer
 }
 
 // Network models the inter-node interconnect of one job: per-node HCAs
@@ -84,9 +80,6 @@ type Endpoint struct {
 	tx   *Link //dpml:owner net
 	rx   *Link //dpml:owner net
 }
-
-// Node returns the endpoint's node index.
-func (ep *Endpoint) Node() int { return ep.node }
 
 // unlimited is the per-flow rate cap used now that rate limiting happens
 // through per-process pipe links.
@@ -145,9 +138,6 @@ func (n *Network) pipes(src, dst *Endpoint) (tx, rx *Link) {
 	return src.tx, dst.rx
 }
 
-// Kernel returns the kernel owning the endpoint's node.
-func (ep *Endpoint) Kernel() *sim.Kernel { return ep.k }
-
 // InjectDelay reserves the next injection slot on the endpoint's HCA and
 // returns how long the caller must wait before the message enters the
 // wire. It advances the injector clock, so callers must sleep the
@@ -192,26 +182,23 @@ func (n *Network) SetInjectScale(node, hcaIdx int, scale float64) {
 }
 
 // StartTransfer launches the wire part of one message between two
-// endpoints on different nodes. The flow traverses the sender's pipe, the
-// sender's uplink, the (optional) core stage, the receiver's downlink,
-// and the receiver's pipe; onArrive fires in the destination node's
-// context when the last byte has crossed the wire latency. The caller
-// (in the source node's context) is responsible for charging CPU
-// overheads and injection delay first.
-func (n *Network) StartTransfer(src, dst *Endpoint, bytes int64, onArrive func()) {
-	n.StartTransferNotify(src, dst, bytes, onArrive, nil)
-}
-
-// StartTransferNotify is StartTransfer with an additional sender-side
-// completion: onSent, when non-nil, fires in the source node's context at
-// the same instant onArrive fires at the destination (rendezvous sends
-// complete the sender's request then). The two callbacks run on
-// different nodes, so they must not share unsynchronized state.
-func (n *Network) StartTransferNotify(src, dst *Endpoint, bytes int64, onArrive, onSent func()) {
+// endpoints on different nodes, carried by the caller's record t. The
+// flow traverses the sender's pipe, the sender's uplink, the (optional)
+// core stage, the receiver's downlink, and the receiver's pipe; onArrive
+// fires in the destination node's context when the last byte has crossed
+// the wire latency. onSent, when non-nil, fires in the source node's
+// context at the same instant (rendezvous sends complete the sender's
+// request then); the two callbacks run on different nodes, so they must
+// not share unsynchronized state. The caller (in the source node's
+// context) is responsible for charging CPU overheads and injection delay
+// first, and must not reuse t before onArrive has run.
+func (n *Network) StartTransfer(t *Transfer, src, dst *Endpoint, bytes int64, onArrive, onSent func()) {
 	if src.node == dst.node {
 		panic("fabric: StartTransfer within a node; use MemChannel")
 	}
-	t := n.newTransfer(n.hcaAt(src.node, src.hca))
+	if t.launch == nil {
+		t.launch = func() { n.launch(t) }
+	}
 	t.src, t.dst, t.bytes, t.onArrive, t.onSent = src, dst, bytes, onArrive, onSent
 	// The flow's links and the message counters are network-LP state;
 	// hop into it with a zero-delay injection (the network phase of each
@@ -220,51 +207,32 @@ func (n *Network) StartTransferNotify(src, dst *Endpoint, bytes int64, onArrive,
 	src.k.AfterNet(0, t.launch)
 }
 
-// transfer carries one message through the fabric: drawn in the source
-// node's context, handed to the network LP to launch its flow, and
-// released in the destination node's context when it arrives. Its
-// callbacks are built once per record. The source node never touches it
-// after the launch is scheduled: onSent goes to the source node as a
-// plain callback, so under sharding the two nodes share no record state.
-type transfer struct {
+// Transfer carries one message through the fabric: filled in the source
+// node's context, read by the network LP to launch its flow and, when
+// the flow ends, to schedule the arrival. Its zero value is ready to
+// use, and its callbacks are built at its first transfer, so a caller
+// that keeps one record per message in flight (mpi keeps one in each
+// envelope) starts transfers without allocating. The source node never
+// touches it after the launch is scheduled: onSent goes to the source
+// node as a plain callback, so under sharding the two nodes share no
+// record state.
+type Transfer struct {
 	src, dst         *Endpoint
 	bytes            int64
 	onArrive, onSent func()
 
 	launch func() // network LP: start the flow
 	done   func() // network LP: the flow has finished (built by the first launch)
-	arrive func() // destination node: release the record, run onArrive
-}
-
-// newTransfer takes a record from the source HCA's free list, or builds
-// one.
-func (n *Network) newTransfer(h *hca) *transfer {
-	if i := len(h.free) - 1; i >= 0 {
-		t := h.free[i]
-		h.free[i] = nil
-		h.free = h.free[:i]
-		return t
-	}
-	t := &transfer{}
-	t.launch = func() { n.launch(t) }
-	t.arrive = func() {
-		onArrive := t.onArrive
-		dd := n.hcaAt(t.dst.node, t.dst.hca)
-		t.src, t.dst, t.onArrive, t.onSent = nil, nil, nil, nil
-		dd.free = append(dd.free, t)
-		onArrive()
-	}
-	return t
 }
 
 // launch starts t's flow. Runs in network-LP context. A record's done
 // callback is built here, on its first launch, so it is network code
 // wherever the ownership model looks at it.
-func (n *Network) launch(t *transfer) {
+func (n *Network) launch(t *Transfer) {
 	if t.done == nil {
 		t.done = func() {
 			wire := n.prof.WireLatency
-			n.k.AfterOn(t.dst.node, wire, t.arrive)
+			n.k.AfterOn(t.dst.node, wire, t.onArrive)
 			if t.onSent != nil {
 				n.k.AfterOn(t.src.node, wire, t.onSent)
 			}

@@ -26,7 +26,7 @@ func TestNetworkTransferBasics(t *testing.T) {
 	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
 	k.Spawn("sender", func(p *sim.Proc) {
 		var done sim.Signal
-		net.StartTransfer(src, dst, 1<<20, func() { arrived = k.Now(); done.Fire() })
+		net.StartTransfer(new(Transfer), src, dst, 1<<20, func() { arrived = k.Now(); done.Fire() }, nil)
 		done.Wait(p, "arrive")
 	})
 	if err := co.Run(); err != nil {
@@ -52,7 +52,7 @@ func TestNetworkConcurrencyScalesOnIB(t *testing.T) {
 			var wg sim.WaitGroup
 			wg.Add(pairs)
 			for i := 0; i < pairs; i++ {
-				net.StartTransfer(net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() })
+				net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() }, nil)
 			}
 			wg.Wait(p, "transfers")
 		})
@@ -79,7 +79,7 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 			var wg sim.WaitGroup
 			wg.Add(pairs)
 			for i := 0; i < pairs; i++ {
-				net.StartTransfer(net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() })
+				net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() }, nil)
 			}
 			wg.Wait(p, "transfers")
 		})
@@ -153,7 +153,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			for j := 0; j < 2; j++ {
 				wg.Add(1)
-				net.StartTransfer(net.Endpoint(i, 0), net.Endpoint((i+nodes/2)%nodes, 0), bytes, func() { wg.Done() })
+				net.StartTransfer(new(Transfer), net.Endpoint(i, 0), net.Endpoint((i+nodes/2)%nodes, 0), bytes, func() { wg.Done() }, nil)
 			}
 		}
 		wg.Wait(p, "transfers")
@@ -176,7 +176,7 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 func TestNetworkPanicsOnBadEndpoints(t *testing.T) {
 	_, _, _, net := newTestNet(topology.ClusterB(), 2)
 	cases := []func(){
-		func() { net.StartTransfer(net.Endpoint(0, 0), net.Endpoint(0, 0), 10, func() {}) }, // same node
+		func() { net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(0, 0), 10, func() {}, nil) }, // same node
 		func() { net.Endpoint(5, 0) }, // bad node
 		func() { net.Endpoint(0, 3) }, // bad hca
 	}
@@ -429,7 +429,7 @@ func TestNetworkReport(t *testing.T) {
 	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
 	k.Spawn("driver", func(p *sim.Proc) {
 		var done sim.Signal
-		net.StartTransfer(src, dst, 1<<20, func() { done.Fire() })
+		net.StartTransfer(new(Transfer), src, dst, 1<<20, func() { done.Fire() }, nil)
 		done.Wait(p, "arrive")
 	})
 	if err := co.Run(); err != nil {

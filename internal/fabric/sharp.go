@@ -178,15 +178,15 @@ type SharpGroup struct {
 
 // sharpCall is one caller's side of one operation: where to deliver the
 // verdict and the parked proc's wakeup. It is the node/net handoff
-// cell: the net LP fills it and fires done with a lookahead-respecting
-// delay, the caller's proc reads it after the wake.
+// cell: the net LP fills it and schedules wake with a
+// lookahead-respecting delay, the caller's proc reads it after the wake.
 //
 //dpml:owner shared
 type sharpCall struct {
-	lp     int // caller's node LP
+	lp     int    // caller's node LP
+	wake   func() // the caller's cached wakeup (sim.Proc.Wake)
 	result any
 	err    error
-	done   sim.Signal
 }
 
 // sharpOp is one collective operation's state, owned by the network LP.
@@ -209,9 +209,6 @@ type sharpOp struct {
 	calls   []*sharpCall
 }
 
-// Nodes returns the number of leaf nodes in the group.
-func (g *SharpGroup) Nodes() int { return g.nodes }
-
 // Allreduce performs one in-network reduction of bytes. Every leaf's
 // calling proc (one leader per leaf) must call it; all callers return at
 // the operation's completion time with the reduced result. The operation
@@ -230,9 +227,10 @@ func (g *SharpGroup) Allreduce(p *sim.Proc, bytes int, contrib any, reduce func(
 	if bytes > g.sharp.prof.MaxPayload {
 		return nil, ErrSharpPayload
 	}
-	call := &sharpCall{lp: p.LP()}
+	call := &sharpCall{lp: p.LP(), wake: p.Wake()}
 	p.Kernel().AfterNet(0, func() { g.arrive(call, bytes, contrib, reduce) })
-	call.done.Wait(p, "sharp allreduce")
+	p.ArmWake("sharp allreduce")
+	p.Park()
 	return call.result, call.err
 }
 
@@ -340,5 +338,5 @@ func (s *Sharp) notify(c *sharpCall) {
 // wake delay is at least the kernel lookahead (see WakeLatency), so the
 // cross-LP event is always legal.
 func (c *sharpCall) lpWake(s *Sharp, d sim.Duration) {
-	s.k.AfterOn(c.lp, d, func() { c.done.Fire() })
+	s.k.AfterOn(c.lp, d, c.wake)
 }

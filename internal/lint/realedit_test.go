@@ -44,7 +44,7 @@ var realEdits = []realEdit{
 		{"\tk.push(t, k.nextPrio(k.curLP), k.curLP, fn)", "\tk.push(t, k.nextPrio(k.curLP)^1, k.curLP, fn)"},
 	}},
 	{analyzer: "sendpath", pkg: "internal/fabric", file: "network.go", edits: [][2]string{
-		{"n.k.AfterOn(t.dst.node, wire, t.arrive)", "t.dst.k.After(wire, t.arrive)"},
+		{"n.k.AfterOn(t.dst.node, wire, t.onArrive)", "t.dst.k.After(wire, t.onArrive)"},
 	}},
 	// lpown must name the whole chain, from the LP registration that
 	// fixes the context to the wrong-class access.

@@ -55,15 +55,3 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	}
 	return info.Defs[id]
 }
-
-// usesObj reports whether any identifier under n resolves to obj.
-func usesObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if id, ok := c.(*ast.Ident); ok && objOf(info, id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"dpml/internal/fabric"
 	"dpml/internal/sim"
 )
 
@@ -30,7 +31,8 @@ type envelope struct {
 	sendReq      *Request // rendezvous: completes when the payload lands
 	recvReq      *Request // rendezvous: the matched receive
 	src, dst     *Rank
-	recvOverhead sim.Duration // receiver CPU cost charged before completion
+	recvOverhead sim.Duration    // receiver CPU cost charged before completion
+	wire         fabric.Transfer // an inter-node payload's fabric record
 
 	deliver func() // in dst's context: the eager payload or the RTS arrives
 	cts     func() // in src's context: the CTS arrives; reserve an injection slot
@@ -106,7 +108,7 @@ func (r *Rank) finishIsend(q *Request) bool {
 		x.injecting = false
 		env.carry(vec)
 		env.recvOverhead = prof.ReceiverOverhead + r.jitter()
-		r.w.Net.StartTransfer(r.ep, dst.ep, int64(vec.Bytes()), env.deliver)
+		r.w.Net.StartTransfer(&env.wire, r.ep, dst.ep, int64(vec.Bytes()), env.deliver, nil)
 		q.complete()
 	default:
 		// Rendezvous: an RTS control message travels to the receiver;

@@ -138,7 +138,7 @@ func (r *Rank) newEnvelope(key msgKey, dst *Rank) *envelope {
 		}
 		env.inject = func() {
 			s := env.src
-			s.w.Net.StartTransferNotify(s.ep, env.dst.ep, int64(env.vec.Bytes()),
+			s.w.Net.StartTransfer(&env.wire, s.ep, env.dst.ep, int64(env.vec.Bytes()),
 				env.land, env.sendReq.completion)
 		}
 		env.land = func() { env.dst.completeRecv(env, env.recvReq) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpml/internal/mpi"
@@ -12,6 +13,27 @@ import (
 	"dpml/internal/sim"
 	"dpml/internal/topology"
 )
+
+// waitGather parks p until want slots of leader j's segment are written
+// and returns the slot array.
+func waitGather(p *sim.Proc, op *Op, j, want int) []*mpi.Vector {
+	slots, ok := op.ArmGather(p, j, want)
+	if !ok {
+		p.Park()
+	}
+	return slots
+}
+
+// waitResult parks p until leader j's result is published and returns
+// it.
+func waitResult(p *sim.Proc, op *Op, j int) *mpi.Vector {
+	for {
+		if res := op.ArmResult(p, j); res != nil {
+			return res
+		}
+		p.Park()
+	}
+}
 
 func TestRegionFullGatherPublishDrain(t *testing.T) {
 	const ppn, leaders = 4, 2
@@ -22,29 +44,30 @@ func TestRegionFullGatherPublishDrain(t *testing.T) {
 	for local := 0; local < ppn; local++ {
 		local := local
 		k.Spawn(fmt.Sprintf("p%d", local), func(p *sim.Proc) {
+			op := rg.Open(local, leaders)
 			// Phase 1: deposit one partition per leader.
 			for j := 0; j < leaders; j++ {
 				v := mpi.NewVector(mpi.Float64, 2)
 				v.Fill(float64(10*local + j))
-				rg.Put(0, leaders, j, local, v)
+				op.Put(j, local, v)
 			}
 			// Phase 2+3 (leaders only): reduce slots, publish sum.
 			if local < leaders {
-				slots := rg.GatherWait(p, 0, leaders, local, ppn)
+				slots := waitGather(p, op, local, ppn)
 				acc := slots[0].Clone()
 				for i := 1; i < ppn; i++ {
 					mpi.Sum.Apply(acc, slots[i])
 				}
-				rg.Publish(0, leaders, local, acc)
+				op.Publish(local, acc)
 			}
 			// Phase 4: read both results back.
 			out := make([]float64, 0, 2*leaders)
 			for j := 0; j < leaders; j++ {
-				res := rg.ResultWait(p, 0, leaders, j)
+				res := waitResult(p, op, j)
 				out = append(out, res.At(0), res.At(1))
 			}
 			results[local] = out
-			rg.DoneCopy(0)
+			op.Done()
 		})
 	}
 	if err := co.Run(); err != nil {
@@ -59,8 +82,8 @@ func TestRegionFullGatherPublishDrain(t *testing.T) {
 			}
 		}
 	}
-	if rg.PendingOps() != 0 {
-		t.Fatalf("op state leaked: %d pending", rg.PendingOps())
+	if len(rg.ops) != 0 {
+		t.Fatalf("op state leaked: %d pending", len(rg.ops))
 	}
 }
 
@@ -77,12 +100,13 @@ func TestRegionPartialGatherForSocketLeaders(t *testing.T) {
 	for local := 0; local < ppn; local++ {
 		local := local
 		k.Spawn(fmt.Sprintf("p%d", local), func(p *sim.Proc) {
+			op := rg.Open(local, 2)
 			v := mpi.NewVector(mpi.Float64, 1)
 			v.Fill(float64(local + 1))
-			rg.Put(7, 2, leaderOf[local], local, v)
+			op.Put(leaderOf[local], local, v)
 			if local == 0 || local == 2 {
 				lead := socketOf[local]
-				slots := rg.GatherWait(p, 7, 2, lead, 2)
+				slots := waitGather(p, op, lead, 2)
 				var acc *mpi.Vector
 				for _, s := range slots {
 					if s == nil {
@@ -95,10 +119,10 @@ func TestRegionPartialGatherForSocketLeaders(t *testing.T) {
 					}
 				}
 				sums[lead] = acc.At(0)
-				rg.Publish(7, 2, lead, acc)
+				op.Publish(lead, acc)
 			}
-			rg.ResultWait(p, 7, 2, leaderOf[local])
-			rg.DoneCopy(7)
+			waitResult(p, op, leaderOf[local])
+			op.Done()
 		})
 	}
 	if err := co.Run(); err != nil {
@@ -107,14 +131,14 @@ func TestRegionPartialGatherForSocketLeaders(t *testing.T) {
 	if sums[0] != 3 || sums[1] != 7 { // 1+2 and 3+4
 		t.Fatalf("socket sums %v, want [3 7]", sums)
 	}
-	if rg.PendingOps() != 0 {
+	if len(rg.ops) != 0 {
 		t.Fatal("op state leaked")
 	}
 }
 
 func TestRegionConcurrentOpsDoNotAlias(t *testing.T) {
-	// Two back-to-back operations with different sequence numbers stay
-	// separate even when their lifetimes overlap.
+	// Two back-to-back operations stay separate even when their
+	// lifetimes overlap.
 	rg := NewRegion(2)
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
@@ -123,18 +147,19 @@ func TestRegionConcurrentOpsDoNotAlias(t *testing.T) {
 		local := local
 		k.Spawn(fmt.Sprintf("p%d", local), func(p *sim.Proc) {
 			for seq := uint64(0); seq < 2; seq++ {
+				op := rg.Open(local, 1)
 				v := mpi.NewVector(mpi.Float64, 1)
 				v.Fill(float64(100*(seq+1) + uint64(local)))
-				rg.Put(seq, 1, 0, local, v)
+				op.Put(0, local, v)
 				if local == 0 {
-					slots := rg.GatherWait(p, seq, 1, 0, 2)
+					slots := waitGather(p, op, 0, 2)
 					acc := slots[0].Clone()
 					mpi.Sum.Apply(acc, slots[1])
-					rg.Publish(seq, 1, 0, acc)
+					op.Publish(0, acc)
 				}
-				res := rg.ResultWait(p, seq, 1, 0)
+				res := waitResult(p, op, 0)
 				got[local][seq] = res.At(0)
-				rg.DoneCopy(seq)
+				op.Done()
 			}
 		})
 	}
@@ -148,51 +173,64 @@ func TestRegionConcurrentOpsDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestRegionMisusePanics checks that each misuse panics with its own
+// message, a stale handle's Done included: on a drained operation it
+// would otherwise count towards whichever operation recycles the state.
 func TestRegionMisusePanics(t *testing.T) {
-	rg := NewRegion(2)
 	v := mpi.NewVector(mpi.Float64, 1)
-	cases := []func(){
-		func() { NewRegion(0) },
-		func() { rg.Put(0, 1, 1, 0, v) },  // leader out of range
-		func() { rg.Put(0, 1, 0, 2, v) },  // local rank out of range
-		func() { rg.Put(0, 1, -1, 0, v) }, // negative leader
-		func() {
-			rg.Put(1, 1, 0, 0, v)
-			rg.Put(1, 1, 0, 0, v) // double write
-		},
-		func() {
-			rg.Put(2, 1, 0, 0, v)
-			rg.Put(2, 2, 1, 0, v) // leader count disagreement
-		},
-		func() {
-			rg.Publish(3, 1, 0, v)
-			rg.Publish(3, 1, 0, v) // double publish
-		},
-		func() { rg.DoneCopy(99) }, // unknown op
+	cases := []struct {
+		want string
+		f    func(rg *Region)
+	}{
+		{"NewRegion(0)", func(*Region) { NewRegion(0) }},
+		{"Open local rank 2 of 2", func(rg *Region) { rg.Open(2, 1) }},
+		{"Put leader 1 of 1", func(rg *Region) { rg.Open(0, 1).Put(1, 0, v) }},
+		{"Put local rank 2 of 2", func(rg *Region) { rg.Open(0, 1).Put(0, 2, v) }},
+		{"Put leader -1 of 1", func(rg *Region) { rg.Open(0, 1).Put(-1, 0, v) }},
+		{"slot (0,0) written twice", func(rg *Region) {
+			op := rg.Open(0, 1)
+			op.Put(0, 0, v)
+			op.Put(0, 0, v)
+		}},
+		{"op 0 leader count disagreement: 1 vs 2", func(rg *Region) {
+			rg.Open(0, 1)
+			rg.Open(1, 2)
+		}},
+		{"leader 0 published twice", func(rg *Region) {
+			op := rg.Open(0, 1)
+			op.Publish(0, v)
+			op.Publish(0, v)
+		}},
+		{"Done on drained op 0", func(rg *Region) {
+			op := rg.Open(0, 1)
+			rg.Open(1, 1).Done()
+			op.Done()
+			op.Done()
+		}},
 	}
-	for i, f := range cases {
+	for _, tc := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("got panic %q, want one containing %q", msg, tc.want)
 				}
 			}()
-			f()
+			tc.f(NewRegion(2))
 		}()
 	}
 }
 
-func TestGatherWaitWantValidation(t *testing.T) {
+func TestArmGatherWantValidation(t *testing.T) {
 	rg := NewRegion(2)
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	k.Spawn("p", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("GatherWait(want=3) with ppn=2 did not panic")
+				t.Error("ArmGather(want=3) with ppn=2 did not panic")
 			}
 		}()
-		rg.GatherWait(p, 0, 1, 0, 3)
+		rg.Open(0, 1).ArmGather(p, 0, 3)
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -200,11 +238,10 @@ func TestGatherWaitWantValidation(t *testing.T) {
 }
 
 // TestRegionOpCycleDoesNotAllocate runs whole operations on a two-rank
-// region: the leader parks in GatherWait until its peer's Put, and the
-// peer parks in ResultWait until the leader's Publish. Once drained
-// operation state is recycled, accumulator included, a full Put/
-// GatherWait/Accumulator/Publish/ResultWait/DoneCopy cycle allocates
-// nothing.
+// region: the leader parks on its gather until its peer's Put, and the
+// peer parks on the result until the leader's Publish. Once drained
+// operation state is recycled, accumulator included, a full Open/Put/
+// ArmGather/Accumulator/Publish/ArmResult/Done cycle allocates nothing.
 func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -216,26 +253,26 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	v := [2]*mpi.Vector{mpi.NewVector(mpi.Float64, 8), mpi.NewVector(mpi.Float64, 8)}
 	var allocs float64
 	k.Spawn("leader", func(p *sim.Proc) {
-		seq := uint64(0)
-		op := func() {
-			rg.Put(seq, 1, 0, 0, v[0])
-			rg.GatherWait(p, seq, 1, 0, 2)
-			rg.Publish(seq, 1, 0, rg.Accumulator(seq, 1, 0, v[0]))
-			rg.ResultWait(p, seq, 1, 0)
-			rg.DoneCopy(seq)
-			seq++
+		cycle := func() {
+			op := rg.Open(0, 1)
+			op.Put(0, 0, v[0])
+			waitGather(p, op, 0, 2)
+			op.Publish(0, op.Accumulator(0, v[0]))
+			waitResult(p, op, 0)
+			op.Done()
 		}
 		for i := 0; i < warm; i++ {
-			op()
+			cycle()
 		}
-		allocs = testing.AllocsPerRun(runs, op)
+		allocs = testing.AllocsPerRun(runs, cycle)
 	})
 	k.Spawn("peer", func(p *sim.Proc) {
 		// AllocsPerRun makes one extra, unmeasured call.
-		for seq := uint64(0); seq < warm+1+runs; seq++ {
-			rg.Put(seq, 1, 0, 1, v[1])
-			rg.ResultWait(p, seq, 1, 0)
-			rg.DoneCopy(seq)
+		for i := 0; i < warm+1+runs; i++ {
+			op := rg.Open(1, 1)
+			op.Put(0, 1, v[1])
+			waitResult(p, op, 0)
+			op.Done()
 		}
 	})
 	if err := co.Run(); err != nil {
@@ -244,8 +281,8 @@ func TestRegionOpCycleDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("an operation cycle allocates %v objects, want 0", allocs)
 	}
-	if rg.PendingOps() != 0 {
-		t.Fatalf("op state leaked: %d pending", rg.PendingOps())
+	if len(rg.ops) != 0 {
+		t.Fatalf("op state leaked: %d pending", len(rg.ops))
 	}
 }
 
@@ -257,45 +294,61 @@ func TestAccumulatorRecycling(t *testing.T) {
 	rg := NewRegion(2)
 	src := mpi.NewVector(mpi.Float32, 4)
 	src.Fill(3)
-	drain := func(seq uint64) {
-		rg.DoneCopy(seq)
-		rg.DoneCopy(seq)
+	// Local rank 0 opens every operation; each drains with two Dones.
+	open := func() *Op { return rg.Open(0, 1) }
+	drain := func(op *Op) {
+		op.Done()
+		op.Done()
 	}
 
-	a0 := rg.Accumulator(0, 1, 0, src)
+	op0 := open()
+	a0 := op0.Accumulator(0, src)
 	if a0 == src || a0.At(3) != 3 {
 		t.Fatalf("accumulator %p holds %v, want a copy of %p's 3", a0, a0.At(3), src)
 	}
-	b := rg.Accumulator(1, 1, 0, src) // seq 1 overlaps seq 0
+	op1 := open() // overlaps op0
+	b := op1.Accumulator(0, src)
 	if b == a0 {
 		t.Fatal("two in-flight operations share accumulator storage")
 	}
-	drain(0)
+	drain(op0)
 	if race.Enabled && !math.IsNaN(a0.At(0)) {
 		t.Fatalf("drained accumulator reads %v, want NaN poison", a0.At(0))
 	}
 	src.Fill(5)
-	if a2 := rg.Accumulator(2, 1, 0, src); a2 != a0 || a2.At(0) != 5 {
+	op2 := open()
+	if a2 := op2.Accumulator(0, src); a2 != a0 || a2.At(0) != 5 {
 		t.Fatalf("after drain: got %p holding %v, want the drained %p reloaded with 5", a2, a2.At(0), a0)
 	}
-	drain(1)
-	drain(2)
+	drain(op1)
+	drain(op2)
 
 	for _, other := range []*mpi.Vector{mpi.NewVector(mpi.Float32, 5), mpi.NewVector(mpi.Float64, 4)} {
-		seq := uint64(3)
-		if got := rg.Accumulator(seq, 1, 0, other); got == a0 || got == b || got.Type() != other.Type() || got.Len() != other.Len() {
+		op := open()
+		if got := op.Accumulator(0, other); got == a0 || got == b || got.Type() != other.Type() || got.Len() != other.Len() {
 			t.Fatalf("shape %v[%d]: got %v[%d] storage %p, want fresh storage", other.Type(), other.Len(), got.Type(), got.Len(), got)
 		}
-		drain(seq)
+		drain(op)
 	}
 
 	ph := mpi.NewPhantom(mpi.Float32, 4)
-	if got := rg.Accumulator(4, 1, 0, ph); got != ph {
+	op := open()
+	if got := op.Accumulator(0, ph); got != ph {
 		t.Fatal("phantom source was not returned as is")
 	}
-	if rg.PendingOps() != 0 {
-		t.Fatalf("phantom accumulator opened op state: %d pending", rg.PendingOps())
+	drain(op)
+	if len(rg.ops) != 0 {
+		t.Fatalf("op state leaked: %d pending", len(rg.ops))
 	}
+}
+
+// openSixth drains five operations on rg as local rank local, so the
+// operation it returns is op 5: the number the wait reports name.
+func openSixth(rg *Region, local, leaders int) *Op {
+	for i := 0; i < 5; i++ {
+		rg.Open(local, leaders).Done()
+	}
+	return rg.Open(local, leaders)
 }
 
 // TestDeadlockReportNamesWaits pins the wait reasons a deadlock report
@@ -309,11 +362,12 @@ func TestDeadlockReportNamesWaits(t *testing.T) {
 	w := mpi.NewWorld(job, mpi.Config{})
 	rg := NewRegion(4)
 	err = w.Run(func(r *mpi.Rank) error {
+		op := openSixth(rg, r.Place().LocalRank, 2)
 		switch r.Rank() {
 		case 0: // leader 1 of op 5 waits for slots nobody writes
-			rg.GatherWait(r.Proc(), 5, 2, 1, 4)
+			waitGather(r.Proc(), op, 1, 4)
 		case 1: // leader 0 of op 5 never publishes
-			rg.ResultWait(r.Proc(), 5, 2, 0)
+			waitResult(r.Proc(), op, 0)
 		case 2: // rank 3 never sends tag 7
 			r.Recv(w.CommWorld(), 3, 7, mpi.NewVector(mpi.Float64, 1))
 		}
@@ -347,11 +401,12 @@ func TestWatchdogReportNamesWaits(t *testing.T) {
 	startup := job.Cluster.Mem.CopyStartup
 	rg := NewRegion(6)
 	err = w.Run(func(r *mpi.Rank) error {
+		op := openSixth(rg, r.Place().LocalRank, 2)
 		switch r.Rank() {
 		case 0:
-			rg.GatherWait(r.Proc(), 5, 2, 1, 4)
+			waitGather(r.Proc(), op, 1, 4)
 		case 1:
-			rg.ResultWait(r.Proc(), 5, 2, 0)
+			waitResult(r.Proc(), op, 0)
 		case 2:
 			r.Recv(w.CommWorld(), 3, 7, mpi.NewVector(mpi.Float64, 1))
 		case 3: // the flow of a 1 GB copy outlasts the deadline

@@ -232,9 +232,6 @@ func (c *Coordinator) addKernel(lpBase, lpCount int) *Kernel {
 	return k
 }
 
-// Nodes returns the number of node LPs.
-func (c *Coordinator) Nodes() int { return c.nodes }
-
 // KernelFor returns the kernel owning the given node LP.
 func (c *Coordinator) KernelFor(node int) *Kernel { return c.kernels[c.shardOf[node]] }
 
