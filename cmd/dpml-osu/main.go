@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		Shards:   sweep.Workers(*jobs),
 		Watchdog: sim.Duration(*watchdog / time.Nanosecond),
 		Faults: fspec.Instantiate(faults.Shape{
-			Ranks: *nodes * *ppn, Nodes: *nodes, HCAs: cl.HCAs,
+			Ranks: *nodes * *ppn, Nodes: *nodes,
 		}),
 	}
 	var sizes []int

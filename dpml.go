@@ -5,8 +5,7 @@
 //
 // The typical flow is:
 //
-//	cluster := dpml.ClusterB().WithNodes(8)
-//	eng, err := dpml.NewSystem(cluster, 8, 16)   // 8 nodes x 16 ppn
+//	eng, err := dpml.NewSystem(dpml.ClusterB(), 8, 16) // 8 nodes x 16 ppn
 //	err = eng.W.Run(func(r *dpml.Rank) error {
 //	    v := dpml.NewVector(dpml.Float64, 1024)
 //	    // ... fill v ...

@@ -47,10 +47,6 @@ func TestPublicClusters(t *testing.T) {
 	if !ClusterA().Sharp.Available {
 		t.Fatal("cluster A must expose SHArP")
 	}
-	sub := ClusterB().WithNodes(3)
-	if sub.Nodes != 3 {
-		t.Fatal("WithNodes broken through the facade")
-	}
 }
 
 func TestPublicSpecsAndLibraries(t *testing.T) {

@@ -128,7 +128,6 @@ func TestExaEventCountInvariance(t *testing.T) {
 	if os.Getenv("DPML_FULL_RESULTS") == "1" {
 		nodes = cl.Nodes
 	}
-	cl = cl.WithNodes(nodes)
 	run := func(shards int) uint64 {
 		job, err := topology.NewJob(cl, nodes, 28)
 		if err != nil {

@@ -51,7 +51,7 @@ func faultSweep(id string, opt Options) (*Table, error) {
 		XLabel: "intensity (%)",
 		YLabel: "latency (us)",
 	}
-	shape := faults.Shape{Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs}
+	shape := faults.Shape{Ranks: nodes * ppn, Nodes: nodes}
 	cells := gridCells(len(cases), len(intensities))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
 		cfg := opt.latencyConfig(cl, nodes, ppn)

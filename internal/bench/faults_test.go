@@ -69,7 +69,7 @@ func TestFaultsFigureSeedPerturbs(t *testing.T) {
 func TestFaultMatrixSmoke(t *testing.T) {
 	cl := topology.ClusterA()
 	const nodes, ppn, bytes = 2, 4, 256
-	shape := faults.Shape{Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs}
+	shape := faults.Shape{Ranks: nodes * ppn, Nodes: nodes}
 	matrix := []struct {
 		class faults.Class
 		label string

@@ -64,7 +64,7 @@ func (o Options) latencyConfig(cl *topology.Cluster, nodes, ppn int) mpi.Config 
 	cfg := worldConfig(o.Jobs)
 	cfg.Watchdog = o.Watchdog
 	cfg.Faults = o.FaultSpec.Instantiate(faults.Shape{
-		Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs,
+		Ranks: nodes * ppn, Nodes: nodes,
 	})
 	return cfg
 }

@@ -90,7 +90,7 @@ func grandPrix(id string, opt Options) (*Table, error) {
 		cse, col := cases[c.row], cols[c.col]
 		cfg := opt.latencyConfig(cl, col.shape.nodes, col.shape.ppn)
 		cfg.Faults = col.spec.Instantiate(faults.Shape{
-			Ranks: col.shape.nodes * col.shape.ppn, Nodes: col.shape.nodes, HCAs: cl.HCAs,
+			Ranks: col.shape.nodes * col.shape.ppn, Nodes: col.shape.nodes,
 		})
 		lat, err := AllreduceLatency(cfg, cl, col.shape.nodes, col.shape.ppn,
 			cse.spec, []int{col.bytes}, opt.Iters, opt.Warmup)

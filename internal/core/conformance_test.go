@@ -154,12 +154,12 @@ func TestConformanceUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Seed = 7
-	plan := spec.Instantiate(faults.Shape{Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs})
+	plan := spec.Instantiate(faults.Shape{Ranks: nodes * ppn, Nodes: nodes})
 	job, err := topology.NewJob(cl, nodes, ppn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Validate(faults.Shape{Ranks: nodes * ppn, Nodes: nodes, HCAs: cl.HCAs}); err != nil {
+	if err := plan.Validate(faults.Shape{Ranks: nodes * ppn, Nodes: nodes}); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range conformanceDesigns() {

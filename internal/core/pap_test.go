@@ -26,7 +26,7 @@ func papPlan(t *testing.T, seed uint64) *faults.Plan {
 		t.Fatal(err)
 	}
 	spec.Seed = seed
-	sh := faults.Shape{Ranks: 16, Nodes: 4, HCAs: topology.ClusterA().HCAs}
+	sh := faults.Shape{Ranks: 16, Nodes: 4}
 	plan := spec.Instantiate(sh)
 	if err := plan.Validate(sh); err != nil {
 		t.Fatal(err)

@@ -241,7 +241,7 @@ func resolve(sc Scenario) (*resolved, error) {
 			return nil, fmt.Errorf("explore: %w", err)
 		}
 		fspec.Seed = sc.FaultSeed
-		shape := faults.Shape{Ranks: sc.Nodes * sc.PPN, Nodes: sc.Nodes, HCAs: cl.HCAs}
+		shape := faults.Shape{Ranks: sc.Nodes * sc.PPN, Nodes: sc.Nodes}
 		rs.plan = fspec.Instantiate(shape)
 		if err := rs.plan.Validate(shape); err != nil {
 			return nil, fmt.Errorf("explore: %w", err)

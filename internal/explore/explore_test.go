@@ -160,7 +160,7 @@ func orderBugWorkload(nodes int) func(e *core.Engine, r *mpi.Rank) (*mpi.Vector,
 	var mu sync.Mutex
 	cells := map[*mpi.World][]float64{}
 	return func(e *core.Engine, r *mpi.Rank) (*mpi.Vector, error) {
-		w := r.World()
+		w := e.W
 		mu.Lock()
 		c, ok := cells[w]
 		if !ok {

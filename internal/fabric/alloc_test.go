@@ -35,11 +35,12 @@ func TestMemChannelCopyDoesNotAllocate(t *testing.T) {
 				if viaHeap {
 					k.After(sim.Nanosecond, nop)
 				}
-				m.Copy(p, false, 64<<10)
+				m.ArmCopy(p, false, 64<<10)
+				p.Park()
 			})
 		})
 		if allocs != 0 {
-			t.Fatalf("viaHeap=%v: MemChannel.Copy allocates %v objects per copy, want 0", viaHeap, allocs)
+			t.Fatalf("viaHeap=%v: a MemChannel copy allocates %v objects per copy, want 0", viaHeap, allocs)
 		}
 	}
 }
@@ -72,11 +73,11 @@ func TestFlowCycleDoesNotAllocate(t *testing.T) {
 			}
 			var allocs float64
 			runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
-				var sig sim.Signal
-				done := func() { sig.Fire() }
+				done := p.Wake()
 				allocs = steadyAllocs(func() {
 					path.start(n, l, done)
-					sig.Wait(p, "flow")
+					p.ArmWake("flow")
+					p.Park()
 				})
 			})
 			if allocs != 0 {

@@ -41,20 +41,20 @@ func TestSetLinkCapacityRestore(t *testing.T) {
 	}
 }
 
-// TestSetInjectScaleThrottlesGap: a throttled HCA reserves scaled
+// TestSetInjectScaleThrottlesGap: a throttled NIC reserves scaled
 // injection slots; restoring scale 1 returns to the nominal gap.
 func TestSetInjectScaleThrottlesGap(t *testing.T) {
 	c := topology.ClusterB()
 	co, k, _, net := newTestNet(c, 2)
-	ep := net.Endpoint(0, 0)
+	ep := net.Endpoint(0)
 	gap := c.Net.MsgGap
 	k.Spawn("sender", func(p *sim.Proc) {
 		d1 := ep.InjectDelay() // reserves [0, gap)
 		d2 := ep.InjectDelay() // reserves [gap, 2*gap)
-		net.SetInjectScale(0, 0, 3)
+		net.SetInjectScale(0, 3)
 		d3 := ep.InjectDelay() // reserves [2*gap, 5*gap)
 		d4 := ep.InjectDelay() // reserves [5*gap, 8*gap)
-		net.SetInjectScale(0, 0, 1)
+		net.SetInjectScale(0, 1)
 		d5 := ep.InjectDelay() // reserves [8*gap, 9*gap)
 		d6 := ep.InjectDelay()
 		if d1 != 0 || d2 != sim.Duration(gap) {
@@ -120,7 +120,7 @@ func TestSharpOfflineSeenByAllMembers(t *testing.T) {
 	if g.Stats.Ops != 2 {
 		t.Fatalf("ops = %d, want 2 (the failed op never entered the tree)", g.Stats.Ops)
 	}
-	if s.Failed() {
+	if s.failed {
 		t.Fatal("Failed() = true after recovery")
 	}
 }

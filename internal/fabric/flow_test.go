@@ -23,10 +23,33 @@ func runFlows(t *testing.T, body func(k *sim.Kernel, n *FlowNet, p *sim.Proc)) s
 }
 
 func waitFlows(p *sim.Proc, count int, start func(done func())) {
-	var wg sim.WaitGroup
-	wg.Add(count)
-	start(func() { wg.Done() })
-	wg.Wait(p, "flows")
+	wg := join{n: count}
+	start(wg.done)
+	wg.wait(p, "flows")
+}
+
+// join counts the flows or transfers a test proc waits for: each one's
+// completion callback is done, and wait parks the proc until n of them
+// have run.
+type join struct {
+	n int
+	p *sim.Proc // the waiting proc, while it waits
+}
+
+func (j *join) done() {
+	if j.n--; j.n == 0 && j.p != nil {
+		wake := j.p.Wake()
+		j.p = nil
+		wake()
+	}
+}
+
+func (j *join) wait(p *sim.Proc, why string) {
+	if j.n > 0 {
+		j.p = p
+		p.ArmWake(why)
+		p.Park()
+	}
 }
 
 func TestSingleFlowUncontended(t *testing.T) {
@@ -109,12 +132,12 @@ func TestRateReallocatedOnArrival(t *testing.T) {
 	// A has 1 MB left, finishes at 2.5 ms.
 	end := runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
 		l := NewLink("l", 2e9)
-		var wg sim.WaitGroup
-		wg.Add(2)
-		n.Start(4_000_000, 10e9, func() { wg.Done() }, l)
+		var wg join
+		wg.n = 2
+		n.Start(4_000_000, 10e9, wg.done, l)
 		p.Sleep(sim.Millisecond)
-		n.Start(1_000_000, 10e9, func() { wg.Done() }, l)
-		wg.Wait(p, "flows")
+		n.Start(1_000_000, 10e9, wg.done, l)
+		wg.wait(p, "flows")
 	})
 	want := sim.Time(2500 * sim.Microsecond)
 	if end != want {
@@ -209,15 +232,15 @@ func TestStaggeredFlowsConserveWork(t *testing.T) {
 	var totalBytes int64
 	end := runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
 		l := NewLink("l", 4e9)
-		var wg sim.WaitGroup
+		var wg join
 		sizes := []int64{100_000, 2_000_000, 350_000, 1_200_000, 900_000, 50_000, 777_000}
-		wg.Add(len(sizes))
+		wg.n = len(sizes)
 		for i, s := range sizes {
 			totalBytes += s
-			n.Start(s, 1.5e9, func() { wg.Done() }, l)
+			n.Start(s, 1.5e9, wg.done, l)
 			p.Sleep(sim.Duration(i*137) * sim.Microsecond)
 		}
-		wg.Wait(p, "flows")
+		wg.wait(p, "flows")
 	})
 	minTime := sim.DurationOfSeconds(float64(totalBytes) / 4e9)
 	if sim.Duration(end) < minTime {
@@ -464,12 +487,12 @@ func TestLinkAccountingConservation(t *testing.T) {
 	n := NewFlowNet(k)
 	l := NewLink("l", 2e9)
 	k.Spawn("driver", func(p *sim.Proc) {
-		var wg sim.WaitGroup
-		wg.Add(2)
+		var wg join
+		wg.n = 2
 		// Two 1 MB flows sharing the link: 1 GB/s each, both end at 1ms.
-		n.Start(1_000_000, 10e9, func() { wg.Done() }, l)
-		n.Start(1_000_000, 10e9, func() { wg.Done() }, l)
-		wg.Wait(p, "flows")
+		n.Start(1_000_000, 10e9, wg.done, l)
+		n.Start(1_000_000, 10e9, wg.done, l)
+		wg.wait(p, "flows")
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)

@@ -7,13 +7,13 @@ import (
 	"dpml/internal/topology"
 )
 
-// hca is one host channel adapter: an uplink, a downlink, and an injection
-// serializer enforcing the NIC message rate. The injector state is
-// owned by the HCA's node LP; the links themselves are flow-net state
-// and immutable after construction.
+// nic is one node's network adapter: an uplink, a downlink, and an
+// injection serializer enforcing the NIC message rate. The injector state
+// is owned by the node's LP; the links themselves are flow-net state and
+// immutable after construction.
 //
 //dpml:owner node
-type hca struct {
+type nic struct {
 	up       *Link
 	down     *Link
 	nextFree sim.Time
@@ -27,7 +27,7 @@ type hca struct {
 	maxBacklog sim.Duration
 }
 
-// Network models the inter-node interconnect of one job: per-node HCAs
+// Network models the inter-node interconnect of one job: per-node NICs
 // with capacity-limited links and message-rate-limited injectors, an
 // optional oversubscribed fat-tree core stage, and fluid flows in between.
 //
@@ -44,7 +44,7 @@ type Network struct {
 	k     *sim.Kernel // the network LP's kernel: owns links, flows, Stats
 	flows *FlowNet
 	prof  topology.NetProfile
-	nodes [][]*hca // [node][hca]
+	nics  []nic // [node]
 
 	// The oversubscribed core is modelled per leaf subtree: each subtree
 	// owns an uplink/downlink pair into the core sized by its node count
@@ -76,7 +76,7 @@ type Endpoint struct {
 	net  *Network
 	k    *sim.Kernel // the owning node's kernel
 	node int
-	hca  int
+	nic  *nic
 	tx   *Link //dpml:owner net
 	rx   *Link //dpml:owner net
 }
@@ -93,23 +93,17 @@ func NewNetwork(coord *sim.Coordinator, flows *FlowNet, c *topology.Cluster, nod
 		panic(fmt.Sprintf("fabric: NewNetwork with %d nodes on %s", nodes, c.Name))
 	}
 	n := &Network{coord: coord, k: coord.NetKernel(), flows: flows, prof: c.Net}
-	n.nodes = make([][]*hca, nodes)
-	for i := range n.nodes {
-		hcas := make([]*hca, c.HCAs)
-		for h := range hcas {
-			hcas[h] = &hca{
-				up:   NewLink(fmt.Sprintf("n%d.h%d.up", i, h), c.Net.LinkBandwidth),
-				down: NewLink(fmt.Sprintf("n%d.h%d.down", i, h), c.Net.LinkBandwidth),
-			}
-		}
-		n.nodes[i] = hcas
+	n.nics = make([]nic, nodes)
+	for i := range n.nics {
+		n.nics[i].up = NewLink(fmt.Sprintf("n%d.up", i), c.Net.LinkBandwidth)
+		n.nics[i].down = NewLink(fmt.Sprintf("n%d.down", i), c.Net.LinkBandwidth)
 	}
 	n.sub = topology.LeafSubtrees(nodes, c.Net.LeafRadix)
 	if over := c.Net.Oversubscription; over > 1 {
 		n.coreUp = make([]*Link, n.sub.Count)
 		n.coreDn = make([]*Link, n.sub.Count)
 		for s := 0; s < n.sub.Count; s++ {
-			agg := c.Net.LinkBandwidth * float64(n.sub.Size(s)*c.HCAs) / over
+			agg := c.Net.LinkBandwidth * float64(n.sub.Size(s)) / over
 			n.coreUp[s] = NewLink(fmt.Sprintf("sub%d.core.up", s), agg)
 			n.coreDn[s] = NewLink(fmt.Sprintf("sub%d.core.down", s), agg)
 		}
@@ -117,11 +111,10 @@ func NewNetwork(coord *sim.Coordinator, flows *FlowNet, c *topology.Cluster, nod
 	return n
 }
 
-// Endpoint creates a fresh process attachment on the given node and HCA,
-// with its own per-process pipe at the profile's PerFlowCap rate.
-func (n *Network) Endpoint(node, hcaIdx int) *Endpoint {
-	n.hcaAt(node, hcaIdx) // validate
-	return &Endpoint{net: n, k: n.coord.KernelFor(node), node: node, hca: hcaIdx}
+// Endpoint creates a fresh process attachment on the given node, with its
+// own per-process pipe at the profile's PerFlowCap rate.
+func (n *Network) Endpoint(node int) *Endpoint {
+	return &Endpoint{net: n, k: n.coord.KernelFor(node), node: node, nic: n.nicAt(node)}
 }
 
 // pipes returns src's send pipe and dst's receive pipe, building each
@@ -130,21 +123,21 @@ func (n *Network) Endpoint(node, hcaIdx int) *Endpoint {
 // memory.
 func (n *Network) pipes(src, dst *Endpoint) (tx, rx *Link) {
 	if src.tx == nil {
-		src.tx = NewLink(fmt.Sprintf("n%d.h%d.tx", src.node, src.hca), n.prof.PerFlowCap)
+		src.tx = NewLink(fmt.Sprintf("n%d.tx", src.node), n.prof.PerFlowCap)
 	}
 	if dst.rx == nil {
-		dst.rx = NewLink(fmt.Sprintf("n%d.h%d.rx", dst.node, dst.hca), n.prof.PerFlowCap)
+		dst.rx = NewLink(fmt.Sprintf("n%d.rx", dst.node), n.prof.PerFlowCap)
 	}
 	return src.tx, dst.rx
 }
 
-// InjectDelay reserves the next injection slot on the endpoint's HCA and
+// InjectDelay reserves the next injection slot on the endpoint's NIC and
 // returns how long the caller must wait before the message enters the
 // wire. It advances the injector clock, so callers must sleep the
-// returned duration (the MPI layer does). The HCA's injector state is
+// returned duration (the MPI layer does). The NIC's injector state is
 // node-local: it must only be touched from its own node's context.
 func (ep *Endpoint) InjectDelay() sim.Duration {
-	h := ep.net.hcaAt(ep.node, ep.hca)
+	h := ep.nic
 	now := ep.k.Now()
 	start := now
 	if h.nextFree > start {
@@ -163,22 +156,22 @@ func (ep *Endpoint) InjectDelay() sim.Duration {
 	return wait
 }
 
-// HCALinks exposes the uplink and downlink of one node's HCA, so the
+// NodeLinks exposes the uplink and downlink of one node's NIC, so the
 // fault layer can degrade their capacity through FlowNet.SetLinkCapacity.
-func (n *Network) HCALinks(node, hcaIdx int) (up, down *Link) {
-	h := n.hcaAt(node, hcaIdx)
+func (n *Network) NodeLinks(node int) (up, down *Link) {
+	h := n.nicAt(node)
 	return h.up, h.down
 }
 
-// SetInjectScale throttles one HCA's message rate: subsequent injections
-// reserve scale times the profile's nominal gap. scale 1 (or 0) restores
-// the nominal rate; already-reserved slots are not revisited. This is the
-// fault layer's NIC-throttling hook.
-func (n *Network) SetInjectScale(node, hcaIdx int, scale float64) {
+// SetInjectScale throttles one node's NIC message rate: subsequent
+// injections reserve scale times the profile's nominal gap. scale 1 (or 0)
+// restores the nominal rate; already-reserved slots are not revisited.
+// This is the fault layer's NIC-throttling hook.
+func (n *Network) SetInjectScale(node int, scale float64) {
 	if scale < 0 {
-		panic(fmt.Sprintf("fabric: SetInjectScale(%d, %d, %g)", node, hcaIdx, scale))
+		panic(fmt.Sprintf("fabric: SetInjectScale(%d, %g)", node, scale))
 	}
-	n.hcaAt(node, hcaIdx).gapScale = scale
+	n.nicAt(node).gapScale = scale
 }
 
 // StartTransfer launches the wire part of one message between two
@@ -240,8 +233,7 @@ func (n *Network) launch(t *Transfer) {
 	}
 	src, dst, bytes := t.src, t.dst, t.bytes
 	tx, rx := n.pipes(src, dst)
-	su := n.hcaAt(src.node, src.hca)
-	dd := n.hcaAt(dst.node, dst.hca)
+	su, dd := src.nic, dst.nic
 	n.Stats.Messages++
 	if bytes > 0 {
 		n.Stats.Bytes += uint64(bytes)
@@ -257,15 +249,11 @@ func (n *Network) launch(t *Transfer) {
 	n.flows.Start(bytes, unlimited, t.done, tx, su.up, dd.down, rx)
 }
 
-func (n *Network) hcaAt(node, h int) *hca {
-	if node < 0 || node >= len(n.nodes) {
-		panic(fmt.Sprintf("fabric: node %d out of range [0,%d)", node, len(n.nodes)))
+func (n *Network) nicAt(node int) *nic {
+	if node < 0 || node >= len(n.nics) {
+		panic(fmt.Sprintf("fabric: node %d out of range [0,%d)", node, len(n.nics)))
 	}
-	hcas := n.nodes[node]
-	if h < 0 || h >= len(hcas) {
-		panic(fmt.Sprintf("fabric: hca %d out of range [0,%d)", h, len(hcas)))
-	}
-	return hcas[h]
+	return &n.nics[node]
 }
 
 // MemChannel models one node's shared-memory communication: every copy is
@@ -278,7 +266,7 @@ type MemChannel struct {
 	flows *FlowNet
 	prof  topology.MemProfile
 	link  *Link
-	free  []*memCopy // records of finished copy startups, reused by Copy
+	free  []*memCopy // records of finished copy startups, reused by ArmCopy
 
 	// Stats counts copies.
 	Stats struct {
@@ -298,21 +286,14 @@ func NewMemChannel(k *sim.Kernel, flows *FlowNet, c *topology.Cluster, node int)
 	}
 }
 
-// Copy blocks the calling proc for the duration of a shared-memory copy of
-// bytes: the fixed startup cost (the paper's a'), then a flow across the
-// node's memory system at the intra- or cross-socket streaming rate. The
-// proc is busy for the whole copy (memcpy is CPU work). An event at the
-// end of the startup starts the flow, and the flow wakes the proc
-// through its cached wakeup (Proc.Wake), so a copy parks once and, from
-// a recycled memCopy record, allocates nothing.
-func (m *MemChannel) Copy(p *sim.Proc, crossSocket bool, bytes int64) {
-	m.ArmCopy(p, crossSocket, bytes)
-	p.Park()
-}
-
-// ArmCopy is Copy's arm form (see sim.Proc.Park): it schedules the
-// startup's end, which starts the flow (or, for an empty copy, wakes p),
-// and arms p to park on "shm copy" until the copy ends.
+// ArmCopy arms p to park on "shm copy" for the duration of a
+// shared-memory copy of bytes (see sim.Proc.Park): the fixed startup
+// cost (the paper's a'), then a flow across the node's memory system at
+// the intra- or cross-socket streaming rate. The proc is busy for the
+// whole copy (memcpy is CPU work). An event at the end of the startup
+// starts the flow (or, for an empty copy, wakes p), and the flow wakes
+// the proc through its cached wakeup (Proc.Wake), so a copy parks once
+// and, from a recycled memCopy record, allocates nothing.
 func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) {
 	startup := m.prof.CopyStartup
 	rate := m.prof.CopyRate
@@ -333,7 +314,7 @@ func (m *MemChannel) ArmCopy(p *sim.Proc, crossSocket bool, bytes int64) {
 	p.ArmWake("shm copy")
 }
 
-// memCopy holds a copy's flow parameters from Copy until its startup
+// memCopy holds a copy's flow parameters from ArmCopy until its startup
 // ends and start launches the flow.
 type memCopy struct {
 	p     *sim.Proc
@@ -373,39 +354,30 @@ func report(l *Link) LinkReport {
 	return LinkReport{Name: l.Name(), Capacity: l.Capacity(), Bytes: l.BytesMoved(), Busy: l.BusyTime()}
 }
 
-// InjectReport summarizes one HCA's injection-queue activity: how many
+// InjectReport summarizes one node's injection-queue activity: how many
 // messages reserved slots and the deepest backlog any of them waited
 // behind.
 type InjectReport struct {
 	Node       int
-	HCA        int
 	Messages   uint64
 	MaxBacklog sim.Duration
 }
 
-// InjectReports returns per-HCA injection-queue activity in node/HCA
-// order.
+// InjectReports returns per-node injection-queue activity in node order.
 func (n *Network) InjectReports() []InjectReport {
-	var out []InjectReport
-	for node, hcas := range n.nodes {
-		for idx, h := range hcas {
-			out = append(out, InjectReport{
-				Node: node, HCA: idx,
-				Messages: h.injections, MaxBacklog: h.maxBacklog,
-			})
-		}
+	out := make([]InjectReport, len(n.nics))
+	for node, h := range n.nics {
+		out[node] = InjectReport{Node: node, Messages: h.injections, MaxBacklog: h.maxBacklog}
 	}
 	return out
 }
 
 // Report returns per-link activity for every NIC link (and the
-// per-subtree core stage, if modelled), in node/HCA then subtree order.
+// per-subtree core stage, if modelled), in node then subtree order.
 func (n *Network) Report() []LinkReport {
 	var out []LinkReport
-	for _, hcas := range n.nodes {
-		for _, h := range hcas {
-			out = append(out, report(h.up), report(h.down))
-		}
+	for _, h := range n.nics {
+		out = append(out, report(h.up), report(h.down))
 	}
 	for s := range n.coreUp {
 		out = append(out, report(n.coreUp[s]), report(n.coreDn[s]))

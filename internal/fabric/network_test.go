@@ -23,11 +23,12 @@ func TestNetworkTransferBasics(t *testing.T) {
 	c := topology.ClusterB()
 	co, k, _, net := newTestNet(c, 2)
 	var arrived sim.Time
-	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
+	src, dst := net.Endpoint(0), net.Endpoint(1)
 	k.Spawn("sender", func(p *sim.Proc) {
-		var done sim.Signal
-		net.StartTransfer(new(Transfer), src, dst, 1<<20, func() { arrived = k.Now(); done.Fire() }, nil)
-		done.Wait(p, "arrive")
+		wake := p.Wake()
+		net.StartTransfer(new(Transfer), src, dst, 1<<20, func() { arrived = k.Now(); wake() }, nil)
+		p.ArmWake("arrive")
+		p.Park()
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -49,12 +50,12 @@ func TestNetworkConcurrencyScalesOnIB(t *testing.T) {
 	elapsed := func(pairs int) sim.Duration {
 		co, k, _, net := newTestNet(c, 2)
 		k.Spawn("driver", func(p *sim.Proc) {
-			var wg sim.WaitGroup
-			wg.Add(pairs)
+			var wg join
+			wg.n = pairs
 			for i := 0; i < pairs; i++ {
-				net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() }, nil)
+				net.StartTransfer(new(Transfer), net.Endpoint(0), net.Endpoint(1), 1<<20, wg.done, nil)
 			}
-			wg.Wait(p, "transfers")
+			wg.wait(p, "transfers")
 		})
 		if err := co.Run(); err != nil {
 			t.Fatal(err)
@@ -76,12 +77,12 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 	elapsed := func(pairs int) sim.Duration {
 		co, k, _, net := newTestNet(c, 2)
 		k.Spawn("driver", func(p *sim.Proc) {
-			var wg sim.WaitGroup
-			wg.Add(pairs)
+			var wg join
+			wg.n = pairs
 			for i := 0; i < pairs; i++ {
-				net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(1, 0), 1<<20, func() { wg.Done() }, nil)
+				net.StartTransfer(new(Transfer), net.Endpoint(0), net.Endpoint(1), 1<<20, wg.done, nil)
 			}
-			wg.Wait(p, "transfers")
+			wg.wait(p, "transfers")
 		})
 		if err := co.Run(); err != nil {
 			t.Fatal(err)
@@ -98,12 +99,12 @@ func TestNetworkConcurrencyFlatOnOmniPathLarge(t *testing.T) {
 func TestInjectDelayEnforcesMessageGap(t *testing.T) {
 	c := topology.ClusterC()
 	co, k, _, net := newTestNet(c, 2)
-	ep0 := net.Endpoint(0, 0)
-	ep0b := net.Endpoint(0, 0) // second process on the same HCA
-	ep1 := net.Endpoint(1, 0)
+	ep0 := net.Endpoint(0)
+	ep0b := net.Endpoint(0) // second process on the same NIC
+	ep1 := net.Endpoint(1)
 	k.Spawn("driver", func(p *sim.Proc) {
 		// Back-to-back injections at the same instant must space out by
-		// MsgGap each, and the HCA injector is shared between the node's
+		// MsgGap each, and the NIC injector is shared between the node's
 		// processes.
 		if d := ep0.InjectDelay(); d != 0 {
 			t.Errorf("first injection delayed %v", d)
@@ -114,7 +115,7 @@ func TestInjectDelayEnforcesMessageGap(t *testing.T) {
 		if d := ep0b.InjectDelay(); d != 2*c.Net.MsgGap {
 			t.Errorf("third injection (other process) delayed %v, want %v", d, 2*c.Net.MsgGap)
 		}
-		// A different node's HCA is independent.
+		// A different node's NIC is independent.
 		if d := ep1.InjectDelay(); d != 0 {
 			t.Errorf("other node injection delayed %v", d)
 		}
@@ -147,16 +148,16 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 	}
 	const bytes = 4 << 20
 	k.Spawn("driver", func(p *sim.Proc) {
-		var wg sim.WaitGroup
+		var wg join
 		// node i -> node (i+nodes/2)%nodes, 2 sender processes each, so
 		// every flow crosses both subtrees' core links
 		for i := 0; i < nodes; i++ {
 			for j := 0; j < 2; j++ {
-				wg.Add(1)
-				net.StartTransfer(new(Transfer), net.Endpoint(i, 0), net.Endpoint((i+nodes/2)%nodes, 0), bytes, func() { wg.Done() }, nil)
+				wg.n++
+				net.StartTransfer(new(Transfer), net.Endpoint(i), net.Endpoint((i+nodes/2)%nodes), bytes, wg.done, nil)
 			}
 		}
-		wg.Wait(p, "transfers")
+		wg.wait(p, "transfers")
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -176,9 +177,8 @@ func TestOversubscribedCoreBottleneck(t *testing.T) {
 func TestNetworkPanicsOnBadEndpoints(t *testing.T) {
 	_, _, _, net := newTestNet(topology.ClusterB(), 2)
 	cases := []func(){
-		func() { net.StartTransfer(new(Transfer), net.Endpoint(0, 0), net.Endpoint(0, 0), 10, func() {}, nil) }, // same node
-		func() { net.Endpoint(5, 0) }, // bad node
-		func() { net.Endpoint(0, 3) }, // bad hca
+		func() { net.StartTransfer(new(Transfer), net.Endpoint(0), net.Endpoint(0), 10, func() {}, nil) }, // same node
+		func() { net.Endpoint(5) }, // bad node
 	}
 	for i, fn := range cases {
 		func() {
@@ -199,7 +199,7 @@ func TestMemChannelCopyCosts(t *testing.T) {
 		k := co.KernelFor(0)
 		fn := NewFlowNet(k)
 		m := NewMemChannel(k, fn, c, 0)
-		k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, cross, bytes) })
+		k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, cross, bytes); p.Park() })
 		if err := co.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestMemChannelConcurrentCopiesScale(t *testing.T) {
 		fn := NewFlowNet(k)
 		m := NewMemChannel(k, fn, c, 0)
 		for i := 0; i < copiers; i++ {
-			k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, 1<<20) })
+			k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, 1<<20); p.Park() })
 		}
 		if err := co.Run(); err != nil {
 			t.Fatal(err)
@@ -261,7 +261,7 @@ func TestMemChannelAggregateBandwidthBinds(t *testing.T) {
 	m := NewMemChannel(k, fn, c, 0)
 	const bytes = 1 << 20
 	for i := 0; i < copiers; i++ {
-		k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, bytes) })
+		k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, bytes); p.Park() })
 	}
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -426,11 +426,11 @@ func TestSharpSmallBeatsLargeScaling(t *testing.T) {
 func TestNetworkReport(t *testing.T) {
 	c := topology.ClusterB()
 	co, k, _, net := newTestNet(c, 2)
-	src, dst := net.Endpoint(0, 0), net.Endpoint(1, 0)
+	src, dst := net.Endpoint(0), net.Endpoint(1)
 	k.Spawn("driver", func(p *sim.Proc) {
-		var done sim.Signal
-		net.StartTransfer(new(Transfer), src, dst, 1<<20, func() { done.Fire() }, nil)
-		done.Wait(p, "arrive")
+		net.StartTransfer(new(Transfer), src, dst, 1<<20, p.Wake(), nil)
+		p.ArmWake("arrive")
+		p.Park()
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -442,9 +442,9 @@ func TestNetworkReport(t *testing.T) {
 	var upBytes, downBytes int64
 	for _, lr := range rep {
 		switch lr.Name {
-		case "n0.h0.up":
+		case "n0.up":
 			upBytes = lr.Bytes
-		case "n1.h0.down":
+		case "n1.down":
 			downBytes = lr.Bytes
 		}
 	}
@@ -464,7 +464,7 @@ func TestMemChannelReport(t *testing.T) {
 	k := co.KernelFor(0)
 	fn := NewFlowNet(k)
 	m := NewMemChannel(k, fn, topology.ClusterA(), 0)
-	k.Spawn("copier", func(p *sim.Proc) { m.Copy(p, false, 4096) })
+	k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, 4096); p.Park() })
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -234,15 +234,15 @@ func testSingleLinkChurn(t *testing.T) {
 		}
 	}
 	k.Spawn("driver", func(p *sim.Proc) {
-		var wg sim.WaitGroup
+		var wg join
 		for step := 0; step < 300; step++ {
 			if next(8) == 0 {
 				n.SetLinkCapacity(mem, float64(1+next(8))*1e9)
 			} else {
-				wg.Add(1)
+				wg.n++
 				n.Start(int64(1+next(1<<20)), float64(1+next(10))*0.5e9, func() {
 					compare()
-					wg.Done()
+					wg.done()
 				}, mem)
 			}
 			k.After(0, check)
@@ -250,7 +250,7 @@ func testSingleLinkChurn(t *testing.T) {
 				p.Sleep(sim.Duration(1 + next(20_000)))
 			}
 		}
-		wg.Wait(p, "flows")
+		wg.wait(p, "flows")
 	})
 	if err := co.Run(); err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func testChurnFill(t *testing.T) {
 		}
 		long := 0
 		k.Spawn("driver", func(p *sim.Proc) {
-			var wg sim.WaitGroup
+			var wg join
 			for step := 0; step < 400; step++ {
 				lo := 0
 				if step >= 200 {
@@ -397,10 +397,10 @@ func testChurnFill(t *testing.T) {
 						n.free = nil
 					}
 					id := step
-					wg.Add(1)
+					wg.n++
 					n.Start(int64(1+next(1<<20)), float64(1+next(10))*0.5e9, func() {
 						log = append(log, fmt.Sprintf("%d@%d", id, k.Now()))
-						wg.Done()
+						wg.done()
 					}, route...)
 					objects[n.active[len(n.active)-1]] = true
 				}
@@ -410,7 +410,7 @@ func testChurnFill(t *testing.T) {
 					p.Sleep(sim.Duration(1 + next(20_000)))
 				}
 			}
-			wg.Wait(p, "flows")
+			wg.wait(p, "flows")
 			check()
 		})
 		if err := co.Run(); err != nil {

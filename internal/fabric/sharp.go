@@ -79,9 +79,6 @@ func NewSharp(k *sim.Kernel, c *topology.Cluster) (*Sharp, error) {
 // the model.
 func (s *Sharp) SetFailed(v bool) { s.failed = v }
 
-// Failed reports whether the offload is currently marked unavailable.
-func (s *Sharp) Failed() bool { return s.failed }
-
 // MaxPayload returns the largest message one operation may carry.
 func (s *Sharp) MaxPayload() int { return s.prof.MaxPayload }
 

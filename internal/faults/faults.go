@@ -42,25 +42,23 @@ type Straggler struct {
 	Factor float64  // >= 1: how many times slower the rank runs
 }
 
-// LinkFault degrades both directions of one node's HCA to Factor of the
+// LinkFault degrades both directions of one node's NIC to Factor of the
 // nominal capacity during [Start, End): in-flight flows are re-water-
 // filled at the boundary, so a congested link slows every flow crossing
 // it mid-transfer. Multiple disjoint windows on the same link model a
 // flapping link. End == 0 means the degradation is permanent.
 type LinkFault struct {
 	Node   int
-	HCA    int
 	Start  sim.Time
 	End    sim.Time // 0 = until the end of the run
 	Factor float64  // (0, 1]: remaining fraction of nominal capacity
 }
 
 // NICThrottle multiplies the injection gap (the inverse message rate) of
-// one node's HCA by Factor during [Start, End), modelling a NIC whose
+// one node's NIC by Factor during [Start, End), modelling a NIC whose
 // doorbell path is degraded. End == 0 means permanent.
 type NICThrottle struct {
 	Node   int
-	HCA    int
 	Start  sim.Time
 	End    sim.Time // 0 = until the end of the run
 	Factor float64  // >= 1: message-gap multiplier
@@ -92,11 +90,10 @@ func (p *Plan) Empty() bool {
 }
 
 // Shape describes the job a plan is validated against (and generated
-// for): global rank count, nodes in use, and HCAs per node.
+// for): global rank count and nodes in use.
 type Shape struct {
 	Ranks int
 	Nodes int
-	HCAs  int
 }
 
 func window(start, end sim.Time) error {
@@ -130,9 +127,6 @@ func (p *Plan) Validate(sh Shape) error {
 		if l.Node < 0 || l.Node >= sh.Nodes {
 			return fmt.Errorf("faults: link fault %d: node %d out of range [0,%d)", i, l.Node, sh.Nodes)
 		}
-		if l.HCA < 0 || l.HCA >= sh.HCAs {
-			return fmt.Errorf("faults: link fault %d: hca %d out of range [0,%d)", i, l.HCA, sh.HCAs)
-		}
 		if l.Factor <= 0 || l.Factor > 1 {
 			return fmt.Errorf("faults: link fault %d: factor %g outside (0,1]", i, l.Factor)
 		}
@@ -143,9 +137,6 @@ func (p *Plan) Validate(sh Shape) error {
 	for i, n := range p.NICs {
 		if n.Node < 0 || n.Node >= sh.Nodes {
 			return fmt.Errorf("faults: nic throttle %d: node %d out of range [0,%d)", i, n.Node, sh.Nodes)
-		}
-		if n.HCA < 0 || n.HCA >= sh.HCAs {
-			return fmt.Errorf("faults: nic throttle %d: hca %d out of range [0,%d)", i, n.HCA, sh.HCAs)
 		}
 		if n.Factor < 1 {
 			return fmt.Errorf("faults: nic throttle %d: factor %g < 1", i, n.Factor)
@@ -308,7 +299,7 @@ func (s *Spec) Instantiate(sh Shape) *Plan {
 	if s == nil || len(s.Classes) == 0 || s.Intensity <= 0 {
 		return nil
 	}
-	if sh.Ranks <= 0 || sh.Nodes <= 0 || sh.HCAs <= 0 {
+	if sh.Ranks <= 0 || sh.Nodes <= 0 {
 		panic(fmt.Sprintf("faults: Instantiate with shape %+v", sh))
 	}
 	i := math.Min(s.Intensity, 1)
@@ -327,21 +318,24 @@ func (s *Spec) Instantiate(sh Shape) *Plan {
 			}
 		case ClassLink:
 			for _, node := range s.pick(rng, sh.Nodes, i) {
-				hca := rng.intn(sh.HCAs)
+				// The draw that once picked one of the node's NICs. A node
+				// has one now, but dropping the draw would shift every later
+				// value of the stream, and so every committed faulted table.
+				rng.next()
 				factor := math.Max(0.05, 1-0.9*i*(0.5+rng.float()))
 				for _, w := range s.windows(rng) {
 					p.Links = append(p.Links, LinkFault{
-						Node: node, HCA: hca, Start: w[0], End: w[1], Factor: factor,
+						Node: node, Start: w[0], End: w[1], Factor: factor,
 					})
 				}
 			}
 		case ClassNIC:
 			for _, node := range s.pick(rng, sh.Nodes, i) {
-				hca := rng.intn(sh.HCAs)
+				rng.next() // the retired NIC-index draw (see ClassLink)
 				factor := 1 + 15*i*(0.5+rng.float())
 				for _, w := range s.windows(rng) {
 					p.NICs = append(p.NICs, NICThrottle{
-						Node: node, HCA: hca, Start: w[0], End: w[1], Factor: factor,
+						Node: node, Start: w[0], End: w[1], Factor: factor,
 					})
 				}
 			}

@@ -62,7 +62,7 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestInstantiateDeterministic(t *testing.T) {
-	sh := Shape{Ranks: 64, Nodes: 8, HCAs: 1}
+	sh := Shape{Ranks: 64, Nodes: 8}
 	spec := &Spec{Classes: Classes(), Intensity: 0.5, Seed: 42}
 	a, b := spec.Instantiate(sh), spec.Instantiate(sh)
 	if !reflect.DeepEqual(a, b) {
@@ -74,9 +74,35 @@ func TestInstantiateDeterministic(t *testing.T) {
 	}
 }
 
+// TestInstantiatePinned pins one seeded plan. Every committed faulted
+// table is made from plans this generator draws, so a change that
+// shifts a class's stream (dropping the retired NIC-index draw, say)
+// fails here and not only when the tables are regenerated.
+func TestInstantiatePinned(t *testing.T) {
+	got := (&Spec{Classes: Classes(), Intensity: 0.5, Seed: 42}).Instantiate(Shape{Ranks: 64, Nodes: 8})
+	want := &Plan{
+		Stragglers: []Straggler{
+			{Rank: 2, Factor: 4.6288478406539255},
+			{Rank: 32, Factor: 3.707328744376765},
+			{Rank: 37, Factor: 5.663075816406846},
+			{Rank: 41, Factor: 4.22300793073746},
+			{Rank: 42, Factor: 4.45617122030566},
+			{Rank: 46, Factor: 5.978651887204602},
+			{Rank: 52, Factor: 3.444560702999617},
+			{Rank: 61, Factor: 4.553885134199168},
+		},
+		Links: []LinkFault{{Node: 5, Factor: 0.6018654060069584}},
+		NICs:  []NICThrottle{{Node: 4, Factor: 8.091319080223354}},
+		Sharp: []SharpOutage{{}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed 42 plan drifted:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestInstantiateClassIndependence(t *testing.T) {
 	// Enabling a second class must not shift the first class's draw.
-	sh := Shape{Ranks: 64, Nodes: 8, HCAs: 1}
+	sh := Shape{Ranks: 64, Nodes: 8}
 	solo := (&Spec{Classes: []Class{ClassStraggler}, Intensity: 0.5, Seed: 7}).Instantiate(sh)
 	both := (&Spec{Classes: []Class{ClassStraggler, ClassLink}, Intensity: 0.5, Seed: 7}).Instantiate(sh)
 	if !reflect.DeepEqual(solo.Stragglers, both.Stragglers) {
@@ -89,8 +115,8 @@ func TestInstantiateClassIndependence(t *testing.T) {
 
 func TestInstantiateShapesAndValidity(t *testing.T) {
 	for _, sh := range []Shape{
-		{Ranks: 2, Nodes: 1, HCAs: 1},
-		{Ranks: 448, Nodes: 16, HCAs: 2},
+		{Ranks: 2, Nodes: 1},
+		{Ranks: 448, Nodes: 16},
 	} {
 		for _, intensity := range []float64{0.1, 0.5, 1.0} {
 			spec := &Spec{Classes: Classes(), Intensity: intensity, Seed: 1}
@@ -108,7 +134,7 @@ func TestInstantiateShapesAndValidity(t *testing.T) {
 func TestInstantiateHorizonBoundsWindows(t *testing.T) {
 	h := sim.DurationOfSeconds(1)
 	spec := &Spec{Classes: Classes(), Intensity: 1, Seed: 3, Horizon: h}
-	p := spec.Instantiate(Shape{Ranks: 16, Nodes: 4, HCAs: 1})
+	p := spec.Instantiate(Shape{Ranks: 16, Nodes: 4})
 	check := func(start, end sim.Time) {
 		t.Helper()
 		if end == 0 {
@@ -132,7 +158,7 @@ func TestInstantiateHorizonBoundsWindows(t *testing.T) {
 	}
 
 	// No horizon: single open-ended window from t=0.
-	open := (&Spec{Classes: []Class{ClassStraggler}, Intensity: 0.5, Seed: 3}).Instantiate(Shape{Ranks: 16, Nodes: 4, HCAs: 1})
+	open := (&Spec{Classes: []Class{ClassStraggler}, Intensity: 0.5, Seed: 3}).Instantiate(Shape{Ranks: 16, Nodes: 4})
 	for _, s := range open.Stragglers {
 		if s.Start != 0 || s.End != 0 {
 			t.Fatalf("open-ended plan has bounded window %+v", s)
@@ -141,14 +167,13 @@ func TestInstantiateHorizonBoundsWindows(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
-	sh := Shape{Ranks: 4, Nodes: 2, HCAs: 1}
+	sh := Shape{Ranks: 4, Nodes: 2}
 	bad := []*Plan{
 		{Stragglers: []Straggler{{Rank: 9, Factor: 2}}},
 		{Stragglers: []Straggler{{Rank: 0, Factor: 0.5}}},
 		{Stragglers: []Straggler{{Rank: 0, Factor: 2, Start: 10, End: 5}}},
 		{Links: []LinkFault{{Node: 5, Factor: 0.5}}},
 		{Links: []LinkFault{{Node: 0, Factor: 0}}},
-		{Links: []LinkFault{{Node: 0, HCA: 3, Factor: 0.5}}},
 		{NICs: []NICThrottle{{Node: 0, Factor: 0.1}}},
 		{Sharp: []SharpOutage{{Start: 4, End: 4}}},
 	}

@@ -67,7 +67,7 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		// An accepted spec must instantiate into a valid plan on a
 		// representative shape.
-		sh := Shape{Ranks: 12, Nodes: 3, HCAs: 2}
+		sh := Shape{Ranks: 12, Nodes: 3}
 		plan := spec.Instantiate(sh)
 		if err := plan.Validate(sh); err != nil {
 			t.Fatalf("plan from %q fails validation: %v", s, err)

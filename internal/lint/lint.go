@@ -144,20 +144,14 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Run executes the analyzers over the packages, applies //dpml:allow
-// suppressions, appends findings for unused or malformed suppressions,
-// and returns everything sorted by position then analyzer name. Module
-// analyzers see only pkgs; use RunModule to hand them dependency bodies.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	return RunModule(pkgs, pkgs, analyzers)
-}
-
-// RunModule is Run with an explicit whole-module package set: findings
-// are reported in targets only, but module analyzers (lpown, sendpath)
-// build their call graph over all, so chains through helper packages
-// outside the target set are still followed. all may be any superset of
-// the targets' module-local dependency closure; the loader's Loaded
-// method provides it.
+// RunModule executes the analyzers over the target packages, applies
+// //dpml:allow suppressions, appends findings for unused or malformed
+// suppressions, and returns everything sorted by position then analyzer
+// name. Findings are reported in targets only, but module analyzers
+// (lpown, sendpath) build their call graph over all, so chains through
+// helper packages outside the target set are still followed. all may be
+// any superset of the targets' module-local dependency closure; the
+// loader's Loaded method provides it.
 func RunModule(targets, all []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range targets {

@@ -49,8 +49,8 @@ var realEdits = []realEdit{
 	// lpown must name the whole chain, from the LP registration that
 	// fixes the context to the wrong-class access.
 	{analyzer: "lpown", pkg: "internal/fabric", file: "network.go", edits: [][2]string{
-		{"\tdd := n.hcaAt(dst.node, dst.hca)\n", "\tdd := n.hcaAt(dst.node, dst.hca)\n\tsu.injections++\n"},
-	}, want: []string{"field fabric.hca.injections is node-owned", "(registered on the net LP via AfterNet) → fabric.*Network.launch"}},
+		{"\tsu, dd := src.nic, dst.nic\n", "\tsu, dd := src.nic, dst.nic\n\tsu.injections++\n"},
+	}, want: []string{"field fabric.nic.injections is node-owned", "(registered on the net LP via AfterNet) → fabric.*Network.launch"}},
 }
 
 // TestRealEdits is the standing proof that every analyzer earns its

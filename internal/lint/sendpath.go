@@ -9,7 +9,7 @@ import (
 // communication: code running under one LP class may not schedule
 // events on a kernel (Kernel.At/After) or an event set
 // (EventSet.At/Reschedule, the flow scheduler's completion events)
-// owned by a different class, nor wake (Signal.Fire/FireAll) a signal
+// owned by a different class, nor wake (Signal.FireAll) a signal
 // owned by a different class. Crossing the shard boundary must go
 // through the coordinator outboxes — AfterOn/AfterNet — which stamp the
 // event with a lookahead-respecting timestamp and route it via the
@@ -73,7 +73,7 @@ func runSendpath(p *ModulePass) {
 					p.Reportf(call.Pos(), "%s.%s schedules directly on a %s-LP %s from a %s-LP context: %s; route cross-LP events through AfterOn/AfterNet so the coordinator outbox carries them",
 						tn.Name(), fn.Name(), kc, what, c, o.chain(uu, c))
 				}
-			case isSimType(tn, "Signal") && (fn.Name() == "Fire" || fn.Name() == "FireAll"):
+			case isSimType(tn, "Signal") && fn.Name() == "FireAll":
 				fsel, okF := ast.Unparen(sel.X).(*ast.SelectorExpr)
 				if !okF {
 					return true
@@ -94,8 +94,8 @@ func runSendpath(p *ModulePass) {
 					if c == own {
 						continue
 					}
-					p.Reportf(call.Pos(), "Signal.%s wakes the %s-owned signal %s.%s from a %s-LP context: %s; hand the wake through the coordinator outbox instead",
-						fn.Name(), own, o.fieldOwner[v], v.Name(), c, o.chain(uu, c))
+					p.Reportf(call.Pos(), "Signal.FireAll wakes the %s-owned signal %s.%s from a %s-LP context: %s; hand the wake through the coordinator outbox instead",
+						own, o.fieldOwner[v], v.Name(), c, o.chain(uu, c))
 				}
 			}
 			return true

@@ -1,7 +1,7 @@
 // Package sendpath exercises the outbox-discipline analyzer: code in
 // one LP class may not schedule directly on another class's kernel
 // (Kernel.At/After) or event set (EventSet.At/Reschedule) or wake
-// another class's signal (Signal.Fire/FireAll); crossing the shard
+// another class's signal (Signal.FireAll); crossing the shard
 // boundary must go through the AfterOn/AfterNet outboxes.
 package sendpath
 
@@ -79,7 +79,7 @@ func badWakeDeep(ns *netSide, nb *nodeSide) {
 }
 
 func wakeNode(nb *nodeSide) {
-	nb.ready.Fire() // want `Signal\.Fire wakes the node-owned signal sendpath\.nodeSide\.ready from a net-LP context: the callback at .*AfterNet\) → sendpath\.wakeNode`
+	nb.ready.FireAll() // want `Signal\.FireAll wakes the node-owned signal sendpath\.nodeSide\.ready from a net-LP context: the callback at .*AfterNet\) → sendpath\.wakeNode`
 }
 
 // Legal patterns: same-class scheduling and wakes, and the outbox
@@ -96,9 +96,9 @@ func okNetSet(ns *netSide, e *sim.Event) {
 }
 
 func okOutbox(p *sim.Proc, ns *netSide) {
-	p.Kernel().AfterNet(0, func() { ns.done.Fire() })
+	p.Kernel().AfterNet(0, func() { ns.done.FireAll() })
 }
 
 func okNetOwn(ns *netSide) {
-	ns.k.AfterNet(0, func() { ns.done.Fire() })
+	ns.k.AfterNet(0, func() { ns.done.FireAll() })
 }

@@ -46,15 +46,6 @@ func (r *Registry) Set(name, unit string, value float64) {
 	r.metrics = append(r.metrics, Metric{Name: name, Unit: unit, Value: value})
 }
 
-// Add increments name by delta, creating it at delta on first use.
-func (r *Registry) Add(name, unit string, delta float64) {
-	if i, ok := r.index[name]; ok {
-		r.metrics[i].Value += delta
-		return
-	}
-	r.Set(name, unit, delta)
-}
-
 // Get returns the value of name and whether it exists.
 func (r *Registry) Get(name string) (float64, bool) {
 	i, ok := r.index[name]
@@ -62,16 +53,6 @@ func (r *Registry) Get(name string) (float64, bool) {
 		return 0, false
 	}
 	return r.metrics[i].Value, true
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.metrics) }
-
-// Snapshot returns a copy of the metrics in insertion order.
-func (r *Registry) Snapshot() []Metric {
-	out := make([]Metric, len(r.metrics))
-	copy(out, r.metrics)
-	return out
 }
 
 // WriteText renders the registry as aligned "name value unit" lines in

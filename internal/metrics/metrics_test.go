@@ -12,24 +12,18 @@ func TestSetAddGet(t *testing.T) {
 	}
 	r.Set("a", "bytes", 10)
 	r.Set("a", "events", 20) // overwrite value; first unit wins
-	r.Add("b", "", 1)
-	r.Add("b", "", 2.5)
+	r.Set("b", "", 3.5)
 	if v, ok := r.Get("a"); !ok || v != 20 {
 		t.Errorf("a = %g, %v; want 20, true", v, ok)
 	}
 	if v, ok := r.Get("b"); !ok || v != 3.5 {
 		t.Errorf("b = %g, %v; want 3.5, true", v, ok)
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
+	if len(r.metrics) != 2 {
+		t.Errorf("%d metrics, want 2", len(r.metrics))
 	}
-	snap := r.Snapshot()
-	if snap[0].Name != "a" || snap[0].Unit != "bytes" || snap[1].Name != "b" {
-		t.Errorf("snapshot order/units wrong: %+v", snap)
-	}
-	snap[0].Value = 99
-	if v, _ := r.Get("a"); v != 20 {
-		t.Error("Snapshot aliases registry storage")
+	if m := r.metrics; m[0].Name != "a" || m[0].Unit != "bytes" || m[1].Name != "b" {
+		t.Errorf("order/units wrong: %+v", m)
 	}
 }
 
@@ -39,7 +33,7 @@ func TestInsertionOrderSurvivesOverwrite(t *testing.T) {
 		r.Set(n, "", 1)
 	}
 	r.Set("z", "", 2)
-	got := r.Snapshot()
+	got := r.metrics
 	for i, want := range []string{"z", "m", "a"} {
 		if got[i].Name != want {
 			t.Fatalf("order[%d] = %q, want %q", i, got[i].Name, want)

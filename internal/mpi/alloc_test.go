@@ -61,19 +61,19 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 	}
 	sendRecv := func(bytes int) func(r *Rank) func() {
 		return func(r *Rank) func() {
-			c := r.World().CommWorld()
+			c := r.w.CommWorld()
 			out, in := NewPhantom(Int32, bytes/4), NewPhantom(Int32, bytes/4)
 			peer := 1 - c.RankOf(r)
 			return func() { r.SendRecv(c, peer, 0, out, peer, 0, in) }
 		}
 	}
 	barrier := func(r *Rank) func() {
-		c := r.World().CommWorld()
+		c := r.w.CommWorld()
 		return func() { r.Barrier(c) }
 	}
 	allreduce := func(alg Algorithm) func(r *Rank) func() {
 		return func(r *Rank) func() {
-			c := r.World().CommWorld()
+			c := r.w.CommWorld()
 			v := NewPhantom(Float32, 16<<10)
 			return func() { r.Allreduce(c, alg, Sum, v) }
 		}
@@ -88,7 +88,7 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 		{"sendrecv-eager", 2, 1, sendRecv(1 << 10), 0},
 		{"sendrecv-rendezvous", 2, 1, sendRecv(1 << 20), 0},
 		{"isend-irecv-wait", 2, 1, func(r *Rank) func() {
-			c := r.World().CommWorld()
+			c := r.w.CommWorld()
 			out, in := NewPhantom(Int32, 256), NewPhantom(Int32, 256)
 			peer := 1 - c.RankOf(r)
 			return func() {
@@ -105,7 +105,7 @@ func TestWarmMessagesDoNotAllocate(t *testing.T) {
 		{"allreduce-" + string(AlgRabenseifner), 3, 2, allreduce(AlgRabenseifner), 0},
 		{"allreduce-" + string(AlgReduceBcast), 3, 2, allreduce(AlgReduceBcast), 0},
 		{"allreduce-pipelined-3", 3, 2, func(r *Rank) func() {
-			c := r.World().CommWorld()
+			c := r.w.CommWorld()
 			v := NewPhantom(Float32, 16<<10)
 			return func() { r.AllreducePipelined(c, Sum, v, 3) }
 		}, 0},

@@ -60,12 +60,6 @@ func (c *Comm) RankOf(r *Rank) int {
 	return -1
 }
 
-// Contains reports whether the global rank is a member.
-func (c *Comm) Contains(global int) bool {
-	_, ok := c.index[global]
-	return ok
-}
-
 // mustRank returns r's comm rank, panicking when r is not a member —
 // collective calls on a communicator one is not part of are programming
 // errors.

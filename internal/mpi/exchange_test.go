@@ -29,7 +29,7 @@ func TestExchangeContextSwitches(t *testing.T) {
 	const n = 20
 	sendRecv := func(bytes int) func(r *Rank) {
 		return func(r *Rank) {
-			c := r.World().CommWorld()
+			c := r.w.CommWorld()
 			out, in := NewPhantom(Int32, bytes/4), NewPhantom(Int32, bytes/4)
 			peer := 1 - c.RankOf(r)
 			for i := 0; i < n; i++ {
@@ -45,7 +45,7 @@ func TestExchangeContextSwitches(t *testing.T) {
 	}{
 		{"barrier-3x6", 3, 6, func(r *Rank) {
 			for i := 0; i < n; i++ {
-				r.Barrier(r.World().CommWorld())
+				r.Barrier(r.w.CommWorld())
 			}
 		}, 378, 5520},
 		{"sendrecv-intra", 1, 2, sendRecv(1 << 10), 22, 100},

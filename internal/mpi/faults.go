@@ -25,7 +25,7 @@ type stragWin struct {
 // produces disjoint ones). Runs once, before the simulation starts; with
 // no plan nothing is installed and the event stream is untouched.
 func (w *World) installFaults(p *faults.Plan) {
-	sh := faults.Shape{Ranks: len(w.ranks), Nodes: w.Job.NodesUsed, HCAs: w.Job.Cluster.HCAs}
+	sh := faults.Shape{Ranks: len(w.ranks), Nodes: w.Job.NodesUsed}
 	if err := p.Validate(sh); err != nil {
 		panic(err)
 	}
@@ -44,7 +44,7 @@ func (w *World) installFaults(p *faults.Plan) {
 	netLP := netK.NetLP()
 	for _, lf := range p.Links {
 		lf := lf
-		up, down := w.Net.HCALinks(lf.Node, lf.HCA)
+		up, down := w.Net.NodeLinks(lf.Node)
 		upBase, downBase := up.Capacity(), down.Capacity()
 		netK.AtOn(netLP, lf.Start, func() {
 			w.Flows.SetLinkCapacity(up, upBase*lf.Factor)
@@ -60,9 +60,9 @@ func (w *World) installFaults(p *faults.Plan) {
 	for _, nt := range p.NICs {
 		nt := nt
 		nk := w.coord.KernelFor(nt.Node)
-		nk.AtOn(nt.Node, nt.Start, func() { w.Net.SetInjectScale(nt.Node, nt.HCA, nt.Factor) })
+		nk.AtOn(nt.Node, nt.Start, func() { w.Net.SetInjectScale(nt.Node, nt.Factor) })
 		if nt.End != 0 {
-			nk.AtOn(nt.Node, nt.End, func() { w.Net.SetInjectScale(nt.Node, nt.HCA, 1) })
+			nk.AtOn(nt.Node, nt.End, func() { w.Net.SetInjectScale(nt.Node, 1) })
 		}
 	}
 	if w.Sharp != nil {

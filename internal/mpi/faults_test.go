@@ -132,13 +132,13 @@ func TestLinkFaultSlowsTransfer(t *testing.T) {
 	healthy := end(nil)
 	// 5% of ClusterB's 12 GB/s link sits well below the 1.1 GB/s per-flow
 	// cap, so the degraded link becomes the path bottleneck.
-	degraded := end(&faults.Plan{Links: []faults.LinkFault{{Node: 0, HCA: 0, Factor: 0.05}}})
+	degraded := end(&faults.Plan{Links: []faults.LinkFault{{Node: 0, Factor: 0.05}}})
 	if degraded <= healthy {
 		t.Fatalf("degraded-link run %v not slower than healthy %v", degraded, healthy)
 	}
 }
 
-// TestNICThrottleSlowsInjection: throttling node 0's HCA stretches an
+// TestNICThrottleSlowsInjection: throttling node 0's NIC stretches an
 // eager message burst.
 func TestNICThrottleSlowsInjection(t *testing.T) {
 	end := func(p *faults.Plan) sim.Time {
@@ -167,7 +167,7 @@ func TestNICThrottleSlowsInjection(t *testing.T) {
 	healthy := end(nil)
 	// The scaled gap must exceed the 400ns sender overhead before the
 	// injector ever backs up: 200 x 7ns = 1.4us per message.
-	throttled := end(&faults.Plan{NICs: []faults.NICThrottle{{Node: 0, HCA: 0, Factor: 200}}})
+	throttled := end(&faults.Plan{NICs: []faults.NICThrottle{{Node: 0, Factor: 200}}})
 	if throttled <= healthy {
 		t.Fatalf("throttled run %v not slower than healthy %v", throttled, healthy)
 	}

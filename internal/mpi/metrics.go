@@ -80,7 +80,7 @@ func (w *World) Metrics() *metrics.Registry {
 		if ir.MaxBacklog > worstBacklog {
 			worstBacklog = ir.MaxBacklog
 		}
-		prefix := fmt.Sprintf("nic.n%d.h%d", ir.Node, ir.HCA)
+		prefix := fmt.Sprintf("nic.n%d", ir.Node)
 		r.Set(prefix+".injected", "", float64(ir.Messages))
 		r.Set(prefix+".max_backlog", "ns", float64(ir.MaxBacklog))
 	}

@@ -110,13 +110,12 @@ func TestFullDuplexExchange(t *testing.T) {
 }
 
 func TestEagerThresholdConfigOverride(t *testing.T) {
-	job := topology.MustJob(topology.ClusterB(), 2, 1)
-	w := NewWorld(job, Config{EagerThreshold: 123})
+	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{EagerThreshold: 123})
 	if w.EagerThreshold() != 123 {
 		t.Fatalf("override ignored: %d", w.EagerThreshold())
 	}
-	w2 := NewWorld(job, Config{})
-	if w2.EagerThreshold() != job.Cluster.Net.EagerThreshold {
+	w2 := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
+	if w2.EagerThreshold() != w2.Job.Cluster.Net.EagerThreshold {
 		t.Fatal("default threshold not taken from cluster")
 	}
 }

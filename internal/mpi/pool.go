@@ -21,11 +21,15 @@ import "dpml/internal/race"
 // node's context is released in the receiving node's, and under a
 // sharded kernel those contexts can run on different threads. Per-node
 // lists keep every access inside one node's LP, so no locking; requests
-// and queues never leave their rank, so their lists are per rank. A
-// released request always loses its owner, so a second Wait panics and
-// a stale completion faults; the race build also poisons a released
-// vector's elements, so a stale reader fails a result check instead of
-// passing.
+// and queues never leave their rank, so their lists are per rank.
+// Because a release lands on the receiver's list, traffic that runs one
+// way (a binomial Bcast, a straggler's sends) would grow that list
+// without bound while the sender keeps allocating; so each per-node
+// list keeps at most freePerRank objects per rank of the node, and a
+// release beyond that leaves the object to the GC. A released request
+// always loses its owner, so a second Wait panics and a stale
+// completion faults; the race build also poisons a released vector's
+// elements, so a stale reader fails a result check instead of passing.
 
 // vecShape is a vector free list's shape. Exact-length matching keeps
 // pooled reuse semantically identical to a fresh vector (same dtype,
@@ -37,6 +41,12 @@ type vecShape struct {
 	n       int
 	phantom bool
 }
+
+// freePerRank times a node's rank count bounds each of the node's
+// envelope and per-shape vector lists. The bound sits well above the
+// lists' high-water marks in every benchmark workload (at most one
+// object per rank), so it only ever trims one-way surpluses.
+const freePerRank = 4
 
 // nodePool is one node's free lists. A world's vectors come in a few
 // shapes (the collective's message and block sizes), so the vector lists
@@ -100,7 +110,9 @@ func (w *World) release(node int, v *Vector) {
 		v.Poison()
 	}
 	free := w.pools[node].list(vecShape{dtype: v.dtype, n: v.n, phantom: v.Phantom()})
-	*free = append(*free, v)
+	if len(*free) < freePerRank*w.Job.PPN {
+		*free = append(*free, v)
+	}
 }
 
 // scratch draws a receive temporary of n elements, with like's datatype
@@ -148,12 +160,14 @@ func (r *Rank) newEnvelope(key msgKey, dst *Rank) *envelope {
 }
 
 // releaseEnvelope returns a delivered envelope to the receiving node's
-// free list. Its own view header is kept for the next message.
+// free list, unless the list is full. Its own view header is kept for
+// the next message.
 func (r *Rank) releaseEnvelope(env *envelope) {
 	env.vec, env.sendReq, env.recvReq, env.src, env.dst = nil, nil, nil, nil, nil
 	env.rendezvous, env.recvOverhead = false, 0
-	p := &r.w.pools[r.place.Node]
-	p.envs = append(p.envs, env)
+	if p := &r.w.pools[r.place.Node]; len(p.envs) < freePerRank*r.w.Job.PPN {
+		p.envs = append(p.envs, env)
+	}
 }
 
 // newRequest draws a request from the rank's free list, or builds one

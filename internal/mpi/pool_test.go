@@ -41,6 +41,40 @@ func TestTransitPoolReusesEagerClones(t *testing.T) {
 	}
 }
 
+// TestOneWayTrafficKeepsFreeListsBounded sends 1,000 eager real
+// messages from rank 0 on node 0 to rank 1 on node 1. Each envelope and
+// transit clone is drawn on node 0 and released on node 1, so without a
+// bound node 1's lists would end up holding all 1,000 of each while
+// node 0 allocated every one; they must stop at freePerRank objects per
+// rank of the node.
+func TestOneWayTrafficKeepsFreeListsBounded(t *testing.T) {
+	const msgs = 1000
+	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
+	err := w.Run(func(r *Rank) error {
+		c := w.CommWorld()
+		v := NewVector(Float64, 8)
+		for i := 0; i < msgs; i++ {
+			if r.Rank() == 0 {
+				r.Send(c, 1, 0, v)
+			} else {
+				r.Recv(c, 0, 0, v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := freePerRank * w.Job.PPN
+	recv := &w.pools[1]
+	if n := len(recv.envs); n != limit {
+		t.Errorf("receiver's node keeps %d envelopes after %d one-way messages, want %d", n, msgs, limit)
+	}
+	if n := len(*recv.list(vecShape{dtype: Float64, n: 8})); n != limit {
+		t.Errorf("receiver's node keeps %d transit clones after %d one-way messages, want %d", n, msgs, limit)
+	}
+}
+
 // TestRendezvousSendBufferReusableOnReturn pins a blocking rendezvous
 // Send as MPI's: once it returns, the sender may write its buffer. The
 // sender's request completes at the instant the payload lands, so on a

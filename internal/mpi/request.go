@@ -26,9 +26,6 @@ type Request struct {
 	completion func() // complete, built once per object
 }
 
-// Done reports whether the operation has completed.
-func (q *Request) Done() bool { return q.done }
-
 // complete marks the request done and wakes the owner if it is waiting on
 // any of its requests. Safe to call from event callbacks.
 func (q *Request) complete() {

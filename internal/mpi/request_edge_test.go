@@ -41,13 +41,13 @@ func TestRequestDoneAccessor(t *testing.T) {
 		v := NewVector(Float64, 1)
 		if r.Rank() == 0 {
 			q := r.Isend(c, 1, 0, v)
-			if !q.Done() {
+			if !q.done {
 				t.Error("eager Isend not complete at return")
 			}
 		} else {
 			q := r.Irecv(c, 0, 0, v)
 			r.Wait(q)
-			if !q.Done() {
+			if !q.done {
 				t.Error("waited request not done")
 			}
 		}
@@ -62,12 +62,6 @@ func TestLinkAccessors(t *testing.T) {
 	// Exercise the rank-level accessors that tools rely on.
 	w := smallWorld(t, topology.ClusterB(), 2, 2, Config{})
 	err := w.Run(func(r *Rank) error {
-		if r.World() != w {
-			t.Error("World accessor wrong")
-		}
-		if r.Size() != 4 {
-			t.Errorf("Size = %d", r.Size())
-		}
 		if r.Proc() == nil {
 			t.Error("Proc nil inside Run")
 		}

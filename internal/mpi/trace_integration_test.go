@@ -10,8 +10,7 @@ import (
 
 func TestTracingRecordsP2PAndCompute(t *testing.T) {
 	rec := trace.New(0)
-	job := topology.MustJob(topology.ClusterB(), 2, 1)
-	w := NewWorld(job, Config{Trace: rec})
+	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{Trace: rec})
 	err := w.Run(func(r *Rank) error {
 		c := w.CommWorld()
 		v := NewVector(Float64, 128)
@@ -20,7 +19,9 @@ func TestTracingRecordsP2PAndCompute(t *testing.T) {
 			r.Compute(4096)
 		} else {
 			r.Recv(c, 0, 0, v)
-			r.MemCopy(false, 256)
+			r.ArmMemCopy(false, 256)
+			r.proc.Park()
+			r.EndWork()
 		}
 		return nil
 	})
@@ -71,8 +72,7 @@ func TestTracingOffByDefault(t *testing.T) {
 
 func runJittered(t *testing.T, jitter sim.Duration, seed uint64) sim.Time {
 	t.Helper()
-	job := topology.MustJob(topology.ClusterB(), 2, 2)
-	w := NewWorld(job, Config{Jitter: jitter, JitterSeed: seed})
+	w := smallWorld(t, topology.ClusterB(), 2, 2, Config{Jitter: jitter, JitterSeed: seed})
 	err := w.Run(func(r *Rank) error {
 		c := w.CommWorld()
 		v := NewPhantom(Float32, 1024)

@@ -243,9 +243,6 @@ func (r *Rank) jitter() sim.Duration {
 	return sim.Duration(z % uint64(w.cfg.Jitter+1))
 }
 
-// Rank returns the rank object with the given global rank.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
 // Run spawns one simulated process per rank executing main and drives the
 // simulation to completion. It returns the kernel's error (deadlock,
 // panic) or the joined errors returned by the rank bodies.
@@ -281,7 +278,7 @@ type Rank struct {
 	unexpected fifo[*envelope]
 	posted     fifo[*Request]
 	x          *exchange    // requests and the step machine, built with the first request (see exchange)
-	work       *trace.Event // the Compute or MemCopy armed last, kept only when tracing (see EndWork)
+	work       *trace.Event // the Compute or shared-memory copy armed last, kept only when tracing (see EndWork)
 }
 
 func newRank(w *World, i int) *Rank {
@@ -291,18 +288,12 @@ func newRank(w *World, i int) *Rank {
 		rank:  i,
 		place: place,
 		k:     w.coord.KernelFor(place.Node),
-		ep:    w.Net.Endpoint(place.Node, place.HCA),
+		ep:    w.Net.Endpoint(place.Node),
 	}
 }
 
-// World returns the owning world.
-func (r *Rank) World() *World { return r.w }
-
 // Rank returns the global rank number.
 func (r *Rank) Rank() int { return r.rank }
-
-// Size returns the world size.
-func (r *Rank) Size() int { return len(r.w.ranks) }
 
 // Place returns the rank's hardware placement.
 func (r *Rank) Place() topology.Placement { return r.place }
@@ -341,17 +332,10 @@ func (r *Rank) Reduce(op *Op, dst, src *Vector) {
 	op.Apply(dst, src)
 }
 
-// MemCopy blocks the rank for one shared-memory copy of bytes on its
-// node (startup plus streaming; cross-socket copies cost more).
-func (r *Rank) MemCopy(crossSocket bool, bytes int) {
-	r.ArmMemCopy(crossSocket, bytes)
-	r.proc.Park()
-	r.EndWork()
-}
-
-// ArmMemCopy is MemCopy's arm form: it always arms the rank's proc to
-// park until the copy ends, even an empty copy's startup, and the
-// caller calls EndWork once the proc runs again.
+// ArmMemCopy arms the rank's proc to park for one shared-memory copy of
+// bytes on its node (startup plus streaming; cross-socket copies cost
+// more), even an empty copy's startup, and the caller calls EndWork
+// once the proc runs again.
 func (r *Rank) ArmMemCopy(crossSocket bool, bytes int) {
 	label := "intra-socket"
 	if crossSocket {
@@ -361,7 +345,7 @@ func (r *Rank) ArmMemCopy(crossSocket bool, bytes int) {
 	r.w.Mem[r.place.Node].ArmCopy(r.proc, crossSocket, int64(bytes))
 }
 
-// startWork notes the start of a Compute or MemCopy for EndWork. An
+// startWork notes the start of a Compute or copy for EndWork. An
 // untraced rank notes nothing, so its Rank stays small.
 func (r *Rank) startWork(kind trace.Kind, label string, bytes int) {
 	if r.w.cfg.Trace == nil {
@@ -373,7 +357,7 @@ func (r *Rank) startWork(kind trace.Kind, label string, bytes int) {
 	*r.work = trace.Event{Rank: r.rank, Kind: kind, Label: label, Start: r.proc.Now(), Bytes: bytes}
 }
 
-// EndWork records the Compute or MemCopy that the last ArmCompute or
+// EndWork records the Compute or copy that the last ArmCompute or
 // ArmMemCopy started, which has now ended, as a trace event.
 func (r *Rank) EndWork() {
 	if r.work == nil || r.work.Kind == "" {

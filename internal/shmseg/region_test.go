@@ -387,6 +387,13 @@ func TestDeadlockReportNamesWaits(t *testing.T) {
 	}
 }
 
+// memCopy runs one intra-socket shared-memory copy of bytes as r.
+func memCopy(r *mpi.Rank, bytes int) {
+	r.ArmMemCopy(false, bytes)
+	r.Proc().Park()
+	r.EndWork()
+}
+
 // TestWatchdogReportNamesWaits pins the same wait reasons in a watchdog
 // report, plus both halves of a shared-memory copy: a rank still in the
 // copy's startup, empty or not, and one whose flow has started all read
@@ -410,13 +417,13 @@ func TestWatchdogReportNamesWaits(t *testing.T) {
 		case 2:
 			r.Recv(w.CommWorld(), 3, 7, mpi.NewVector(mpi.Float64, 1))
 		case 3: // the flow of a 1 GB copy outlasts the deadline
-			r.MemCopy(false, 1<<30)
+			memCopy(r, 1<<30)
 		case 4: // the deadline falls inside this copy's startup
 			r.Proc().Sleep(deadline - startup/2)
-			r.MemCopy(false, 1<<10)
+			memCopy(r, 1<<10)
 		case 5: // and inside this empty copy's, its only part
 			r.Proc().Sleep(deadline - startup/2)
-			r.MemCopy(false, 0)
+			memCopy(r, 0)
 		}
 		return nil
 	})

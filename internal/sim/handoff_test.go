@@ -156,8 +156,7 @@ func TestPanicMidRunWithReadyProcs(t *testing.T) {
 func TestPanicInsideEventCallback(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("bystander", func(p *Proc) { sig.Wait(p, "forever") })
+	k.Spawn("bystander", func(p *Proc) { block(p, "forever") })
 	k.Spawn("scheduler-host", func(p *Proc) {
 		k.After(Microsecond, func() { panic("callback boom") })
 		p.Sleep(5 * Microsecond)
@@ -179,11 +178,10 @@ func TestPanicInsideEventCallback(t *testing.T) {
 func TestDeadlockReportedByTokenHolder(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("first", func(p *Proc) { sig.Wait(p, "first reason") })
+	k.Spawn("first", func(p *Proc) { block(p, "first reason") })
 	k.Spawn("last", func(p *Proc) {
 		p.Sleep(Microsecond) // guarantee it parks after "first"
-		sig.Wait(p, "last reason")
+		block(p, "last reason")
 	})
 	err := co.Run()
 	var dl *DeadlockError
@@ -207,8 +205,7 @@ func TestDeadlockReportedByTokenHolder(t *testing.T) {
 func TestDeadlockDetectedByExitingProc(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("stuck", func(p *Proc) { sig.Wait(p, "abandoned") })
+	k.Spawn("stuck", func(p *Proc) { block(p, "abandoned") })
 	k.Spawn("quitter", func(p *Proc) { p.Sleep(Microsecond) })
 	err := co.Run()
 	var dl *DeadlockError
@@ -232,14 +229,16 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 	// that never ran.
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig, gate Signal
+	var sig Signal
+	open := false
 	k.Spawn("ran-then-ready", func(p *Proc) {
-		gate.Wait(p, "gate")
+		sig.WaitUntil(p, gate{&open, "gate"})
 		t.Error("ran-then-ready resumed after failure")
 	})
 	k.Spawn("parked", func(p *Proc) {
-		gate.FireAll()
-		sig.Wait(p, "never fired")
+		open = true
+		sig.FireAll()
+		block(p, "never fired")
 	})
 	k.Spawn("bomb", func(p *Proc) { panic("abort") })
 	k.Spawn("never-ran", func(p *Proc) { t.Error("never-ran was dispatched") })
@@ -266,20 +265,20 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 // empty, so there every proc is parked.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	const nodes = 4
-	ticker := func(*Kernel, *Signal) func(*Proc) {
+	ticker := func(*Kernel, *Proc) func(*Proc) {
 		return func(p *Proc) {
 			for {
 				p.Sleep(Microsecond)
 			}
 		}
 	}
-	bomb := func(*Kernel, *Signal) func(*Proc) {
+	bomb := func(*Kernel, *Proc) func(*Proc) {
 		return func(*Proc) { panic("proc boom") }
 	}
-	callbackBomb := func(k *Kernel, sig *Signal) func(*Proc) {
+	callbackBomb := func(k *Kernel, parked *Proc) func(*Proc) {
 		return func(p *Proc) {
 			k.After(Microsecond, func() {
-				sig.Fire()
+				parked.Wake()()
 				panic("callback boom")
 			})
 			p.Sleep(5 * Microsecond)
@@ -288,7 +287,7 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	kinds := []struct {
 		name     string
 		watchdog Duration
-		trigger  func(k *Kernel, sig *Signal) func(*Proc) // node 0's extra proc
+		trigger  func(k *Kernel, parked *Proc) func(*Proc) // node 0's extra proc
 		want     func(error) bool
 	}{
 		{"deadlock", 0, nil, isErr[*DeadlockError]},
@@ -304,19 +303,21 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 				co.SetWatchdog(kind.watchdog)
 				for n := 0; n < nodes; n++ {
 					k := co.KernelFor(n)
-					var sig, gate Signal
+					var sig Signal
+					open := false
 					k.SpawnOn(n, "rerun", func(p *Proc) {
-						gate.Wait(p, "gate")
-						sig.Wait(p, "rerun")
+						sig.WaitUntil(p, gate{&open, "gate"})
+						block(p, "rerun")
 					})
-					k.SpawnOn(n, "parked", func(p *Proc) {
-						gate.FireAll()
-						sig.Wait(p, "parked")
+					parked := k.SpawnOn(n, "parked", func(p *Proc) {
+						open = true
+						sig.FireAll()
+						block(p, "parked")
 					})
 					if n == 0 && kind.trigger != nil {
-						k.SpawnOn(n, kind.name, kind.trigger(k, &sig))
+						k.SpawnOn(n, kind.name, kind.trigger(k, parked))
 					}
-					k.SpawnOn(n, "late", func(p *Proc) { sig.Wait(p, "late") })
+					k.SpawnOn(n, "late", func(p *Proc) { block(p, "late") })
 				}
 				if err := co.Run(); !kind.want(err) {
 					t.Fatalf("got %v, want a %s verdict", err, kind.name)
@@ -406,16 +407,18 @@ func TestHandoffSchedulingOrderMatchesFIFO(t *testing.T) {
 	k := co.KernelFor(0)
 	var got []string
 	var sig Signal
+	open := false
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("w%d", i)
 		k.Spawn(name, func(p *Proc) {
 			got = append(got, name+":start")
-			sig.Wait(p, "gate")
+			sig.WaitUntil(p, gate{&open, "gate"})
 			got = append(got, name+":released")
 		})
 	}
 	k.Spawn("driver", func(p *Proc) {
 		p.Sleep(Microsecond)
+		open = true
 		sig.FireAll()
 		got = append(got, "driver:fired")
 	})

@@ -23,7 +23,7 @@
 // the scheduler itself.
 //
 // Procs interact with the kernel through blocking primitives (Sleep,
-// Signal.Wait, Signal.WaitUntil). Each is an arm form, which sets up
+// Signal.WaitUntil). Each is an arm form, which sets up
 // the wait and marks the proc parked without switching, followed by one
 // Park; a wait whose wakeup the caller schedules itself arms with
 // Proc.ArmWake and is ended by Proc.Wake. A proc that has several waits
@@ -85,7 +85,6 @@ const (
 // from inside that function.
 type Proc struct {
 	k    *Kernel
-	id   int
 	lp   int32 // owning logical process (shard-local state domain)
 	name string
 	// The body's coroutine: the driver resumes it with next, it gives
@@ -107,9 +106,6 @@ type Proc struct {
 	// scheduler calls it in p's place whenever it would resume p.
 	step func() bool
 }
-
-// ID returns the proc's dense index in spawn order.
-func (p *Proc) ID() int { return p.id }
 
 // Name returns the label given at Spawn time.
 func (p *Proc) Name() string { return p.name }
@@ -280,9 +276,6 @@ type Kernel struct {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// NumProcs returns the number of spawned procs.
-func (k *Kernel) NumProcs() int { return len(k.procs) }
 
 // NetLP returns the LP id of the simulation's shared network domain.
 func (k *Kernel) NetLP() int { return int(k.netLP) }
@@ -492,7 +485,7 @@ func (k *Kernel) SpawnOn(lp int, name string, body func(*Proc)) *Proc {
 	if !k.owns(int32(lp)) {
 		panic(fmt.Sprintf("sim: SpawnOn(%d) on kernel owning [%d,%d)", lp, k.lpBase, k.lpBase+k.lpCount))
 	}
-	p := &Proc{k: k, id: len(k.procs), lp: int32(lp), name: name, state: stateReady}
+	p := &Proc{k: k, lp: int32(lp), name: name, state: stateReady}
 	p.wake = func() { k.readyProc(p) }
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield

@@ -6,23 +6,29 @@ import (
 )
 
 // benchmarkHandoff drives a kernel whose procs do nothing but signal
-// ping-pong: each releases the signal's waiters and waits on it, so the
-// next proc in the ready queue releases it in turn. The measured cost is
-// pure scheduler work: one ready-queue push and pop plus a context
-// switch per operation. At high proc counts the queue stays full, which
-// is exactly the regime where a shift-based FIFO pays O(n) per pop.
+// ping-pong: each releases the signal's waiters and waits on it until
+// the next release, so the next proc in the ready queue releases it in
+// turn. The measured cost is pure scheduler work: one ready-queue push
+// and pop plus a context switch per operation. At high proc counts the
+// queue stays full, which is exactly the regime where a shift-based
+// FIFO pays O(n) per pop.
 func benchmarkHandoff(b *testing.B, procs int) {
 	b.ReportAllocs()
 	iters := b.N/procs + 1
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	var sig Signal
+	releases := 0
 	for i := 0; i < procs; i++ {
 		k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			next := &released{count: &releases}
 			for j := 0; j < iters; j++ {
+				releases++
 				sig.FireAll()
-				sig.Wait(p, "ping-pong")
+				next.after = releases
+				sig.WaitUntil(p, next)
 			}
+			releases++
 			sig.FireAll()
 		})
 	}
@@ -31,6 +37,17 @@ func benchmarkHandoff(b *testing.B, procs int) {
 		b.Fatal(err)
 	}
 }
+
+// released is a Cond that holds once the count of releases has moved
+// past after: a proc that bumps the count at every FireAll waits with
+// it until the next one.
+type released struct {
+	count *int
+	after int
+}
+
+func (r *released) Ready() bool    { return *r.count != r.after }
+func (r *released) String() string { return "ping-pong" }
 
 func BenchmarkReadyQueuePop100Procs(b *testing.B) { benchmarkHandoff(b, 100) }
 func BenchmarkReadyQueuePop1kProcs(b *testing.B)  { benchmarkHandoff(b, 1000) }

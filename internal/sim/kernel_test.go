@@ -91,9 +91,8 @@ func TestAtInPastClampsToNow(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("stuck-a", func(p *Proc) { sig.Wait(p, "waiting for nothing") })
-	k.Spawn("stuck-b", func(p *Proc) { sig.Wait(p, "also waiting") })
+	k.Spawn("stuck-a", func(p *Proc) { block(p, "waiting for nothing") })
+	k.Spawn("stuck-b", func(p *Proc) { block(p, "also waiting") })
 	err := co.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -110,8 +109,7 @@ func TestDeadlockDetected(t *testing.T) {
 func TestProcPanicPropagates(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	var sig Signal
-	k.Spawn("victim", func(p *Proc) { sig.Wait(p, "parked forever") })
+	k.Spawn("victim", func(p *Proc) { block(p, "parked forever") })
 	k.Spawn("bomber", func(p *Proc) {
 		p.Sleep(Microsecond)
 		panic("boom")
@@ -130,23 +128,23 @@ func TestSignalFIFOOrder(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	var sig Signal
+	open := false
 	var got []string
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("w%d", i)
 		k.Spawn(name, func(p *Proc) {
-			sig.Wait(p, "test")
+			sig.WaitUntil(p, gate{&open, "test"})
 			got = append(got, p.Name())
 		})
 	}
 	k.Spawn("firer", func(p *Proc) {
 		p.Sleep(Microsecond) // let all waiters park
-		for i := 0; i < 5; i++ {
-			if !sig.Fire() {
-				t.Error("Fire found no waiter")
-			}
+		open = true
+		if n := sig.FireAll(); n != 5 {
+			t.Errorf("FireAll released %d, want 5", n)
 		}
-		if sig.Fire() {
-			t.Error("Fire released a phantom waiter")
+		if sig.FireAll() != 0 {
+			t.Error("FireAll released a phantom waiter")
 		}
 	})
 	if err := co.Run(); err != nil {
@@ -163,15 +161,17 @@ func TestSignalFireAll(t *testing.T) {
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
 	var sig Signal
+	open := false
 	released := 0
 	for i := 0; i < 4; i++ {
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			sig.Wait(p, "test")
+			sig.WaitUntil(p, gate{&open, "test"})
 			released++
 		})
 	}
 	k.Spawn("firer", func(p *Proc) {
 		p.Sleep(Microsecond)
+		open = true
 		if n := sig.FireAll(); n != 4 {
 			t.Errorf("FireAll released %d, want 4", n)
 		}
@@ -234,53 +234,37 @@ func TestQueueTryRecv(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	co := NewCoordinator(1, 1, 0)
-	k := co.KernelFor(0)
-	var wg WaitGroup
-	wg.Add(3)
-	doneAt := Time(-1)
-	for i := 1; i <= 3; i++ {
-		d := Duration(i) * Microsecond
-		k.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	k.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p, "join workers")
-		doneAt = p.Now()
-	})
-	if err := co.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != Time(3*Microsecond) {
-		t.Fatalf("waiter released at %v, want 3us", doneAt)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	trace := func() []string {
 		co := NewCoordinator(1, 1, 0)
 		k := co.KernelFor(0)
 		var tr []string
-		var sig Signal
+		var parked []*Proc // even procs waiting to pair up, oldest first
+		wakeOldest := func() {
+			if len(parked) > 0 {
+				w := parked[0]
+				parked = parked[1:]
+				w.Wake()()
+			}
+		}
 		for i := 0; i < 6; i++ {
 			name := fmt.Sprintf("p%d", i)
 			d := Duration((i*7)%5) * Microsecond
 			k.Spawn(name, func(p *Proc) {
 				p.Sleep(d)
 				tr = append(tr, fmt.Sprintf("%s@%v", name, p.Now()))
-				if p.ID()%2 == 0 {
-					sig.Wait(p, "pair up")
+				if i%2 == 0 {
+					parked = append(parked, p)
+					block(p, "pair up")
 				} else {
-					sig.Fire()
+					wakeOldest()
 				}
 			})
 		}
 		k.Spawn("sweeper", func(p *Proc) {
 			p.Sleep(100 * Microsecond)
-			for sig.Fire() {
+			for len(parked) > 0 {
+				wakeOldest()
 			}
 		})
 		if err := co.Run(); err != nil {

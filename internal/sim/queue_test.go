@@ -16,21 +16,39 @@ func newQueue[T any](name string) *queue[T] {
 	return &queue[T]{name: name}
 }
 
-// send enqueues v and wakes one receiver if any is parked. Callable from
-// procs and event callbacks.
+// send enqueues v and wakes the parked receivers. Callable from procs
+// and event callbacks.
 func (q *queue[T]) send(v T) {
 	q.items = append(q.items, v)
-	q.sig.Fire()
+	q.sig.FireAll()
 }
 
 // recv dequeues the oldest value, parking the proc while the queue is
 // empty.
 func (q *queue[T]) recv(p *Proc) T {
-	for len(q.items) == 0 {
-		q.sig.Wait(p, fmt.Sprintf("queue %q recv", q.name))
-	}
+	q.sig.WaitUntil(p, q)
 	v, _ := q.tryRecv()
 	return v
+}
+
+// Ready and String make the queue the Cond its receivers wait on.
+func (q *queue[T]) Ready() bool    { return len(q.items) > 0 }
+func (q *queue[T]) String() string { return fmt.Sprintf("queue %q recv", q.name) }
+
+// gate is a Cond that holds once its flag is set: procs wait on a
+// Signal until a test sets open and fires it.
+type gate struct {
+	open *bool
+	why  string
+}
+
+func (g gate) Ready() bool    { return *g.open }
+func (g gate) String() string { return g.why }
+
+// block parks p on why until something calls p.Wake(), or forever.
+func block(p *Proc, why string) {
+	p.ArmWake(why)
+	p.Park()
 }
 
 // tryRecv dequeues without blocking, reporting whether a value was

@@ -311,7 +311,7 @@ func TestStepPanicNamesSteppingProc(t *testing.T) {
 						return nd.sig.ArmWaitUntil(p, countCond{nd, 0, 1})
 					}
 					if c.block {
-						nd.sig.Wait(p, "blocked")
+						block(p, "blocked")
 					}
 					panic("step exploded")
 				})

@@ -7,18 +7,10 @@ import (
 )
 
 // Signal is a broadcast/wakeup primitive for procs, analogous to a
-// condition variable. Waiters are released in FIFO order, which keeps
-// simulations deterministic.
+// condition variable: procs wait on it with WaitUntil and FireAll
+// releases them in FIFO order, which keeps simulations deterministic.
 type Signal struct {
 	waiters []*Proc
-}
-
-// Wait parks the calling proc until Fire or FireAll releases it. why is
-// included in deadlock reports.
-func (s *Signal) Wait(p *Proc, why string) {
-	s.waiters = append(s.waiters, p)
-	p.arm(why)
-	p.Park()
 }
 
 // Cond is a wait condition for Signal.WaitUntil. Ready reports whether
@@ -31,8 +23,8 @@ type Cond interface {
 }
 
 // WaitUntil parks p until c is ready; it returns at once if c already
-// is. It replaces a loop of Waits that re-checks c after every release.
-// The scheduler re-checks c when it pops the released proc, at the
+// is. It behaves as a loop that parks p on s and re-checks c after
+// every release, without the loop's switches. The scheduler re-checks c when it pops the released proc, at the
 // exact instant and ready-ring position where the proc would have run.
 // If c is still false it puts p back on s's waiters, as the loop would
 // have, without a switch. Ready must only read state of p's
@@ -55,19 +47,6 @@ func (s *Signal) ArmWaitUntil(p *Proc, c Cond) bool {
 	return false
 }
 
-// Fire readies the oldest waiter, if any, and reports whether one was
-// released. May be called from a running proc or an event callback.
-func (s *Signal) Fire() bool {
-	if len(s.waiters) == 0 {
-		return false
-	}
-	p := s.waiters[0]
-	copy(s.waiters, s.waiters[1:])
-	s.waiters = s.waiters[:len(s.waiters)-1]
-	p.k.readyProc(p)
-	return true
-}
-
 // FireAll readies every waiter (FIFO order) and returns how many were
 // released.
 func (s *Signal) FireAll() int {
@@ -77,34 +56,6 @@ func (s *Signal) FireAll() int {
 	}
 	s.waiters = s.waiters[:0]
 	return n
-}
-
-// WaitGroup tracks completion of a known number of proc-side tasks in
-// virtual time.
-type WaitGroup struct {
-	n   int
-	sig Signal
-}
-
-// Add increases the outstanding-task count.
-func (w *WaitGroup) Add(delta int) {
-	w.n += delta
-	if w.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if w.n == 0 {
-		w.sig.FireAll()
-	}
-}
-
-// Done decrements the counter, waking waiters when it reaches zero.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Wait parks p until the counter is zero.
-func (w *WaitGroup) Wait(p *Proc, why string) {
-	for w.n > 0 {
-		w.sig.Wait(p, why)
-	}
 }
 
 // Coordinator partitions one simulation's logical processes — one LP per
@@ -345,15 +296,6 @@ func (c *Coordinator) Stats() KernelStats {
 		s.add(k.Stats)
 	}
 	return s
-}
-
-// NumProcs returns the number of spawned procs across all kernels.
-func (c *Coordinator) NumProcs() int {
-	n := 0
-	for _, k := range c.kernels {
-		n += len(k.procs)
-	}
-	return n
 }
 
 // Run drives the simulation to completion. It returns nil when every

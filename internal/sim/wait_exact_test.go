@@ -11,14 +11,16 @@ import (
 // itself (MemChannel.ArmCopy), exist only to save proc switches, so they
 // must be unobservable otherwise. The tests below run one randomized
 // gather workload with each and with the code it replaces, a loop of
-// Waits and Sleep followed by the action and a park, and require every
-// observable to match.
+// parks on the signal and Sleep followed by the action and a park, and
+// require every observable to match.
 
 // refWait is the loop WaitUntil replaces: run on every release, re-check,
-// wait again.
+// park on s again.
 func refWait(s *Signal, p *Proc, c Cond) {
 	for !c.Ready() {
-		s.Wait(p, c.String())
+		s.waiters = append(s.waiters, p)
+		p.ArmWake(c.String())
+		p.Park()
 	}
 }
 

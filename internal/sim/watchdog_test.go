@@ -33,10 +33,9 @@ func verdictParity(t *testing.T, watchdog Duration, diag string, spawn func(co *
 	return errs[0]
 }
 
-// stuckOn spawns a proc on node that waits on a signal nobody fires.
+// stuckOn spawns a proc on node that waits for a wakeup nobody sends.
 func stuckOn(co *Coordinator, node int, name, why string) {
-	var sig Signal
-	co.KernelFor(node).SpawnOn(node, name, func(p *Proc) { sig.Wait(p, why) })
+	co.KernelFor(node).SpawnOn(node, name, func(p *Proc) { block(p, why) })
 }
 
 // TestWatchdogAbortsWedgedRun: a proc that keeps the clock ticking with
@@ -165,10 +164,9 @@ func TestWatchdogDiagnosticInReports(t *testing.T) {
 func TestWatchdogZeroIsOff(t *testing.T) {
 	err := verdictParity(t, 0, "", func(co *Coordinator) {
 		stuckOn(co, 0, "stuck", "forever")
-		var sig Signal
 		co.KernelFor(1).SpawnOn(1, "late", func(p *Proc) {
 			p.Sleep(3 * Microsecond)
-			sig.Wait(p, "after a sleep")
+			block(p, "after a sleep")
 		})
 	})
 	var dl *DeadlockError

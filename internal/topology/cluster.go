@@ -22,9 +22,6 @@ type Cluster struct {
 	Sockets int
 	// CoresPerSocket is the number of usable cores per socket.
 	CoresPerSocket int
-	// HCAs is the number of host channel adapters (NICs) per node.
-	// Multi-HCA nodes allow HCA-aware leader placement.
-	HCAs int
 
 	Net   NetProfile
 	Mem   MemProfile
@@ -47,8 +44,6 @@ func (c *Cluster) Validate() error {
 		return fmt.Errorf("topology: %s: Sockets = %d, want > 0", c.Name, c.Sockets)
 	case c.CoresPerSocket <= 0:
 		return fmt.Errorf("topology: %s: CoresPerSocket = %d, want > 0", c.Name, c.CoresPerSocket)
-	case c.HCAs <= 0:
-		return fmt.Errorf("topology: %s: HCAs = %d, want > 0", c.Name, c.HCAs)
 	case c.Net.LinkBandwidth <= 0:
 		return fmt.Errorf("topology: %s: LinkBandwidth must be positive", c.Name)
 	case c.Net.PerFlowCap <= 0:
@@ -75,31 +70,6 @@ func (c *Cluster) Validate() error {
 		}
 	}
 	return nil
-}
-
-// WithNodes returns a copy of the cluster restricted to n nodes, e.g. to
-// run a 16-node job on cluster A. It panics if n exceeds the cluster size.
-func (c *Cluster) WithNodes(n int) *Cluster {
-	if n <= 0 || n > c.Nodes {
-		panic(fmt.Sprintf("topology: WithNodes(%d) on %s with %d nodes", n, c.Name, c.Nodes))
-	}
-	cc := *c
-	cc.Nodes = n
-	return &cc
-}
-
-// WithHCAs returns a copy of the cluster with n host channel adapters per
-// node (e.g. a dual-rail variant of cluster B). Ranks attach to the HCA
-// of their socket (HCA-aware placement, Section 4.3: "each leader
-// communicates through its closest HCA").
-func (c *Cluster) WithHCAs(n int) *Cluster {
-	if n <= 0 {
-		panic(fmt.Sprintf("topology: WithHCAs(%d)", n))
-	}
-	cc := *c
-	cc.HCAs = n
-	cc.Name = fmt.Sprintf("%s-%dhca", c.Name, n)
-	return &cc
 }
 
 func (c *Cluster) String() string {
@@ -202,7 +172,6 @@ func ClusterA() *Cluster {
 		Nodes:          40,
 		Sockets:        2,
 		CoresPerSocket: 14,
-		HCAs:           1,
 		Net:            infinibandEDR(),
 		Mem:            xeonMemory(),
 		CPU:            CPUProfile{ReduceRate: 5.0e9},
@@ -218,7 +187,6 @@ func ClusterB() *Cluster {
 		Nodes:          648,
 		Sockets:        2,
 		CoresPerSocket: 14,
-		HCAs:           1,
 		Net:            infinibandEDR(),
 		Mem:            xeonMemory(),
 		CPU:            CPUProfile{ReduceRate: 5.2e9},
@@ -234,7 +202,6 @@ func ClusterC() *Cluster {
 		Nodes:          752,
 		Sockets:        2,
 		CoresPerSocket: 14,
-		HCAs:           1,
 		Net:            omniPath100(),
 		Mem:            xeonMemory(),
 		CPU:            CPUProfile{ReduceRate: 4.8e9},
@@ -250,7 +217,6 @@ func ClusterD() *Cluster {
 		Nodes:          508,
 		Sockets:        1,
 		CoresPerSocket: 64,
-		HCAs:           1,
 		Net:            omniPathKNL(),
 		Mem:            knlMemory(),
 		CPU:            CPUProfile{ReduceRate: 1.5e9},
@@ -273,7 +239,6 @@ func ClusterE() *Cluster {
 		Nodes:          4096,
 		Sockets:        2,
 		CoresPerSocket: 14,
-		HCAs:           1,
 		Net:            net,
 		Mem:            xeonMemory(),
 		CPU:            CPUProfile{ReduceRate: 5.2e9},

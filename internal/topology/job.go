@@ -28,15 +28,6 @@ func NewJob(c *Cluster, nodes, ppn int) (*Job, error) {
 	return &Job{Cluster: c, NodesUsed: nodes, PPN: ppn}, nil
 }
 
-// MustJob is NewJob that panics on error; for tests and fixed benchmarks.
-func MustJob(c *Cluster, nodes, ppn int) *Job {
-	j, err := NewJob(c, nodes, ppn)
-	if err != nil {
-		panic(err)
-	}
-	return j
-}
-
 // NumProcs returns the world size.
 func (j *Job) NumProcs() int { return j.NodesUsed * j.PPN }
 
@@ -49,14 +40,12 @@ type Placement struct {
 	Node      int // node index in [0, NodesUsed)
 	LocalRank int // rank within the node in [0, PPN)
 	Socket    int // socket index in [0, Sockets)
-	HCA       int // nearest HCA index in [0, HCAs)
 }
 
 // Place maps a global rank to hardware using block ("bunch") placement:
 // consecutive ranks fill a node before spilling to the next, and within a
 // node consecutive local ranks fill socket 0 before socket 1, matching
-// MVAPICH2's default CPU mapping. The nearest HCA is the one attached to
-// the rank's socket (round-robin when sockets outnumber HCAs).
+// MVAPICH2's default CPU mapping.
 func (j *Job) Place(rank int) Placement {
 	if rank < 0 || rank >= j.NumProcs() {
 		panic(fmt.Sprintf("topology: rank %d out of range [0,%d)", rank, j.NumProcs()))
@@ -83,6 +72,5 @@ func (j *Job) Place(rank int) Placement {
 		Node:      rank / j.PPN,
 		LocalRank: local,
 		Socket:    socket,
-		HCA:       socket % c.HCAs,
 	}
 }

@@ -96,8 +96,8 @@ func TestClusterSubtreesAndExa(t *testing.T) {
 	if got := subtrees(ClusterA()); got != 3 {
 		t.Errorf("cluster A subtrees = %d, want 3", got)
 	}
-	// WithNodes restrictions repartition: a 16-node job on A is one leaf.
-	if got := subtrees(ClusterA().WithNodes(16)); got != 1 {
+	// A job on fewer nodes repartitions: 16 nodes of A are one leaf.
+	if got := LeafSubtrees(16, ClusterA().Net.LeafRadix).Count; got != 1 {
 		t.Errorf("16-node cluster A subtrees = %d, want 1", got)
 	}
 }

@@ -68,30 +68,12 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestWithNodes(t *testing.T) {
-	a := ClusterA()
-	sub := a.WithNodes(16)
-	if sub.Nodes != 16 {
-		t.Fatalf("WithNodes gave %d nodes", sub.Nodes)
-	}
-	if a.Nodes != 40 {
-		t.Fatal("WithNodes mutated the original")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithNodes beyond cluster size must panic")
-		}
-	}()
-	a.WithNodes(41)
-}
-
 func TestValidateCatchesBadClusters(t *testing.T) {
 	bad := []func(*Cluster){
 		func(c *Cluster) { c.Name = "" },
 		func(c *Cluster) { c.Nodes = 0 },
 		func(c *Cluster) { c.Sockets = -1 },
 		func(c *Cluster) { c.CoresPerSocket = 0 },
-		func(c *Cluster) { c.HCAs = 0 },
 		func(c *Cluster) { c.Net.LinkBandwidth = 0 },
 		func(c *Cluster) { c.Net.PerFlowCap = -1 },
 		func(c *Cluster) { c.Net.EagerThreshold = -1 },
@@ -139,7 +121,7 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestPlacementBlockMapping(t *testing.T) {
-	j := MustJob(ClusterA(), 4, 28)
+	j := mustJob(t, ClusterA(), 4, 28)
 	// Rank 0: node 0, local 0, socket 0. Rank 27: node 0, local 27,
 	// socket 1. Rank 28: node 1.
 	p := j.Place(0)
@@ -166,7 +148,7 @@ func TestPlacementBlockMapping(t *testing.T) {
 
 func TestPlacementOddPPN(t *testing.T) {
 	// ppn=7 over 2 sockets: socket 0 gets 4 (remainder), socket 1 gets 3.
-	j := MustJob(ClusterA(), 2, 7)
+	j := mustJob(t, ClusterA(), 2, 7)
 	wantSocket := []int{0, 0, 0, 0, 1, 1, 1}
 	for local, want := range wantSocket {
 		if got := j.Place(local).Socket; got != want {
@@ -176,7 +158,7 @@ func TestPlacementOddPPN(t *testing.T) {
 }
 
 func TestPlacementSingleSocketKNL(t *testing.T) {
-	j := MustJob(ClusterD(), 2, 64)
+	j := mustJob(t, ClusterD(), 2, 64)
 	for r := 0; r < j.NumProcs(); r++ {
 		if s := j.Place(r).Socket; s != 0 {
 			t.Fatalf("KNL rank %d on socket %d, want 0", r, s)
@@ -185,7 +167,7 @@ func TestPlacementSingleSocketKNL(t *testing.T) {
 }
 
 func TestPlaceNodeAndSameNode(t *testing.T) {
-	j := MustJob(ClusterB(), 3, 4)
+	j := mustJob(t, ClusterB(), 3, 4)
 	for i, r := range []int{4, 5, 6, 7} {
 		if pl := j.Place(r); pl.Node != 1 || pl.LocalRank != i {
 			t.Fatalf("Place(%d) = node %d local %d, want node 1 local %d", r, pl.Node, pl.LocalRank, i)
@@ -197,7 +179,7 @@ func TestPlaceNodeAndSameNode(t *testing.T) {
 }
 
 func TestPlaceCrossSocket(t *testing.T) {
-	j := MustJob(ClusterA(), 1, 28)
+	j := mustJob(t, ClusterA(), 1, 28)
 	if j.Place(0).Socket == j.Place(14).Socket {
 		t.Error("ranks 0 and 14 are on different sockets at ppn=28")
 	}
@@ -213,7 +195,7 @@ func TestPlacementProperties(t *testing.T) {
 		c := ClusterC()
 		nodes := 1 + int(nodesSeed)%8
 		ppn := 1 + int(ppnSeed)%c.CoresPerNode()
-		j := MustJob(c, nodes, ppn)
+		j := mustJob(t, c, nodes, ppn)
 		prevSocket := -1
 		for r := 0; r < j.NumProcs(); r++ {
 			p := j.Place(r)
@@ -221,9 +203,6 @@ func TestPlacementProperties(t *testing.T) {
 				return false
 			}
 			if p.Socket < 0 || p.Socket >= c.Sockets {
-				return false
-			}
-			if p.HCA < 0 || p.HCA >= c.HCAs {
 				return false
 			}
 			if p.LocalRank == 0 {
@@ -242,7 +221,7 @@ func TestPlacementProperties(t *testing.T) {
 }
 
 func TestPlaceOutOfRangePanics(t *testing.T) {
-	j := MustJob(ClusterA(), 1, 4)
+	j := mustJob(t, ClusterA(), 1, 4)
 	for _, r := range []int{-1, 4} {
 		func() {
 			defer func() {
@@ -253,4 +232,14 @@ func TestPlaceOutOfRangePanics(t *testing.T) {
 			j.Place(r)
 		}()
 	}
+}
+
+// mustJob is NewJob for shapes a test knows to be valid.
+func mustJob(t *testing.T, c *Cluster, nodes, ppn int) *Job {
+	t.Helper()
+	j, err := NewJob(c, nodes, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
