@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint ci benchcheck racecheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover bench results
+.PHONY: all build test race vet lint ci examplecheck benchcheck racecheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover bench results
 
 all: build
 
@@ -38,9 +38,14 @@ race:
 # -race exercises the parallel paths, not just the serial ones), the
 # sharded-kernel race pass, the benchmark module's own checks, the
 # fault-matrix smoke pass, the schedule-space exploration pass, the
-# byte-for-byte regeneration of every committed table, a short fuzz pass
-# over the text parsers, and the coverage summary.
-ci: lint vet race racecheck benchcheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover
+# byte-for-byte regeneration of every committed table, the examples, a
+# short fuzz pass over the text parsers, and the coverage summary.
+ci: lint vet race racecheck benchcheck faultsmoke explorecheck resultscheck examplecheck grandprixsmoke fuzz cover
+
+# examplecheck runs every program under examples/, the public dpml
+# package's only consumers; each must exit zero.
+examplecheck:
+	for d in examples/*/; do $(GO) run ./$$d >/dev/null || exit 1; done
 
 # benchcheck vets and tests the nested benchmark/ module, which the root
 # `go test ./...` never enters: every workload at test size against its

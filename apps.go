@@ -17,13 +17,9 @@ type (
 	// MiniAMRConfig sizes a mesh-refinement run (medium/large
 	// allreduces).
 	MiniAMRConfig = miniamr.Config
-	// MiniAMRResult reports the refinement time.
-	MiniAMRResult = miniamr.Result
 	// DNNConfig sizes a data-parallel training run (gradient
 	// averaging, optionally bucketed).
 	DNNConfig = dnn.Config
-	// DNNLayer describes one parameter tensor.
-	DNNLayer = dnn.Layer
 	// DNNResult reports per-step and communication time.
 	DNNResult = dnn.Result
 )

@@ -88,13 +88,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		metrics = fmt.Sprintf("  refinement time %v over %d steps (library %s)\n", res.RefineTime, res.Steps, spec)
+		metrics = fmt.Sprintf("  refinement time %v over %d steps (design %s)\n", res.RefineTime, res.Steps, spec)
 	case "dnn":
 		res, err := dnn.Run(e, dnn.Config{Layers: dnn.ResNet50ish(), Steps: *steps, BucketBytes: *bucket, Spec: spec})
 		if err != nil {
 			return fail(err)
 		}
-		metrics = fmt.Sprintf("  step time %v, gradient averaging %v (%d allreduces/step, library %s)\n",
+		metrics = fmt.Sprintf("  step time %v, gradient averaging %v (%d allreduces/step, design %s)\n",
 			res.StepTime, res.CommTime, res.Allreduces, spec)
 	}
 	fmt.Fprintf(stdout, "%s on %s, %d nodes x %d ppn (%d procs)\n%s", *app, cl.Name, *nodes, *ppn, job.NumProcs(), metrics)

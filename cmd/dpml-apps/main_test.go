@@ -40,7 +40,7 @@ func TestRejectedInputs(t *testing.T) {
 
 // TestProposedGolden: miniamr with -design proposed prints, byte for
 // byte, what -lib proposed printed before selectors became designs
-// (testdata/proposed.golden).
+// (testdata/proposed.golden), except that the label reads "design".
 func TestProposedGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/proposed.golden")
 	if err != nil {
@@ -54,5 +54,21 @@ func TestProposedGolden(t *testing.T) {
 	}
 	if out.String() != string(want) {
 		t.Errorf("output differs from testdata/proposed.golden:\n--- got ---\n%s--- want ---\n%s", out.String(), want)
+	}
+}
+
+// TestDesignLabel: a design that is not a library selector is labelled
+// as a design, next to the same refinement time.
+func TestDesignLabel(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-app", "miniamr", "-cluster", "C", "-nodes", "2", "-ppn", "8", "-steps", "1",
+		"-design", "dpml-8"}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr: %s", code, errb.String())
+	}
+	const want = "miniamr on C-Xeon-OmniPath, 2 nodes x 8 ppn (16 procs)\n" +
+		"  refinement time 54.917us over 1 steps (design dpml-8)\n"
+	if out.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

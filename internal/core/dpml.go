@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dpml/internal/mpi"
 	"dpml/internal/shmseg"
 	"dpml/internal/trace"
@@ -66,15 +64,6 @@ func (e *Engine) interNode(r *mpi.Rank, c *mpi.Comm, op *mpi.Op, vec *mpi.Vector
 		alg = autoAlg(vec.Bytes())
 	}
 	r.Allreduce(c, alg, op, vec)
-}
-
-// checkOp reports whether op can reduce vec's datatype, so a mismatch
-// fails before any rank moves instead of inside the first fold.
-func checkOp(op *mpi.Op, vec *mpi.Vector) error {
-	if !op.Supports(vec.Type()) {
-		return fmt.Errorf("core: op %s unsupported for %v", op.Name(), vec.Type())
-	}
-	return nil
 }
 
 // shmOp is one rank's part in the shared-memory operations of its node:

@@ -293,9 +293,6 @@ func (e *Engine) Allreduce(r *mpi.Rank, s Spec, op *mpi.Op, vec *mpi.Vector) err
 	if err := e.Validate(s); err != nil {
 		return err
 	}
-	if err := checkOp(op, vec); err != nil {
-		return err
-	}
 	// The label is formatted only when a recorder is attached, so an
 	// untraced collective allocates nothing here.
 	rec := e.W.Tracer()

@@ -147,7 +147,7 @@ func TestModelCommSteps(t *testing.T) {
 }
 
 func TestFromClusterCoefficients(t *testing.T) {
-	for _, cl := range topology.All() {
+	for _, cl := range []*topology.Cluster{topology.ClusterA(), topology.ClusterB(), topology.ClusterC(), topology.ClusterD()} {
 		p := FromCluster(cl)
 		if p.A <= 0 || p.B <= 0 || p.APrime <= 0 || p.BPrime <= 0 || p.C <= 0 {
 			t.Errorf("%s: non-positive coefficients %+v", cl.Name, p)

@@ -8,6 +8,9 @@ import (
 	"dpml/internal/sim"
 )
 
+// millisecond is one millisecond of virtual time.
+const millisecond = 1000 * sim.Microsecond
+
 // runFlows drives a kernel with a single proc that starts flows and waits
 // for them all.
 func runFlows(t *testing.T, body func(k *sim.Kernel, n *FlowNet, p *sim.Proc)) sim.Time {
@@ -60,7 +63,7 @@ func TestSingleFlowUncontended(t *testing.T) {
 			n.Start(1_000_000, 1e9, done, l)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flow finished at %v, want 1ms", end)
 	}
 }
@@ -75,7 +78,7 @@ func TestLinkSharingFairly(t *testing.T) {
 			n.Start(1_000_000, 10e9, done, l)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flows finished at %v, want 1ms", end)
 	}
 }
@@ -88,7 +91,7 @@ func TestPerFlowCapBinds(t *testing.T) {
 			n.Start(1_000_000, 0.5e9, done, l)
 		})
 	})
-	if end != sim.Time(2*sim.Millisecond) {
+	if end != sim.Time(2*millisecond) {
 		t.Fatalf("flow finished at %v, want 2ms", end)
 	}
 }
@@ -104,7 +107,7 @@ func TestCapFreesBandwidthForOthers(t *testing.T) {
 			n.Start(2_000_000, 10e9, done, l)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flows finished at %v, want 1ms", end)
 	}
 }
@@ -135,7 +138,7 @@ func TestRateReallocatedOnArrival(t *testing.T) {
 		var wg join
 		wg.n = 2
 		n.Start(4_000_000, 10e9, wg.done, l)
-		p.Sleep(sim.Millisecond)
+		p.Sleep(millisecond)
 		n.Start(1_000_000, 10e9, wg.done, l)
 		wg.wait(p, "flows")
 	})
@@ -155,7 +158,7 @@ func TestMultiLinkPathBottleneck(t *testing.T) {
 			n.Start(1_000_000, 100e9, done, up, down)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flow finished at %v, want 1ms", end)
 	}
 }
@@ -174,7 +177,7 @@ func TestCrossTrafficMaxMin(t *testing.T) {
 			n.Start(1_000_000, 10e9, done, l2)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flows finished at %v, want 1ms", end)
 	}
 }
@@ -191,7 +194,7 @@ func TestCrossTrafficAsymmetric(t *testing.T) {
 			n.Start(2_000_000, 10e9, done, l2)
 		})
 	})
-	if end != sim.Time(sim.Millisecond) {
+	if end != sim.Time(millisecond) {
 		t.Fatalf("flows finished at %v, want 1ms", end)
 	}
 }
@@ -220,7 +223,7 @@ func TestManyFlowsAggregateThroughputConserved(t *testing.T) {
 			}
 		})
 	})
-	if end != sim.Time(2*sim.Millisecond) {
+	if end != sim.Time(2*millisecond) {
 		t.Fatalf("flows finished at %v, want 2ms", end)
 	}
 }
@@ -248,7 +251,7 @@ func TestStaggeredFlowsConserveWork(t *testing.T) {
 	}
 	// Generous upper bound: serial at the slowest per-flow rate plus all
 	// stagger delays.
-	maxTime := sim.DurationOfSeconds(float64(totalBytes)/1.5e9) + 5*sim.Millisecond
+	maxTime := sim.DurationOfSeconds(float64(totalBytes)/1.5e9) + 5*millisecond
 	if sim.Duration(end) > maxTime {
 		t.Fatalf("finished at %v, slower than worst case %v", end, maxTime)
 	}
@@ -366,7 +369,7 @@ func TestFastPathPreservesLinkAccounting(t *testing.T) {
 	if got := l.BytesMoved(); got != 3_000_000 {
 		t.Errorf("BytesMoved = %d, want 3000000", got)
 	}
-	if busy := l.BusyTime(); busy != 2*sim.Millisecond {
+	if busy := l.BusyTime(); busy != 2*millisecond {
 		t.Errorf("BusyTime = %v, want 2ms (flows span [0,1ms] and [0,2ms])", busy)
 	}
 	if l.live != 0 {
@@ -501,7 +504,7 @@ func TestLinkAccountingConservation(t *testing.T) {
 		t.Fatalf("BytesMoved = %d, want 2000000", got)
 	}
 	busy := l.BusyTime()
-	if busy != sim.Millisecond {
+	if busy != millisecond {
 		t.Fatalf("BusyTime = %v, want 1ms (not double-counted)", busy)
 	}
 }

@@ -120,7 +120,7 @@ func TestInjectDelayEnforcesMessageGap(t *testing.T) {
 			t.Errorf("other node injection delayed %v", d)
 		}
 		// After the gap has passed, no delay.
-		p.Sleep(sim.Second)
+		p.Sleep(1000 * millisecond)
 		if d := ep0.InjectDelay(); d != 0 {
 			t.Errorf("injection after idle delayed %v", d)
 		}

@@ -110,27 +110,6 @@ func (s *Sharp) OpLatency(nodes int, bytes int) sim.Duration {
 	return d
 }
 
-// WakeLatency returns the smallest delay after which the model ever
-// notifies a caller's node: the tree overhead plus one round trip to the
-// nearest switch (the NACK path; completed operations take at least
-// OpLatency, which is larger). The sharded kernel's lookahead must not
-// exceed it.
-//
-//dpml:minlookahead
-func (s *Sharp) WakeLatency() sim.Duration {
-	return s.prof.OpOverhead + 2*s.prof.HopLatency
-}
-
-// nackLatency is the delay before a caller learns its operation was
-// refused (offload offline, or leaves disagreeing on the payload): one
-// control round trip through the edge of the tree. Bounded below by the
-// kernel's lookahead by construction (see WakeLatency).
-//
-//dpml:minlookahead
-func (s *Sharp) nackLatency() sim.Duration {
-	return s.WakeLatency()
-}
-
 // NewGroup allocates a SHArP communicator spanning the given compute
 // nodes with leadersPerNode calling leaders on each (node-leader designs
 // use 1, socket-leader designs one per socket), or returns ErrSharpGroups
@@ -326,14 +305,17 @@ func (s *Sharp) begin(op *sharpOp) {
 	})
 }
 
-// notify delivers a refusal to one caller after the NACK round trip.
+// notify delivers a refusal (offload offline, or leaves disagreeing on
+// the payload) to one caller after the NACK round trip: one control round
+// trip through the edge of the tree.
 func (s *Sharp) notify(c *sharpCall) {
-	c.lpWake(s, s.nackLatency())
+	c.lpWake(s, s.prof.WakeLatency())
 }
 
 // lpWake schedules the caller's wakeup on its own node, d from now. Every
-// wake delay is at least the kernel lookahead (see WakeLatency), so the
-// cross-LP event is always legal.
+// wake delay is at least the kernel lookahead (see
+// topology.SharpProfile.WakeLatency), so the cross-LP event is always
+// legal.
 func (c *sharpCall) lpWake(s *Sharp, d sim.Duration) {
 	s.k.AfterOn(c.lp, d, c.wake)
 }

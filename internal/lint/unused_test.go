@@ -7,19 +7,21 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed lists the functions that no non-test code calls but
-// that stay anyway, each with the reason it earns its lines.
+// testOnlyAllowed lists the package-level names that no non-test code
+// references but that stay anyway, each with the reason it earns its
+// lines.
 var testOnlyAllowed = map[string]string{
 	"dpml/internal/sim.Proc.Sleep":   "the sim package doc's proc example, and most kernel tests, park a proc with it",
 	"dpml/internal/sim.Kernel.Spawn": "the sim package doc's entry point for a bare kernel, and most kernel tests, start procs with it",
 }
 
-// TestNoTestOnlyFunctions fails on every function or method declared in
-// non-test code that no non-test code references: API that only tests
-// call is dead weight the tests keep alive. A method whose name some
-// interface in the module's type info declares may be called through
-// that interface, so it is skipped, as are String and Error (fmt calls
-// them implicitly), main and init.
+// TestNoTestOnlyFunctions fails on every package-level name declared in
+// non-test code (function, method, type, var or const, in any package of
+// the module, the root package included) that no non-test code
+// references: API that only tests use is dead weight the tests keep
+// alive. A method whose name some interface in the module's type info
+// declares may be called through that interface, so it is skipped, as
+// are String and Error (fmt calls them implicitly), main and init.
 func TestNoTestOnlyFunctions(t *testing.T) {
 	l, err := NewLoader("../..")
 	if err != nil {
@@ -29,14 +31,15 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	ifaceMethods := map[string]bool{"String": true, "Error": true}
 	seen := map[types.Type]bool{}
 	for _, p := range pkgs {
 		for _, obj := range p.Info.Uses {
 			if f, ok := obj.(*types.Func); ok {
-				used[f.Origin()] = true
+				obj = f.Origin()
 			}
+			used[obj] = true
 		}
 		for _, tv := range p.Info.Types {
 			collectInterfaceMethods(tv.Type, ifaceMethods, seen)
@@ -49,30 +52,48 @@ func TestNoTestOnlyFunctions(t *testing.T) {
 	}
 	var unused []string
 	allowed := map[string]bool{}
+	report := func(p *Package, id *ast.Ident, recv *ast.FieldList) {
+		obj := p.Info.Defs[id]
+		if obj == nil || used[obj] || recv != nil && ifaceMethods[id.Name] {
+			return
+		}
+		name := p.Path + "." + id.Name
+		if recv != nil {
+			rt := obj.Type().(*types.Signature).Recv().Type()
+			if ptr, ok := rt.(*types.Pointer); ok {
+				rt = ptr.Elem()
+			}
+			name = p.Path + "." + rt.(*types.Named).Obj().Name() + "." + id.Name
+		}
+		if _, ok := testOnlyAllowed[name]; ok {
+			allowed[name] = true
+			return
+		}
+		unused = append(unused, name)
+	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil && (fd.Name.Name == "main" || fd.Name.Name == "init") {
-					continue
-				}
-				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil || used[fn] || fd.Recv != nil && ifaceMethods[fn.Name()] {
-					continue
-				}
-				name := p.Path + "." + fn.Name()
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					rt := recv.Type()
-					if ptr, ok := rt.(*types.Pointer); ok {
-						rt = ptr.Elem()
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && (d.Name.Name == "main" || d.Name.Name == "init") {
+						continue
 					}
-					name = p.Path + "." + rt.(*types.Named).Obj().Name() + "." + fn.Name()
+					report(p, d.Name, d.Recv)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							report(p, s.Name, nil)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.Name != "_" {
+									report(p, id, nil)
+								}
+							}
+						}
+					}
 				}
-				if _, ok := testOnlyAllowed[name]; ok {
-					allowed[name] = true
-					continue
-				}
-				unused = append(unused, name)
 			}
 		}
 	}

@@ -172,38 +172,6 @@ func TestAllreduceMaxMinProd(t *testing.T) {
 	}
 }
 
-func TestAllreduceUserOp(t *testing.T) {
-	// L1-norm accumulation as a user op: |a| + |b| is commutative and
-	// associative (intermediate results are non-negative).
-	absSum := NewUserOp("abssum", func(acc, in float64) float64 {
-		if acc < 0 {
-			acc = -acc
-		}
-		if in < 0 {
-			in = -in
-		}
-		return acc + in
-	})
-	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
-	err := w.Run(func(r *Rank) error {
-		v := NewVector(Float64, 1)
-		if r.Rank() == 0 {
-			v.Set(0, 3)
-		} else {
-			v.Set(0, -4)
-		}
-		r.Allreduce(w.CommWorld(), AlgRecursiveDoubling, absSum, v)
-		// Note: |3| accumulated with |-4| = 7 regardless of direction.
-		if v.At(0) != 7 {
-			t.Errorf("user op allreduce got %v, want 7", v.At(0))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduceUnknownAlgorithmPanics(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
 	err := w.Run(func(r *Rank) error {

@@ -115,10 +115,6 @@ func (s *elems[T]) fold(o *Op, src store) {
 				d[i] = x[i]
 			}
 		}
-	case opUser:
-		for i := range d {
-			d[i] = T(o.user(float64(d[i]), float64(x[i])))
-		}
 	}
 }
 

@@ -116,37 +116,6 @@ func TestOpsElementwise(t *testing.T) {
 	check(Min, 3, 4, 3)
 }
 
-func TestUserOp(t *testing.T) {
-	absmax := NewUserOp("absmax", func(acc, in float64) float64 {
-		if in < 0 {
-			in = -in
-		}
-		if in > acc {
-			return in
-		}
-		return acc
-	})
-	x := NewVector(Float64, 2)
-	y := NewVector(Float64, 2)
-	x.Fill(3)
-	y.Set(0, -10)
-	y.Set(1, 1)
-	absmax.Apply(x, y)
-	if x.At(0) != 10 || x.At(1) != 3 {
-		t.Fatalf("user op got (%v,%v)", x.At(0), x.At(1))
-	}
-	if absmax.Name() != "absmax" {
-		t.Fatal("user op metadata wrong")
-	}
-	// User ops only define float64; other datatypes must panic clearly.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("user op on int32 did not panic")
-		}
-	}()
-	absmax.Apply(NewVector(Int32, 1), NewVector(Int32, 1))
-}
-
 func TestOpApplyShapeMismatchPanics(t *testing.T) {
 	for i, pair := range [][2]*Vector{
 		{NewVector(Float64, 2), NewVector(Float64, 3)},

@@ -51,40 +51,21 @@ func (d Datatype) String() string {
 type opKind uint8
 
 const (
-	opUser opKind = iota
-	opSum
+	opSum opKind = iota
 	opProd
 	opMax
 	opMin
 )
 
-// Op is a reduction operation. The predefined ops (Sum, Prod, Max, Min)
-// work on every datatype; user-defined ops are built with NewUserOp.
+// Op is a reduction operation: one of the predefined Sum, Prod, Max and
+// Min, each of which works on every datatype.
 type Op struct {
 	name string
 	kind opKind
-	// user is the elementwise function of a user-defined op (kind
-	// opUser), defined over float64 only.
-	user func(acc, in float64) float64
 }
 
 // Name returns the op's label.
 func (o *Op) Name() string { return o.name }
-
-// Supports reports whether the op can reduce buffers of datatype d:
-// predefined ops support every datatype, user-defined ops only float64.
-func (o *Op) Supports(d Datatype) bool { return o.kind != opUser || d == Float64 }
-
-// NewUserOp builds a user-defined elementwise reduction over float64
-// buffers (the only datatype user ops must support, matching how the
-// paper's applications use allreduce). f receives the accumulator and the
-// incoming element and returns the new accumulator value. f must be
-// commutative and associative, like MPI's predefined ops: every
-// algorithm folds contributions in whatever order its schedule delivers
-// them.
-func NewUserOp(name string, f func(acc, in float64) float64) *Op {
-	return &Op{name: name, kind: opUser, user: f}
-}
 
 // Predefined reduction operations.
 var (
@@ -108,9 +89,6 @@ func (o *Op) Apply(dst, src *Vector) {
 	}
 	if dst.data == nil || src.data == nil {
 		return
-	}
-	if !o.Supports(dst.dtype) {
-		panic(fmt.Sprintf("mpi: op %s unsupported for %v", o.name, dst.dtype))
 	}
 	dst.data.fold(o, src.data)
 }

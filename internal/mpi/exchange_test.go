@@ -80,7 +80,7 @@ func TestExchangePanicInLaterRound(t *testing.T) {
 			// Ranks 0,1 share node 0 and ranks 2,3 node 1; each pair
 			// exchanges with itself, so at two shards each pair runs on
 			// its own kernel.
-			w := smallWorld(t, topology.ClusterB(), 2, 2, Config{Shards: shards, Watchdog: sim.Second})
+			w := smallWorld(t, topology.ClusterB(), 2, 2, Config{Shards: shards, Watchdog: 1000 * millisecond})
 			err := w.Run(func(r *Rank) error {
 				c := w.CommWorld()
 				peer := c.RankOf(r) ^ 1

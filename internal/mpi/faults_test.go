@@ -11,6 +11,9 @@ import (
 	"dpml/internal/topology"
 )
 
+// millisecond is one millisecond of virtual time.
+const millisecond = 1000 * sim.Microsecond
+
 // pingPongEnd runs a fixed eager ping-pong workload and returns the
 // virtual end time.
 func pingPongEnd(t *testing.T, cfg Config) sim.Time {
@@ -215,7 +218,7 @@ func TestInvalidPlanPanics(t *testing.T) {
 func TestWatchdogNamesStuckRanks(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			w := smallWorld(t, topology.ClusterB(), 7, 1, Config{Watchdog: sim.Millisecond, Shards: shards})
+			w := smallWorld(t, topology.ClusterB(), 7, 1, Config{Watchdog: millisecond, Shards: shards})
 			pair := w.NewComm([]int{3, 4})
 			big := func() *Vector { return NewPhantom(Int32, 1<<18) } // 1 MB: rendezvous
 			err := w.Run(func(r *Rank) error {
@@ -252,7 +255,7 @@ func TestWatchdogNamesStuckRanks(t *testing.T) {
 					t.Fatalf("watchdog report missing %q:\n%s", want, msg)
 				}
 			}
-			if wd.Deadline != sim.Time(sim.Millisecond) {
+			if wd.Deadline != sim.Time(millisecond) {
 				t.Fatalf("deadline %v, want 1ms", wd.Deadline)
 			}
 		})

@@ -128,7 +128,7 @@ type World struct {
 func lookahead(c *topology.Cluster) sim.Duration {
 	la := c.Net.WireLatency
 	if c.Sharp.Available {
-		if w := c.Sharp.OpOverhead + 2*c.Sharp.HopLatency; w < la {
+		if w := c.Sharp.WakeLatency(); w < la {
 			la = w
 		}
 	}

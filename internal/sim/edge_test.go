@@ -60,7 +60,7 @@ func TestPanicDuringEventCleanup(t *testing.T) {
 	// states; shutdown must cancel everything cleanly.
 	co := NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	k.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+	k.Spawn("sleeper", func(p *Proc) { p.Sleep(second) })
 	k.Spawn("waiter", func(p *Proc) { block(p, "forever") })
 	k.Spawn("bomb", func(p *Proc) { panic("kaboom") })
 	err := co.Run()

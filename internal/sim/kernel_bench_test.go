@@ -212,7 +212,7 @@ func BenchmarkRescheduleBurst(b *testing.B) {
 					sets[s] = k.NewEventSet()
 					for i := 0; i < bc.size; i++ {
 						bytes[s] = append(bytes[s], Time(1+draw(1<<20)))
-						evs[s] = append(evs[s], sets[s].At(k.Now().Add(Second)+bytes[s][i], func() {}))
+						evs[s] = append(evs[s], sets[s].At(k.Now().Add(second)+bytes[s][i], func() {}))
 					}
 				}
 				b.ResetTimer()
@@ -224,7 +224,7 @@ func BenchmarkRescheduleBurst(b *testing.B) {
 							if bc.burst < bc.size {
 								i = int(draw(uint64(bc.size)))
 							}
-							set.Reschedule(evs[s][i], k.Now().Add(Second)+bytes[s][i]*rate)
+							set.Reschedule(evs[s][i], k.Now().Add(second)+bytes[s][i]*rate)
 						}
 					}
 					p.Sleep(1)

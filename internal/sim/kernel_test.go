@@ -300,6 +300,9 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
+// second is one virtual second.
+const second = 1_000_000 * Microsecond
+
 func TestDurationHelpers(t *testing.T) {
 	if DurationOfSeconds(-1) != 0 {
 		t.Error("negative seconds should clamp to 0")
@@ -311,7 +314,7 @@ func TestDurationHelpers(t *testing.T) {
 	if d.Micros() != 1.5 {
 		t.Errorf("Micros = %v, want 1.5", d.Micros())
 	}
-	if (2 * Second).Seconds() != 2.0 {
+	if (2 * second).Seconds() != 2.0 {
 		t.Error("Seconds conversion wrong")
 	}
 	t0 := Time(1000)

@@ -14,8 +14,6 @@ type Duration int64
 const (
 	Nanosecond  Duration = 1
 	Microsecond          = 1000 * Nanosecond
-	Millisecond          = 1000 * Microsecond
-	Second               = 1000 * Millisecond
 )
 
 // Add returns the instant d after t.

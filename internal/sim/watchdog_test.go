@@ -88,14 +88,14 @@ func TestWatchdogNoopOnCleanRun(t *testing.T) {
 	var ends [2]Time
 	var lastAt Time
 	run := 0
-	err := verdictParity(t, Second, "", func(co *Coordinator) {
+	err := verdictParity(t, second, "", func(co *Coordinator) {
 		i := run
 		run++
 		k := co.KernelFor(0)
 		k.SpawnOn(0, "quick", func(p *Proc) {
 			p.Sleep(5 * Microsecond)
 			ends[i] = p.Now()
-			k.After(2*Second, func() { lastAt = k.Now() })
+			k.After(2*second, func() { lastAt = k.Now() })
 		})
 		co.KernelFor(1).SpawnOn(1, "quicker", func(p *Proc) { p.Sleep(Microsecond) })
 	})
@@ -107,7 +107,7 @@ func TestWatchdogNoopOnCleanRun(t *testing.T) {
 			t.Fatalf("run %d: proc finished at %v, want 5us", i, end)
 		}
 	}
-	if lastAt != Time(5*Microsecond).Add(2*Second) {
+	if lastAt != Time(5*Microsecond).Add(2*second) {
 		t.Fatalf("event past the deadline fired at %v, want 2.000005s", lastAt)
 	}
 }

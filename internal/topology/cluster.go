@@ -264,8 +264,3 @@ func ByName(name string) *Cluster {
 	}
 	return nil
 }
-
-// All returns the four paper clusters in order.
-func All() []*Cluster {
-	return []*Cluster{ClusterA(), ClusterB(), ClusterC(), ClusterD()}
-}

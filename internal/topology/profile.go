@@ -117,3 +117,14 @@ type SharpProfile struct {
 	// can exist simultaneously.
 	MaxGroups int
 }
+
+// WakeLatency returns the smallest delay after which a SHArP tree ever
+// notifies a caller's node: the operation overhead plus one round trip
+// to the nearest switch (the NACK path; completed operations take at
+// least fabric.Sharp.OpLatency, which is larger). The sharded kernel's
+// lookahead must not exceed it.
+//
+//dpml:minlookahead
+func (p SharpProfile) WakeLatency() sim.Duration {
+	return p.OpOverhead + 2*p.HopLatency
+}
