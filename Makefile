@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint ci examplecheck benchcheck racecheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover bench results
+.PHONY: all build test race vet lint ci examplecheck benchcheck benchsmoke racecheck faultsmoke explorecheck resultscheck grandprixsmoke fuzz cover bench results
 
 all: build
 
@@ -38,9 +38,10 @@ race:
 # -race exercises the parallel paths, not just the serial ones), the
 # sharded-kernel race pass, the benchmark module's own checks, the
 # fault-matrix smoke pass, the schedule-space exploration pass, the
-# byte-for-byte regeneration of every committed table, the examples, a
-# short fuzz pass over the text parsers, and the coverage summary.
-ci: lint vet race racecheck benchcheck faultsmoke explorecheck resultscheck examplecheck grandprixsmoke fuzz cover
+# byte-for-byte regeneration of every committed table, the examples, one
+# pass of every simulator micro-benchmark, a short fuzz pass over the
+# text parsers, and the coverage summary.
+ci: lint vet race racecheck benchcheck faultsmoke explorecheck resultscheck examplecheck benchsmoke grandprixsmoke fuzz cover
 
 # examplecheck runs every program under examples/, the public dpml
 # package's only consumers; each must exit zero.
@@ -122,6 +123,11 @@ fuzz:
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# benchsmoke runs each simulator micro-benchmark once, so one that
+# panics or fails fails ci; bench measures them.
+benchsmoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/sim/ ./internal/fabric/
 
 # bench runs the simulator micro-benchmarks (kernel + fabric hot paths).
 bench:

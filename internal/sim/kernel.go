@@ -6,18 +6,19 @@
 // and executes exactly one of them at a time. All simulation state is
 // therefore mutated without data races and every run is bit-for-bit
 // reproducible: scheduling is decided only by the virtual clock, a FIFO
-// ready queue, and an event heap with a (LP, counter) tiebreaker.
+// ready queue, and event queues ordered by instant with an (LP, counter)
+// tiebreaker.
 //
 // Scheduling is a coroutine loop. Each kernel has one driver loop (drive)
 // that resumes the proc chosen by the last scheduling decision and runs
 // until its window is over. The scheduler step — ready-queue pop,
-// event-heap pop, clock advance — executes inline in whichever proc is
+// event pop, clock advance — executes inline in whichever proc is
 // giving up control, which names the next proc and yields to the driver:
 // a handoff is two coroutine switches and never goes through the Go
 // scheduler. When the parking proc turns out to be the next to run — in
 // particular when it sleeps and its own wakeup is the earliest live
 // event — it continues without any switch at all. Every sleep schedules
-// its wakeup event, so that path costs one heap push and pop and no
+// its wakeup event, so that path costs one event push and pop and no
 // switch. A proc that has nothing to do yet is not switched to either:
 // one in Signal.WaitUntil whose condition is still false is re-parked by
 // the scheduler itself.
@@ -36,17 +37,22 @@
 // procs. When nothing is ready and no event is due below the horizon,
 // the window is over.
 //
-// # Event sets
+// # Event queues
 //
-// Events an owner re-keys in bulk — the flow scheduler's completion
-// events, re-fitted after every water-fill — go in an EventSet rather
-// than in the kernel's heap: the set keeps them in a heap of its own
-// with one slot in the kernel's, keyed as its earliest event. A re-key
-// (EventSet.Reschedule) touches only the set's heap and marks the set
-// dirty; before the kernel next pops or peeks its heap it restores every
-// dirty set once and re-keys its slot. Keys stay unique and are minted
-// as Kernel.At mints them, so the kernel pops exactly the events, in
-// exactly the order, it would if every event sat in its own heap.
+// A plain event (Kernel.At, After, AtOn, AfterNet) goes in the kernel's
+// instant queue: the events at the current instant ordered by
+// tiebreaker alone, each later instant's events in a list until the
+// kernel reaches it. Events an owner re-keys in bulk — the
+// flow scheduler's completion events, re-fitted after every
+// water-fill — go in an EventSet instead: the set keeps them in a heap
+// of its own with one slot in the kernel's slot heap, keyed as its
+// earliest event. A re-key (EventSet.Reschedule) touches only the set's
+// heap and marks the set dirty; before the kernel next pops or peeks it
+// restores every dirty set once and re-keys its slot. Each pop takes
+// the smaller of the instant queue's and the slot heap's tops. Keys stay
+// unique and are minted as Kernel.At mints them, so the kernel pops
+// exactly the events, in exactly the order, it would if every event sat
+// in one (at, prio) heap.
 //
 // # Logical processes and the run loop
 //
@@ -142,14 +148,14 @@ func (e *DeadlockError) Error() string {
 
 // WatchdogError is returned by Coordinator.Run when a watchdog deadline
 // (see Coordinator.SetWatchdog) expires with procs still alive: the run
-// is aborted with a dump of every parked proc's wait reason, the pending
-// event-heap head, and any workload diagnostic, instead of simulating a
-// wedged collective forever (or until global deadlock, which a
-// stuck-but-still-ticking scenario never reaches).
+// is aborted with a dump of every parked proc's wait reason, the
+// earliest pending event, and any workload diagnostic, instead of
+// simulating a wedged collective forever (or until global deadlock,
+// which a stuck-but-still-ticking scenario never reaches).
 type WatchdogError struct {
 	Deadline  Time
 	Blocked   []string // "name: reason" for each parked proc
-	NextEvent string   // event-heap head past the deadline, "none" if dry
+	NextEvent string   // earliest pending event past the deadline, "none" if dry
 	Diag      string   // optional workload diagnostic (see Coordinator.SetDiagnostic)
 }
 
@@ -189,9 +195,9 @@ type KernelStats struct {
 	// its place (RunSteps) costs none and is not counted.
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once,
-	// in the kernel's heap or in an event set — the scheduler's memory
-	// footprint peak. A host-side counter only; tracking it cannot
-	// affect virtual time.
+	// in the kernel's instant queue or in an event set — the
+	// scheduler's memory footprint peak. A host-side counter only;
+	// tracking it cannot affect virtual time.
 	HeapHighWater uint64
 }
 
@@ -213,16 +219,19 @@ type outEvent struct {
 	fn   func()
 }
 
-// Kernel owns a virtual clock, an event heap, and a proc scheduler for
+// Kernel owns a virtual clock, event queues, and a proc scheduler for
 // one shard's worth of logical processes. Its job is to fire events and
 // schedule procs below the horizon its coordinator sets. Kernels are
 // built by NewCoordinator and run by Coordinator.Run.
 type Kernel struct {
-	now    Time
+	now Time
+	// queue holds the plain events; events is the slot heap, one slot
+	// per non-empty event set, keyed as the set's earliest event.
+	queue  instantQueue
 	events eventHeap
 	epool  []*Event // dead events recycled by At (see Event doc)
-	// pending counts scheduled events, in the heap or in a set; dirty
-	// lists the sets re-keyed since the heap was last popped or peeked.
+	// pending counts scheduled events, in the queue or in a set; dirty
+	// lists the sets re-keyed since the kernel last popped or peeked.
 	pending int
 	dirty   []*EventSet
 
@@ -316,7 +325,7 @@ func (k *Kernel) permKey(at Time, raw uint64, exec int32) uint64 {
 // (origin, counter) key minted by nextPrio; under an exploration config
 // the heap key is its perturbed image while raw is kept on the event
 // for digesting (see explore.go). The caller puts the event in the
-// kernel's heap (push) or in a set (EventSet.At).
+// kernel's instant queue (push) or in a set (EventSet.At).
 func (k *Kernel) newEvent(at Time, prio uint64, exec int32, fn func()) *Event {
 	key := k.permKey(at, prio, exec)
 	var born uint64
@@ -339,18 +348,19 @@ func (k *Kernel) newEvent(at Time, prio uint64, exec int32, fn func()) *Event {
 	return e
 }
 
-// push schedules a new event in the kernel's heap.
+// push schedules a new plain event in the kernel's instant queue.
 func (k *Kernel) push(at Time, prio uint64, exec int32, fn func()) {
-	k.events.push(k.newEvent(at, prio, exec, fn))
+	k.queue.push(k.newEvent(at, prio, exec, fn))
 }
 
 // inject merges a cross-shard event (drained from a source kernel's
-// outbox) into this kernel's heap. Called only by the coordinator at
-// window barriers, when no shard is executing. An event landing below the
-// destination's clock would mean the window protocol let the destination
-// run past an instant another kernel could still populate — with adaptive
-// horizons that is exactly the invariant route's shrinking maintains, so
-// it is checked here rather than silently clamped.
+// outbox) into this kernel's instant queue. Called only by the
+// coordinator at window barriers, when no shard is executing. An event
+// landing below the destination's clock would mean the window protocol
+// let the destination run past an instant another kernel could still
+// populate — with adaptive horizons that is exactly the invariant
+// route's shrinking maintains, so it is checked here rather than
+// silently clamped.
 func (k *Kernel) inject(o outEvent) {
 	if o.at < k.now {
 		panic(fmt.Sprintf("sim: cross-shard event at t=%v delivered to kernel already at t=%v", o.at, k.now))
@@ -425,19 +435,37 @@ func (k *Kernel) recycle(e *Event) {
 }
 
 // popEventBefore removes and returns the earliest event firing before
-// limit. Returns nil when no event remains below the limit.
+// limit, the smaller of the instant queue's and the slot heap's tops.
+// Returns nil when no event remains below the limit.
 func (k *Kernel) popEventBefore(limit Time) *Event {
 	if len(k.dirty) > 0 {
 		k.restoreSets()
 	}
-	if k.events.len() == 0 || k.events.a[0].at >= limit {
+	q, h := &k.queue, &k.events
+	if q.tier.len() == 0 && len(q.instants) > 0 {
+		// The queue's keys at its next instant are known once that
+		// instant is current, which it becomes if it fires next.
+		if at := q.next(); at < limit && (h.len() == 0 || at <= h.a[0].at) {
+			q.promote()
+		}
+	}
+	fromQueue := q.tier.len() > 0 && q.cur < limit
+	if h.len() > 0 && h.a[0].at < limit {
+		top := h.a[0]
+		if !fromQueue || top.at < q.cur || (top.at == q.cur && top.prio < q.tier.min()) {
+			k.pending--
+			if s := top.ev.set; s != nil {
+				return s.pop()
+			}
+			// An entry that is no set's slot stands for itself.
+			return h.pop()
+		}
+	}
+	if !fromQueue {
 		return nil
 	}
 	k.pending--
-	if s := k.events.a[0].ev.set; s != nil {
-		return s.pop()
-	}
-	return k.events.pop()
+	return q.tier.pop()
 }
 
 // peekAt returns the instant of the earliest pending event.
@@ -445,14 +473,15 @@ func (k *Kernel) peekAt() (Time, bool) {
 	if len(k.dirty) > 0 {
 		k.restoreSets()
 	}
-	if k.events.len() == 0 {
-		return 0, false
+	at, ok := k.queue.earliest()
+	if k.events.len() > 0 && (!ok || k.events.a[0].at < at) {
+		return k.events.a[0].at, true
 	}
-	return k.events.a[0].at, true
+	return at, ok
 }
 
 // restoreSets restores every event set re-keyed since the kernel last
-// looked at its heap, so each set's slot holds its earliest event.
+// popped or peeked, so each set's slot holds its earliest event.
 func (k *Kernel) restoreSets() {
 	for i, s := range k.dirty {
 		k.dirty[i] = nil

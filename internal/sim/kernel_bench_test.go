@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"dpml/internal/race"
 )
 
 // benchmarkHandoff drives a kernel whose procs do nothing but signal
@@ -235,5 +237,93 @@ func BenchmarkRescheduleBurst(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// popProcs is fig5's world: 64 nodes of 28 ranks.
+const popProcs = 1792
+
+// spawnSleepers spawns popProcs procs that each sleep wait(i) once and
+// then period, for rounds sleeps in all, so every op is one event pushed
+// and popped. Procs sleeping the same period wake at one instant, the
+// lock-step regime of a collective; first sleeps of i+1 and a period of
+// popProcs give every event an instant of its own, the jitter and
+// straggler regime. measure, if not nil, runs in proc 0 in place of its
+// period sleeps and must sleep period rounds times in all.
+func spawnSleepers(k *Kernel, wait func(i int) Duration, period Duration, rounds int, measure func(p *Proc)) {
+	for i := 0; i < popProcs; i++ {
+		i := i
+		k.Spawn(fmt.Sprintf("r%d", i), func(p *Proc) {
+			p.Sleep(wait(i))
+			if i == 0 && measure != nil {
+				measure(p)
+				return
+			}
+			for j := 0; j < rounds; j++ {
+				p.Sleep(period)
+			}
+		})
+	}
+}
+
+func tied(int) Duration       { return Microsecond }
+func distinct(i int) Duration { return Duration(i + 1) }
+
+func benchmarkPop(b *testing.B, wait func(int) Duration, period Duration) {
+	b.ReportAllocs()
+	co := NewCoordinator(1, 1, 0)
+	spawnSleepers(co.KernelFor(0), wait, period, b.N/popProcs+1, nil)
+	b.ResetTimer()
+	if err := co.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPopTied: 1,792 procs sleeping equal durations, so every pop
+// but one per round is at the instant already on the clock.
+func BenchmarkPopTied(b *testing.B) { benchmarkPop(b, tied, Microsecond) }
+
+// BenchmarkPopDistinct: 1,792 procs whose wakeups never share an
+// instant, so every push opens an instant of its own.
+func BenchmarkPopDistinct(b *testing.B) { benchmarkPop(b, distinct, popProcs) }
+
+// TestWarmEventsDoNotAllocate: once the kernel's event pool, instant
+// queue and proc ring have grown, scheduling and firing an event
+// allocates nothing, whether events tie on their instant or not, and
+// the queue's storage stays sized for one round.
+func TestWarmEventsDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const warm, runs = 8, 20
+	for _, tc := range []struct {
+		name   string
+		wait   func(int) Duration
+		period Duration
+	}{
+		{"tied", tied, Microsecond},
+		{"distinct", distinct, popProcs},
+	} {
+		co := NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
+		var allocs float64
+		// AllocsPerRun makes one extra, unmeasured call.
+		spawnSleepers(k, tc.wait, tc.period, warm+1+runs, func(p *Proc) {
+			for i := 0; i < warm; i++ {
+				p.Sleep(tc.period)
+			}
+			// Each run is one round: every proc's wakeup fires once.
+			allocs = testing.AllocsPerRun(runs, func() { p.Sleep(tc.period) })
+		})
+		if err := co.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a round of %d events allocates %v objects, want 0", tc.name, popProcs, allocs)
+		}
+		q := &k.queue
+		if n := cap(q.tier.run) + cap(q.tier.heap) + cap(q.instants); n > 4*popProcs {
+			t.Errorf("%s: the instant queue holds room for %d events after %d rounds of %d", tc.name, n, warm+1+runs, popProcs)
+		}
 	}
 }
