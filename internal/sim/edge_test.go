@@ -121,3 +121,26 @@ func TestProcAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewCoordinatorKeyWidth: every raw event key must stay below bit
+// 63, the network LP's phase bit, so NewCoordinator rejects a node count
+// at or above the key-width guard and the widest one it accepts still
+// mints network-LP keys below that bit.
+func TestNewCoordinatorKeyWidth(t *testing.T) {
+	for _, c := range []struct {
+		nodes int
+		ok    bool
+	}{{1<<19 - 3, true}, {1<<19 - 2, false}, {1 << 19, false}} {
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != c.ok {
+					t.Errorf("nodes=%d: panic %v, want accepted %v", c.nodes, r, c.ok)
+				}
+			}()
+			k := NewCoordinator(c.nodes, 1, 0).NetKernel()
+			if raw := k.nextPrio(k.netLP); raw>>63 != 0 {
+				t.Errorf("nodes=%d: network-LP key %#x reaches the phase bit", c.nodes, raw)
+			}
+		}()
+	}
+}

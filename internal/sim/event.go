@@ -12,17 +12,19 @@ package sim
 // it may affect an unrelated, recycled event.
 type Event struct {
 	at Time
-	// prio breaks ties among events at the same instant. It packs the
-	// creating LP (origin+1, so the watchdog's origin -1 sorts first) in
-	// the top bits and that LP's private creation counter in the low 44
-	// bits. Because every LP executes in the same order under any shard
-	// count, the key (at, prio) is a globally consistent total order:
-	// serial and sharded runs pop events identically.
+	// prio breaks ties among events at the same instant: the heap key
+	// Kernel.permKey derives from raw. A network-LP event's has bit 63
+	// set, so it sorts after every node-LP event at its instant. Because
+	// every LP executes in the same order under any shard count, the key
+	// (at, prio) is a globally consistent total order: serial and
+	// sharded runs pop events identically.
 	prio uint64
-	// raw is the unperturbed (origin, counter) key. It equals prio
-	// except under a schedule-exploration config (see explore.go), when
-	// prio holds the perturbed heap key and raw feeds the schedule
-	// digest so behaviorally identical schedules hash equal.
+	// raw is the (origin, counter) key nextPrio minted: the creating LP
+	// plus one in the top bits and that LP's private creation counter in
+	// the low 44. A node-LP event's prio equals it except under a
+	// schedule-exploration config (see explore.go), when prio holds the
+	// perturbed heap key and raw feeds the schedule digest so
+	// behaviorally identical schedules hash equal.
 	raw uint64
 	// born is the kernel's fire sequence number at the instant the event
 	// entered the heap, maintained only under exploration. Tie recording

@@ -18,31 +18,17 @@ package sim
 //   - The lookahead bound is untouched: perm changes prio, never at, so
 //     cross-LP events still land >= now+L and the window protocol's
 //     safety argument is unchanged.
-//   - Shard-count invariance is preserved for node LPs: perm is a pure
-//     function of (at, raw key) applied identically by every kernel,
-//     raw keys are already globally consistent across shard counts, and
-//     a node LP's pending set evolves identically in serial and sharded
-//     runs — its same-instant creations come only from its own
-//     execution (the lookahead assertion forbids zero-delay cross-LP
-//     events into a node), and remote arrivals are always pushed before
-//     the window containing their instant opens. The network LP is the
-//     exception: zero-delay cross-kernel injection into it is legal
-//     (AfterNet), so which net events are pending at an instant depends
-//     on how node and net execution interleave — serial interleaves by
-//     key, sharded batches all node work of the instant before any net
-//     work (the window protocol's phase structure). Canonical keys
-//     tolerate the difference because a zero-delay consequence's key
-//     always exceeds its cause's; an arbitrary permutation does not.
-//     Exploration therefore *phase-normalizes* the explored order
-//     itself: a net-LP event's heap key gets bit 63 set, making it sort
-//     after every node-LP event of the same instant in every mode —
-//     which is a legal causal order, since same-instant dependencies
-//     only ever flow node->net (net callbacks cannot create node events
-//     below the lookahead) — while keeping the canonical key within the
-//     net range. Net events are exempt from tie recording (their
-//     internal order is not perturbed); the explorer still perturbs
-//     everything that executes on node LPs — wakeups, deliveries,
-//     completions — which is where arrival-order races live.
+//   - Shard-count invariance is preserved: perm is a pure function of
+//     (at, raw key) applied identically by every kernel, raw keys are
+//     already globally consistent across shard counts, and a node LP's
+//     pending set evolves identically in serial and sharded runs — its
+//     same-instant creations come only from its own execution (the
+//     lookahead assertion forbids zero-delay cross-LP events into a
+//     node), and remote arrivals are always pushed before the window
+//     containing their instant opens. Net-LP events are not permuted:
+//     they keep the kernel's phase-normalized order (see
+//     Kernel.permKey), after every node event at their instant, and are
+//     exempt from tie recording.
 //
 // Explore turns that freedom into a search space: a splitmix64-salted
 // bijection perturbs every same-instant tiebreak (seeded random
@@ -228,14 +214,6 @@ func (c *Coordinator) SetExplore(x *Explore) {
 	}
 	if x == nil {
 		return
-	}
-	// Raw keys must stay below bit 63 so the net LP's phase-normalized
-	// range (bit 63 set) cannot collide with perturbed node keys. The
-	// origin block starts at bit 44, leaving 63-44 = 19 bits of origin
-	// headroom — this only excludes simulations with >= 2^19-2 nodes,
-	// far past any explorable scale.
-	if c.nodes+2 >= 1<<19 {
-		panic("sim: SetExplore on a simulation too large for 63-bit event keys")
 	}
 	st := x.compile()
 	for _, k := range c.kernels {

@@ -187,12 +187,9 @@ func instantProgram(t *testing.T, seed uint64, shards int, x *Explore, reference
 // and 2 shards, canonically and under two exploration salts; every LP's
 // fire order, the clock, the schedule digest, the tie pairs, Events and
 // HeapHighWater must match. Events routed between kernels reach the
-// reference heap only at 1 shard, so under exploration, whose
-// phase-normalized order is the same at every shard count, each 2-shard
-// run must also fire what the 1-shard reference fires. The canonical
-// order is not: a net-LP event and an AfterNet made at its instant by a
-// node event that the net LP created fire in key order at 1 shard and
-// node work first at 2.
+// reference heap only at 1 shard, and the kernel's order is the same at
+// every shard count, so each 2-shard run must also fire what the
+// 1-shard reference fires.
 func TestInstantQueueMatchesHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for _, x := range []*Explore{nil, {Salt: 5}, {Salt: 13}} {
@@ -207,11 +204,7 @@ func TestInstantQueueMatchesHeap(t *testing.T) {
 				if shards == 1 {
 					serial = ref
 				}
-				wants := []setProgram{ref}
-				if x != nil {
-					wants = append(wants, serial)
-				}
-				for _, want := range wants {
+				for _, want := range []setProgram{ref, serial} {
 					if !reflect.DeepEqual(want.logs, got.logs) {
 						t.Errorf("%s: fire order differs:\nheap  %v\nqueue %v", name, want.logs, got.logs)
 					}

@@ -63,9 +63,11 @@
 // is the only way a simulation runs: it opens each kernel's windows under
 // a conservative time-window protocol and alone decides how the run ends
 // (clean completion, deadlock, watchdog expiry, or a proc panic). Event
-// keys are (at, origin LP, per-LP counter) for every partition, so the
-// pop order, and therefore the simulation's entire behavior, is identical
-// for every shard count.
+// keys are (at, phase, origin LP, per-LP counter) for every partition,
+// where the phase bit sorts network-LP events after node-LP events at
+// their instant, as the window protocol runs them; so the pop order, and
+// therefore the simulation's entire behavior, is identical for every
+// shard count.
 package sim
 
 import (
@@ -181,9 +183,9 @@ func (e *PanicError) Error() string {
 }
 
 // KernelStats counts scheduler activity; useful in tests and reports.
-// Events and HeapHighWater are identical for every shard count of the
-// same simulation; ContextSwitch depends on how procs interleave within
-// one kernel and is therefore deterministic per shard count but not
+// Events is identical for every shard count of the same simulation;
+// ContextSwitch and HeapHighWater depend on how LPs are split across
+// kernels and are therefore deterministic per shard count but not
 // shard-invariant.
 type KernelStats struct {
 	Events uint64
@@ -196,8 +198,9 @@ type KernelStats struct {
 	ContextSwitch uint64
 	// HeapHighWater is the largest number of events pending at once,
 	// in the kernel's instant queue or in an event set — the
-	// scheduler's memory footprint peak. A host-side counter only;
-	// tracking it cannot affect virtual time.
+	// scheduler's memory footprint peak. Summed over kernels, it counts
+	// each kernel's own peak. A host-side counter only; tracking it
+	// cannot affect virtual time.
 	HeapHighWater uint64
 }
 
@@ -294,38 +297,35 @@ func (k *Kernel) owns(lp int32) bool {
 }
 
 // nextPrio assigns the next event key tiebreaker for events created by
-// origin: the LP id in the high bits (offset by one so that a
-// coordinator-issued key with origin -1 would sort before everything at
-// its instant) and the LP's private creation counter below.
+// origin: the LP id plus one in the high bits, so no key is zero, and
+// the LP's private creation counter below.
 func (k *Kernel) nextPrio(origin int32) uint64 {
 	i := origin - k.lpBase
 	k.oseq[i]++
 	return uint64(origin+1)<<44 | k.oseq[i]
 }
 
-// permKey maps an event's raw (origin, counter) key to its heap key:
-// the identity normally, the exploration transform under a config. The
-// explored order is phase-normalized: a network-LP event sorts after
-// every node-LP event at the same instant (bit 63), mirroring the
-// sharded window protocol's node-phase-then-net-phase execution, and
-// keeps its canonical key within the net range; node-LP keys are
-// perturbed through a 63-bit bijection. See the soundness note in
-// explore.go for why both halves are required for shard invariance.
+// permKey maps an event's raw (origin, counter) key to its heap key.
+// The order is phase-normalized: a network-LP event's key gets bit 63,
+// so it sorts after every node-LP event at its instant, as the window
+// protocol's net phase runs after the node phase at every shard count.
+// A node-LP key is the raw key, or its image under an exploration
+// config's 63-bit bijection (see explore.go).
 func (k *Kernel) permKey(at Time, raw uint64, exec int32) uint64 {
-	if k.explore == nil {
-		return raw
-	}
 	if exec == k.netLP {
 		return raw | 1<<63
+	}
+	if k.explore == nil {
+		return raw
 	}
 	return k.explore.perm(at, raw)
 }
 
 // newEvent allocates (or recycles) a pending event. prio is the raw
-// (origin, counter) key minted by nextPrio; under an exploration config
-// the heap key is its perturbed image while raw is kept on the event
-// for digesting (see explore.go). The caller puts the event in the
-// kernel's instant queue (push) or in a set (EventSet.At).
+// (origin, counter) key minted by nextPrio; the heap key is its permKey
+// image, while raw is kept on the event for digesting (see explore.go).
+// The caller puts the event in the kernel's instant queue (push) or in a
+// set (EventSet.At).
 func (k *Kernel) newEvent(at Time, prio uint64, exec int32, fn func()) *Event {
 	key := k.permKey(at, prio, exec)
 	var born uint64

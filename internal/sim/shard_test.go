@@ -22,14 +22,18 @@ func splitmix64(x uint64) uint64 {
 // shardScenarioDigest runs a randomized 16-node scenario on a coordinator
 // with the given shard count and returns a digest of everything
 // observable: each node's message log (arrival time, sender, payload tag,
-// in arrival order), the final clock, and the event count. The workload
-// deliberately mixes the behaviours sharding has to get right:
+// in arrival order), the NET LP's fire order, the final clock, and the
+// event count. The workload deliberately mixes the behaviours sharding
+// has to get right:
 //
 //   - same-instant events from different origins (coarse durations force
 //     timestamp collisions, so the (at, prio) tie-break decides order);
 //   - direct node→node messages at exactly the lookahead bound;
 //   - messages hopping through the NET LP (the fabric's path), which in
 //     sharded mode lives on its own kernel;
+//   - a node event the NET LP minted that injects back into the NET LP
+//     with zero delay at an instant where the NET LP has an event of its
+//     own, so the two NET events' order is the kernel's phase order;
 //   - reply chains, where a cross-shard arrival schedules further
 //     cross-shard events from inside an event callback;
 //   - sleeping procs interleaved with event delivery.
@@ -56,6 +60,11 @@ func shardScenarioDigest(t *testing.T, shards int, x *Explore) ([sha256.Size]byt
 	// within a window each LP's events run on exactly one goroutine, and
 	// windows are separated by barriers.
 	logs := make([][]rec, nodes)
+	// netLog is the NET LP's fire order, appended only from its context.
+	var netLog []rec
+	netFire := func(src int, tag uint64) func() {
+		return func() { netLog = append(netLog, rec{co.NetKernel().Now(), src, tag}) }
+	}
 
 	// deliver records the arrival at dst and, while depth remains, sends
 	// a reply straight back — an event callback scheduling further
@@ -105,9 +114,16 @@ func shardScenarioDigest(t *testing.T, shards int, x *Explore) ([sha256.Size]byt
 					// into the net is immediate (exempt from lookahead);
 					// the hop out is a wire delay >= lookahead.
 					k.AfterNet(0, func() {
+						netFire(n, tag)()
 						net := co.NetKernel()
 						d := lookahead + Duration(splitmix64(tag+2)%23)*10
-						net.AfterOn(dst, d, deliver(dst, n, tag, 2))
+						net.After(d, netFire(nodes, tag))
+						net.AfterOn(dst, d, func() {
+							deliver(dst, n, tag, 2)()
+							if splitmix64(tag+3)%2 == 0 {
+								co.KernelFor(dst).AfterNet(0, netFire(dst, tag))
+							}
+						})
 					})
 				}
 			}
@@ -130,6 +146,12 @@ func shardScenarioDigest(t *testing.T, shards int, x *Explore) ([sha256.Size]byt
 			u64(uint64(r.src))
 			u64(r.tag)
 		}
+	}
+	u64(uint64(len(netLog)))
+	for _, r := range netLog {
+		u64(uint64(r.at))
+		u64(uint64(r.src))
+		u64(r.tag)
 	}
 	u64(uint64(co.Now()))
 	u64(co.Stats().Events)

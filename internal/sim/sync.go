@@ -66,10 +66,13 @@ func (s *Signal) FireAll() int {
 // watchdog deadline or until nothing is left to fire; with more, each
 // shard kernel runs its window on its own goroutine (shard 0 on Run's
 // caller) and the network LP gets a kernel of its own. Either way the
-// simulation's behavior is bit-identical: event keys are (at, origin LP,
-// per-LP counter) for every partition, LP state is disjoint, and no
-// callback may touch another LP's state, so pop order — and therefore
-// every simulated outcome — does not depend on the shard count.
+// simulation's behavior is bit-identical: event keys are (at, phase,
+// origin LP, per-LP counter) for every partition, LP state is disjoint,
+// and no callback may touch another LP's state, so pop order — and
+// therefore every simulated outcome — does not depend on the shard
+// count. The phase bit sorts network-LP events after node-LP events at
+// their instant (see Kernel.permKey), which is the order the network
+// phase below gives them when the network LP has a kernel of its own.
 //
 // The synchronization scheme is the textbook conservative one: no shard
 // may execute past the earliest instant at which another shard could
@@ -130,6 +133,12 @@ type Coordinator struct {
 func NewCoordinator(nodes, shards int, lookahead Duration) *Coordinator {
 	if nodes < 1 {
 		nodes = 1
+	}
+	// Raw keys must stay below bit 63, the net LP's phase bit (see
+	// Kernel.permKey). The origin block starts at bit 44, leaving 19
+	// bits for origin+1 <= nodes+1.
+	if nodes+2 >= 1<<19 {
+		panic("sim: NewCoordinator on a simulation too large for 63-bit event keys")
 	}
 	if shards < 1 || lookahead <= 0 {
 		shards = 1
