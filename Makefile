@@ -124,14 +124,14 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# benchsmoke runs each simulator micro-benchmark once, so one that
+# benchsmoke runs each micro-benchmark of the module once, so one that
 # panics or fails fails ci; bench measures them.
 benchsmoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/sim/ ./internal/fabric/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# bench runs the simulator micro-benchmarks (kernel + fabric hot paths).
+# bench runs the module's micro-benchmarks.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem ./internal/sim/ ./internal/fabric/
+	$(GO) test -run=NONE -bench=. -benchmem ./...
 
 # results regenerates every committed table in results/ (see results/README.md):
 # every figure `dpml-bench -list` names at -iters 2, except the 10,240-rank

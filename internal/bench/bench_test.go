@@ -235,8 +235,8 @@ func TestFigureDeterministicAcrossJobs(t *testing.T) {
 // runs the four extension families (dual-root, generalized group
 // allreduce, both arrival-aware designs) across the whole 4B-1MB size
 // sweep at full scale (faults and grandprix run them at one or two
-// sizes); eager and noise cover the latency harness under a non-zero
-// world config (eager threshold, per-message jitter); phases covers the
+// sizes); eager and noise cover the latency harness on copies of a
+// cluster (eager threshold) and under per-message jitter; phases covers the
 // breakdown read back from rank 0's trace spans; fig9a and fig11b-c
 // cover the selector designs: all three baselines, through the latency
 // harness and through miniAMR, with proposed picking SHArP on cluster

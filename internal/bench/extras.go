@@ -147,9 +147,10 @@ func eagerAblation(id string, opt Options) (*Table, error) {
 	cells := gridCells(len(thrs), len(sizes))
 	spec := core.DPML(min(8, ppn))
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
-		cfg := opt.latencyConfig(cl, nodes, ppn)
-		cfg.EagerThreshold = thrs[c.row]
-		lat, err := AllreduceLatency(cfg, cl, nodes, ppn,
+		// Each cell gets its own copy of the cluster: workers share cl.
+		cell := *cl
+		cell.Net.EagerThreshold = thrs[c.row]
+		lat, err := AllreduceLatency(opt.latencyConfig(&cell, nodes, ppn), &cell, nodes, ppn,
 			spec, []int{sizes[c.col]}, opt.Iters, 1)
 		if err != nil {
 			return 0, err

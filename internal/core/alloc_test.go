@@ -57,10 +57,11 @@ func TestWarmDPMLAllreduceAllocatesNoPayload(t *testing.T) {
 
 // TestWarmAllocsPerDesign pins each design's heap allocations per warm
 // rank-allreduce, on a 4x4 phantom job with 256 B per rank (within
-// SHArP's payload limit). DPML, pipelined or not, and flat allocate
-// nothing: their messages, shared-memory operations and views all come
-// from free lists. Every other ceiling is the measured count, rounded
-// up, and its comment names the sites that still allocate.
+// SHArP's payload limit). DPML, pipelined or not, flat, genall and
+// pap-ring allocate nothing: their messages, shared-memory operations
+// and views all come from free lists, and their communicators from the
+// engine. Every other ceiling is the measured count, rounded up, and its
+// comment names the sites that still allocate.
 func TestWarmAllocsPerDesign(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on synchronizing operations")
@@ -90,17 +91,14 @@ func TestWarmAllocsPerDesign(t *testing.T) {
 		// segment views (:47, :94), BlockPartition (:91), the request,
 		// buffer and view slices (:92, :102-:116) and the sends slice.
 		{"dualroot-s3", 44},
-		// InternComm (genall.go:51, :65), whose key formats the group
-		// (fmt's printer pool refills after each GC, hence the slack).
-		{"genall-g4", 9},
-		// pap.go:104 (each block's receive buffer), the block views
-		// (:102), BlockPartition (:97), the view, request and buffer
-		// slices (:98-:100), the sends slice, the arrival order (:87)
-		// and InternComm (:92).
-		{"pap-sorted", 51},
-		// The arrival order (pap.go:137) and InternComm (:156, :173). On
-		// a healthy fabric no rank is late, so pap.go:166 never runs.
-		{"pap-ring", 41},
+		{"genall-g4", 0},
+		// pap.go:118 (each block's receive buffer), the block views
+		// (:116), BlockPartition (:111), the view, request and buffer
+		// slices (:112-:114) and the sends slice (:129).
+		{"pap-sorted", 28},
+		// On a healthy fabric no rank is late, so the straggler
+		// receives and sends (pap.go:164, :185) never run.
+		{"pap-ring", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.design, func(t *testing.T) {

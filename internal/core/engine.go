@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dpml/internal/fabric"
 	"dpml/internal/mpi"
@@ -159,8 +160,9 @@ func PAPSorted() Spec { return Spec{Design: DesignPAPSorted} }
 func PAPRing() Spec { return Spec{Design: DesignPAPRing} }
 
 // Engine holds the per-job state the designs need: the shared-memory
-// regions, the per-leader-index communicators, and the SHArP groups.
-// Build it once per World, before World.Run.
+// regions, the SHArP groups, and every communicator a design runs on,
+// each built once like an MPI application's (genall's per group size,
+// on first use). Build it once per World, before World.Run.
 type Engine struct {
 	W *mpi.World
 
@@ -180,12 +182,21 @@ type Engine struct {
 	// with a host algorithm over these instead (see sharpOp).
 	sharpNodeHost   *mpi.Comm
 	sharpSocketHost *mpi.Comm
+
+	// The arrival-aware designs' communicators (see pap.go): every rank
+	// in predicted arrival order, and that order's on-time prefix.
+	arrival, early *mpi.Comm
+
+	// genall's communicators per group size (see genall.go). Ranks of
+	// every shard may ask for a size first, so mu guards the map.
+	mu     sync.Mutex
+	groups map[int]*groupComms
 }
 
 // NewEngine prepares DPML state for the world.
 func NewEngine(w *mpi.World) *Engine {
 	job := w.Job
-	e := &Engine{W: w, ops: make([]*shmOp, job.NumProcs())}
+	e := &Engine{W: w, ops: make([]*shmOp, job.NumProcs()), groups: make(map[int]*groupComms)}
 	e.regions = make([]*shmseg.Region, job.NodesUsed)
 	for i := range e.regions {
 		e.regions[i] = shmseg.NewRegion(job.PPN)
@@ -230,6 +241,9 @@ func NewEngine(w *mpi.World) *Engine {
 			e.sharpSocketHost = w.NewComm(socketLeaders)
 		}
 	}
+	// Last, so the communicators above keep their ids whatever the
+	// fault plan.
+	e.arrival, e.early = arrivalComms(w)
 	return e
 }
 

@@ -12,8 +12,7 @@ import "dpml/internal/mpi"
 // leader (pure recursive doubling over p), g=p makes one group (pure
 // ring over p, with no leader exchange or broadcast).
 func (e *Engine) genAll(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, g int) {
-	w := e.W
-	c := w.CommWorld()
+	c := e.W.CommWorld()
 	me := c.RankOf(r)
 	p := c.Size()
 	if p == 1 {
@@ -37,39 +36,56 @@ func (e *Engine) genAll(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector, g int) {
 		return
 	}
 
-	groups := (p + g - 1) / g
-	gi := me / g
-	lo := gi * g
-	hi := lo + g
-	if hi > p {
-		hi = p
-	}
-	groupRanks := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		groupRanks = append(groupRanks, c.Global(i))
-	}
-	gc := w.InternComm(groupRanks)
+	gc := e.groupComms(g)
+	group := gc.groups[me/g]
 
 	// Phase A: intra-group ring allreduce — every member ends with the
 	// group partial.
-	if gc.Size() > 1 {
-		r.Allreduce(gc, mpi.AlgRing, op, vec)
+	if group.Size() > 1 {
+		r.Allreduce(group, mpi.AlgRing, op, vec)
 	}
 
 	// Phase B: recursive doubling across the group leaders.
-	if me == lo {
-		leaders := make([]int, groups)
-		for i := range leaders {
-			leaders[i] = c.Global(i * g)
-		}
-		lc := w.InternComm(leaders)
-		r.Allreduce(lc, mpi.AlgRecursiveDoubling, op, vec)
+	if me%g == 0 {
+		r.Allreduce(gc.leaders, mpi.AlgRecursiveDoubling, op, vec)
 	}
 
 	// Phase C: binomial broadcast of the final vector inside each group.
-	if gc.Size() > 1 {
-		r.Bcast(gc, 0, vec)
+	if group.Size() > 1 {
+		r.Bcast(group, 0, vec)
 	}
+}
+
+// groupComms are genall's communicators for one group size g with
+// 1 < g < p: each contiguous group of g ranks (the last one may be
+// short), and the groups' leaders, their first ranks.
+type groupComms struct {
+	groups  []*mpi.Comm // by group index
+	leaders *mpi.Comm
+}
+
+// groupComms returns the communicators for group size g, building them
+// on the size's first use; explicit sizes and the size-dependent auto
+// size can put several in one world.
+func (e *Engine) groupComms(g int) *groupComms {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if gc, ok := e.groups[g]; ok {
+		return gc
+	}
+	ranks := make([]int, e.W.Job.NumProcs())
+	for i := range ranks {
+		ranks[i] = i
+	}
+	gc := &groupComms{}
+	var leaders []int
+	for lo := 0; lo < len(ranks); lo += g {
+		gc.groups = append(gc.groups, e.W.NewComm(ranks[lo:min(lo+g, len(ranks))]))
+		leaders = append(leaders, lo)
+	}
+	gc.leaders = e.W.NewComm(leaders)
+	e.groups[g] = gc
+	return gc
 }
 
 // autoGroupSize picks g when the spec leaves it 0: small messages lean

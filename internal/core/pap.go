@@ -16,42 +16,54 @@ import (
 // and reorder the reduction so the work of the early ranks overlaps
 // with the stragglers' delays.
 
-// arrivalOrder returns the global ranks sorted by predicted arrival
-// (earliest first, rank id breaking ties) plus each rank's lateness
-// score. The score for a rank sums (Factor-1)-weighted straggler
-// windows from the fault plan; open-ended windows (End == 0) count with
-// unit duration so permanent stragglers sort after windowed ones of
-// equal factor. A healthy fabric yields all-zero scores and rank order.
-func (e *Engine) arrivalOrder() (order []int, score []float64) {
-	p := e.W.Job.NumProcs()
+// arrivalOrder returns w's ranks sorted by predicted arrival (earliest
+// first, rank id breaking ties) plus each rank's lateness score. The
+// score for a rank sums (Factor-1)-weighted straggler windows from the
+// world's fault plan, which must be installed; open-ended windows
+// (End == 0) count with unit duration so permanent stragglers sort after
+// windowed ones of equal factor. A plan without stragglers yields
+// all-zero scores and rank order.
+func arrivalOrder(w *mpi.World) (order []int, score []float64) {
+	p := w.Job.NumProcs()
 	score = make([]float64, p)
-	if plan := e.W.FaultPlan(); plan != nil {
-		for _, s := range plan.Stragglers {
-			if s.Rank < 0 || s.Rank >= p {
-				continue
-			}
-			dur := 1.0
-			if s.End > s.Start {
-				dur = float64(s.End.Sub(s.Start)) / 1e9
-			}
-			score[s.Rank] += (s.Factor - 1) * dur
+	for _, s := range w.FaultPlan().Stragglers {
+		dur := 1.0
+		if s.End > s.Start {
+			dur = float64(s.End.Sub(s.Start)) / 1e9
 		}
+		score[s.Rank] += (s.Factor - 1) * dur
 	}
 	order = make([]int, p)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := score[order[a]], score[order[b]]
-		if sa < sb {
-			return true
-		}
-		if sb < sa {
-			return false
-		}
-		return order[a] < order[b]
-	})
+	// Stable, so equal scores keep rank order.
+	sort.SliceStable(order, func(a, b int) bool { return score[order[a]] < score[order[b]] })
 	return order, score
+}
+
+// arrivalComms builds the arrival-aware designs' two communicators, once
+// per engine: every rank in predicted arrival order (comm rank = arrival
+// position), and its early set, the prefix of ranks predicted on time.
+// Scores are sums of (Factor-1)*dur terms with Factor >= 1, so a
+// punctual rank is exactly one whose score is not positive; if the plan
+// marks everyone late, everyone counts as early. With no straggler in
+// the plan both are the world communicator.
+func arrivalComms(w *mpi.World) (arrival, early *mpi.Comm) {
+	plan := w.FaultPlan()
+	if plan == nil || len(plan.Stragglers) == 0 {
+		return w.CommWorld(), w.CommWorld()
+	}
+	order, score := arrivalOrder(w)
+	cut := 0
+	for cut < len(order) && !(score[order[cut]] > 0) {
+		cut++
+	}
+	arrival = w.NewComm(order)
+	if cut == 0 || cut == len(order) {
+		return arrival, arrival
+	}
+	return arrival, w.NewComm(order[:cut])
 }
 
 // papBlocks picks the chain pipelining depth: enough blocks that
@@ -83,13 +95,11 @@ func papBlocks(n int) int {
 // op is associative and commutative (and the verification data is
 // exact under any combining order).
 func (e *Engine) papSorted(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
-	w := e.W
-	order, _ := e.arrivalOrder()
-	p := len(order)
+	pc := e.arrival
+	p := pc.Size()
 	if p == 1 {
 		return
 	}
-	pc := w.InternComm(order) // comm rank = arrival position
 	me := pc.RankOf(r)
 	base := pc.CollTagBase(r)
 
@@ -133,27 +143,11 @@ func (e *Engine) papSorted(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 // predicted stragglers the early set is everyone and the design
 // degenerates to a flat ring.
 func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
-	w := e.W
-	order, score := e.arrivalOrder()
-	p := len(order)
+	pc, ec := e.arrival, e.early
+	p, cut := pc.Size(), ec.Size()
 	if p == 1 {
 		return
 	}
-
-	// Early set: zero-score ranks, in arrival (= rank) order. If the
-	// plan marks everyone late, fall back to treating all as early.
-	// Scores are sums of (Factor-1)*dur terms with Factor >= 1, so a
-	// punctual rank is exactly one whose score is not positive.
-	cut := 0
-	for cut < p && !(score[order[cut]] > 0) {
-		cut++
-	}
-	if cut == 0 {
-		cut = p
-	}
-	early := order[:cut]
-
-	pc := w.InternComm(order)
 	me := pc.RankOf(r)
 	base := pc.CollTagBase(r)
 
@@ -170,8 +164,7 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 		}
 		// Early ranks: ring among themselves while the stragglers are
 		// still delayed.
-		ec := w.InternComm(early)
-		if ec.Size() > 1 {
+		if cut > 1 {
 			r.Allreduce(ec, mpi.AlgRing, op, vec)
 		}
 		// Earliest rank: fold in the stragglers' contributions in
@@ -189,8 +182,8 @@ func (e *Engine) papRing(r *mpi.Rank, op *mpi.Op, vec *mpi.Vector) {
 	}
 
 	// With no stragglers the ring already delivered the result to every
-	// rank and the broadcast would only add latency; every rank computed
-	// the same cut, so all agree on whether it runs.
+	// rank and the broadcast would only add latency; every rank reads
+	// the same early set, so all agree on whether it runs.
 	if cut < p {
 		r.Bcast(pc, 0, vec)
 	}

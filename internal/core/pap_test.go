@@ -39,7 +39,7 @@ func papPlan(t *testing.T, seed uint64) *faults.Plan {
 // of a 2KB allreduce, putting the run squarely in the high-imbalance
 // regime the PAP designs target.
 func papArrivalDelays(e *Engine) []sim.Duration {
-	_, score := e.arrivalOrder()
+	_, score := arrivalOrder(e.W)
 	maxScore := 0.0
 	for _, s := range score {
 		if s > maxScore {

@@ -159,45 +159,3 @@ func TestManyBackToBackCollectivesTagSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInternCommSharedByMembers(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 3, 2, Config{})
-	got := make([]*Comm, w.Job.NumProcs())
-	err := w.Run(func(r *Rank) error {
-		me := r.Rank()
-		// Even/odd groups in reverse rank order, derived independently
-		// by every member mid-run.
-		want := []int{4, 2, 0}
-		if me%2 == 1 {
-			want = []int{5, 3, 1}
-		}
-		sub := w.InternComm(want)
-		got[me] = sub
-		for i, g := range want {
-			if sub.Global(i) != g {
-				t.Errorf("rank %d: sub[%d] = %d, want %d", me, i, sub.Global(i), g)
-			}
-		}
-		// The communicator must work for collectives: interning means
-		// all members share one comm object, so their messages match.
-		v := NewVector(Int64, 1)
-		v.Fill(float64(me))
-		r.Allreduce(sub, AlgRecursiveDoubling, Sum, v)
-		wantSum := 0.0
-		for _, g := range want {
-			wantSum += float64(g)
-		}
-		if v.At(0) != wantSum {
-			t.Errorf("rank %d: allreduce on interned comm = %v, want %v", me, v.At(0), wantSum)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for me, c := range got {
-		if c != got[me%2] {
-			t.Errorf("rank %d holds a different comm object than rank %d", me, me%2)
-		}
-	}
-}

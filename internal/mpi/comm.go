@@ -4,7 +4,7 @@ import "fmt"
 
 // Comm is a communicator: an ordered group of global ranks. Comm rank i is
 // the i-th entry of the group. Communicators are immutable; build them
-// with World.NewComm, World.LeaderComm or World.InternComm.
+// with World.NewComm or World.LeaderComm.
 //
 //dpml:owner shared
 type Comm struct {
@@ -16,9 +16,11 @@ type Comm struct {
 }
 
 // NewComm builds a communicator from global ranks (in comm-rank order).
-// Ranks must be distinct and valid. Safe to call during the run from any
-// rank (id allocation is locked); ids are unique but carry no meaning
-// beyond matching, so their allocation order cannot affect results.
+// Ranks must be distinct and valid, and members' messages match only on
+// one shared Comm, so build each once, as core.Engine does. Safe to call
+// during the run from any rank (id allocation is locked); ids are unique
+// but carry no meaning beyond matching, so their allocation order cannot
+// affect results.
 func (w *World) NewComm(ranks []int) *Comm {
 	if len(ranks) == 0 {
 		panic("mpi: empty communicator")
@@ -115,35 +117,4 @@ func (w *World) LeaderComm(localIdx int) *Comm {
 		ranks[n] = n*w.Job.PPN + localIdx
 	}
 	return w.NewComm(ranks)
-}
-
-// InternComm returns the shared communicator for the given global-rank
-// group (in comm-rank order). Unlike NewComm, every rank deriving the
-// same group gets the *same* Comm object, so their messages match —
-// the seam algorithm extensions (grouped and arrival-ordered designs)
-// use to build sub-communicators mid-run without a collective exchange.
-// All members must derive the group from collectively consistent state.
-func (w *World) InternComm(ranks []int) *Comm {
-	key := fmt.Sprint(ranks)
-	w.mu.Lock()
-	if w.commCache == nil {
-		w.commCache = make(map[string]*Comm)
-	}
-	if c, ok := w.commCache[key]; ok {
-		w.mu.Unlock()
-		return c
-	}
-	w.mu.Unlock()
-	// NewComm takes the lock itself; build outside it, then publish (the
-	// first of two racing builders wins, so every member still shares one
-	// object — they derive identical groups, hence identical keys).
-	c := w.NewComm(ranks)
-	w.mu.Lock()
-	if prior, ok := w.commCache[key]; ok {
-		c = prior
-	} else {
-		w.commCache[key] = c
-	}
-	w.mu.Unlock()
-	return c
 }

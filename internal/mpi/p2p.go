@@ -95,7 +95,7 @@ func (r *Rank) finishIsend(q *Request) bool {
 		env.carry(vec)
 		dst.deliver(env)
 		q.complete()
-	case vec.Bytes() <= r.w.EagerThreshold():
+	case vec.Bytes() <= r.w.Job.Cluster.Net.EagerThreshold:
 		// Eager: wait for the NIC injection slot, launch the wire
 		// transfer, and consider the buffer reusable at once.
 		if !x.injecting {

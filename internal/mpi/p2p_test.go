@@ -76,10 +76,13 @@ func TestSendRecvInterNodeRendezvous(t *testing.T) {
 }
 
 func TestRendezvousSlowerThanEagerForSameBytes(t *testing.T) {
-	// Force the same message through both protocols via the threshold
-	// override: rendezvous must pay the extra handshake.
+	// Force the same message through both protocols on copies of the
+	// cluster with different thresholds: rendezvous must pay the extra
+	// handshake.
 	run := func(threshold int) sim.Time {
-		w := smallWorld(t, topology.ClusterB(), 2, 1, Config{EagerThreshold: threshold})
+		cl := topology.ClusterB()
+		cl.Net.EagerThreshold = threshold
+		w := smallWorld(t, cl, 2, 1, Config{})
 		err := w.Run(func(r *Rank) error {
 			c := w.CommWorld()
 			v := NewVector(Float64, 512)

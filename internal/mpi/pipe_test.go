@@ -109,17 +109,6 @@ func TestFullDuplexExchange(t *testing.T) {
 	}
 }
 
-func TestEagerThresholdConfigOverride(t *testing.T) {
-	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{EagerThreshold: 123})
-	if w.EagerThreshold() != 123 {
-		t.Fatalf("override ignored: %d", w.EagerThreshold())
-	}
-	w2 := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
-	if w2.EagerThreshold() != w2.Job.Cluster.Net.EagerThreshold {
-		t.Fatal("default threshold not taken from cluster")
-	}
-}
-
 func TestNetworkStatsCountMessages(t *testing.T) {
 	w := smallWorld(t, topology.ClusterB(), 2, 1, Config{})
 	err := w.Run(func(r *Rank) error {

@@ -86,8 +86,8 @@ func TestRendezvousSendBufferReusableOnReturn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			w := smallWorld(t, topology.ClusterB(), 2, 1, Config{Shards: shards})
-			if n*Float64.Size() <= w.EagerThreshold() {
-				t.Fatalf("%d bytes is eager (threshold %d)", n*Float64.Size(), w.EagerThreshold())
+			if n*Float64.Size() <= w.Job.Cluster.Net.EagerThreshold {
+				t.Fatalf("%d bytes is eager (threshold %d)", n*Float64.Size(), w.Job.Cluster.Net.EagerThreshold)
 			}
 			var sent *Vector
 			err := w.Run(func(r *Rank) error {

@@ -32,9 +32,6 @@ import (
 
 // Config adjusts runtime behaviour per World.
 type Config struct {
-	// EagerThreshold overrides the cluster's eager/rendezvous switch
-	// point in bytes when positive.
-	EagerThreshold int
 	// Trace, when non-nil, records every message, copy, and compute
 	// event (see the trace package).
 	Trace *trace.Recorder
@@ -113,13 +110,13 @@ type World struct {
 	pools    []nodePool   // per-node free lists (see pool.go)
 	empty    *Vector      // the zero-length phantom Barrier exchanges; never written
 
-	// mu guards the communicator registry (nextCID, commCache): runtime
-	// InternComm calls can race across shards. Communicator ids only need to
-	// be unique — they never influence timing or data, only message
-	// matching within a communicator, whose members share the object.
-	mu        sync.Mutex
-	nextCID   int
-	commCache map[string]*Comm
+	// mu guards nextCID: the engine builds communicators during the run
+	// (genall's group tables, on first use), possibly on several shards
+	// at once. Communicator ids only need to be unique — they never
+	// influence timing or data, only message matching within a
+	// communicator, whose members share the object.
+	mu      sync.Mutex
+	nextCID int
 }
 
 // lookahead returns the conservative cross-node latency bound for the
@@ -201,14 +198,6 @@ func (w *World) Now() sim.Time { return w.coord.Now() }
 // host-side counters that depend on the shard count.
 func (w *World) SimStats() sim.KernelStats { return w.coord.Stats() }
 
-// EagerThreshold returns the eager/rendezvous switch point in force.
-func (w *World) EagerThreshold() int {
-	if w.cfg.EagerThreshold > 0 {
-		return w.cfg.EagerThreshold
-	}
-	return w.Job.Cluster.Net.EagerThreshold
-}
-
 // CommWorld returns the communicator containing every rank.
 func (w *World) CommWorld() *Comm { return w.world }
 
@@ -216,9 +205,7 @@ func (w *World) CommWorld() *Comm { return w.world }
 func (w *World) Tracer() *trace.Recorder { return w.cfg.Trace }
 
 // FaultPlan returns the installed fault plan, or nil on a healthy
-// fabric. Arrival-pattern-aware designs read it as their (perfect)
-// arrival-time predictor: the plan is identical on every rank, so
-// schedules derived from it are collectively consistent.
+// fabric: the arrival-aware designs' (perfect) arrival predictor.
 func (w *World) FaultPlan() *faults.Plan {
 	if w.cfg.Faults.Empty() {
 		return nil

@@ -262,7 +262,12 @@ func TestShutdownUnwindsMixedStates(t *testing.T) {
 // and the late proc has never run. An event fires only once the ready
 // ring is empty, so the callback readies the parked proc before it
 // panics. Deadlock and watchdog verdicts are reached with the ready ring
-// empty, so there every proc is parked.
+// empty, so there every proc is parked. Three more callbacks panic
+// outside any running body: one in the scheduler step of a proc that
+// exits; one, on 2 and 4 shards, first thing in a window, in the driver
+// loop's own step on the last node's shard; and one on the network LP,
+// which on 2 and 4 shards runs in a kernel of its own, outside the shard
+// phase.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	const nodes = 4
 	ticker := func(*Kernel, *Proc) func(*Proc) {
@@ -284,6 +289,27 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 			p.Sleep(5 * Microsecond)
 		}
 	}
+	// Once every other proc is parked, the trigger's exit step fires
+	// its own zero-delay event.
+	exitBomb := func(k *Kernel, _ *Proc) func(*Proc) {
+		return func(p *Proc) {
+			p.Sleep(Microsecond)
+			k.After(0, func() { panic("exit-step boom") })
+		}
+	}
+	// The event crosses to the last node's shard, which is idle when the
+	// window that fires it opens.
+	windowBomb := func(k *Kernel, _ *Proc) func(*Proc) {
+		return func(*Proc) {
+			k.AfterOn(nodes-1, 10*Microsecond, func() { panic("window-start boom") })
+		}
+	}
+	// Every other proc is parked by the time the network event fires.
+	netBomb := func(k *Kernel, _ *Proc) func(*Proc) {
+		return func(*Proc) {
+			k.AfterNet(10*Microsecond, func() { panic("net boom") })
+		}
+	}
 	kinds := []struct {
 		name     string
 		watchdog Duration
@@ -294,6 +320,9 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		{"watchdog", 100 * Microsecond, ticker, isErr[*WatchdogError]},
 		{"proc-panic", 0, bomb, isErr[*PanicError]},
 		{"callback-panic", 0, callbackBomb, isErr[*PanicError]},
+		{"exit-step-panic", 0, exitBomb, isErr[*PanicError]},
+		{"window-start-panic", 0, windowBomb, isErr[*PanicError]},
+		{"net-callback-panic", 0, netBomb, isErr[*PanicError]},
 	}
 	for _, kind := range kinds {
 		for _, shards := range []int{0, 2, 4} {
@@ -338,6 +367,44 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDriverPanicNamesCulprit: a callback that panics in a scheduler
+// step no proc body is running fails the run with a PanicError. In an
+// exiting proc's step it names that proc; in the driver loop's own step
+// at a window start, or in the network kernel of a sharded run, it names
+// the LP the callback ran as.
+func TestDriverPanicNamesCulprit(t *testing.T) {
+	t.Run("exit-step", func(t *testing.T) {
+		co := NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
+		k.Spawn("quitter", func(*Proc) { k.After(0, func() { panic("boom") }) })
+		var pe *PanicError
+		if err := co.Run(); !errors.As(err, &pe) || pe.Proc != "quitter" {
+			t.Fatalf("got %v, want a PanicError naming quitter", err)
+		}
+	})
+	t.Run("window-start", func(t *testing.T) {
+		co := NewCoordinator(2, 2, 200)
+		k := co.KernelFor(1)
+		k.SpawnOn(1, "sender", func(*Proc) { k.AfterOn(0, 200, func() { panic("boom") }) })
+		var pe *PanicError
+		if err := co.Run(); !errors.As(err, &pe) || pe.Proc != "LP 0" {
+			t.Fatalf("got %v, want a PanicError naming LP 0", err)
+		}
+	})
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("net/shards%d", shards), func(t *testing.T) {
+			const nodes = 4
+			co := NewCoordinator(nodes, shards, 10*Microsecond)
+			k := co.KernelFor(0)
+			k.Spawn("sender", func(*Proc) { k.AfterNet(10*Microsecond, func() { panic("boom") }) })
+			var pe *PanicError
+			if err := co.Run(); !errors.As(err, &pe) || pe.Proc != fmt.Sprintf("LP %d", nodes) {
+				t.Fatalf("got %v, want a PanicError naming LP %d", err, nodes)
+			}
+		})
 	}
 }
 

@@ -170,9 +170,11 @@ func (e *WatchdogError) Error() string {
 	return msg
 }
 
-// PanicError wraps a panic raised inside a proc, or inside a step the
-// scheduler ran in a proc's place (see Proc.RunSteps); Proc names that
-// proc either way.
+// PanicError wraps a panic raised inside a proc, inside a step the
+// scheduler ran in a proc's place (see Proc.RunSteps), or inside an
+// event callback. Proc names that proc, or the proc whose scheduler step
+// fired the callback; a callback the kernel's driver loop fired itself
+// is named after the LP it ran as ("LP 3").
 type PanicError struct {
 	Proc  string
 	Value any
@@ -552,9 +554,20 @@ func (p *Proc) exit() {
 // Coordinator.Run. It resumes the proc each scheduling decision chose
 // until a decision ends the window; every resumed proc runs until it
 // parks or exits, and leaves the next choice in handoff on the
-// way out.
+// way out. A callback panic no proc body recovers fails the run, named
+// after p out of p.next() (p's exit step), else after the LP it ran as.
 func (k *Kernel) drive() {
-	for p := k.schedule(nil); p != nil; p = k.handoff {
+	var p *Proc
+	defer func() {
+		if r := recover(); r != nil && k.failure == nil {
+			name := fmt.Sprintf("LP %d", k.curLP)
+			if p != nil {
+				name = p.name
+			}
+			k.failure = &PanicError{Proc: name, Value: r}
+		}
+	}()
+	for p = k.schedule(nil); p != nil; p = k.handoff {
 		k.handoff = nil
 		p.next()
 	}

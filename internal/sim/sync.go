@@ -451,6 +451,9 @@ func (c *Coordinator) Run() error {
 		}
 		c.netK.horizon = hn
 		c.netK.drive()
+		if c.netK.failure != nil {
+			return c.fail(c.netK.failure)
+		}
 		c.drain(c.netK)
 	}
 }
