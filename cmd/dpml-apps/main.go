@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		app         = fs.String("app", "hpcg", "workload: hpcg, miniamr, or dnn")
-		clusterName = fs.String("cluster", "A", "cluster: A, B, C, or D")
+		clusterName = fs.String("cluster", "A", "cluster: A, B, C, D, or E")
 		nodes       = fs.Int("nodes", 4, "number of nodes")
 		ppn         = fs.Int("ppn", 8, "processes per node")
 		design      = fs.String("design", "proposed", "allreduce design name, including the per-size selectors mvapich2, intelmpi, proposed, pap-aware (see dpml-osu)")

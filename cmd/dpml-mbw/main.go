@@ -34,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpml-mbw", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		clusterName = fs.String("cluster", "C", "cluster: A, B, C, or D")
+		clusterName = fs.String("cluster", "C", "cluster: A, B, C, D, or E")
 		intra       = fs.Bool("intra", false, "place both ends of each pair on one node")
 		pairsFlag   = fs.String("pairs", "1,2,4,8,16", "comma-separated pair counts")
 		sizesFlag   = fs.String("sizes", "4,64,1024,16384,262144,1048576", "comma-separated message sizes in bytes")

@@ -32,13 +32,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpml-model", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		clusterName = fs.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = fs.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = fs.Int("nodes", 16, "number of nodes")
 		ppn         = fs.Int("ppn", 28, "processes per node")
 		leaders     = fs.Int("leaders", 0, "leader count for the breakdown (0 = model optimum)")
 		k           = fs.Int("k", 1, "pipeline sub-partitions (Eq. 5, and dual-root segments)")
 		groupSize   = fs.Int("g", 0, "generalized-allreduce group size (0 = ceil(sqrt(p)))")
-		stragglers  = fs.Int("stragglers", 2, "predicted straggler count for the PAP estimates")
+		stragglers  = fs.Int("stragglers", 2, "predicted straggler count for the PAP estimates (capped at p-1 unless given)")
 		delta       = fs.Float64("delta", 10e-6, "predicted arrival spread in seconds for the PAP estimates")
 		sizesFlag   = fs.String("sizes", "4,256,4096,65536,524288,4194304", "comma-separated message sizes in bytes")
 	)
@@ -75,12 +75,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for g = 1; g*g < procs; g++ {
 		}
 	}
+	strag := min(*stragglers, procs-1) // the default shrinks to fit 1- and 2-process jobs
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "stragglers" { // a count the user gives is checked as given
+			strag = *stragglers
+		}
+	})
+	if procs > 0 && (strag < 0 || strag >= procs) {
+		return fail(fmt.Errorf("-stragglers=%d out of range [0,%d)", strag, procs))
+	}
 	base := costmodel.FromCluster(cl)
 	base.K = *k
 	dpmlAt := func(n int) costmodel.Params { return base.With(procs, *nodes, l, n) }
 	extAt := func(n int) costmodel.Params {
 		p := base.With(procs, *nodes, 1, n)
-		p.G, p.S, p.Delta = g, *stragglers, *delta
+		p.G, p.S, p.Delta = g, strag, *delta
 		return p
 	}
 	for _, n := range sizes {
@@ -111,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Extension families: the related-work designs in the same a/b/c
 	// vocabulary, for ranking against Eq. 7.
 	fmt.Fprintf(stdout, "\n# Extension families: k=%d g=%d stragglers=%d delta=%.3gus\n",
-		*k, g, *stragglers, *delta*1e6)
+		*k, g, strag, *delta*1e6)
 	fmt.Fprintf(stdout, "%10s %12s %12s %12s %12s\n",
 		"bytes", "dualroot(us)", "genall(us)", "pap-sort(us)", "pap-ring(us)")
 	for _, n := range sizes {

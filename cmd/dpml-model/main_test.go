@@ -29,6 +29,35 @@ func TestLeadersInRangeRuns(t *testing.T) {
 	}
 }
 
+// TestSmallJobsRun checks that 1- and 2-process jobs run under the
+// default flags: the default straggler count shrinks to p-1, while an
+// out-of-range count the user gives still fails and names the flag.
+func TestSmallJobsRun(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-nodes", "1", "-ppn", "1"}, "stragglers=0 "},
+		{[]string{"-nodes", "1", "-ppn", "2"}, "stragglers=1 "},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append(tc.args, "-sizes", "4"), &out, &errb); code != 0 {
+			t.Errorf("%v: exit = %d, want 0; stderr: %s", tc.args, code, errb.String())
+			continue
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: output lacks %q:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-nodes", "1", "-ppn", "2", "-stragglers", "2"}, &out, &errb); code != 1 {
+		t.Fatalf("explicit -stragglers 2 on 2 processes: exit = %d, want 1", code)
+	}
+	if want := "dpml-model: -stragglers=2 out of range [0,2)\n"; errb.String() != want {
+		t.Errorf("stderr = %q, want %q", errb.String(), want)
+	}
+}
+
 // TestBadParametersPrintNothing checks that every parameter is validated
 // before the first table line: a bad argument set exits 1 with nothing
 // on stdout and one error line on stderr.

@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("dpml-osu", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		clusterName = fs.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = fs.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = fs.Int("nodes", 4, "number of nodes")
 		ppn         = fs.Int("ppn", 8, "processes per node")
 		design      = fs.String("design", "dpml-1", "design name: flat[:<alg>], host-based, dpml-<l>[:<alg>], dpml-pipe-<l>x<k>, sharp-node, sharp-socket, dualroot[-s<n>], genall[-g<n>], pap-sorted, pap-ring, or a per-size selector: mvapich2, intelmpi, proposed, pap-aware")

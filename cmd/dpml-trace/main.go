@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpml-trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		clusterName = fs.String("cluster", "B", "cluster: A, B, C, or D")
+		clusterName = fs.String("cluster", "B", "cluster: A, B, C, D, or E")
 		nodes       = fs.Int("nodes", 4, "number of nodes")
 		ppn         = fs.Int("ppn", 8, "processes per node")
 		design      = fs.String("design", "dpml-4", "design name, or a per-size selector (see dpml-osu)")

@@ -9,7 +9,7 @@
 // canonical tiebreak is a design with a latent arrival-order bug. This
 // package perturbs the tiebreaks (sim.Explore) to visit other points of
 // that space; it is the only perturbation, because every arrival is its
-// own event and MPI matching order within a bucket is fixed by the
+// own event and MPI matching order within a key is fixed by the
 // non-overtaking rule (see sim.Explore). It explores two ways:
 //
 //   - Seeded mode: N schedules, each under a salt derived from one

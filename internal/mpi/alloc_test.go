@@ -45,8 +45,9 @@ func warmMallocs(t *testing.T, w *World, setup func(r *Rank) func()) float64 {
 
 // TestWarmMessagesDoNotAllocate pins the point-to-point path as free of
 // allocation once warm, on phantom payloads: requests, envelopes,
-// transfer records, transit clones, matching-queue storage and the flat
-// algorithms' view headers all come from free lists. Each SendRecv step
+// transfer records, transit clones and the flat algorithms' view headers
+// all come from free lists, and the matching queues keep their backing
+// arrays. Each SendRecv step
 // exchanges one message each way between two ranks, and the
 // isend-irecv-wait step does the same with the public calls, whose Wait
 // frees each request. The barrier-3x3 step runs a dissemination barrier

@@ -110,7 +110,7 @@ func (w *World) diagnostics() string {
 	b.WriteString("pending requests:")
 	lines, more := 0, 0
 	for _, rk := range w.ranks {
-		posted, unexpected := rk.posted.n, rk.unexpected.n
+		posted, unexpected := len(rk.posted.q), len(rk.unexpected.q)
 		if posted == 0 && unexpected == 0 {
 			continue
 		}

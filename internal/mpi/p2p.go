@@ -7,9 +7,8 @@ import (
 	"dpml/internal/sim"
 )
 
-// msgKey identifies a matching bucket: messages match on (communicator,
-// source global rank, tag), FIFO within a bucket (MPI's non-overtaking
-// rule).
+// msgKey is what messages match on: (communicator, source global rank,
+// tag), exactly, FIFO per key (MPI's non-overtaking rule).
 type msgKey struct {
 	comm int
 	src  int

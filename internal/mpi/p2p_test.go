@@ -8,7 +8,7 @@ import (
 )
 
 // smallWorld builds a world on a trimmed cluster for pt2pt tests.
-func smallWorld(t *testing.T, cluster *topology.Cluster, nodes, ppn int, cfg Config) *World {
+func smallWorld(t testing.TB, cluster *topology.Cluster, nodes, ppn int, cfg Config) *World {
 	t.Helper()
 	job, err := topology.NewJob(cluster, nodes, ppn)
 	if err != nil {

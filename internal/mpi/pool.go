@@ -14,14 +14,13 @@ import "dpml/internal/race"
 //     released in completeRecv, in the receiver's;
 //   - requests: drawn by every Isend and Irecv, released by the Wait
 //     that completes them (Rabenseifner, which polls its requests
-//     instead of waiting, releases them at the end of each round);
-//   - matching-queue storage (see fifo).
+//     instead of waiting, releases them at the end of each round).
 //
 // Vector and envelope lists are per node: an object drawn in the sending
 // node's context is released in the receiving node's, and under a
 // sharded kernel those contexts can run on different threads. Per-node
 // lists keep every access inside one node's LP, so no locking; requests
-// and queues never leave their rank, so their lists are per rank.
+// never leave their rank, so their list is per rank.
 // Because a release lands on the receiver's list, traffic that runs one
 // way (a binomial Bcast, a straggler's sends) would grow that list
 // without bound while the sender keeps allocating; so each per-node
@@ -191,49 +190,38 @@ func (r *Rank) releaseRequest(q *Request) {
 	r.x.reqs = append(r.x.reqs, q)
 }
 
-// fifo is one rank's matching queues of one kind, posted receives or
-// unexpected messages: a FIFO per key, MPI's non-overtaking order. A
-// queue keeps its storage anchored (pop shifts the rest down), so when
-// it empties the storage goes to a free list that the next key to go
-// from empty to one entry reuses. The zero value is ready to use.
+// fifo is one rank's matching queue of one kind, posted receives or
+// unexpected messages: its entries in arrival order. A key matches
+// exactly (there is no wildcard source or tag), so the first entry with
+// the key is the one MPI's non-overtaking rule picks. The queue is
+// almost always nearly empty, so pop scans it; it shifts the rest down,
+// so the backing array stays anchored and a warm queue never allocates.
+// The zero value is ready to use.
 //
 //dpml:owner node
 type fifo[T any] struct {
-	q    map[msgKey][]T
-	free [][]T
-	n    int // entries across all keys
+	q []fifoEntry[T]
 }
 
-// push appends x to key's queue.
-func (f *fifo[T]) push(key msgKey, x T) {
-	if f.q == nil {
-		f.q = make(map[msgKey][]T)
-	}
-	q, ok := f.q[key]
-	if !ok {
-		q, _ = take(&f.free)
-	}
-	f.q[key] = append(q, x)
-	f.n++
+type fifoEntry[T any] struct {
+	key msgKey
+	x   T
 }
 
-// pop removes and returns the head of key's queue; ok is false when the
-// queue is empty.
+// push appends x under key.
+func (f *fifo[T]) push(key msgKey, x T) { f.q = append(f.q, fifoEntry[T]{key, x}) }
+
+// pop removes and returns the first entry under key; ok is false when
+// there is none.
 func (f *fifo[T]) pop(key msgKey) (x T, ok bool) {
-	q := f.q[key]
-	if len(q) == 0 {
-		return x, false
+	for i := range f.q {
+		if f.q[i].key == key {
+			x = f.q[i].x
+			last := i + copy(f.q[i:], f.q[i+1:])
+			f.q[last] = fifoEntry[T]{}
+			f.q = f.q[:last]
+			return x, true
+		}
 	}
-	x = q[0]
-	rest := copy(q, q[1:])
-	var zero T
-	q[rest] = zero
-	if rest == 0 {
-		delete(f.q, key)
-		f.free = append(f.free, q[:0])
-	} else {
-		f.q[key] = q[:rest]
-	}
-	f.n--
-	return x, true
+	return x, false
 }

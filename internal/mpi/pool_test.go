@@ -3,9 +3,11 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dpml/internal/race"
+	"dpml/internal/sim"
 	"dpml/internal/topology"
 )
 
@@ -210,65 +212,123 @@ func TestReleasedRequestIsPoisoned(t *testing.T) {
 }
 
 // TestMatchingChurnKeepsFIFOPerKey drives the matching queues through
-// many empty → non-empty → empty cycles, with one key and with several
-// interleaved keys, once with every message arriving unexpected (the
-// receiver posts late) and once with every receive posted first, and
-// checks that each key's messages land in its receives in send order
-// while recycled queue storage moves between keys.
+// many empty → non-empty → empty cycles, once with every message
+// arriving unexpected (the receiver posts late) and once with every
+// receive posted first, and checks that each key's messages land in its
+// receives in send order. The keys are interleaved and differ by tag, by
+// source only (two senders to one receiver) or by communicator only (the
+// world comm and a second comm over the same ranks); the deepest case
+// holds 12 keys × 3 messages in one queue at once.
 func TestMatchingChurnKeepsFIFOPerKey(t *testing.T) {
 	const cycles, perKey = 6, 3
-	for _, keys := range []int{1, 5} {
+	const settle = 1000 * sim.Microsecond // every message or receive is queued before the other side starts
+	for _, tc := range []struct{ tags, senders, comms int }{
+		{1, 1, 1}, {5, 1, 1}, {12, 1, 1}, {1, 2, 1}, {1, 1, 2}, {3, 2, 2},
+	} {
 		for _, posted := range []bool{false, true} {
-			w := smallWorld(t, topology.ClusterB(), 1, 2, Config{})
+			name := fmt.Sprintf("tags=%d senders=%d comms=%d posted=%v", tc.tags, tc.senders, tc.comms, posted)
+			w := smallWorld(t, topology.ClusterB(), 1, tc.senders+1, Config{})
+			comms := []*Comm{w.CommWorld()}
+			if tc.comms == 2 {
+				comms = append(comms, w.NewComm(comms[0].ranks))
+			}
+			recv := tc.senders // the last rank receives; comm rank = global rank in every comm
 			err := w.Run(func(r *Rank) error {
-				c := w.CommWorld()
 				for cy := 0; cy < cycles; cy++ {
-					value := func(k, m int) float64 { return float64(cy*1000 + k*10 + m) }
-					if r.Rank() == 0 {
+					value := func(c, s, k, m int) float64 { return float64(cy*10000 + c*1000 + s*100 + k*10 + m) }
+					if s := r.Rank(); s != recv {
 						if posted {
-							r.Proc().Sleep(1000) // the receiver posts first
+							r.Proc().Sleep(settle)
 						}
 						v := NewVector(Float64, 1)
 						for m := 0; m < perKey; m++ {
-							for k := 0; k < keys; k++ {
-								v.Set(0, value(k, m))
-								r.Send(c, 1, k, v)
+							for c, comm := range comms {
+								for k := 0; k < tc.tags; k++ {
+									v.Set(0, value(c, s, k, m))
+									r.Send(comm, recv, k, v)
+								}
 							}
 						}
 					} else {
 						if !posted {
-							r.Proc().Sleep(1000) // the messages arrive first
+							r.Proc().Sleep(settle)
 						}
+						// Post in reverse key order, so no key's receives
+						// line up with its messages' arrival order.
 						var reqs []*Request
 						var bufs []*Vector
-						for k := keys - 1; k >= 0; k-- {
-							for m := 0; m < perKey; m++ {
-								b := NewVector(Float64, 1)
-								bufs = append(bufs, b)
-								reqs = append(reqs, r.Irecv(c, 0, k, b))
+						var want []float64
+						for c := len(comms) - 1; c >= 0; c-- {
+							for s := tc.senders - 1; s >= 0; s-- {
+								for k := tc.tags - 1; k >= 0; k-- {
+									for m := 0; m < perKey; m++ {
+										b := NewVector(Float64, 1)
+										bufs = append(bufs, b)
+										want = append(want, value(c, s, k, m))
+										reqs = append(reqs, r.Irecv(comms[c], s, k, b))
+									}
+								}
 							}
 						}
 						r.WaitAll(reqs...)
-						i := 0
-						for k := keys - 1; k >= 0; k-- {
-							for m := 0; m < perKey; m++ {
-								if got, want := bufs[i].At(0), value(k, m); got != want {
-									t.Errorf("keys=%d posted=%v cycle %d: key %d receive %d got %v, want %v", keys, posted, cy, k, m, got, want)
-								}
-								i++
+						for i, b := range bufs {
+							if got := b.At(0); got != want[i] {
+								t.Errorf("%s cycle %d: receive %d got %v, want %v", name, cy, i, got, want[i])
 							}
 						}
 					}
-					r.Barrier(c)
-				}
-				if n := r.posted.n + r.unexpected.n; n != 0 {
-					t.Errorf("rank %d: %d entries left in the matching queues", r.Rank(), n)
+					r.Barrier(w.CommWorld())
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if d := w.diagnostics(); !strings.HasSuffix(d, " none") {
+				t.Errorf("%s: entries left in the matching queues: %s", name, d)
+			}
 		}
+	}
+}
+
+// BenchmarkSendRecvMatch measures a warm phantom SendRecv between two
+// ranks of one node, with depth receives of other keys posted ahead of
+// it on each rank, so every match passes over them. The other receives
+// are posted before the timed loop and satisfied after it.
+func BenchmarkSendRecvMatch(b *testing.B) {
+	for _, depth := range []int{0, 32} {
+		b.Run(fmt.Sprintf("posted-%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			w := smallWorld(b, topology.ClusterB(), 1, 2, Config{})
+			err := w.Run(func(r *Rank) error {
+				c := w.CommWorld()
+				peer := 1 - r.Rank()
+				out, in := NewPhantom(Int32, 256), NewPhantom(Int32, 256)
+				others := make([]*Request, depth)
+				for i := range others {
+					others[i] = r.Irecv(c, peer, 1+i, NewPhantom(Int32, 1))
+				}
+				for i := 0; i < 8; i++ {
+					r.SendRecv(c, peer, 0, out, peer, 0, in)
+				}
+				if r.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					r.SendRecv(c, peer, 0, out, peer, 0, in)
+				}
+				if r.Rank() == 0 {
+					b.StopTimer()
+				}
+				for i := range others {
+					r.Send(c, peer, 1+i, NewPhantom(Int32, 1))
+				}
+				r.WaitAll(others...)
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

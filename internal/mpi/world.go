@@ -69,7 +69,7 @@ type Config struct {
 	// Explore, when non-nil, installs a schedule-perturbation config on
 	// the simulation kernel (see sim.Explore and internal/explore): event
 	// tiebreaks are permuted per Salt/Swaps. Message matching is never
-	// perturbed: it stays FIFO per (communicator, source, tag) bucket.
+	// perturbed: it stays FIFO per (communicator, source, tag) key.
 	// Nil is the canonical schedule, bit-identical to a build without
 	// the exploration layer. Like Jitter, every perturbed run is still
 	// deterministic and shard-count-invariant for a fixed config.

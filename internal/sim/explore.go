@@ -42,7 +42,7 @@ package sim
 // (shards, GOMAXPROCS) combination.
 //
 // This is the only perturbation: MPI message matching stays FIFO per
-// (communicator, source, tag) bucket. Two entries of one bucket at one
+// (communicator, source, tag) key. Two entries with one key at one
 // instant are two messages from one sender or two receives posted by
 // one rank, whose order MPI's non-overtaking rule fixes; arrivals from
 // different senders are distinct events on the receiver's LP, which
