@@ -123,12 +123,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if busiest != "" {
 		fmt.Fprintf(stdout, "busiest NIC link: %s at %.1f%% of capacity over the run\n", busiest, 100*peak)
 	}
-	for node, m := range w.Mem {
-		lr := m.Report()
-		if node == 0 {
-			fmt.Fprintf(stdout, "node 0 memory system: %d bytes moved, busy %v\n", lr.Bytes, lr.Busy)
-		}
-	}
+	mem := w.Mem[0].Report()
+	fmt.Fprintf(stdout, "node 0 memory system: %d bytes moved, busy %v\n", mem.Bytes, mem.Busy)
 	if *phases {
 		fmt.Fprintln(stdout)
 		rec.WritePhaseReport(stdout)

@@ -28,8 +28,8 @@ func TestMemChannelCopyDoesNotAllocate(t *testing.T) {
 	}
 	for _, viaHeap := range []bool{false, true} {
 		var allocs float64
-		runFlows(t, func(k *sim.Kernel, n *FlowNet, p *sim.Proc) {
-			m := NewMemChannel(k, n, topology.ClusterA(), 0)
+		runFlows(t, func(k *sim.Kernel, _ *FlowNet, p *sim.Proc) {
+			m := NewMemChannel(k, topology.ClusterA(), 0)
 			nop := func() {}
 			allocs = steadyAllocs(func() {
 				if viaHeap {

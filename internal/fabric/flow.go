@@ -30,8 +30,8 @@ import (
 type Link struct {
 	name      string
 	capacity  float64 // bytes/sec
-	flows     []*flow // live flows plus tombstones awaiting compaction
-	live      int     // live entries in flows
+	flows     []*flow // live flows plus tombstones awaiting compaction; empty on a solo link (see FlowNet.solo)
+	live      int     // live flows crossing the link
 	moved     float64 // total bytes carried (for utilization reports)
 	busy      sim.Duration
 	busyUntil sim.Time // high-water mark of charged busy time
@@ -156,11 +156,18 @@ type component struct {
 // FlowNet owns the set of active flows and keeps their rates max-min fair.
 // All methods must be called from simulation context (a running proc or an
 // event callback) of the kernel it was built with — the network LP for
-// the wire FlowNet, a node LP for each memory FlowNet.
+// the wire FlowNet, a node LP for each memory channel's FlowNet.
+//
+// The wire FlowNet fills any flow-link graph, one connected component at
+// a time. A memory channel's FlowNet is solo: every flow crosses its one
+// link, so the link keeps no flow list of its own (n.active is that list,
+// in the same order) and recompute runs fillSolo, the same arithmetic
+// fused into fewer passes.
 //
 //dpml:owner shared
 type FlowNet struct {
 	k      *sim.Kernel
+	solo   *Link   // the one link every flow crosses; nil for a general net
 	active []*flow // live flows plus tombstones awaiting compaction
 	live   int     // live entries in active
 	dirty  bool
@@ -173,14 +180,17 @@ type FlowNet struct {
 	// re-keys touch this set's heap and not the kernel's.
 	events *sim.EventSet
 	// Stats counts scheduler work for tests and reports.
-	Stats struct {
-		Started   uint64
-		Completed uint64
-		Recompute uint64
-		// FastPath counts completions that skipped the settle-and-refill
-		// recompute because no link the flow crossed was a bottleneck.
-		FastPath uint64
-	}
+	Stats FlowStats
+}
+
+// FlowStats counts one FlowNet's scheduler work.
+type FlowStats struct {
+	Started   uint64
+	Completed uint64
+	Recompute uint64
+	// FastPath counts completions that skipped the settle-and-refill
+	// recompute because no link the flow crossed was a bottleneck.
+	FastPath uint64
 }
 
 // NewFlowNet returns an empty flow scheduler bound to the kernel.
@@ -217,10 +227,16 @@ func (n *FlowNet) Start(bytes int64, rateCap float64, onDone func(), links ...*L
 	f.rate, f.prevRate = 0, 0
 	f.lastSettle = n.k.Now()
 	f.onDone = onDone
-	f.holders = 1 + len(links)
 	f.done = false
-	for _, l := range links {
-		l.addFlow(f)
+	if n.solo != nil {
+		// links is just n.solo, and n.active is that link's flow list.
+		f.holders = 1
+		n.solo.live++
+	} else {
+		f.holders = 1 + len(links)
+		for _, l := range links {
+			l.addFlow(f)
+		}
 	}
 	n.active = append(n.active, f)
 	n.live++
@@ -247,7 +263,8 @@ func (n *FlowNet) alloc() *flow {
 // stays in n.active and in each of its links' lists until compaction
 // removes it, and a link no later fill touches keeps its tombstones
 // indefinitely, so the flow returns to the free list only when the last
-// of those lists lets go.
+// of those lists lets go. A solo net's flow has n.active as its only
+// holder.
 func (n *FlowNet) release(f *flow) {
 	f.holders--
 	if f.holders == 0 {
@@ -323,7 +340,8 @@ func (n *FlowNet) complete(f *flow) {
 // completion events for every active flow. The settle and fill run per
 // connected component of the flow-link graph: components share no state
 // and use canonical arithmetic (see fillComponent), so the result is the
-// global max-min fill bit for bit.
+// global max-min fill bit for bit. A solo net is one component with one
+// link, filled by fillSolo.
 func (n *FlowNet) recompute() {
 	n.Stats.Recompute++
 	n.compact()
@@ -331,6 +349,10 @@ func (n *FlowNet) recompute() {
 		return
 	}
 	now := n.k.Now()
+	if n.solo != nil {
+		n.fillSolo(now)
+		return
+	}
 	count := n.findComponents()
 	for i := range n.comps[:count] {
 		n.fillComponent(&n.comps[i], now)
@@ -366,22 +388,24 @@ func (n *FlowNet) compact() {
 // scheduling reuses the flow object's completion closure.
 func (n *FlowNet) reschedule(now sim.Time) {
 	for _, f := range n.active {
-		// An unchanged rate means the previously scheduled completion
-		// time is still exact (fluid drain is linear); skipping the
-		// reschedule avoids re-keying thousands of events when a
-		// recompute leaves most flows untouched.
-		if f.event != nil && f.rate == f.prevRate { //dpml:allow floateq -- bit-identical rate keeps the scheduled completion exact
-			continue
-		}
-		d := sim.TransferTime(int64(math.Ceil(f.remaining)), f.rate)
-		at := now.Add(d)
-		if f.event != nil {
-			if f.event.When() != at {
-				n.events.Reschedule(f.event, at)
-			}
-			continue
-		}
+		n.retime(f, now)
+	}
+}
+
+// retime refreshes one flow's completion event after a water-fill.
+func (n *FlowNet) retime(f *flow, now sim.Time) {
+	// An unchanged rate means the previously scheduled completion time
+	// is still exact (fluid drain is linear); skipping the reschedule
+	// avoids re-keying thousands of events when a recompute leaves most
+	// flows untouched.
+	if f.event != nil && f.rate == f.prevRate { //dpml:allow floateq -- bit-identical rate keeps the scheduled completion exact
+		return
+	}
+	at := now.Add(sim.TransferTime(int64(math.Ceil(f.remaining)), f.rate))
+	if f.event == nil {
 		f.event = n.events.At(at, f.fire)
+	} else if f.event.When() != at {
+		n.events.Reschedule(f.event, at)
 	}
 }
 
@@ -400,11 +424,12 @@ func ufFind(uf []int32, x int32) int32 {
 }
 
 // findComponents partitions the live flows and their links into connected
-// components of the flow-link bipartite graph and buckets them into
-// n.comps, returning the component count. Two flows land in the same
-// component iff they transitively share a link — exactly the set whose
-// max-min fair rates are coupled — so filling components independently is
-// an exact decomposition, not an approximation.
+// components of the flow-link bipartite graph with union-find and
+// buckets them into n.comps, returning the component count. Two flows
+// land in the same component iff they transitively share a link —
+// exactly the set whose max-min fair rates are coupled — so filling
+// components independently is an exact decomposition, not an
+// approximation.
 //
 // Numbering and bucket order are canonical: dense component ids are
 // assigned in first-appearance order over n.active, each component's
@@ -412,45 +437,6 @@ func ufFind(uf []int32, x int32) int32 {
 // first-touch order. Every downstream float sum therefore runs in the
 // same order regardless of how many components exist.
 func (n *FlowNet) findComponents() int {
-	if n.oneLink() {
-		return 1
-	}
-	return n.unionComponents()
-}
-
-// oneLink builds the single component directly, and reports true, when
-// every live flow crosses one and the same link: the shape of every
-// node's memory channel. It leaves the state union-find would: the
-// link compacted, every flow in n.active order, and one unfrozen count
-// per flow.
-func (n *FlowNet) oneLink() bool {
-	if len(n.active[0].links) != 1 {
-		return false
-	}
-	l := n.active[0].links[0]
-	for _, f := range n.active[1:] {
-		if len(f.links) != 1 || f.links[0] != l {
-			return false
-		}
-	}
-	n.gen++
-	l.mark = n.gen
-	l.compact(n)
-	l.comp, l.unfrozen = 0, len(n.active)
-	if len(n.comps) == 0 {
-		n.comps = append(n.comps, component{})
-	}
-	c := &n.comps[0]
-	c.flows = append(c.flows[:0], n.active...)
-	c.links = append(c.links[:0], l)
-	for _, f := range n.active {
-		f.comp = 0
-	}
-	return true
-}
-
-// unionComponents is findComponents for any flow-link graph.
-func (n *FlowNet) unionComponents() int {
 	// Pass 1: union-find over provisional ids. Links are stamped, then
 	// compacted once per recompute here (see Link.compact).
 	n.gen++
@@ -549,19 +535,102 @@ func (n *FlowNet) fillComponent(c *component, now sim.Time) {
 
 	n.waterFill(c)
 
-	// Record which links this fill saturated. Completions on links with
-	// spare capacity take the incremental fast path (see complete). The
-	// tolerance errs toward "bottleneck": misflagging a saturated link as
-	// free would skip a required recompute, while the reverse only costs
-	// a redundant one.
 	for _, l := range c.links {
 		used := 0.0
 		for _, f := range l.flows {
 			used += f.rate
 		}
-		l.bottleneck = l.capacity-used <= l.capacity*1e-6
+		l.flagBottleneck(used)
 	}
 }
+
+// flagBottleneck records whether a fill that gave the link's flows used
+// bytes/sec in total saturated it. Completions on links with spare
+// capacity take the incremental fast path (see complete). The tolerance
+// errs toward "bottleneck": misflagging a saturated link as free would
+// skip a required recompute, while the reverse only costs a redundant
+// one.
+func (l *Link) flagBottleneck(used float64) {
+	l.bottleneck = l.capacity-used <= l.capacity*1e-6
+}
+
+// fillSolo is recompute's settle, fill and reschedule on a solo net. It
+// does fillComponent's, waterFill's and reschedule's arithmetic on a
+// one-link component, operation for operation and in n.active order, so
+// rates, link totals and completion events are bit-identical to theirs;
+// only the passes are fused. The first pass settles and resets every
+// flow and finds the lowest cap. Cap passes run only if that cap is
+// within the first share, capacity / flows: each freezes the flows whose
+// cap binds and re-derives the share from the frozen rates, as a
+// waterFill iteration does. The last pass freezes the rest at the share,
+// which on one link is always the binding one, sums the rates for the
+// bottleneck flag and re-times each flow.
+func (n *FlowNet) fillSolo(now sim.Time) {
+	l := n.solo
+	total := l.moved // l.moved, summed in a register
+	minCap := math.Inf(1)
+	for _, f := range n.active {
+		if dt := now.Sub(f.lastSettle); dt > 0 {
+			moved := f.rate * dt.Seconds()
+			if moved > f.remaining {
+				moved = f.remaining
+			}
+			f.remaining -= moved
+			total += moved
+			l.chargeBusy(f.lastSettle, now)
+		}
+		f.lastSettle = now
+		f.frozen = false
+		f.prevRate = f.rate
+		f.rate = 0
+		if f.cap < minCap {
+			minCap = f.cap
+		}
+	}
+	l.moved = total
+	unfrozen := len(n.active)
+	share := l.capacity / float64(unfrozen)
+	if minCap <= share+fillEps {
+		for {
+			capFroze := false
+			for _, f := range n.active {
+				if !f.frozen && f.cap <= share+fillEps {
+					f.frozen = true
+					f.rate = f.cap
+					unfrozen--
+					capFroze = true
+				}
+			}
+			if !capFroze || unfrozen == 0 {
+				break
+			}
+			used := 0.0
+			for _, f := range n.active {
+				if f.frozen {
+					used += f.rate
+				}
+			}
+			r := l.capacity - used
+			if r < 0 {
+				r = 0
+			}
+			share = r / float64(unfrozen)
+		}
+	}
+	used := 0.0
+	for _, f := range n.active {
+		if !f.frozen {
+			f.rate = share
+		}
+		used += f.rate
+		n.retime(f, now)
+	}
+	l.flagBottleneck(used)
+}
+
+// fillEps is the water-fill's absolute tolerance, in bytes/sec, for a
+// cap or share to count as binding.
+const fillEps = 1e-9
 
 // waterFill assigns max-min fair rates within one component. Each
 // iteration recomputes every link's fair share from scratch — residual
@@ -581,7 +650,6 @@ func (n *FlowNet) fillComponent(c *component, now sim.Time) {
 // iterations.
 func (n *FlowNet) waterFill(c *component) {
 	unfrozen := len(c.flows)
-	const eps = 1e-9
 	for unfrozen > 0 {
 		// Recompute each link's fair share and find the tightest.
 		share := math.Inf(1)
@@ -608,7 +676,7 @@ func (n *FlowNet) waterFill(c *component) {
 		// their cap, freeing capacity for the rest.
 		capFroze := false
 		for _, f := range c.flows {
-			if !f.frozen && f.cap <= share+eps {
+			if !f.frozen && f.cap <= share+fillEps {
 				f.frozen = true
 				f.rate = f.cap
 				for _, l := range f.links {
@@ -626,7 +694,7 @@ func (n *FlowNet) waterFill(c *component) {
 		// and membership must not depend on within-pass order — then
 		// freeze each binding link's flows at that link's own share.
 		for _, l := range c.links {
-			l.binds = l.unfrozen > 0 && l.share <= share*(1+1e-9)+eps
+			l.binds = l.unfrozen > 0 && l.share <= share*(1+1e-9)+fillEps
 		}
 		froze := false
 		for _, l := range c.links {

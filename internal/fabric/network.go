@@ -276,14 +276,13 @@ type MemChannel struct {
 	}
 }
 
-// NewMemChannel builds the memory channel for one node.
-func NewMemChannel(k *sim.Kernel, flows *FlowNet, c *topology.Cluster, node int) *MemChannel {
-	return &MemChannel{
-		k:     k,
-		flows: flows,
-		prof:  c.Mem,
-		link:  NewLink(fmt.Sprintf("n%d.mem", node), c.Mem.AggregateBW),
-	}
+// NewMemChannel builds the memory channel for one node, with its own
+// solo FlowNet on k over the node's memory link.
+func NewMemChannel(k *sim.Kernel, c *topology.Cluster, node int) *MemChannel {
+	link := NewLink(fmt.Sprintf("n%d.mem", node), c.Mem.AggregateBW)
+	flows := NewFlowNet(k)
+	flows.solo = link
+	return &MemChannel{k: k, flows: flows, prof: c.Mem, link: link}
 }
 
 // ArmCopy arms p to park on "shm copy" for the duration of a
@@ -387,3 +386,6 @@ func (n *Network) Report() []LinkReport {
 
 // Report returns the memory system's activity.
 func (m *MemChannel) Report() LinkReport { return report(m.link) }
+
+// FlowStats returns the scheduler work of the channel's FlowNet.
+func (m *MemChannel) FlowStats() FlowStats { return m.flows.Stats }

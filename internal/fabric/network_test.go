@@ -197,8 +197,7 @@ func TestMemChannelCopyCosts(t *testing.T) {
 	elapsed := func(cross bool, bytes int64) sim.Duration {
 		co := sim.NewCoordinator(1, 1, 0)
 		k := co.KernelFor(0)
-		fn := NewFlowNet(k)
-		m := NewMemChannel(k, fn, c, 0)
+		m := NewMemChannel(k, c, 0)
 		k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, cross, bytes); p.Park() })
 		if err := co.Run(); err != nil {
 			t.Fatal(err)
@@ -234,8 +233,7 @@ func TestMemChannelConcurrentCopiesScale(t *testing.T) {
 	elapsed := func(copiers int) sim.Duration {
 		co := sim.NewCoordinator(1, 1, 0)
 		k := co.KernelFor(0)
-		fn := NewFlowNet(k)
-		m := NewMemChannel(k, fn, c, 0)
+		m := NewMemChannel(k, c, 0)
 		for i := 0; i < copiers; i++ {
 			k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, 1<<20); p.Park() })
 		}
@@ -257,8 +255,7 @@ func TestMemChannelAggregateBandwidthBinds(t *testing.T) {
 	copiers := int(c.Mem.AggregateBW/c.Mem.CopyRate) * 2 // 2x oversubscribed
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	fn := NewFlowNet(k)
-	m := NewMemChannel(k, fn, c, 0)
+	m := NewMemChannel(k, c, 0)
 	const bytes = 1 << 20
 	for i := 0; i < copiers; i++ {
 		k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, bytes); p.Park() })
@@ -462,8 +459,7 @@ func TestNetworkReport(t *testing.T) {
 func TestMemChannelReport(t *testing.T) {
 	co := sim.NewCoordinator(1, 1, 0)
 	k := co.KernelFor(0)
-	fn := NewFlowNet(k)
-	m := NewMemChannel(k, fn, topology.ClusterA(), 0)
+	m := NewMemChannel(k, topology.ClusterA(), 0)
 	k.Spawn("copier", func(p *sim.Proc) { m.ArmCopy(p, false, 4096); p.Park() })
 	if err := co.Run(); err != nil {
 		t.Fatal(err)

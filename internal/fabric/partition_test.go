@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dpml/internal/sim"
+	"dpml/internal/topology"
 )
 
 // refFill is an independent reimplementation of the canonical max-min
@@ -129,7 +129,7 @@ func refCheck(n *FlowNet, links []*Link) error {
 
 // TestPartitionedFillMatchesGlobalFill checks the production
 // component-partitioned fill against the single global reference fill,
-// requiring rates EXACTLY equal (==, not approximately), on two inputs:
+// requiring rates EXACTLY equal (==, not approximately), on three inputs:
 //
 //   - static: randomized topologies, many links of random capacity and
 //     flows crossing random link subsets with random caps, filled once.
@@ -137,129 +137,160 @@ func refCheck(n *FlowNet, links []*Link) error {
 //     exercises the component-by-component fill.
 //   - churn: flows started, completed and re-capacitated over virtual
 //     time, which cycles flow objects through the FlowNet's free list.
-//   - single-link churn: the same over one link, the shape of a node's
-//     memory channel, which findComponents builds without union-find.
+//   - single-link churn: the same on a memory channel's solo net, whose
+//     fused fill must also match a general net over an equal link.
 func TestPartitionedFillMatchesGlobalFill(t *testing.T) {
 	t.Run("static", testStaticFill)
 	t.Run("churn", testChurnFill)
 	t.Run("single-link-churn", testSingleLinkChurn)
 }
 
-// componentState is what a component search leaves for the fill: the
-// component count, each component's flows and links in order, and the
-// per-flow and per-link ids and unfrozen counts.
-func componentState(n *FlowNet, count int) string {
-	var b strings.Builder
-	for ci := 0; ci < count; ci++ {
-		c := &n.comps[ci]
-		fmt.Fprintf(&b, "comp %d:", ci)
-		for _, f := range c.flows {
-			fmt.Fprintf(&b, " %p/%d", f, f.comp)
-		}
-		for _, l := range c.links {
-			fmt.Fprintf(&b, " %s/%d/%d/%d/%d", l.name, l.comp, l.unfrozen, len(l.flows), l.live)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+// soloRun is what one run of testSingleLinkChurn's script leaves: its
+// completion log and its link's totals.
+type soloRun struct {
+	log   []string
+	moved float64
+	busy  sim.Duration
+	// capBound counts checks where a cap pass froze some flow and the
+	// link bound another; saturated, checks with at least 54 live KNL
+	// copies where no cap bound.
+	capBound, saturated int
 }
 
-// testSingleLinkChurn starts, completes and re-capacitates flows over
-// a single link. Each check runs while a completion has left
-// tombstones for the next fill to compact: it requires the direct
-// single-link build to leave exactly the state union-find leaves on a
-// twin of the same flow set, and, once the batched refill has run, the
-// rates to equal refFill's bit for bit.
+// testSingleLinkChurn runs one seeded script of copies, capacity
+// changes and sleeps on a memory channel's solo net and on a general
+// FlowNet over an equal link. The script has three phases:
+//
+//   - Xeon: intra- and cross-socket caps (4 and 2.4 GB/s) on a 68 GB/s
+//     link, so cap passes run and the link then binds the rest;
+//   - odd caps: the same caps divided by 3 to 13, whose sums round, so
+//     the order in which a fill sums frozen rates shows in the bits;
+//   - KNL: bursts of 64 copies at 1.6 GB/s, started at staggered
+//     instants, saturating 85 GB/s with no cap binding.
+//
+// After every step, once the batched refill has run, the rates must
+// equal refFill's bit for bit. The two runs must log the same
+// completions (instant and flow) and leave the link bit-equal totals.
 func testSingleLinkChurn(t *testing.T) {
-	rng := uint64(5)
-	next := func(mod int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int(rng>>33) % mod
-	}
-	co := sim.NewCoordinator(1, 1, 0)
-	k := co.KernelFor(0)
-	n := NewFlowNet(k)
-	mem := NewLink("mem", 4e9)
-	var failed error
-	direct, compacted := 0, 0
-	compare := func() {
-		if failed != nil || n.live == 0 {
-			return
+	xeon, knl := topology.ClusterA().Mem, topology.ClusterD().Mem
+	run := func(solo bool) (out soloRun) {
+		rng := uint64(5)
+		next := func(mod int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int(rng>>33) % mod
 		}
-		// Union-find on a twin: the same live flows over a fresh link,
-		// in n.active order. The direct build runs on the real net,
-		// tombstones included.
-		twin := &FlowNet{k: k}
-		tl := NewLink("mem", mem.capacity)
-		tflows := map[*flow]*flow{}
-		for _, f := range n.active {
-			if f.done {
-				continue
+		co := sim.NewCoordinator(1, 1, 0)
+		k := co.KernelFor(0)
+		var n *FlowNet
+		var mem *Link
+		if solo {
+			m := NewMemChannel(k, topology.ClusterA(), 0)
+			n, mem = m.flows, m.link
+		} else {
+			n, mem = NewFlowNet(k), NewLink("mem", xeon.AggregateBW)
+		}
+		var failed error
+		check := func() {
+			if failed != nil {
+				return
 			}
-			g := &flow{cap: f.cap}
-			g.links = append(g.links, tl)
-			tflows[f] = g
-			twin.active = append(twin.active, g)
-			twin.live++
-		}
-		for _, f := range mem.flows {
-			if !f.done {
-				tl.addFlow(tflows[f])
+			if mem.live != n.live || (solo && len(mem.flows) != 0) {
+				failed = fmt.Errorf("t=%v: link holds %d entries, %d live; net has %d live",
+					k.Now(), len(mem.flows), mem.live, n.live)
+				return
 			}
-		}
-		tombs := len(mem.flows) - mem.live
-		n.compact()
-		if !n.oneLink() {
-			failed = fmt.Errorf("t=%v: single-link net not built directly", k.Now())
-			return
-		}
-		direct++
-		if tombs > 0 && len(mem.flows) == mem.live {
-			compacted++
-		}
-		got := componentState(n, 1)
-		want := componentState(twin, twin.unionComponents())
-		for f, g := range tflows {
-			got = strings.ReplaceAll(got, fmt.Sprintf("%p", f), fmt.Sprintf("%p", g))
-		}
-		if got != want {
-			failed = fmt.Errorf("t=%v: direct build\n%sunion-find\n%s", k.Now(), got, want)
-		}
-	}
-	check := func() {
-		if failed == nil && !n.dirty {
+			if n.dirty {
+				return
+			}
 			if err := refCheck(n, []*Link{mem}); err != nil {
 				failed = fmt.Errorf("t=%v: %v", k.Now(), err)
+				return
+			}
+			atCap, belowCap := 0, 0
+			for _, f := range n.active {
+				if f.done {
+					continue
+				}
+				if math.Float64bits(f.rate) == math.Float64bits(f.cap) {
+					atCap++
+				} else {
+					belowCap++
+				}
+			}
+			if atCap > 0 && belowCap > 0 {
+				out.capBound++
+			}
+			if atCap == 0 && belowCap >= 54 && mem.bottleneck {
+				out.saturated++
 			}
 		}
-	}
-	k.Spawn("driver", func(p *sim.Proc) {
-		var wg join
-		for step := 0; step < 300; step++ {
-			if next(8) == 0 {
-				n.SetLinkCapacity(mem, float64(1+next(8))*1e9)
-			} else {
+		k.Spawn("driver", func(p *sim.Proc) {
+			var wg join
+			id := 0
+			start := func(rate float64) {
 				wg.n++
-				n.Start(int64(1+next(1<<20)), float64(1+next(10))*0.5e9, func() {
-					compare()
+				flow := id
+				id++
+				n.Start(int64(1+next(1<<20)), rate, func() {
+					out.log = append(out.log, fmt.Sprintf("%d@%d", flow, k.Now()))
 					wg.done()
 				}, mem)
+				k.After(0, check)
 			}
-			k.After(0, check)
-			if next(3) == 0 {
-				p.Sleep(sim.Duration(1 + next(20_000)))
+			xeonRate := func() float64 {
+				if next(2) == 0 {
+					return xeon.CrossSocketRate
+				}
+				return xeon.CopyRate
 			}
+			for step := 0; step < 300; step++ {
+				switch {
+				case next(10) == 0:
+					n.SetLinkCapacity(mem, float64(2+next(7))*8.5e9)
+					k.After(0, check)
+				case step < 150:
+					start(xeonRate())
+				default:
+					start(xeonRate() / float64(3+next(11)))
+				}
+				if next(3) == 0 {
+					p.Sleep(sim.Duration(1 + next(20_000)))
+				}
+			}
+			n.SetLinkCapacity(mem, knl.AggregateBW)
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 64; i++ {
+					start(knl.CopyRate)
+					p.Sleep(sim.Duration(1 + next(200)))
+				}
+				if round == 2 {
+					n.SetLinkCapacity(mem, knl.AggregateBW/2)
+					k.After(0, check)
+				}
+				p.Sleep(sim.Duration(next(200_000)))
+			}
+			wg.wait(p, "flows")
+			check()
+		})
+		if err := co.Run(); err != nil {
+			t.Fatal(err)
 		}
-		wg.wait(p, "flows")
-	})
-	if err := co.Run(); err != nil {
-		t.Fatal(err)
+		if failed != nil {
+			t.Fatalf("solo=%v: %v", solo, failed)
+		}
+		out.moved, out.busy = mem.moved, mem.busy
+		return out
 	}
-	if failed != nil {
-		t.Fatal(failed)
+	got, want := run(true), run(false)
+	if got.capBound == 0 || got.saturated == 0 {
+		t.Fatalf("%d checks with a cap and the link binding, %d with 54+ copies saturating the link; the script must reach both",
+			got.capBound, got.saturated)
 	}
-	if direct == 0 || compacted == 0 {
-		t.Fatalf("%d direct builds, %d compacting a tombstone; the script must exercise both", direct, compacted)
+	if !reflect.DeepEqual(got.log, want.log) {
+		t.Fatalf("completion logs differ, solo net vs general net:\n%v\n%v", got.log, want.log)
+	}
+	if math.Float64bits(got.moved) != math.Float64bits(want.moved) || got.busy != want.busy {
+		t.Fatalf("solo link moved %v busy %v, general link moved %v busy %v", got.moved, got.busy, want.moved, want.busy)
 	}
 }
 

@@ -32,11 +32,12 @@ func (w *World) Metrics() *metrics.Registry {
 	// Flow-engine counters, aggregated across the network LP's engine
 	// and the per-node memory engines (each shard-invariant on its own).
 	flows := w.Flows.Stats
-	for _, fn := range w.memFlows {
-		flows.Started += fn.Stats.Started
-		flows.Completed += fn.Stats.Completed
-		flows.Recompute += fn.Stats.Recompute
-		flows.FastPath += fn.Stats.FastPath
+	for _, m := range w.Mem {
+		s := m.FlowStats()
+		flows.Started += s.Started
+		flows.Completed += s.Completed
+		flows.Recompute += s.Recompute
+		flows.FastPath += s.FastPath
 	}
 	r.Set("flows.started", "", float64(flows.Started))
 	r.Set("flows.completed", "", float64(flows.Completed))

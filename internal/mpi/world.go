@@ -100,15 +100,14 @@ type World struct {
 	Mem   []*fabric.MemChannel // indexed by node
 	Sharp *fabric.Sharp        // nil when the fabric has no SHArP
 
-	coord    *sim.Coordinator
-	memFlows []*fabric.FlowNet // per-node flow engines for memory traffic
-	cfg      Config
-	ranks    []*Rank
-	world    *Comm
-	rngs     []uint64     // per-rank jitter stream states
-	strag    [][]stragWin // per-rank straggler windows; nil without straggler faults
-	pools    []nodePool   // per-node free lists (see pool.go)
-	empty    *Vector      // the zero-length phantom Barrier exchanges; never written
+	coord *sim.Coordinator
+	cfg   Config
+	ranks []*Rank
+	world *Comm
+	rngs  []uint64     // per-rank jitter stream states
+	strag [][]stragWin // per-rank straggler windows; nil without straggler faults
+	pools []nodePool   // per-node free lists (see pool.go)
+	empty *Vector      // the zero-length phantom Barrier exchanges; never written
 
 	// mu guards nextCID: the engine builds communicators during the run
 	// (genall's group tables, on first use), possibly on several shards
@@ -152,13 +151,10 @@ func NewWorld(job *topology.Job, cfg Config) *World {
 		cfg:   cfg,
 	}
 	w.Mem = make([]*fabric.MemChannel, job.NodesUsed)
-	w.memFlows = make([]*fabric.FlowNet, job.NodesUsed)
 	w.pools = make([]nodePool, job.NodesUsed)
 	w.empty = NewPhantom(Int32, 0)
 	for i := range w.Mem {
-		mk := coord.KernelFor(i)
-		w.memFlows[i] = fabric.NewFlowNet(mk)
-		w.Mem[i] = fabric.NewMemChannel(mk, w.memFlows[i], job.Cluster, i)
+		w.Mem[i] = fabric.NewMemChannel(coord.KernelFor(i), job.Cluster, i)
 	}
 	if s, err := fabric.NewSharp(netK, job.Cluster); err == nil {
 		w.Sharp = s

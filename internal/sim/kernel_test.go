@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -295,8 +296,15 @@ func TestTransferTime(t *testing.T) {
 			t.Errorf("TransferTime(%d,%g) = %v, want %v", c.n, c.rate, got, c.want)
 		}
 	}
-	if d := TransferTime(100, 0); d < Duration(1<<60) {
+	if d := TransferTime(100, 0); d != stalled {
 		t.Errorf("zero rate should stall, got %v", d)
+	}
+	// A rate tiny enough that the span overflows int64 nanoseconds must
+	// stall too, not wrap negative and complete in 1 ns.
+	for _, rate := range []float64{1e-4, 1e-9, 1e-300} {
+		if d := TransferTime(1<<20, rate); d != stalled {
+			t.Errorf("TransferTime(1MiB, %g) = %v, want the stall value", rate, d)
+		}
 	}
 }
 
@@ -309,6 +317,16 @@ func TestDurationHelpers(t *testing.T) {
 	}
 	if DurationOfSeconds(1e-9) != 1 {
 		t.Error("1ns round trip failed")
+	}
+	// Spans past int64 nanoseconds (about 9.2e9 s) saturate at the stall
+	// value; the largest span below it still converts exactly.
+	for _, s := range []float64{4.62e9, 9.3e9, 1e10, 1e300, math.Inf(1)} {
+		if d := DurationOfSeconds(s); d != stalled {
+			t.Errorf("DurationOfSeconds(%g) = %d, want %d", s, d, stalled)
+		}
+	}
+	if d := DurationOfSeconds(4.6e9); d != 4_600_000_000*second {
+		t.Errorf("DurationOfSeconds(4.6e9) = %d", d)
 	}
 	d := 1500 * Nanosecond
 	if d.Micros() != 1.5 {

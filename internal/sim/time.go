@@ -28,14 +28,22 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // Micros reports the duration as a floating-point number of microseconds.
 func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 
+// stalled is the completion delay of a flow that cannot progress, and
+// the ceiling of every converted span.
+const stalled = Duration(1<<62 - 1)
+
 // DurationOfSeconds converts floating-point seconds to a Duration,
-// rounding to the nearest nanosecond and never returning a negative
-// value for a non-negative input.
+// rounding to the nearest nanosecond. A non-positive input gives 0, and
+// a span too long to represent saturates at the stall value instead of
+// wrapping negative.
 func DurationOfSeconds(s float64) Duration {
 	if s <= 0 {
 		return 0
 	}
-	return Duration(s*1e9 + 0.5)
+	if ns := s*1e9 + 0.5; ns < float64(stalled) {
+		return Duration(ns)
+	}
+	return stalled
 }
 
 // TransferTime returns the time needed to move n bytes at rate bytes/sec.
@@ -46,7 +54,7 @@ func TransferTime(n int64, rate float64) Duration {
 		return 0
 	}
 	if rate <= 0 {
-		return Duration(1<<62 - 1)
+		return stalled
 	}
 	d := DurationOfSeconds(float64(n) / rate)
 	if d <= 0 {
