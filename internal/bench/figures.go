@@ -49,8 +49,9 @@ type Options struct {
 }
 
 // worldConfig is the config every harness world starts from: one kernel
-// shard per sweep worker (clamped to the node count), so once only a
-// sweep's longest job is left, its shards take every core.
+// shard per sweep worker (clamped to the node count), so a job that runs
+// alone takes every core: a figure's only job, or the longest job of a
+// sweep (the pool starts it first) when it outlasts all the others.
 func worldConfig(jobs int) mpi.Config {
 	return mpi.Config{Shards: sweep.Workers(jobs)}
 }
@@ -250,7 +251,8 @@ func extensionCases() []designCase {
 // leaderSweep reproduces Figures 4-7: allreduce latency per message size
 // for 1, 2, 4, 8, 16 leaders per node. With extended set (fig4 only, so
 // figs 5-7 stay byte-identical to the paper-only build) it appends one
-// series per related-work family after the leader sweep.
+// series per related-work family after the leader sweep; both run in one
+// pool, so the last and slowest series, pap-ring, starts first.
 func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool, opt Options) (*Table, error) {
 	nodes, ppn = quickShrink(opt.Quick, nodes, ppn)
 	t := &Table{
@@ -260,25 +262,22 @@ func leaderSweep(id string, cl *topology.Cluster, nodes, ppn int, extended bool,
 		YLabel: "latency (us)",
 	}
 	sizes := sweepSizes(opt.Quick)
-	series, err := sweep.Map(opt.Jobs, leaderCandidates(ppn), func(_ int, l int) (Series, error) {
-		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), fmt.Sprintf("%d-leader", l), cl, nodes, ppn,
-			core.DPML(l), sizes, opt.Iters, opt.Warmup)
+	var cases []designCase
+	for _, l := range leaderCandidates(ppn) {
+		cases = append(cases, designCase{fmt.Sprintf("%d-leader", l), core.DPML(l)})
+	}
+	leaderCount := len(cases)
+	if extended {
+		cases = append(cases, extensionCases()...)
+	}
+	series, err := sweep.Map(opt.Jobs, cases, func(_ int, cse designCase) (Series, error) {
+		return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
+			cse.spec, sizes, opt.Iters, opt.Warmup)
 	})
 	if err != nil {
 		return nil, err
 	}
 	t.Series = series
-	leaderCount := len(t.Series)
-	if extended {
-		ext, err := sweep.Map(opt.Jobs, extensionCases(), func(_ int, cse designCase) (Series, error) {
-			return LatencySeries(opt.latencyConfig(cl, nodes, ppn), cse.label, cl, nodes, ppn,
-				cse.spec, sizes, opt.Iters, opt.Warmup)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Series = append(t.Series, ext...)
-	}
 	if leaderCount > 1 {
 		last := t.Series[leaderCount-1].Label
 		t.AddSpeedupNote(last, "1-leader")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"dpml/internal/core"
 	"dpml/internal/mpi"
@@ -36,7 +37,11 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 		{"flat-rabenseifner", core.Flat(mpi.AlgRabenseifner)},
 		{"dpml-16", core.DPML(min(16, ppn))},
 	}
+	// The pool starts the last job first, but this grid's costliest
+	// cells, the flat designs', come first: submit the cells backwards
+	// and put the latencies back in grid order after.
 	cells := gridCells(len(cases), len(jitters))
+	slices.Reverse(cells)
 	lats, err := sweep.Map(opt.Jobs, cells, func(_ int, c gridCell) (sim.Duration, error) {
 		cfg := opt.latencyConfig(cl, nodes, ppn)
 		cfg.Jitter, cfg.JitterSeed = jitters[c.col], 7
@@ -50,6 +55,7 @@ func noiseSensitivity(id string, opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	slices.Reverse(lats)
 	for ci, cse := range cases {
 		s := Series{Label: cse.label}
 		for ji, j := range jitters {

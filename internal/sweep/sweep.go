@@ -8,12 +8,27 @@
 // count. A panicking job is captured and reported as an error rather
 // than tearing down the process, and errors from all jobs are aggregated
 // so one failed cell does not hide another.
+//
+// Jobs start from the last submitted down to the first. Callers list
+// their jobs in ascending order of the swept parameter (message size,
+// leaders, nodes or pairs), so the last job is the longest, and running
+// it first is longest-processing-time-first scheduling: the pool's tail
+// is its cheapest jobs, not one large world running alone while the
+// other workers idle. A caller whose jobs get cheaper along its natural
+// order submits them reversed.
+//
+// A finished job's world is garbage, but the runtime paces its next
+// collection from a live heap that still counts it, so with the longest
+// jobs first the next world would be built beside it. After a job whose
+// world makes up most of the live heap, the pool collects before it
+// starts the next (see runOne).
 package sweep
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 )
@@ -31,12 +46,12 @@ func Workers(n int) int {
 }
 
 // Run executes jobs on up to workers goroutines (clamped by Workers and
-// by the number of jobs) and returns the results in submission order:
-// out[i] is the value produced by jobs[i] regardless of which worker ran
-// it or when it finished. All jobs are attempted even after a failure;
-// the returned error aggregates every job error, each prefixed with its
-// index. A panic inside a job is recovered and reported as that job's
-// error.
+// by the number of jobs), starting them from jobs[len(jobs)-1] down to
+// jobs[0], and returns the results in submission order: out[i] is the
+// value produced by jobs[i] regardless of which worker ran it or when it
+// finished. All jobs are attempted even after a failure; the returned
+// error aggregates every job error, each prefixed with its index. A
+// panic inside a job is recovered and reported as that job's error.
 func Run[T any](workers int, jobs []Job[T]) ([]T, error) {
 	out := make([]T, len(jobs))
 	if len(jobs) == 0 {
@@ -49,8 +64,8 @@ func Run[T any](workers int, jobs []Job[T]) ([]T, error) {
 	errs := make([]error, len(jobs))
 	if workers == 1 {
 		// Serial fast path: no goroutines, deterministic stack traces.
-		for i, job := range jobs {
-			out[i], errs[i] = runOne(i, job)
+		for i := len(jobs) - 1; i >= 0; i-- {
+			out[i], errs[i] = runOne(i, jobs[i])
 		}
 		return out, errors.Join(errs...)
 	}
@@ -61,8 +76,8 @@ func Run[T any](workers int, jobs []Job[T]) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				i := len(jobs) - int(next.Add(1))
+				if i < 0 {
 					return
 				}
 				out[i], errs[i] = runOne(i, jobs[i])
@@ -73,8 +88,19 @@ func Run[T any](workers int, jobs []Job[T]) ([]T, error) {
 	return out, errors.Join(errs...)
 }
 
-// runOne invokes one job with panic capture.
+// runOne invokes one job with panic capture, then collects if the live
+// heap more than doubled while the job ran: most of what the last
+// collection found live is then the world this job built, which is dead
+// now, and the runtime would pace its next collection from a live heap
+// that still counts it. Jobs whose worlds are small next to what stays
+// live never pass that bar, so sweeps of small worlds pay nothing.
 func runOne[T any](i int, job Job[T]) (out T, err error) {
+	before := liveHeap()
+	defer func() {
+		if liveHeap() > 2*before {
+			runtime.GC()
+		}
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sweep: job %d panicked: %v", i, r)
@@ -85,6 +111,13 @@ func runOne[T any](i int, job Job[T]) (out T, err error) {
 		err = fmt.Errorf("job %d: %w", i, err)
 	}
 	return out, err
+}
+
+// liveHeap reads the heap the last collection marked live, in bytes.
+func liveHeap() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // Map runs fn over items through the pool, preserving item order.

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunPreservesSubmissionOrder(t *testing.T) {
@@ -78,39 +81,158 @@ func TestRunCapturesPanics(t *testing.T) {
 }
 
 func TestRunActuallyRunsConcurrently(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// Still verifies the multi-worker code path completes; overlap
-		// cannot be observed on one CPU.
-		t.Log("single CPU: overlap not observable")
-	}
-	var peak, cur atomic.Int32
+	const workers = 4
+	var cur atomic.Int32
+	full := make(chan struct{})
 	jobs := make([]Job[struct{}], 16)
-	gate := make(chan struct{})
 	for i := range jobs {
 		jobs[i] = func() (struct{}, error) {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
+			// Hold every job until workers of them are in flight: a pool
+			// that runs fewer at once times out here instead of hanging.
+			if cur.Add(1) == workers {
+				close(full)
 			}
-			<-gate
-			cur.Add(-1)
-			return struct{}{}, nil
+			select {
+			case <-full:
+				return struct{}{}, nil
+			case <-time.After(10 * time.Second):
+				return struct{}{}, errors.New("fewer than workers jobs in flight")
+			}
 		}
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(4, jobs)
-		done <- err
-	}()
-	close(gate)
-	if err := <-done; err != nil {
+	if _, err := Run(workers, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if peak.Load() < 1 {
-		t.Fatal("no job ran")
+}
+
+func TestRunStartsLastJobFirst(t *testing.T) {
+	const n = 9
+	var mu sync.Mutex
+	var started []int
+	var parallel bool
+	both := make(chan struct{})
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		i := i
+		jobs[i] = func() (int, error) {
+			mu.Lock()
+			started = append(started, i)
+			if len(started) == 2 {
+				close(both)
+			}
+			mu.Unlock()
+			// With two workers, neither of the first two jobs finishes
+			// before the other starts, so they are the first two the
+			// pool handed out.
+			if parallel {
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+					return i, errors.New("second worker never started")
+				}
+			}
+			if i%2 == 1 {
+				return i, fmt.Errorf("odd %d", i)
+			}
+			return i, nil
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		started, parallel = nil, workers > 1
+		both = make(chan struct{})
+		out, err := Run(workers, jobs)
+		for i, v := range out {
+			if v != i {
+				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+			}
+		}
+		for i := 1; i < n; i += 2 {
+			if want := fmt.Sprintf("job %d: odd %d", i, i); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers=%d: error %v missing %q", workers, err, want)
+			}
+		}
+		switch workers {
+		case 1:
+			for k, i := range started {
+				if i != n-1-k {
+					t.Fatalf("serial start order %v, want %d down to 0", started, n-1)
+				}
+			}
+		case 2:
+			first := map[int]bool{started[0]: true, started[1]: true}
+			if !first[n-1] || !first[n-2] {
+				t.Fatalf("first two jobs started %v, want %d and %d", started[:2], n-1, n-2)
+			}
+		}
+	}
+}
+
+// sink keeps the test's garbage chunks from being optimised away.
+var sink []byte
+
+func forcedCycles() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// churn allocates n bytes in chunks that die at once, so a collection
+// during it never counts them live.
+func churn(n int) {
+	const chunk = 64 << 10
+	for ; n > 0; n -= chunk {
+		sink = make([]byte, chunk)
+	}
+	sink = nil
+}
+
+func TestRunCollectsOnlyAfterAWorldSizedJob(t *testing.T) {
+	// A resident heap of a few MB, as a figure process has, so that the
+	// garbage a collection finds in flight is small next to what is live.
+	resident := make([]byte, 4<<20)
+	defer runtime.KeepAlive(resident)
+	forced := func(jobs ...Job[int]) uint64 {
+		t.Helper()
+		runtime.GC()
+		before := forcedCycles()
+		if _, err := Run(1, jobs); err != nil {
+			t.Fatal(err)
+		}
+		return forcedCycles() - before
+	}
+	tiny := make([]Job[int], 100)
+	for i := range tiny {
+		i := i
+		tiny[i] = func() (int, error) { return i, nil }
+	}
+	if got := forced(tiny...); got != 0 {
+		t.Fatalf("100 tiny jobs forced %d collections, want 0", got)
+	}
+
+	live := liveHeap()
+	// A job that allocates twice the live heap but keeps none of it
+	// leaves the live heap where it was: nothing to collect.
+	garbage := func() (int, error) {
+		churn(int(2 * live))
+		return 0, nil
+	}
+	if got := forced(garbage); got != 0 {
+		t.Fatalf("a job churning 2x the live heap forced %d collections, want 0", got)
+	}
+	// A job that builds a world several times the live heap, and
+	// allocates enough while it stands for a collection to count it live,
+	// leaves that world dead when it returns.
+	world := func() (int, error) {
+		w := make([][]byte, 4*live>>16)
+		for i := range w {
+			w[i] = make([]byte, 64<<10)
+		}
+		churn(int(8 * live))
+		runtime.KeepAlive(w)
+		return len(w), nil
+	}
+	if got := forced(world); got != 1 {
+		t.Fatalf("a job building a world of 4x the live heap forced %d collections, want 1", got)
 	}
 }
 
